@@ -73,6 +73,7 @@ from repro.core.effects import (
 )
 from repro.core.entry import Entry
 from repro.core.output import OutputBuffer
+from repro.core.stability import Waiter
 from repro.core.tables import IncarnationEndTable, LoggingProgressTable
 from repro.net.message import (
     AppAck,
@@ -215,6 +216,13 @@ class KOptimisticProcess:
         self.receive_buffer: List[AppMessage] = []
         self.send_buffer: List[AppMessage] = []
         self.output_buffer = OutputBuffer()
+        # One stability index per process, shared by both buffers (see
+        # repro.core.stability).  ``_sb_held`` are the index registrations
+        # of ``send_buffer[:len(_sb_held)]``, in step; messages enqueued
+        # since the last Check_send_buffer are the unwatched tail.
+        self._stability = self.output_buffer.index
+        self._sb_held: List[Waiter] = []
+        self._sb_woken: List[Waiter] = []
         self.volatile = VolatileBuffer()
 
         # Application state and bookkeeping.
@@ -227,11 +235,9 @@ class KOptimisticProcess:
         self._receive_times: Dict[int, float] = {}
         self.stats = ProtocolStats()
 
-        # Scan-skip state: send-buffer release checks and Theorem-2
-        # nullification only change their answer when the log table, the
-        # local vector, or the buffered set changed since the last pass.
-        self._sb_dirty = True
-        self._sb_log_version = -1
+        # Scan-skip state: Theorem-2 nullification of the local vector
+        # only changes its answer when the log table or the vector changed
+        # since the last pass.
         self._nul_versions: Optional[Tuple[int, int]] = None
 
     # ------------------------------------------------------------------
@@ -534,7 +540,11 @@ class KOptimisticProcess:
         self.storage.crash()
         self.volatile.clear()
         self.receive_buffer.clear()
+        for waiter in self._sb_held:
+            self._stability.drop(waiter)
         self.send_buffer.clear()
+        self._sb_held.clear()
+        self._sb_woken.clear()
         self._sent_log.clear()
         self._unacked.clear()
         self.output_buffer.discard_all()
@@ -887,7 +897,6 @@ class KOptimisticProcess:
             k_limit=k_limit,
         )
         self.send_buffer.append(msg)
-        self._sb_dirty = True
         self._send_enqueue_times[msg.wire_id] = self.now_fn()
         self.stats.messages_enqueued += 1
 
@@ -896,55 +905,54 @@ class KOptimisticProcess:
         whose dependency vector has at most K non-NULL entries.
 
         Releasability depends only on the log table and the buffered
-        vectors (which nothing else mutates), so when neither has changed
-        since the last pass the whole rescan is skipped.
+        vectors (which nothing else mutates), so only the messages the
+        stability index woke — the table now covers an entry of theirs —
+        and the ones enqueued since the last pass are judged.
         """
         if not self.send_buffer:
             return []
-        if not self._sb_dirty and self._sb_log_version == self.log.version:
+        index = self._stability
+        index.advance(self.log)
+        held = self._sb_held
+        woken = self._sb_woken
+        if len(held) < len(self.send_buffer):
+            log = self.log
+            for msg in self.send_buffer[len(held):]:
+                held.append(index.watch(msg, msg.tdv, log, woken))
+        if not woken:
             return []
+        ready = index.collect(woken, self._send_limit)
+        if not ready:
+            return []
+        self._sb_held = [w for w in held if w.woken is not None]
+        self.send_buffer = [w.item for w in self._sb_held]
         effects: List[Effect] = []
-        log = self.log
-        for msg in self.send_buffer:
-            tdv = msg.tdv
-            if isinstance(tdv, DependencyVector):
-                stable = [pid for pid, packed in tdv.iter_packed()
-                          if log.covers_packed(pid, packed)]
-                for pid in stable:
-                    tdv.nullify(pid)
-            else:
-                for pid, entry in list(tdv.iter_items()):
-                    if log.covers(pid, entry):
-                        tdv.nullify(pid)
-        still_held: List[AppMessage] = []
         now = self.now_fn()
-        for msg in self.send_buffer:
-            limit = self.k if msg.k_limit is None else msg.k_limit
-            if msg.tdv.non_null_count() <= limit:
-                enqueued = self._send_enqueue_times.pop(msg.wire_id, now)
-                hold = now - enqueued
-                self.stats.send_hold_time_total += hold
-                if hold > self.stats.send_hold_time_max:
-                    self.stats.send_hold_time_max = hold
-                self.stats.messages_released += 1
-                if self.retransmit_window > 0:
-                    copies = self._sent_log.setdefault(msg.dst, [])
-                    copies.append(msg)
-                    del copies[: -self.retransmit_window]
-                effects.append(ReleaseMessage(msg))
-                if self.retransmit_timeout > 0:
-                    self._unacked[msg.msg_id] = _PendingSend(
-                        msg, self.retransmit_timeout * self.retransmit_backoff
-                    )
-                    effects.append(
-                        ScheduleRetransmit(msg.msg_id, self.retransmit_timeout)
-                    )
-            else:
-                still_held.append(msg)
-        self.send_buffer = still_held
-        self._sb_dirty = False
-        self._sb_log_version = self.log.version
+        for waiter in ready:
+            msg = waiter.item
+            enqueued = self._send_enqueue_times.pop(msg.wire_id, now)
+            hold = now - enqueued
+            self.stats.send_hold_time_total += hold
+            if hold > self.stats.send_hold_time_max:
+                self.stats.send_hold_time_max = hold
+            self.stats.messages_released += 1
+            if self.retransmit_window > 0:
+                copies = self._sent_log.setdefault(msg.dst, [])
+                copies.append(msg)
+                del copies[: -self.retransmit_window]
+            effects.append(ReleaseMessage(msg))
+            if self.retransmit_timeout > 0:
+                self._unacked[msg.msg_id] = _PendingSend(
+                    msg, self.retransmit_timeout * self.retransmit_backoff
+                )
+                effects.append(
+                    ScheduleRetransmit(msg.msg_id, self.retransmit_timeout)
+                )
         return effects
+
+    def _send_limit(self, msg: AppMessage) -> int:
+        """The degree of optimism ``msg`` is released under (Section 4.2)."""
+        return self.k if msg.k_limit is None else msg.k_limit
 
     # ------------------------------------------------------------------
     # Output commit
@@ -1066,6 +1074,13 @@ class KOptimisticProcess:
                 else:
                     kept.append(msg)
             setattr(self, buffer_name, kept)
+        if effects and self._sb_held:
+            # A discarded message must never be woken and released.
+            kept_ids = {id(msg) for msg in self.send_buffer}
+            for waiter in self._sb_held:
+                if id(waiter.item) not in kept_ids:
+                    self._stability.drop(waiter)
+            self._sb_held = [w for w in self._sb_held if w.woken is not None]
         for msg_id in [mid for mid, pending in self._unacked.items()
                        if self._is_orphan_message(pending.msg)]:
             del self._unacked[msg_id]  # retransmitting an orphan is pointless
@@ -1144,9 +1159,8 @@ class KOptimisticProcess:
     def _invalidate_scan_caches(self) -> None:
         """Recovery replaces the vector and/or tables wholesale; new
         objects restart their version counters, so drop the scan-skip
-        state rather than risk a stale match."""
-        self._sb_dirty = True
-        self._sb_log_version = -1
+        state rather than risk a stale match.  (The stability index
+        notices a replaced log table by identity.)"""
         self._nul_versions = None
 
     def _require_running(self) -> None:

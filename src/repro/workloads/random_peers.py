@@ -27,8 +27,10 @@ class TokenBehavior(AppBehavior):
         state["work"] = (state["work"] * 31 + payload.get("token", 0)) % 1_000_003
         hops = payload.get("hops", 0)
         if hops > 0:
-            peers = [p for p in range(ctx.n) if p != ctx.pid]
-            dst = peers[ctx.rng.randrange(len(peers))]
+            # A uniform peer other than ourselves, without building the
+            # O(n) peer list: index i of that list is pid i below us, i+1 above.
+            i = ctx.rng.randrange(ctx.n - 1)
+            dst = i if i < ctx.pid else i + 1
             ctx.send(dst, {
                 "token": payload.get("token", 0),
                 "hops": hops - 1,

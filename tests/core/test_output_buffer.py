@@ -75,3 +75,35 @@ class TestOutputBuffer:
         buf.add(make_record(), DependencyVector(4), now=42.0)
         ready = buf.update(LoggingProgressTable(4))
         assert ready[0].enqueued_at == 42.0
+
+    def test_contains_follows_add_commit_and_discards(self):
+        log = LoggingProgressTable(4)
+        iet = IncarnationEndTable(4)
+        buf = OutputBuffer()
+        held, orphan, ready = (make_record(seq=s) for s in range(3))
+        buf.add(held, DependencyVector(4, {1: Entry(0, 5)}))
+        buf.add(orphan, DependencyVector(4, {2: Entry(0, 9)}))
+        buf.add(ready, DependencyVector(4))
+        assert all(buf.contains(r.output_id) for r in (held, orphan, ready))
+        assert not buf.contains(make_record(seq=7).output_id)
+        buf.update(log)                                  # commits ``ready``
+        assert not buf.contains(ready.output_id)
+        iet.insert(2, Entry(0, 4))
+        buf.discard_orphans(iet)                         # drops ``orphan``
+        assert not buf.contains(orphan.output_id)
+        assert buf.contains(held.output_id)
+        buf.discard_all()
+        assert not buf.contains(held.output_id)
+
+    def test_discarded_outputs_never_commit(self):
+        log = LoggingProgressTable(4)
+        iet = IncarnationEndTable(4)
+        buf = OutputBuffer()
+        buf.add(make_record(seq=0), DependencyVector(4, {1: Entry(0, 5)}))
+        assert buf.update(log) == []                     # now watched
+        buf.add(make_record(seq=1), DependencyVector(4, {1: Entry(0, 6)}))
+        iet.insert(1, Entry(0, 4))                       # both are orphans,
+        assert len(buf.discard_orphans(iet)) == 2        # watched or not
+        log.insert(1, Entry(0, 9))
+        assert buf.update(log) == []
+        assert len(buf) == 0 and len(buf.index) == 0

@@ -85,6 +85,28 @@ class TestOutputCommit:
         effects = proc.on_log_notification(notification(6, 3, {2: 6}))
         assert effects_of(effects, CommitOutput)
 
+    def test_rollback_replay_of_pending_output_is_deduplicated(self):
+        # The output of interval (0,2) is still waiting (P1's interval is
+        # not stable) when P2's failure rolls P0 back past interval (0,3).
+        # Replay re-executes interval (0,2) and emits the same output id:
+        # the buffer must keep one copy, and commit it once.
+        proc = make_proc(pid=0, n=4, k=4, behavior=OutputBehavior())
+        proc.on_receive(make_msg(1, 0, entries={1: Entry(0, 3)},
+                                 payload={"output": "A"}))
+        proc.on_receive(make_msg(2, 0, entries={2: Entry(0, 5)}))
+        assert len(proc.output_buffer) == 1
+        effects = proc.on_failure_announcement(make_announcement(2, 0, 4))
+        assert proc.stats.rollbacks == 1
+        assert proc.stats.replayed_deliveries == 1
+        assert not effects_of(effects, OutputDiscarded)
+        assert len(proc.output_buffer) == 1
+        assert proc.stats.outputs_enqueued == 1
+        effects = proc.on_log_notification(notification(4, 1, {0: 3}))
+        effects += proc.flush()
+        assert len(effects_of(effects, CommitOutput)) == 1
+        assert proc.stats.outputs_committed == 1
+        assert len(proc.output_buffer) == 0
+
     def test_orphan_output_discarded(self):
         proc = make_proc(pid=4, n=6, k=6, behavior=OutputBehavior())
         proc.on_receive(make_msg(3, 4, n=6, entries={3: Entry(2, 6)},

@@ -68,6 +68,22 @@ class TestTokenBehavior:
             sends.append(c.sends)
         assert sends[0] == sends[1]
 
+    def test_destination_is_the_peer_list_draw(self):
+        """The hop destination is the same RNG draw, mapped to the same pid,
+        as indexing the list of all other processes — so traces recorded
+        when the behaviours built that list per hop stay byte-identical."""
+        from repro.workloads.openloop import OpenLoopBehavior
+
+        for behavior in (TokenBehavior(), OpenLoopBehavior()):
+            for n, pid, sii in ((2, 0, 1), (2, 1, 3), (5, 0, 2), (5, 4, 9),
+                                (7, 3, 4), (64, 17, 11), (64, 63, 5)):
+                c = AppContext(pid, n, 0, sii, seed=3)
+                behavior.on_message(behavior.initial_state(pid, n),
+                                    {"token": 1, "hops": 2}, c)
+                peers = [p for p in range(n) if p != pid]
+                rng = AppContext(pid, n, 0, sii, seed=3).rng
+                assert c.sends[0][0] == peers[rng.randrange(len(peers))]
+
     def test_workload_validation(self):
         with pytest.raises(ValueError):
             RandomPeersWorkload(min_hops=5, max_hops=2)
