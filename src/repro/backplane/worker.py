@@ -144,6 +144,7 @@ class Worker:
         transport = CoordinatorTransport(writer)
         self.executor = EffectExecutor(
             self.pid,
+            storage=self.protocol.storage,
             transport=transport,
             schedule=self.clock.schedule,
             now_fn=lambda: self.clock.now,

@@ -31,6 +31,12 @@ performs when ``check_invariants`` is on, every scenario run evaluates:
   vector holds at most ``k_limit`` non-null entries, and under an
   adaptive-K run the stamped bound never exceeds the controller ceiling
   ``resolved_k_max()`` (the effective-K-stays-bounded invariant).
+- **write-ahead** — whenever any effect of a process is interpreted, its
+  storage backend has no synchronous write still waiting for the barrier
+  (``StableBackend.sync_due``): no release, notification, announcement or
+  output commit leaves ahead of the journal bytes it depends on.  A host
+  that skips the barrier is flagged on its first effect after a
+  checkpoint, announcement or output-commit record.
 
 Each distinct violation is reported once (running on after a violation
 would repeat it every step).
@@ -65,7 +71,20 @@ class ProbeSet:
 
     # -- effect-level checks -----------------------------------------------
 
+    def write_ahead(self, host: ProcessHost, effect: Effect) -> None:
+        """Effect probe: nothing is interpreted ahead of the barrier.
+
+        Part of :meth:`install`; registrable on its own (it assumes nothing
+        about how the protocol variant tracks dependencies)."""
+        if host.protocol.storage.sync_due:
+            self._report(
+                f"write-ahead violated: P{host.pid} interpreted "
+                f"{type(effect).__name__} with a synchronous storage write "
+                f"not yet durable (the barrier did not run)"
+            )
+
     def _on_effect(self, host: ProcessHost, effect: Effect) -> None:
+        self.write_ahead(host, effect)
         if isinstance(effect, ReleaseMessage):
             self._check_release_k(host, effect)
             return

@@ -218,7 +218,6 @@ def fault_campaign(runs: int = 10, seed: int = 0, n: int = 6,
             checkpoint_interval=4 * _FLUSH,
             storage_backend="filelog",
             fsync_policy=rng.choice(("group", "group", "strict")),
-            group_commit_records=rng.choice((4, 8)),
         )
         schedule, description = _campaign_schedule(rng, n, horizon)
         violations, metrics = _run_one(config, schedule, horizon)

@@ -83,7 +83,8 @@ from repro.net.message import (
     LogProgressNotification,
     OutputRecord,
 )
-from repro.storage.stable import Checkpoint, LoggedMessage, StableStorage
+from repro.storage.backend import StableBackend
+from repro.storage.stable import Checkpoint, LoggedMessage, ModelBackend
 from repro.storage.volatile import VolatileBuffer
 from repro.types import MessageId, OutputId, ProcessId
 
@@ -145,7 +146,7 @@ class KOptimisticProcess:
         n: int,
         k: int,
         behavior: AppBehavior,
-        storage: Optional[StableStorage] = None,
+        storage: Optional[StableBackend] = None,
         seed: int = 0,
         now_fn: Optional[Callable[[], float]] = None,
         nullify_own_on_flush: bool = True,
@@ -166,7 +167,7 @@ class KOptimisticProcess:
         self.n = n
         self.k = k
         self.behavior = behavior
-        self.storage = storage if storage is not None else StableStorage(pid)
+        self.storage = storage if storage is not None else ModelBackend(pid)
         self.seed = seed
         self.now_fn = now_fn or (lambda: 0.0)
         self.nullify_own_on_flush = nullify_own_on_flush

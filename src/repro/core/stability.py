@@ -155,6 +155,9 @@ class StabilityIndex:
                     break
         for key in emptied:
             del self._heaps[key]
+        # Popping live entries shrinks the live count just as a drop does.
+        if self._size > 2 * self._live:
+            self._sweep()
 
     def collect(self, woken: List[Waiter],
                 limit_of: Callable[[Any], int]) -> List[Waiter]:

@@ -81,19 +81,16 @@ class SimConfig:
     storage_dir: Optional[str] = None
     #: Rotate the journal to a fresh segment file past this many bytes.
     segment_bytes: int = 262144
-    #: Group commit: fsync once this many async records are pending …
-    group_commit_records: int = 8
-    #: … or once this many bytes are pending, whichever comes first.
-    group_commit_bytes: int = 65536
     #: Degradation threshold: past this many pending records a failing
-    #: group commit turns into a forced, blocking one.
+    #: tolerant commit turns into a forced, blocking one.
     max_pending_records: int = 64
     #: Transient-I/O retry budget and capped exponential backoff.
     io_retries: int = 5
     io_backoff_base: float = 0.002
     io_backoff_max: float = 0.1
-    #: ``"group"`` batches async appends behind one fsync; ``"strict"``
-    #: fsyncs every record (pessimistic-storage mode, used by tests).
+    #: ``"group"`` commits once per async batch and once per protocol step
+    #: (the write-ahead barrier); ``"strict"`` fsyncs every record
+    #: (pessimistic-storage mode, used by tests).
     fsync_policy: str = "group"
 
     # -- protocol options ---------------------------------------------------
@@ -261,8 +258,7 @@ class SimConfig:
                 f"fsync_policy must be 'group' or 'strict', "
                 f"got {self.fsync_policy!r}"
             )
-        for name in ("segment_bytes", "group_commit_records",
-                     "group_commit_bytes", "max_pending_records"):
+        for name in ("segment_bytes", "max_pending_records"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.io_retries < 0:

@@ -23,6 +23,13 @@ The executor needs three capabilities from its environment:
   (the engine in simulation, an asyncio adapter in the runtime);
 - ``now_fn()`` — virtual time in simulation, wall-clock in the runtime.
 
+It also owns the **write-ahead barrier**: :meth:`EffectExecutor.execute`
+is the one point every driver and every protocol variant passes through
+between a handler returning and its effects becoming visible, so that is
+where the step's synchronous storage writes are made durable
+(:meth:`repro.storage.backend.StableBackend.barrier`) — before the first
+effect is interpreted, never after.
+
 With ``dep_trace`` enabled the executor additionally records the
 ``dep.*`` event family: a numeric, parser-free encoding of exactly the
 facts the dependency oracle consumes (interval creations, stability,
@@ -52,6 +59,7 @@ from repro.core.effects import (
 )
 from repro.net.message import LoggingRequest
 from repro.sim.trace import Tracer
+from repro.storage.backend import StableBackend
 
 
 class ExecutionHooks:
@@ -95,6 +103,7 @@ class EffectExecutor:
         self,
         pid: int,
         *,
+        storage: StableBackend,
         transport: Any,
         schedule: Callable[..., Any],
         now_fn: Callable[[], float],
@@ -104,6 +113,7 @@ class EffectExecutor:
         dep_trace: bool = False,
     ):
         self.pid = pid
+        self.storage = storage
         self.transport = transport
         self.schedule = schedule
         self.now_fn = now_fn
@@ -122,7 +132,13 @@ class EffectExecutor:
         ``probe`` (when given) runs for each effect *before* it is
         interpreted — the checker's effect-level invariant layer relies on
         seeing every effect against the state its predecessors produced.
+
+        The step that produced ``effects`` is made durable first.  A
+        :class:`~repro.storage.faults.StorageDeadError` from the barrier
+        propagates with no effect interpreted: the caller fail-stops the
+        process and nothing of the step was ever visible.
         """
+        self.storage.barrier()
         pid = self.pid
         now = self.now_fn()
         tracer = self.tracer

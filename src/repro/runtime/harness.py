@@ -209,6 +209,7 @@ class ProcessHost:
         self.protocol = protocol
         self.executor = EffectExecutor(
             pid,
+            storage=protocol.storage,
             transport=harness.network,
             schedule=harness.engine.schedule,
             now_fn=lambda: harness.engine.now,
@@ -484,7 +485,13 @@ class ProcessHost:
         # Back alive: pre-crash reliable-control envelopes may resume their
         # retry cycle (destinations deduplicate, so re-sends are harmless).
         self.harness.network.on_process_restart(self.pid)
-        self.execute(effects)
+        try:
+            self.execute(effects)
+        except StorageDeadError:
+            # Restart's own synchronous writes died at the barrier: none of
+            # its effects ran, so this is one more fail-stop and a retry.
+            self._storage_failed("restart")
+            return
         # Replay forced nothing new to disk, but the stable prefix is intact;
         # deliver the control traffic that arrived while we were down.
         pending, self.pending_control = self.pending_control, []

@@ -1,10 +1,10 @@
 """Stable storage (crash-surviving) and the volatile message buffer.
 
-Stable storage is pluggable: :class:`ModelBackend` (alias
-``StableStorage``) is the in-memory cost model, :class:`FileLogBackend`
-a durable segmented file journal; :func:`make_backend` selects one from a
-``SimConfig``.  :class:`StorageFaultInjector` arms deterministic device
-faults beneath the file backend.
+Stable storage is pluggable: :class:`ModelBackend` is the in-memory cost
+model, :class:`FileLogBackend` a durable segmented file journal;
+:func:`make_backend` selects one from a ``SimConfig``.
+:class:`StorageFaultInjector` arms deterministic device faults beneath the
+file backend.
 """
 
 from repro.storage.backend import BACKENDS, StableBackend, make_backend
@@ -15,7 +15,7 @@ from repro.storage.faults import (
     StorageFaultInjector,
     TransientStorageError,
 )
-from repro.storage.stable import Checkpoint, LoggedMessage, ModelBackend, StableStorage
+from repro.storage.stable import Checkpoint, LoggedMessage, ModelBackend
 from repro.storage.volatile import VolatileBuffer
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "LoggedMessage",
     "ModelBackend",
     "StableBackend",
-    "StableStorage",
     "StorageDeadError",
     "StorageError",
     "StorageFaultInjector",

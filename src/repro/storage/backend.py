@@ -14,9 +14,11 @@ messages, announcements, incarnation markers, and committed-output set —
 so the protocol layer above is byte-for-byte unchanged between them.  The
 file backend merely adds a *physical* layer beneath the logical one, and
 with it the possibility of failure: torn writes, lying fsyncs, transient
-I/O errors, dead devices.  ``stable_frontier`` is the one interface point
-where physics leaks upward: the protocol may only announce stability (and
-thus release K-optimism holds) up to what the backend believes is durable.
+I/O errors, dead devices.  Physics leaks upward at two interface points:
+``stable_frontier`` — the protocol may only announce stability (and thus
+release K-optimism holds) up to what the backend believes is durable —
+and ``barrier``, the write-ahead commit the effect executor runs before it
+lets anything a protocol step produced leave the process.
 """
 
 from __future__ import annotations
@@ -108,6 +110,26 @@ class StableBackend:
         commits) until the frontier catches up.
         """
         return current
+
+    @property
+    def sync_due(self) -> bool:
+        """True while a synchronous write awaits its :meth:`barrier`."""
+        return False
+
+    def barrier(self) -> None:
+        """Make every synchronous write since the last barrier durable.
+
+        The write-ahead rule: ``write_checkpoint``,
+        ``discard_checkpoints_after``, ``pop_logged_after``,
+        ``log_announcement``, ``log_incarnation_start``,
+        ``record_committed_output`` and ``append_log(sync=True)`` only
+        *mark* the journal; the effect executor calls this once per
+        protocol step, before it interprets the step's first effect, so
+        nothing leaves the process ahead of the bytes it depends on.  The
+        model backend is always durable: a no-op.  Raises
+        :class:`repro.storage.faults.StorageDeadError` when the device
+        gives up — the step's effects are then never executed.
+        """
 
     # -- checkpoints ----------------------------------------------------------
 
@@ -216,8 +238,6 @@ def make_backend(config: Any, pid: int) -> StableBackend:
             os.path.join(storage_dir, f"p{pid:03d}"),
             seed=getattr(config, "seed", 0),
             segment_bytes=getattr(config, "segment_bytes", 262144),
-            group_commit_records=getattr(config, "group_commit_records", 8),
-            group_commit_bytes=getattr(config, "group_commit_bytes", 65536),
             max_pending_records=getattr(config, "max_pending_records", 64),
             io_retries=getattr(config, "io_retries", 5),
             io_backoff_base=getattr(config, "io_backoff_base", 0.002),

@@ -7,11 +7,15 @@ model's, verbatim; what this class adds is the *physical* layer:
 
 - every logical mutation is journaled as one CRC32-framed record
   (``recovery.encode_record``) appended to the active segment file;
-- asynchronous log appends are **group committed**: frames accumulate
-  un-fsynced and one fsync covers the whole batch once the record- or
-  byte-threshold trips.  Journal order equals operation order, so losing
-  an un-fsynced suffix rewinds storage to an earlier consistent state
-  (prefix consistency) — exactly the loss optimistic logging tolerates;
+- durability follows a **write-ahead rule**, not the individual
+  operations: a synchronous mutation only appends its frame and marks the
+  journal sync-due, and :meth:`barrier` — run by the effect executor
+  before a protocol step's first effect is interpreted — makes the whole
+  step durable with one strict group commit.  An asynchronous log batch
+  ends with one *tolerant* commit.  Journal order equals operation order,
+  so losing an un-fsynced suffix rewinds storage to an earlier consistent
+  state (prefix consistency): a crash before the barrier recovers to a
+  frame-prefix of the step, none of whose effects ever ran;
 - the backend tracks *belief* vs *truth*: ``believed`` advances on any
   fsync that reported success, ``persisted`` only on honest ones.  A
   crash truncates the file to the truth (plus an optionally-armed torn
@@ -85,8 +89,6 @@ class FileLogBackend(ModelBackend):
         *,
         seed: int = 0,
         segment_bytes: int = 262144,
-        group_commit_records: int = 8,
-        group_commit_bytes: int = 65536,
         max_pending_records: int = 64,
         io_retries: int = 5,
         io_backoff_base: float = 0.002,
@@ -102,8 +104,6 @@ class FileLogBackend(ModelBackend):
         self.directory = directory
         self.injector = StorageFaultInjector(pid, seed)
         self._segment_bytes = segment_bytes
-        self._group_commit_records = group_commit_records
-        self._group_commit_bytes = group_commit_bytes
         self._max_pending_records = max_pending_records
         self._retry_limit = io_retries
         self._backoff_base = io_backoff_base
@@ -120,7 +120,10 @@ class FileLogBackend(ModelBackend):
         self._persisted = 0  # bytes truly durable (the truth)
         self._believed = 0  # bytes the process thinks are durable
         self._pending_records = 0
-        self._pending_bytes = 0
+        #: A synchronous frame is written but not yet covered by a commit.
+        self._sync_due = False
+        #: Segment files on disk (the active one included).
+        self._segment_count = 1
         self._dead = False
         self._durable_entry = Entry(0, 0)
 
@@ -137,12 +140,13 @@ class FileLogBackend(ModelBackend):
     def _open_tail(self) -> None:
         segments = list_segments(self.directory)
         self._seg_index = segment_index(segments[-1]) if segments else 1
+        self._segment_count = max(1, len(segments))
         path = self._segment_path(self._seg_index)
         self._handle = open(path, "ab")
         size = os.path.getsize(path)
         self._written = self._persisted = self._believed = size
         self._pending_records = 0
-        self._pending_bytes = 0
+        self._sync_due = False
 
     def _ensure_alive(self) -> None:
         if self._dead:
@@ -194,7 +198,6 @@ class FileLogBackend(ModelBackend):
         self._written += len(data)
         self.bytes_written += len(data)
         self._pending_records += 1
-        self._pending_bytes += len(data)
 
     def _stall(self, duration: float) -> None:
         self.stall_time += duration
@@ -235,7 +238,7 @@ class FileLogBackend(ModelBackend):
             self._persisted = self._written
         self._believed = self._written
         self._pending_records = 0
-        self._pending_bytes = 0
+        self._sync_due = False
         self.group_commits += 1
         try:
             self.injector.after_fsync()
@@ -245,24 +248,12 @@ class FileLogBackend(ModelBackend):
             raise
         return True
 
-    def _maybe_group_commit(self) -> None:
-        if (
-            self._pending_records >= self._group_commit_records
-            or self._pending_bytes >= self._group_commit_bytes
-        ):
-            if not self._group_commit(strict=False):
-                if self._pending_records > self._max_pending_records:
-                    # Degrade gracefully: block rather than let the
-                    # un-durable window grow without bound.
-                    self.forced_group_commits += 1
-                    self._group_commit(strict=True)
-
     def _journal(self, rtype: int, obj: Any, sync: bool) -> None:
         self._append_frame(rtype, obj)
-        if sync or self._fsync_policy == "strict":
+        if self._fsync_policy == "strict":
             self._group_commit(strict=True)
-        else:
-            self._maybe_group_commit()
+        elif sync:
+            self._sync_due = True
 
     def _rotate(self) -> None:
         """Seal the active segment (strict commit) and open the next."""
@@ -270,6 +261,7 @@ class FileLogBackend(ModelBackend):
         self._handle.close()
         self._seg_index += 1
         self._handle = open(self._segment_path(self._seg_index), "ab")
+        self._segment_count += 1
         self._written = self._persisted = self._believed = 0
 
     def _compact(self) -> None:
@@ -293,6 +285,7 @@ class FileLogBackend(ModelBackend):
         for name in list_segments(self.directory):
             if segment_index(name) < self._seg_index:
                 os.unlink(os.path.join(self.directory, name))
+        self._segment_count = 1
 
     # ------------------------------------------------------------------
     # lifecycle: faults, crash, recovery
@@ -427,6 +420,14 @@ class FileLogBackend(ModelBackend):
             return current
         return min(self._durable_entry, current)
 
+    @property
+    def sync_due(self) -> bool:
+        return self._sync_due
+
+    def barrier(self) -> None:
+        if self._sync_due:
+            self._group_commit(strict=True)
+
     # ------------------------------------------------------------------
     # logical operations: mirror via super(), journal beneath
     # ------------------------------------------------------------------
@@ -458,26 +459,22 @@ class FileLogBackend(ModelBackend):
         super().append_log(records, sync)
         # One frame per message: a torn write then loses at most a record
         # tail, never an unframed middle.
-        strict = self._fsync_policy == "strict"
         for record in records:
-            self._append_frame(T_LOGMSG, record)
-            if strict:
-                self._group_commit(strict=True)
-            else:
-                self._maybe_group_commit()
-        if sync or strict:
+            self._journal(T_LOGMSG, record, sync)
+        if sync or self._fsync_policy == "strict":
+            return
+        # The batch is the paper's "several messages ... in a single
+        # operation": finish it with one tolerant group commit so the
+        # stable frontier normally catches up each flush period.  A
+        # transient failure is tolerated — the frontier simply lags —
+        # until the un-durable window passes its bound: then block rather
+        # than let it grow further.
+        if (
+            not self._group_commit(strict=False)
+            and self._pending_records > self._max_pending_records
+        ):
+            self.forced_group_commits += 1
             self._group_commit(strict=True)
-        else:
-            # The batch is the paper's "several messages ... in a single
-            # operation": finish it with one tolerant group commit so the
-            # stable frontier normally catches up each flush period.  A
-            # transient failure is tolerated — the frontier simply lags.
-            if (
-                not self._group_commit(strict=False)
-                and self._pending_records > self._max_pending_records
-            ):
-                self.forced_group_commits += 1
-                self._group_commit(strict=True)
 
     def pop_logged_after(self, sii: IntervalIndex) -> List[LoggedMessage]:
         self._ensure_alive()
@@ -490,7 +487,7 @@ class FileLogBackend(ModelBackend):
         self._ensure_alive()
         reclaimed = super().truncate_before(checkpoint_index)
         self._journal(T_GC, checkpoint_index, sync=False)
-        if len(list_segments(self.directory)) >= COMPACT_SEGMENT_THRESHOLD:
+        if self._segment_count >= COMPACT_SEGMENT_THRESHOLD:
             self._compact()
         return reclaimed
 

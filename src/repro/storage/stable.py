@@ -23,7 +23,6 @@ succeed, fsyncs never lie, and restart is free.  The durable file-journal
 implementation (:class:`repro.storage.filelog.FileLogBackend`) subclasses
 it so the two backends share one copy of the logical semantics and the
 differential tests can compare their recovered state directly.
-``StableStorage`` remains as an alias for backward compatibility.
 """
 
 from __future__ import annotations
@@ -337,7 +336,3 @@ class ModelBackend(StableBackend):
             self.highest_incarnation_marker(),
         )
 
-
-#: Backwards-compatible name: the model backend *is* the original
-#: ``StableStorage`` cost model.
-StableStorage = ModelBackend

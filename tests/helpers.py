@@ -54,6 +54,22 @@ def build_sim(
     return harness
 
 
+class Scripted(AppBehavior):
+    """Sends and outputs exactly what the delivered payload says:
+    ``{"sends": [(dst, k_limit), ...], "outputs": [tag, ...]}``."""
+
+    def initial_state(self, pid, n):
+        return {"delivered": 0}
+
+    def on_message(self, state, payload, ctx):
+        state["delivered"] += 1
+        for dst, k_limit in payload.get("sends", ()):
+            ctx.send(dst, {}, k=k_limit)
+        for tag in payload.get("outputs", ()):
+            ctx.output(tag)
+        return state
+
+
 def make_proc(
     pid: int = 0,
     n: int = 4,

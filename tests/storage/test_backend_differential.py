@@ -6,6 +6,11 @@ durable before the call returns), a crash + REDO recovery must rebuild
 the identical logical state.  Hypothesis drives both backends through the
 same random operation sequences and compares ``state_digest()`` before
 and after a crash/recover cycle.
+
+Under the default policy durability belongs to the write-ahead barrier,
+not to the single operation.  A second property interleaves barriers with
+the operations and crashes anywhere: a crash right after a barrier
+recovers the whole step, a crash before it a frame-prefix of the step.
 """
 
 import shutil
@@ -115,6 +120,71 @@ def test_filelog_matches_model_through_crash(ops, seed):
         _apply(model, tail, records)
         _apply(filelog, tail, records)
         assert filelog.state_digest() == model.state_digest()
+        filelog.close()
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=st.lists(st.one_of(op, op, st.just(("barrier",))), max_size=25),
+       torn=st.booleans(), seed=st.integers(0, 1 << 16))
+def test_crash_recovers_a_frame_prefix_of_the_open_step(ops, torn, seed):
+    directory = tempfile.mkdtemp(prefix="repro-difftest-")
+    try:
+        model = ModelBackend(0)
+        filelog = FileLogBackend(0, directory, seed=seed, segment_bytes=2048)
+        records, position = {}, 0
+        for operation in ops:
+            if operation[0] == "append":
+                position += operation[1]
+                records[operation[1]] = _record(position, 0,
+                                                {"v": operation[1]})
+        records["tail"] = _record(position + 1, 0, {"v": "tail"})
+        boot = ("checkpoint", 0, {})
+        _apply(model, boot, records)
+        _apply(filelog, boot, records)
+        filelog.barrier()
+        if torn:
+            # Holds the tolerant commits too, so more of the step is at
+            # stake, and leaves half of the lost tail on disk, cut mid-frame.
+            filelog.injector.arm("torn_write")
+
+        # Every state the open step has passed through, oldest first: one
+        # operation journals at most one frame, so these are exactly the
+        # states a frame-prefix of the step can rebuild.
+        passed = [model.state_digest()]
+        for operation in ops:
+            if operation[0] == "barrier":
+                due = filelog.sync_due
+                filelog.barrier()
+                assert not filelog.sync_due
+                if due:
+                    # The step wrote synchronously: all of it is durable.
+                    # (An asynchronous batch alone is the flush's to
+                    # commit, and an armed tear holds that commit back.)
+                    passed = [model.state_digest()]
+            else:
+                _apply(model, operation, records)
+                _apply(filelog, operation, records)
+                passed.append(model.state_digest())
+                if operation[0] in ("checkpoint", "announce", "commit",
+                                    "discard_ckpt") or (
+                        operation[0] == "append" and operation[2]):
+                    assert filelog.sync_due
+            assert filelog.state_digest() == model.state_digest()
+
+        filelog.crash()
+        filelog.recover()
+        # After a barrier that had something due, ``passed`` holds the
+        # whole step and nothing else.
+        assert filelog.state_digest() in passed
+
+        _apply(filelog, ("append", "tail", True), records)
+        filelog.barrier()
+        filelog.crash()
+        filelog.recover()
+        assert filelog.logged_after(position)[-1] == records["tail"]
         filelog.close()
     finally:
         shutil.rmtree(directory, ignore_errors=True)

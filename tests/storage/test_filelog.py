@@ -29,8 +29,13 @@ def record(position, inc=0, src=1, pad=0):
 
 
 def make_backend(tmp_path, **kwargs):
-    kwargs.setdefault("group_commit_records", 4)
     return FileLogBackend(0, str(tmp_path / "p0"), **kwargs)
+
+
+def fail_next_fsync(backend):
+    """Arm one transient error that the next fsync (not a write) meets."""
+    backend.injector.on_write = lambda nbytes: None
+    backend.injector.arm("eio")
 
 
 def checkpointed(backend, sii=0):
@@ -47,23 +52,69 @@ class TestGroupCommit:
         assert backend.group_commits == 1
         assert backend.bytes_fsynced == backend.bytes_written
 
-    def test_record_threshold_commits_mid_batch(self, tmp_path):
-        backend = make_backend(tmp_path, group_commit_records=2)
-        backend.append_log([record(i) for i in range(1, 6)], sync=False)
-        # ceil(5/2) threshold commits minus overlap with the batch-final
-        # commit: at least two fsyncs, strictly fewer than one per record.
-        assert 2 <= backend.fsyncs < 5
+    def test_batch_size_does_not_add_commits(self, tmp_path):
+        backend = make_backend(tmp_path)
+        backend.append_log([record(i) for i in range(1, 21)], sync=False)
+        # No mid-batch threshold: twenty frames ride the batch-final commit.
+        assert backend.fsyncs == 1
+        assert backend._pending_records == 0
 
     def test_strict_policy_fsyncs_every_record(self, tmp_path):
         backend = make_backend(tmp_path, fsync_policy="strict")
         backend.append_log([record(1), record(2)], sync=False)
         assert backend.fsyncs == 2
 
-    def test_sync_append_commits_immediately(self, tmp_path):
-        backend = make_backend(tmp_path, group_commit_records=100)
+    def test_sync_append_commits_at_the_barrier(self, tmp_path):
+        backend = make_backend(tmp_path)
         backend.append_log([record(1)], sync=True)
-        assert backend.fsyncs == 1
+        assert backend.fsyncs == 0 and backend.sync_due
+        backend.barrier()
+        assert backend.fsyncs == 1 and not backend.sync_due
         assert backend.bytes_fsynced == backend.bytes_written
+
+    def test_one_barrier_covers_every_sync_write_of_a_step(self, tmp_path):
+        backend = make_backend(tmp_path)
+        checkpointed(backend)
+        backend.append_log([record(1), record(2)], sync=True)
+        backend.log_announcement(FailureAnnouncement(1, Entry(0, 4)))
+        backend.pop_logged_after(1)
+        backend.discard_checkpoints_after(0)
+        backend.log_incarnation_start(1)
+        backend.record_committed_output("out-1")
+        assert backend.fsyncs == 0 and backend.sync_due
+        backend.barrier()
+        assert backend.fsyncs == backend.group_commits == 1
+        assert backend.bytes_fsynced == backend.bytes_written
+        backend.barrier()   # nothing due: free
+        assert backend.fsyncs == 1
+
+    def test_barrier_ignores_a_lagging_async_batch(self, tmp_path):
+        backend = make_backend(tmp_path)
+        fail_next_fsync(backend)        # the batch's tolerant commit fails
+        backend.append_log([record(1)], sync=False)
+        assert backend._pending_records == 1 and not backend.sync_due
+        backend.barrier()
+        # Only synchronous writes are the barrier's: the frontier keeps
+        # lagging until the next flush, exactly as without a barrier.
+        assert backend.fsyncs == 0
+        assert backend.stable_frontier(Entry(0, 1)) == Entry(0, 0)
+
+    def test_async_commit_covers_earlier_sync_frames(self, tmp_path):
+        backend = make_backend(tmp_path)
+        backend.record_committed_output("out-1")
+        backend.append_log([record(1)], sync=False)
+        assert backend.fsyncs == 1 and not backend.sync_due
+
+    def test_forced_commit_past_max_pending(self, tmp_path):
+        backend = make_backend(tmp_path, max_pending_records=3)
+        fail_next_fsync(backend)
+        backend.append_log([record(i) for i in range(1, 4)], sync=False)
+        assert backend.forced_group_commits == 0    # 3 pending: tolerated
+        backend.injector.arm("eio", count=2)        # tolerant + first strict
+        backend.append_log([record(4)], sync=False)
+        # 4 > 3 pending after a failed tolerant commit: block and commit.
+        assert backend.forced_group_commits == 1
+        assert backend._pending_records == 0
 
 
 class TestCrashRecovery:
@@ -72,6 +123,7 @@ class TestCrashRecovery:
         checkpointed(backend)
         backend.append_log([record(1), record(2)], sync=False)
         backend.record_committed_output("out-1")
+        backend.barrier()
         backend.crash()
         backend.recover()
         assert backend.log_size == 2
@@ -99,16 +151,50 @@ class TestCrashRecovery:
         backend.pop_logged_after(2)
         checkpointed(backend, sii=2)
         backend.discard_checkpoints_after(0)
+        backend.barrier()
         backend.crash()
         backend.recover()
         assert backend.log_size == 2
         assert len(backend.checkpoints) == 1
 
+    def test_crash_before_the_barrier_keeps_a_frame_prefix(self, tmp_path):
+        backend = make_backend(tmp_path)
+        checkpointed(backend)
+        backend.barrier()
+        # One step's synchronous writes, torn by a crash before its barrier.
+        backend.arm_fault(type("E", (), {
+            "kind": "torn_write", "count": 1, "duration": 0.0})())
+        backend.append_log([record(i, pad=i * 37) for i in range(1, 5)],
+                           sync=True)
+        checkpointed(backend, sii=4)
+        backend.record_committed_output("out-1")
+        backend.crash()
+        backend.recover()
+        assert backend.recoveries == 1 and not backend.sync_due
+        # Journal order is operation order: whatever survived is a prefix.
+        survivors = [r.position for r in backend.logged_after(0)]
+        assert survivors == list(range(1, len(survivors) + 1))
+        assert not backend.output_committed("out-1")
+        if len(backend.checkpoints) == 2:
+            assert len(survivors) == 4
+
+    def test_crash_without_barrier_loses_the_whole_step(self, tmp_path):
+        backend = make_backend(tmp_path)
+        checkpointed(backend)
+        backend.barrier()
+        backend.append_log([record(1)], sync=True)
+        backend.record_committed_output("out-1")
+        backend.crash()
+        backend.recover()
+        assert backend.log_size == 0
+        assert not backend.output_committed("out-1")
+
 
 class TestTornWrite:
     def test_torn_tail_truncated_at_first_bad_frame(self, tmp_path):
-        backend = make_backend(tmp_path, group_commit_records=100)
+        backend = make_backend(tmp_path)
         checkpointed(backend)
+        backend.barrier()
         before = backend.fsyncs
         # An armed tear suppresses tolerant commits: the batch the crash
         # will interrupt stays in flight, un-fsynced.
@@ -131,8 +217,9 @@ class TestTornWrite:
         ]
 
     def test_recovered_prefix_is_usable(self, tmp_path):
-        backend = make_backend(tmp_path, group_commit_records=100)
+        backend = make_backend(tmp_path)
         checkpointed(backend)
+        backend.barrier()
         backend.arm_fault(type("E", (), {
             "kind": "torn_write", "count": 1, "duration": 0.0})())
         backend.append_log([record(i) for i in range(1, 7)], sync=False)
@@ -143,6 +230,7 @@ class TestTornWrite:
         assert [r.position for r in survivors] == list(
             range(1, len(survivors) + 1))
         backend.append_log([record(len(survivors) + 1)], sync=True)
+        backend.barrier()
         assert backend.log_size == len(survivors) + 1
 
 
@@ -150,8 +238,10 @@ class TestFsyncLie:
     def test_lie_splits_belief_from_truth(self, tmp_path):
         backend = make_backend(tmp_path)
         checkpointed(backend)
+        backend.barrier()
         backend.injector.arm("fsync_lie")
         backend.append_log([record(1)], sync=True)
+        backend.barrier()
         assert backend.fsync_lies == 1
         # The process believes the record durable; the device knows better.
         assert backend._believed == backend._written
@@ -163,9 +253,12 @@ class TestFsyncLie:
     def test_honest_fsync_covers_earlier_lie(self, tmp_path):
         backend = make_backend(tmp_path)
         checkpointed(backend)
+        backend.barrier()
         backend.injector.arm("fsync_lie")
-        backend.append_log([record(1)], sync=True)   # lied
-        backend.append_log([record(2)], sync=True)   # honest: covers both
+        backend.append_log([record(1)], sync=True)
+        backend.barrier()                            # lied
+        backend.append_log([record(2)], sync=True)
+        backend.barrier()                            # honest: covers both
         assert backend._persisted == backend._written
         backend.crash()
         backend.recover()
@@ -176,7 +269,8 @@ class TestTransientErrors:
     def test_eio_retried_with_recorded_backoff(self, tmp_path):
         backend = make_backend(tmp_path)
         backend.injector.arm("eio", count=2)
-        backend.append_log([record(1)], sync=True)
+        backend.append_log([record(1)], sync=True)      # write fails once,
+        backend.barrier()                               # then the fsync
         assert backend.io_errors == 2
         assert backend.io_retries >= 2
         assert backend.backoff_time > 0.0
@@ -194,18 +288,30 @@ class TestTransientErrors:
         backend.recover()
         backend.append_log([record(1)], sync=True)
 
+    def test_retries_exhausted_at_the_barrier_declare_dead(self, tmp_path):
+        backend = make_backend(tmp_path, io_retries=2)
+        backend.append_log([record(1)], sync=True)
+        backend.injector.arm("eio", count=50)
+        with pytest.raises(StorageDeadError):
+            backend.barrier()
+        assert backend.dead_declared == 1
+        assert backend.fsyncs == 0
+
     def test_stall_recorded_not_slept(self, tmp_path):
         backend = make_backend(tmp_path)
         backend.injector.arm("stall", duration=7.5)
         backend.append_log([record(1)], sync=True)
+        backend.barrier()
         assert backend.stall_time == pytest.approx(7.5)
 
     def test_crash_after_fsyncs_fires_on_boundary(self, tmp_path):
         backend = make_backend(tmp_path)
         backend.injector.arm("crash_after_fsyncs", count=2)
         backend.append_log([record(1)], sync=True)
+        backend.barrier()
+        backend.append_log([record(2)], sync=True)
         with pytest.raises(StorageDeadError):
-            backend.append_log([record(2)], sync=True)
+            backend.barrier()
         # The fsync completed before the device died: both records are
         # durable and recovery sees them.
         backend.recover()
@@ -234,8 +340,13 @@ class TestSegments:
         backend = make_backend(tmp_path, segment_bytes=512)
         for i in range(1, 30):
             backend.append_log([record(i)], sync=True)
+        backend.barrier()
         segments = list_segments(backend.directory)
         assert len(segments) > 1
+        assert backend._segment_count == len(segments)
+        # Sealing a segment commits it: rotations alone made all but the
+        # tail durable, whatever the barrier cadence.
+        assert backend.fsyncs == len(segments)
         backend.crash()
         backend.recover()
         assert backend.log_size == 29
@@ -246,13 +357,17 @@ class TestSegments:
         for i in range(1, 30):
             backend.append_log([record(i)], sync=True)
         checkpointed(backend, sii=29)
-        assert len(list_segments(backend.directory)) >= (
-            COMPACT_SEGMENT_THRESHOLD)
+        assert backend._segment_count == len(
+            list_segments(backend.directory)) >= COMPACT_SEGMENT_THRESHOLD
         backend.pop_logged_after(29)
         reclaimed = backend.truncate_before(1)
         assert reclaimed >= 0
         segments = list_segments(backend.directory)
         assert len(segments) <= 2  # snapshot segment + active tail
+        assert backend._segment_count == len(segments)
+        # Compaction commits its snapshot before unlinking anything, which
+        # also covers the step's pending synchronous frames.
+        assert not backend.sync_due
         backend.crash()
         backend.recover()
         assert backend.latest_checkpoint_entry() == Entry(0, 29)
@@ -269,11 +384,15 @@ class TestFrontier:
     def test_frontier_tracks_current_when_all_durable(self, tmp_path):
         backend = make_backend(tmp_path)
         backend.append_log([record(1)], sync=True)
+        # A marked write is not a durable one.
+        assert backend.stable_frontier(Entry(0, 1)) == Entry(0, 0)
+        backend.barrier()
         assert backend.stable_frontier(Entry(0, 1)) == Entry(0, 1)
 
     def test_frontier_lags_while_batch_pending(self, tmp_path):
-        backend = make_backend(tmp_path, group_commit_records=100)
+        backend = make_backend(tmp_path)
         backend.append_log([record(1)], sync=True)
+        backend.barrier()
         assert backend.stable_frontier(Entry(0, 1)) == Entry(0, 1)
         # Suppress the per-batch tolerant commit to leave records pending.
         backend.injector.arm("torn_write")
@@ -283,6 +402,15 @@ class TestFrontier:
         # the un-fsynced records, and never exceeds current.
         assert backend.stable_frontier(Entry(0, 3)) == Entry(0, 1)
         assert backend.stable_frontier(Entry(0, 0)) == Entry(0, 0)
+
+
+class TestModelBackendBarrier:
+    def test_model_is_always_durable(self):
+        backend = ModelBackend(0)
+        backend.record_committed_output("out-1")
+        assert not backend.sync_due
+        backend.barrier()
+        assert backend.fsyncs == 0
 
 
 class TestModelBackendFaults:
