@@ -1,8 +1,8 @@
 """The runtime backplane: real OS processes over asyncio TCP.
 
 The simulation (:mod:`repro.sim`) and the backplane drive the *same*
-sans-IO protocol core through the *same* effect interpreter
-(:class:`repro.runtime.executor.EffectExecutor`); only the environment
+sans-IO protocol core in the *same* process host
+(:class:`repro.runtime.host.ProcessHost`); only the environment
 differs.  Here each recovery unit is one OS process speaking
 length-prefixed JSON frames to a coordinator in a star topology:
 

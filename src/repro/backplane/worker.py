@@ -7,15 +7,16 @@ Spawned by the coordinator, a worker:
   exactly what the paper's fail-stop model says it loses);
 - connects to the coordinator and exchanges length-prefixed JSON frames
   (the star topology routes every message through the coordinator);
-- drives the protocol through the *same*
-  :class:`~repro.runtime.executor.EffectExecutor` the simulation uses,
-  with wall-clock timers and ``dep.*`` tracing enabled;
-- runs the periodic flush / checkpoint / notify activities on asyncio
-  timers scaled by the run's ``timescale``.
+- hosts the protocol in the *same*
+  :class:`~repro.runtime.host.ProcessHost` the simulation uses — dispatch,
+  periodic flush / checkpoint / notify timers, fail-stop on a dead
+  journal — over an environment of wall-clock time, asyncio timers scaled
+  by the run's ``timescale``, and ``dep.*`` tracing.
 
-On respawn after a crash the journal directory is non-empty; the worker
-then boots via :meth:`KOptimisticProcess.boot_after_crash` (REDO-only
-recovery plus the Restart broadcast) instead of :meth:`initialize`.
+What is left here is what only this driver knows: the manifest, the TCP
+framing and codec, and the coordinator's command frames.  On respawn after
+a crash the journal directory is non-empty; the host then boots through
+REDO-only recovery plus the Restart broadcast instead of a fresh start.
 """
 
 from __future__ import annotations
@@ -30,19 +31,12 @@ from repro.app.hopchain import HopChainBehavior
 from repro.backplane.clock import JsonlTracer, WallClock
 from repro.backplane.codec import decode_app, decode_control, encode_app, encode_control
 from repro.backplane.framing import FramingError, read_frame, write_frame
-from repro.core.depvec import DependencyVector
-from repro.net.message import (
-    AppAck,
-    AppMessage,
-    FailureAnnouncement,
-    LoggingRequest,
-    LogProgressNotification,
-)
-from repro.runtime.config import SimConfig
-from repro.runtime.executor import EffectExecutor
-from repro.runtime.harness import protocol_factory_for
 from repro.core.protocol import KOptimisticProcess
-from repro.types import MessageId
+from repro.net.message import AppMessage
+from repro.runtime.config import SimConfig
+from repro.runtime.harness import protocol_factory_for
+from repro.runtime.host import Environment, ProcessHost
+from repro.sim.rng import RngRegistry
 
 #: Behaviours a serve run can name in its manifest.
 BEHAVIORS = {
@@ -82,7 +76,7 @@ def config_from_manifest(manifest: Dict[str, Any], run_dir: str) -> SimConfig:
 
 
 class CoordinatorTransport:
-    """The executor's transport: every send becomes a routed frame."""
+    """The host's transport: every send becomes a routed frame."""
 
     def __init__(self, writer: asyncio.StreamWriter):
         self.writer = writer
@@ -105,9 +99,18 @@ class CoordinatorTransport:
         write_frame(self.writer, {"t": "ctl", "src": src, "dst": -1,
                                   "body": encode_control(payload)})
 
+    # Nothing is queued on a process's behalf on this side of the wire, so
+    # an in-process fail-stop (dead journal) has nothing to park or resume.
+
+    def on_process_crash(self, pid: int) -> None:
+        pass
+
+    def on_process_restart(self, pid: int) -> None:
+        pass
+
 
 class Worker:
-    """Protocol instance + transport + timers for one OS process."""
+    """One :class:`ProcessHost` behind a TCP connection to the coordinator."""
 
     def __init__(self, pid: int, run_dir: str):
         self.pid = pid
@@ -115,176 +118,106 @@ class Worker:
         self.manifest = load_manifest(run_dir)
         self.n = int(self.manifest["n"])
         self.config = config_from_manifest(self.manifest, run_dir)
-        self.clock: Optional[WallClock] = None
         self.tracer = JsonlTracer(
             os.path.join(run_dir, "trace", f"p{pid:03d}.jsonl"))
-        self.protocol: Optional[KOptimisticProcess] = None
-        self.executor: Optional[EffectExecutor] = None
+        self.host: Optional[ProcessHost] = None
         self._shutdown = asyncio.Event()
-        #: Latest live handle per periodic activity (old ones have fired).
-        self._timers: Dict[str, asyncio.TimerHandle] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
-    async def run(self) -> int:
-        loop = asyncio.get_running_loop()
-        self.clock = WallClock(loop, float(self.manifest["timescale"]))
+    def build_host(self, clock: Any, transport: Any) -> bool:
+        """Host the protocol over ``clock`` and ``transport``; returns
+        whether the journal already holds a previous life to recover."""
         # Respawn detection must precede backend construction (building the
         # file-log backend creates the directory).
         journal = os.path.join(self.run_dir, "storage", f"p{self.pid:03d}")
         recovering = os.path.isdir(journal) and any(os.scandir(journal))
-
+        env = Environment(
+            config=self.config,
+            now=lambda: clock.now,
+            schedule=clock.schedule,
+            # Wall-clock frames arrive one at a time: nothing else is due
+            # "now", so a notification batch is drained at once.
+            after_due=lambda pid, callback: callback(),
+            transport=transport,
+            tracer=self.tracer,
+            rng=RngRegistry(self.config.seed).stream,
+            # At-least-once delivery across worker crashes rests on
+            # app-level acks (see config_from_manifest).
+            ack_app=True,
+        )
         behavior = BEHAVIORS[self.manifest.get("behavior", "hopchain")]()
-        factory = protocol_factory_for(KOptimisticProcess)
-        self.protocol = factory(self.pid, self.config, behavior,
-                                lambda: self.clock.now)
+        protocol = protocol_factory_for(KOptimisticProcess)(
+            self.pid, self.config, behavior, env.now)
+        self.host = ProcessHost(env, self.pid, protocol)
+        return recovering
 
+    async def run(self) -> int:
+        loop = asyncio.get_running_loop()
+        clock = WallClock(loop, float(self.manifest["timescale"]))
         reader, writer = await asyncio.open_connection(
             "127.0.0.1", int(self.manifest["port"]))
-        transport = CoordinatorTransport(writer)
-        self.executor = EffectExecutor(
-            self.pid,
-            storage=self.protocol.storage,
-            transport=transport,
-            schedule=self.clock.schedule,
-            now_fn=lambda: self.clock.now,
-            tracer=self.tracer,
-            on_retransmit=self._retransmit_timer,
-            dep_trace=True,
-        )
+        recovering = self.build_host(clock, CoordinatorTransport(writer))
         write_frame(writer, {"t": "hello", "pid": self.pid,
                              "recovered": recovering})
         await writer.drain()
 
-        if recovering:
-            effects = self.protocol.boot_after_crash()
-            self.tracer.record(self.clock.now, "worker.respawn", self.pid)
-        else:
-            effects = self.protocol.initialize()
-            self.tracer.record(self.clock.now, "worker.start", self.pid)
-        self.executor.execute(effects)
-        self._start_timers()
+        self.host.boot(recovering)
+        self.tracer.record(
+            clock.now, "worker.respawn" if recovering else "worker.start",
+            self.pid)
+        self.host.start_timers()
 
         try:
             while not self._shutdown.is_set():
                 frame = await read_frame(reader)
                 if frame is None:
                     break  # coordinator went away: exit quietly
-                self._dispatch(frame, writer)
+                self.dispatch(frame, writer)
                 await writer.drain()
         except (FramingError, ConnectionError):
             return 1
         finally:
-            for handle in self._timers.values():
-                handle.cancel()
-            self.protocol.storage.close()
+            self.host.stop_timers()
+            self.host.protocol.storage.close()
             self.tracer.close()
             writer.close()
         return 0
 
-    # -- periodic activities ---------------------------------------------------
-
-    def _start_timers(self) -> None:
-        self._periodic("flush", self.config.flush_interval, self._flush)
-        self._periodic("checkpoint", self.config.checkpoint_interval,
-                       self._checkpoint)
-        self._periodic("notify", self.config.notify_interval, self._notify)
-
-    def _periodic(self, name: str, interval_units: float, action) -> None:
-        def fire() -> None:
-            if self._shutdown.is_set():
-                return
-            action()
-            self._timers[name] = self.clock.schedule(interval_units, fire)
-
-        # Phase-staggered like the simulation, so N workers do not flush in
-        # lockstep.
-        first = interval_units * (self.pid + 1) / (self.n + 1)
-        self._timers[name] = self.clock.schedule(first, fire)
-
-    def _flush(self) -> None:
-        self.executor.execute(self.protocol.flush())
-
-    def _checkpoint(self) -> None:
-        self.executor.execute(self.protocol.checkpoint())
-
-    def _notify(self) -> None:
-        notif = self.protocol.make_log_notification(own_only=False)
-        self.executor.transport.broadcast_control(self.pid, notif)
-
-    def _retransmit_timer(self, msg_id: MessageId) -> None:
-        self.executor.execute(self.protocol.on_retransmit_timer(msg_id))
-
     # -- frame dispatch --------------------------------------------------------
 
-    def _dispatch(self, frame: Dict[str, Any], writer) -> None:
+    def dispatch(self, frame: Dict[str, Any], writer: Any) -> None:
+        """Decode one frame and hand it to the host."""
         t = frame.get("t")
+        host = self.host
         if t == "app":
-            msg = decode_app(self.n, frame["msg"])
-            effects = self.protocol.on_receive(msg)
-            if msg.src >= 0:
-                # The live transport endpoint acks on arrival; a dead one
-                # acks nothing, which keeps the sender's timer retrying.
-                self.executor.transport.send_control(
-                    self.pid, msg.src,
-                    AppAck(msg.msg_id, self.pid, msg.src))
-            self.executor.execute(effects)
+            host.incoming(decode_app(self.n, frame["msg"]))
             return
         if t == "ctl":
-            payload = decode_control(frame["body"])
-            if isinstance(payload, FailureAnnouncement):
-                self.tracer.record(self.clock.now, "ann.receive", self.pid,
-                                   ann=str(payload))
-                effects = self.protocol.on_failure_announcement(payload)
-            elif isinstance(payload, LogProgressNotification):
-                effects = self.protocol.on_log_notification(payload)
-            elif isinstance(payload, LoggingRequest):
-                effects = self.protocol.on_logging_request(payload)
-            elif isinstance(payload, AppAck):
-                effects = self.protocol.on_ack(payload)
-            else:  # pragma: no cover - decode_control is exhaustive
-                raise FramingError(f"unroutable control payload {payload!r}")
-            self.executor.execute(effects)
+            host.incoming(decode_control(frame["body"]))
             return
-        if t == "cmd":
-            self._command(frame, writer)
-            return
-        raise FramingError(f"unknown frame type {t!r}")
-
-    def _command(self, frame: Dict[str, Any], writer) -> None:
+        if t != "cmd":
+            raise FramingError(f"unknown frame type {t!r}")
         op = frame.get("op")
         if op == "inject":
-            # An outside-world message: empty dependency vector, virtual
-            # sender -1, coordinator-assigned unique sequence number.
-            msg = AppMessage(
-                msg_id=MessageId(-1, 0, 0, int(frame["seq"])),
-                src=-1,
-                dst=self.pid,
-                payload=frame["payload"],
-                tdv=DependencyVector(self.n),
-            )
-            self.executor.execute(self.protocol.on_receive(msg))
+            # The coordinator assigns the unique sequence number.
+            host.inject(frame["payload"], int(frame["seq"]))
         elif op == "flush":
-            self._flush()
+            host.flush()
         elif op == "notify":
-            self._notify()
+            host.notify()
         elif op == "checkpoint":
-            self._checkpoint()
+            host.checkpoint()
         elif op == "status":
-            p = self.protocol
+            stats = host.protocol.stats
             write_frame(writer, {
                 "t": "status",
                 "rid": frame.get("rid"),
                 "pid": self.pid,
-                # Unacked releases count: a message bound for a crashed
-                # destination is still in flight until the restarted
-                # worker acks the timer-driven re-send.
-                "quiescent": not (p.send_buffer or p.receive_buffer
-                                  or len(p.output_buffer)
-                                  or p.unacked_count),
-                "outputs_committed": p.stats.outputs_committed,
-                "deliveries": p.stats.deliveries,
-                "restarts": p.stats.restarts,
+                "quiescent": host.quiescent(),
+                "outputs_committed": stats.outputs_committed,
+                "deliveries": stats.deliveries,
+                "restarts": stats.restarts,
             })
         elif op == "shutdown":
             self._shutdown.set()

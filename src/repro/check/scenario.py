@@ -230,12 +230,10 @@ def run_scenario(
     """
     from repro.check.probes import ProbeSet  # circular-at-import otherwise
 
-    kwargs = {}
-    if protocol_factory is not None:
-        kwargs["protocol_factory"] = protocol_factory
     harness = SimulationHarness(
         scenario.config(), TokenBehavior(),
-        failures=scenario.failure_schedule(), **kwargs,
+        failures=scenario.failure_schedule(),
+        protocol_factory=protocol_factory,
     )
     probes = ProbeSet()
     probes.install(harness)

@@ -23,6 +23,7 @@ from repro.checkpointing.coordinator import RecoveryCoordinator
 from repro.checkpointing.protocol import UNCOORDINATED, CkptMessage, LazyCheckpointProcess
 from repro.failures.injector import FailureSchedule
 from repro.net.channel import UniformLatency
+from repro.runtime.host import periodic
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 
@@ -96,7 +97,6 @@ class CheckpointSimulation:
         ]
         self.coordinator = RecoveryCoordinator(self.processes)
         self.crashes = 0
-        self._horizon = 0.0
         for event in (failures or FailureSchedule.none()).crashes:
             self.engine.schedule_at(event.time,
                                     lambda pid=event.pid: self._crash(pid))
@@ -131,23 +131,14 @@ class CheckpointSimulation:
     # -- main loop -------------------------------------------------------------
 
     def run(self, duration: float) -> None:
-        self._horizon = duration
+        now = lambda: self.engine.now
         for process in self.processes:
             phase = (process.pid + 1) / (self.config.n + 1)
-            self._periodic(self.config.checkpoint_interval, phase,
-                           process.take_local_checkpoint)
+            periodic(self.engine.schedule, now,
+                     self.config.checkpoint_interval, phase,
+                     process.take_local_checkpoint, horizon=duration)
         self.engine.run(until=duration, max_events=10_000_000)
         self.engine.run(max_events=10_000_000)  # drain in-flight traffic
-
-    def _periodic(self, interval: float, phase: float, action) -> None:
-        def fire() -> None:
-            action()
-            if self.engine.now + interval <= self._horizon:
-                self.engine.schedule(interval, fire)
-
-        first = interval * phase
-        if first <= self._horizon:
-            self.engine.schedule(first, fire)
 
     # -- results ---------------------------------------------------------------
 

@@ -59,7 +59,6 @@ from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.app.behavior import AppBehavior, AppContext
 from repro.core.baselines.fully_async import FullyAsyncProcess
-from repro.core.depvec import DependencyVector
 from repro.core.effects import (
     BroadcastAnnouncement,
     CommitOutput,
@@ -73,7 +72,6 @@ from repro.core.effects import (
 from repro.core.entry import Entry
 from repro.core.protocol import KOptimisticProcess
 from repro.net.message import AppMessage, FailureAnnouncement
-from repro.types import MessageId
 
 N = 6  # P0 .. P5
 
@@ -150,13 +148,8 @@ class ScriptRunner:
 
     def inject(self, dst: int, payload: Dict[str, Any]) -> List[Effect]:
         """Deliver an environment message (empty dependency vector)."""
-        msg = AppMessage(
-            msg_id=MessageId(-1, 0, 0, next(self._env_seq)),
-            src=-1,
-            dst=dst,
-            payload=payload,
-            tdv=DependencyVector(N),
-        )
+        msg = AppMessage.from_environment(dst, N, payload,
+                                          next(self._env_seq))
         return self.execute(self.procs[dst].on_receive(msg))
 
     def carry(self, tag: str, copy_index: int = 0) -> List[Effect]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.failures.injector import FailureSchedule
 from repro.runtime.config import SimConfig
@@ -28,11 +28,9 @@ def simulate(
     Raises if the run violated any oracle-checked invariant — experiment
     numbers from an inconsistent run would be meaningless.
     """
-    kwargs: Dict[str, Any] = {}
-    if protocol_factory is not None:
-        kwargs["protocol_factory"] = protocol_factory
     harness = SimulationHarness(config, workload.behavior(),
-                                failures=failures, **kwargs)
+                                failures=failures,
+                                protocol_factory=protocol_factory)
     workload.install(harness, until=duration * INJECT_FRACTION)
     harness.run(duration)
     metrics = harness.metrics()

@@ -49,6 +49,7 @@ class Network:
         tracer: Optional[Tracer] = None,
         faults: Optional[NetworkFaultModel] = None,
         reliable_config: Optional[ReliableConfig] = None,
+        export: Optional[Callable[..., None]] = None,
     ):
         if n <= 0:
             raise ValueError(f"network needs at least one process, got n={n}")
@@ -61,6 +62,10 @@ class Network:
         self._channels: Dict[Tuple[int, int, bool], Channel] = {}
         self._rngs = rngs
         self._fifo = fifo
+        #: ``export(arrival, src, dst, payload, label)`` takes every
+        #: delivery for a process with no receive hook here — one hosted
+        #: by another epoch-parallel worker.  None when all n are local.
+        self._export = export
         self.faults = faults
         self.reliable: Optional[ControlRetransmitter] = None
         if reliable_config is not None:
@@ -217,9 +222,11 @@ class Network:
         label: Optional[str] = None,
     ) -> None:
         """Schedule delivery of ``payload`` at ``dst`` for virtual time
-        ``arrival``.  The single seam every transmission goes through —
-        the parallel worker network overrides it to export cross-worker
-        deliveries to the epoch outbox instead of scheduling locally."""
+        ``arrival``, or export it when ``dst`` is hosted elsewhere.  The
+        single seam every transmission goes through."""
+        if self._export is not None and self._hooks[dst] is None:
+            self._export(arrival, src, dst, payload, label)
+            return
         self.engine.schedule_at_raw(arrival, self._arrive, (dst, payload),
                                     label=label, shard=dst)
 

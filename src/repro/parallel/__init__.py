@@ -7,13 +7,12 @@
   the serial/parallel differential suite and post-hoc certification.
 """
 
-from repro.parallel.runner import ParallelHarness, lookahead, merge_metrics
+from repro.parallel.runner import ParallelHarness, lookahead
 from repro.parallel.trace import canonical_dep_events, dump_canonical, render_jsonl
 
 __all__ = [
     "ParallelHarness",
     "lookahead",
-    "merge_metrics",
     "canonical_dep_events",
     "dump_canonical",
     "render_jsonl",

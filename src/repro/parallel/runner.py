@@ -23,7 +23,6 @@ for the shared-memory snapshot arenas (:mod:`repro.parallel.shm`).
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -36,7 +35,7 @@ from repro.failures.injector import (
 from repro.parallel.trace import DepEvent, canonical_dep_events, dump_canonical
 from repro.parallel.worker import OutboxEntry, worker_main
 from repro.runtime.config import SimConfig
-from repro.runtime.metrics import RunMetrics, sample_mean, sample_percentile
+from repro.runtime.metrics import RunMetrics, RunTotals, derive_metrics
 
 
 def lookahead(config: SimConfig) -> float:
@@ -61,100 +60,6 @@ class _EngineView:
     def __init__(self) -> None:
         self.events_executed = 0
         self.now = 0.0
-
-
-# Fields whose merge is not a plain sum over worker partials.
-_SET_FIELDS = frozenset({"n", "k", "duration", "slo_target"})
-_MAX_FIELDS = frozenset({"max_send_hold", "max_piggyback_entries",
-                         "max_release_revokers"})
-_SPECIAL_FIELDS = frozenset({
-    "mean_send_hold", "mean_delivery_wait", "mean_piggyback_entries",
-    "mean_output_latency", "mean_ack_rtt", "mean_recovery_span",
-    "output_latency_p50", "output_latency_p95", "output_latency_p99",
-    "output_latency_count", "slo_attained",
-    "adaptive_k", "k_mean", "k_final_mean",
-    "violations",
-})
-
-
-def merge_metrics(partials: List[RunMetrics], extras: List[Dict[str, Any]],
-                  duration: float) -> RunMetrics:
-    """Combine per-worker :class:`RunMetrics` partials into the metrics
-    the equivalent serial run would report.
-
-    Counters sum (workers own disjoint process sets, and network counters
-    are sender-local); maxima take the max; every mean/percentile field is
-    recomputed from the raw totals and concatenated sample lists in
-    ``extras`` — averaging per-worker means would weight workers, not
-    events.
-    """
-    merged = RunMetrics(n=partials[0].n, k=partials[0].k, duration=duration)
-    merged.slo_target = partials[0].slo_target
-    for f in dataclasses.fields(RunMetrics):
-        name = f.name
-        if name in _SET_FIELDS or name in _SPECIAL_FIELDS:
-            continue
-        if name in _MAX_FIELDS:
-            setattr(merged, name, max(getattr(p, name) for p in partials))
-        else:
-            setattr(merged, name, sum(getattr(p, name) for p in partials))
-
-    released = merged.messages_released
-    merged.mean_send_hold = (
-        sum(e["send_hold_total"] for e in extras) / released if released else 0.0)
-    delivered = sum(e["delivered_count"] for e in extras)
-    merged.mean_delivery_wait = (
-        sum(e["delivery_wait_total"] for e in extras) / delivered
-        if delivered else 0.0)
-    app_sent = sum(e["app_messages_sent"] for e in extras)
-    merged.mean_piggyback_entries = (
-        sum(e["piggyback_total"] for e in extras) / app_sent if app_sent else 0.0)
-    committed = merged.outputs_committed
-    merged.mean_output_latency = (
-        sum(e["output_wait_total"] for e in extras) / committed
-        if committed else 0.0)
-    acked = merged.ctl_acked
-    merged.mean_ack_rtt = (
-        sum(p.mean_ack_rtt * p.ctl_acked for p in partials) / acked
-        if acked else 0.0)
-
-    samples: List[float] = []
-    for e in extras:
-        samples.extend(e["output_latency_samples"])
-    merged.output_latency_count = len(samples)
-    merged.output_latency_p50 = sample_percentile(samples, 50.0)
-    merged.output_latency_p95 = sample_percentile(samples, 95.0)
-    merged.output_latency_p99 = sample_percentile(samples, 99.0)
-    if merged.slo_target > 0 and samples:
-        within = sum(1 for s in samples if s <= merged.slo_target)
-        merged.slo_attained = within / len(samples)
-
-    merged.adaptive_k = any(p.adaptive_k for p in partials)
-    if merged.adaptive_k:
-        history = [k for e in extras for k in e["k_history"]]
-        final = [k for e in extras for k in e["k_final"]]
-        merged.k_mean = sample_mean(history if history else final)
-        merged.k_final_mean = sample_mean(final)
-
-    crash_events = sorted(t for e in extras for t, _pid in e["crash_events"])
-    rollback_events = sorted(
-        (t, pid) for e in extras for t, pid in e["rollback_events"])
-    if crash_events and rollback_events:
-        # Same crash-window attribution as SimulationHarness.metrics().
-        crash_times = sorted(set(crash_events))
-        spans = []
-        for i, crash_time in enumerate(crash_times):
-            window_end = (crash_times[i + 1] if i + 1 < len(crash_times)
-                          else float("inf"))
-            window = [t for t, _p in rollback_events
-                      if crash_time <= t < window_end]
-            if window:
-                spans.append(max(window) - crash_time)
-        if spans:
-            merged.mean_recovery_span = sum(spans) / len(spans)
-
-    merged.violations = [v for p in partials for v in p.violations]
-    return merged
 
 
 class ParallelHarness:
@@ -194,8 +99,7 @@ class ParallelHarness:
         self.engine = _EngineView()
         self._duration = 0.0
         self._finished = False
-        self._partials: List[RunMetrics] = []
-        self._extras: List[Dict[str, Any]] = []
+        self._totals: List[RunTotals] = []
         self._dep_events: List[DepEvent] = []
         self.committed_outputs: List[Tuple[float, int, Any]] = []
         self.violations: List[str] = []
@@ -331,9 +235,10 @@ class ParallelHarness:
         total_events = 0
         final_now = self.engine.now
         self.worker_cpu_s = [result.get("cpu_s", 0.0) for result in results]
+        #: Processes each worker built and hosted (its share of n).
+        self.worker_hosts = [result["hosts"] for result in results]
         for result in results:
-            self._partials.append(result["metrics"])
-            self._extras.append(result["extras"])
+            self._totals.append(result["totals"])
             self._dep_events.extend(result["dep_events"])
             self.committed_outputs.extend(result["committed"])
             total_events += result["events_executed"]
@@ -347,7 +252,7 @@ class ParallelHarness:
     def metrics(self) -> RunMetrics:
         if not self._finished:
             raise RuntimeError("metrics() before run() completed")
-        merged = merge_metrics(self._partials, self._extras, self._duration)
+        merged = derive_metrics(self._totals)
         self.violations = merged.violations
         return merged
 

@@ -1,12 +1,12 @@
 """The worker side of epoch-parallel execution.
 
-Each worker OS process runs a :class:`_WorkerHarness` — a full
-:class:`~repro.runtime.harness.SimulationHarness` over all ``n`` protocol
-instances, of which only the *local* slice (``pid % workers == worker_id``,
-matching :class:`~repro.sim.shard.ShardedEngine` placement) ever executes:
-only local pids get timers, workload injections, and failure events, and
-the :class:`WorkerNetwork` exports any transmission addressed to a remote
-pid into the epoch outbox instead of scheduling it locally.
+Each worker OS process runs a :class:`_WorkerHarness` — a
+:class:`~repro.runtime.harness.SimulationHarness` that owns the slice
+``pid % workers == worker_id`` (matching
+:class:`~repro.sim.shard.ShardedEngine` placement): only those processes
+are built (so only they open a journal), registered, timed, injected into
+and crashed, and the network exports any transmission addressed to a pid
+hosted elsewhere into the epoch outbox instead of scheduling it locally.
 
 Determinism contract (what makes the merged run bit-identical to serial
 sharded execution):
@@ -30,13 +30,8 @@ import time
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.failures.injector import (
-    CrashEvent,
-    FailureSchedule,
-    StorageFaultEvent,
-)
+from repro.failures.injector import FailureSchedule
 from repro.net.message import LogProgressNotification
-from repro.net.network import Network
 from repro.parallel import shm as shm_mod
 from repro.parallel.shm import ArenaMap, ShmSnapshotRef, SnapshotArena
 from repro.runtime.config import SimConfig
@@ -69,95 +64,30 @@ def worker_config(config: SimConfig) -> SimConfig:
     )
 
 
-class WorkerNetwork(Network):
-    """Network that exports remote-destination deliveries to the outbox."""
-
-    def __init__(self, *args: Any, worker_id: int, workers: int,
-                 **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        self._worker_id = worker_id
-        self._workers = workers
-        self.outbox: List[OutboxEntry] = []
-        self._outbox_counter = itertools.count()
-
-    def _deliver_at(self, arrival: float, src: int, dst: int, payload: Any,
-                    label: Optional[str] = None) -> None:
-        if dst % self._workers == self._worker_id:
-            super()._deliver_at(arrival, src, dst, payload, label=label)
-            return
-        self.outbox.append((arrival, 0, self.engine.now, src,
-                            next(self._outbox_counter), dst, payload, label))
-
-
 class _WorkerHarness(SimulationHarness):
-    """One worker's shard of the deployment (all hosts built, local slice
-    driven)."""
+    """One worker's slice of the deployment."""
 
     def __init__(self, config: SimConfig, behavior: Any,
                  failures: Optional[FailureSchedule], worker_id: int,
                  workers: int, protocol_factory: Any = None):
         self._worker_id = worker_id
-        self._workers = workers
-        local_failures = FailureSchedule([
-            event for event in (failures or FailureSchedule.none())
-            if isinstance(event, (CrashEvent, StorageFaultEvent))
-            and event.pid % workers == worker_id
-        ])
-        kwargs = {}
-        if protocol_factory is not None:
-            kwargs["protocol_factory"] = protocol_factory
-        super().__init__(worker_config(config), behavior,
-                         failures=local_failures, **kwargs)
+        #: Transmissions to pids hosted by other workers, since the last
+        #: :meth:`take_outbox`.
+        self.outbox: List[OutboxEntry] = []
+        self._outbox_counter = itertools.count()
+        super().__init__(worker_config(config), behavior, failures=failures,
+                         protocol_factory=protocol_factory,
+                         owned=range(worker_id, config.n, workers),
+                         export=self._export)
         self.arena: Optional[SnapshotArena] = None
         self.arenas: Optional[ArenaMap] = None
         if shm_mod._np is not None:
             self.arena = SnapshotArena()
 
-    # -- construction overrides ------------------------------------------------
-
-    def _build_network(self, config, faults, reliable_config):
-        base = super()._build_network(config, faults, reliable_config)
-        return WorkerNetwork(
-            n=config.n,
-            engine=self.engine,
-            rngs=self.rngs,
-            latency=base._latency,
-            control_latency=base._control_latency,
-            fifo=config.fifo,
-            tracer=self.tracer,
-            faults=faults,
-            reliable_config=reliable_config,
-            worker_id=self._worker_id,
-            workers=self._workers,
-        )
-
-    def is_local(self, pid: int) -> bool:
-        return pid % self._workers == self._worker_id
-
-    def local_hosts(self):
-        return [host for host in self.hosts if self.is_local(host.pid)]
-
-    def _start_timers(self) -> None:
-        config = self.config
-        for host in self.hosts:
-            if not self.is_local(host.pid):
-                continue
-            phase = (host.pid + 1) / (config.n + 1)
-            self._periodic(config.flush_interval, phase, host.flush)
-            self._periodic(config.checkpoint_interval, phase, host.checkpoint)
-            self._periodic(config.notify_interval, phase, host.notify)
-            if host.controller is not None:
-                self._periodic(config.control_interval, phase,
-                               host.control_tick)
-
-    def inject_at(self, time: float, dst: int, payload: Any) -> None:
-        # Consume the global sequence counter for *every* injection (all
-        # workers run the same install calls), schedule only local ones.
-        seq = next(self._inject_seq)
-        if not self.is_local(dst):
-            return
-        self.engine.schedule_at(time, lambda: self.inject_now(dst, payload, seq),
-                                label=f"inject->{dst}", shard=dst)
+    def _export(self, arrival: float, src: int, dst: int, payload: Any,
+                label: Optional[str]) -> None:
+        self.outbox.append((arrival, 0, self.engine.now, src,
+                            next(self._outbox_counter), dst, payload, label))
 
     # -- epoch protocol --------------------------------------------------------
 
@@ -165,17 +95,11 @@ class _WorkerHarness(SimulationHarness):
         self.arenas = ArenaMap(names, self._worker_id, self.arena)
 
     def begin(self, duration: float) -> None:
-        """The pre-loop of :meth:`SimulationHarness.run`: fix the horizon,
-        cancel beyond-horizon failures, start the local periodic timers."""
         # CPU accounting starts here so the reported figure covers the
         # run phase only — construction/install happen before the timed
         # region of a bench run (see perf.bench.run_scenario).
         self._cpu_mark = time.process_time()
-        self._horizon = duration
-        for event, handle in self._failure_handles:
-            if event.time > duration:
-                handle.cancel()
-        self._start_timers()
+        super().begin(duration)
 
     def run_epoch(self, bound: Optional[float]) -> None:
         """Fire every pending event with time strictly below ``bound``
@@ -201,7 +125,7 @@ class _WorkerHarness(SimulationHarness):
     def take_outbox(self) -> List[OutboxEntry]:
         """Drain the cross-worker outbox, staging large dense snapshot
         payloads into this worker's shared-memory arena."""
-        outbox, self.network.outbox = self.network.outbox, []
+        outbox, self.outbox = self.outbox, []
         if self.arena is None:
             return outbox
         staged: List[OutboxEntry] = []
@@ -253,71 +177,15 @@ class _WorkerHarness(SimulationHarness):
     def peek(self) -> Optional[float]:
         return self.engine._peek_time()
 
-    # -- settle helpers --------------------------------------------------------
-
-    def restart_down(self) -> None:
-        for host in self.local_hosts():
-            if host.down:
-                host.restart()
-
-    def flush_local(self) -> None:
-        for host in self.local_hosts():
-            host.flush()
-
-    def notify_local(self) -> None:
-        for host in self.local_hosts():
-            host.notify()
-
-    def local_quiescent(self) -> bool:
-        for host in self.local_hosts():
-            if host.down:
-                return False
-            protocol = host.protocol
-            if (protocol.send_buffer or protocol.receive_buffer
-                    or len(protocol.output_buffer)):
-                return False
-        return True
-
     # -- results ---------------------------------------------------------------
 
     def collect_results(self) -> Dict[str, Any]:
-        """Everything the coordinator needs: a local-slice metrics partial
-        plus the raw totals mean/percentile fields must be recomputed
-        from, the local ``dep.*`` trace, and the committed outputs."""
-        local = self.local_hosts()
-        saved_hosts = self.hosts
-        self.hosts = local
-        try:
-            partial = self.metrics()
-        finally:
-            self.hosts = saved_hosts
-        controllers = [h.controller for h in local if h.controller is not None]
-        extras = {
-            "send_hold_total": sum(
-                h.protocol.stats.send_hold_time_total for h in local),
-            "delivery_wait_total": sum(
-                h.protocol.stats.delivery_wait_total for h in local),
-            "delivered_count": sum(
-                h.protocol.stats.deliveries - h.protocol.stats.replayed_deliveries
-                for h in local),
-            "output_wait_total": sum(
-                h.protocol.stats.output_wait_total for h in local),
-            "piggyback_total": self.network.piggyback_entries_total,
-            "app_messages_sent": self.network.app_messages_sent,
-            "output_latency_samples": list(self.output_latency_samples),
-            "crash_events": list(self.crash_events),
-            "rollback_events": list(self.rollback_events),
-            "k_history": [k for c in controllers for _, k in c.history],
-            "k_final": [float(c.k) for c in controllers],
-            "k_decisions": sum(len(c.decisions) - 1 for c in controllers),
-        }
-        # Remote hosts run initialize() in every worker; keep only the
-        # owning worker's copy of each process's dep events.
+        """Everything the coordinator needs: this slice's raw metric
+        totals, its ``dep.*`` trace, and the committed outputs."""
         dep_events = [
             (e.time, e.category, e.process, e.data)
             for e in self.tracer.events
-            if e.category.startswith("dep.")
-            and e.process is not None and self.is_local(e.process)
+            if e.category.startswith("dep.") and e.process is not None
         ]
         committed = [
             (now, record.process, record.output_id)
@@ -325,8 +193,8 @@ class _WorkerHarness(SimulationHarness):
         ]
         return {
             "worker": self._worker_id,
-            "metrics": partial,
-            "extras": extras,
+            "hosts": len(self.hosts),
+            "totals": self.totals(),
             "dep_events": dep_events,
             "committed": committed,
             "events_executed": self.engine.events_executed,
@@ -383,13 +251,13 @@ def worker_main(conn: Any, worker_id: int, workers: int, config: SimConfig,
                 conn.send(("done", (harness.take_outbox(), harness.peek(),
                                     harness.engine.now)))
             elif cmd == "quiescent":
-                conn.send(("ok", harness.local_quiescent()))
+                conn.send(("ok", harness.quiescent()))
             elif cmd == "flush":
-                harness.flush_local()
+                harness.flush_all()
                 conn.send(("done", (harness.take_outbox(), harness.peek(),
                                     harness.engine.now)))
             elif cmd == "notify":
-                harness.notify_local()
+                harness.notify_all()
                 conn.send(("done", (harness.take_outbox(), harness.peek(),
                                     harness.engine.now)))
             elif cmd == "finish":

@@ -1,27 +1,23 @@
 """Transport-agnostic interpretation of protocol effects.
 
 The sans-IO core returns effects; *something* must turn them into sends,
-timers, commits, and trace records.  Before the runtime backplane existed
-that something lived inside the simulation harness, entangled with the
-engine and the ground-truth oracle.  :class:`EffectExecutor` is the
-factored-out interpreter shared by both drivers:
-
-- the **simulation harness** plugs in the simulated :class:`Network`, the
-  engine's timer queue, and :class:`ExecutionHooks` that feed the oracle
-  and run the Theorem-4 / output-commit invariant checks inline;
-- the **runtime backplane** (:mod:`repro.backplane`) plugs in a TCP
-  transport, wall-clock timers, and no hooks — correctness is certified
-  post-hoc by replaying the collected traces through the same oracle
-  (:mod:`repro.oracle.ingest`).
-
-The executor needs three capabilities from its environment:
+timers, commits, and trace records.  :class:`EffectExecutor` is that
+interpreter.  Every driver reaches it through the one
+:class:`~repro.runtime.host.ProcessHost`, which hands it the
+capabilities of its :class:`~repro.runtime.host.Environment`:
 
 - ``transport`` with the :class:`Network` signatures —
   ``send_app(msg)``, ``send_control(src, dst, payload)``,
-  ``broadcast_control(src, payload, reliable=...)``;
+  ``broadcast_control(src, payload, reliable=...)`` (the simulated
+  network, or the backplane's TCP transport);
 - ``schedule(delay, callback)`` returning a cancellable handle
   (the engine in simulation, an asyncio adapter in the runtime);
-- ``now_fn()`` — virtual time in simulation, wall-clock in the runtime.
+- ``now_fn()`` — virtual time in simulation, wall-clock in the runtime;
+- optional :class:`ExecutionHooks` — the simulation harness feeds the
+  ground-truth oracle and runs the Theorem-4 / output-commit checks
+  inline; the backplane passes none and is certified post-hoc by
+  replaying the collected traces through the same oracle
+  (:mod:`repro.oracle.ingest`).
 
 It also owns the **write-ahead barrier**: :meth:`EffectExecutor.execute`
 is the one point every driver and every protocol variant passes through

@@ -1,0 +1,442 @@
+"""One process's lifecycle, written once for every driver.
+
+A :class:`ProcessHost` owns everything the paper defines per process
+around the sans-IO protocol: payload -> handler dispatch, the same-tick
+notification batch, the phase-staggered flush / checkpoint / notify /
+control timers, outside-world injection, quiescence, crash / downtime
+parking / restart, boot (fresh or after a crash), the clean fail-stop on
+a dead journal and the checker's effect probes.  It is written against an
+:class:`Environment`, never against a driver:
+
+- the **simulation harness** supplies virtual time, the engine's timer
+  queue and the simulated :class:`~repro.net.network.Network` (a parallel
+  epoch worker is the same harness owning a slice of the pids);
+- the **runtime backplane** (:mod:`repro.backplane.worker`) supplies the
+  wall clock, asyncio timers and a TCP transport.
+
+What a driver keeps for itself is how bytes move and when time passes.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Set, Tuple
+
+from repro.core.effects import Effect
+from repro.net.message import (
+    AppAck,
+    AppMessage,
+    ControlAck,
+    ControlEnvelope,
+    FailureAnnouncement,
+    LoggingRequest,
+    LogProgressNotification,
+)
+from repro.runtime.config import SimConfig
+from repro.runtime.executor import EffectExecutor, ExecutionHooks
+from repro.sim.trace import Tracer
+from repro.storage.faults import StorageDeadError
+from repro.types import MessageId
+
+
+@dataclass
+class Environment:
+    """What a :class:`ProcessHost` needs from whatever drives it."""
+
+    config: SimConfig
+    #: Current time: virtual in simulation, wall-clock in ``serve``.
+    now: Callable[[], float]
+    #: ``schedule(delay, callback)`` -> handle with ``.cancel()``.
+    schedule: Callable[..., Any]
+    #: ``after_due(pid, callback)``: run ``callback`` once everything
+    #: already due at the current time has been handled (the drain point
+    #: of the notification batch).
+    after_due: Callable[[int, Callable[[], None]], Any]
+    #: The :class:`~repro.net.network.Network` signatures: ``send_app``,
+    #: ``send_control``, ``broadcast_control``, ``on_process_crash``,
+    #: ``on_process_restart``.
+    transport: Any
+    tracer: Tracer
+    #: Named, seed-derived random stream.
+    rng: Callable[[str], random.Random]
+    #: Whether the transport endpoint acknowledges application messages
+    #: (the sender then retransmits on a timer until acked).
+    ack_app: bool = False
+
+
+def periodic(
+    schedule: Callable[..., Any],
+    now: Callable[[], float],
+    interval: float,
+    phase: float,
+    action: Callable[[], None],
+    horizon: Optional[float] = None,
+) -> Callable[[], None]:
+    """Run ``action`` every ``interval``, first after ``interval * phase``
+    (phase-staggered so N processes do not act in lockstep), re-arming
+    while the next firing stays within ``horizon`` — forever when
+    ``horizon`` is None.  Returns a function that cancels the pending
+    firing."""
+    handle: Any = None
+
+    def fire() -> None:
+        nonlocal handle
+        action()
+        if horizon is None or now() + interval <= horizon:
+            handle = schedule(interval, fire)
+
+    first = interval * phase
+    if horizon is None or first <= horizon:
+        handle = schedule(first, fire)
+
+    def cancel() -> None:
+        # Cancelling a handle that already fired is a no-op.
+        if handle is not None:
+            handle.cancel()
+
+    return cancel
+
+
+class ProcessHost:
+    """Runtime wrapper around one protocol instance."""
+
+    def __init__(
+        self,
+        env: Environment,
+        pid: int,
+        protocol: Any,
+        hooks: Optional[ExecutionHooks] = None,
+        effect_probes: Optional[List[Callable[["ProcessHost", Effect], None]]] = None,
+    ):
+        self.env = env
+        self.config = env.config
+        self.pid = pid
+        self.protocol = protocol
+        self.executor = EffectExecutor(
+            pid,
+            storage=protocol.storage,
+            transport=env.transport,
+            schedule=env.schedule,
+            now_fn=env.now,
+            tracer=env.tracer,
+            on_retransmit=self._retransmit_timer,
+            hooks=hooks,
+            dep_trace=env.config.dep_trace,
+        )
+        #: Probe layer (repro.check): callables invoked per effect, just
+        #: before it is interpreted.  A driver hosting several processes
+        #: passes one shared list; empty in normal runs.
+        self.effect_probes = effect_probes if effect_probes is not None else []
+        self.down = False
+        self.pending_control: List[Any] = []
+        #: Same-tick notification fan-in buffer: log-progress notifications
+        #: arriving at one time are merged in a single batched pass (one
+        #: table merge + one release/commit scan) by a drain the
+        #: environment runs behind everything else due at that time.
+        self._notif_batch: List[LogProgressNotification] = []
+        self.lost_app_messages = 0
+        self.crash_count = 0
+        #: Adaptive-K controller (None unless ``config.adaptive_k``); the
+        #: driver installs ``controller.recommend`` as the protocol's
+        #: per-message ``k_policy``.
+        self.controller: Optional[Any] = None
+        #: Latency samples accumulated since the last control tick.
+        self.commit_waits: List[float] = []
+        #: Times the storage backend declared itself dead (fail-stop).
+        self.storage_deaths = 0
+        #: Transport-level dedup of reliable control envelopes by
+        #: ``(src, seq)``.  Survives crashes: the transport endpoint's
+        #: identity persists, and a seen envelope was already handed to the
+        #: protocol (announcements are logged synchronously on receipt).
+        self._ctl_seen: Set[Tuple[int, int]] = set()
+        self._timers: List[Callable[[], None]] = []
+
+    # -- boot ------------------------------------------------------------------
+
+    def boot(self, recovering: bool = False) -> None:
+        """Bring the process up: a fresh start, or — when its journal
+        already holds a previous life — REDO recovery plus the Restart
+        broadcast."""
+        self.execute(self.protocol.boot_after_crash() if recovering
+                     else self.protocol.initialize())
+
+    # -- incoming traffic ---------------------------------------------------
+
+    def incoming(self, payload: Any) -> None:
+        try:
+            self._incoming(payload)
+        except StorageDeadError:
+            self._storage_failed("incoming")
+
+    def _incoming(self, payload: Any) -> None:
+        env = self.env
+        if self.down:
+            if isinstance(payload, (ControlEnvelope, AppAck)):
+                # The transport endpoint died with the process: no ack is
+                # sent, so the sender's retransmission timer keeps the
+                # envelope alive until we answer after restart.
+                env.tracer.record(env.now(), "net.lost", self.pid,
+                                  msg=str(payload))
+            elif isinstance(payload, (FailureAnnouncement, LogProgressNotification)):
+                self.pending_control.append(payload)
+            else:
+                # Logging requests are best-effort hints: dropping one only
+                # delays an output until the next periodic notification.
+                self.lost_app_messages += isinstance(payload, AppMessage)
+                env.tracer.record(
+                    env.now(), "net.lost", self.pid,
+                    msg=str(getattr(payload, "msg_id", payload)),
+                )
+            return
+        if isinstance(payload, ControlEnvelope):
+            # Always ack — the previous ack may itself have been lost —
+            # but hand each envelope to the protocol exactly once.
+            env.transport.send_control(
+                self.pid, payload.src,
+                ControlAck(payload.seq, self.pid, payload.src),
+            )
+            key = (payload.src, payload.seq)
+            if key in self._ctl_seen:
+                return
+            self._ctl_seen.add(key)
+            self.incoming(payload.payload)
+            return
+        if isinstance(payload, AppAck):
+            self.execute(self.protocol.on_ack(payload))
+            return
+        if isinstance(payload, AppMessage):
+            effects = self.protocol.on_receive(payload)
+            if env.ack_app and payload.src >= 0:
+                # The live transport endpoint acks on arrival; a dead one
+                # acks nothing, which keeps the sender's timer retrying.
+                env.transport.send_control(
+                    self.pid, payload.src,
+                    AppAck(payload.msg_id, self.pid, payload.src),
+                )
+        elif isinstance(payload, FailureAnnouncement):
+            env.tracer.record(env.now(), "ann.receive", self.pid,
+                              ann=str(payload))
+            effects = self.protocol.on_failure_announcement(payload)
+        elif isinstance(payload, LogProgressNotification):
+            # Batch same-time notifications: the first arrival asks the
+            # environment for a drain behind everything else due now, so N
+            # notifications landing on one tick cost one table merge and
+            # one release/commit scan instead of N.
+            self._notif_batch.append(payload)
+            if len(self._notif_batch) == 1:
+                env.after_due(self.pid, self._drain_notifications)
+            return
+        elif isinstance(payload, LoggingRequest):
+            effects = self.protocol.on_logging_request(payload)
+        else:
+            raise TypeError(f"unexpected payload {payload!r}")
+        self.execute(effects)
+
+    def inject(self, payload: Any, seq: int) -> None:
+        """Deliver an outside-world message now; ``seq`` is the
+        driver-assigned sequence number that makes its id unique."""
+        self.incoming(AppMessage.from_environment(
+            self.pid, self.config.n, payload, seq))
+
+    # -- effect interpretation ------------------------------------------------
+
+    def execute(self, effects: List[Effect]) -> None:
+        """Interpret protocol effects via the shared executor.
+
+        The checker's effect probes (when any are registered) run per
+        effect *before* interpretation; the indirection is built only on
+        the instrumented path to keep normal runs lean."""
+        effect_probes = self.effect_probes
+        probe = None
+        if effect_probes:
+            def probe(effect: Effect) -> None:
+                for p in effect_probes:
+                    p(self, effect)
+        self.executor.execute(effects, probe)
+
+    def _drain_notifications(self) -> None:
+        """Apply every notification batched at the current tick in one
+        pass.  The table merge is a monotone elementwise maximum, so one
+        merged application is equivalent to processing the notifications
+        one by one — only cheaper."""
+        batch, self._notif_batch = self._notif_batch, []
+        if not batch:
+            return
+        if self.down:
+            # Crashed between batching and the drain: same treatment as
+            # notifications that arrive while down — replay at restart.
+            self.pending_control.extend(batch)
+            return
+        try:
+            self.execute(self.protocol.on_log_notifications(batch))
+        except StorageDeadError:
+            self._storage_failed("notification")
+
+    def _retransmit_timer(self, msg_id: MessageId) -> None:
+        if self.down:
+            return  # crash cleared _unacked; the timer dies with it
+        self.execute(self.protocol.on_retransmit_timer(msg_id))
+
+    # -- periodic activities --------------------------------------------------
+
+    def start_timers(self, horizon: Optional[float] = None) -> None:
+        """Arm the periodic activities (see :func:`periodic`)."""
+        env, config = self.env, self.config
+        phase = (self.pid + 1) / (config.n + 1)
+        activities = [(config.flush_interval, self.flush),
+                      (config.checkpoint_interval, self.checkpoint),
+                      (config.notify_interval, self.notify)]
+        if self.controller is not None:
+            activities.append((config.control_interval, self.control_tick))
+        for interval, action in activities:
+            self._timers.append(periodic(env.schedule, env.now, interval,
+                                         phase, action, horizon))
+
+    def stop_timers(self) -> None:
+        for cancel in self._timers:
+            cancel()
+        self._timers = []
+
+    def flush(self) -> None:
+        if self.down:
+            return
+        try:
+            self.execute(self.protocol.flush())
+        except StorageDeadError:
+            self._storage_failed("flush")
+
+    def checkpoint(self) -> None:
+        if self.down:
+            return
+        try:
+            self.execute(self.protocol.checkpoint())
+        except StorageDeadError:
+            self._storage_failed("checkpoint")
+
+    def notify(self) -> None:
+        if self.down:
+            return
+        config, transport = self.config, self.env.transport
+        own_only = not config.gossip_log_tables
+        delta = getattr(self.protocol, "delta_notifications", False)
+        if not delta:
+            notif = self.protocol.make_log_notification(own_only=own_only)
+        fanout = config.notify_fanout
+        if fanout is None:
+            if delta:
+                # Delta encoding is per-destination (each peer has its own
+                # changelog cursor), so the broadcast unrolls into per-dst
+                # sends in the same order broadcast_control would use.
+                for dst in range(config.n):
+                    if dst == self.pid:
+                        continue
+                    transport.send_control(
+                        self.pid, dst,
+                        self.protocol.make_log_notification_for(
+                            dst, own_only=own_only),
+                    )
+            else:
+                transport.broadcast_control(self.pid, notif)
+            return
+        n = config.n
+        rng = self.env.rng(f"notify/{self.pid}")
+        # Sample peer *indices* and skip over our own pid arithmetically:
+        # same draws as sampling an explicit peers list, without building
+        # an (n-1)-element list per notification.
+        for idx in rng.sample(range(n - 1), min(fanout, n - 1)):
+            dst = idx if idx < self.pid else idx + 1
+            if delta:
+                notif = self.protocol.make_log_notification_for(
+                    dst, own_only=own_only)
+            transport.send_control(self.pid, dst, notif)
+
+    def control_tick(self) -> None:
+        """One adaptive-K observation: feed the controller the latency
+        samples gathered since the last tick plus the cumulative
+        revocation evidence (rollbacks, restarts, orphan and output
+        discards — everything that proves optimism recently cost work)."""
+        if self.controller is None or self.down:
+            return
+        from repro.control import Observation
+
+        stats = self.protocol.stats
+        drained, self.commit_waits = self.commit_waits, []
+        now = self.env.now()
+        obs = Observation(
+            time=now,
+            revocations=(stats.rollbacks + stats.restarts
+                         + stats.orphans_discarded + stats.outputs_discarded),
+            commit_waits=tuple(drained),
+        )
+        new_k = self.controller.observe(obs)
+        self.env.tracer.record(now, "control.k", self.pid, k=new_k)
+
+    def quiescent(self) -> bool:
+        """True when the process is up and holds no undelivered,
+        unreleased, uncommitted or unacknowledged traffic."""
+        protocol = self.protocol
+        return not (self.down or protocol.send_buffer
+                    or protocol.receive_buffer or len(protocol.output_buffer)
+                    or protocol.unacked_count)
+
+    # -- failure handling -----------------------------------------------------
+
+    def _storage_failed(self, context: str) -> None:
+        """The backend declared itself dead mid-operation: degrade to a
+        clean fail-stop crash handled by the normal Restart path (whose
+        recovery scan also revives the backend)."""
+        self.storage_deaths += 1
+        self.env.tracer.record(
+            self.env.now(), "storage.dead", self.pid, context=context
+        )
+        self.crash()
+
+    def crash(self) -> None:
+        if self.down:
+            return  # already down; schedule says crash a dead process: no-op
+        self.down = True
+        self.crash_count += 1
+        self.protocol.crash()
+        # Fail-stop: a dead process transmits nothing, including control
+        # retransmissions queued on its behalf before the crash.
+        self.env.transport.on_process_crash(self.pid)
+        self.env.tracer.record(self.env.now(), "failure.crash", self.pid)
+        self.env.schedule(self.config.restart_delay, self.restart)
+
+    def restart(self) -> None:
+        if not self.down:
+            return
+        try:
+            effects = self.protocol.restart()
+        except StorageDeadError:
+            # The journal could not be brought back (or a sync write during
+            # Restart itself died).  Stay down and retry: injected faults
+            # are consumed as they fire, so a retry eventually succeeds.
+            self.storage_deaths += 1
+            self.env.tracer.record(
+                self.env.now(), "storage.dead", self.pid, context="restart",
+            )
+            if not self.protocol.failed:
+                # Restart died partway through coming back up: crash the
+                # protocol again so the next attempt starts from a clean
+                # failed state.
+                self.protocol.crash()
+            self.env.schedule(self.config.restart_delay, self.restart)
+            return
+        self.down = False
+        # Back alive: pre-crash reliable-control envelopes may resume their
+        # retry cycle (destinations deduplicate, so re-sends are harmless).
+        self.env.transport.on_process_restart(self.pid)
+        try:
+            self.execute(effects)
+        except StorageDeadError:
+            # Restart's own synchronous writes died at the barrier: none of
+            # its effects ran, so this is one more fail-stop and a retry.
+            self._storage_failed("restart")
+            return
+        # Replay forced nothing new to disk, but the stable prefix is intact;
+        # deliver the control traffic that arrived while we were down.
+        pending, self.pending_control = self.pending_control, []
+        for payload in pending:
+            self.incoming(payload)

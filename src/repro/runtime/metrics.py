@@ -7,9 +7,10 @@ records.  Experiments print selected columns; tests assert on them.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 
 def sample_mean(samples: Sequence[float]) -> float:
@@ -185,6 +186,108 @@ class RunMetrics:
             "undone": self.intervals_undone,
             "orphans": self.orphans_discarded,
         }
+
+
+@dataclass
+class RunTotals:
+    """One harness's raw share of a run: everything that adds up.
+
+    ``counters`` holds the additive (and the three max) fields of
+    :class:`RunMetrics` with every derived field left at its default; the
+    remaining fields are the raw totals, samples and event lists the
+    derived fields are computed from.  A serial run has one of these, an
+    epoch-parallel run one per worker (workers own disjoint process sets
+    and network counters are sender-local, so the shares simply add).
+    """
+
+    counters: RunMetrics
+    send_hold_total: float = 0.0
+    delivery_wait_total: float = 0.0
+    output_wait_total: float = 0.0
+    piggyback_total: int = 0
+    app_messages_sent: int = 0
+    ack_rtt_total: float = 0.0
+    output_latency_samples: List[float] = field(default_factory=list)
+    crash_events: List[Tuple[float, int]] = field(default_factory=list)
+    rollback_events: List[Tuple[float, int]] = field(default_factory=list)
+    #: Every K a controller settled on over the run, and each
+    #: controller's final K (both empty without adaptive K).
+    k_history: List[float] = field(default_factory=list)
+    k_final: List[float] = field(default_factory=list)
+
+
+#: ``RunMetrics`` fields that describe the run rather than count it.
+_RUN_FIELDS = frozenset({"n", "k", "duration", "slo_target"})
+_MAX_FIELDS = frozenset({"max_send_hold", "max_piggyback_entries",
+                         "max_release_revokers"})
+
+
+def derive_metrics(parts: Sequence[RunTotals]) -> RunMetrics:
+    """The :class:`RunMetrics` of a run from the raw totals of its parts.
+
+    Counters sum and maxima take the max; every mean, percentile and span
+    is computed here, once, from the summed totals and the concatenated
+    samples — averaging per-part means would weight parts, not events.
+    """
+    m = RunMetrics()
+    for f in dataclasses.fields(RunMetrics):
+        values = [getattr(part.counters, f.name) for part in parts]
+        if f.name in _RUN_FIELDS:
+            merged = values[0]
+        elif f.name in _MAX_FIELDS:
+            merged = max(values)
+        elif isinstance(values[0], list):
+            merged = [item for value in values for item in value]
+        else:
+            merged = sum(values)
+        setattr(m, f.name, merged)
+
+    def mean(total: float, count: float) -> float:
+        return total / count if count else 0.0
+
+    m.mean_send_hold = mean(sum(p.send_hold_total for p in parts),
+                            m.messages_released)
+    m.mean_delivery_wait = mean(sum(p.delivery_wait_total for p in parts),
+                                m.messages_delivered)
+    m.mean_output_latency = mean(sum(p.output_wait_total for p in parts),
+                                 m.outputs_committed)
+    m.mean_piggyback_entries = mean(sum(p.piggyback_total for p in parts),
+                                    sum(p.app_messages_sent for p in parts))
+    m.mean_ack_rtt = mean(sum(p.ack_rtt_total for p in parts), m.ctl_acked)
+
+    # Output-commit latency SLO accounting (end-to-end samples).
+    samples = [s for part in parts for s in part.output_latency_samples]
+    m.output_latency_count = len(samples)
+    m.output_latency_p50 = sample_percentile(samples, 50.0)
+    m.output_latency_p95 = sample_percentile(samples, 95.0)
+    m.output_latency_p99 = sample_percentile(samples, 99.0)
+    m.slo_attained = 1.0
+    if m.slo_target > 0 and samples:
+        m.slo_attained = (sum(1 for s in samples if s <= m.slo_target)
+                          / len(samples))
+
+    final = [k for part in parts for k in part.k_final]
+    m.adaptive_k = bool(final)
+    if final:
+        history = [k for part in parts for k in part.k_history]
+        m.k_mean = sample_mean(history if history else final)
+        m.k_final_mean = sample_mean(final)
+
+    rollbacks = [event for part in parts for event in part.rollback_events]
+    m.processes_rolled_back = len({pid for _t, pid in rollbacks})
+    crash_times = sorted({t for part in parts for t, _pid in part.crash_events})
+    # Attribute each rollback to the most recent crash at or before it: a
+    # crash's recovery window closes when the next crash opens, otherwise
+    # every late rollback would inflate the span of every earlier crash.
+    spans = []
+    for i, crash_time in enumerate(crash_times):
+        window_end = (crash_times[i + 1] if i + 1 < len(crash_times)
+                      else float("inf"))
+        window = [t for t, _pid in rollbacks if crash_time <= t < window_end]
+        if window:
+            spans.append(max(window) - crash_time)
+    m.mean_recovery_span = sample_mean(spans)
+    return m
 
 
 def format_table(rows: List[Dict[str, object]]) -> str:

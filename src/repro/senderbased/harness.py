@@ -15,6 +15,7 @@ from typing import Any, Dict, List, Optional
 from repro.app.behavior import AppBehavior
 from repro.failures.injector import FailureSchedule
 from repro.net.channel import UniformLatency
+from repro.runtime.host import periodic
 from repro.senderbased.protocol import (
     SBAck,
     SBCheckpointNote,
@@ -102,7 +103,6 @@ class SenderBasedSimulation:
         self.control_messages = 0
         self.messages_released = 0
         self.gc_reclaimed = 0
-        self._horizon = 0.0
 
         schedule = (failures or FailureSchedule.none()).crashes
         for i, event in enumerate(schedule):
@@ -172,8 +172,7 @@ class SenderBasedSimulation:
     # -- workload injection ---------------------------------------------------
 
     def inject_at(self, time: float, dst: int, payload: Any) -> None:
-        msg = SBMessage(src=-1, dst=dst, payload=payload,
-                        msg_id=(-1, id(payload) if False else 0))
+        msg = SBMessage(src=-1, dst=dst, payload=payload, msg_id=(-1, 0))
         # Unique ids for environment messages.
         msg.msg_id = (-1, msg.wire_id)
 
@@ -202,11 +201,12 @@ class SenderBasedSimulation:
     # -- main loop -------------------------------------------------------------
 
     def run(self, duration: float) -> None:
-        self._horizon = duration
+        now = lambda: self.engine.now
         for process in self.processes:
             phase = (process.pid + 1) / (self.config.n + 1)
-            self._periodic(self.config.checkpoint_interval, phase,
-                           lambda p=process: self._checkpoint(p))
+            periodic(self.engine.schedule, now,
+                     self.config.checkpoint_interval, phase,
+                     lambda p=process: self._checkpoint(p), horizon=duration)
         self.engine.run(until=duration, max_events=10_000_000)
         self.engine.run(max_events=10_000_000)
 
@@ -217,16 +217,6 @@ class SenderBasedSimulation:
         for peer in range(self.config.n):
             if peer != process.pid:
                 self._send(peer, note)
-
-    def _periodic(self, interval: float, phase: float, action) -> None:
-        def fire() -> None:
-            action()
-            if self.engine.now + interval <= self._horizon:
-                self.engine.schedule(interval, fire)
-
-        first = interval * phase
-        if first <= self._horizon:
-            self.engine.schedule(first, fire)
 
     # -- results ---------------------------------------------------------------
 

@@ -44,11 +44,9 @@ def build_sim(
     config = SimConfig(n=n, k=k, seed=seed, **config_kwargs)
     if workload is None:
         workload = RandomPeersWorkload(rate=rate)
-    kwargs = {} if protocol_factory is None else {
-        "protocol_factory": protocol_factory
-    }
     harness = SimulationHarness(config, workload.behavior(),
-                                failures=failures, **kwargs)
+                                failures=failures,
+                                protocol_factory=protocol_factory)
     if until is not None:
         workload.install(harness, until=until)
     return harness

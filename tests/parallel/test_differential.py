@@ -15,6 +15,8 @@ certify with zero violations — the same bar the serial engine's inline
 oracle enforces.
 """
 
+import dataclasses
+import os
 from dataclasses import replace
 
 import pytest
@@ -126,3 +128,62 @@ def test_parallel_matches_serial_bit_identically(name, workers):
         assert certification.violations == []
     finally:
         harness.close()
+
+
+def _journal_sizes(storage_dir):
+    """Bytes on disk per process journal (``pNNN`` directory)."""
+    return {
+        name: sum(os.path.getsize(os.path.join(storage_dir, name, f))
+                  for f in os.listdir(os.path.join(storage_dir, name)))
+        for name in sorted(os.listdir(storage_dir))
+    }
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_filelog_journals_have_one_writer(tmp_path, workers):
+    """A worker builds (and so opens and initializes) only the journals of
+    the processes it hosts: after the build every journal is exactly what
+    the serial build leaves — one initial-checkpoint frame — and the
+    crash scenario's merged metrics equal the serial ``shards=W`` twin's,
+    down to the records its REDO scans recovered."""
+    config, make_workload, failures, duration = CASES["filelog"]
+    config = replace(config, oracle_enabled=False, check_invariants=False)
+    twin_config = replace(config, shards=workers,
+                          storage_dir=str(tmp_path / "serial"))
+    workload = make_workload()
+    twin = SimulationHarness(twin_config, workload.behavior(),
+                             failures=failures)
+    try:
+        built = _journal_sizes(twin_config.storage_dir)
+        workload.install(twin, until=duration * 0.8)
+        twin.run(duration)
+        twin_metrics = dataclasses.asdict(twin.metrics())
+        twin_dump = render_jsonl(canonical_dep_events(twin.tracer.events))
+    finally:
+        twin.close()
+    assert len(built) == config.n and len(set(built.values())) == 1
+
+    workload = make_workload()
+    parallel_config = replace(config, parallel_workers=workers,
+                              storage_dir=str(tmp_path / "parallel"))
+    harness = ParallelHarness(parallel_config, workload.behavior(),
+                              failures=failures, workload=workload,
+                              install_until=duration * 0.8)
+    try:
+        assert _journal_sizes(parallel_config.storage_dir) == built
+        harness.run(duration)
+        metrics = dataclasses.asdict(harness.metrics())
+        assert harness.worker_hosts == [
+            len(range(w, config.n, workers)) for w in range(workers)]
+        assert render_jsonl(harness.dep_events()) == twin_dump
+    finally:
+        harness.close()
+    assert metrics["storage_recoveries"] == 1
+    assert metrics["storage_recovered_records"] > 0
+    # Not functions of the run: wall-clock seconds, and pickled record
+    # sizes (a message that crossed the worker pipe no longer shares
+    # string objects with its sender's state, so pickle memoizes less).
+    for name in ("storage_recovery_wall_s", "storage_bytes_written",
+                 "storage_bytes_fsynced"):
+        assert metrics.pop(name) > 0 and twin_metrics.pop(name) > 0
+    assert metrics == twin_metrics

@@ -1,0 +1,398 @@
+"""``ProcessHost`` against a fake environment: no engine, no asyncio.
+
+The host is the one place a process's lifecycle is written; the sim, the
+epoch workers and ``serve`` only supply an :class:`Environment`.  These
+tests supply the smallest one — a list-backed scheduler and a recording
+transport — and pin what every driver then inherits: which handler each
+payload kind reaches, the periodic timers, quiescence, boot, and the clean
+fail-stop when the journal dies at the write-ahead barrier.
+"""
+
+import random
+
+import pytest
+
+from repro.core.effects import BroadcastAnnouncement
+from repro.net.message import (
+    AppAck,
+    ControlAck,
+    ControlEnvelope,
+    LoggingRequest,
+    LogProgressNotification,
+)
+from repro.runtime.config import SimConfig
+from repro.runtime.host import Environment, ProcessHost, periodic
+from repro.sim.trace import Tracer
+from repro.storage.backend import StableBackend
+from repro.storage.faults import StorageDeadError
+from helpers import Scripted, make_announcement, make_msg, make_proc
+
+N = 3
+
+
+class Handle:
+    def __init__(self, time, callback):
+        self.time, self.callback, self.cancelled = time, callback, False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class FakeScheduler:
+    """``now`` / ``schedule`` / ``after_due`` over plain lists."""
+
+    def __init__(self):
+        self.time = 0.0
+        self.timers = []
+        self.due = []
+
+    def now(self):
+        return self.time
+
+    def schedule(self, delay, callback):
+        handle = Handle(self.time + delay, callback)
+        self.timers.append(handle)
+        return handle
+
+    def after_due(self, pid, callback):
+        self.due.append(callback)
+
+    def run_due(self):
+        due, self.due = self.due, []
+        for callback in due:
+            callback()
+
+    def advance(self, until):
+        """Fire every timer due by ``until``, earliest first."""
+        while True:
+            live = [h for h in self.timers
+                    if not h.cancelled and h.time <= until]
+            if not live:
+                self.time = until
+                return
+            handle = min(live, key=lambda h: h.time)
+            self.timers.remove(handle)
+            self.time = handle.time
+            handle.callback()
+
+
+class RecordingTransport:
+    def __init__(self):
+        self.sent = []
+
+    def send_app(self, msg):
+        self.sent.append(("app", msg.dst, msg))
+
+    def send_control(self, src, dst, payload, reliable=False):
+        self.sent.append(("ctl", dst, payload))
+
+    def broadcast_control(self, src, payload, include_self=False,
+                          reliable=False):
+        self.sent.append(("bcast", None, payload))
+
+    def on_process_crash(self, pid):
+        self.sent.append(("crash", pid, None))
+
+    def on_process_restart(self, pid):
+        self.sent.append(("restart", pid, None))
+
+
+class DyingStorage(StableBackend):
+    """A journal whose device dies at the next barrier."""
+
+    def barrier(self):
+        raise StorageDeadError("device gone")
+
+
+class StubProtocol:
+    """Records which handler ran; every handler answers with one effect a
+    transport would see, so "nothing was interpreted" is observable."""
+
+    def __init__(self, storage=None):
+        self.storage = storage or StableBackend(0)
+        self.calls = []
+        self.failed = False
+        self.send_buffer, self.receive_buffer, self.output_buffer = [], [], []
+        self.unacked_count = 0
+
+    def _handler(name):
+        def handler(self, *args, **kwargs):
+            self.calls.append((name,) + args)
+            return [BroadcastAnnouncement(make_announcement(0, 0, 1))]
+        return handler
+
+    for _name in ("initialize", "boot_after_crash", "on_receive", "on_ack",
+                  "on_failure_announcement", "on_log_notifications",
+                  "on_logging_request", "on_retransmit_timer", "flush",
+                  "checkpoint", "restart"):
+        locals()[_name] = _handler(_name)
+
+    def crash(self):
+        self.calls.append(("crash",))
+        self.failed = True
+
+    def make_log_notification(self, own_only=False):
+        self.calls.append(("make_log_notification", own_only))
+        return LogProgressNotification(0, None)
+
+
+def build(protocol=None, ack_app=False, **config):
+    clock, transport = FakeScheduler(), RecordingTransport()
+    env = Environment(
+        config=SimConfig(n=N, k=1, **config),
+        now=clock.now, schedule=clock.schedule, after_due=clock.after_due,
+        transport=transport, tracer=Tracer(enabled=True),
+        rng=lambda name: random.Random(name), ack_app=ack_app,
+    )
+    host = ProcessHost(env, 0, protocol or StubProtocol())
+    return host, clock, transport
+
+
+def handlers(host):
+    return [call[0] for call in host.protocol.calls]
+
+
+class TestDispatch:
+    def test_app_message_is_received_and_acked_when_the_endpoint_acks(self):
+        host, _clock, transport = build(ack_app=True)
+        msg = make_msg(1, 0, n=N)
+        host.incoming(msg)
+        assert host.protocol.calls == [("on_receive", msg)]
+        acks = [p for kind, dst, p in transport.sent
+                if kind == "ctl" and dst == 1]
+        assert acks == [AppAck(msg.msg_id, 0, 1)]
+
+    def test_no_ack_without_an_ack_layer_or_for_the_outside_world(self):
+        host, _clock, transport = build(ack_app=False)
+        host.incoming(make_msg(1, 0, n=N))
+        assert not [s for s in transport.sent if s[0] == "ctl"]
+        host, _clock, transport = build(ack_app=True)
+        host.inject({"x": 1}, seq=7)
+        (call,) = host.protocol.calls
+        assert call[0] == "on_receive"
+        assert call[1].src == -1 and call[1].msg_id.seq == 7
+        assert call[1].tdv.non_null_count() == 0
+        assert not [s for s in transport.sent if s[0] == "ctl"]
+
+    def test_control_kinds_reach_their_handlers(self):
+        host, clock, _transport = build()
+        ack = AppAck(make_msg(0, 1, n=N).msg_id, 1, 0)
+        announcement = make_announcement(1, 0, 3)
+        request = LoggingRequest(2)
+        host.incoming(ack)
+        host.incoming(announcement)
+        host.incoming(request)
+        assert host.protocol.calls == [
+            ("on_ack", ack), ("on_failure_announcement", announcement),
+            ("on_logging_request", request)]
+        assert host.env.tracer.select("ann.receive")
+
+    def test_same_tick_notifications_are_drained_as_one_batch(self):
+        host, clock, _transport = build()
+        first, second = (LogProgressNotification(1, None),
+                         LogProgressNotification(2, None))
+        host.incoming(first)
+        host.incoming(second)
+        assert host.protocol.calls == [] and len(clock.due) == 1
+        clock.run_due()
+        assert host.protocol.calls == [("on_log_notifications",
+                                        [first, second])]
+
+    def test_envelope_is_acked_every_time_and_delivered_once(self):
+        host, _clock, transport = build()
+        envelope = ControlEnvelope(5, 1, 0, make_announcement(1, 0, 3))
+        host.incoming(envelope)
+        host.incoming(envelope)
+        assert handlers(host) == ["on_failure_announcement"]
+        acks = [p for kind, _dst, p in transport.sent
+                if isinstance(p, ControlAck)]
+        assert acks == [ControlAck(5, 0, 1)] * 2
+
+    def test_unknown_payload_is_rejected(self):
+        host, _clock, _transport = build()
+        with pytest.raises(TypeError):
+            host.incoming(object())
+
+    def test_retransmit_timer_reaches_the_protocol_only_while_up(self):
+        host, _clock, _transport = build()
+        host.executor.on_retransmit("m1")
+        host.crash()
+        host.executor.on_retransmit("m2")
+        assert host.protocol.calls == [("on_retransmit_timer", "m1"),
+                                       ("crash",)]
+
+
+class TestDowntime:
+    def test_control_is_parked_and_the_rest_is_lost(self):
+        host, clock, transport = build(ack_app=True, restart_delay=10.0)
+        host.crash()
+        assert ("crash", 0, None) in transport.sent
+        announcement = make_announcement(1, 0, 3)
+        notification = LogProgressNotification(1, None)
+        host.incoming(make_msg(1, 0, n=N))
+        host.incoming(LoggingRequest(2))
+        host.incoming(AppAck(make_msg(0, 1, n=N).msg_id, 1, 0))
+        host.incoming(ControlEnvelope(5, 1, 0, announcement))
+        host.incoming(announcement)
+        host.incoming(notification)
+        assert handlers(host) == ["crash"]
+        assert host.lost_app_messages == 1
+        assert len(host.env.tracer.select("net.lost")) == 4
+        assert not [s for s in transport.sent if s[0] == "ctl"]  # no acks
+
+        clock.advance(10.0)              # the restart the crash scheduled
+        clock.run_due()
+        assert not host.down and host.crash_count == 1
+        assert ("restart", 0, None) in transport.sent
+        assert host.protocol.calls[1:] == [
+            ("restart",), ("on_failure_announcement", announcement),
+            ("on_log_notifications", [notification])]
+
+    def test_crashing_a_dead_process_is_a_no_op(self):
+        host, clock, _transport = build()
+        host.crash()
+        host.crash()
+        assert host.crash_count == 1 and len(clock.timers) == 1
+
+
+class TestPeriodic:
+    def test_fires_staggered_and_rearms_up_to_the_horizon(self):
+        clock, fired = FakeScheduler(), []
+        periodic(clock.schedule, clock.now, 10.0, 0.25,
+                 lambda: fired.append(clock.time), horizon=35.0)
+        clock.advance(100.0)
+        assert fired == [2.5, 12.5, 22.5, 32.5]
+        assert not clock.timers          # 42.5 > 35: not re-armed
+
+    def test_first_firing_beyond_the_horizon_never_happens(self):
+        clock = FakeScheduler()
+        periodic(clock.schedule, clock.now, 10.0, 0.5, lambda: 1 / 0,
+                 horizon=4.0)
+        assert not clock.timers
+
+    def test_without_a_horizon_it_runs_until_cancelled(self):
+        clock, fired = FakeScheduler(), []
+        cancel = periodic(clock.schedule, clock.now, 10.0, 0.5,
+                          lambda: fired.append(clock.time))
+        clock.advance(26.0)
+        cancel()
+        clock.advance(100.0)
+        assert fired == [5.0, 15.0, 25.0]
+
+    def test_host_timers_drive_flush_checkpoint_and_notify(self):
+        host, clock, transport = build(flush_interval=4.0,
+                                       checkpoint_interval=8.0,
+                                       notify_interval=2.0)
+        host.start_timers(horizon=8.0)
+        clock.advance(50.0)
+        # Phase (pid + 1) / (n + 1) = 1/4: flush at 1, 5; checkpoint at
+        # 2; notify at 0.5, 2.5, 4.5, 6.5 — nothing past the horizon.
+        calls = handlers(host)
+        assert calls.count("flush") == 2
+        assert calls.count("checkpoint") == 1
+        assert calls.count("make_log_notification") == 4
+        assert [p for kind, _dst, p in transport.sent if kind == "bcast"
+                and isinstance(p, LogProgressNotification)]
+        assert not clock.timers
+
+    def test_stopped_timers_stay_stopped(self):
+        host, clock, _transport = build()
+        host.start_timers()
+        host.stop_timers()
+        clock.advance(1000.0)
+        assert host.protocol.calls == []
+
+
+class TestQuiescence:
+    def test_any_held_traffic_or_downtime_is_not_quiescent(self):
+        host, _clock, _transport = build()
+        assert host.quiescent()
+        for name in ("send_buffer", "receive_buffer", "output_buffer"):
+            getattr(host.protocol, name).append(object())
+            assert not host.quiescent()
+            getattr(host.protocol, name).clear()
+        host.protocol.unacked_count = 1
+        assert not host.quiescent()
+        host.protocol.unacked_count = 0
+        host.crash()
+        assert not host.quiescent()
+
+    def test_real_protocol_holds_a_send_until_it_is_flushed(self):
+        host, _clock, transport = build(
+            protocol=make_proc(0, n=N, k=0, behavior=Scripted()))
+        host.inject({"sends": [(1, None)]}, seq=1)
+        assert not host.quiescent()      # K=0: held until the interval is stable
+        host.flush()
+        assert host.quiescent()
+        assert [s for s in transport.sent if s[0] == "app" and s[1] == 1]
+
+
+class TestBoot:
+    def test_fresh_boot_initializes(self):
+        host, _clock, transport = build()
+        host.boot()
+        assert handlers(host) == ["initialize"]
+        assert [s for s in transport.sent if s[0] == "bcast"]
+
+    def test_recovering_boot_goes_through_boot_after_crash(self):
+        host, _clock, _transport = build()
+        host.boot(recovering=True)
+        assert handlers(host) == ["boot_after_crash"]
+
+
+class TestFailStop:
+    """The device dies at the barrier: the step's effects never run and the
+    process degrades to a crash the normal Restart path handles."""
+
+    def dying(self):
+        host, clock, transport = build(StubProtocol(DyingStorage(0)))
+        return host, clock, transport
+
+    def assert_fail_stopped(self, host, transport, context):
+        assert host.down and host.storage_deaths == 1
+        assert host.protocol.failed
+        assert not [s for s in transport.sent if s[0] == "bcast"]
+        (record,) = host.env.tracer.select("storage.dead")
+        assert record.data["context"] == context
+
+    def test_incoming(self):
+        host, _clock, transport = self.dying()
+        host.incoming(make_msg(1, 0, n=N))
+        self.assert_fail_stopped(host, transport, "incoming")
+
+    def test_notification_drain(self):
+        host, clock, transport = self.dying()
+        host.incoming(LogProgressNotification(1, None))
+        clock.run_due()
+        self.assert_fail_stopped(host, transport, "notification")
+
+    def test_flush(self):
+        host, _clock, transport = self.dying()
+        host.flush()
+        self.assert_fail_stopped(host, transport, "flush")
+
+    def test_checkpoint(self):
+        host, _clock, transport = self.dying()
+        host.checkpoint()
+        self.assert_fail_stopped(host, transport, "checkpoint")
+
+    def test_restart(self):
+        host, clock, transport = build(restart_delay=10.0)
+        host.crash()
+        host.executor.storage = DyingStorage(0)
+        clock.advance(10.0)
+        # Restart's own writes died: down again, and a retry is scheduled.
+        self.assert_fail_stopped(host, transport, "restart")
+        assert host.crash_count == 2 and len(clock.timers) == 1
+
+    def test_a_journal_that_cannot_be_revived_keeps_the_process_down(self):
+        host, clock, _transport = build(restart_delay=10.0)
+        host.crash()
+
+        def dead_restart():
+            raise StorageDeadError("still gone")
+
+        host.protocol.restart = dead_restart
+        clock.advance(10.0)
+        assert host.down and host.storage_deaths == 1
+        assert len(clock.timers) == 1    # the next attempt
