@@ -24,7 +24,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from repro.app.behavior import EchoBehavior
 from repro.app.hopchain import HopChainBehavior
@@ -89,6 +89,11 @@ class CoordinatorTransport:
                      reliable: bool = False) -> None:
         write_frame(self.writer, {"t": "ctl", "src": src, "dst": dst,
                                   "body": encode_control(payload)})
+
+    def multicast_control(self, src: int, dsts: Sequence[int], payload: Any,
+                          reliable: bool = False) -> None:
+        for dst in dsts:
+            self.send_control(src, dst, payload, reliable=reliable)
 
     def broadcast_control(self, src: int, payload: Any,
                           include_self: bool = False,

@@ -1,10 +1,17 @@
-"""The interconnect: N processes, N*N channels, broadcast support.
+"""The interconnect: N processes, N*N channels, multicast support.
 
 The network owns one :class:`Channel` per ordered process pair and turns
 "transmit" requests into engine events that invoke the destination's
 receive hook.  Both application messages and control traffic (failure
 announcements, logging progress notifications) travel through the same
 channels; control messages carry no piggybacked vector.
+
+Control traffic has one send path, :meth:`Network.multicast_control`
+(a unicast and a broadcast are calls to it): the fault decision and the
+channel's arrival time are taken per destination, in order, and the
+arrivals that fall on one instant then share one engine record — a
+logging-progress broadcast over fixed-latency channels costs the engine
+one record, not n - 1.
 
 With a :class:`~repro.net.faults.NetworkFaultModel` attached, every
 transmission may be dropped, duplicated, or delayed out of order, and a
@@ -18,7 +25,7 @@ bookkeeping and never reach a protocol handler.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.channel import Channel, FixedLatency, LatencyModel
 from repro.net.faults import NetworkFaultModel
@@ -135,45 +142,56 @@ class Network:
             channel = self._channel(msg.src, msg.dst, control=False)
             arrival = channel.arrival_time(engine.now, entries)
             arrival += decision.extra_delay
-            self._deliver_at(arrival, msg.src, msg.dst, msg, label=label)
+            self._deliver_at(arrival, msg.src, (msg.dst,), msg, label=label)
             if decision.duplicate:
                 self.duplicates_injected += 1
                 dup_arrival = channel.arrival_time(engine.now, entries)
                 if self.tracer:
                     self.tracer.record(engine.now, "net.duplicate", msg.src,
                                        msg=str(msg.msg_id), dst=msg.dst)
-                self._deliver_at(dup_arrival, msg.src, msg.dst, msg,
+                self._deliver_at(dup_arrival, msg.src, (msg.dst,), msg,
                                  label=f"dup:{label}" if label else None)
             return
         channel = self._channel(msg.src, msg.dst, control=False)
         arrival = channel.arrival_time(engine.now, entries)
-        self._deliver_at(arrival, msg.src, msg.dst, msg, label=label)
+        self._deliver_at(arrival, msg.src, (msg.dst,), msg, label=label)
 
     def send_control(
         self, src: int, dst: int, payload: Any, reliable: bool = False
     ) -> None:
-        """Transmit a control message (announcement or notification).
+        """Transmit a control message (announcement or notification) to
+        one process: :meth:`multicast_control` with a single destination."""
+        self.multicast_control(src, (dst,), payload, reliable=reliable)
+
+    def multicast_control(
+        self, src: int, dsts: Sequence[int], payload: Any,
+        reliable: bool = False,
+    ) -> None:
+        """Transmit one control payload to each of ``dsts``, in order.
 
         ``reliable=True`` routes through the ack/retransmit layer when one
         is configured; without one it degrades to the plain lossy path
         (which on a fault-free network *is* reliable).
         """
         self._check_pid(src)
-        self._check_pid(dst)
+        if dsts:
+            self._check_pid(min(dsts))
+            self._check_pid(max(dsts))
         if reliable and self.reliable is not None:
-            self.reliable.send(src, dst, payload)
+            for dst in dsts:
+                self.reliable.send(src, dst, payload)
             return
-        self._transmit_control(src, dst, payload)
+        self._transmit_control(src, dsts, payload)
 
     def broadcast_control(
         self, src: int, payload: Any, include_self: bool = False,
         reliable: bool = False,
     ) -> None:
         """Send a control message to every (other) process."""
-        for dst in range(self.n):
-            if dst == src and not include_self:
-                continue
-            self.send_control(src, dst, payload, reliable=reliable)
+        self.multicast_control(
+            src,
+            [dst for dst in range(self.n) if include_self or dst != src],
+            payload, reliable=reliable)
 
     # -- fail-stop gating ------------------------------------------------------
 
@@ -190,45 +208,75 @@ class Network:
 
     def _transmit_envelope(self, envelope: ControlEnvelope) -> None:
         """Lossy-path callback used by the control retransmitter."""
-        self._transmit_control(envelope.src, envelope.dst, envelope)
+        self._transmit_control(envelope.src, (envelope.dst,), envelope)
 
-    def _transmit_control(self, src: int, dst: int, payload: Any) -> None:
-        self.control_messages_sent += 1
+    def _transmit_control(self, src: int, dsts: Sequence[int],
+                          payload: Any) -> None:
+        """The lossy path to each of ``dsts``, in order: the fault decision,
+        then the channel's arrival time.
+
+        Arrivals at one instant share one engine record — the callbacks
+        run back to back in ``dsts`` order, exactly as per-destination
+        records with consecutive sequence numbers would — unless the
+        network can see they must not: a fault model perturbs arrivals one
+        by one, and an observed engine (tie-breaker, step probes) is owed
+        every arrival as its own labelled event.
+        """
+        self.control_messages_sent += len(dsts)
         engine = self.engine
-        label = (f"ctl:{src}->{dst}:{type(payload).__name__}"
-                 if engine.wants_labels else None)
-        if self.faults is not None:
-            decision = self.faults.decide(src, dst, control=True)
-            if decision.drop:
-                self._count_drop(decision, control=True, src=src, dst=dst,
-                                 what=str(payload))
-                return
+        now = engine.now
+        faults = self.faults
+        solo = faults is not None or engine.steps_observed
+        labelled = engine.wants_labels
+        shared: Dict[float, List[int]] = {}
+        for dst in dsts:
+            label = (f"ctl:{src}->{dst}:{type(payload).__name__}"
+                     if labelled else None)
+            extra_delay, duplicate = 0.0, False
+            if faults is not None:
+                decision = faults.decide(src, dst, control=True)
+                if decision.drop:
+                    self._count_drop(decision, control=True, src=src, dst=dst,
+                                     what=str(payload))
+                    continue
+                extra_delay, duplicate = decision.extra_delay, decision.duplicate
             channel = self._channel(src, dst, control=True)
-            arrival = channel.arrival_time(engine.now, 0)
-            arrival += decision.extra_delay
-            self._deliver_at(arrival, src, dst, payload, label=label)
-            if decision.duplicate:
-                self.duplicates_injected += 1
-                dup_arrival = channel.arrival_time(engine.now, 0)
-                self._deliver_at(dup_arrival, src, dst, payload,
-                                 label=f"dup:{label}" if label else None)
-            return
-        channel = self._channel(src, dst, control=True)
-        arrival = channel.arrival_time(engine.now, 0)
-        self._deliver_at(arrival, src, dst, payload, label=label)
+            arrival = channel.arrival_time(now, 0) + extra_delay
+            if solo:
+                self._deliver_at(arrival, src, (dst,), payload, label=label)
+                if duplicate:
+                    self.duplicates_injected += 1
+                    self._deliver_at(channel.arrival_time(now, 0), src, (dst,),
+                                     payload,
+                                     label=f"dup:{label}" if label else None)
+            elif arrival in shared:
+                shared[arrival].append(dst)
+            else:
+                shared[arrival] = [dst]
+        for arrival, members in shared.items():
+            self._deliver_at(arrival, src, members, payload)
 
     def _deliver_at(
-        self, arrival: float, src: int, dst: int, payload: Any,
+        self, arrival: float, src: int, dsts: Sequence[int], payload: Any,
         label: Optional[str] = None,
     ) -> None:
-        """Schedule delivery of ``payload`` at ``dst`` for virtual time
-        ``arrival``, or export it when ``dst`` is hosted elsewhere.  The
-        single seam every transmission goes through."""
-        if self._export is not None and self._hooks[dst] is None:
-            self._export(arrival, src, dst, payload, label)
-            return
-        self.engine.schedule_at_raw(arrival, self._arrive, (dst, payload),
-                                    label=label, shard=dst)
+        """Schedule one record delivering ``payload`` to each of ``dsts``,
+        in order, at virtual time ``arrival``; a destination hosted
+        elsewhere is exported on its own instead.  The single seam every
+        transmission goes through."""
+        if self._export is not None:
+            hosted = []
+            for dst in dsts:
+                if self._hooks[dst] is None:
+                    self._export(arrival, src, dst, payload, label)
+                else:
+                    hosted.append(dst)
+            if not hosted:
+                return
+            dsts = hosted
+        self.engine.schedule_at_raw(arrival, self._arrive, (dsts, payload),
+                                    label=label, shard=dsts[0],
+                                    callbacks=len(dsts))
 
     def _count_drop(self, decision, control: bool, src: int, dst: int,
                     what: str) -> None:
@@ -244,16 +292,19 @@ class Network:
                                dst=dst, what=what, reason=reason,
                                control=control)
 
-    def _arrive(self, dst: int, payload: Any) -> None:
+    def _arrive(self, dsts: Sequence[int], payload: Any) -> None:
         if isinstance(payload, ControlAck):
             # Transport-level bookkeeping: never surfaces to the protocol.
             if self.reliable is not None:
                 self.reliable.on_ack(payload)
             return
-        hook = self._hooks[dst]
-        if hook is None:
-            raise RuntimeError(f"no receive hook registered for process {dst}")
-        hook(payload)
+        hooks = self._hooks
+        for dst in dsts:
+            hook = hooks[dst]
+            if hook is None:
+                raise RuntimeError(
+                    f"no receive hook registered for process {dst}")
+            hook(payload)
 
     def _check_pid(self, pid: int) -> None:
         if not 0 <= pid < self.n:

@@ -49,8 +49,7 @@ def lookahead(config: SimConfig) -> float:
 #: worker's generation order, so the sort is a deterministic function of
 #: the run, independent of which worker's outbox drained first.
 def _merge_key(entry: OutboxEntry):
-    arrival, priority, gen_time, src, counter = entry[:5]
-    return (arrival, priority, gen_time, src, counter)
+    return entry[:4]
 
 
 class _EngineView:
@@ -163,7 +162,7 @@ class ParallelHarness:
         for outbox in outboxes:
             self.cross_messages += len(outbox)
             for entry in outbox:
-                groups[entry[5] % self.workers].append(entry)
+                groups[entry[4] % self.workers].append(entry)
         pending = []
         for worker_id, group in enumerate(groups):
             if not group:

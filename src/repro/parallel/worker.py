@@ -19,8 +19,9 @@ sharded execution):
 - workload injections consume the global injection-sequence counter in
   install order in every worker, so message ids match the serial run even
   though each worker schedules only its local subset;
-- within a worker, events are fired in ``(time, priority, seq)`` order
-  exactly as the serial engine would fire the same subsequence.
+- within a worker, events are fired in ``(time, seq)`` order (and the
+  end-of-instant queue drained) exactly as the serial engine would fire
+  the same subsequence.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from repro.parallel.shm import ArenaMap, ShmSnapshotRef, SnapshotArena
 from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
 
-#: One cross-worker delivery: ``(arrival, priority, gen_time, src,
-#: counter, dst, payload, label)``.  The first five fields are the
-#: canonical barrier-merge sort key; ``counter`` is a per-worker tiebreak
-#: that preserves each sender's generation order.
-OutboxEntry = Tuple[float, int, float, int, int, int, Any, Optional[str]]
+#: One cross-worker delivery: ``(arrival, gen_time, src, counter, dst,
+#: payload, label)``.  The first four fields are the canonical
+#: barrier-merge sort key; ``counter`` is a per-worker tiebreak that
+#: preserves each sender's generation order.
+OutboxEntry = Tuple[float, float, int, int, int, Any, Optional[str]]
 
 #: Engine-step safety net per epoch (mirrors the serial harness budget).
 MAX_EPOCH_EVENTS = 20_000_000
@@ -86,7 +87,7 @@ class _WorkerHarness(SimulationHarness):
 
     def _export(self, arrival: float, src: int, dst: int, payload: Any,
                 label: Optional[str]) -> None:
-        self.outbox.append((arrival, 0, self.engine.now, src,
+        self.outbox.append((arrival, self.engine.now, src,
                             next(self._outbox_counter), dst, payload, label))
 
     # -- epoch protocol --------------------------------------------------------
@@ -133,7 +134,7 @@ class _WorkerHarness(SimulationHarness):
         # stage the shared columns once and reuse the descriptor.
         seen: Dict[int, Optional[ShmSnapshotRef]] = {}
         for entry in outbox:
-            payload = entry[6]
+            payload = entry[5]
             if isinstance(payload, LogProgressNotification):
                 key = id(payload.table)
                 ref = seen.get(key, _UNSTAGED)
@@ -143,7 +144,7 @@ class _WorkerHarness(SimulationHarness):
                     seen[key] = ref
                 if ref is not None:
                     payload = LogProgressNotification(payload.origin, ref)
-                    entry = entry[:6] + (payload, entry[7])
+                    entry = entry[:5] + (payload, entry[6])
             staged.append(entry)
         return staged
 
@@ -154,11 +155,11 @@ class _WorkerHarness(SimulationHarness):
         # mirroring the serial run, where every destination of one
         # notify() fanout receives the same (read-only) snapshot object.
         cache: Dict[ShmSnapshotRef, Any] = {}
-        for arrival, priority, _gen, _src, _counter, dst, payload, label in entries:
+        for arrival, _gen, _src, _counter, dst, payload, label in entries:
             payload = self._materialize(payload, cache)
             self.engine.schedule_at_raw(
-                arrival, self.network._arrive, (dst, payload),
-                priority=priority, label=label, shard=dst,
+                arrival, self.network._arrive, ((dst,), payload),
+                label=label, shard=dst,
             )
 
     def _materialize(self, payload: Any, cache: Dict[ShmSnapshotRef, Any]) -> Any:

@@ -8,6 +8,7 @@ capabilities of its :class:`~repro.runtime.host.Environment`:
 
 - ``transport`` with the :class:`Network` signatures —
   ``send_app(msg)``, ``send_control(src, dst, payload)``,
+  ``multicast_control(src, dsts, payload)``,
   ``broadcast_control(src, payload, reliable=...)`` (the simulated
   network, or the backplane's TCP transport);
 - ``schedule(delay, callback)`` returning a cancellable handle

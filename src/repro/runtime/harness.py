@@ -185,12 +185,6 @@ class _OracleHooks(ExecutionHooks):
         )
 
 
-#: Engine priority of the per-host notification drain: strictly after all
-#: same-time message deliveries (priority 0) so a tick's notifications are
-#: all in the batch before it fires.
-_NOTIF_DRAIN_PRIORITY = 4
-
-
 class SimulationHarness:
     """Builds and runs one simulated deployment.
 
@@ -287,11 +281,12 @@ class SimulationHarness:
             config=config,
             now=lambda: engine.now,
             schedule=engine.schedule,
-            # Behind every same-time delivery (priority 0), on the
-            # process's own shard.
-            after_due=lambda pid, callback: engine.schedule_at(
-                engine.now, callback, priority=_NOTIF_DRAIN_PRIORITY,
-                label=f"notify-drain:{pid}", shard=pid),
+            # The engine's end-of-instant queue: behind every delivery
+            # due now, accounted to the process's own shard.
+            after_due=lambda pid, callback: engine.defer(
+                callback,
+                f"notify-drain:{pid}" if engine.wants_labels else None,
+                shard=pid),
             transport=self.network,
             tracer=self.tracer,
             rng=self.rngs.stream,

@@ -49,13 +49,15 @@ class Environment:
     now: Callable[[], float]
     #: ``schedule(delay, callback)`` -> handle with ``.cancel()``.
     schedule: Callable[..., Any]
-    #: ``after_due(pid, callback)``: run ``callback`` once everything
-    #: already due at the current time has been handled (the drain point
-    #: of the notification batch).
-    after_due: Callable[[int, Callable[[], None]], Any]
+    #: ``after_due(pid, callback)``: run ``callback`` once, at the current
+    #: time, after everything due at it has been handled — including
+    #: whatever that work makes due now (the drain point of the
+    #: notification batch).  Callbacks handed over at one time run in the
+    #: order given; nothing is returned and nothing can be cancelled.
+    after_due: Callable[[int, Callable[[], None]], None]
     #: The :class:`~repro.net.network.Network` signatures: ``send_app``,
-    #: ``send_control``, ``broadcast_control``, ``on_process_crash``,
-    #: ``on_process_restart``.
+    #: ``send_control``, ``multicast_control``, ``broadcast_control``,
+    #: ``on_process_crash``, ``on_process_restart``.
     transport: Any
     tracer: Tracer
     #: Named, seed-derived random stream.
@@ -151,6 +153,9 @@ class ProcessHost:
         #: protocol (announcements are logged synchronously on receipt).
         self._ctl_seen: Set[Tuple[int, int]] = set()
         self._timers: List[Callable[[], None]] = []
+        #: The stream notify() samples its fanout peers from, resolved at
+        #: the first tick that needs it.
+        self._notify_rng: Optional[random.Random] = None
 
     # -- boot ------------------------------------------------------------------
 
@@ -189,7 +194,29 @@ class ProcessHost:
                     msg=str(getattr(payload, "msg_id", payload)),
                 )
             return
-        if isinstance(payload, ControlEnvelope):
+        # Dispatch in order of frequency: notifications and application
+        # messages (and their acks) are nearly all arrivals.
+        if isinstance(payload, LogProgressNotification):
+            # Batch same-time notifications: the first arrival asks the
+            # environment for a drain behind everything else due now, so N
+            # notifications landing on one tick cost one table merge and
+            # one release/commit scan instead of N.
+            self._notif_batch.append(payload)
+            if len(self._notif_batch) == 1:
+                env.after_due(self.pid, self._drain_notifications)
+            return
+        if isinstance(payload, AppMessage):
+            effects = self.protocol.on_receive(payload)
+            if env.ack_app and payload.src >= 0:
+                # The live transport endpoint acks on arrival; a dead one
+                # acks nothing, which keeps the sender's timer retrying.
+                env.transport.send_control(
+                    self.pid, payload.src,
+                    AppAck(payload.msg_id, self.pid, payload.src),
+                )
+        elif isinstance(payload, AppAck):
+            effects = self.protocol.on_ack(payload)
+        elif isinstance(payload, ControlEnvelope):
             # Always ack — the previous ack may itself have been lost —
             # but hand each envelope to the protocol exactly once.
             env.transport.send_control(
@@ -202,31 +229,10 @@ class ProcessHost:
             self._ctl_seen.add(key)
             self.incoming(payload.payload)
             return
-        if isinstance(payload, AppAck):
-            self.execute(self.protocol.on_ack(payload))
-            return
-        if isinstance(payload, AppMessage):
-            effects = self.protocol.on_receive(payload)
-            if env.ack_app and payload.src >= 0:
-                # The live transport endpoint acks on arrival; a dead one
-                # acks nothing, which keeps the sender's timer retrying.
-                env.transport.send_control(
-                    self.pid, payload.src,
-                    AppAck(payload.msg_id, self.pid, payload.src),
-                )
         elif isinstance(payload, FailureAnnouncement):
             env.tracer.record(env.now(), "ann.receive", self.pid,
                               ann=str(payload))
             effects = self.protocol.on_failure_announcement(payload)
-        elif isinstance(payload, LogProgressNotification):
-            # Batch same-time notifications: the first arrival asks the
-            # environment for a drain behind everything else due now, so N
-            # notifications landing on one tick cost one table merge and
-            # one release/commit scan instead of N.
-            self._notif_batch.append(payload)
-            if len(self._notif_batch) == 1:
-                env.after_due(self.pid, self._drain_notifications)
-            return
         elif isinstance(payload, LoggingRequest):
             effects = self.protocol.on_logging_request(payload)
         else:
@@ -244,9 +250,16 @@ class ProcessHost:
     def execute(self, effects: List[Effect]) -> None:
         """Interpret protocol effects via the shared executor.
 
+        A step that produced no effect has nothing to interpret, but it
+        may still have written: it goes straight to the write-ahead
+        barrier, which is never skipped.
+
         The checker's effect probes (when any are registered) run per
         effect *before* interpretation; the indirection is built only on
         the instrumented path to keep normal runs lean."""
+        if not effects:
+            self.executor.storage.barrier()
+            return
         effect_probes = self.effect_probes
         probe = None
         if effect_probes:
@@ -317,39 +330,38 @@ class ProcessHost:
     def notify(self) -> None:
         if self.down:
             return
-        config, transport = self.config, self.env.transport
+        config, transport, pid = self.config, self.env.transport, self.pid
         own_only = not config.gossip_log_tables
         delta = getattr(self.protocol, "delta_notifications", False)
-        if not delta:
-            notif = self.protocol.make_log_notification(own_only=own_only)
-        fanout = config.notify_fanout
+        fanout, n = config.notify_fanout, config.n
         if fanout is None:
-            if delta:
-                # Delta encoding is per-destination (each peer has its own
-                # changelog cursor), so the broadcast unrolls into per-dst
-                # sends in the same order broadcast_control would use.
-                for dst in range(config.n):
-                    if dst == self.pid:
-                        continue
-                    transport.send_control(
-                        self.pid, dst,
-                        self.protocol.make_log_notification_for(
-                            dst, own_only=own_only),
-                    )
-            else:
-                transport.broadcast_control(self.pid, notif)
-            return
-        n = config.n
-        rng = self.env.rng(f"notify/{self.pid}")
-        # Sample peer *indices* and skip over our own pid arithmetically:
-        # same draws as sampling an explicit peers list, without building
-        # an (n-1)-element list per notification.
-        for idx in rng.sample(range(n - 1), min(fanout, n - 1)):
-            dst = idx if idx < self.pid else idx + 1
-            if delta:
-                notif = self.protocol.make_log_notification_for(
-                    dst, own_only=own_only)
-            transport.send_control(self.pid, dst, notif)
+            if not delta:
+                transport.broadcast_control(
+                    pid, self.protocol.make_log_notification(own_only=own_only))
+                return
+            # The order broadcast_control would use.
+            peers = [dst for dst in range(n) if dst != pid]
+        else:
+            # Sample peer *indices* and skip over our own pid
+            # arithmetically: same draws as sampling an explicit peers
+            # list, without building an (n-1)-element list per tick.
+            rng = self._notify_rng
+            if rng is None:
+                rng = self._notify_rng = self.env.rng(f"notify/{pid}")
+            peers = [idx if idx < pid else idx + 1
+                     for idx in rng.sample(range(n - 1), min(fanout, n - 1))]
+        if delta:
+            # Delta encoding is per-destination (each peer has its own
+            # changelog cursor): one notification made and sent per peer.
+            for dst in peers:
+                transport.send_control(
+                    pid, dst,
+                    self.protocol.make_log_notification_for(
+                        dst, own_only=own_only))
+        else:
+            transport.multicast_control(
+                pid, peers,
+                self.protocol.make_log_notification(own_only=own_only))
 
     def control_tick(self) -> None:
         """One adaptive-K observation: feed the controller the latency

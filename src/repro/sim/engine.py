@@ -1,23 +1,32 @@
 """Deterministic discrete-event simulation engine.
 
-The engine is a classic calendar loop: a binary heap of ``(time, priority,
-sequence, ...)`` records.  Ties on time are broken first by an explicit
-priority (lower runs first) and then by insertion order, which makes every
-run with the same seed bit-for-bit reproducible — a property the recovery
-tests rely on (deterministic replay must reconstruct identical states).
+The engine is a classic calendar loop: a binary heap of ``(time, sequence,
+...)`` records.  Ties on time are broken by insertion order, which makes
+every run with the same seed bit-for-bit reproducible — a property the
+recovery tests rely on (deterministic replay must reconstruct identical
+states).
 
 Two record shapes share the heap:
 
-- **handle records** ``(time, priority, seq, EventHandle)`` — returned by
+- **handle records** ``(time, seq, EventHandle)`` — returned by
   :meth:`Engine.schedule`/:meth:`Engine.schedule_at`, cancellable;
-- **raw records** ``(time, priority, seq, fn, args, label)`` — pushed by
+- **raw records** ``(time, seq, fn, args, label, callbacks)`` — pushed by
   :meth:`Engine.schedule_at_raw` for fire-and-forget work (message
   arrivals).  No handle object, no closure: the hot network path schedules
-  with zero per-event allocations beyond the heap tuple itself.
+  with zero per-event allocations beyond the heap tuple itself.  One raw
+  record may stand for several process-level callbacks (a control message
+  arriving at ``callbacks`` destinations at one instant).
 
-The two are discriminated by tuple length; the ``(time, priority, seq)``
-prefix alone decides pop order, so mixing shapes never affects the firing
+The two are discriminated by tuple length; the ``(time, seq)`` prefix
+alone decides pop order, so mixing shapes never affects the firing
 sequence.
+
+Beside the heap sits the **end-of-instant queue** (:meth:`Engine.defer`):
+a FIFO of callbacks that run at the current time once no heap record is
+due at it any more — "after everything due now".  It is served only
+while the heap front is later than ``now``, so a record scheduled *at*
+``now`` from inside one deferred callback still fires before the next
+deferred callback; the clock cannot pass a non-empty queue.
 
 Two hooks open the loop up to external control without touching the
 default behaviour:
@@ -31,9 +40,11 @@ default behaviour:
 Events may carry a ``label`` so external choosers and dumped
 counterexample traces can describe what each choice meant; producers on
 hot paths consult :attr:`Engine.wants_labels` and skip building label
-strings when no chooser is installed.
+strings when no chooser is installed.  A producer that could fold several
+callbacks into one record consults :attr:`Engine.steps_observed` and does
+not while either hook is installed.
 
-All ``schedule*`` methods accept an optional ``shard`` routing hint.  The
+``schedule*`` and ``defer`` accept an optional ``shard`` routing hint.  The
 base engine ignores it; :class:`repro.sim.shard.ShardedEngine` uses it to
 place the record on a per-worker heap (placement only — the deterministic
 cross-shard merge keeps the firing order identical for any shard count).
@@ -42,7 +53,8 @@ cross-shard merge keeps the firing order identical for any shard count).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 #: A tie-breaker: receives the same-time candidates in default firing
 #: order and returns the index of the event to fire next.
@@ -78,7 +90,7 @@ class EventHandle:
 
 def _is_dead(record: Tuple) -> bool:
     """True for a cancelled handle record (raw records cannot cancel)."""
-    return len(record) == 4 and record[3].cancelled
+    return len(record) == 3 and record[2].cancelled
 
 
 class Engine:
@@ -92,6 +104,8 @@ class Engine:
         self._now = float(start_time)
         self._seq = 0
         self._queue: List[Tuple] = []
+        #: The end-of-instant queue: ``(callback, label)`` in defer order.
+        self._deferred: Deque[Tuple[Callable[[], None], Optional[str]]] = deque()
         self._live = 0
         self._events_executed = 0
         self._running = False
@@ -109,12 +123,14 @@ class Engine:
 
     @property
     def events_executed(self) -> int:
-        """Number of events that have fired so far."""
+        """Number of callbacks delivered so far: one per handle record and
+        deferred callback, ``callbacks`` per raw record."""
         return self._events_executed
 
     @property
     def pending(self) -> int:
-        """Number of live (non-cancelled, not yet fired) scheduled events.
+        """Number of live (non-cancelled, not yet fired) scheduled records
+        and deferred callbacks.
 
         Cancelled records linger in the heap until lazily popped or
         compacted, but they no longer count here.
@@ -127,26 +143,32 @@ class Engine:
         installed).  Hot-path producers skip label formatting otherwise."""
         return self._tie_breaker is not None
 
+    @property
+    def steps_observed(self) -> bool:
+        """Whether something outside looks at the run one callback at a
+        time: a tie-breaker choosing among individual records, or a
+        post-step probe running after each.  A producer must then give
+        every callback its own record."""
+        return self._tie_breaker is not None or self.post_step is not None
+
     # -- scheduling -----------------------------------------------------------
 
     def schedule(
         self,
         delay: float,
         callback: Callable[[], None],
-        priority: int = 0,
         label: Optional[str] = None,
         shard: Optional[int] = None,
     ) -> EventHandle:
         """Schedule ``callback`` to fire ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, priority, label, shard)
+        return self.schedule_at(self._now + delay, callback, label, shard)
 
     def schedule_at(
         self,
         time: float,
         callback: Callable[[], None],
-        priority: int = 0,
         label: Optional[str] = None,
         shard: Optional[int] = None,
     ) -> EventHandle:
@@ -157,7 +179,7 @@ class Engine:
             )
         handle = EventHandle(time, callback, label)
         handle._engine = self
-        heapq.heappush(self._heap_for(shard), (time, priority, self._seq, handle))
+        heapq.heappush(self._heap_for(shard), (time, self._seq, handle))
         self._seq += 1
         self._live += 1
         return handle
@@ -167,26 +189,44 @@ class Engine:
         time: float,
         fn: Callable[..., None],
         args: Tuple = (),
-        priority: int = 0,
         label: Optional[str] = None,
         shard: Optional[int] = None,
+        callbacks: int = 1,
     ) -> None:
         """Schedule ``fn(*args)`` at absolute ``time`` with no handle.
 
         The fire-and-forget fast path: no :class:`EventHandle`, no closure
         capture, not cancellable.  Used by the network for message
-        arrivals, which are never revoked individually.
+        arrivals, which are never revoked individually.  ``callbacks`` is
+        how many process-level callbacks ``fn`` will deliver (one arrival
+        record may serve several destinations); :attr:`events_executed`
+        advances by it.
         """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} (current time {self._now})"
             )
-        heapq.heappush(self._heap_for(shard),
-                       (time, priority, self._seq, fn, args, label))
+        heapq.heappush(self._heap_for(shard, callbacks),
+                       (time, self._seq, fn, args, label, callbacks))
         self._seq += 1
         self._live += 1
 
-    def _heap_for(self, shard: Optional[int]) -> List[Tuple]:
+    def defer(
+        self,
+        callback: Callable[[], None],
+        label: Optional[str] = None,
+        shard: Optional[int] = None,
+    ) -> None:
+        """Run ``callback`` at the current time, once nothing scheduled is
+        due at it any more; deferred callbacks run in defer order.
+
+        No handle and not cancellable.  Whatever a deferred callback
+        schedules *at* the current time fires before the next deferred
+        callback does."""
+        self._deferred.append((callback, label))
+        self._live += 1
+
+    def _heap_for(self, shard: Optional[int], callbacks: int = 1) -> List[Tuple]:
         """The heap a new record lands on (``shard`` ignored here)."""
         return self._queue
 
@@ -197,11 +237,11 @@ class Engine:
         workload (ack/retransmit timers) can leave the heap mostly dead
         weight, inflating every push/pop.  Once the dead fraction reaches
         one half (and is big enough to be worth the rebuild), filter and
-        re-heapify — pop order is decided entirely by the (time, priority,
-        seq) prefix, so rebuilding never changes the firing sequence.
+        re-heapify — pop order is decided entirely by the (time, seq)
+        prefix, so rebuilding never changes the firing sequence.
         """
         self._live -= 1
-        dead = len(self._queue) - self._live
+        dead = len(self._queue) + len(self._deferred) - self._live
         if dead >= self.COMPACT_MIN_DEAD and dead * 2 >= len(self._queue):
             self._queue = [rec for rec in self._queue if not _is_dead(rec)]
             heapq.heapify(self._queue)
@@ -212,33 +252,36 @@ class Engine:
         """Install (or clear) an external same-time tie-breaker.
 
         When two or more pending events share the earliest time, the
-        chooser receives them in default firing order — sorted by
-        ``(priority, sequence)`` — and returns the index of the one to
-        fire; the rest keep their place in the queue.  With no chooser
-        installed the engine behaves exactly as before (priority, then
-        insertion order), preserving bit-for-bit reproducibility.
+        chooser receives them in default firing order — scheduled records
+        by sequence, then (at the current time) the deferred callbacks in
+        defer order — and returns the index of the one to fire; the rest
+        keep their place.  With no chooser installed the engine behaves
+        exactly as before, preserving bit-for-bit reproducibility.
         """
         self._tie_breaker = chooser
 
     # -- execution -----------------------------------------------------------
 
     def step(self) -> bool:
-        """Fire the next event.  Returns False if the queue is empty."""
+        """Fire the next event.  Returns False if nothing is pending."""
         if self._tie_breaker is not None:
-            fired = self._step_chosen()
-            if fired is None:
-                return False
-            return fired
+            return self._step_chosen()
         queue = self._queue
+        deferred = self._deferred
         while queue:
+            if deferred and queue[0][0] > self._now:
+                break  # nothing (else) is due now: the instant ends first
             record = heapq.heappop(queue)
-            if len(record) == 4:
-                handle = record[3]
+            if len(record) == 3:
+                handle = record[2]
                 if handle.cancelled:
                     continue
                 self._fire(record[0], handle)
             else:
                 self._fire_raw(record)
+            return True
+        if deferred:
+            self._fire_deferred(deferred.popleft())
             return True
         return False
 
@@ -263,30 +306,40 @@ class Engine:
         """Return an unchosen candidate to its heap."""
         heapq.heappush(self._queue, record)
 
-    def _step_chosen(self) -> Optional[bool]:
-        """One step under an external tie-breaker.
-
-        Returns True after firing, or None when the queue is empty.
-        """
-        candidates = self._candidate_records()
-        if not candidates:
-            return None
+    def _step_chosen(self) -> bool:
+        """One step under an external tie-breaker."""
+        deferred = self._deferred
+        records: List[Tuple] = []
+        if not deferred or self._front_time() == self._now:
+            records = self._candidate_records()
+        total = len(records) + len(deferred)
+        if total == 0:
+            return False
         index = 0
-        if len(candidates) > 1:
-            index = self._tie_breaker([_display_handle(r) for r in candidates])
-            if not 0 <= index < len(candidates):
+        if total > 1:
+            handles = [_display_handle(record) for record in records]
+            handles += [EventHandle(self._now, callback, label)
+                        for callback, label in deferred]
+            index = self._tie_breaker(handles)
+            if not 0 <= index < total:
                 raise SimulationError(
-                    f"tie-breaker chose {index} among {len(candidates)} events"
+                    f"tie-breaker chose {index} among {total} events"
                 )
-        chosen = candidates.pop(index)
-        for record in candidates:
+        chosen = records.pop(index) if index < len(records) else None
+        for record in records:
             self._requeue(record)
-        self._fire_record(chosen)
+        if chosen is not None:
+            self._fire_record(chosen)
+        else:
+            index -= len(records)
+            entry = deferred[index]
+            del deferred[index]
+            self._fire_deferred(entry)
         return True
 
     def _fire_record(self, record: Tuple) -> None:
-        if len(record) == 4:
-            self._fire(record[0], record[3])
+        if len(record) == 3:
+            self._fire(record[0], record[2])
         else:
             self._fire_raw(record)
 
@@ -303,8 +356,15 @@ class Engine:
     def _fire_raw(self, record: Tuple) -> None:
         self._now = record[0]
         self._live -= 1
+        self._events_executed += record[5]
+        record[2](*record[3])
+        if self.post_step is not None:
+            self.post_step()
+
+    def _fire_deferred(self, entry: Tuple) -> None:
+        self._live -= 1
         self._events_executed += 1
-        record[3](*record[4])
+        entry[0]()
         if self.post_step is not None:
             self.post_step()
 
@@ -357,6 +417,14 @@ class Engine:
         self._now = time
 
     def _peek_time(self) -> Optional[float]:
+        """When the next event fires: now while anything is deferred,
+        else the time of the earliest live scheduled record."""
+        if self._deferred:
+            return self._now
+        return self._front_time()
+
+    def _front_time(self) -> Optional[float]:
+        """Time of the earliest live scheduled record."""
         queue = self._queue
         while queue:
             record = queue[0]
@@ -373,11 +441,11 @@ def _display_handle(record: Tuple) -> EventHandle:
     Raw records get a throwaway handle carrying their time and label —
     choosers only read those two fields; firing goes through the record.
     """
-    if len(record) == 4:
-        return record[3]
-    return EventHandle(record[0], record[3], record[5])
+    if len(record) == 3:
+        return record[2]
+    return EventHandle(record[0], record[2], record[4])
 
 
-def call_soon(engine: Engine, callback: Callable[[], None], priority: int = 0) -> EventHandle:
+def call_soon(engine: Engine, callback: Callable[[], None]) -> EventHandle:
     """Schedule ``callback`` at the current time (after pending same-time events)."""
-    return engine.schedule(0.0, callback, priority)
+    return engine.schedule(0.0, callback)

@@ -9,13 +9,15 @@ streams.  Records without a hint are spread round-robin by sequence
 number.
 
 **The merge rule.**  Each step fires the minimum record across all shard
-fronts, ordered by the same ``(time, priority, seq)`` key a single heap
-uses.  Since every record still receives a globally unique ``seq`` from
-one shared counter, the key is a total order, and the sequence of fired
+fronts, ordered by the same ``(time, seq)`` key a single heap uses.
+Since every record still receives a globally unique ``seq`` from one
+shared counter, the key is a total order, and the sequence of fired
 events is *identical to the single-heap engine for any shard count,
 including W=1* — shard routing affects placement only, never order.  The
-differential suite (``tests/sim/test_shard_differential.py``) locks this
-down: same committed outputs, same event counts, same oracle verdicts for
+end-of-instant queue (:meth:`Engine.defer`) is not sharded: it is one
+FIFO, served exactly as the base engine serves it.  The differential
+suite (``tests/sim/test_shard_differential.py``) locks this down: same
+committed outputs, same event counts, same oracle verdicts for
 ``W ∈ {1, 2, 4}``.
 
 This class is the in-process model of the sharded runtime: each heap is
@@ -30,7 +32,7 @@ DESIGN.md.)
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.sim.engine import Engine, _is_dead
 
@@ -40,8 +42,9 @@ class ShardedEngine(Engine):
 
     Observable behaviour is bit-identical to the base engine; only the
     internal placement of pending records differs.  ``events_per_shard``
-    counts records *scheduled* to each shard, exposing how evenly a
-    workload's routing hints spread the load.
+    counts callbacks *scheduled* to each shard (a raw record standing for
+    several counts that many, on the shard it was placed on), exposing how
+    evenly a workload's routing hints spread the load.
     """
 
     def __init__(self, shards: int, start_time: float = 0.0):
@@ -50,43 +53,53 @@ class ShardedEngine(Engine):
         super().__init__(start_time)
         self.shards = shards
         self._heaps: List[List[Tuple]] = [[] for _ in range(shards)]
-        #: Records scheduled per shard (placement statistics).
+        #: Callbacks scheduled per shard (placement statistics).
         self.events_per_shard: List[int] = [0] * shards
 
     # -- placement ----------------------------------------------------------
 
-    def _heap_for(self, shard: Optional[int]) -> List[Tuple]:
+    def _place(self, shard: Optional[int], callbacks: int = 1) -> int:
+        """The shard ``callbacks`` new callbacks are accounted to."""
         index = (self._seq if shard is None else shard) % self.shards
-        self.events_per_shard[index] += 1
-        return self._heaps[index]
+        self.events_per_shard[index] += callbacks
+        return index
+
+    def _heap_for(self, shard: Optional[int], callbacks: int = 1) -> List[Tuple]:
+        return self._heaps[self._place(shard, callbacks)]
+
+    def defer(self, callback: Callable[[], None], label: Optional[str] = None,
+              shard: Optional[int] = None) -> None:
+        self._place(shard)
+        super().defer(callback, label)
 
     def _requeue(self, record: Tuple) -> None:
         # Placement never affects firing order, so an unchosen tie-break
         # candidate goes back by sequence number (deterministic, counted
         # nowhere — it was already counted when first scheduled).
-        heapq.heappush(self._heaps[record[2] % self.shards], record)
+        heapq.heappush(self._heaps[record[1] % self.shards], record)
 
     # -- the deterministic cross-shard merge --------------------------------
 
     def step(self) -> bool:
         if self._tie_breaker is not None:
-            fired = self._step_chosen()
-            if fired is None:
-                return False
-            return fired
+            return self._step_chosen()
         best_heap: Optional[List[Tuple]] = None
-        best_key: Optional[Tuple[float, int, int]] = None
+        best_key: Optional[Tuple[float, int]] = None
         for heap in self._heaps:
             while heap:
                 record = heap[0]
                 if _is_dead(record):
                     heapq.heappop(heap)
                     continue
-                key = (record[0], record[1], record[2])
+                key = (record[0], record[1])
                 if best_key is None or key < best_key:
                     best_key = key
                     best_heap = heap
                 break
+        deferred = self._deferred
+        if deferred and (best_key is None or best_key[0] > self._now):
+            self._fire_deferred(deferred.popleft())
+            return True
         if best_heap is None:
             return False
         self._fire_record(heapq.heappop(best_heap))
@@ -113,10 +126,10 @@ class ShardedEngine(Engine):
                     continue
                 break
         # Present candidates in the single-heap default firing order.
-        candidates.sort(key=lambda record: (record[1], record[2]))
+        candidates.sort(key=lambda record: record[1])
         return candidates
 
-    def _peek_time(self) -> Optional[float]:
+    def _front_time(self) -> Optional[float]:
         earliest: Optional[float] = None
         for heap in self._heaps:
             while heap and _is_dead(heap[0]):
@@ -130,7 +143,7 @@ class ShardedEngine(Engine):
     def _note_cancel(self) -> None:
         self._live -= 1
         total = sum(len(heap) for heap in self._heaps)
-        dead = total - self._live
+        dead = total + len(self._deferred) - self._live
         if dead >= self.COMPACT_MIN_DEAD and dead * 2 >= total:
             for index, heap in enumerate(self._heaps):
                 compacted = [rec for rec in heap if not _is_dead(rec)]

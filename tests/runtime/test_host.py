@@ -5,7 +5,9 @@ epoch workers and ``serve`` only supply an :class:`Environment`.  These
 tests supply the smallest one — a list-backed scheduler and a recording
 transport — and pin what every driver then inherits: which handler each
 payload kind reaches, the periodic timers, quiescence, boot, and the clean
-fail-stop when the journal dies at the write-ahead barrier.
+fail-stop when the journal dies at the write-ahead barrier — also on a
+step that produced no effect, which skips the executor but never the
+barrier.
 """
 
 import random
@@ -86,6 +88,10 @@ class RecordingTransport:
     def send_control(self, src, dst, payload, reliable=False):
         self.sent.append(("ctl", dst, payload))
 
+    def multicast_control(self, src, dsts, payload, reliable=False):
+        for dst in dsts:
+            self.send_control(src, dst, payload, reliable=reliable)
+
     def broadcast_control(self, src, payload, include_self=False,
                           reliable=False):
         self.sent.append(("bcast", None, payload))
@@ -115,10 +121,13 @@ class StubProtocol:
         self.send_buffer, self.receive_buffer, self.output_buffer = [], [], []
         self.unacked_count = 0
 
+    #: What every handler answers with.
+    effects = [BroadcastAnnouncement(make_announcement(0, 0, 1))]
+
     def _handler(name):
         def handler(self, *args, **kwargs):
             self.calls.append((name,) + args)
-            return [BroadcastAnnouncement(make_announcement(0, 0, 1))]
+            return list(self.effects)
         return handler
 
     for _name in ("initialize", "boot_after_crash", "on_receive", "on_ack",
@@ -136,13 +145,13 @@ class StubProtocol:
         return LogProgressNotification(0, None)
 
 
-def build(protocol=None, ack_app=False, **config):
+def build(protocol=None, ack_app=False, rng=None, **config):
     clock, transport = FakeScheduler(), RecordingTransport()
     env = Environment(
         config=SimConfig(n=N, k=1, **config),
         now=clock.now, schedule=clock.schedule, after_due=clock.after_due,
         transport=transport, tracer=Tracer(enabled=True),
-        rng=lambda name: random.Random(name), ack_app=ack_app,
+        rng=rng or (lambda name: random.Random(name)), ack_app=ack_app,
     )
     host = ProcessHost(env, 0, protocol or StubProtocol())
     return host, clock, transport
@@ -295,6 +304,23 @@ class TestPeriodic:
                 and isinstance(p, LogProgressNotification)]
         assert not clock.timers
 
+    def test_fanout_notify_draws_from_one_stream_resolved_once(self):
+        resolved = []
+
+        def rng(name):
+            resolved.append(name)
+            return random.Random(name)
+
+        host, _clock, transport = build(rng=rng, notify_fanout=1)
+        for _ in range(6):
+            host.notify()
+        assert resolved == ["notify/0"]
+        # The same draws as sampling a peer index from that one stream.
+        reference = random.Random("notify/0")
+        expected = [reference.sample(range(N - 1), 1)[0] + 1 for _ in range(6)]
+        assert [dst for kind, dst, _p in transport.sent
+                if kind == "ctl"] == expected
+
     def test_stopped_timers_stay_stopped(self):
         host, clock, _transport = build()
         host.start_timers()
@@ -338,6 +364,78 @@ class TestBoot:
         host, _clock, _transport = build()
         host.boot(recovering=True)
         assert handlers(host) == ["boot_after_crash"]
+
+
+class CountingStorage(StableBackend):
+    """Counts the barriers; optionally dies at the next one."""
+
+    def __init__(self, pid, dies=False):
+        super().__init__(pid)
+        self.barriers = 0
+        self.dies = dies
+
+    def barrier(self):
+        self.barriers += 1
+        if self.dies:
+            raise StorageDeadError("device gone")
+        super().barrier()
+
+
+class TestEmptyStep:
+    """A step that produced no effect skips the executor, never the
+    write-ahead barrier: the handler may still have written."""
+
+    def quiet(self, dies=False):
+        protocol = StubProtocol(CountingStorage(0, dies=dies))
+        protocol.effects = []
+        host, clock, transport = build(protocol)
+
+        def interpret(effects, probe=None):
+            raise AssertionError(f"executor entered with {effects!r}")
+
+        host.executor.execute = interpret
+        return host, clock, transport
+
+    def steps(self):
+        """(name, fail-stop context, how to drive it) for every empty step
+        the hot path takes."""
+        def notification(host, clock):
+            host.incoming(LogProgressNotification(1, None))
+            host.incoming(LogProgressNotification(2, None))
+            clock.run_due()
+
+        return [
+            ("on_log_notifications", "notification", notification),
+            ("flush", "flush", lambda host, clock: host.flush()),
+            ("on_receive", "incoming",
+             lambda host, clock: host.incoming(make_msg(1, 0, n=N))),
+        ]
+
+    def test_barrier_runs_exactly_once_and_nothing_is_interpreted(self):
+        for handler, _context, drive in self.steps():
+            host, clock, transport = self.quiet()
+            drive(host, clock)
+            assert handlers(host) == [handler]
+            assert host.protocol.storage.barriers == 1, handler
+            assert transport.sent == [] and not host.down
+
+    def test_a_step_with_effects_still_goes_through_the_executor(self):
+        host, _clock, _transport = self.quiet()
+        host.protocol.effects = StubProtocol.effects
+        with pytest.raises(AssertionError, match="executor entered"):
+            host.flush()
+
+    def test_dead_journal_at_that_barrier_is_a_clean_fail_stop(self):
+        for _handler, context, drive in self.steps():
+            host, clock, transport = self.quiet(dies=True)
+            drive(host, clock)
+            assert host.protocol.storage.barriers == 1
+            assert host.down and host.storage_deaths == 1
+            assert host.protocol.failed
+            assert ("crash", 0, None) in transport.sent
+            (record,) = host.env.tracer.select("storage.dead")
+            assert record.data["context"] == context
+            assert len(clock.timers) == 1    # the restart
 
 
 class TestFailStop:

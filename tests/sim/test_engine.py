@@ -23,13 +23,20 @@ class TestScheduling:
         engine.run()
         assert fired == ["a", "b", "c"]
 
-    def test_priority_overrides_insertion_order(self):
+    def test_deferred_runs_after_same_time_events(self):
+        # "late" asks to run behind everything due at its time, however
+        # much later that work was scheduled.
         engine = Engine()
         fired = []
-        engine.schedule(1.0, lambda: fired.append("late"), priority=5)
-        engine.schedule(1.0, lambda: fired.append("early"), priority=0)
+
+        def first():
+            engine.defer(lambda: fired.append("late"))
+            engine.schedule(0.0, lambda: fired.append("early"))
+
+        engine.schedule(1.0, first)
+        engine.schedule(1.0, lambda: fired.append("also-early"))
         engine.run()
-        assert fired == ["early", "late"]
+        assert fired == ["also-early", "early", "late"]
 
     def test_now_advances_to_event_time(self):
         engine = Engine()

@@ -1,7 +1,7 @@
 """ShardedEngine vs the single-heap Engine: identical firing order.
 
 The deterministic cross-shard merge claims the fired-event sequence is a
-pure function of ``(time, priority, seq)`` regardless of shard count or
+pure function of ``(time, seq)`` regardless of shard count or
 routing hints.  These tests drive both engines through identical
 randomized schedule scripts (including cancellations, re-entrant
 scheduling from callbacks, and tie-breaker control) and assert the
@@ -17,12 +17,12 @@ from repro.sim.shard import ShardedEngine
 
 
 def random_script(seed, steps=200):
-    """A schedule script: (delay, priority, shard-hint, use_raw, cancel)."""
+    """A schedule script: (delay, shard-hint, use_raw, cancel)."""
     rng = random.Random(seed)
     return [
         (
-            rng.uniform(0.0, 20.0),
-            rng.choice([0, 0, 0, 1, 2]),
+            # A coarse grid, so that many records tie on time.
+            rng.randrange(0, 40) / 2.0,
             rng.choice([None, 0, 1, 2, 3, 7, 63]),
             rng.random() < 0.5,
             rng.random() < 0.15,
@@ -35,13 +35,12 @@ def execute(engine, script):
     """Run a script on ``engine``; returns the fired event ids in order."""
     fired = []
     handles = []
-    for i, (delay, priority, shard, use_raw, cancel) in enumerate(script):
+    for i, (delay, shard, use_raw, cancel) in enumerate(script):
         if use_raw:
-            engine.schedule_at_raw(delay, fired.append, (i,),
-                                   priority=priority, shard=shard)
+            engine.schedule_at_raw(delay, fired.append, (i,), shard=shard)
         else:
             handle = engine.schedule(delay, lambda i=i: fired.append(i),
-                                     priority=priority, shard=shard)
+                                     shard=shard)
             if cancel:
                 handles.append(handle)
     for handle in handles:
@@ -80,14 +79,14 @@ class TestFiringOrderEquivalence:
 
         assert drive(ShardedEngine(shards)) == drive(Engine())
 
-    def test_same_time_ties_fire_in_priority_then_seq_order(self):
+    def test_same_time_ties_fire_in_seq_order(self):
         engine = ShardedEngine(4)
         fired = []
-        engine.schedule_at_raw(5.0, fired.append, ("late-seq-p0",), shard=3)
-        engine.schedule_at_raw(5.0, fired.append, ("p1",), priority=1, shard=0)
-        engine.schedule_at(5.0, lambda: fired.append("handle-p0"), shard=1)
+        engine.schedule_at_raw(5.0, fired.append, ("first",), shard=3)
+        engine.schedule_at_raw(5.0, fired.append, ("second",), shard=0)
+        engine.schedule_at(5.0, lambda: fired.append("third"), shard=1)
         engine.run()
-        assert fired == ["late-seq-p0", "handle-p0", "p1"]
+        assert fired == ["first", "second", "third"]
 
 
 class TestTieBreaker:
