@@ -21,11 +21,17 @@ them):
   *creation sequence number* of that process's intervals in its causal
   past.  The graph is append-only (a node's predecessor list is fixed at
   creation), so the vector is computed once as the elementwise max of the
-  predecessors' vectors.  :meth:`potential_revokers` then answers in O(n)
-  instead of a full past traversal: process j can revoke iff its first
-  non-stable live-chain node has a sequence number covered by the vector
-  (any extra node the vector over-approximates is provably rolled back,
-  and rolled-back nodes are excluded from revoker sets anyway);
+  predecessors' vectors;
+- **the stable frontier** — per process, the creation sequence number of
+  its first non-stable live-chain node (:data:`_ALL_STABLE` when the whole
+  chain is stable).  The stable part of a live chain is always a prefix,
+  so the frontier moves only where one chain is touched: a delivery onto
+  an all-stable chain, :meth:`mark_stable`, :meth:`record_recovery`.
+  :meth:`potential_revokers` is then one compare instead of a past
+  traversal: process j can revoke iff the node's causal vector reaches
+  j's frontier (any extra node the vector over-approximates is provably
+  rolled back, and rolled-back nodes are excluded from revoker sets
+  anyway);
 - **epoch-cached orphan sets** — rollbacks are the only events that can
   orphan an *existing* interval, so the full orphan set is recomputed once
   per rollback epoch in a single topological pass (creation order is a
@@ -36,7 +42,7 @@ them):
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core import columnar
 from repro.core.entry import Entry
@@ -49,16 +55,21 @@ IntervalId = Tuple[ProcessId, int, int]  # (pid, inc, sii)
 
 _EMPTY: FrozenSet[IntervalId] = frozenset()
 
+#: Stable-frontier value of a process whose whole live chain is stable:
+#: above every creation sequence number, so no causal vector reaches it.
+_ALL_STABLE = 1 << 62
+
 
 class IntervalNode:
     """One state interval in the ground-truth graph.
 
-    ``rolled_back`` is a property so that any mutation — including a test
-    corrupting the graph behind the oracle's back — keeps the oracle's
-    rolled-back counter and orphan-cache epoch coherent.
+    ``rolled_back`` and ``stable`` are properties so that any mutation —
+    including a test corrupting the graph behind the oracle's back — keeps
+    the oracle's rolled-back counter, orphan-cache epoch and stable
+    frontier coherent.
     """
 
-    __slots__ = ("interval", "preds", "stable", "_rolled_back", "_owner")
+    __slots__ = ("interval", "preds", "_stable", "_rolled_back", "_owner")
 
     def __init__(
         self,
@@ -69,7 +80,7 @@ class IntervalNode:
     ):
         self.interval = interval
         self.preds: List[IntervalId] = preds if preds is not None else []
-        self.stable = stable
+        self._stable = stable
         self._rolled_back = rolled_back
         self._owner: Optional["DependencyOracle"] = None
 
@@ -85,8 +96,20 @@ class IntervalNode:
         if self._owner is not None:
             self._owner._note_rollback_flag(value)
 
+    @property
+    def stable(self) -> bool:
+        return self._stable
+
+    @stable.setter
+    def stable(self, value: bool) -> None:
+        if value == self._stable:
+            return
+        self._stable = value
+        if self._owner is not None:
+            self._owner._refresh_frontier(self.interval[0])
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"IntervalNode({self.interval!r}, stable={self.stable}, "
+        return (f"IntervalNode({self.interval!r}, stable={self._stable}, "
                 f"rolled_back={self._rolled_back})")
 
 
@@ -115,9 +138,13 @@ class DependencyOracle:
         self._vec: Dict[IntervalId, Any] = {}
         #: All nodes in creation order (a topological order of the DAG).
         self._creation_order: List[IntervalId] = []
-        #: Per-process lower bound on the index of the first non-stable
-        #: live-chain node (stability never reverts, so it only advances).
-        self._stable_hint: List[int] = [0] * n
+        #: Per process, the length of its live chain's stable prefix (the
+        #: index of the first non-stable node) and the stable frontier:
+        #: that node's creation seq (see module docstring).  Both are kept
+        #: exact by :meth:`_refresh_frontier`.
+        self._stable_prefix: List[int] = [0] * n
+        self._frontier: Any = (_np.full(n, _ALL_STABLE, dtype=_np.int64)
+                               if self._use_np else [_ALL_STABLE] * n)
         self._rolled_back_count = 0
         #: Bumped whenever a rollback marks nodes; invalidates orphan cache.
         self._rollback_epoch = 0
@@ -186,12 +213,26 @@ class DependencyOracle:
         self._rolled_back_count += 1 if value else -1
         self._rollback_epoch += 1
 
+    def _refresh_frontier(self, pid: ProcessId, start: int = 0) -> None:
+        """Re-derive ``pid``'s stable frontier, given that its live chain
+        is stable below index ``start`` (also called from the
+        :class:`IntervalNode` ``stable`` setter, which assumes nothing)."""
+        chain = self._chains[pid]
+        nodes = self._nodes
+        i = start
+        while i < len(chain) and nodes[chain[i]]._stable:
+            i += 1
+        self._stable_prefix[pid] = i
+        self._frontier[pid] = (self._seq_of[chain[i]] if i < len(chain)
+                               else _ALL_STABLE)
+
     def start_process(self, pid: ProcessId) -> None:
         """Record the initial interval (pid, 0, 1); it is stable by fiat."""
         interval = (pid, 0, 1)
         node = IntervalNode(interval, stable=True)
         self._register(node)
         self._chains[pid] = [interval]
+        self._refresh_frontier(pid)
 
     def record_delivery(
         self,
@@ -214,6 +255,9 @@ class DependencyOracle:
         if sender is not None and sender >= 0 and sender_interval is not None:
             node.preds.append((sender, sender_interval.inc, sender_interval.sii))
         self._register(node)
+        if self._stable_prefix[pid] == len(chain):
+            # Appended to an all-stable chain: the new node is the frontier.
+            self._frontier[pid] = self._seq_of[iid]
         chain.append(iid)
 
     def record_recovery(self, pid: ProcessId, survivor: Entry, new_current: Entry) -> None:
@@ -232,8 +276,6 @@ class DependencyOracle:
             # The property setter maintains the counter and cache epoch.
             self._nodes[iid].rolled_back = True
         del chain[keep:]
-        if self._stable_hint[pid] > keep:
-            self._stable_hint[pid] = keep
 
         new_iid = (pid, new_current.inc, new_current.sii)
         node = IntervalNode(new_iid)
@@ -241,23 +283,23 @@ class DependencyOracle:
             node.preds.append(chain[-1])
         self._register(node)
         chain.append(new_iid)
+        self._refresh_frontier(pid, min(self._stable_prefix[pid], keep))
 
     def mark_stable(self, pid: ProcessId, through: Entry) -> None:
         """Everything on the live chain up to ``through.sii`` is now stable
         (a flush, checkpoint, or rollback-time forced log).
 
         Chain interval indices are strictly increasing and stability never
-        reverts, so the scan resumes from the per-process hint instead of
-        rescanning the whole chain."""
+        reverts, so the scan resumes from the first non-stable node
+        instead of rescanning the whole chain."""
         chain = self._chains[pid]
-        i = min(self._stable_hint[pid], len(chain))
-        while i < len(chain):
-            iid = chain[i]
-            if iid[2] > through.sii:
-                break
-            self._nodes[iid].stable = True
+        nodes = self._nodes
+        sii = through.sii
+        i = self._stable_prefix[pid]
+        while i < len(chain) and chain[i][2] <= sii:
+            nodes[chain[i]]._stable = True
             i += 1
-        self._stable_hint[pid] = i
+        self._refresh_frontier(pid, i)
 
     # -- queries ------------------------------------------------------------
 
@@ -312,21 +354,6 @@ class DependencyOracle:
         """Definition 1: some rolled-back interval is in the causal past."""
         return interval in self._orphans()
 
-    def _first_non_stable_seq(self, pid: ProcessId) -> Optional[int]:
-        """Creation seq of ``pid``'s earliest non-stable live-chain node.
-
-        Live-chain nodes are in creation order, so this is also the minimum
-        sequence number over all non-stable, non-rolled-back nodes."""
-        chain = self._chains[pid]
-        i = min(self._stable_hint[pid], len(chain))
-        nodes = self._nodes
-        while i < len(chain) and nodes[chain[i]].stable:
-            i += 1
-        self._stable_hint[pid] = i
-        if i < len(chain):
-            return self._seq_of[chain[i]]
-        return None
-
     def potential_revokers(self, interval: IntervalId) -> Set[ProcessId]:
         """Processes whose failure could revoke a message sent from
         ``interval``: owners of non-stable, non-rolled-back intervals in the
@@ -337,31 +364,15 @@ class DependencyOracle:
             revokers: Set[ProcessId] = set()
             for iid in self.causal_past(interval):
                 node = self._nodes[iid]
-                if not node.stable and not node.rolled_back:
+                if not node._stable and not node._rolled_back:
                     revokers.add(iid[0])
             return revokers
-        revokers = set()
-        if self._use_sparse:
-            for j, reach in vec.items():
-                first = self._first_non_stable_seq(j)
-                if first is not None and first <= reach:
-                    revokers.add(j)
-            return revokers
+        frontier = self._frontier
         if self._use_np:
-            # Touch only the (sparse) nonzero slots.
-            for j in _np.nonzero(vec)[0].tolist():
-                first = self._first_non_stable_seq(j)
-                if first is not None and first <= vec[j]:
-                    revokers.add(j)
-            return revokers
-        for j in range(self.n):
-            reach = vec[j]
-            if not reach:
-                continue
-            first = self._first_non_stable_seq(j)
-            if first is not None and first <= reach:
-                revokers.add(j)
-        return revokers
+            return set(_np.nonzero(vec >= frontier)[0].tolist())
+        # A zero slot never reaches a frontier: sequence numbers start at 1.
+        reaches = vec.items() if self._use_sparse else enumerate(vec)
+        return {j for j, reach in reaches if reach >= frontier[j]}
 
     def live_interval(self, pid: ProcessId) -> Optional[IntervalId]:
         chain = self._chains[pid]
@@ -377,7 +388,7 @@ class DependencyOracle:
         """Every interval that is neither stable nor rolled back — the
         intervals whose owners are potential revokers (Theorem 4)."""
         return [iid for iid, node in self._nodes.items()
-                if not node.stable and not node.rolled_back]
+                if not node._stable and not node._rolled_back]
 
     def orphan_intervals(self) -> List[IntervalId]:
         """Live-chain intervals that are currently orphans.

@@ -193,8 +193,7 @@ class _Ingest:
         if data.get("replayed"):
             return  # replay re-send of a pre-crash interval; already checked
         interval = (pid, int(data["inc"]), int(data["sii"]))
-        if not self.oracle.exists(interval):
-            return
+        # An interval that never appeared has no revokers: nothing to flag.
         revokers = self.oracle.potential_revokers(interval)
         # A release claim carrying its own bound (Section 4.2 per-message
         # K, recorded by the executor) is certified against that bound.

@@ -118,9 +118,6 @@ class _NullOracle:
     def live_interval(self, pid: int) -> None:
         return None
 
-    def exists(self, interval: Any) -> bool:
-        return False
-
     def check_consistency(self) -> List[str]:
         return []
 
@@ -133,13 +130,14 @@ class _OracleHooks(ExecutionHooks):
     def __init__(self, harness: "SimulationHarness", pid: int):
         self.harness = harness
         self.pid = pid
+        self.check_invariants = harness.config.check_invariants
 
     def pre_release(self, msg: AppMessage) -> None:
-        if self.harness.config.check_invariants and msg.src >= 0:
+        if self.check_invariants and msg.src >= 0:
             self.harness.check_release_bound(msg)
 
     def pre_commit(self, record: Any) -> None:
-        if self.harness.config.check_invariants:
+        if self.check_invariants:
             self.harness.check_output_commit(record)
 
     def post_commit(self, now: float, record: Any, wait: float = 0.0) -> None:
@@ -350,6 +348,8 @@ class SimulationHarness:
         #: Largest potential-revoker set seen at any release (Theorem 4's
         #: quantity; must stay <= K on every release of an app message).
         self.max_release_revokers = 0
+        #: The system-wide K that unstamped releases are judged against.
+        self._k = config.resolved_k()
         self._inject_seq = itertools.count()
         self._horizon = 0.0
 
@@ -463,16 +463,15 @@ class SimulationHarness:
     def check_release_bound(self, msg: AppMessage) -> None:
         """Theorem 4: at release, at most K processes can revoke ``msg``."""
         interval = (msg.src, msg.send_interval.inc, msg.send_interval.sii)
-        if not self.oracle.exists(interval):
-            return  # replay re-send of a pre-crash interval; already checked
+        # An interval the oracle never saw (a replay re-send of a pre-crash
+        # interval, already checked) has no revokers and flags nothing.
         revokers = self.oracle.potential_revokers(interval)
         if len(revokers) > self.max_release_revokers:
             self.max_release_revokers = len(revokers)
         # A message carrying its own bound (Section 4.2) is judged against
         # that bound, not the system-wide K — the global default applies
         # only to unstamped messages.
-        k = (self.config.resolved_k() if msg.k_limit is None
-             else msg.k_limit)
+        k = self._k if msg.k_limit is None else msg.k_limit
         if len(revokers) > k:
             self.violations.append(
                 f"Theorem 4 violated: {msg.msg_id} released with "
@@ -482,8 +481,7 @@ class SimulationHarness:
     def check_output_commit(self, record: Any) -> None:
         """A committed output must have an empty potential-revoker set."""
         interval = (record.process, record.send_interval.inc, record.send_interval.sii)
-        if not self.oracle.exists(interval):
-            return
+        # An unknown interval has no revokers and is no orphan.
         revokers = self.oracle.potential_revokers(interval)
         if revokers:
             self.violations.append(

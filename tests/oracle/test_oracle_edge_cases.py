@@ -42,6 +42,37 @@ class TestCorruptedGraphs:
         assert oracle.is_orphan((1, 0, 2))
         assert any("orphan" in v for v in oracle.check_consistency())
 
+    def test_stable_flag_written_behind_the_oracle_moves_the_frontier(self):
+        # The twin of the rolled-back cases above for the other guarded
+        # flag: the Theorem 4 check reads a cached stable frontier, and a
+        # direct write must not leave it describing the old graph.
+        oracle = cross_dependency_oracle()
+        assert oracle.potential_revokers((1, 0, 2)) == {0, 1}
+        oracle.node((0, 0, 2)).stable = True
+        assert oracle.potential_revokers((1, 0, 2)) == {1}
+        assert (0, 0, 2) not in oracle.non_stable_intervals()
+        oracle.node((0, 0, 2)).stable = False
+        assert oracle.potential_revokers((1, 0, 2)) == {0, 1}
+        # The oracle's own bookkeeping still lands on the same node.
+        oracle.mark_stable(0, Entry(0, 2))
+        assert oracle.potential_revokers((1, 0, 2)) == {1}
+
+    def test_stable_flags_that_are_not_a_prefix(self):
+        # Corrupt: a stable node *behind* a non-stable one (no flush can
+        # produce this).  The frontier is the first non-stable node, and
+        # mark_stable skips over the island instead of stopping on it.
+        oracle = oracle_with_chain(deliveries=3)
+        tip = (0, 0, 4)
+        oracle.node((0, 0, 3)).stable = True
+        assert oracle.potential_revokers(tip) == {0}
+        oracle.mark_stable(0, Entry(0, 2))
+        assert oracle.potential_revokers(tip) == {0}    # (0, 0, 4) is left
+        oracle.node(tip).stable = True
+        assert oracle.potential_revokers(tip) == set()
+        oracle.node((0, 0, 2)).stable = False           # un-stabilise below
+        assert oracle.potential_revokers(tip) == {0}
+        assert oracle.potential_revokers((0, 0, 1)) == set()
+
     def test_dangling_predecessor_is_tolerated(self):
         oracle = oracle_with_chain(deliveries=1)
         # Corrupt: a predecessor that was never recorded.
