@@ -69,7 +69,7 @@ def use_numpy_for(n: int) -> bool:
     return NUMPY is not None and n >= NP_MIN_N
 
 
-#: At and above this process count the dense ``pid*stride+inc`` column is
+#: At and above this process count the dense ``inc*n+pid`` column is
 #: replaced by a dict-of-rows backend: every process holds two tables, so
 #: dense storage is O(n^2 * stride) per simulation — ~6 GB at n=10000 —
 #: while the rows a process actually learns about stay sparse (bounded by

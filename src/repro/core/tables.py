@@ -14,20 +14,31 @@ Both tables are declared ``array[1..N] of set of entry`` and share the
 paper's ``Insert(se, (t,x'))`` routine, which keeps a single entry per
 incarnation holding the maximum index.
 
-Storage layout (columnar)
--------------------------
+Storage layout (columnar, incarnation-major)
+--------------------------------------------
 
-Rows are stored as one flat integer column of ``n * stride`` slots, slot
-``pid * stride + inc`` holding the maximum index recorded for that
-``(pid, inc)`` pair or ``-1`` when absent.  ``stride`` (max incarnations
-per row) grows geometrically on demand; incarnation counts are tiny in
-practice (one per crash of a process), so the column stays dense and a
-whole-table gossip merge is a single elementwise-max pass — ``np.maximum``
-when numpy is available and the table is large, a flat list loop
-otherwise.  Change detection (and hence :attr:`version` maintenance) is an
-explicit elementwise comparison: values only ever grow under max-merge, so
-``theirs > mine`` marks exactly the changed slots.  (An earlier column-sum
-trick wrapped silently at 2**63 and could miss changes in a batched merge.)
+A table is one flat integer column per incarnation, laid end to end: slot
+``inc * n + pid`` holds the maximum index recorded for that ``(pid, inc)``
+pair or ``-1`` when absent.  ``stride`` is the highest incarnation seen
+plus one — it starts at 1 and grows by appending one n-wide block of
+``-1`` — so a table, its gossiped :class:`TableSnapshot` and every merge
+are exactly as wide as the information they hold (the paper's "an
+implementation can omit NULL entries"): a failure-free run never carries
+more than n slots.  Because incarnation blocks are contiguous, a snapshot
+of a different stride merges as a *prefix*: a wider one grows the table
+first, a narrower one is merged into ``mine[:len(theirs)]``.  Either way a
+whole-table gossip merge is a single flat elementwise-max pass —
+``np.maximum`` when numpy is available and the table is large, one list
+loop otherwise.  Change detection (and hence :attr:`version` maintenance)
+is an explicit elementwise comparison: values only ever grow under
+max-merge, so ``theirs > mine`` marks exactly the changed slots.  (An
+earlier column-sum trick wrapped silently at 2**63 and could miss changes
+in a batched merge.)
+
+Scalar reads go through ``_read`` — the list itself, or a ``memoryview``
+of the ndarray — so both dense backends hand out plain ``int`` / ``bool``
+(never ``numpy.int64`` / ``numpy.bool_``) at half the per-element cost of
+ndarray indexing.
 
 Very large tables (``n >= columnar.SPARSE_MIN_N``) switch to a sparse
 dict-of-rows backend: dense columns cost O(n * stride) *per process table*
@@ -38,10 +49,9 @@ encoding: with :meth:`EntrySetTable.enable_changelog` a notification can
 carry only the entries changed since the peer's last acknowledged
 changelog position (:meth:`EntrySetTable.delta_since`).
 
-The previous dict-of-dicts implementation is retained below as
-``Reference*`` classes; the property suite in
-``tests/properties/test_columnar_equivalence.py`` drives both through
-random op sequences and asserts equal observable state.
+The dict-of-dicts model these tables replaced lives on as the reference
+in ``tests/properties/test_columnar_equivalence.py``, which drives both
+through random op sequences and asserts equal observable state.
 """
 
 from __future__ import annotations
@@ -56,13 +66,23 @@ from repro.types import IncarnationId, IntervalIndex, ProcessId
 _np = columnar.NUMPY
 
 
+def _plain(cols):
+    """``cols`` as a sequence whose elements read as plain ``int``: a list
+    is one already, an int64 ndarray is viewed (not copied) through a
+    ``memoryview``."""
+    return cols if isinstance(cols, list) else memoryview(cols)
+
+
 class TableSnapshot:
     """An immutable columnar copy of a table, piggybacked by gossip.
 
-    Carries the raw column (same ``pid * stride + inc`` layout) so the
-    receiver's :meth:`EntrySetTable.merge_snapshot` is one elementwise-max
-    pass instead of a per-entry dict walk.  :meth:`rows` converts to the
-    legacy list-of-dicts form (used by the wire codec and tests);
+    ``cols`` is the raw column in the table's own layout — ``stride``
+    incarnation blocks of ``n`` slots, slot ``inc * n + pid``, ``-1`` for
+    absent — as a flat int64 ndarray or a list of ``n * stride`` ints, so
+    the receiver's :meth:`EntrySetTable.merge_snapshot` is one
+    elementwise-max pass over a prefix of its own column instead of a
+    per-entry dict walk.  :meth:`rows` converts to the legacy
+    list-of-dicts form (used by the wire codec and tests);
     :meth:`restrict` keeps a single row (own-progress-only gossip).
     """
 
@@ -75,29 +95,20 @@ class TableSnapshot:
 
     def rows(self) -> List[Dict[IncarnationId, IntervalIndex]]:
         """Legacy ``incarnation -> max index`` dicts, one per process."""
-        out: List[Dict[IncarnationId, IntervalIndex]] = []
-        stride, cols = self.stride, self.cols
-        for pid in range(self.n):
-            base = pid * stride
-            row: Dict[IncarnationId, IntervalIndex] = {}
-            for inc in range(stride):
-                value = cols[base + inc]
-                if value >= 0:
-                    row[inc] = int(value)
-            out.append(row)
+        out: List[Dict[IncarnationId, IntervalIndex]] = [{} for _ in range(self.n)]
+        for pid, inc, sii in _snapshot_entries(self):
+            out[pid][inc] = sii
         return out
 
     def restrict(self, pid: ProcessId) -> "TableSnapshot":
         """A snapshot carrying only ``pid``'s row (others empty)."""
-        stride = self.stride
-        base = pid * stride
-        if _np is not None and isinstance(self.cols, _np.ndarray):
-            cols = _np.full(self.n * stride, -1, dtype=_np.int64)
-            cols[base:base + stride] = self.cols[base:base + stride]
+        n = self.n
+        if isinstance(self.cols, list):
+            cols = [-1] * len(self.cols)
         else:
-            cols = [-1] * (self.n * stride)
-            cols[base:base + stride] = self.cols[base:base + stride]
-        return TableSnapshot(self.n, stride, cols)
+            cols = _np.full(len(self.cols), -1, dtype=_np.int64)
+        cols[pid::n] = self.cols[pid::n]
+        return TableSnapshot(n, self.stride, cols)
 
     # Duck compatibility with the legacy list-of-dicts snapshot form, so
     # callers (and tests) can keep indexing/iterating rows directly.
@@ -105,10 +116,9 @@ class TableSnapshot:
     def __getitem__(self, pid: int) -> Dict[IncarnationId, IntervalIndex]:
         if not 0 <= pid < self.n:
             raise IndexError(f"process id {pid} out of range [0, {self.n})")
-        base = pid * self.stride
-        return {inc: int(self.cols[base + inc])
-                for inc in range(self.stride)
-                if self.cols[base + inc] >= 0}
+        return {inc: value
+                for inc, value in enumerate(_plain(self.cols)[pid::self.n])
+                if value >= 0}
 
     def __iter__(self):
         return iter(self.rows())
@@ -188,14 +198,10 @@ class SparseSnapshot:
 
 def _snapshot_entries(snap: TableSnapshot):
     """Populated ``(pid, inc, sii)`` triples of a dense snapshot."""
-    cols, stride = snap.cols, snap.stride
-    if _np is not None and isinstance(cols, _np.ndarray):
-        for pos in _np.nonzero(cols >= 0)[0].tolist():
-            yield pos // stride, pos % stride, int(cols[pos])
-        return
-    for pos, value in enumerate(cols):
+    n = snap.n
+    for pos, value in enumerate(_plain(snap.cols)):
         if value >= 0:
-            yield pos // stride, pos % stride, value
+            yield pos % n, pos // n, value
 
 
 class EntrySetTable:
@@ -208,10 +214,9 @@ class EntrySetTable:
     entries are never removed, ``version == 0`` iff the table is empty.
     """
 
-    __slots__ = ("n", "version", "_stride", "_cols", "_rows", "_use_np",
-                 "_track", "_changes", "changelog_epoch")
+    __slots__ = ("n", "version", "_stride", "_cols", "_read", "_rows",
+                 "_use_np", "_track", "_changes", "changelog_epoch")
 
-    INITIAL_STRIDE = 4
     #: Changelog compaction threshold: above this many recorded changes the
     #: log is cleared and the epoch bumped (peers resync with one full
     #: snapshot, then resume deltas).
@@ -230,14 +235,14 @@ class EntrySetTable:
             sparse = columnar.use_sparse_for(n)
         if sparse:
             self._rows: Optional[Dict[int, Dict[int, int]]] = {}
-            self._cols = None
+            self._cols = self._read = None
             self._use_np = False
             self._stride = 1  # max incarnation count seen (informational)
         else:
             self._rows = None
-            self._stride = self.INITIAL_STRIDE
+            self._stride = 1
             self._use_np = columnar.use_numpy_for(n)
-            self._cols = self._new_cols(n * self._stride)
+            self._set_cols(self._new_cols(n))
 
     # -- changelog (delta gossip) --------------------------------------------
 
@@ -288,22 +293,18 @@ class EntrySetTable:
             return _np.full(size, -1, dtype=_np.int64)
         return [-1] * size
 
-    def _grow(self, min_stride: int) -> None:
-        new_stride = self._stride
-        while new_stride < min_stride:
-            new_stride *= 2
-        new_cols = self._new_cols(self.n * new_stride)
-        old_stride, old_cols = self._stride, self._cols
-        if self._use_np:
-            new_cols.reshape(self.n, new_stride)[:, :old_stride] = (
-                old_cols.reshape(self.n, old_stride))
-        else:
-            for pid in range(self.n):
-                src = pid * old_stride
-                dst = pid * new_stride
-                new_cols[dst:dst + old_stride] = old_cols[src:src + old_stride]
-        self._stride = new_stride
-        self._cols = new_cols
+    def _set_cols(self, cols) -> None:
+        """Install ``cols`` and the scalar-read view over it: element reads
+        of ``_read`` are plain ``int`` on both backends."""
+        self._cols = cols
+        self._read = _plain(cols)
+
+    def _grow(self, stride: int) -> None:
+        """Append n-wide blocks of ``-1`` up to ``stride`` incarnations."""
+        pad = self._new_cols(self.n * (stride - self._stride))
+        self._set_cols(_np.concatenate((self._cols, pad)) if self._use_np
+                       else self._cols + pad)
+        self._stride = stride
 
     def _check_pid(self, pid: ProcessId) -> None:
         if not 0 <= pid < self.n:
@@ -329,8 +330,8 @@ class EntrySetTable:
             return
         if inc >= self._stride:
             self._grow(inc + 1)
-        pos = pid * self._stride + inc
-        if entry.sii > self._cols[pos]:
+        pos = inc * self.n + pid
+        if entry.sii > self._read[pos]:
             self._cols[pos] = entry.sii
             self.version += 1
             if self._track:
@@ -344,11 +345,9 @@ class EntrySetTable:
             if not row:
                 return iter(())
             return iter([Entry(inc, sii) for inc, sii in sorted(row.items())])
-        base = pid * self._stride
-        cols = self._cols
-        return iter([Entry(inc, int(cols[base + inc]))
-                     for inc in range(self._stride)
-                     if cols[base + inc] >= 0])
+        return iter([Entry(inc, value)
+                     for inc, value in enumerate(self._read[pid::self.n])
+                     if value >= 0])
 
     def lookup(self, pid: ProcessId, inc: IncarnationId):
         """The recorded index for ``(pid, inc)`` or ``None``."""
@@ -358,16 +357,15 @@ class EntrySetTable:
             return row.get(inc) if row else None
         if not 0 <= inc < self._stride:
             return None
-        value = self._cols[pid * self._stride + inc]
-        return int(value) if value >= 0 else None
+        value = self._read[inc * self.n + pid]
+        return value if value >= 0 else None
 
     def row_size(self, pid: ProcessId) -> int:
         self._check_pid(pid)
         if self._rows is not None:
             row = self._rows.get(pid)
             return len(row) if row else 0
-        base = pid * self._stride
-        return sum(1 for inc in range(self._stride) if self._cols[base + inc] >= 0)
+        return sum(1 for value in self._read[pid::self.n] if value >= 0)
 
     def snapshot(self) -> List[Dict[IncarnationId, IntervalIndex]]:
         """Deep copy of all rows as legacy ``inc -> max index`` dicts."""
@@ -481,8 +479,8 @@ class EntrySetTable:
             for pid, inc, sii in entries:
                 if inc >= self._stride:
                     self._grow(inc + 1)
-                pos = pid * self._stride + inc
-                if sii > self._cols[pos]:
+                pos = inc * self.n + pid
+                if sii > self._read[pos]:
                     self._cols[pos] = sii
                     changed = True
                     if track:
@@ -493,51 +491,36 @@ class EntrySetTable:
     def _merge_columns(self, snap: TableSnapshot) -> None:
         if snap.stride > self._stride:
             self._grow(snap.stride)
-        mine = self._cols
+        n = self.n
         theirs = snap.cols
         if self._use_np and isinstance(theirs, _np.ndarray):
-            if snap.stride == self._stride:
-                view = mine.reshape(self.n, self._stride)
-                theirs2 = theirs.reshape(self.n, snap.stride)
-            else:
-                view = mine.reshape(self.n, self._stride)[:, :snap.stride]
-                theirs2 = theirs.reshape(self.n, snap.stride)
+            # Incarnation blocks are contiguous, so a narrower snapshot
+            # lines up with a prefix of this column.
+            mine = self._cols[:len(theirs)]
             # Explicit elementwise comparison for change detection.  The
             # previous column-sum check wrapped silently at 2**63 (entries
             # are packed ints with the incarnation in the high bits, so a
             # batched merge can overflow the int64 sum and miss offsetting
             # changes); a boolean compare cannot, and it also yields the
             # changed positions the delta changelog needs.
-            grew = theirs2 > view
-            if grew.any():
-                _np.maximum(view, theirs2, out=view)
+            grew = theirs > mine
+            if _np.count_nonzero(grew):
+                _np.maximum(mine, theirs, out=mine)
                 self.version += 1
                 if self._track:
-                    rows_idx, cols_idx = _np.nonzero(grew)
-                    self._note_changes(
-                        zip(rows_idx.tolist(), cols_idx.tolist()))
+                    positions = _np.nonzero(grew)[0]
+                    self._note_changes(zip((positions % n).tolist(),
+                                           (positions // n).tolist()))
             return
         changed = False
         track = self._track
-        if snap.stride == self._stride:
-            for i in range(len(mine)):
-                value = theirs[i]
-                if value > mine[i]:
-                    mine[i] = value
-                    changed = True
-                    if track:
-                        self._note_change(i // self._stride, i % self._stride)
-        else:
-            for pid in range(self.n):
-                src = pid * snap.stride
-                dst = pid * self._stride
-                for inc in range(snap.stride):
-                    value = theirs[src + inc]
-                    if value > mine[dst + inc]:
-                        mine[dst + inc] = value
-                        changed = True
-                        if track:
-                            self._note_change(pid, inc)
+        mine, read = self._cols, self._read
+        for i, value in enumerate(_plain(theirs)):
+            if value > read[i]:
+                mine[i] = value
+                changed = True
+                if track:
+                    self._note_change(i % n, i // n)
         if changed:
             self.version += 1
 
@@ -569,8 +552,7 @@ class LoggingProgressTable(EntrySetTable):
             return row is not None and row.get(inc, -1) >= entry.sii
         if not 0 <= inc < self._stride:
             return False
-        value = self._cols[pid * self._stride + inc]
-        return value >= entry.sii
+        return self._read[inc * self.n + pid] >= entry.sii
 
     def covers_packed(self, pid: ProcessId, packed: int) -> bool:
         """:meth:`covers` on a packed ``(inc << SHIFT) | sii`` entry.
@@ -587,8 +569,7 @@ class LoggingProgressTable(EntrySetTable):
         inc = packed >> PACK_SHIFT
         if inc >= self._stride:
             return False
-        value = self._cols[pid * self._stride + inc]
-        return value >= (packed & PACK_MASK)
+        return self._read[inc * self.n + pid] >= (packed & PACK_MASK)
 
 
 class IncarnationEndTable(EntrySetTable):
@@ -608,25 +589,14 @@ class IncarnationEndTable(EntrySetTable):
         t >= dep.inc  and  x' < dep.sii``.
         """
         self._check_pid(pid)
-        if self.version == 0:
-            return False
-        if self._rows is not None:
-            row = self._rows.get(pid)
-            if not row:
-                return False
-            inc, sii = entry.inc, entry.sii
-            return any(t >= inc and value < sii for t, value in row.items())
-        base = pid * self._stride
-        cols = self._cols
-        sii = entry.sii
-        for t in range(max(entry.inc, 0), self._stride):
-            value = cols[base + t]
-            if 0 <= value < sii:
-                return True
-        return False
+        return self._ended_below(pid, max(entry.inc, 0), entry.sii)
 
     def invalidates_packed(self, pid: ProcessId, packed: int) -> bool:
         """:meth:`invalidates` on a packed entry (no pid range check)."""
+        return self._ended_below(pid, packed >> PACK_SHIFT, packed & PACK_MASK)
+
+    def _ended_below(self, pid: ProcessId, inc: int, sii: int) -> bool:
+        """Some incarnation ``>= inc`` of ``pid`` ended below ``sii``."""
         if self.version == 0:
             return False
         rows = self._rows
@@ -634,15 +604,10 @@ class IncarnationEndTable(EntrySetTable):
             row = rows.get(pid)
             if not row:
                 return False
-            inc = packed >> PACK_SHIFT
-            sii = packed & PACK_MASK
             return any(t >= inc and value < sii for t, value in row.items())
-        sii = packed & PACK_MASK
-        base = pid * self._stride
-        cols = self._cols
-        for t in range(packed >> PACK_SHIFT, self._stride):
-            value = cols[base + t]
-            if 0 <= value < sii:
+        n, read = self.n, self._read
+        for pos in range(inc * n + pid, self._stride * n, n):
+            if 0 <= read[pos] < sii:
                 return True
         return False
 
@@ -652,107 +617,14 @@ class IncarnationEndTable(EntrySetTable):
         if self._rows is not None:
             row = self._rows.get(pid)
             return max(row) if row else -1
-        base = pid * self._stride
+        n, read = self.n, self._read
         for t in range(self._stride - 1, -1, -1):
-            if self._cols[base + t] >= 0:
+            if read[t * n + pid] >= 0:
                 return t
         return -1
 
     def all_pairs(self) -> Iterator[Tuple[ProcessId, Entry]]:
         """(pid, end-entry) pairs across all processes (used by recovery)."""
-        for pid in range(self.n):
-            for entry in self.entries(pid):
-                yield pid, entry
-
-
-# -- reference (pre-columnar) implementations ---------------------------------
-#
-# The dict-of-dicts model the columnar tables replaced, kept as the ground
-# truth for the differential property suite.  Not used by the protocol.
-
-
-class ReferenceEntrySetTable:
-    """Dict-of-dicts ``array[1..N] of set of entry`` (pre-columnar model)."""
-
-    __slots__ = ("n", "_rows", "version")
-
-    def __init__(self, n: int):
-        if n <= 0:
-            raise ValueError(f"table needs at least one process, got n={n}")
-        self.n = n
-        self._rows: List[Dict[IncarnationId, IntervalIndex]] = [{} for _ in range(n)]
-        self.version = 0
-
-    def insert(self, pid: ProcessId, entry: Entry) -> None:
-        row = self._row(pid)
-        existing = row.get(entry.inc)
-        if existing is None or entry.sii > existing:
-            row[entry.inc] = entry.sii
-            self.version += 1
-
-    def entries(self, pid: ProcessId) -> Iterator[Entry]:
-        row = self._row(pid)
-        return iter(Entry(t, x) for t, x in sorted(row.items()))
-
-    def lookup(self, pid: ProcessId, inc: IncarnationId):
-        return self._row(pid).get(inc)
-
-    def row_size(self, pid: ProcessId) -> int:
-        return len(self._row(pid))
-
-    def snapshot(self) -> List[Dict[IncarnationId, IntervalIndex]]:
-        return [dict(row) for row in self._rows]
-
-    def merge_snapshot(self, snap) -> None:
-        if isinstance(snap, (TableSnapshot, SparseSnapshot)):
-            snap = snap.rows()
-        if len(snap) != self.n:
-            raise ValueError(
-                f"snapshot covers {len(snap)} processes, table covers {self.n}"
-            )
-        changed = False
-        rows = self._rows
-        for pid, snap_row in enumerate(snap):
-            if not snap_row:
-                continue
-            row = rows[pid]
-            for inc, sii in snap_row.items():
-                existing = row.get(inc)
-                if existing is None or sii > existing:
-                    row[inc] = sii
-                    changed = True
-        if changed:
-            self.version += 1
-
-    def _row(self, pid: ProcessId) -> Dict[IncarnationId, IntervalIndex]:
-        if not 0 <= pid < self.n:
-            raise IndexError(f"process id {pid} out of range [0, {self.n})")
-        return self._rows[pid]
-
-
-class ReferenceLoggingProgressTable(ReferenceEntrySetTable):
-    __slots__ = ()
-
-    def covers(self, pid: ProcessId, entry: Entry) -> bool:
-        x_prime = self.lookup(pid, entry.inc)
-        return x_prime is not None and entry.sii <= x_prime
-
-
-class ReferenceIncarnationEndTable(ReferenceEntrySetTable):
-    __slots__ = ()
-
-    def invalidates(self, pid: ProcessId, entry: Entry) -> bool:
-        row = self._row(pid)
-        for t, x_prime in row.items():
-            if t >= entry.inc and x_prime < entry.sii:
-                return True
-        return False
-
-    def highest_ended_incarnation(self, pid: ProcessId) -> int:
-        row = self._row(pid)
-        return max(row) if row else -1
-
-    def all_pairs(self) -> Iterator[Tuple[ProcessId, Entry]]:
         for pid in range(self.n):
             for entry in self.entries(pid):
                 yield pid, entry

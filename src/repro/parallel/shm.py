@@ -1,7 +1,7 @@
 """Shared-memory staging for cross-worker snapshot columns.
 
 Log-progress notifications dominate cross-worker traffic, and their dense
-payload — the flat int64 ``pid*stride+inc`` columns of a
+payload — the flat int64 ``inc*n+pid`` columns of a
 :class:`~repro.core.tables.TableSnapshot` — is exactly the columnar layout
 :mod:`repro.core.columnar` already mandates.  Instead of pickling those
 arrays through the coordinator pipe, each worker owns one

@@ -27,41 +27,53 @@ from repro.core.tables import (
 np = columnar.NUMPY
 
 
+BIG = (1 << 62) - 1
+
+
+def _donor(slots):
+    """A dense snapshot holding ``BIG`` at each ``(pid, inc)`` of ``slots``,
+    built the way gossip builds one: insert, then snapshot."""
+    donor = EntrySetTable(64, sparse=False)
+    for pid, inc in slots:
+        donor.insert(pid, Entry(inc, BIG))
+    snap = donor.snapshot_columns()
+    assert isinstance(snap, TableSnapshot)
+    return snap
+
+
 @pytest.mark.skipif(np is None, reason="regression is in the numpy merge path")
 def test_merge_change_detection_survives_int64_sum_wrap():
     """Four slots each growing by 2^62 add 2^64 to the column sum — which
     wraps to *zero* in int64.  The old sum-based change detection concluded
     nothing changed and skipped the version bump, so scan-skip caches kept
     serving stale results."""
-    table = EntrySetTable(64)
-    assert table._use_np and table._stride == 4
-    cols = np.full(64 * 4, -1, dtype=np.int64)
-    for pid in range(4):
-        cols[pid * 4] = (1 << 62) - 1
-    snap = TableSnapshot(64, 4, cols)
+    table = EntrySetTable(64, sparse=False)
+    assert table._use_np
+    # Four incarnations wide before the merge, so the merge itself adds no
+    # padding and the column sum is comparable across it.
+    table.insert(10, Entry(3, 0))
+    snap = _donor((inc, inc) for inc in range(4))
+    assert snap.stride == 4 and len(table._cols) == len(snap.cols) == 64 * 4
     before = int(table._cols.sum())
+    version = table.version
     table.merge_snapshot(snap)
     after = int(table._cols.sum())
     # Precondition: the sum really is unchanged mod 2**64 — the exact
     # blind spot of the old detector.
     assert before == after
-    assert table.version == 1
-    assert table.lookup(0, 0) == (1 << 62) - 1
+    assert table.version == version + 1
+    for inc in range(4):
+        assert table.lookup(inc, inc) == BIG
+    assert table.lookup(10, 3) == 0
 
 
 @pytest.mark.skipif(np is None, reason="batch path is numpy-only")
 def test_batched_merge_change_detection_survives_sum_wrap():
-    table = EntrySetTable(64)
-    cols_a = np.full(64 * 4, -1, dtype=np.int64)
-    cols_b = np.full(64 * 4, -1, dtype=np.int64)
-    for pid in range(2):
-        cols_a[pid * 4] = (1 << 62) - 1
-    for pid in range(2, 4):
-        cols_b[pid * 4] = (1 << 62) - 1
-    table.merge_snapshots([TableSnapshot(64, 4, cols_a),
-                           TableSnapshot(64, 4, cols_b)])
+    table = EntrySetTable(64, sparse=False)
+    table.merge_snapshots([_donor([(0, 0), (1, 0)]),
+                           _donor([(2, 0), (3, 0)])])
     assert table.version >= 1
-    assert table.lookup(3, 0) == (1 << 62) - 1
+    assert table.lookup(3, 0) == BIG
 
 
 def _fill(table, ops):

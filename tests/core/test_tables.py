@@ -1,7 +1,10 @@
 """Unit tests for the logging progress table and incarnation end table."""
 
+import json
+
 import pytest
 
+from repro.core.columnar import pack
 from repro.core.entry import Entry
 from repro.core.tables import EntrySetTable, IncarnationEndTable, LoggingProgressTable
 
@@ -150,3 +153,52 @@ class TestIncarnationEndInvalidates:
         iet.insert(1, Entry(0, 4))
         assert iet.invalidates(1, Entry(0, 5))      # P3 must roll back
         assert not iet.invalidates(1, Entry(0, 4))  # P4 is fine
+
+
+@pytest.mark.parametrize("n", [5, 64])  # list backend / numpy when present
+class TestPlainPythonValues:
+    """Reads never leak ``numpy.int64`` / ``numpy.bool_``: every backend
+    answers in plain ``int`` / ``bool`` (JSON-serialisable, one ``repr``)."""
+
+    @staticmethod
+    def _gossiped(cls, n):
+        donor = cls(n)
+        donor.insert(1, Entry(0, 7))
+        donor.insert(2, Entry(3, 9))  # grows the column past one block
+        table = cls(n)
+        table.enable_changelog()
+        table.insert(1, Entry(0, 4))
+        table.merge_snapshot(donor.snapshot_columns())
+        return table
+
+    def test_table_reads_are_int(self, n):
+        table = self._gossiped(EntrySetTable, n)
+        assert type(table.lookup(1, 0)) is int
+        assert table.lookup(1, 1) is None
+        assert all(type(e.sii) is int and type(e.inc) is int
+                   for pid in range(n) for e in table.entries(pid))
+        assert type(table.row_size(2)) is int
+        snap = table.snapshot_columns()
+        assert all(type(v) is int for row in snap.rows() for v in row.values())
+        assert all(type(v) is int for v in snap[2].values())
+        assert all(type(v) is int for v in snap.restrict(2)[2].values())
+        delta = table.delta_since((0, 0))
+        assert delta.entries == ((1, 0, 7), (2, 3, 9))
+        assert all(type(x) is int for e in delta.entries for x in e)
+        assert json.loads(json.dumps(table.snapshot()))[2] == {"3": 9}
+
+    def test_covers_is_bool(self, n):
+        log = self._gossiped(LoggingProgressTable, n)
+        for entry in (Entry(0, 7), Entry(0, 8), Entry(3, 1), Entry(5, 0)):
+            assert type(log.covers(1, entry)) is bool
+            assert type(log.covers_packed(2, pack(entry.inc, entry.sii))) is bool
+        assert log.covers(1, Entry(0, 7)) and not log.covers(1, Entry(0, 8))
+
+    def test_invalidates_is_bool(self, n):
+        iet = self._gossiped(IncarnationEndTable, n)
+        for entry in (Entry(0, 7), Entry(0, 8), Entry(3, 10), Entry(5, 0)):
+            assert type(iet.invalidates(1, entry)) is bool
+            assert type(iet.invalidates_packed(2, pack(entry.inc, entry.sii))) is bool
+        assert iet.invalidates(2, Entry(1, 10)) and not iet.invalidates(2, Entry(1, 9))
+        assert type(iet.highest_ended_incarnation(2)) is int
+        assert iet.highest_ended_incarnation(2) == 3

@@ -2,7 +2,8 @@
 
 The columnar rewrite (PR 8) re-laid the dependency vector and both
 bookkeeping tables as flat integer columns, keeping the pre-columnar
-dict implementations as ``Reference*`` ground truth.  These tests drive
+dict implementations as ``Reference*`` ground truth (the table references
+live in this file; nothing in ``src/`` uses them).  These tests drive
 both implementations through the same random operation sequences —
 set/nullify/merge/copy for vectors; insert/gossip-merge/incarnation
 bumps for tables — and assert the observable state stays equal at every
@@ -14,18 +15,26 @@ step, including:
   when observable state changes, copies are O(1) aliases that detach on
   first mutation, and mutations never leak across a copy;
 - ``version == 0`` iff an (append-only) table is empty — the invariant
-  the protocol's fast exits rely on.
+  the protocol's fast exits rely on;
+- the incarnation-major layout: tables are as wide as the highest
+  incarnation they hold, so gossip routinely meets snapshots of another
+  stride — taken *before* a growth and merged *after* it, on either side
+  (``TestStrideCrossings``).
 
 Table sizes cover both storage backends: small n uses plain lists,
-n >= 64 uses numpy when available (see repro.core.columnar.NP_MIN_N).
+n >= 64 uses numpy when available (see repro.core.columnar.NP_MIN_N);
+CI also runs this file under ``REPRO_NO_NUMPY=1`` (lists at every n) and
+``REPRO_SPARSE_MIN_N=8`` (n=64 on the sparse backend).
 """
 
 import os
+from typing import Dict, Iterator, List, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import columnar
 from repro.core.columnar import pack
 from repro.core.depvec import DependencyVector, ReferenceDependencyVector
 from repro.core.entry import Entry
@@ -33,10 +42,84 @@ from repro.core.tables import (
     EntrySetTable,
     IncarnationEndTable,
     LoggingProgressTable,
-    ReferenceIncarnationEndTable,
-    ReferenceLoggingProgressTable,
     TableSnapshot,
+    _snapshot_entries,
 )
+
+np = columnar.NUMPY
+
+
+# -- reference (pre-columnar) tables -------------------------------------------
+#
+# The dict-of-dicts model the columnar tables replaced: the ground truth of
+# every table test below.  Deliberately naive — one dict per process, no
+# layout, no stride, nothing to grow.
+
+
+class ReferenceEntrySetTable:
+    """Dict-of-dicts ``array[1..N] of set of entry`` (pre-columnar model)."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._rows: List[Dict[int, int]] = [{} for _ in range(n)]
+        self.version = 0
+
+    def insert(self, pid: int, entry: Entry) -> None:
+        row = self._row(pid)
+        existing = row.get(entry.inc)
+        if existing is None or entry.sii > existing:
+            row[entry.inc] = entry.sii
+            self.version += 1
+
+    def entries(self, pid: int) -> Iterator[Entry]:
+        return iter(Entry(t, x) for t, x in sorted(self._row(pid).items()))
+
+    def lookup(self, pid: int, inc: int):
+        return self._row(pid).get(inc)
+
+    def row_size(self, pid: int) -> int:
+        return len(self._row(pid))
+
+    def snapshot(self) -> List[Dict[int, int]]:
+        return [dict(row) for row in self._rows]
+
+    def merge_snapshot(self, rows: List[Dict[int, int]]) -> None:
+        changed = False
+        for pid, snap_row in enumerate(rows):
+            row = self._rows[pid]
+            for inc, sii in snap_row.items():
+                existing = row.get(inc)
+                if existing is None or sii > existing:
+                    row[inc] = sii
+                    changed = True
+        if changed:
+            self.version += 1
+
+    def _row(self, pid: int) -> Dict[int, int]:
+        if not 0 <= pid < self.n:
+            raise IndexError(f"process id {pid} out of range [0, {self.n})")
+        return self._rows[pid]
+
+
+class ReferenceLoggingProgressTable(ReferenceEntrySetTable):
+    def covers(self, pid: int, entry: Entry) -> bool:
+        x_prime = self.lookup(pid, entry.inc)
+        return x_prime is not None and entry.sii <= x_prime
+
+
+class ReferenceIncarnationEndTable(ReferenceEntrySetTable):
+    def invalidates(self, pid: int, entry: Entry) -> bool:
+        return any(t >= entry.inc and x_prime < entry.sii
+                   for t, x_prime in self._row(pid).items())
+
+    def highest_ended_incarnation(self, pid: int) -> int:
+        row = self._row(pid)
+        return max(row) if row else -1
+
+    def all_pairs(self) -> Iterator[Tuple[int, Entry]]:
+        for pid in range(self.n):
+            for entry in self.entries(pid):
+                yield pid, entry
 
 SIZES = [5, 64]  # list backend / numpy backend (when numpy is present)
 
@@ -198,7 +281,7 @@ def apply_table_op(table, op, columnar_side):
         # Columnar gossip path: rebuild the rows as a TableSnapshot so the
         # elementwise-max merge runs; the reference gets the same rows.
         if columnar_side:
-            donor = EntrySetTable(table.n)
+            donor = EntrySetTable(table.n, sparse=False)
             donor.merge_snapshot(op[1])
             snap = donor.snapshot_columns()
             assert isinstance(snap, TableSnapshot)
@@ -262,7 +345,7 @@ class TestTableEquivalence:
     @pytest.mark.parametrize("n", SIZES)
     @given(inserts=st.lists(st.tuples(st.integers(0, 4), entries), max_size=20))
     def test_incarnation_bump_grows_stride_transparently(self, n, inserts):
-        # Repeated crashes push incarnations past INITIAL_STRIDE; growth
+        # Every crash appends one incarnation block to the column; growth
         # must be invisible to every query.
         col = IncarnationEndTable(n)
         ref = ReferenceIncarnationEndTable(n)
@@ -272,3 +355,210 @@ class TestTableEquivalence:
             ref.insert(0, entry)
         assert_tables_equal(col, ref)
         assert col.highest_ended_incarnation(0) == ref.highest_ended_incarnation(0)
+
+
+# -- mixed-stride gossip ---------------------------------------------------------
+#
+# A pool of tables gossips among itself.  A snapshot is *taken* at one point
+# of the script and *merged* at a later one, after either side may have
+# learned higher incarnations — so narrower-into-wider, wider-into-narrower
+# and mixed strides within one ``merge_snapshots`` batch all occur.
+
+POOL = 3
+KINDS = {
+    "log": (LoggingProgressTable, ReferenceLoggingProgressTable),
+    "iet": (IncarnationEndTable, ReferenceIncarnationEndTable),
+}
+# "list" / "ndarray" re-house a dense snapshot's column in the other
+# container, so numpy tables meet list snapshots and list tables ndarray ones.
+FORMS = ["native", "list"] + (["ndarray"] if np is not None else [])
+
+
+def gossip_ops(n):
+    table = st.integers(0, POOL - 1)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("insert"), table, pids(n), entries),
+            st.tuples(st.just("snap"), table, st.sampled_from(FORMS)),
+            st.tuples(st.just("merge"), table, st.integers(0, 99)),
+            st.tuples(st.just("batch"), table,
+                      st.lists(st.integers(0, 99), min_size=2, max_size=4)),
+            st.tuples(st.just("cursor"), table),
+        ),
+        max_size=25,
+    )
+
+
+def rehouse(snap, form):
+    if form == "native" or not isinstance(snap, TableSnapshot):
+        return snap
+    cols = snap.cols if isinstance(snap.cols, list) else snap.cols.tolist()
+    if form == "ndarray":
+        cols = np.array(cols, dtype=np.int64)
+    return TableSnapshot(snap.n, snap.stride, cols)
+
+
+def assert_snapshot_views(snap, rows):
+    """Every read-side view of a gossiped snapshot against reference rows."""
+    n = len(rows)
+    assert snap.rows() == rows and snap == rows
+    triples = [(pid, inc, sii) for pid in range(n)
+               for inc, sii in sorted(rows[pid].items())]
+    if isinstance(snap, TableSnapshot):
+        assert len(snap.cols) == n * snap.stride
+        # Tight: the last incarnation block is there because it holds something.
+        assert snap.stride == 1 + max((inc for _, inc, _ in triples), default=0)
+        assert sorted(_snapshot_entries(snap)) == triples
+    else:
+        assert sorted(snap.entries) == triples
+    for pid in range(n):
+        assert snap[pid] == rows[pid]
+        only = snap.restrict(pid)
+        assert only.rows() == [rows[q] if q == pid else {} for q in range(n)]
+
+
+def assert_queries_equal(kind, col, ref, probes):
+    assert_tables_equal(col, ref)
+    for pid, entry in probes:
+        packed = pack(entry.inc, entry.sii)
+        if kind == "log":
+            expected = ref.covers(pid, entry)
+            assert col.covers(pid, entry) is expected
+            assert col.covers_packed(pid, packed) is expected
+        else:
+            expected = ref.invalidates(pid, entry)
+            assert col.invalidates(pid, entry) is expected
+            assert col.invalidates_packed(pid, packed) is expected
+    if kind == "iet":
+        for pid in range(col.n):
+            assert (col.highest_ended_incarnation(pid)
+                    == ref.highest_ended_incarnation(pid))
+        assert sorted(col.all_pairs()) == sorted(ref.all_pairs())
+
+
+def run_gossip_script(kind, n, ops, probes=()):
+    col_cls, ref_cls = KINDS[kind]
+    cols = [col_cls(n) for _ in range(POOL)]
+    refs = [ref_cls(n) for _ in range(POOL)]
+    for col in cols:
+        col.enable_changelog()
+    bag = []      # (snapshot as gossiped, reference rows at that moment)
+    cursors = []  # (table, changelog position, reference rows at that moment)
+    for op in ops:
+        col, ref = cols[op[1]], refs[op[1]]
+        before, version = ref.snapshot(), col.version
+        if op[0] == "insert":
+            col.insert(op[2], op[3])
+            ref.insert(op[2], op[3])
+        elif op[0] == "snap":
+            snap = rehouse(col.snapshot_columns(), op[2])
+            assert_snapshot_views(snap, before)
+            bag.append((snap, before))
+        elif op[0] == "cursor":
+            cursors.append((op[1], col.changelog_position, before))
+        elif bag:
+            picks = [bag[k % len(bag)] for k in
+                     (op[2] if op[0] == "batch" else [op[2]])]
+            if op[0] == "batch":
+                col.merge_snapshots([snap for snap, _ in picks])
+            else:
+                col.merge_snapshot(picks[0][0])
+            for _, rows in picks:
+                ref.merge_snapshot(rows)
+        assert col.snapshot() == ref.snapshot()
+        assert (col.version > version) == (ref.snapshot() != before)
+    for col, ref in zip(cols, refs):
+        assert_queries_equal(kind, col, ref, probes)
+        assert_snapshot_views(col.snapshot_columns(), ref.snapshot())
+    for index, (epoch, offset), then in cursors:
+        delta = cols[index].delta_since((epoch, offset))
+        if delta is None:  # compacted since: the peer resyncs in full
+            assert cols[index].changelog_epoch != epoch
+            continue
+        now = refs[index].snapshot()
+        assert sorted(delta.entries) == [
+            (pid, inc, sii) for pid in range(n)
+            for inc, sii in sorted(now[pid].items())
+            if then[pid].get(inc) != sii]
+    return cols, refs
+
+
+class TestStrideCrossings:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("n", SIZES)
+    @given(data=st.data())
+    @_TAB
+    def test_gossip_across_growth_matches_reference(self, n, kind, data):
+        ops = data.draw(gossip_ops(n))
+        probes = data.draw(st.lists(st.tuples(pids(n), entries), max_size=10))
+        run_gossip_script(kind, n, ops, probes)
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("n", SIZES)
+    def test_each_crossing_by_construction(self, n, kind, form):
+        """The three crossings, spelled out rather than left to the draw:
+        table 0 stays narrow, table 1 grows *after* its first snapshot."""
+        last = n - 1
+        ops = [
+            ("insert", 0, 0, Entry(0, 5)),
+            ("insert", 1, last, Entry(0, 9)),
+            ("snap", 0, form),                  # bag[0]: stride 1
+            ("snap", 1, form),                  # bag[1]: stride 1
+            ("insert", 1, 0, Entry(3, 2)),      # table 1 grows to stride 4
+            ("insert", 1, last, Entry(2, 7)),
+            ("cursor", 1),
+            ("merge", 1, 0),                    # narrower into wider
+            ("snap", 1, form),                  # bag[2]: stride 4
+            ("cursor", 0),
+            ("merge", 0, 2),                    # wider into narrower
+            ("insert", 2, 1 % n, Entry(1, 1)),
+            ("snap", 2, form),                  # bag[3]: stride 2
+            ("insert", 2, 0, Entry(6, 0)),      # past every snapshot taken
+            ("batch", 2, [0, 2, 3, 1]),         # strides 1, 4, 2, 1 in one batch
+            ("batch", 0, [3, 1]),
+            ("merge", 1, 3),
+            ("merge", 1, 1),                    # stale: no news, no bump
+        ]
+        probes = [(pid, Entry(inc, sii)) for pid in (0, 1 % n, last)
+                  for inc in (0, 2, 3, 4, 7) for sii in (0, 2, 3, 8)]
+        cols, refs = run_gossip_script(kind, n, ops, probes)
+        assert refs[0].snapshot() == refs[1].snapshot()
+        assert refs[2].lookup(0, 6) == 0 and refs[0].lookup(0, 6) is None
+        if isinstance(cols[0].snapshot_columns(), TableSnapshot):
+            assert [c.snapshot_columns().stride for c in cols] == [4, 4, 7]
+
+    @pytest.mark.skipif(np is None, reason="staging needs ndarray columns")
+    @given(data=st.data())
+    @_TAB
+    def test_staged_snapshots_merge_like_the_originals(self, data):
+        """A gossiped snapshot survives the shm detour — staged in the
+        sender's arena, rebuilt by the receiver — at whatever stride it had,
+        and merges into a table of another stride like the original."""
+        from repro.parallel.shm import ArenaMap, SnapshotArena, stage_snapshot
+
+        n = 64
+        inserts = st.lists(st.tuples(pids(n), entries), min_size=1, max_size=12)
+        sender, receiver, twin = (EntrySetTable(n, sparse=False) for _ in range(3))
+        for pid, entry in data.draw(inserts):
+            sender.insert(pid, entry)
+        for pid, entry in data.draw(inserts):
+            receiver.insert(pid, entry)
+            twin.insert(pid, entry)
+        snap = sender.snapshot_columns()
+        arena = SnapshotArena(capacity_entries=n * 10)
+        try:
+            ref = stage_snapshot(arena, 0, snap)
+            if ref is None:  # fewer than SHM_MIN_ENTRIES slots: travels pickled
+                assert snap.stride < 4
+                return
+            sender.insert(0, Entry(9, 50))  # the staged block is a copy
+            out = ArenaMap({0: arena.name}, 0, arena).materialize(ref)
+        finally:
+            arena.close()
+        assert (out.n, out.stride) == (snap.n, snap.stride)
+        assert out.rows() == snap.rows()
+        receiver.merge_snapshot(out)
+        twin.merge_snapshot(snap.rows())
+        assert receiver.snapshot() == twin.snapshot()
+        assert receiver.version == twin.version
