@@ -92,6 +92,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                  "dep_trace": True}
     config = SimConfig(n=args.n, k=args.k, seed=args.seed,
                        output_driven_logging=args.output_driven_logging,
+                       notify_fanout=args.notify_fanout,
                        adaptive_k=args.adaptive_k,
                        slo_output_latency=args.slo, **extra)
     workload = _make_workload(args.workload, args.rate)
@@ -255,6 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--crash", type=int, default=None, metavar="PID",
                      help="crash this process mid-run")
     sim.add_argument("--output-driven-logging", action="store_true")
+    sim.add_argument("--notify-fanout", type=int, default=None, metavar="F",
+                     help="pull logging progress: each notify tick asks at "
+                          "most F of the processes this one is waiting on "
+                          "(default: broadcast to everyone)")
     sim.add_argument("--adaptive-k", action="store_true",
                      help="run the per-process adaptive-K controller "
                           "(see docs/CONTROL.md)")

@@ -105,7 +105,8 @@ def encode_control(payload: Any) -> Dict[str, Any]:
                 "table": [{str(inc): int(sii) for inc, sii in row.items()}
                           for row in rows]}
     if isinstance(payload, LoggingRequest):
-        return {"kind": "req", "origin": payload.origin}
+        return {"kind": "req", "origin": payload.origin,
+                "flush": payload.flush}
     if isinstance(payload, AppAck):
         return {"kind": "ack", "id": encode_msg_id(payload.msg_id),
                 "src": payload.src, "dst": payload.dst}
@@ -124,7 +125,9 @@ def decode_control(raw: Dict[str, Any]) -> Any:
              for row in raw["table"]],
         )
     if kind == "req":
-        return LoggingRequest(int(raw["origin"]))
+        # A frame without the field predates it: flush first.
+        return LoggingRequest(int(raw["origin"]),
+                              bool(raw.get("flush", True)))
     if kind == "ack":
         return AppAck(decode_msg_id(raw["id"]), int(raw["src"]),
                       int(raw["dst"]))

@@ -36,7 +36,6 @@ from repro.net.message import AppMessage
 from repro.runtime.config import SimConfig
 from repro.runtime.harness import protocol_factory_for
 from repro.runtime.host import Environment, ProcessHost
-from repro.sim.rng import RngRegistry
 
 #: Behaviours a serve run can name in its manifest.
 BEHAVIORS = {
@@ -146,7 +145,6 @@ class Worker:
             after_due=lambda pid, callback: callback(),
             transport=transport,
             tracer=self.tracer,
-            rng=RngRegistry(self.config.seed).stream,
             # At-least-once delivery across worker crashes rests on
             # app-level acks (see config_from_manifest).
             ack_app=True,

@@ -985,14 +985,27 @@ class KOptimisticProcess:
                 return [RequestLogging(targets)]
         return []
 
-    def on_logging_request(self, request: "LoggingRequest") -> List[Effect]:
-        """Serve an output-driven logging request: flush immediately and
-        reply with a targeted logging progress notification."""
+    def awaited_owners(self) -> List[ProcessId]:
+        """The processes whose logging progress this one is waiting on,
+        in pid order: the owners of the log positions its held sends and
+        pending outputs watch, plus the non-NULL pids of its own vector
+        (every entry Theorem 2 drops there is one fewer to piggyback)."""
+        owners = self._stability.awaited_owners()
+        owners.update(self.tdv.processes())
+        owners.discard(self.pid)
+        return sorted(owners)
+
+    def on_logging_request(self, request: LoggingRequest,
+                           own_only: bool = False) -> List[Effect]:
+        """Answer ``request.origin`` alone with the notification a periodic
+        tick would carry.  An output-driven request (``request.flush``,
+        Section 2) flushes first; a fanout-mode pull reports what is
+        already logged and leaves flushing to the flush timer."""
         self._require_running()
-        effects = self.flush()
-        effects.append(
-            SendNotification(request.origin, self.make_log_notification())
-        )
+        effects = self.flush() if request.flush else []
+        effects.append(SendNotification(
+            request.origin,
+            self.make_log_notification_for(request.origin, own_only=own_only)))
         return effects
 
     def _update_output_buffer(self) -> List[Effect]:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.columnar import PACK_MASK, PACK_SHIFT, pack
 from repro.core.depvec import DependencyVector
@@ -92,6 +92,13 @@ class StabilityIndex:
         """Log positions with an entry waiting — what one :meth:`advance`
         over a changed table costs in lookups, before any pop."""
         return len(self._heaps)
+
+    def awaited_owners(self) -> Set[int]:
+        """The processes whose logging progress a live waiter is waiting
+        on: the pids of the watched positions, leaving out positions
+        whose waiters were all dropped."""
+        return {key[0] for key, heap in self._heaps.items()
+                if any(entry[2].woken is not None for entry in heap)}
 
     def watch(self, item: Any, tdv: Any, log: LoggingProgressTable,
               woken: List[Waiter]) -> Waiter:

@@ -96,16 +96,25 @@ class SimConfig:
     # -- protocol options ---------------------------------------------------
     #: Broadcast full log tables (gossip) vs. own row only.
     gossip_log_tables: bool = True
-    #: Logging-progress dissemination: ``None`` broadcasts each notification
-    #: to every process; an integer f sends it to f random peers per period
-    #: (gossip-style dissemination, where full-table notifications shine).
+    #: Logging-progress dissemination.  ``None`` pushes: every notify tick
+    #: broadcasts the notification to every process.  An integer f pulls:
+    #: at each tick a process asks at most f of the processes it is waiting
+    #: on — the owners of the log positions its held sends and pending
+    #: outputs watch, plus the non-NULL pids of its own dependency vector —
+    #: taking turns in pid order when there are more than f, and each asked
+    #: process answers the asker alone with its notification (full table or
+    #: own row, per ``gossip_log_tables``) without flushing.  A process
+    #: waiting on nobody sends nothing; a busy one costs up to 2f control
+    #: messages per tick (f asks + f answers) and has asked m owners after
+    #: ceil(m / f) ticks.  Built for wide, mostly idle systems.
     notify_fanout: Optional[int] = None
     #: Drop the own-incarnation dependency entry on every flush (Theorem 2),
     #: not just on checkpoints (Corollary 2).
     nullify_own_on_flush: bool = True
     #: Output-driven logging (Section 2): an enqueued output asks its
     #: dependency processes to flush immediately instead of waiting for
-    #: their periodic notifications.
+    #: their periodic notifications — the flush-first form of the request
+    #: a ``notify_fanout`` tick sends.
     output_driven_logging: bool = False
     #: Reclaim checkpoints/logs made unreachable by stability (Theorem 3).
     gc_on_checkpoint: bool = True
@@ -201,6 +210,9 @@ class SimConfig:
                 raise ValueError(f"{name} must be positive")
         if self.restart_delay < 0:
             raise ValueError("restart_delay must be non-negative")
+        if self.notify_fanout is not None and self.notify_fanout < 1:
+            raise ValueError(
+                f"notify_fanout must be at least 1, got {self.notify_fanout}")
         for name in ("drop_rate", "duplicate_rate", "reorder_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:

@@ -213,7 +213,7 @@ class EffectExecutor:
             elif isinstance(effect, RequestLogging):
                 for target in effect.targets:
                     self.transport.send_control(
-                        pid, target, LoggingRequest(pid))
+                        pid, target, LoggingRequest(pid, flush=True))
             elif isinstance(effect, SendNotification):
                 self.transport.send_control(
                     pid, effect.dst, effect.notification)

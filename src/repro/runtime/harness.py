@@ -287,7 +287,6 @@ class SimulationHarness:
                 shard=pid),
             transport=self.network,
             tracer=self.tracer,
-            rng=self.rngs.stream,
             ack_app=self.ack_enabled,
         )
         #: Probe layer (repro.check): callables invoked per executed

@@ -19,7 +19,7 @@ What a driver keeps for itself is how bytes move and when time passes.
 
 from __future__ import annotations
 
-import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Set, Tuple
 
@@ -60,8 +60,6 @@ class Environment:
     #: ``on_process_crash``, ``on_process_restart``.
     transport: Any
     tracer: Tracer
-    #: Named, seed-derived random stream.
-    rng: Callable[[str], random.Random]
     #: Whether the transport endpoint acknowledges application messages
     #: (the sender then retransmits on a timer until acked).
     ack_app: bool = False
@@ -153,9 +151,9 @@ class ProcessHost:
         #: protocol (announcements are logged synchronously on receipt).
         self._ctl_seen: Set[Tuple[int, int]] = set()
         self._timers: List[Callable[[], None]] = []
-        #: The stream notify() samples its fanout peers from, resolved at
-        #: the first tick that needs it.
-        self._notify_rng: Optional[random.Random] = None
+        #: The highest pid notify() asked at its last fanout tick with more
+        #: awaited owners than the budget; the next tick carries on behind it.
+        self._last_asked = pid
 
     # -- boot ------------------------------------------------------------------
 
@@ -234,7 +232,8 @@ class ProcessHost:
                               ann=str(payload))
             effects = self.protocol.on_failure_announcement(payload)
         elif isinstance(payload, LoggingRequest):
-            effects = self.protocol.on_logging_request(payload)
+            effects = self.protocol.on_logging_request(
+                payload, own_only=not self.config.gossip_log_tables)
         else:
             raise TypeError(f"unexpected payload {payload!r}")
         self.execute(effects)
@@ -328,40 +327,45 @@ class ProcessHost:
             self._storage_failed("checkpoint")
 
     def notify(self) -> None:
+        """One logging-progress tick.
+
+        Broadcast mode (``notify_fanout=None``) pushes this process's
+        notification to everyone.  Fanout mode pulls instead: the process
+        asks at most ``notify_fanout`` of the owners it is waiting on
+        (:meth:`KOptimisticProcess.awaited_owners
+        <repro.core.protocol.KOptimisticProcess.awaited_owners>`) for
+        theirs, taking turns in pid order when there are more; each answers
+        the asker alone.  A process waiting on nobody sends nothing, and an
+        ask or answer that is lost — or an owner that is down — is simply
+        asked again at a later tick."""
         if self.down:
             return
         config, transport, pid = self.config, self.env.transport, self.pid
+        fanout = config.notify_fanout
+        if fanout is not None:
+            owners = self.protocol.awaited_owners()
+            if len(owners) > fanout:
+                start = bisect_right(owners, self._last_asked)
+                owners = (owners[start:] + owners[:start])[:fanout]
+                self._last_asked = owners[-1]
+            if owners:
+                transport.multicast_control(
+                    pid, owners, LoggingRequest(pid, flush=False))
+            return
         own_only = not config.gossip_log_tables
-        delta = getattr(self.protocol, "delta_notifications", False)
-        fanout, n = config.notify_fanout, config.n
-        if fanout is None:
-            if not delta:
-                transport.broadcast_control(
-                    pid, self.protocol.make_log_notification(own_only=own_only))
-                return
-            # The order broadcast_control would use.
-            peers = [dst for dst in range(n) if dst != pid]
-        else:
-            # Sample peer *indices* and skip over our own pid
-            # arithmetically: same draws as sampling an explicit peers
-            # list, without building an (n-1)-element list per tick.
-            rng = self._notify_rng
-            if rng is None:
-                rng = self._notify_rng = self.env.rng(f"notify/{pid}")
-            peers = [idx if idx < pid else idx + 1
-                     for idx in rng.sample(range(n - 1), min(fanout, n - 1))]
-        if delta:
+        if getattr(self.protocol, "delta_notifications", False):
             # Delta encoding is per-destination (each peer has its own
-            # changelog cursor): one notification made and sent per peer.
-            for dst in peers:
-                transport.send_control(
-                    pid, dst,
-                    self.protocol.make_log_notification_for(
-                        dst, own_only=own_only))
+            # changelog cursor): one notification made and sent per peer,
+            # in the order broadcast_control would use.
+            for dst in range(config.n):
+                if dst != pid:
+                    transport.send_control(
+                        pid, dst,
+                        self.protocol.make_log_notification_for(
+                            dst, own_only=own_only))
         else:
-            transport.multicast_control(
-                pid, peers,
-                self.protocol.make_log_notification(own_only=own_only))
+            transport.broadcast_control(
+                pid, self.protocol.make_log_notification(own_only=own_only))
 
     def control_tick(self) -> None:
         """One adaptive-K observation: feed the controller the latency

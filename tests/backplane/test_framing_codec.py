@@ -116,6 +116,7 @@ class TestCodec:
     @pytest.mark.parametrize("payload", [
         FailureAnnouncement(2, Entry(1, 4)),
         LoggingRequest(3),
+        LoggingRequest(3, flush=False),
         AppAck(MessageId(1, 0, 2, 3), 2, 1),
         LogProgressNotification(0, [{0: 9}, {}, {1: 2}, {0: 4}]),
     ])
@@ -123,6 +124,13 @@ class TestCodec:
         decoded = decode_control(encode_control(payload))
         assert type(decoded) is type(payload)
         assert decoded == payload
+
+    def test_logging_request_frame_without_the_flush_field_flushes_first(self):
+        # A frame written before the field existed means what it meant then.
+        assert encode_control(LoggingRequest(3, flush=False)) == {
+            "kind": "req", "origin": 3, "flush": False}
+        wire = json.loads(json.dumps({"kind": "req", "origin": 3}))
+        assert decode_control(wire) == LoggingRequest(3, flush=True)
 
     def test_log_notification_int_keys_survive_json(self):
         notif = LogProgressNotification(1, [{0: 1, 1: 7}, {2: 5}])

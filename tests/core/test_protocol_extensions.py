@@ -1,5 +1,6 @@
-"""Tests for the paper's in-text extensions: per-message K (Section 4.2)
-and output-driven logging (Section 2)."""
+"""Tests for the paper's in-text extensions: per-message K (Section 4.2),
+output-driven logging (Section 2) and its no-flush form, the fanout-mode
+pull of logging progress."""
 
 from repro.app.behavior import AppBehavior
 from repro.core.effects import (
@@ -8,10 +9,13 @@ from repro.core.effects import (
     RequestLogging,
     SendNotification,
 )
+from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
 from repro.core.protocol import KOptimisticProcess
+from repro.core.stability import StabilityIndex
+from repro.core.tables import LoggingProgressTable
 from repro.net.message import LoggingRequest
-from helpers import deliver_env, effects_of, make_msg, make_proc
+from helpers import Scripted, deliver_env, effects_of, make_msg, make_proc
 
 
 class PerMessageKBehavior(AppBehavior):
@@ -159,3 +163,98 @@ class TestOutputDrivenLogging:
         # With rare periodic notifications, output-driven logging commits
         # outputs dramatically sooner.
         assert driven.mean_output_latency < lazy.mean_output_latency / 2
+
+
+class TestAwaitedOwners:
+    def test_nobody_is_awaited_before_anything_is_held_or_depended_on(self):
+        proc = make_proc(pid=0, n=6, k=0, behavior=Scripted())
+        assert proc.awaited_owners() == []
+        deliver_env(proc, {"sends": [(1, None)], "outputs": ["X"]})
+        # Held on its own unflushed interval only: nobody else to ask.
+        assert proc.send_buffer and len(proc.output_buffer)
+        assert proc.awaited_owners() == []
+
+    def test_watched_position_owners_and_own_vector_minus_self(self):
+        proc = make_proc(pid=0, n=6, k=0, behavior=Scripted())
+        proc.on_receive(make_msg(2, 0, n=6,
+                                 entries={2: Entry(0, 7), 3: Entry(0, 4)},
+                                 payload={"sends": [(1, None)]}))
+        proc.on_receive(make_msg(4, 0, n=6, entries={4: Entry(0, 2)}))
+        assert proc.awaited_owners() == [2, 3, 4]
+        # P3 is awaited through the held send alone, P4 through the own
+        # vector alone (the send was enqueued before P4 was heard of).
+        proc.tdv.nullify(3)
+        assert 3 not in proc.tdv.processes()
+        assert 4 not in proc.send_buffer[0].tdv.processes()
+        assert proc.awaited_owners() == [2, 3, 4]
+
+    def test_progress_takes_an_owner_off_the_list(self):
+        proc = make_proc(pid=0, n=6, k=0, behavior=Scripted())
+        proc.on_receive(make_msg(2, 0, n=6,
+                                 entries={2: Entry(0, 7), 3: Entry(0, 4)},
+                                 payload={"outputs": ["X"]}))
+        owner = make_proc(pid=3, n=6, k=0)
+        owner.log.insert(3, Entry(0, 4))
+        proc.on_log_notification(owner.make_log_notification(own_only=True))
+        assert proc.awaited_owners() == [2]
+
+    def test_positions_whose_waiters_were_all_dropped_are_ignored(self):
+        n = 6
+        index, log, woken = StabilityIndex(), LoggingProgressTable(n), []
+        gone = index.watch("a", DependencyVector(
+            n, {1: Entry(0, 3), 2: Entry(0, 3)}), log, woken)
+        index.watch("b", DependencyVector(
+            n, {2: Entry(0, 5), 3: Entry(0, 1)}), log, woken)
+        index.watch("c", DependencyVector(n, {4: Entry(1, 2)}), log, woken)
+        assert index.awaited_owners() == {1, 2, 3, 4}
+        index.drop(gone)
+        # The stale entries are still on the heaps (no sweep yet) ...
+        assert len(index) == 5 and index.watched_positions() == 4
+        # ... but nobody waits on P1 any more; P2 still has a live waiter.
+        assert index.awaited_owners() == {2, 3, 4}
+
+
+class TestLoggingProgressPull:
+    def test_answer_goes_to_the_asker_alone_without_flushing(self):
+        owner = make_proc(pid=2, n=4, k=4)
+        deliver_env(owner)  # an unflushed interval
+        effects = owner.on_logging_request(LoggingRequest(1, flush=False))
+        (reply,) = effects
+        assert isinstance(reply, SendNotification) and reply.dst == 1
+        assert reply.notification.origin == 2
+        assert owner.storage.async_writes == 0
+        # What is already logged, not what a flush would add.
+        assert reply.notification.table[2] == {0: 1}
+
+    def test_the_flush_bit_flushes_first(self):
+        owner = make_proc(pid=2, n=4, k=4)
+        deliver_env(owner)
+        effects = owner.on_logging_request(LoggingRequest(1, flush=True))
+        (reply,) = effects_of(effects, SendNotification)
+        assert owner.storage.async_writes == 1
+        assert reply.notification.table[2] == {0: 2}
+        assert LoggingRequest(1).flush  # the default is Section 2's request
+
+    def test_answer_is_the_full_table_or_the_own_row(self):
+        owner = make_proc(pid=2, n=4, k=4)
+        owner.log.insert(3, Entry(0, 9))
+        request = LoggingRequest(0, flush=False)
+        (full,) = owner.on_logging_request(request)
+        (own,) = owner.on_logging_request(request, own_only=True)
+        assert full.notification.table[3] == {0: 9}
+        assert own.notification.table[3] == {}
+        assert own.notification.table[2] == full.notification.table[2]
+
+    def test_answers_advance_the_askers_own_delta_cursor(self):
+        owner = make_proc(pid=2, n=4, k=4, delta_notifications=True)
+        request = LoggingRequest(0, flush=False)
+        (first,) = owner.on_logging_request(request)
+        assert first.notification.table[2] == {0: 1}
+        owner.log.insert(3, Entry(0, 9))
+        (second,) = owner.on_logging_request(request)
+        assert not second.notification.table.full
+        assert sorted(second.notification.table.entries) == [(3, 0, 9)]
+        # Another asker has its own cursor: first contact is a full table.
+        (other,) = owner.on_logging_request(LoggingRequest(1, flush=False))
+        assert other.notification.table[2] == {0: 1}
+        assert other.notification.table[3] == {0: 9}

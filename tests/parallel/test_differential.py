@@ -5,8 +5,8 @@ for any scenario, running the W shard heaps on W worker processes must
 produce exactly the dependency-trace stream (and event/delivery counts)
 of ``ShardedEngine(W)`` serial execution — which itself must be
 independent of W.  These tests pin that claim across the feature matrix
-the runner has to survive: crashes (single and storms), fanout gossip,
-delta notifications, the durable file-log backend, and the open-loop
+the runner has to survive: crashes (single and storms), fanout gossip
+(a pull: requests and answers between workers), delta notifications, the durable file-log backend, and the open-loop
 workload with SLO accounting.
 
 Each parallel trace is additionally replayed through the post-hoc
@@ -48,6 +48,13 @@ CASES = {
         SimConfig(n=16, k=2, seed=3, notify_fanout=4, dep_trace=True),
         _peers(),
         FailureSchedule.single(time=25.0, pid=5), 60.0),
+    # Fanout-mode pull under a crash storm: asks and answers cross worker
+    # boundaries as ordinary control messages, some reach a down owner.
+    "pull_storm": (
+        SimConfig(n=12, k=1, seed=17, notify_fanout=2, retransmit_window=8,
+                  notify_interval=6.0, dep_trace=True), _peers(),
+        FailureSchedule([CrashEvent(14.0, 3), CrashEvent(21.5, 9),
+                         CrashEvent(33.25, 3)]), 70.0),
     "delta": (
         SimConfig(n=10, k=2, seed=5, delta_notifications=True,
                   dep_trace=True), _peers(),

@@ -31,6 +31,8 @@ class TestSimConfig:
             SimConfig(flush_interval=0).validate()
         with pytest.raises(ValueError):
             SimConfig(restart_delay=-1).validate()
+        with pytest.raises(ValueError):
+            SimConfig(notify_fanout=0).validate()
 
 
 class TestRunMetrics:

@@ -10,11 +10,10 @@ step that produced no effect, which skips the executor but never the
 barrier.
 """
 
-import random
-
 import pytest
 
 from repro.core.effects import BroadcastAnnouncement
+from repro.core.entry import Entry
 from repro.net.message import (
     AppAck,
     ControlAck,
@@ -144,14 +143,20 @@ class StubProtocol:
         self.calls.append(("make_log_notification", own_only))
         return LogProgressNotification(0, None)
 
+    #: Whose logging progress the stub says it is waiting on.
+    awaited = ()
 
-def build(protocol=None, ack_app=False, rng=None, **config):
+    def awaited_owners(self):
+        return sorted(self.awaited)
+
+
+def build(protocol=None, ack_app=False, n=N, **config):
     clock, transport = FakeScheduler(), RecordingTransport()
     env = Environment(
-        config=SimConfig(n=N, k=1, **config),
+        config=SimConfig(n=n, k=1, **config),
         now=clock.now, schedule=clock.schedule, after_due=clock.after_due,
         transport=transport, tracer=Tracer(enabled=True),
-        rng=rng or (lambda name: random.Random(name)), ack_app=ack_app,
+        ack_app=ack_app,
     )
     host = ProcessHost(env, 0, protocol or StubProtocol())
     return host, clock, transport
@@ -304,29 +309,101 @@ class TestPeriodic:
                 and isinstance(p, LogProgressNotification)]
         assert not clock.timers
 
-    def test_fanout_notify_draws_from_one_stream_resolved_once(self):
-        resolved = []
-
-        def rng(name):
-            resolved.append(name)
-            return random.Random(name)
-
-        host, _clock, transport = build(rng=rng, notify_fanout=1)
-        for _ in range(6):
-            host.notify()
-        assert resolved == ["notify/0"]
-        # The same draws as sampling a peer index from that one stream.
-        reference = random.Random("notify/0")
-        expected = [reference.sample(range(N - 1), 1)[0] + 1 for _ in range(6)]
-        assert [dst for kind, dst, _p in transport.sent
-                if kind == "ctl"] == expected
-
     def test_stopped_timers_stay_stopped(self):
         host, clock, _transport = build()
         host.start_timers()
         host.stop_timers()
         clock.advance(1000.0)
         assert host.protocol.calls == []
+
+
+class TestFanoutPull:
+    def asked(self, transport):
+        asked = [dst for kind, dst, _p in transport.sent if kind == "ctl"]
+        del transport.sent[:]
+        return asked
+
+    def test_a_process_awaiting_nobody_sends_nothing(self):
+        host, _clock, transport = build(notify_fanout=2)
+        for _ in range(3):
+            host.notify()
+        assert transport.sent == []
+        assert "make_log_notification" not in handlers(host)
+
+    def test_a_tick_asks_the_awaited_owners_without_the_flush_bit(self):
+        host, _clock, transport = build(n=6, notify_fanout=4)
+        host.protocol.awaited = (5, 2, 3)
+        host.notify()
+        assert transport.sent == [
+            ("ctl", dst, LoggingRequest(0, flush=False)) for dst in (2, 3, 5)]
+        # Nothing is remembered: the same owners are asked at every tick
+        # until an answer takes them off the list.
+        del transport.sent[:]
+        host.notify()
+        assert self.asked(transport) == [2, 3, 5]
+
+    def test_more_owners_than_the_budget_take_turns(self):
+        owners = [1, 2, 4, 5, 6, 7, 8]
+        for fanout in (1, 2, 3, 7):
+            host, _clock, transport = build(n=9, notify_fanout=fanout)
+            host.protocol.awaited = owners
+            asked = []
+            for _ in range(-(-len(owners) // fanout)):   # ceil(m / f) ticks
+                host.notify()
+                tick = self.asked(transport)
+                assert len(tick) == fanout
+                asked += tick
+            assert set(asked) == set(owners)
+            # In pid order, carrying on behind the last owner asked.
+            assert asked[:len(owners)] == owners
+
+    def test_turns_survive_a_changing_awaited_set(self):
+        host, _clock, transport = build(n=9, notify_fanout=2)
+        host.protocol.awaited = [1, 3, 5, 7]
+        host.notify()
+        assert self.asked(transport) == [1, 3]
+        host.protocol.awaited = [1, 2, 5, 7, 8]      # 3 answered; 2, 8 new
+        host.notify()
+        assert self.asked(transport) == [5, 7]
+        host.notify()
+        assert self.asked(transport) == [8, 1]
+        host.protocol.awaited = [2]                  # within budget: all
+        host.notify()
+        assert self.asked(transport) == [2]
+
+    def test_broadcast_mode_still_pushes_to_everyone(self):
+        host, _clock, transport = build()
+        host.protocol.awaited = (1, 2)
+        host.notify()
+        assert [kind for kind, _dst, _p in transport.sent] == ["bcast"]
+
+    def test_the_host_answers_with_what_a_periodic_tick_would_carry(self):
+        for gossip in (True, False):
+            owner = make_proc(0, n=N, k=1, behavior=Scripted())
+            owner.log.insert(1, Entry(0, 9))
+            host, _clock, transport = build(
+                protocol=owner, notify_fanout=1, gossip_log_tables=gossip)
+            host.inject({}, seq=1)                   # an unflushed interval
+            host.incoming(LoggingRequest(2, flush=False))
+            ((kind, dst, answer),) = transport.sent
+            assert (kind, dst) == ("ctl", 2)
+            assert answer.table[0] == {0: 1}
+            assert answer.table[1] == ({0: 9} if gossip else {})
+            assert owner.storage.async_writes == 0
+            host.incoming(LoggingRequest(2))         # Section 2: flush first
+            assert owner.storage.async_writes == 1
+            assert transport.sent[-1][2].table[0] == {0: 2}
+
+    def test_a_down_owner_drops_the_ask_and_answers_once_it_is_back(self):
+        host, clock, transport = build(restart_delay=10.0)
+        host.crash()
+        host.incoming(LoggingRequest(2, flush=False))
+        assert host.pending_control == []
+        clock.advance(10.0)
+        assert handlers(host) == ["crash", "restart"]   # nothing replayed
+        request = LoggingRequest(2, flush=False)
+        host.incoming(request)
+        assert host.protocol.calls[-1] == ("on_logging_request", request)
 
 
 class TestQuiescence:
