@@ -236,6 +236,24 @@ class DependencyVector:
         self._shared = True
         return dup
 
+    def columns(self) -> Tuple[int, List[ProcessId], List[int]]:
+        """``(n, pids, packed)`` — the live columns, for a serializer that
+        reads them at once (the journal codec).  Not for keeping."""
+        return self.n, self._pids, self._packed
+
+    @classmethod
+    def from_columns(cls, n: int, pids: List[ProcessId],
+                     packed: List[int]) -> "DependencyVector":
+        """Inverse of :meth:`columns`.  The lists are adopted as if
+        COW-shared: a deserializer may hand one list to several vectors."""
+        vec = cls.__new__(cls)
+        vec.n = n
+        vec._pids = pids
+        vec._packed = packed
+        vec._shared = True
+        vec.version = 0
+        return vec
+
     # -- comparisons / rendering -------------------------------------------
 
     def __eq__(self, other: object) -> bool:

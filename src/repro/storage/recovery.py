@@ -6,10 +6,15 @@ append-only run of CRC32-framed records:
 .. code-block:: text
 
     +-------+-------+----------+---------+---------+=============+
-    | magic | rtype | reserved | length  |  crc32  |   payload   |
+    | magic | rtype | version  | length  |  crc32  |   payload   |
     |  u16  |  u8   |   u8     |  u32    |  u32    | length bytes|
     +-------+-------+----------+---------+---------+=============+
          little-endian, 12-byte header; crc covers rtype..payload
+
+The payload is one pickled **flat tuple of builtins** per record type — the
+fields REDO needs, not the in-memory object graph.  The ``_pack_*`` /
+``_unpack_*`` pairs below define the layouts (tabulated in docs/STORAGE.md
+§2); application values stay whatever pickle makes of them, in the same call.
 
 Every *logical* mutation of stable storage is journaled as one record, in
 operation order — checkpoints, logged messages, announcements, incarnation
@@ -27,7 +32,8 @@ Recovery is REDO-only: scan the segments in order, verify each frame's
 magic and checksum, stop at the first torn (incomplete) or corrupt frame,
 physically truncate the journal there, and fold the surviving records into
 a :class:`RecoveredState`.  No UNDO pass exists because nothing is ever
-updated in place.
+updated in place.  A checksum-valid frame of another format version, or one
+that does not decode, is not media damage: :class:`JournalFormatError`.
 """
 
 from __future__ import annotations
@@ -40,11 +46,17 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, List, Set, Tuple
 
-from repro.net.message import FailureAnnouncement
+from repro.core.depvec import DependencyVector
+from repro.core.entry import Entry
+from repro.net.message import AppMessage, FailureAnnouncement
+from repro.storage.stable import Checkpoint, LoggedMessage
+from repro.types import MessageId, OutputId
 
 MAGIC = 0x5A1D
 _HEADER = struct.Struct("<HBBII")
 HEADER_SIZE = _HEADER.size
+#: The header's version byte; 0 held pickled object graphs and has no decoder.
+FORMAT_VERSION = 1
 
 # Record types.  One journal record per logical mutation; LOGMSG is framed
 # per message (not per batch) so a torn write loses at most a record tail.
@@ -72,12 +84,125 @@ def segment_index(name: str) -> int:
     return int(match.group(1))
 
 
+class JournalFormatError(Exception):
+    """A checksum-valid frame this code cannot read: another format version
+    or a codec defect.  Never repaired by truncation — the bytes are good."""
+
+    def __init__(self, source: str, offset: int, version: int, detail: str):
+        super().__init__(f"{source} @ {offset}: version-{version} frame {detail} "
+                         f"(this code reads {FORMAT_VERSION}); journal left intact")
+        self.source, self.offset, self.version = source, offset, version
+
+
+# -- record layouts: object <-> flat tuple of builtins ---------------------------
+
+
+def _pack_vector(tdv: Any) -> Tuple[Any, Any, Any]:
+    if type(tdv) is DependencyVector:
+        return tdv.columns()
+    # The baselines' own vector types travel opaque, tagged by n = 0.
+    return 0, tdv, None
+
+
+def _unpack_vector(flat: Tuple[Any, Any, Any]) -> Any:
+    n, pids, packed = flat
+    return pids if n == 0 else DependencyVector.from_columns(n, pids, packed)
+
+
+def _pack_logmsg(record: LoggedMessage) -> Tuple:
+    msg = record.message
+    mid = msg.msg_id
+    sent = msg.send_interval  # None on a message from the outside world
+    sent_inc, sent_sii = (None, None) if sent is None else (sent.inc, sent.sii)
+    return (
+        record.position, record.inc,
+        mid.sender, mid.send_inc, mid.send_sii, mid.seq,
+        msg.src, msg.dst, msg.payload, _pack_vector(msg.tdv),
+        sent_inc, sent_sii, msg.replayed, msg.wire_id, msg.k_limit,
+    )
+
+
+def _unpack_logmsg(flat: Tuple) -> LoggedMessage:
+    (position, inc, sender, send_inc, send_sii, seq, src, dst, payload, tdv,
+     sent_inc, sent_sii, replayed, wire_id, k_limit) = flat
+    return LoggedMessage(position, inc, AppMessage(
+        msg_id=MessageId(sender, send_inc, send_sii, seq),
+        src=src, dst=dst, payload=payload, tdv=_unpack_vector(tdv),
+        send_interval=None if sent_inc is None else Entry(sent_inc, sent_sii),
+        replayed=replayed, wire_id=wire_id, k_limit=k_limit,
+    ))
+
+
+def _pack_checkpoint(ckpt: Checkpoint) -> Tuple:
+    ids = [x for m in ckpt.received_ids
+           for x in (m.sender, m.send_inc, m.send_sii, m.seq)]
+    return (ckpt.entry.inc, ckpt.entry.sii, ckpt.app_state,
+            _pack_vector(ckpt.tdv), ids, ckpt.time_taken)
+
+
+def _unpack_checkpoint(flat: Tuple) -> Checkpoint:
+    inc, sii, app_state, tdv, ids, time_taken = flat
+    column = iter(ids)
+    return Checkpoint(Entry(inc, sii), app_state, _unpack_vector(tdv),
+                      frozenset(map(MessageId, column, column, column, column)),
+                      time_taken)
+
+
+def _pack_ann(ann: FailureAnnouncement) -> Tuple[int, int, int]:
+    return ann.origin, ann.end.inc, ann.end.sii
+
+
+def _unpack_ann(flat: Tuple[int, int, int]) -> FailureAnnouncement:
+    origin, inc, sii = flat
+    return FailureAnnouncement(origin, Entry(inc, sii))
+
+
+def _pack_commit(output_id: Any) -> Tuple:
+    if type(output_id) is OutputId:
+        return (output_id.process, output_id.send_inc, output_id.send_sii,
+                output_id.seq)
+    # Any other hashable id travels opaque, tagged by the 1-tuple.
+    return (output_id,)
+
+
+def _unpack_commit(flat: Tuple) -> Any:
+    return OutputId(*flat) if len(flat) == 4 else flat[0]
+
+
+def _pack_snapshot(snapshot: Tuple) -> Tuple:
+    checkpoints, log, announcements, committed, marker = snapshot
+    return ([_pack_checkpoint(c) for c in checkpoints],
+            [_pack_logmsg(r) for r in log],
+            [_pack_ann(a) for a in announcements],
+            [_pack_commit(o) for o in committed], marker)
+
+
+def _unpack_snapshot(flat: Tuple) -> Tuple:
+    checkpoints, log, announcements, committed, marker = flat
+    return ([_unpack_checkpoint(c) for c in checkpoints],
+            [_unpack_logmsg(r) for r in log],
+            [_unpack_ann(a) for a in announcements],
+            {_unpack_commit(o) for o in committed}, marker)
+
+
+#: rtype -> (pack, unpack); INCMARK, CKPT_DISCARD, LOG_POP and GC are one int.
+_CODECS = {
+    T_CHECKPOINT: (_pack_checkpoint, _unpack_checkpoint),
+    T_LOGMSG: (_pack_logmsg, _unpack_logmsg),
+    T_ANN: (_pack_ann, _unpack_ann),
+    T_COMMIT: (_pack_commit, _unpack_commit),
+    T_SNAPSHOT: (_pack_snapshot, _unpack_snapshot),
+}
+
+
 def encode_record(rtype: int, payload_obj: Any) -> bytes:
-    """Frame one record: header + pickled payload, CRC over type..payload."""
-    payload = pickle.dumps(payload_obj, protocol=4)
-    body = struct.pack("<BBI", rtype, 0, len(payload)) + payload
+    """Frame one record: header + pickled flat form, CRC over type..payload."""
+    codec = _CODECS.get(rtype)
+    flat = payload_obj if codec is None else codec[0](payload_obj)
+    payload = pickle.dumps(flat, protocol=4)
+    body = struct.pack("<BBI", rtype, FORMAT_VERSION, len(payload)) + payload
     crc = zlib.crc32(body) & 0xFFFFFFFF
-    return _HEADER.pack(MAGIC, rtype, 0, len(payload), crc) + payload
+    return _HEADER.pack(MAGIC, rtype, FORMAT_VERSION, len(payload), crc) + payload
 
 
 @dataclass
@@ -108,12 +233,15 @@ class RecoveredState:
     marker: int = 0
 
 
-def _parse_segment(data: bytes) -> Tuple[List[Tuple[int, Any]], int, str]:
+def _parse_segment(
+    data: bytes, source: str = "<bytes>"
+) -> Tuple[List[Tuple[int, Any]], int, str]:
     """Parse one segment's bytes into (records, valid_end, stop_reason).
 
     ``valid_end`` is the byte offset just past the last good frame;
     ``stop_reason`` is ``""`` (clean end), ``"torn"`` (incomplete final
-    frame) or ``"corrupt"`` (magic/CRC mismatch).
+    frame) or ``"corrupt"`` (magic/CRC mismatch).  A frame that passes its
+    checksum and still cannot be read raises :class:`JournalFormatError`.
     """
     records: List[Tuple[int, Any]] = []
     offset = 0
@@ -121,7 +249,7 @@ def _parse_segment(data: bytes) -> Tuple[List[Tuple[int, Any]], int, str]:
     while offset < size:
         if offset + HEADER_SIZE > size:
             return records, offset, "torn"
-        magic, rtype, reserved, length, crc = _HEADER.unpack_from(data, offset)
+        magic, rtype, version, length, crc = _HEADER.unpack_from(data, offset)
         if magic != MAGIC:
             return records, offset, "corrupt"
         start = offset + HEADER_SIZE
@@ -129,15 +257,21 @@ def _parse_segment(data: bytes) -> Tuple[List[Tuple[int, Any]], int, str]:
         if end > size:
             return records, offset, "torn"
         payload = data[start:end]
-        body = struct.pack("<BBI", rtype, reserved, length) + payload
+        body = struct.pack("<BBI", rtype, version, length) + payload
         if (zlib.crc32(body) & 0xFFFFFFFF) != crc:
             return records, offset, "corrupt"
+        if version != FORMAT_VERSION:
+            raise JournalFormatError(source, offset, version, "refused")
         try:
             obj = pickle.loads(payload)
-        except Exception:
-            # A frame whose checksum passes but whose payload does not
-            # unpickle is treated like corruption: truncate here.
-            return records, offset, "corrupt"
+            codec = _CODECS.get(rtype)
+            if codec is not None:
+                obj = codec[1](obj)
+        except Exception as exc:
+            # Whatever pickle or the unpacker raised, the bytes are what was
+            # written: a format defect, never grounds to truncate.
+            raise JournalFormatError(source, offset, version,
+                                     f"(type {rtype}) does not decode") from exc
         records.append((rtype, obj))
         offset = end
     return records, offset, ""
@@ -171,12 +305,8 @@ def apply_record(state: RecoveredState, rtype: int, obj: Any) -> None:
             state.checkpoints = state.checkpoints[obj:]
             state.log = [r for r in state.log if r.position > keep.entry.sii]
     elif rtype == T_SNAPSHOT:
-        checkpoints, log, announcements, committed, marker = obj
-        state.checkpoints = list(checkpoints)
-        state.log = list(log)
-        state.announcements = list(announcements)
-        state.committed = set(committed)
-        state.marker = marker
+        (state.checkpoints, state.log, state.announcements, state.committed,
+         state.marker) = obj  # fresh lists and a set: _unpack_snapshot's own
     else:
         raise ValueError(f"unknown journal record type {rtype}")
 
@@ -199,7 +329,7 @@ def scan_segments(directory: str) -> Tuple[RecoveredState, ScanStats]:
     torn or corrupt frame physically truncates its segment to the valid
     prefix and unlinks every later segment (their contents would be
     unreachable suffix anyway and must not resurrect after the journal
-    tail moves backwards).
+    tail moves backwards).  A :class:`JournalFormatError` modifies nothing.
     """
     state = RecoveredState()
     stats = ScanStats()
@@ -208,7 +338,7 @@ def scan_segments(directory: str) -> Tuple[RecoveredState, ScanStats]:
         path = os.path.join(directory, name)
         with open(path, "rb") as handle:
             data = handle.read()
-        records, valid_end, reason = _parse_segment(data)
+        records, valid_end, reason = _parse_segment(data, path)
         stats.records += len(records)
         stats.bytes_scanned += valid_end
         for rtype, obj in records:

@@ -54,7 +54,6 @@ class TestAppMessage:
     def test_default_flags(self):
         m = msg()
         assert m.replayed is False
-        assert m.deliver is False
         assert m.k_limit is None
 
     def test_str_mentions_route(self):

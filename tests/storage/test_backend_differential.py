@@ -19,21 +19,34 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.baselines.fully_async import MultiIncarnationVector
 from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
 from repro.net.message import AppMessage, FailureAnnouncement
 from repro.storage.filelog import FileLogBackend
 from repro.storage.stable import LoggedMessage, ModelBackend
-from repro.types import MessageId
+from repro.types import MessageId, OutputId
 
 N = 4
 
 
 def _record(position, inc, payload):
+    """A logged message; which kind of vector it carries (the protocol's,
+    the fully-asynchronous baseline's, an outside-world message's empty
+    one) rotates with the position, so every journal layout crashes."""
+    flavour = position % 3
+    if flavour == 0:
+        msg = AppMessage.from_environment(0, N, payload, seq=position)
+        return LoggedMessage(position, inc, msg)
+    if flavour == 1:
+        tdv = DependencyVector(N, {2: Entry(0, position)})
+    else:
+        tdv = MultiIncarnationVector(N)
+        tdv.set(2, Entry(0, position))
+        tdv.set(2, Entry(1, position + 1))
     msg = AppMessage(
         msg_id=MessageId(1, inc, position, 0),
-        src=1, dst=0, payload=payload,
-        tdv=DependencyVector(N, {2: Entry(0, position)}),
+        src=1, dst=0, payload=payload, tdv=tdv,
         send_interval=Entry(inc, position),
     )
     return LoggedMessage(position, inc, msg)
@@ -74,7 +87,10 @@ def _apply(backend, operation, records):
     elif kind == "incmark":
         backend.log_incarnation_start(operation[1])
     elif kind == "commit":
-        backend.record_committed_output(("out", operation[1]))
+        # The runtime's ids and a foreign hashable, by turns.
+        key = operation[1]
+        backend.record_committed_output(
+            OutputId(0, 0, key, 0) if key % 2 else ("out", key))
     elif kind == "pop":
         backend.pop_logged_after(operation[1])
     elif kind == "discard_ckpt":

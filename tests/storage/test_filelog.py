@@ -5,6 +5,10 @@ never leak between tests (pytest removes the directory afterwards).
 """
 
 import os
+import pathlib
+import pickle
+import struct
+import zlib
 
 import pytest
 
@@ -12,7 +16,14 @@ from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
 from repro.net.message import AppMessage, FailureAnnouncement
 from repro.storage.filelog import COMPACT_SEGMENT_THRESHOLD, FileLogBackend
-from repro.storage.recovery import list_segments
+from repro.storage.recovery import (
+    HEADER_SIZE,
+    MAGIC,
+    T_LOGMSG,
+    JournalFormatError,
+    encode_record,
+    list_segments,
+)
 from repro.storage.stable import LoggedMessage, ModelBackend
 from repro.storage.faults import StorageDeadError
 from repro.types import MessageId
@@ -333,6 +344,62 @@ class TestBitFlip:
         survivors = backend.logged_after(0)
         assert [r.position for r in survivors] == list(
             range(1, len(survivors) + 1))
+
+
+def frame(rtype, version, payload):
+    """A checksum-valid frame built by hand, whatever its payload holds."""
+    body = struct.pack("<BBI", rtype, version, len(payload)) + payload
+    return struct.pack("<HBBII", MAGIC, rtype, version, len(payload),
+                       zlib.crc32(body) & 0xFFFFFFFF) + payload
+
+
+def journal_bytes(directory):
+    return {path.name: path.read_bytes()
+            for path in sorted(pathlib.Path(directory).iterdir())}
+
+
+class TestFormatVersion:
+    """Frames that pass their checksum but cannot be read stop recovery;
+    only media damage shortens a journal."""
+
+    def _journal(self, tmp_path, *segments):
+        directory = tmp_path / "p0"
+        directory.mkdir()
+        for index, data in enumerate(segments, start=1):
+            (directory / f"seg-{index:06d}.log").write_bytes(data)
+        return FileLogBackend(0, str(directory))
+
+    @pytest.mark.parametrize("bad", [
+        # What the parent commit wrote: version 0, the pickled object graph.
+        frame(T_LOGMSG, 0, pickle.dumps(record(2), protocol=4)),
+        # The current version, with a payload that is not a LOGMSG tuple.
+        frame(T_LOGMSG, 1, pickle.dumps((2, 0, "short"), protocol=4)),
+        frame(T_LOGMSG, 1, b"not a pickle"),
+    ], ids=["version-0", "wrong-shape", "not-a-pickle"])
+    def test_undecodable_frame_raises_and_leaves_the_journal(self, tmp_path,
+                                                              bad):
+        good = encode_record(T_LOGMSG, record(1))
+        backend = self._journal(tmp_path, good + bad + good, good)
+        before = journal_bytes(backend.directory)
+        with pytest.raises(JournalFormatError) as caught:
+            backend.recover()
+        assert caught.value.offset == len(good)
+        assert caught.value.version == bad[3]
+        assert caught.value.source.endswith("seg-000001.log")
+        assert journal_bytes(backend.directory) == before
+        assert backend.corrupt_records_dropped == 0
+        assert backend.recoveries == 0
+
+    def test_bit_flip_inside_a_payload_still_truncates(self, tmp_path):
+        frames = [encode_record(T_LOGMSG, record(i)) for i in (1, 2, 3)]
+        damaged = bytearray(b"".join(frames))
+        damaged[len(frames[0]) + HEADER_SIZE + 5] ^= 0x10
+        backend = self._journal(tmp_path, bytes(damaged), frames[0])
+        backend.recover()
+        assert backend.corrupt_records_dropped == 1
+        assert [r.position for r in backend.logged_after(0)] == [1]
+        assert journal_bytes(backend.directory) == {
+            "seg-000001.log": frames[0]}
 
 
 class TestSegments:
