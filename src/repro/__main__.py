@@ -9,9 +9,6 @@ Commands:
 - ``simulate``           — run one ad-hoc simulation and print its metrics;
 - ``check``              — systematic schedule/fault exploration
   (``dfs``, ``random``, ``mutants``, ``replay``; see docs/TESTING.md);
-- ``bench``              — run the standing performance suite and write a
-  schema-versioned ``BENCH_<date>.json`` (``--compare`` diffs two such
-  files; see docs/PERF.md);
 - ``serve``              — run the protocol over a real asyncio TCP
   backplane: one OS process per recovery unit, SIGKILL crash injection,
   post-hoc oracle certification (see docs/RUNTIME.md);
@@ -82,6 +79,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.runtime.harness import SimulationHarness
     from repro.runtime.metrics import format_table
 
+    if args.crash is not None and not 0 <= args.crash < args.n:
+        print(f"--crash {args.crash} out of range for --n {args.n}",
+              file=sys.stderr)
+        return 2
     parallel = args.parallel_workers or 0
     extra = {}
     if parallel > 1:
@@ -278,13 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="systematic schedule/fault exploration checker"
     )
     configure_check(chk)
-
-    from repro.perf.cli import configure as configure_bench
-
-    bench = sub.add_parser(
-        "bench", help="run the performance suite / compare BENCH files"
-    )
-    configure_bench(bench)
 
     serve = sub.add_parser(
         "serve", help="run the protocol over a real multi-process backplane"

@@ -19,9 +19,8 @@ output discards since the last tick), additive increase while healthy
 and under latency pressure.  Decisions are a pure function of
 ``(seed, observation stream)`` — the only randomness is a named-seeded
 RNG used for optional exploration probes, and there are no wall-clock
-reads — so simulation traces stay deterministically replayable and
-W-sharded runs observe bit-identical K sequences (see the property
-tests in ``tests/properties/test_controller_properties.py``).
+reads — so simulation traces stay deterministically replayable (see the
+property tests in ``tests/properties/test_controller_properties.py``).
 """
 
 from __future__ import annotations

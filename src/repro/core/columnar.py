@@ -68,15 +68,3 @@ def use_numpy_for(n: int) -> bool:
     """Whether a table over ``n`` processes should use ndarray columns."""
     return NUMPY is not None and n >= NP_MIN_N
 
-
-#: At and above this process count the dense ``inc*n+pid`` column is
-#: replaced by a dict-of-rows backend: every process holds two tables, so
-#: dense storage is O(n^2 * stride) per simulation — ~6 GB at n=10000 —
-#: while the rows a process actually learns about stay sparse (bounded by
-#: gossip reach, not by n).  Overridable for tests via REPRO_SPARSE_MIN_N.
-SPARSE_MIN_N = int(os.environ.get("REPRO_SPARSE_MIN_N", "4096"))
-
-
-def use_sparse_for(n: int) -> bool:
-    """Whether a table over ``n`` processes should use the sparse backend."""
-    return n >= SPARSE_MIN_N

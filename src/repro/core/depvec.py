@@ -22,9 +22,9 @@ semantic baseline that COW must — and does — preserve.  A monotonically
 increasing :attr:`version` stamps every effective mutation so scan-heavy
 callers (stability rescans) can skip work when nothing changed.
 
-The pre-columnar dict-of-Entry implementation is retained as
-:class:`ReferenceDependencyVector`; the property suite drives both through
-random op sequences and asserts equal observable state.
+The pre-columnar dict-of-Entry implementation lives on as the reference
+in ``tests/properties/test_columnar_equivalence.py``, which drives both
+through random op sequences and asserts equal observable state.
 """
 
 from __future__ import annotations
@@ -260,8 +260,6 @@ class DependencyVector:
         if isinstance(other, DependencyVector):
             return (self.n == other.n and self._pids == other._pids
                     and self._packed == other._packed)
-        if isinstance(other, ReferenceDependencyVector):
-            return self.n == other.n and self.as_dict() == other.as_dict()
         return NotImplemented
 
     def __hash__(self):  # pragma: no cover - vectors are mutable
@@ -282,116 +280,3 @@ class DependencyVector:
         if not 0 <= pid < self.n:
             raise IndexError(f"process id {pid} out of range [0, {self.n})")
 
-
-class ReferenceDependencyVector:
-    """The pre-columnar dict-of-Entry vector, kept as differential ground
-    truth for ``tests/properties/test_columnar_equivalence.py``.  Same
-    observable API (including COW :meth:`copy` and :attr:`version`)."""
-
-    __slots__ = ("n", "_entries", "_shared", "version")
-
-    def __init__(self, n: int, entries: Optional[Mapping[ProcessId, Entry]] = None):
-        if n <= 0:
-            raise ValueError(f"vector needs at least one process, got n={n}")
-        self.n = n
-        self._entries: Dict[ProcessId, Entry] = {}
-        self._shared = False
-        self.version = 0
-        if entries:
-            for pid, entry in entries.items():
-                self.set(pid, entry)
-
-    def _materialize(self) -> None:
-        if self._shared:
-            self._entries = dict(self._entries)
-            self._shared = False
-
-    def get(self, pid: ProcessId) -> OptEntry:
-        self._check_pid(pid)
-        return self._entries.get(pid)
-
-    def set(self, pid: ProcessId, entry: OptEntry) -> None:
-        self._check_pid(pid)
-        if entry is None:
-            if pid in self._entries:
-                self._materialize()
-                del self._entries[pid]
-                self.version += 1
-        elif self._entries.get(pid) != entry:
-            self._materialize()
-            self._entries[pid] = entry
-            self.version += 1
-
-    def nullify(self, pid: ProcessId) -> None:
-        self._check_pid(pid)
-        if pid in self._entries:
-            self._materialize()
-            del self._entries[pid]
-            self.version += 1
-
-    def nullify_entry(self, pid: ProcessId, entry: Entry) -> None:
-        self.nullify(pid)
-
-    def non_null_count(self) -> int:
-        return len(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def processes(self) -> Iterator[ProcessId]:
-        return iter(sorted(self._entries))
-
-    def items(self) -> Iterator[Tuple[ProcessId, Entry]]:
-        return iter(sorted(self._entries.items()))
-
-    def iter_items(self) -> Iterable[Tuple[ProcessId, Entry]]:
-        return self._entries.items()
-
-    def merge(self, other) -> None:
-        if other.n != self.n:
-            raise ValueError(
-                f"cannot merge vectors of different sizes ({self.n} vs {other.n})"
-            )
-        entries = self._entries
-        changed = None
-        for pid, entry in other.iter_items():
-            cur = entries.get(pid)
-            if cur is None or cur < entry:
-                if changed is None:
-                    changed = []
-                changed.append((pid, entry))
-        if changed is None:
-            return
-        self._materialize()
-        entries = self._entries
-        for pid, entry in changed:
-            entries[pid] = entry
-        self.version += 1
-
-    def copy(self) -> "ReferenceDependencyVector":
-        dup = ReferenceDependencyVector(self.n)
-        dup._entries = self._entries
-        dup._shared = True
-        self._shared = True
-        return dup
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ReferenceDependencyVector):
-            return self.n == other.n and self._entries == other._entries
-        if isinstance(other, DependencyVector):
-            return self.n == other.n and self.as_dict() == other.as_dict()
-        return NotImplemented
-
-    def __hash__(self):  # pragma: no cover - vectors are mutable
-        raise TypeError("ReferenceDependencyVector is mutable and unhashable")
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{e}_{pid}" for pid, e in self.items())
-        return "{" + inner + "}"
-
-    def as_dict(self) -> Dict[ProcessId, Entry]:
-        return dict(self._entries)
-
-    def _check_pid(self, pid: ProcessId) -> None:
-        if not 0 <= pid < self.n:
-            raise IndexError(f"process id {pid} out of range [0, {self.n})")

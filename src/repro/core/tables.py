@@ -40,14 +40,10 @@ of the ndarray — so both dense backends hand out plain ``int`` / ``bool``
 (never ``numpy.int64`` / ``numpy.bool_``) at half the per-element cost of
 ndarray indexing.
 
-Very large tables (``n >= columnar.SPARSE_MIN_N``) switch to a sparse
-dict-of-rows backend: dense columns cost O(n * stride) *per process table*
-— quadratic per simulation — while the rows a process actually learns stay
-bounded by gossip reach.  Sparse tables gossip :class:`SparseSnapshot`
-(explicit ``(pid, inc, sii)`` triples), which doubles as the delta
-encoding: with :meth:`EntrySetTable.enable_changelog` a notification can
-carry only the entries changed since the peer's last acknowledged
-changelog position (:meth:`EntrySetTable.delta_since`).
+Delta gossip travels as :class:`SparseSnapshot` (explicit ``(pid, inc,
+sii)`` triples): with :meth:`EntrySetTable.enable_changelog` a
+notification can carry only the entries changed since the peer's last
+acknowledged changelog position (:meth:`EntrySetTable.delta_since`).
 
 The dict-of-dicts model these tables replaced lives on as the reference
 in ``tests/properties/test_columnar_equivalence.py``, which drives both
@@ -141,13 +137,9 @@ class TableSnapshot:
 class SparseSnapshot:
     """An immutable sparse table snapshot: explicit ``(pid, inc, sii)`` triples.
 
-    Two producers:
-
-    - sparse-backend tables (``n >= columnar.SPARSE_MIN_N``), whose dense
-      column form would cost O(n * stride) per notification;
-    - delta gossip (:meth:`EntrySetTable.delta_since`), which carries only
-      the entries changed since the peer's last acknowledged changelog
-      position instead of the whole table.
+    Produced by delta gossip (:meth:`EntrySetTable.delta_since`), which
+    carries only the entries changed since the peer's last acknowledged
+    changelog position instead of the whole table.
 
     Merging is order-insensitive (entries are global facts combined by
     max), so a receiver treats full and delta snapshots identically.
@@ -214,7 +206,7 @@ class EntrySetTable:
     entries are never removed, ``version == 0`` iff the table is empty.
     """
 
-    __slots__ = ("n", "version", "_stride", "_cols", "_read", "_rows",
+    __slots__ = ("n", "version", "_stride", "_cols", "_read",
                  "_use_np", "_track", "_changes", "changelog_epoch")
 
     #: Changelog compaction threshold: above this many recorded changes the
@@ -222,7 +214,7 @@ class EntrySetTable:
     #: snapshot, then resume deltas).
     CHANGELOG_LIMIT = 4096
 
-    def __init__(self, n: int, sparse: Optional[bool] = None):
+    def __init__(self, n: int):
         if n <= 0:
             raise ValueError(f"table needs at least one process, got n={n}")
         self.n = n
@@ -231,18 +223,9 @@ class EntrySetTable:
         self._track = False
         self._changes: List[Tuple[int, int]] = []
         self.changelog_epoch = 0
-        if sparse is None:
-            sparse = columnar.use_sparse_for(n)
-        if sparse:
-            self._rows: Optional[Dict[int, Dict[int, int]]] = {}
-            self._cols = self._read = None
-            self._use_np = False
-            self._stride = 1  # max incarnation count seen (informational)
-        else:
-            self._rows = None
-            self._stride = 1
-            self._use_np = columnar.use_numpy_for(n)
-            self._set_cols(self._new_cols(n))
+        self._stride = 1
+        self._use_np = columnar.use_numpy_for(n)
+        self._set_cols(self._new_cols(n))
 
     # -- changelog (delta gossip) --------------------------------------------
 
@@ -316,18 +299,6 @@ class EntrySetTable:
         """``Insert(se, (t, x'))``: keep the per-incarnation maximum index."""
         self._check_pid(pid)
         inc = entry.inc
-        if self._rows is not None:
-            row = self._rows.get(pid)
-            if row is None:
-                row = self._rows[pid] = {}
-            if entry.sii > row.get(inc, -1):
-                row[inc] = entry.sii
-                if inc >= self._stride:
-                    self._stride = inc + 1
-                self.version += 1
-                if self._track:
-                    self._note_change(pid, inc)
-            return
         if inc >= self._stride:
             self._grow(inc + 1)
         pos = inc * self.n + pid
@@ -340,11 +311,6 @@ class EntrySetTable:
     def entries(self, pid: ProcessId) -> Iterator[Entry]:
         """All entries recorded for ``pid``, in incarnation order."""
         self._check_pid(pid)
-        if self._rows is not None:
-            row = self._rows.get(pid)
-            if not row:
-                return iter(())
-            return iter([Entry(inc, sii) for inc, sii in sorted(row.items())])
         return iter([Entry(inc, value)
                      for inc, value in enumerate(self._read[pid::self.n])
                      if value >= 0])
@@ -352,9 +318,6 @@ class EntrySetTable:
     def lookup(self, pid: ProcessId, inc: IncarnationId):
         """The recorded index for ``(pid, inc)`` or ``None``."""
         self._check_pid(pid)
-        if self._rows is not None:
-            row = self._rows.get(pid)
-            return row.get(inc) if row else None
         if not 0 <= inc < self._stride:
             return None
         value = self._read[inc * self.n + pid]
@@ -362,24 +325,14 @@ class EntrySetTable:
 
     def row_size(self, pid: ProcessId) -> int:
         self._check_pid(pid)
-        if self._rows is not None:
-            row = self._rows.get(pid)
-            return len(row) if row else 0
         return sum(1 for value in self._read[pid::self.n] if value >= 0)
 
     def snapshot(self) -> List[Dict[IncarnationId, IntervalIndex]]:
         """Deep copy of all rows as legacy ``inc -> max index`` dicts."""
         return self.snapshot_columns().rows()
 
-    def snapshot_columns(self) -> Union[TableSnapshot, SparseSnapshot]:
-        """Columnar (or sparse) copy of the table — what gossip piggybacks."""
-        if self._rows is not None:
-            entries = []
-            for pid in sorted(self._rows):
-                row = self._rows[pid]
-                for inc in sorted(row):
-                    entries.append((pid, inc, row[inc]))
-            return SparseSnapshot(self.n, entries)
+    def snapshot_columns(self) -> TableSnapshot:
+        """Columnar copy of the table — what gossip piggybacks."""
         if self._use_np:
             cols = self._cols.copy()
         else:
@@ -388,13 +341,15 @@ class EntrySetTable:
 
     def merge_snapshot(
         self,
-        snap: Union[TableSnapshot, List[Dict[IncarnationId, IntervalIndex]]],
+        snap: Union[TableSnapshot, SparseSnapshot,
+                    List[Dict[IncarnationId, IntervalIndex]]],
     ) -> None:
         """Insert every entry of a snapshot (Receive_log's outer loop).
 
         Accepts a :class:`TableSnapshot` (the fast columnar path — one
-        elementwise-max pass) or the legacy list-of-dicts form (wire codec,
-        archived counterexamples).  Gossip makes this the most frequent
+        elementwise-max pass), a :class:`SparseSnapshot` (a delta) or the
+        legacy list-of-dicts form (wire codec, archived
+        counterexamples).  Gossip makes this the most frequent
         table operation, and most merges bring no news at all.
         """
         if isinstance(snap, TableSnapshot):
@@ -402,10 +357,7 @@ class EntrySetTable:
                 raise ValueError(
                     f"snapshot covers {snap.n} processes, table covers {self.n}"
                 )
-            if self._rows is not None:
-                self._merge_entries(_snapshot_entries(snap))
-            else:
-                self._merge_columns(snap)
+            self._merge_columns(snap)
             return
         if isinstance(snap, SparseSnapshot):
             if snap.n != self.n:
@@ -427,7 +379,7 @@ class EntrySetTable:
         """Merge a batch of snapshots (one gossip tick's worth) in one pass.
 
         Max-merge is commutative and associative, so the final table state
-        is independent of merge order.  On the dense numpy backend, dense
+        is independent of merge order.  On the numpy backend, dense
         snapshots of equal stride are combined first with one stacked
         ``np.maximum.reduce`` and merged as a single snapshot — one
         elementwise pass plus one change-detection compare for the whole
@@ -438,7 +390,7 @@ class EntrySetTable:
             for snap in snaps:
                 self.merge_snapshot(snap)
             return
-        if self._rows is None and self._use_np:
+        if self._use_np:
             groups: Dict[int, List] = {}
             rest = []
             for snap in snaps:
@@ -458,33 +410,19 @@ class EntrySetTable:
             self.merge_snapshot(snap)
 
     def _merge_entries(self, entries) -> None:
-        """Insert ``(pid, inc, sii)`` triples; shared by the sparse-snapshot,
-        sparse-backend, and legacy list-of-dicts merge paths."""
+        """Insert ``(pid, inc, sii)`` triples; shared by the sparse-snapshot
+        and legacy list-of-dicts merge paths."""
         changed = False
         track = self._track
-        if self._rows is not None:
-            rows = self._rows
-            for pid, inc, sii in entries:
-                row = rows.get(pid)
-                if row is None:
-                    row = rows[pid] = {}
-                if sii > row.get(inc, -1):
-                    row[inc] = sii
-                    if inc >= self._stride:
-                        self._stride = inc + 1
-                    changed = True
-                    if track:
-                        self._note_change(pid, inc)
-        else:
-            for pid, inc, sii in entries:
-                if inc >= self._stride:
-                    self._grow(inc + 1)
-                pos = inc * self.n + pid
-                if sii > self._read[pos]:
-                    self._cols[pos] = sii
-                    changed = True
-                    if track:
-                        self._note_change(pid, inc)
+        for pid, inc, sii in entries:
+            if inc >= self._stride:
+                self._grow(inc + 1)
+            pos = inc * self.n + pid
+            if sii > self._read[pos]:
+                self._cols[pos] = sii
+                changed = True
+                if track:
+                    self._note_change(pid, inc)
         if changed:
             self.version += 1
 
@@ -547,9 +485,6 @@ class LoggingProgressTable(EntrySetTable):
         """
         self._check_pid(pid)
         inc = entry.inc
-        if self._rows is not None:
-            row = self._rows.get(pid)
-            return row is not None and row.get(inc, -1) >= entry.sii
         if not 0 <= inc < self._stride:
             return False
         return self._read[inc * self.n + pid] >= entry.sii
@@ -560,12 +495,6 @@ class LoggingProgressTable(EntrySetTable):
         Hot path — ``pid`` comes from a dependency vector and is already
         validated, so no range check here.
         """
-        rows = self._rows
-        if rows is not None:
-            row = rows.get(pid)
-            if row is None:
-                return False
-            return row.get(packed >> PACK_SHIFT, -1) >= (packed & PACK_MASK)
         inc = packed >> PACK_SHIFT
         if inc >= self._stride:
             return False
@@ -599,12 +528,6 @@ class IncarnationEndTable(EntrySetTable):
         """Some incarnation ``>= inc`` of ``pid`` ended below ``sii``."""
         if self.version == 0:
             return False
-        rows = self._rows
-        if rows is not None:
-            row = rows.get(pid)
-            if not row:
-                return False
-            return any(t >= inc and value < sii for t, value in row.items())
         n, read = self.n, self._read
         for pos in range(inc * n + pid, self._stride * n, n):
             if 0 <= read[pos] < sii:
@@ -614,9 +537,6 @@ class IncarnationEndTable(EntrySetTable):
     def highest_ended_incarnation(self, pid: ProcessId) -> int:
         """Highest incarnation of ``pid`` known to have ended (-1 if none)."""
         self._check_pid(pid)
-        if self._rows is not None:
-            row = self._rows.get(pid)
-            return max(row) if row else -1
         n, read = self.n, self._read
         for t in range(self._stride - 1, -1, -1):
             if read[t * n + pid] >= 0:

@@ -275,8 +275,7 @@ class Network:
                 return
             dsts = hosted
         self.engine.schedule_at_raw(arrival, self._arrive, (dsts, payload),
-                                    label=label, shard=dsts[0],
-                                    callbacks=len(dsts))
+                                    label=label, callbacks=len(dsts))
 
     def _count_drop(self, decision, control: bool, src: int, dst: int,
                     what: str) -> None:

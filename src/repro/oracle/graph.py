@@ -127,14 +127,10 @@ class DependencyOracle:
         self._next_seq: List[int] = [1] * n
         self._seq_of: Dict[IntervalId, int] = {}
         #: Per-node causal vector: max creation seq per process in the past.
-        #: Three representations, by scale: sparse ``{pid: seq}`` dicts at
-        #: very large n (a dense vector per node is O(n * intervals) — the
-        #: memory wall that blocked post-hoc certification of n=10k runs,
-        #: while real causal pasts stay bounded by traffic reach); int64
-        #: ndarrays when numpy is available and n is large enough for the
-        #: vectorized max to beat the Python loop; plain lists otherwise.
-        self._use_sparse = columnar.use_sparse_for(n)
-        self._use_np = not self._use_sparse and columnar.use_numpy_for(n)
+        #: Two representations, by scale: int64 ndarrays when numpy is
+        #: available and n is large enough for the vectorized max to beat
+        #: the Python loop; plain lists otherwise.
+        self._use_np = columnar.use_numpy_for(n)
         self._vec: Dict[IntervalId, Any] = {}
         #: All nodes in creation order (a topological order of the DAG).
         self._creation_order: List[IntervalId] = []
@@ -161,24 +157,10 @@ class DependencyOracle:
         seq = self._next_seq[pid]
         self._next_seq[pid] = seq + 1
         self._seq_of[iid] = seq
-        if self._use_sparse:
-            vec: Any = {}
-            for pred in node.preds:
-                pred_vec = self._vec.get(pred)
-                if not pred_vec:
-                    continue
-                if not vec:
-                    vec = dict(pred_vec)
-                else:
-                    for j, s in pred_vec.items():
-                        if s > vec.get(j, 0):
-                            vec[j] = s
-            if seq > vec.get(pid, 0):
-                vec[pid] = seq
-        elif self._use_np:
+        if self._use_np:
             # Wide vectors: elementwise max in numpy instead of a Python
             # loop over n slots per predecessor.
-            vec = None
+            vec: Any = None
             for pred in node.preds:
                 pred_vec = self._vec.get(pred)
                 if pred_vec is None:
@@ -371,8 +353,7 @@ class DependencyOracle:
         if self._use_np:
             return set(_np.nonzero(vec >= frontier)[0].tolist())
         # A zero slot never reaches a frontier: sequence numbers start at 1.
-        reaches = vec.items() if self._use_sparse else enumerate(vec)
-        return {j for j, reach in reaches if reach >= frontier[j]}
+        return {j for j, reach in enumerate(vec) if reach >= frontier[j]}
 
     def live_interval(self, pid: ProcessId) -> Optional[IntervalId]:
         chain = self._chains[pid]

@@ -1,9 +1,8 @@
-"""Epoch-barrier parallel runner: W shard heaps on W real OS processes.
+"""Epoch-barrier parallel runner: W process slices on W real OS processes.
 
-The serial :class:`~repro.sim.shard.ShardedEngine` already partitions the
-event queue into per-shard heaps but drains them on one core.  This
-runner puts each shard group on its own forked worker and exploits the
-network's minimum latency as conservative PDES lookahead:
+This runner puts each slice of processes (``pid % W``) with its own event
+heap on its own forked worker and exploits the network's minimum latency
+as conservative PDES lookahead:
 
     L = min(msg_latency_base - msg_latency_jitter, control_latency) > 0
 
@@ -14,7 +13,7 @@ cross-worker arrivals) and lets every worker drain its heap through the
 window ``[h, h + L)`` independently — no event fired in the window can
 produce an arrival inside it.  At the barrier the workers' outboxes are
 exchanged, canonically ordered, and inserted; the certified ``dep.*``
-trace of the merged run is bit-identical to the serial sharded engine's.
+trace of the merged run is bit-identical to the serial engine's.
 
 The barrier is two-phase — *insert* is acknowledged by every receiver
 before any *run* command is issued — which doubles as the lifetime fence
@@ -65,7 +64,7 @@ class ParallelHarness:
     """Drop-in bench/experiment harness running ``config.parallel_workers``
     worker processes.
 
-    Duck-compatible with :class:`SimulationHarness` where the perf suite
+    Duck-compatible with :class:`SimulationHarness` where the benchmark
     needs it: ``run(duration)``, ``metrics()``, ``engine.events_executed``,
     ``close()``.  The run is single-shot — ``run`` tears the workers down
     after collecting results.

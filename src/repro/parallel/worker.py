@@ -2,14 +2,13 @@
 
 Each worker OS process runs a :class:`_WorkerHarness` — a
 :class:`~repro.runtime.harness.SimulationHarness` that owns the slice
-``pid % workers == worker_id`` (matching
-:class:`~repro.sim.shard.ShardedEngine` placement): only those processes
+``pid % workers == worker_id``: only those processes
 are built (so only they open a journal), registered, timed, injected into
 and crashed, and the network exports any transmission addressed to a pid
 hosted elsewhere into the epoch outbox instead of scheduling it locally.
 
 Determinism contract (what makes the merged run bit-identical to serial
-sharded execution):
+execution):
 
 - all named rng streams are derived from the root seed, and every stream
   is drawn *only* on the worker that owns its process or channel —
@@ -54,11 +53,9 @@ _UNSTAGED = object()
 def worker_config(config: SimConfig) -> SimConfig:
     """The per-worker view of a parallel run's config: in-process serial
     execution, no inline oracle (certification is post-hoc from ``dep.*``
-    traces), single-heap engine (worker-local order equals the sharded
-    engine's per-shard order)."""
+    traces)."""
     return replace(
         config,
-        shards=1,
         parallel_workers=0,
         oracle_enabled=False,
         check_invariants=False,
@@ -98,7 +95,7 @@ class _WorkerHarness(SimulationHarness):
     def begin(self, duration: float) -> None:
         # CPU accounting starts here so the reported figure covers the
         # run phase only — construction/install happen before the timed
-        # region of a bench run (see perf.bench.run_scenario).
+        # region of a benchmark iteration.
         self._cpu_mark = time.process_time()
         super().begin(duration)
 
@@ -158,9 +155,7 @@ class _WorkerHarness(SimulationHarness):
         for arrival, _gen, _src, _counter, dst, payload, label in entries:
             payload = self._materialize(payload, cache)
             self.engine.schedule_at_raw(
-                arrival, self.network._arrive, ((dst,), payload),
-                label=label, shard=dst,
-            )
+                arrival, self.network._arrive, ((dst,), payload), label=label)
 
     def _materialize(self, payload: Any, cache: Dict[ShmSnapshotRef, Any]) -> Any:
         if (isinstance(payload, LogProgressNotification)

@@ -46,22 +46,13 @@ class SimConfig:
     duplicate_rate: float = 0.0
     #: Per-transmission probability of extra reordering delay.
     reorder_rate: float = 0.0
-    #: Maximum extra delay added to a reordered transmission.
-    reorder_spread: float = 4.0
-    #: Subject control traffic to the same channel faults as app traffic.
-    faults_on_control: bool = True
     #: Ack/retransmit layer: ``None`` enables it automatically whenever the
     #: network is unreliable (fault rates or schedule network events);
     #: ``True``/``False`` force it on/off.
     ack_layer: Optional[bool] = None
-    #: Control-plane retransmission: initial timeout, backoff factor,
-    #: timeout cap, and per-envelope retry budget.
-    ctl_rto: float = 4.0
-    ctl_backoff: float = 2.0
-    ctl_rto_max: float = 60.0
-    ctl_budget: int = 16
     #: App-message retransmission timeout (0 disables the timer; with the
-    #: ack layer on and 0 here, the harness defaults it to ``ctl_rto``).
+    #: ack layer on and 0 here, the harness defaults it to the control
+    #: plane's ``ReliableConfig().rto``).
     retransmit_timeout: float = 0.0
     retransmit_backoff: float = 2.0
     retransmit_budget: int = 8
@@ -79,15 +70,6 @@ class SimConfig:
     #: Directory holding per-process journals for the file-log backend.
     #: ``None`` lets the harness create (and clean up) a temporary one.
     storage_dir: Optional[str] = None
-    #: Rotate the journal to a fresh segment file past this many bytes.
-    segment_bytes: int = 262144
-    #: Degradation threshold: past this many pending records a failing
-    #: tolerant commit turns into a forced, blocking one.
-    max_pending_records: int = 64
-    #: Transient-I/O retry budget and capped exponential backoff.
-    io_retries: int = 5
-    io_backoff_base: float = 0.002
-    io_backoff_max: float = 0.1
     #: ``"group"`` commits once per async batch and once per protocol step
     #: (the write-ahead barrier); ``"strict"`` fsyncs every record
     #: (pessimistic-storage mode, used by tests).
@@ -127,36 +109,21 @@ class SimConfig:
     #: Run a per-process :class:`repro.control.AdaptiveKController` that
     #: retunes K at runtime through the per-message K path (Section 4.2).
     adaptive_k: bool = False
-    #: Inclusive controller bounds; ``k_max=None`` means the resolved
-    #: global K (so the controller never exceeds what the run declares).
-    k_min: int = 0
+    #: The controller's ceiling; ``None`` means the resolved global K (so
+    #: the controller never exceeds what the run declares).
     k_max: Optional[int] = None
     #: Period of the controller's observation tick (virtual time units).
     control_interval: float = 25.0
-    #: Sliding latency-window size per controller.
-    control_window: int = 256
     #: Output-commit latency SLO target (virtual units; 0 disables the
     #: SLO test — the controller then always probes upward while healthy).
     slo_output_latency: float = 0.0
-    #: Which percentile of the window the SLO test (and reports) watch.
-    slo_percentile: float = 99.0
-    #: AIMD parameters: additive increase step, multiplicative decrease
-    #: factor, and the optional exploration-probe probability.
-    k_increase_step: int = 1
-    k_decrease_factor: float = 0.5
-    k_explore_probability: float = 0.0
 
     # -- execution ------------------------------------------------------------
-    #: Event-loop shards (worker streams).  1 uses the plain single-heap
-    #: engine; W > 1 uses :class:`repro.sim.shard.ShardedEngine`, whose
-    #: deterministic cross-shard merge makes observable behaviour
-    #: bit-identical for any value (routing affects placement only).
-    shards: int = 1
-    #: Run the W shard heaps on real cores: 0/1 executes in-process
-    #: (serial), W > 1 spawns W worker OS processes driven by the
-    #: epoch-barrier runner in :mod:`repro.parallel`.  Requires a reliable
-    #: network (the conservative safe window assumes deterministic
-    #: cross-shard latencies) and positive lookahead
+    #: Run on real cores: 0/1 executes in-process (serial), W > 1 spawns
+    #: W worker OS processes, each hosting the slice ``pid % W``, driven
+    #: by the epoch-barrier runner in :mod:`repro.parallel`.  Requires a
+    #: reliable network (the conservative safe window assumes
+    #: deterministic cross-worker latencies) and positive lookahead
     #: ``min(msg_latency_base - msg_latency_jitter, control_latency)``.
     parallel_workers: int = 0
 
@@ -217,21 +184,12 @@ class SimConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if self.reorder_spread < 0:
-            raise ValueError("reorder_spread must be non-negative")
-        for name in ("ctl_rto", "ctl_backoff", "ctl_rto_max"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.ctl_budget < 1:
-            raise ValueError("ctl_budget must be at least 1")
         if self.retransmit_timeout < 0:
             raise ValueError("retransmit_timeout must be non-negative")
         if self.retransmit_backoff < 1.0:
             raise ValueError("retransmit_backoff must be at least 1")
         if self.retransmit_budget < 0:
             raise ValueError("retransmit_budget must be non-negative")
-        if self.shards < 1:
-            raise ValueError(f"shards must be at least 1, got {self.shards}")
         if self.parallel_workers < 0:
             raise ValueError(
                 f"parallel_workers must be >= 0, got {self.parallel_workers}"
@@ -270,42 +228,12 @@ class SimConfig:
                 f"fsync_policy must be 'group' or 'strict', "
                 f"got {self.fsync_policy!r}"
             )
-        for name in ("segment_bytes", "max_pending_records"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.io_retries < 0:
-            raise ValueError("io_retries must be non-negative")
-        for name in ("io_backoff_base", "io_backoff_max"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
         if self.control_interval <= 0:
             raise ValueError("control_interval must be positive")
-        if self.k_min < 0:
-            raise ValueError(f"k_min must be >= 0, got {self.k_min}")
-        if self.k_max is not None and self.k_max < self.k_min:
-            raise ValueError(
-                f"k_max ({self.k_max}) must be >= k_min ({self.k_min})"
-            )
-        if self.control_window < 1:
-            raise ValueError("control_window must be at least 1")
+        if self.k_max is not None and self.k_max < 0:
+            raise ValueError(f"k_max must be >= 0, got {self.k_max}")
         if self.slo_output_latency < 0:
             raise ValueError("slo_output_latency must be non-negative")
-        if not 0.0 < self.slo_percentile <= 100.0:
-            raise ValueError(
-                f"slo_percentile must be in (0, 100], got {self.slo_percentile}"
-            )
-        if self.k_increase_step < 1:
-            raise ValueError("k_increase_step must be at least 1")
-        if not 0.0 <= self.k_decrease_factor < 1.0:
-            raise ValueError(
-                f"k_decrease_factor must be in [0, 1), "
-                f"got {self.k_decrease_factor}"
-            )
-        if not 0.0 <= self.k_explore_probability <= 1.0:
-            raise ValueError(
-                "k_explore_probability must be in [0, 1], "
-                f"got {self.k_explore_probability}"
-            )
 
     def unreliable(self) -> bool:
         """True when configured channel fault rates can perturb traffic."""

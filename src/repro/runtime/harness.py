@@ -204,6 +204,12 @@ class SimulationHarness:
     ):
         config.validate()
         self.failures = failures or FailureSchedule.none()
+        for event in self.failures:
+            if (isinstance(event, (CrashEvent, StorageFaultEvent))
+                    and not 0 <= event.pid < config.n):
+                raise ValueError(
+                    f"{type(event).__name__} at t={event.time} names pid "
+                    f"{event.pid}, outside range(n={config.n})")
         # Resolve the unreliable-network stack: a fault model whenever the
         # config rates or the schedule can perturb traffic, and (unless
         # forced) the ack/retransmit layer alongside it.
@@ -212,7 +218,7 @@ class SimulationHarness:
             unreliable if config.ack_layer is None else config.ack_layer
         )
         if self.ack_enabled and config.retransmit_timeout == 0:
-            config = replace(config, retransmit_timeout=config.ctl_rto)
+            config = replace(config, retransmit_timeout=ReliableConfig().rto)
         # The file-log backend needs a directory; resolve an unset one to a
         # temporary directory owned (and eventually removed) by the harness.
         self._owned_storage_dir: Optional[str] = None
@@ -226,12 +232,7 @@ class SimulationHarness:
             )
         self.config = config
         self.behavior = behavior
-        if config.shards > 1:
-            from repro.sim.shard import ShardedEngine
-
-            self.engine: Engine = ShardedEngine(config.shards)
-        else:
-            self.engine = Engine()
+        self.engine = Engine()
         self.rngs = RngRegistry(config.seed)
         self.tracer = Tracer(enabled=config.trace_enabled,
                              prefix=config.trace_prefix)
@@ -245,17 +246,7 @@ class SimulationHarness:
                     drop=config.drop_rate,
                     duplicate=config.duplicate_rate,
                     reorder=config.reorder_rate,
-                    reorder_spread=config.reorder_spread,
                 ),
-                apply_to_control=config.faults_on_control,
-            )
-        reliable_config = None
-        if self.ack_enabled:
-            reliable_config = ReliableConfig(
-                rto=config.ctl_rto,
-                backoff=config.ctl_backoff,
-                rto_max=config.ctl_rto_max,
-                budget=config.ctl_budget,
             )
         self.network = Network(
             n=config.n,
@@ -270,7 +261,7 @@ class SimulationHarness:
             fifo=config.fifo,
             tracer=self.tracer,
             faults=faults,
-            reliable_config=reliable_config,
+            reliable_config=ReliableConfig() if self.ack_enabled else None,
             export=export,
         )
         engine = self.engine
@@ -280,11 +271,10 @@ class SimulationHarness:
             now=lambda: engine.now,
             schedule=engine.schedule,
             # The engine's end-of-instant queue: behind every delivery
-            # due now, accounted to the process's own shard.
+            # due now.
             after_due=lambda pid, callback: engine.defer(
                 callback,
-                f"notify-drain:{pid}" if engine.wants_labels else None,
-                shard=pid),
+                f"notify-drain:{pid}" if engine.wants_labels else None),
             transport=self.network,
             tracer=self.tracer,
             ack_app=self.ack_enabled,
@@ -301,14 +291,8 @@ class SimulationHarness:
             from repro.control import AdaptiveKController, ControllerConfig
 
             controller_config = ControllerConfig(
-                k_min=config.k_min,
                 k_max=config.resolved_k_max(),
                 slo_target=config.slo_output_latency,
-                slo_percentile=config.slo_percentile,
-                window=config.control_window,
-                increase_step=config.k_increase_step,
-                decrease_factor=config.k_decrease_factor,
-                explore_probability=config.k_explore_probability,
             )
         if protocol_factory is None:
             protocol_factory = _default_protocol_factory
@@ -358,7 +342,7 @@ class SimulationHarness:
         for event in self.failures:
             if (isinstance(event, (CrashEvent, StorageFaultEvent))
                     and event.pid not in self._by_pid):
-                continue  # a process hosted elsewhere: its owner's event
+                continue  # in range but hosted elsewhere: its owner's event
             self._failure_handles.append(
                 (event, self.engine.schedule_at(
                     event.time, self._make_failure(event),
@@ -403,7 +387,7 @@ class SimulationHarness:
         host = self._by_pid.get(dst)
         if host is not None:
             self.engine.schedule_at(time, lambda: host.inject(payload, seq),
-                                    label=f"inject->{dst}", shard=dst)
+                                    label=f"inject->{dst}")
 
     def inject_now(self, dst: int, payload: Any) -> None:
         """Deliver an outside-world message to ``dst`` immediately."""

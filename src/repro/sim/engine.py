@@ -43,11 +43,6 @@ hot paths consult :attr:`Engine.wants_labels` and skip building label
 strings when no chooser is installed.  A producer that could fold several
 callbacks into one record consults :attr:`Engine.steps_observed` and does
 not while either hook is installed.
-
-``schedule*`` and ``defer`` accept an optional ``shard`` routing hint.  The
-base engine ignores it; :class:`repro.sim.shard.ShardedEngine` uses it to
-place the record on a per-worker heap (placement only — the deterministic
-cross-shard merge keeps the firing order identical for any shard count).
 """
 
 from __future__ import annotations
@@ -158,19 +153,17 @@ class Engine:
         delay: float,
         callback: Callable[[], None],
         label: Optional[str] = None,
-        shard: Optional[int] = None,
     ) -> EventHandle:
         """Schedule ``callback`` to fire ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, label, shard)
+        return self.schedule_at(self._now + delay, callback, label)
 
     def schedule_at(
         self,
         time: float,
         callback: Callable[[], None],
         label: Optional[str] = None,
-        shard: Optional[int] = None,
     ) -> EventHandle:
         """Schedule ``callback`` to fire at absolute virtual ``time``."""
         if time < self._now:
@@ -179,7 +172,7 @@ class Engine:
             )
         handle = EventHandle(time, callback, label)
         handle._engine = self
-        heapq.heappush(self._heap_for(shard), (time, self._seq, handle))
+        heapq.heappush(self._queue, (time, self._seq, handle))
         self._seq += 1
         self._live += 1
         return handle
@@ -190,7 +183,6 @@ class Engine:
         fn: Callable[..., None],
         args: Tuple = (),
         label: Optional[str] = None,
-        shard: Optional[int] = None,
         callbacks: int = 1,
     ) -> None:
         """Schedule ``fn(*args)`` at absolute ``time`` with no handle.
@@ -206,7 +198,7 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at {time} (current time {self._now})"
             )
-        heapq.heappush(self._heap_for(shard, callbacks),
+        heapq.heappush(self._queue,
                        (time, self._seq, fn, args, label, callbacks))
         self._seq += 1
         self._live += 1
@@ -215,7 +207,6 @@ class Engine:
         self,
         callback: Callable[[], None],
         label: Optional[str] = None,
-        shard: Optional[int] = None,
     ) -> None:
         """Run ``callback`` at the current time, once nothing scheduled is
         due at it any more; deferred callbacks run in defer order.
@@ -225,10 +216,6 @@ class Engine:
         callback does."""
         self._deferred.append((callback, label))
         self._live += 1
-
-    def _heap_for(self, shard: Optional[int], callbacks: int = 1) -> List[Tuple]:
-        """The heap a new record lands on (``shard`` ignored here)."""
-        return self._queue
 
     def _note_cancel(self) -> None:
         """A queued handle was cancelled; maybe compact the heap.
@@ -302,10 +289,6 @@ class Engine:
             candidates.append(record)
         return candidates
 
-    def _requeue(self, record: Tuple) -> None:
-        """Return an unchosen candidate to its heap."""
-        heapq.heappush(self._queue, record)
-
     def _step_chosen(self) -> bool:
         """One step under an external tie-breaker."""
         deferred = self._deferred
@@ -327,21 +310,17 @@ class Engine:
                 )
         chosen = records.pop(index) if index < len(records) else None
         for record in records:
-            self._requeue(record)
-        if chosen is not None:
-            self._fire_record(chosen)
-        else:
+            heapq.heappush(self._queue, record)
+        if chosen is None:
             index -= len(records)
             entry = deferred[index]
             del deferred[index]
             self._fire_deferred(entry)
-        return True
-
-    def _fire_record(self, record: Tuple) -> None:
-        if len(record) == 3:
-            self._fire(record[0], record[2])
+        elif len(chosen) == 3:
+            self._fire(chosen[0], chosen[2])
         else:
-            self._fire_raw(record)
+            self._fire_raw(chosen)
+        return True
 
     def _fire(self, time: float, handle: EventHandle) -> None:
         self._now = time

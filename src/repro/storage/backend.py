@@ -211,12 +211,12 @@ BACKENDS = ("model", "filelog")
 
 
 def make_backend(config: Any, pid: int) -> StableBackend:
-    """Build the configured backend for process ``pid``.
+    """Build the backend a ``SimConfig`` names for process ``pid``.
 
     Imports lazily to keep ``backend`` free of cycles (``stable`` imports
     this module for the base class).
     """
-    name = getattr(config, "storage_backend", "model")
+    name = config.storage_backend
     if name == "model":
         from repro.storage.stable import ModelBackend
 
@@ -226,8 +226,7 @@ def make_backend(config: Any, pid: int) -> StableBackend:
 
         from repro.storage.filelog import FileLogBackend
 
-        storage_dir = getattr(config, "storage_dir", None)
-        if not storage_dir:
+        if not config.storage_dir:
             raise ValueError(
                 "storage_backend='filelog' requires storage_dir to be set "
                 "(the harness resolves it to a temporary directory when "
@@ -235,13 +234,8 @@ def make_backend(config: Any, pid: int) -> StableBackend:
             )
         return FileLogBackend(
             pid,
-            os.path.join(storage_dir, f"p{pid:03d}"),
-            seed=getattr(config, "seed", 0),
-            segment_bytes=getattr(config, "segment_bytes", 262144),
-            max_pending_records=getattr(config, "max_pending_records", 64),
-            io_retries=getattr(config, "io_retries", 5),
-            io_backoff_base=getattr(config, "io_backoff_base", 0.002),
-            io_backoff_max=getattr(config, "io_backoff_max", 0.1),
-            fsync_policy=getattr(config, "fsync_policy", "group"),
+            os.path.join(config.storage_dir, f"p{pid:03d}"),
+            seed=config.seed,
+            fsync_policy=config.fsync_policy,
         )
     raise ValueError(f"unknown storage backend {name!r}; expected one of {BACKENDS}")

@@ -2,27 +2,19 @@
 
 End-to-end guarantees: an adaptive run stays oracle-clean while K moves
 (the per-message K path carries every decision, Theorem 2 keeps the
-receivers correct), the loop is deterministic (same seed, same trace),
-and the W-sharded engine observes the exact same K sequence as the
-single-heap run.
+receivers correct) and the loop is deterministic (same seed, same trace).
 """
 
-import dataclasses
-
+from repro.experiments.adaptive_k import N, build
 from repro.oracle.ingest import certify_tracer
-from repro.perf.scenarios import scenario_by_name
 
 # Clamped to the 40-virtual-unit floor: both crash clusters (0.35-0.74
 # of the duration) land inside the run, which is what moves K.
 SCALE = 0.1
 
 
-def run_adaptive(shards=1, dep_trace=False, seed=None):
-    spec = scenario_by_name("adaptive_k")
-    extra = {**spec.extra_config, "shards": shards, "dep_trace": dep_trace}
-    spec = dataclasses.replace(spec, extra_config=extra,
-                               seed=spec.seed if seed is None else seed)
-    harness, duration = spec.build(scale=SCALE)
+def run_adaptive(dep_trace=False, **overrides):
+    harness, duration = build(scale=SCALE, dep_trace=dep_trace, **overrides)
     try:
         harness.run(duration)
         metrics = harness.metrics()
@@ -39,7 +31,7 @@ def run_adaptive(shards=1, dep_trace=False, seed=None):
                 for _, rec in harness.committed_outputs
             ),
             "events": harness.engine.events_executed,
-            "cert": (certify_tracer(harness.tracer, spec.n,
+            "cert": (certify_tracer(harness.tracer, N,
                                     harness.config.resolved_k())
                      if dep_trace else None),
         }
@@ -91,12 +83,3 @@ class TestAdaptiveDeterminism:
         a = run_adaptive()
         b = run_adaptive(seed=1234)
         assert a["outputs"] != b["outputs"]
-
-    def test_sharded_run_observes_identical_k_sequence(self):
-        reference = run_adaptive(shards=1)
-        sharded = run_adaptive(shards=2)
-        assert sharded["violations"] == []
-        assert sharded["histories"] == reference["histories"]
-        assert sharded["decisions"] == reference["decisions"]
-        assert sharded["outputs"] == reference["outputs"]
-        assert sharded["events"] == reference["events"]

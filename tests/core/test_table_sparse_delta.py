@@ -1,12 +1,11 @@
-"""Sparse table backend, delta changelog, and batched-merge regressions.
+"""Sparse snapshots, delta changelog, and batched-merge regressions.
 
 Three families:
 
 - the int64 sum-overflow regression in ``_merge_columns`` change detection
   (offsetting changes across a batched merge wrapped the column sum and
   the version bump was silently skipped);
-- the sparse dict-of-rows backend must be observationally equivalent to
-  the dense columnar backend;
+- the read-side views of a :class:`SparseSnapshot`, the delta carrier;
 - changelog/delta encoding: ``delta_since`` carries exactly the changed
   entries, stale cursors demand a full snapshot, compaction bumps the
   epoch.
@@ -18,10 +17,8 @@ from repro.core import columnar
 from repro.core.entry import Entry
 from repro.core.tables import (
     EntrySetTable,
-    IncarnationEndTable,
     LoggingProgressTable,
     SparseSnapshot,
-    TableSnapshot,
 )
 
 np = columnar.NUMPY
@@ -33,12 +30,10 @@ BIG = (1 << 62) - 1
 def _donor(slots):
     """A dense snapshot holding ``BIG`` at each ``(pid, inc)`` of ``slots``,
     built the way gossip builds one: insert, then snapshot."""
-    donor = EntrySetTable(64, sparse=False)
+    donor = EntrySetTable(64)
     for pid, inc in slots:
         donor.insert(pid, Entry(inc, BIG))
-    snap = donor.snapshot_columns()
-    assert isinstance(snap, TableSnapshot)
-    return snap
+    return donor.snapshot_columns()
 
 
 @pytest.mark.skipif(np is None, reason="regression is in the numpy merge path")
@@ -47,7 +42,7 @@ def test_merge_change_detection_survives_int64_sum_wrap():
     wraps to *zero* in int64.  The old sum-based change detection concluded
     nothing changed and skipped the version bump, so scan-skip caches kept
     serving stale results."""
-    table = EntrySetTable(64, sparse=False)
+    table = EntrySetTable(64)
     assert table._use_np
     # Four incarnations wide before the merge, so the merge itself adds no
     # padding and the column sum is comparable across it.
@@ -69,91 +64,23 @@ def test_merge_change_detection_survives_int64_sum_wrap():
 
 @pytest.mark.skipif(np is None, reason="batch path is numpy-only")
 def test_batched_merge_change_detection_survives_sum_wrap():
-    table = EntrySetTable(64, sparse=False)
+    table = EntrySetTable(64)
     table.merge_snapshots([_donor([(0, 0), (1, 0)]),
                            _donor([(2, 0), (3, 0)])])
     assert table.version >= 1
     assert table.lookup(3, 0) == BIG
 
 
-def _fill(table, ops):
-    for pid, inc, sii in ops:
-        table.insert(pid, Entry(inc, sii))
-
-
-OPS = [(0, 0, 3), (1, 1, 7), (1, 0, 2), (5, 2, 4), (7, 0, 1), (1, 1, 5),
-       (6, 3, 11), (0, 0, 9)]
-
-
-def test_sparse_backend_matches_dense_logging_table():
-    dense = LoggingProgressTable(8, sparse=False)
-    sparse = LoggingProgressTable(8, sparse=True)
-    _fill(dense, OPS)
-    _fill(sparse, OPS)
-    assert sparse.snapshot() == dense.snapshot()
-    for pid in range(8):
-        assert list(sparse.entries(pid)) == list(dense.entries(pid))
-        assert sparse.row_size(pid) == dense.row_size(pid)
-        for inc in range(5):
-            assert sparse.lookup(pid, inc) == dense.lookup(pid, inc)
-            for sii in (0, 1, 4, 9, 12):
-                e = Entry(inc, sii)
-                assert sparse.covers(pid, e) == dense.covers(pid, e)
-                packed = columnar.pack(inc, sii)
-                assert (sparse.covers_packed(pid, packed)
-                        == dense.covers_packed(pid, packed))
-
-
-def test_sparse_backend_matches_dense_iet():
-    dense = IncarnationEndTable(8, sparse=False)
-    sparse = IncarnationEndTable(8, sparse=True)
-    _fill(dense, OPS)
-    _fill(sparse, OPS)
-    for pid in range(8):
-        assert (sparse.highest_ended_incarnation(pid)
-                == dense.highest_ended_incarnation(pid))
-        for inc in range(5):
-            for sii in (0, 1, 4, 9, 12):
-                e = Entry(inc, sii)
-                assert sparse.invalidates(pid, e) == dense.invalidates(pid, e)
-                packed = columnar.pack(inc, sii)
-                assert (sparse.invalidates_packed(pid, packed)
-                        == dense.invalidates_packed(pid, packed))
-    assert list(sparse.all_pairs()) == list(dense.all_pairs())
-
-
-def test_sparse_snapshot_cross_merges_both_directions():
-    sparse = LoggingProgressTable(8, sparse=True)
-    dense = LoggingProgressTable(8, sparse=False)
-    _fill(sparse, OPS[:4])
-    _fill(dense, OPS[4:])
-    snap_sparse = sparse.snapshot_columns()
-    snap_dense = dense.snapshot_columns()
-    assert isinstance(snap_sparse, SparseSnapshot)
-    assert isinstance(snap_dense, TableSnapshot)
-    sparse.merge_snapshot(snap_dense)
-    dense.merge_snapshot(snap_sparse)
-    assert sparse.snapshot() == dense.snapshot()
-
-
 def test_sparse_snapshot_restrict_and_rows():
-    table = LoggingProgressTable(6, sparse=True)
-    _fill(table, [(2, 0, 4), (3, 1, 5)])
-    snap = table.snapshot_columns()
+    snap = SparseSnapshot(6, [(2, 0, 4), (3, 1, 5)])
     own = snap.restrict(2)
     assert own.rows() == [{}, {}, {0: 4}, {}, {}, {}]
     assert own[2] == {0: 4} and own[3] == {}
     assert len(snap) == 6
 
 
-def test_large_n_defaults_to_sparse():
-    assert EntrySetTable(columnar.SPARSE_MIN_N)._rows is not None
-    assert EntrySetTable(columnar.SPARSE_MIN_N - 1)._rows is None
-
-
-@pytest.mark.parametrize("sparse", [False, True])
-def test_delta_since_carries_exactly_the_changes(sparse):
-    table = LoggingProgressTable(8, sparse=sparse)
+def test_delta_since_carries_exactly_the_changes():
+    table = LoggingProgressTable(8)
     table.enable_changelog()
     table.insert(0, Entry(0, 1))
     pos = table.changelog_position
@@ -164,7 +91,7 @@ def test_delta_since_carries_exactly_the_changes(sparse):
     assert delta is not None and not delta.full
     assert sorted(delta.entries) == [(0, 0, 3), (1, 0, 5)]
     # Applying the delta on top of the peer's as-of state == full merge.
-    peer = LoggingProgressTable(8, sparse=sparse)
+    peer = LoggingProgressTable(8)
     peer.insert(0, Entry(0, 1))
     peer.merge_snapshot(delta)
     assert peer.snapshot() == table.snapshot()

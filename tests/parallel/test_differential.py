@@ -1,13 +1,13 @@
 """Differential suite: the epoch-parallel runner vs the serial engine.
 
 The parallel runner's whole correctness claim is *bit-identical traces*:
-for any scenario, running the W shard heaps on W worker processes must
-produce exactly the dependency-trace stream (and event/delivery counts)
-of ``ShardedEngine(W)`` serial execution — which itself must be
-independent of W.  These tests pin that claim across the feature matrix
-the runner has to survive: crashes (single and storms), fanout gossip
-(a pull: requests and answers between workers), delta notifications, the durable file-log backend, and the open-loop
-workload with SLO accounting.
+for any scenario, running the W process slices on W worker processes
+must produce exactly the dependency-trace stream (and event/delivery
+counts) of serial execution.  These tests pin that claim across the
+feature matrix the runner has to survive: crashes (single and storms),
+fanout gossip (a pull: requests and answers between workers), delta
+notifications, the durable file-log backend, and the open-loop workload
+with SLO accounting.
 
 Each parallel trace is additionally replayed through the post-hoc
 dependency oracle (:func:`repro.oracle.ingest.certify_events`) and must
@@ -70,15 +70,15 @@ CASES = {
         FailureSchedule.single(time=20.0, pid=3), 60.0),
 }
 
-#: Serial single-shard reference per case, computed once per session.
+#: Serial reference per case, computed once per session.
 _reference = {}
 
 
-def _run_serial(name, shards):
+def _run_serial(name):
     config, make_workload, failures, duration = CASES[name]
     workload = make_workload()
-    harness = SimulationHarness(replace(config, shards=shards),
-                                workload.behavior(), failures=failures)
+    harness = SimulationHarness(config, workload.behavior(),
+                                failures=failures)
     try:
         workload.install(harness, until=duration * 0.8)
         harness.run(duration)
@@ -93,18 +93,12 @@ def _run_serial(name, shards):
 
 def reference(name):
     if name not in _reference:
-        ref = _run_serial(name, shards=1)
+        ref = _run_serial(name)
         # Bit-identical *empty* traces would prove nothing: every case
         # must actually exercise the dep.* emission path.
         assert ref[0], f"case {name!r} produced an empty dep trace"
         _reference[name] = ref
     return _reference[name]
-
-
-@pytest.mark.parametrize("shards", [2, 4])
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_serial_sharding_is_trace_invariant(name, shards):
-    assert _run_serial(name, shards) == reference(name)
 
 
 @pytest.mark.parametrize("workers", [2, 4])
@@ -151,12 +145,11 @@ def test_filelog_journals_have_one_writer(tmp_path, workers):
     """A worker builds (and so opens and initializes) only the journals of
     the processes it hosts: after the build every journal is exactly what
     the serial build leaves — one initial-checkpoint frame — and the
-    crash scenario's merged metrics equal the serial ``shards=W`` twin's,
-    down to the records its REDO scans recovered."""
+    crash scenario's merged metrics equal the serial twin's, down to the
+    records its REDO scans recovered."""
     config, make_workload, failures, duration = CASES["filelog"]
     config = replace(config, oracle_enabled=False, check_invariants=False)
-    twin_config = replace(config, shards=workers,
-                          storage_dir=str(tmp_path / "serial"))
+    twin_config = replace(config, storage_dir=str(tmp_path / "serial"))
     workload = make_workload()
     twin = SimulationHarness(twin_config, workload.behavior(),
                              failures=failures)

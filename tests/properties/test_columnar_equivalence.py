@@ -2,8 +2,8 @@
 
 The columnar rewrite (PR 8) re-laid the dependency vector and both
 bookkeeping tables as flat integer columns, keeping the pre-columnar
-dict implementations as ``Reference*`` ground truth (the table references
-live in this file; nothing in ``src/`` uses them).  These tests drive
+dict implementations as ``Reference*`` ground truth (they live in this
+file; nothing in ``src/`` uses them).  These tests drive
 both implementations through the same random operation sequences —
 set/nullify/merge/copy for vectors; insert/gossip-merge/incarnation
 bumps for tables — and assert the observable state stays equal at every
@@ -23,12 +23,11 @@ step, including:
 
 Table sizes cover both storage backends: small n uses plain lists,
 n >= 64 uses numpy when available (see repro.core.columnar.NP_MIN_N);
-CI also runs this file under ``REPRO_NO_NUMPY=1`` (lists at every n) and
-``REPRO_SPARSE_MIN_N=8`` (n=64 on the sparse backend).
+CI also runs this file under ``REPRO_NO_NUMPY=1`` (lists at every n).
 """
 
 import os
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +35,7 @@ from hypothesis import strategies as st
 
 from repro.core import columnar
 from repro.core.columnar import pack
-from repro.core.depvec import DependencyVector, ReferenceDependencyVector
+from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
 from repro.core.tables import (
     EntrySetTable,
@@ -49,11 +48,125 @@ from repro.core.tables import (
 np = columnar.NUMPY
 
 
-# -- reference (pre-columnar) tables -------------------------------------------
+# -- reference (pre-columnar) vector and tables --------------------------------
 #
-# The dict-of-dicts model the columnar tables replaced: the ground truth of
-# every table test below.  Deliberately naive — one dict per process, no
-# layout, no stride, nothing to grow.
+# The dict-of-Entry vector and dict-of-dicts tables the columnar structures
+# replaced: the ground truth of every test below.  Deliberately naive — one
+# dict per vector or process, no layout, no stride, nothing to grow.
+
+
+class ReferenceDependencyVector:
+    """The pre-columnar dict-of-Entry vector: same observable API as
+    :class:`DependencyVector` (including COW :meth:`copy` and
+    :attr:`version`)."""
+
+    __slots__ = ("n", "_entries", "_shared", "version")
+
+    def __init__(self, n: int, entries: Optional[Mapping[int, Entry]] = None):
+        if n <= 0:
+            raise ValueError(f"vector needs at least one process, got n={n}")
+        self.n = n
+        self._entries: Dict[int, Entry] = {}
+        self._shared = False
+        self.version = 0
+        if entries:
+            for pid, entry in entries.items():
+                self.set(pid, entry)
+
+    def _materialize(self) -> None:
+        if self._shared:
+            self._entries = dict(self._entries)
+            self._shared = False
+
+    def get(self, pid: int) -> Optional[Entry]:
+        self._check_pid(pid)
+        return self._entries.get(pid)
+
+    def set(self, pid: int, entry: Optional[Entry]) -> None:
+        self._check_pid(pid)
+        if entry is None:
+            if pid in self._entries:
+                self._materialize()
+                del self._entries[pid]
+                self.version += 1
+        elif self._entries.get(pid) != entry:
+            self._materialize()
+            self._entries[pid] = entry
+            self.version += 1
+
+    def nullify(self, pid: int) -> None:
+        self._check_pid(pid)
+        if pid in self._entries:
+            self._materialize()
+            del self._entries[pid]
+            self.version += 1
+
+    def nullify_entry(self, pid: int, entry: Entry) -> None:
+        self.nullify(pid)
+
+    def non_null_count(self) -> int:
+        return len(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def processes(self) -> Iterator[int]:
+        return iter(sorted(self._entries))
+
+    def items(self) -> Iterator[Tuple[int, Entry]]:
+        return iter(sorted(self._entries.items()))
+
+    def iter_items(self) -> Iterable[Tuple[int, Entry]]:
+        return self._entries.items()
+
+    def merge(self, other) -> None:
+        if other.n != self.n:
+            raise ValueError(
+                f"cannot merge vectors of different sizes ({self.n} vs {other.n})"
+            )
+        entries = self._entries
+        changed = None
+        for pid, entry in other.iter_items():
+            cur = entries.get(pid)
+            if cur is None or cur < entry:
+                if changed is None:
+                    changed = []
+                changed.append((pid, entry))
+        if changed is None:
+            return
+        self._materialize()
+        entries = self._entries
+        for pid, entry in changed:
+            entries[pid] = entry
+        self.version += 1
+
+    def copy(self) -> "ReferenceDependencyVector":
+        dup = ReferenceDependencyVector(self.n)
+        dup._entries = self._entries
+        dup._shared = True
+        self._shared = True
+        return dup
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ReferenceDependencyVector):
+            return self.n == other.n and self._entries == other._entries
+        if isinstance(other, DependencyVector):
+            return self.n == other.n and self.as_dict() == other.as_dict()
+        return NotImplemented
+
+    def __hash__(self):  # pragma: no cover - vectors are mutable
+        raise TypeError("ReferenceDependencyVector is mutable and unhashable")
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{e}_{pid}" for pid, e in self.items())
+        return "{" + inner + "}"
+
+    def as_dict(self) -> Dict[int, Entry]:
+        return dict(self._entries)
+
+    def _check_pid(self, pid: int) -> None:
+        if not 0 <= pid < self.n:
+            raise IndexError(f"process id {pid} out of range [0, {self.n})")
 
 
 class ReferenceEntrySetTable:
@@ -281,11 +394,9 @@ def apply_table_op(table, op, columnar_side):
         # Columnar gossip path: rebuild the rows as a TableSnapshot so the
         # elementwise-max merge runs; the reference gets the same rows.
         if columnar_side:
-            donor = EntrySetTable(table.n, sparse=False)
+            donor = EntrySetTable(table.n)
             donor.merge_snapshot(op[1])
-            snap = donor.snapshot_columns()
-            assert isinstance(snap, TableSnapshot)
-            table.merge_snapshot(snap)
+            table.merge_snapshot(donor.snapshot_columns())
         else:
             table.merge_snapshot(op[1])
 
@@ -390,7 +501,7 @@ def gossip_ops(n):
 
 
 def rehouse(snap, form):
-    if form == "native" or not isinstance(snap, TableSnapshot):
+    if form == "native":
         return snap
     cols = snap.cols if isinstance(snap.cols, list) else snap.cols.tolist()
     if form == "ndarray":
@@ -404,13 +515,10 @@ def assert_snapshot_views(snap, rows):
     assert snap.rows() == rows and snap == rows
     triples = [(pid, inc, sii) for pid in range(n)
                for inc, sii in sorted(rows[pid].items())]
-    if isinstance(snap, TableSnapshot):
-        assert len(snap.cols) == n * snap.stride
-        # Tight: the last incarnation block is there because it holds something.
-        assert snap.stride == 1 + max((inc for _, inc, _ in triples), default=0)
-        assert sorted(_snapshot_entries(snap)) == triples
-    else:
-        assert sorted(snap.entries) == triples
+    assert len(snap.cols) == n * snap.stride
+    # Tight: the last incarnation block is there because it holds something.
+    assert snap.stride == 1 + max((inc for _, inc, _ in triples), default=0)
+    assert sorted(_snapshot_entries(snap)) == triples
     for pid in range(n):
         assert snap[pid] == rows[pid]
         only = snap.restrict(pid)
@@ -525,8 +633,7 @@ class TestStrideCrossings:
         cols, refs = run_gossip_script(kind, n, ops, probes)
         assert refs[0].snapshot() == refs[1].snapshot()
         assert refs[2].lookup(0, 6) == 0 and refs[0].lookup(0, 6) is None
-        if isinstance(cols[0].snapshot_columns(), TableSnapshot):
-            assert [c.snapshot_columns().stride for c in cols] == [4, 4, 7]
+        assert [c.snapshot_columns().stride for c in cols] == [4, 4, 7]
 
     @pytest.mark.skipif(np is None, reason="staging needs ndarray columns")
     @given(data=st.data())
@@ -539,7 +646,7 @@ class TestStrideCrossings:
 
         n = 64
         inserts = st.lists(st.tuples(pids(n), entries), min_size=1, max_size=12)
-        sender, receiver, twin = (EntrySetTable(n, sparse=False) for _ in range(3))
+        sender, receiver, twin = (EntrySetTable(n) for _ in range(3))
         for pid, entry in data.draw(inserts):
             sender.insert(pid, entry)
         for pid, entry in data.draw(inserts):

@@ -3,8 +3,8 @@
 
 This purity is what makes adaptive runs replayable: the harness feeds
 observations on deterministic engine timers, so bit-identical decision
-traces here imply bit-identical simulations there (the W-sharded
-differential in tests/control/test_adaptive_harness.py closes the loop).
+traces here imply bit-identical simulations there (the determinism
+tests in tests/control/test_adaptive_harness.py close the loop).
 """
 
 from hypothesis import given

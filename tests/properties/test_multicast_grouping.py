@@ -113,18 +113,17 @@ def run(network_cls, config, crashes, jittered, chooser_seed, step_probe):
     duplicate=st.sampled_from([0.0, 0.0, 0.1]),
     ack_layer=st.sampled_from([None, True, False]),
     fanout=st.sampled_from([None, None, 1, 2, 3]),
-    shards=st.sampled_from([1, 2, 4]),
     chooser_seed=st.one_of(st.none(), st.integers(0, 99)),
     step_probe=st.booleans(),
     crash=st.booleans(),
 )
 def test_grouped_send_is_indistinguishable_from_the_per_destination_loop(
-        seed, n, fifo, jittered, drop, duplicate, ack_layer, fanout, shards,
+        seed, n, fifo, jittered, drop, duplicate, ack_layer, fanout,
         chooser_seed, step_probe, crash):
     config = SimConfig(
         n=n, k=2, seed=seed, fifo=fifo, drop_rate=drop,
         duplicate_rate=duplicate, ack_layer=ack_layer, notify_fanout=fanout,
-        shards=shards, notify_interval=4.0, flush_interval=6.0,
+        notify_interval=4.0, flush_interval=6.0,
         checkpoint_interval=15.0, restart_delay=3.0)
     crashes = [(12.5, seed % n)] if crash else []
     args = (config, crashes, jittered, chooser_seed, step_probe)

@@ -9,8 +9,8 @@ second.  Hypothesis drives one oracle through random scripts of starts,
 deliveries, stability marks and recoveries and requires, after **every**
 operation, that the cached frontier equals the walk for every process
 and that ``potential_revokers`` equals both references for every
-interval created so far — in the list, numpy and sparse representations
-of the causal vector.
+interval created so far — in the list and numpy representations of the
+causal vector.
 """
 
 import pytest
@@ -39,7 +39,7 @@ def revokers_by_scan(oracle, iid):
     vec = oracle._vec[iid]
     revokers = set()
     for j in range(oracle.n):
-        reach = vec.get(j, 0) if isinstance(vec, dict) else int(vec[j])
+        reach = int(vec[j])
         first = first_non_stable_seq(oracle, j)
         if reach and first is not None and first <= reach:
             revokers.add(j)
@@ -58,21 +58,17 @@ def revokers_by_traversal(oracle, iid):
 
 def build_oracle(n, rep):
     """An oracle whose causal-vector representation is picked by n
-    ("auto"), or forced to "list" / "sparse" at any n (the oracle reads
-    the thresholds once, at construction)."""
-    saved = columnar.NP_MIN_N, columnar.SPARSE_MIN_N
+    ("auto"), or forced to "list" at any n (the oracle reads the
+    threshold once, at construction)."""
+    saved = columnar.NP_MIN_N
     if rep == "list":
-        columnar.NP_MIN_N = columnar.SPARSE_MIN_N = 1 << 30
-    elif rep == "sparse":
-        columnar.SPARSE_MIN_N = 1
+        columnar.NP_MIN_N = 1 << 30
     try:
         oracle = DependencyOracle(n)
     finally:
-        columnar.NP_MIN_N, columnar.SPARSE_MIN_N = saved
-    if rep == "sparse":
-        assert oracle._use_sparse
-    elif rep == "list":
-        assert not oracle._use_np and not oracle._use_sparse
+        columnar.NP_MIN_N = saved
+    if rep == "list":
+        assert not oracle._use_np
     return oracle
 
 
@@ -169,7 +165,7 @@ def pids_for(n):
 
 @pytest.mark.parametrize("n,rep", [
     (3, "auto"), (16, "auto"), (64, "auto"), (70, "auto"),
-    (64, "list"), (16, "sparse"), (70, "sparse"),
+    (64, "list"),
 ])
 @settings(deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -185,7 +181,7 @@ def test_auto_picks_list_below_64_and_numpy_from_64():
     """The parametrization above only means something if "auto" really
     picks the list form below 64 and numpy at and above it."""
     assert not build_oracle(16, "auto")._use_np
-    if columnar.NUMPY is not None and not columnar.use_sparse_for(64):
+    if columnar.NUMPY is not None:
         assert build_oracle(64, "auto")._use_np
         assert build_oracle(70, "auto")._use_np
 
@@ -194,7 +190,7 @@ class TestHandPickedSchedules:
     """The corners a stale frontier would hide in, as fixed scripts on
     every representation, so a mutant dies here even on an unlucky seed."""
 
-    REPS = [(16, "auto"), (64, "auto"), (64, "list"), (16, "sparse")]
+    REPS = [(16, "auto"), (64, "auto"), (64, "list")]
 
     @pytest.mark.parametrize("n,rep", REPS)
     def test_recovery_below_the_stable_prefix(self, n, rep):

@@ -30,13 +30,13 @@ ops = st.lists(
 )
 
 
-@given(ops=ops, cut=st.integers(0, 60), sparse=st.booleans(),
+@given(ops=ops, cut=st.integers(0, 60),
        compaction_limit=st.sampled_from([3, 4096]))
 @settings(deadline=None)
-def test_delta_since_round_trip(ops, cut, sparse, compaction_limit):
+def test_delta_since_round_trip(ops, cut, compaction_limit):
     """full@cursor + delta_since(cursor) == full@now, for any op split."""
     n = 6
-    sender = EntrySetTable(n, sparse=sparse)
+    sender = EntrySetTable(n)
     sender.enable_changelog()
     # A tiny compaction limit forces the stale-cursor path often.
     original_limit = EntrySetTable.CHANGELOG_LIMIT
@@ -44,7 +44,7 @@ def test_delta_since_round_trip(ops, cut, sparse, compaction_limit):
     try:
         for pid, inc, sii in ops[:cut]:
             sender.insert(pid, Entry(inc, sii))
-        receiver = EntrySetTable(n, sparse=sparse)
+        receiver = EntrySetTable(n)
         receiver.merge_snapshot(sender.snapshot_columns())
         cursor = sender.changelog_position
         for pid, inc, sii in ops[cut:]:

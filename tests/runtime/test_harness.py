@@ -1,6 +1,12 @@
 """Runtime harness tests: wiring, timers, failure handling, invariants."""
 
-from repro.failures.injector import CrashEvent, FailureSchedule
+import pytest
+
+from repro.failures.injector import (
+    CrashEvent,
+    FailureSchedule,
+    StorageFaultEvent,
+)
 
 from helpers import build_sim as build
 
@@ -87,6 +93,16 @@ class TestCrashHandling:
         assert metrics.crashes == 3
         assert not metrics.violations
         assert harness.hosts[0].protocol.current.inc >= 3
+
+    @pytest.mark.parametrize("event", [
+        CrashEvent(100.0, 4), CrashEvent(100.0, -1),
+        StorageFaultEvent(100.0, 99, "eio"),
+    ], ids=["crash-above", "crash-negative", "storage-fault"])
+    def test_event_for_a_pid_outside_the_system_is_rejected(self, event):
+        # Skipped as "hosted elsewhere", it would leave a failure-free run
+        # certified as if it had survived the fault.
+        with pytest.raises(ValueError, match="outside range"):
+            build(n=4, failures=FailureSchedule([event]))
 
 
 class TestInvariantChecks:

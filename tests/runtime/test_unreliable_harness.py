@@ -9,6 +9,7 @@ from repro.failures.injector import (
     LossEvent,
     PartitionEvent,
 )
+from repro.net.reliable import ReliableConfig
 from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
 from repro.workloads.random_peers import RandomPeersWorkload
@@ -68,7 +69,7 @@ class TestFaultResolution:
         assert harness.network.reliable is not None
         assert harness.ack_enabled
         # The app retransmission timer is defaulted on.
-        assert harness.config.retransmit_timeout == config.ctl_rto
+        assert harness.config.retransmit_timeout == ReliableConfig().rto
 
     def test_schedule_network_events_enable_stack(self):
         config = SimConfig(n=4, seed=0, trace_enabled=False)

@@ -4,9 +4,8 @@ Deferred callbacks run at the current time once no scheduled record is due
 at it any more, in defer order; a record scheduled *at* the current time
 from inside one of them still fires before the next.  These tests pin that
 rule, its bookkeeping (``pending``, ``run(until=…)``, ``max_events``,
-``advance_to``), how a tie-breaker sees the queue, and that the sharded
-engine and the epoch worker's windowed loop serve it exactly as the plain
-engine does.
+``advance_to``), how a tie-breaker sees the queue, and that the epoch
+worker's windowed loop serves it exactly as the plain engine does.
 """
 
 import random
@@ -17,7 +16,6 @@ from repro.app.behavior import EchoBehavior
 from repro.parallel.worker import _WorkerHarness
 from repro.runtime.config import SimConfig
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.shard import ShardedEngine
 
 
 class TestOrder:
@@ -164,20 +162,18 @@ class TestBookkeeping:
 
 
 class TestTieBreaker:
-    @pytest.mark.parametrize("make", [Engine, lambda: ShardedEngine(3)],
-                             ids=["plain", "sharded"])
-    def test_deferred_work_is_offered_behind_the_records_due_now(self, make):
-        engine = make()
+    def test_deferred_work_is_offered_behind_the_records_due_now(self):
+        engine = Engine()
         offered = []
         fired = []
 
         def arrival(tag):
             fired.append(tag)
             engine.defer(lambda: fired.append(f"drain:{tag}"),
-                         label=f"drain:{tag}", shard=0)
+                         label=f"drain:{tag}")
 
-        for i, tag in enumerate("ab"):
-            engine.schedule_at_raw(1.0, arrival, (tag,), label=tag, shard=i)
+        for tag in "ab":
+            engine.schedule_at_raw(1.0, arrival, (tag,), label=tag)
         engine.schedule_at_raw(2.0, fired.append, ("c",), label="c")
 
         def chooser(candidates):
@@ -213,11 +209,11 @@ class TestTieBreaker:
             engine.step()
 
 
-# -- one script, three loops ----------------------------------------------------
+# -- one script, two loops ------------------------------------------------------
 
 
 def random_script(seed, steps=120):
-    """Root events ``(time, shard, children)``; a child is ``(kind, delay)``
+    """Root events ``(time, children)``; a child is ``(kind, delay)``
     with kind ``"record"`` (scheduled ``delay`` after the parent fires,
     often 0) or ``"defer"``, and may carry grandchildren of its own."""
     rng = random.Random(seed)
@@ -227,13 +223,10 @@ def random_script(seed, steps=120):
             return []
         return [(rng.choice(["record", "record", "defer"]),
                  rng.choice([0.0, 0.0, 0.5, 1.0]),
-                 rng.choice([None, 0, 1, 2, 3]),
                  children(depth + 1))
                 for _ in range(rng.choice([0, 0, 1, 2]))]
 
-    return [(rng.randrange(0, 24) / 2.0, rng.choice([None, 0, 1, 2, 3]),
-             children(0))
-            for _ in range(steps)]
+    return [(rng.randrange(0, 24) / 2.0, children(0)) for _ in range(steps)]
 
 
 def install(engine, script):
@@ -242,21 +235,19 @@ def install(engine, script):
 
     def fire(tag, kids):
         fired.append((tag, engine.now))
-        for i, (kind, delay, shard, grandkids) in enumerate(kids):
+        for i, (kind, delay, grandkids) in enumerate(kids):
             child = f"{tag}.{i}"
             if kind == "defer":
-                engine.defer(lambda c=child, g=grandkids: fire(c, g),
-                             shard=shard)
+                engine.defer(lambda c=child, g=grandkids: fire(c, g))
             elif i % 2:
-                engine.schedule(delay, lambda c=child, g=grandkids: fire(c, g),
-                                shard=shard)
+                engine.schedule(delay, lambda c=child, g=grandkids: fire(c, g))
             else:
                 engine.schedule_at_raw(engine.now + delay, fire,
-                                       (child, grandkids), shard=shard)
+                                       (child, grandkids))
 
     cancelled = []
-    for i, (time, shard, kids) in enumerate(script):
-        engine.schedule_at_raw(time, fire, (str(i), kids), shard=shard)
+    for i, (time, kids) in enumerate(script):
+        engine.schedule_at_raw(time, fire, (str(i), kids))
         if i % 7 == 0:
             cancelled.append(engine.schedule_at(time, lambda: fired.append("dead")))
     for handle in cancelled:
@@ -265,27 +256,12 @@ def install(engine, script):
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42])
-def test_sharded_engine_serves_the_queue_like_the_plain_engine(seed):
-    script = random_script(seed)
-    plain = Engine()
-    reference = install(plain, script)
-    plain.run()
-    assert any("." in tag for tag, _ in reference)
-    for shards in (1, 2, 4):
-        engine = ShardedEngine(shards)
-        fired = install(engine, script)
-        engine.run()
-        assert fired == reference
-        assert engine.events_executed == plain.events_executed
-        assert sum(engine.events_per_shard) >= engine.events_executed
-
-
-@pytest.mark.parametrize("seed", [1, 7, 42])
 def test_epoch_worker_loop_serves_the_queue_like_the_plain_engine(seed):
     script = random_script(seed)
     plain = Engine()
     reference = install(plain, script)
     plain.run()
+    assert any("." in tag for tag, _ in reference)
     # One worker owning every process: its windowed loop over the engine
     # is all that differs from Engine.run().
     worker = _WorkerHarness(SimConfig(n=2, trace_enabled=False),
