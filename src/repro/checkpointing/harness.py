@@ -131,11 +131,10 @@ class CheckpointSimulation:
     # -- main loop -------------------------------------------------------------
 
     def run(self, duration: float) -> None:
-        now = lambda: self.engine.now
+        interval = self.config.checkpoint_interval
         for process in self.processes:
             phase = (process.pid + 1) / (self.config.n + 1)
-            periodic(self.engine.schedule, now,
-                     self.config.checkpoint_interval, phase,
+            periodic(self.engine.schedule, interval * phase, interval,
                      process.take_local_checkpoint, horizon=duration)
         self.engine.run(until=duration, max_events=10_000_000)
         self.engine.run(max_events=10_000_000)  # drain in-flight traffic

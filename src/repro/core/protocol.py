@@ -329,7 +329,20 @@ class KOptimisticProcess:
         survivors = [m for m in copies if not self._is_orphan_message(m)]
         self._sent_log[dst] = survivors
         self.stats.retransmissions += len(survivors)
-        return [ReleaseMessage(m) for m in survivors]
+        effects: List[Effect] = []
+        for msg in survivors:
+            effects += self._release(msg)
+        return effects
+
+    def _release(self, msg: AppMessage) -> List[Effect]:
+        """Put ``msg`` on the wire; with timer-driven retransmission on, it
+        then stays pending until acked (one timer per pending message)."""
+        if self.retransmit_timeout <= 0 or msg.msg_id in self._unacked:
+            return [ReleaseMessage(msg)]
+        self._unacked[msg.msg_id] = _PendingSend(
+            msg, self.retransmit_timeout * self.retransmit_backoff)
+        return [ReleaseMessage(msg),
+                ScheduleRetransmit(msg.msg_id, self.retransmit_timeout)]
 
     # ------------------------------------------------------------------
     # Ack/retransmit (unreliable networks)
@@ -459,9 +472,14 @@ class KOptimisticProcess:
         """
         self._require_running()
         self.storage.append_log(self.volatile.drain(), sync=True)
+        # The buffers too: replay regenerates only what intervals after the
+        # checkpoint owe, so a Restart from it must find the rest here.
         self.storage.write_checkpoint(
             self.current, self.app_state, self.tdv, self.received_ids,
             time_taken=self.now_fn(),
+            receive_buffer=self.receive_buffer,
+            sends=self.send_buffer + [p.msg for p in self._unacked.values()],
+            outputs=[(p.record, p.tdv) for p in self.output_buffer.pending],
         )
         self.log.insert(self.pid, self.current)
         self.tdv.nullify(self.pid)
@@ -606,7 +624,8 @@ class KOptimisticProcess:
         # keeps output-wait accounting from silently dropping the downtime.
         self._replay_backdate = self._down_since
         try:
-            replayed, requeued = self._restore_and_replay(effects)
+            checkpoint, replayed, _requeued = self._restore_and_replay(effects)
+            self._take_back_buffers(checkpoint)
         finally:
             self._replay_backdate = None
             self._down_since = None
@@ -657,7 +676,9 @@ class KOptimisticProcess:
         self.storage.append_log(self.volatile.drain(), sync=True)
         effects: List[Effect] = [StableProgress(self.pid, before)]
 
-        replayed, requeued = self._restore_and_replay(effects)
+        # The live buffers survive a Rollback: the checkpoint's copies of
+        # them are not taken back.
+        _checkpoint, replayed, requeued = self._restore_and_replay(effects)
 
         stop = self.current
         # Everything replayed is on stable storage: record our own progress.
@@ -690,7 +711,8 @@ class KOptimisticProcess:
         )
         return effects
 
-    def _restore_and_replay(self, effects: List[Effect]) -> Tuple[int, int]:
+    def _restore_and_replay(
+            self, effects: List[Effect]) -> Tuple[Checkpoint, int, int]:
         """Shared core of Restart and Rollback.
 
         Restores the latest non-orphan checkpoint, deterministically replays
@@ -699,7 +721,8 @@ class KOptimisticProcess:
         handed back to the receive buffer to be delivered (and re-logged)
         again in the new incarnation.
 
-        Returns ``(replayed_count, requeued_count)`` and extends ``effects``
+        Returns ``(checkpoint, replayed_count, requeued_count)`` — the
+        checkpoint a copy of the one restored — and extends ``effects``
         with the replay deliveries.
         """
         checkpoints = self.storage.checkpoints
@@ -753,7 +776,41 @@ class KOptimisticProcess:
         # we already hold (e.g. a synchronously logged announcement): apply
         # Theorem 2 to the reconstructed vector too.
         self._nullify_stable_tdv_entries()
-        return replayed, requeued
+        return checkpoint, replayed, requeued
+
+    def _take_back_buffers(self, checkpoint: Checkpoint) -> None:
+        """Restart's half of Checkpoint: the buffers died with the process,
+        and replay regenerates only what the intervals after the restored
+        checkpoint owe — the rest comes back from the checkpoint.
+
+        A message received by then is taken back unless it has been
+        delivered since (its logged delivery was replayed, or popped back
+        into the receive buffer); a send or output only if it is no known
+        orphan, and an output only if it is neither committed nor pending
+        already.  Sends and outputs count as enqueued again, with their
+        clocks backdated like replayed outputs' (see :meth:`restart`)."""
+        stats = self.stats
+        now = (self.now_fn() if self._replay_backdate is None
+               else self._replay_backdate)
+        since = {record.message.msg_id for record
+                 in self.storage.logged_after(checkpoint.entry.sii)}
+        since.update(msg.msg_id for msg in self.receive_buffer)
+        for msg in checkpoint.receive_buffer:
+            if msg.msg_id not in since and not self._is_orphan_message(msg):
+                self.receive_buffer.append(msg)
+                stats.messages_requeued += 1
+        for msg in checkpoint.sends:
+            if not self._is_orphan_message(msg):
+                self.send_buffer.append(msg)
+                self._send_enqueue_times[msg.wire_id] = now
+                stats.messages_enqueued += 1
+        for record, tdv in checkpoint.outputs:
+            output_id = record.output_id
+            if not (self.storage.output_committed(output_id)
+                    or self.output_buffer.contains(output_id)
+                    or self.vector_known_orphan(tdv)):
+                self.output_buffer.add(record, tdv, now=now)
+                stats.outputs_enqueued += 1
 
     def _checkpoint_is_orphan(self, checkpoint: Checkpoint) -> bool:
         """Condition (I) of Rollback, against all known incarnation ends."""
@@ -941,14 +998,7 @@ class KOptimisticProcess:
                 copies = self._sent_log.setdefault(msg.dst, [])
                 copies.append(msg)
                 del copies[: -self.retransmit_window]
-            effects.append(ReleaseMessage(msg))
-            if self.retransmit_timeout > 0:
-                self._unacked[msg.msg_id] = _PendingSend(
-                    msg, self.retransmit_timeout * self.retransmit_backoff
-                )
-                effects.append(
-                    ScheduleRetransmit(msg.msg_id, self.retransmit_timeout)
-                )
+            effects += self._release(msg)
         return effects
 
     def _send_limit(self, msg: AppMessage) -> int:

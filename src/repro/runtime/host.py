@@ -19,6 +19,7 @@ What a driver keeps for itself is how bytes move and when time passes.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Set, Tuple
@@ -52,8 +53,9 @@ class Environment:
     #: ``after_due(pid, callback)``: run ``callback`` once, at the current
     #: time, after everything due at it has been handled — including
     #: whatever that work makes due now (the drain point of the
-    #: notification batch).  Callbacks handed over at one time run in the
-    #: order given; nothing is returned and nothing can be cancelled.
+    #: notification batch, and the notify tick).  Callbacks handed over at
+    #: one time run in the order given; nothing is returned and nothing can
+    #: be cancelled.
     after_due: Callable[[int, Callable[[], None]], None]
     #: The :class:`~repro.net.network.Network` signatures: ``send_app``,
     #: ``send_control``, ``multicast_control``, ``broadcast_control``,
@@ -67,28 +69,43 @@ class Environment:
 
 def periodic(
     schedule: Callable[..., Any],
-    now: Callable[[], float],
+    anchor: float,
     interval: float,
-    phase: float,
     action: Callable[[], None],
     horizon: Optional[float] = None,
 ) -> Callable[[], None]:
-    """Run ``action`` every ``interval``, first after ``interval * phase``
-    (phase-staggered so N processes do not act in lockstep), re-arming
-    while the next firing stays within ``horizon`` — forever when
-    ``horizon`` is None.  Returns a function that cancels the pending
-    firing."""
+    """Run ``action`` at every instant ``anchor + j * interval`` (j an
+    integer) after the call, times measured from the call, while the
+    instant stays within ``horizon`` — forever when ``horizon`` is None.
+
+    Each delay is the grid's next instant minus the current one, never
+    ``interval`` added to the clock, so on a simulated clock grids that
+    share a point fire there at exactly the same time.  Returns a function
+    that cancels the pending firing."""
+    # The index of the grid's first instant > 0; the loops settle the
+    # rounding of the division.
+    j = math.floor(-anchor / interval) + 1
+    while anchor + (j - 1) * interval > 0:
+        j -= 1
+    while anchor + j * interval <= 0:
+        j += 1
     handle: Any = None
+    at = 0.0  # the instant of the current firing
+
+    def arm() -> None:
+        nonlocal handle
+        due = anchor + j * interval
+        handle = (schedule(due - at, fire)
+                  if horizon is None or due <= horizon else None)
 
     def fire() -> None:
-        nonlocal handle
+        nonlocal at, j
+        at = anchor + j * interval
+        j += 1
         action()
-        if horizon is None or now() + interval <= horizon:
-            handle = schedule(interval, fire)
+        arm()
 
-    first = interval * phase
-    if horizon is None or first <= horizon:
-        handle = schedule(first, fire)
+    arm()
 
     def cancel() -> None:
         # Cancelling a handle that already fired is a no-op.
@@ -293,17 +310,31 @@ class ProcessHost:
     # -- periodic activities --------------------------------------------------
 
     def start_timers(self, horizon: Optional[float] = None) -> None:
-        """Arm the periodic activities (see :func:`periodic`)."""
-        env, config = self.env, self.config
+        """Arm the periodic activities (see :func:`periodic`).
+
+        Activity I runs on the grid phase * I + j * I, phase = (pid + 1) /
+        (n + 1), so the processes' flushes and checkpoints spread over the
+        period — except the notification, whose grid phase * F + j * N is
+        anchored on the flush's, and which runs behind everything else due
+        at its instant (``after_due``).  Whenever the two grids meet — at
+        every flush with the defaults, F = 40 = 2N — the flush is therefore
+        reported at its own instant."""
+        config = self.config
         phase = (self.pid + 1) / (config.n + 1)
-        activities = [(config.flush_interval, self.flush),
-                      (config.checkpoint_interval, self.checkpoint),
-                      (config.notify_interval, self.notify)]
+        flush_at = config.flush_interval * phase
+        activities = [
+            (config.checkpoint_interval * phase, config.checkpoint_interval,
+             self.checkpoint),
+            (flush_at, config.flush_interval, self.flush),
+            (flush_at, config.notify_interval,
+             lambda: self.env.after_due(self.pid, self.notify)),
+        ]
         if self.controller is not None:
-            activities.append((config.control_interval, self.control_tick))
-        for interval, action in activities:
-            self._timers.append(periodic(env.schedule, env.now, interval,
-                                         phase, action, horizon))
+            activities.append((config.control_interval * phase,
+                               config.control_interval, self.control_tick))
+        for anchor, interval, action in activities:
+            self._timers.append(periodic(self.env.schedule, anchor, interval,
+                                         action, horizon))
 
     def stop_timers(self) -> None:
         for cancel in self._timers:

@@ -201,11 +201,10 @@ class SenderBasedSimulation:
     # -- main loop -------------------------------------------------------------
 
     def run(self, duration: float) -> None:
-        now = lambda: self.engine.now
+        interval = self.config.checkpoint_interval
         for process in self.processes:
             phase = (process.pid + 1) / (self.config.n + 1)
-            periodic(self.engine.schedule, now,
-                     self.config.checkpoint_interval, phase,
+            periodic(self.engine.schedule, interval * phase, interval,
                      lambda p=process: self._checkpoint(p), horizon=duration)
         self.engine.run(until=duration, max_events=10_000_000)
         self.engine.run(max_events=10_000_000)

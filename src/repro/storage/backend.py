@@ -23,11 +23,11 @@ lets anything a protocol step produced leave the process.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Set, Tuple
 
 from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
-from repro.net.message import AppMessage, FailureAnnouncement
+from repro.net.message import AppMessage, FailureAnnouncement, OutputRecord
 from repro.types import IntervalIndex, MessageId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -140,6 +140,9 @@ class StableBackend:
         tdv: DependencyVector,
         received_ids: Set[MessageId],
         time_taken: float = 0.0,
+        receive_buffer: Iterable[AppMessage] = (),
+        sends: Iterable[AppMessage] = (),
+        outputs: Iterable[Tuple[OutputRecord, Any]] = (),
     ) -> "Checkpoint":
         raise NotImplementedError
 

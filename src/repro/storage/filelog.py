@@ -46,11 +46,11 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Callable, List, Optional, Set
+from typing import Any, Callable, Iterable, List, Optional, Set, Tuple
 
 from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
-from repro.net.message import FailureAnnouncement
+from repro.net.message import AppMessage, FailureAnnouncement, OutputRecord
 from repro.storage.faults import (
     StorageDeadError,
     StorageFaultInjector,
@@ -439,10 +439,14 @@ class FileLogBackend(ModelBackend):
         tdv: DependencyVector,
         received_ids: Set[MessageId],
         time_taken: float = 0.0,
+        receive_buffer: Iterable[AppMessage] = (),
+        sends: Iterable[AppMessage] = (),
+        outputs: Iterable[Tuple[OutputRecord, Any]] = (),
     ) -> Checkpoint:
         self._ensure_alive()
         checkpoint = super().write_checkpoint(
-            entry, app_state, tdv, received_ids, time_taken
+            entry, app_state, tdv, received_ids, time_taken,
+            receive_buffer, sends, outputs,
         )
         self._journal(T_CHECKPOINT, checkpoint, sync=True)
         return checkpoint

@@ -48,15 +48,16 @@ from typing import Any, List, Set, Tuple
 
 from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
-from repro.net.message import AppMessage, FailureAnnouncement
+from repro.net.message import AppMessage, FailureAnnouncement, OutputRecord
 from repro.storage.stable import Checkpoint, LoggedMessage
 from repro.types import MessageId, OutputId
 
 MAGIC = 0x5A1D
 _HEADER = struct.Struct("<HBBII")
 HEADER_SIZE = _HEADER.size
-#: The header's version byte; 0 held pickled object graphs and has no decoder.
-FORMAT_VERSION = 1
+#: The header's version byte.  0 held pickled object graphs; 1's checkpoint
+#: lacked the buffers.  Neither has a decoder.
+FORMAT_VERSION = 2
 
 # Record types.  One journal record per logical mutation; LOGMSG is framed
 # per message (not per batch) so a torn write loses at most a record tail.
@@ -109,43 +110,69 @@ def _unpack_vector(flat: Tuple[Any, Any, Any]) -> Any:
     return pids if n == 0 else DependencyVector.from_columns(n, pids, packed)
 
 
-def _pack_logmsg(record: LoggedMessage) -> Tuple:
-    msg = record.message
+def _pack_message(msg: AppMessage) -> Tuple:
     mid = msg.msg_id
     sent = msg.send_interval  # None on a message from the outside world
     sent_inc, sent_sii = (None, None) if sent is None else (sent.inc, sent.sii)
     return (
-        record.position, record.inc,
         mid.sender, mid.send_inc, mid.send_sii, mid.seq,
         msg.src, msg.dst, msg.payload, _pack_vector(msg.tdv),
         sent_inc, sent_sii, msg.replayed, msg.wire_id, msg.k_limit,
     )
 
 
-def _unpack_logmsg(flat: Tuple) -> LoggedMessage:
-    (position, inc, sender, send_inc, send_sii, seq, src, dst, payload, tdv,
+def _unpack_message(flat: Tuple) -> AppMessage:
+    (sender, send_inc, send_sii, seq, src, dst, payload, tdv,
      sent_inc, sent_sii, replayed, wire_id, k_limit) = flat
-    return LoggedMessage(position, inc, AppMessage(
+    return AppMessage(
         msg_id=MessageId(sender, send_inc, send_sii, seq),
         src=src, dst=dst, payload=payload, tdv=_unpack_vector(tdv),
         send_interval=None if sent_inc is None else Entry(sent_inc, sent_sii),
         replayed=replayed, wire_id=wire_id, k_limit=k_limit,
-    ))
+    )
+
+
+def _pack_logmsg(record: LoggedMessage) -> Tuple:
+    return (record.position, record.inc) + _pack_message(record.message)
+
+
+def _unpack_logmsg(flat: Tuple) -> LoggedMessage:
+    return LoggedMessage(flat[0], flat[1], _unpack_message(flat[2:]))
+
+
+def _pack_output(output: Tuple[OutputRecord, Any]) -> Tuple:
+    record, tdv = output
+    sent = record.send_interval
+    return (_pack_commit(record.output_id), record.process, record.payload,
+            sent.inc, sent.sii, _pack_vector(tdv))
+
+
+def _unpack_output(flat: Tuple) -> Tuple[OutputRecord, Any]:
+    output_id, process, payload, sent_inc, sent_sii, tdv = flat
+    return (OutputRecord(_unpack_commit(output_id), process, payload,
+                         Entry(sent_inc, sent_sii)), _unpack_vector(tdv))
 
 
 def _pack_checkpoint(ckpt: Checkpoint) -> Tuple:
     ids = [x for m in ckpt.received_ids
            for x in (m.sender, m.send_inc, m.send_sii, m.seq)]
     return (ckpt.entry.inc, ckpt.entry.sii, ckpt.app_state,
-            _pack_vector(ckpt.tdv), ids, ckpt.time_taken)
+            _pack_vector(ckpt.tdv), ids, ckpt.time_taken,
+            [_pack_message(m) for m in ckpt.receive_buffer],
+            [_pack_message(m) for m in ckpt.sends],
+            [_pack_output(o) for o in ckpt.outputs])
 
 
 def _unpack_checkpoint(flat: Tuple) -> Checkpoint:
-    inc, sii, app_state, tdv, ids, time_taken = flat
+    (inc, sii, app_state, tdv, ids, time_taken,
+     receive_buffer, sends, outputs) = flat
     column = iter(ids)
     return Checkpoint(Entry(inc, sii), app_state, _unpack_vector(tdv),
                       frozenset(map(MessageId, column, column, column, column)),
-                      time_taken)
+                      time_taken,
+                      tuple(map(_unpack_message, receive_buffer)),
+                      tuple(map(_unpack_message, sends)),
+                      tuple(map(_unpack_output, outputs)))
 
 
 def _pack_ann(ann: FailureAnnouncement) -> Tuple[int, int, int]:

@@ -28,12 +28,12 @@ differential tests can compare their recovered state directly.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
-from typing import Any, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
-from repro.net.message import AppMessage, FailureAnnouncement
+from repro.net.message import AppMessage, FailureAnnouncement, OutputRecord
 from repro.storage.backend import StableBackend
 from repro.types import IntervalIndex, MessageId
 
@@ -45,6 +45,10 @@ class Checkpoint:
     ``entry`` is the state interval at which the checkpoint was taken;
     ``tdv`` the dependency vector at that moment (used by Rollback's
     condition (I) to decide whether the checkpoint itself is orphaned).
+    The three buffers hold what the intervals up to ``entry`` still owe,
+    which no replay regenerates: messages received but not delivered
+    (their ids are in ``received_ids``), sends held or released but not
+    acknowledged, and pending outputs with their dependency vectors.
     """
 
     entry: Entry
@@ -52,6 +56,9 @@ class Checkpoint:
     tdv: DependencyVector
     received_ids: FrozenSet[MessageId]
     time_taken: float = 0.0
+    receive_buffer: Tuple[AppMessage, ...] = ()
+    sends: Tuple[AppMessage, ...] = ()
+    outputs: Tuple[Tuple[OutputRecord, Any], ...] = ()
 
     def copy(self) -> "Checkpoint":
         """A defensive copy whose mutation cannot corrupt the original."""
@@ -61,10 +68,18 @@ class Checkpoint:
             tdv=self.tdv.copy(),
             received_ids=frozenset(self.received_ids),
             time_taken=self.time_taken,
+            receive_buffer=_copy_messages(self.receive_buffer),
+            sends=_copy_messages(self.sends),
+            outputs=tuple((record, tdv.copy()) for record, tdv in self.outputs),
         )
 
     def __str__(self) -> str:
         return f"ckpt@{self.entry}"
+
+
+def _copy_messages(messages: Iterable[AppMessage]) -> Tuple[AppMessage, ...]:
+    """Copies whose vectors the stability index may nullify in place."""
+    return tuple(replace(m, tdv=m.tdv.copy()) for m in messages)
 
 
 @dataclass(frozen=True)
@@ -109,16 +124,16 @@ class ModelBackend(StableBackend):
         tdv: DependencyVector,
         received_ids: Set[MessageId],
         time_taken: float = 0.0,
+        receive_buffer: Iterable[AppMessage] = (),
+        sends: Iterable[AppMessage] = (),
+        outputs: Iterable[Tuple[OutputRecord, Any]] = (),
     ) -> Checkpoint:
         """Persist a checkpoint (synchronous write).  State is deep-copied
         so later in-memory mutation cannot corrupt the recovery point."""
         checkpoint = Checkpoint(
-            entry=entry,
-            app_state=copy.deepcopy(app_state),
-            tdv=tdv.copy(),
-            received_ids=frozenset(received_ids),
-            time_taken=time_taken,
-        )
+            entry, app_state, tdv, frozenset(received_ids), time_taken,
+            tuple(receive_buffer), tuple(sends), tuple(outputs),
+        ).copy()
         self._checkpoints.append(checkpoint)
         self.sync_writes += 1
         self.checkpoints_taken += 1
@@ -327,6 +342,9 @@ class ModelBackend(StableBackend):
                     tuple(sorted(c.tdv.items())),
                     frozenset(c.received_ids),
                     c.time_taken,
+                    c.receive_buffer,
+                    c.sends,
+                    c.outputs,
                 )
                 for c in self._checkpoints
             ),

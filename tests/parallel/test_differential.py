@@ -186,4 +186,9 @@ def test_filelog_journals_have_one_writer(tmp_path, workers):
     for name in ("storage_recovery_wall_s", "storage_bytes_written",
                  "storage_bytes_fsynced"):
         assert metrics.pop(name) > 0 and twin_metrics.pop(name) > 0
+    # Float totals are summed per worker first: equal up to the last ulp.
+    for name in [name for name, value in twin_metrics.items()
+                 if isinstance(value, float)]:
+        assert metrics.pop(name) == pytest.approx(twin_metrics.pop(name),
+                                                  rel=1e-12)
     assert metrics == twin_metrics

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 
 from repro.core.baselines.fully_async import FullyAsyncProcess
 from repro.core.depvec import DependencyVector
-from repro.core.effects import ReleaseMessage, ScheduleRetransmit
 from repro.core.entry import Entry
 from repro.core.output import PendingOutput
-from repro.core.protocol import KOptimisticProcess, _PendingSend
+from repro.core.protocol import KOptimisticProcess
 from repro.core.tables import LoggingProgressTable
 from repro.failures.injector import CrashEvent, FailureSchedule
 from repro.net.message import AppMessage, LogProgressNotification, OutputRecord
@@ -104,12 +103,7 @@ class RescanKOptimistic(KOptimisticProcess):
                 copies = self._sent_log.setdefault(msg.dst, [])
                 copies.append(msg)
                 del copies[: -self.retransmit_window]
-            effects.append(ReleaseMessage(msg))
-            if self.retransmit_timeout > 0:
-                self._unacked[msg.msg_id] = _PendingSend(
-                    msg, self.retransmit_timeout * self.retransmit_backoff)
-                effects.append(
-                    ScheduleRetransmit(msg.msg_id, self.retransmit_timeout))
+            effects += self._release(msg)
         self.send_buffer = still_held
         return effects
 

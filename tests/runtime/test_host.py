@@ -64,10 +64,14 @@ class FakeScheduler:
             callback()
 
     def advance(self, until):
-        """Fire every timer due by ``until``, earliest first."""
+        """Fire every timer due by ``until``, earliest first; once nothing
+        more is due at an instant, its ``after_due`` callbacks."""
         while True:
             live = [h for h in self.timers
                     if not h.cancelled and h.time <= until]
+            if self.due and all(h.time > self.time for h in live):
+                self.run_due()
+                continue
             if not live:
                 self.time = until
                 return
@@ -269,29 +273,69 @@ class TestDowntime:
         assert host.crash_count == 1 and len(clock.timers) == 1
 
 
+def pending(clock):
+    return [h for h in clock.timers if not h.cancelled]
+
+
 class TestPeriodic:
+    """The timer driver: an activity on its grid anchor + j * interval;
+    grids that share a point fire there at the same instant, in arming
+    order."""
+
     def test_fires_staggered_and_rearms_up_to_the_horizon(self):
         clock, fired = FakeScheduler(), []
-        periodic(clock.schedule, clock.now, 10.0, 0.25,
-                 lambda: fired.append(clock.time), horizon=35.0)
+        periodic(clock.schedule, 2.5, 10.0, lambda: fired.append(clock.time),
+                 horizon=35.0)
         clock.advance(100.0)
         assert fired == [2.5, 12.5, 22.5, 32.5]
         assert not clock.timers          # 42.5 > 35: not re-armed
 
     def test_first_firing_beyond_the_horizon_never_happens(self):
         clock = FakeScheduler()
-        periodic(clock.schedule, clock.now, 10.0, 0.5, lambda: 1 / 0,
-                 horizon=4.0)
+        periodic(clock.schedule, 5.0, 10.0, lambda: 1 / 0, horizon=4.0)
         assert not clock.timers
 
     def test_without_a_horizon_it_runs_until_cancelled(self):
         clock, fired = FakeScheduler(), []
-        cancel = periodic(clock.schedule, clock.now, 10.0, 0.5,
+        cancel = periodic(clock.schedule, 5.0, 10.0,
                           lambda: fired.append(clock.time))
         clock.advance(26.0)
         cancel()
         clock.advance(100.0)
         assert fired == [5.0, 15.0, 25.0]
+        assert not pending(clock)
+
+    def test_a_grid_starts_at_its_first_instant_after_zero(self):
+        for anchor, first in ((30.0, 10.0), (20.0, 20.0), (-15.0, 5.0),
+                              (0.0, 20.0)):
+            clock, fired = FakeScheduler(), []
+            periodic(clock.schedule, anchor, 20.0,
+                     lambda: fired.append(clock.time), horizon=60.0)
+            clock.advance(100.0)
+            assert fired == [first, first + 20.0, first + 40.0], anchor
+
+    def test_shared_grid_points_fire_at_one_instant_in_arming_order(self):
+        clock, fired = FakeScheduler(), []
+        phase = 3 / 7        # an anchor with no exact binary expansion
+        for anchor, interval, name in ((160 * phase, 160.0, "checkpoint"),
+                                       (40 * phase, 40.0, "flush"),
+                                       (40 * phase, 20.0, "notify")):
+            periodic(clock.schedule, anchor, interval,
+                     lambda name=name: fired.append((clock.time, name)),
+                     horizon=400.0)
+        clock.advance(1000.0)
+        names = [name for _t, name in fired]
+        assert names.count("flush") == 10 and names.count("notify") == 20
+        assert names.count("checkpoint") == 3
+        # Every flush is followed, at the very same instant, by a notify
+        # (the grids meet exactly, without rounding apart), and a
+        # checkpoint that shares the instant goes first.
+        for i, (time, name) in enumerate(fired):
+            if name == "flush":
+                assert fired[i + 1] == (time, "notify")
+            if name == "checkpoint" and i + 1 < len(fired) \
+                    and fired[i + 1][0] == time:
+                assert fired[i + 1][1] == "flush"
 
     def test_host_timers_drive_flush_checkpoint_and_notify(self):
         host, clock, transport = build(flush_interval=4.0,
@@ -300,11 +344,13 @@ class TestPeriodic:
         host.start_timers(horizon=8.0)
         clock.advance(50.0)
         # Phase (pid + 1) / (n + 1) = 1/4: flush at 1, 5; checkpoint at
-        # 2; notify at 0.5, 2.5, 4.5, 6.5 — nothing past the horizon.
+        # 2; notify on the flush's grid, at 1, 3, 5, 7 — nothing past the
+        # horizon.
         calls = handlers(host)
         assert calls.count("flush") == 2
         assert calls.count("checkpoint") == 1
         assert calls.count("make_log_notification") == 4
+        assert calls[:2] == ["flush", "make_log_notification"]
         assert [p for kind, _dst, p in transport.sent if kind == "bcast"
                 and isinstance(p, LogProgressNotification)]
         assert not clock.timers
@@ -315,6 +361,47 @@ class TestPeriodic:
         host.stop_timers()
         clock.advance(1000.0)
         assert host.protocol.calls == []
+        assert not pending(clock)
+
+    @pytest.mark.parametrize("notify_interval, shared", [(20.0, 1), (80.0, 2)])
+    def test_a_flush_is_reported_at_its_instant(self, notify_interval, shared):
+        """With the defaults (F = 40 = 2N) every flush is followed at its
+        instant by a broadcast whose own row is the frontier that flush
+        reached; with N = 2F every other one is — also when the notify
+        timer, armed earlier, comes first at that instant."""
+        n = 3
+        for pid in range(n):
+            protocol = make_proc(pid, n=n, k=1, behavior=Scripted())
+            clock, transport = FakeScheduler(), RecordingTransport()
+            config = SimConfig(n=n, k=1, notify_interval=notify_interval)
+            env = Environment(config=config, now=clock.now,
+                              schedule=clock.schedule,
+                              after_due=clock.after_due, transport=transport,
+                              tracer=Tracer(enabled=False))
+            host = ProcessHost(env, pid, protocol)
+            flushes, notes = [], []
+            flush = protocol.flush
+
+            def recording_flush():
+                effects = flush()
+                flushes.append((clock.time, effects[0].through))
+                return effects
+
+            protocol.flush = recording_flush
+            transport.broadcast_control = (
+                lambda src, payload, **kw: notes.append((clock.time, payload)))
+            host.start_timers(horizon=400.0)
+            for t in range(3, 400, 7):              # deliveries to flush
+                clock.advance(float(t))
+                host.inject({}, seq=t)
+            clock.advance(400.0)
+            assert len(flushes) == 10
+            reported = 0
+            for time, frontier in flushes:
+                for note in [p for at, p in notes if at == time]:
+                    assert note.table[pid] == {frontier.inc: frontier.sii}
+                    reported += 1
+            assert reported == 10 // shared
 
 
 class TestFanoutPull:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.baselines.fully_async import MultiIncarnationVector
 from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
-from repro.net.message import AppMessage, FailureAnnouncement
+from repro.net.message import AppMessage, FailureAnnouncement, OutputRecord
 from repro.storage.filelog import FileLogBackend
 from repro.storage.stable import LoggedMessage, ModelBackend
 from repro.types import MessageId, OutputId
@@ -70,11 +70,19 @@ def _apply(backend, operation, records):
     kind = operation[0]
     if kind == "checkpoint":
         _, sii, state = operation
+        # The buffers a checkpoint keeps, as many as its position says.
+        owed = [_record(sii + i, 0, {"owed": i}).message for i in range(sii % 3)]
+        for i, msg in enumerate(owed):
+            msg.wire_id = -1 - i        # the same on both backends
         backend.write_checkpoint(
             Entry(0, sii), state,
             DependencyVector(N, {1: Entry(0, sii)}),
             {MessageId(1, 0, sii, 0)},
             time_taken=0.5,
+            receive_buffer=owed[:1], sends=owed[1:],
+            outputs=[(OutputRecord(OutputId(0, 0, sii, i), 0, {"o": i},
+                                   Entry(0, sii)), msg.tdv)
+                     for i, msg in enumerate(owed)],
         )
     elif kind == "append":
         # Both backends must log the *same* message object: AppMessage

@@ -17,8 +17,10 @@ from repro.core.entry import Entry
 from repro.net.message import AppMessage, FailureAnnouncement
 from repro.storage.filelog import COMPACT_SEGMENT_THRESHOLD, FileLogBackend
 from repro.storage.recovery import (
+    FORMAT_VERSION,
     HEADER_SIZE,
     MAGIC,
+    T_CHECKPOINT,
     T_LOGMSG,
     JournalFormatError,
     encode_record,
@@ -353,6 +355,11 @@ def frame(rtype, version, payload):
                        zlib.crc32(body) & 0xFFFFFFFF) + payload
 
 
+#: A version-1 checkpoint's flat form: entry, state, vector, received ids
+#: and time, and no buffers.
+V1_CHECKPOINT = (0, 3, {"s": 3}, DependencyVector(4).columns(), [], 0.0)
+
+
 def journal_bytes(directory):
     return {path.name: path.read_bytes()
             for path in sorted(pathlib.Path(directory).iterdir())}
@@ -370,12 +377,18 @@ class TestFormatVersion:
         return FileLogBackend(0, str(directory))
 
     @pytest.mark.parametrize("bad", [
-        # What the parent commit wrote: version 0, the pickled object graph.
+        # Version 0: the pickled object graph.
         frame(T_LOGMSG, 0, pickle.dumps(record(2), protocol=4)),
-        # The current version, with a payload that is not a LOGMSG tuple.
-        frame(T_LOGMSG, 1, pickle.dumps((2, 0, "short"), protocol=4)),
-        frame(T_LOGMSG, 1, b"not a pickle"),
-    ], ids=["version-0", "wrong-shape", "not-a-pickle"])
+        # Version 1: a checkpoint without the buffers it owes.
+        frame(T_CHECKPOINT, 1, pickle.dumps(V1_CHECKPOINT, protocol=4)),
+        # The current version, with a payload of another layout.
+        frame(T_LOGMSG, FORMAT_VERSION,
+              pickle.dumps((2, 0, "short"), protocol=4)),
+        frame(T_CHECKPOINT, FORMAT_VERSION,
+              pickle.dumps(V1_CHECKPOINT, protocol=4)),
+        frame(T_LOGMSG, FORMAT_VERSION, b"not a pickle"),
+    ], ids=["version-0", "version-1", "wrong-shape", "v1-checkpoint-as-v2",
+            "not-a-pickle"])
     def test_undecodable_frame_raises_and_leaves_the_journal(self, tmp_path,
                                                               bad):
         good = encode_record(T_LOGMSG, record(1))

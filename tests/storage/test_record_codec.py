@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.core.baselines.fully_async import MultiIncarnationVector
 from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
-from repro.net.message import AppMessage, FailureAnnouncement
+from repro.net.message import AppMessage, FailureAnnouncement, OutputRecord
 from repro.storage import recovery
 from repro.storage.recovery import (
     T_ANN,
@@ -89,9 +89,6 @@ def messages(draw):
 
 logged = st.builds(LoggedMessage, st.integers(0, 1 << 30), st.integers(0, 9),
                    messages())
-checkpoints = st.builds(
-    Checkpoint, entries, values, vectors,
-    st.frozensets(message_ids, max_size=6), st.floats(0, 1e6))
 announcements = st.builds(FailureAnnouncement, st.integers(0, N - 1), entries)
 output_ids = (
     st.builds(OutputId, st.integers(0, N - 1), st.integers(0, 9),
@@ -102,6 +99,15 @@ output_ids = (
     # A 4-tuple must not be mistaken for an OutputId's flat form.
     | st.tuples(st.integers(), st.integers(), st.integers(), st.integers())
 )
+outputs = st.tuples(
+    st.builds(OutputRecord, output_ids, st.integers(0, N - 1), values,
+              entries),
+    vectors)
+buffered = st.lists(messages(), max_size=3).map(tuple)
+checkpoints = st.builds(
+    Checkpoint, entries, values, vectors,
+    st.frozensets(message_ids, max_size=6), st.floats(0, 1e6),
+    buffered, buffered, st.lists(outputs, max_size=3).map(tuple))
 snapshots = st.tuples(
     st.lists(checkpoints, max_size=3), st.lists(logged, max_size=4),
     st.lists(announcements, max_size=3), st.sets(output_ids, max_size=4),
@@ -129,7 +135,11 @@ def assert_same_vector(got, sent):
 def assert_same_logged(got, sent):
     assert type(got) is LoggedMessage
     assert (got.position, got.inc) == (sent.position, sent.inc)
-    g, s = got.message, sent.message
+    assert_same_message(got.message, sent.message)
+    assert got == sent
+
+
+def assert_same_message(g, s):
     assert type(g) is AppMessage
     assert g.msg_id == s.msg_id and type(g.msg_id) is MessageId
     assert (g.src, g.dst) == (s.src, s.dst)
@@ -139,7 +149,6 @@ def assert_same_logged(got, sent):
     assert g.replayed is s.replayed
     assert g.wire_id == s.wire_id
     assert g.k_limit == s.k_limit
-    assert got == sent
 
 
 def assert_same_checkpoint(got, sent):
@@ -150,6 +159,17 @@ def assert_same_checkpoint(got, sent):
     assert type(got.received_ids) is frozenset
     assert got.received_ids == sent.received_ids
     assert got.time_taken == sent.time_taken
+    for got_part, sent_part in ((got.receive_buffer, sent.receive_buffer),
+                                (got.sends, sent.sends)):
+        assert type(got_part) is tuple and len(got_part) == len(sent_part)
+        for g, s in zip(got_part, sent_part):
+            assert_same_message(g, s)
+    assert type(got.outputs) is tuple and len(got.outputs) == len(sent.outputs)
+    for (record, tdv), (sent_record, sent_tdv) in zip(got.outputs,
+                                                       sent.outputs):
+        assert type(record) is OutputRecord and record == sent_record
+        assert type(record.output_id) is type(sent_record.output_id)
+        assert_same_vector(tdv, sent_tdv)
     assert got == sent
 
 
@@ -287,6 +307,38 @@ class TestGuardsBite:
             return got
 
         _break_unpack(monkeypatch, T_CHECKPOINT, as_list)
+        with pytest.raises(AssertionError):
+            assert_same_checkpoint(round_trip(T_CHECKPOINT, checkpoint),
+                                   checkpoint)
+
+    def test_held_sends_decoded_as_the_receive_buffer(self, monkeypatch):
+        message = bench_logmsg().message
+        checkpoint = Checkpoint(Entry(0, 4), {}, DependencyVector(N),
+                                frozenset(), 0.0, sends=(message,))
+        assert_same_checkpoint(round_trip(T_CHECKPOINT, checkpoint), checkpoint)
+
+        def swap(got):
+            got.receive_buffer, got.sends = got.sends, got.receive_buffer
+            return got
+
+        _break_unpack(monkeypatch, T_CHECKPOINT, swap)
+        with pytest.raises(AssertionError):
+            assert_same_checkpoint(round_trip(T_CHECKPOINT, checkpoint),
+                                   checkpoint)
+
+    def test_pending_output_loses_its_vector(self, monkeypatch):
+        record = OutputRecord(OutputId(3, 1, 57, 0), 3, {"token": 8},
+                              Entry(1, 57))
+        vector = DependencyVector(N, {1: Entry(0, 30), 3: Entry(1, 57)})
+        checkpoint = Checkpoint(Entry(1, 57), {}, DependencyVector(N),
+                                frozenset(), 0.0, outputs=((record, vector),))
+        assert_same_checkpoint(round_trip(T_CHECKPOINT, checkpoint), checkpoint)
+
+        def forget(got):
+            got.outputs = tuple((r, DependencyVector(N)) for r, _ in got.outputs)
+            return got
+
+        _break_unpack(monkeypatch, T_CHECKPOINT, forget)
         with pytest.raises(AssertionError):
             assert_same_checkpoint(round_trip(T_CHECKPOINT, checkpoint),
                                    checkpoint)
