@@ -186,10 +186,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"deliveries:   {report.deliveries}")
     print(f"committed:    {len(report.committed)} outputs")
     print(f"wall time:    {report.wall_seconds:.1f}s")
+    if report.failures:
+        print("\nRUN FAILURES:")
+        for failure in report.failures:
+            print(" *", failure)
     if report.violations:
         print("\nCERTIFICATION VIOLATIONS:")
         for violation in report.violations[:10]:
             print(" *", violation)
+    if not report.ok:
         return 1
     print("\ncertified: no violations (post-hoc oracle over dep.* traces)")
     return 0

@@ -15,8 +15,9 @@ minutes.
 
 :class:`JsonlTracer` is a :class:`~repro.sim.trace.Tracer` that streams
 every record to an append-only JSONL file instead of accumulating it in
-memory — a SIGKILLed worker keeps everything written before the kill,
-which is exactly the property post-hoc certification needs.
+memory, encoding each record once and flushing it line by line — a
+SIGKILLed worker keeps everything written before the kill, which is
+exactly the property post-hoc certification needs.
 """
 
 from __future__ import annotations
@@ -51,29 +52,32 @@ class WallClock:
 
 
 class JsonlTracer(Tracer):
-    """A tracer that writes each record to a JSONL file as it happens."""
+    """A tracer that writes each record to a JSONL file as it happens.
+
+    A respawned worker appends to its predecessor's file: a torn final
+    line the SIGKILL left is cut off first, so an unparsable line can only
+    ever be the last line of a file (which is all the certifier forgives).
+    """
 
     def __init__(self, path: str):
         super().__init__(enabled=True)
+        _cut_torn_tail(path)
         self._fh = open(path, "a", encoding="utf-8")
 
     def record(self, time_: float, category: str,
                process: Optional[int] = None, **data: Any) -> None:
-        def safe(value: Any) -> Any:
-            try:
-                json.dumps(value)
-                return value
-            except (TypeError, ValueError):
-                return str(value)
-
-        self._fh.write(json.dumps({
-            "time": time_,
-            "category": category,
-            "process": process,
-            "data": {k: safe(v) for k, v in data.items()},
-        }) + "\n")
+        record = {"time": time_, "category": category, "process": process,
+                  "data": data}
+        try:
+            line = json.dumps(record, default=str)
+        except (TypeError, ValueError):
+            # A value default= cannot reach (a non-string key, a cycle):
+            # stringify that value whole.
+            record["data"] = {k: _jsonable(v) for k, v in data.items()}
+            line = json.dumps(record, default=str)
+        self._fh.write(line + "\n")
         # One line per record: a SIGKILL mid-run loses at most the final
-        # partially-written line (the certifier skips unparsable tails).
+        # partially-written line.
         self._fh.flush()
 
     def close(self) -> None:
@@ -81,3 +85,22 @@ class JsonlTracer(Tracer):
             self._fh.close()
         except OSError:
             pass
+
+
+def _jsonable(value: Any) -> Any:
+    try:
+        json.dumps(value, default=str)
+        return value
+    except (TypeError, ValueError):
+        return str(value)
+
+
+def _cut_torn_tail(path: str) -> None:
+    """Truncate ``path`` after its last complete line."""
+    try:
+        with open(path, "r+b") as fh:
+            data = fh.read()
+            if data and not data.endswith(b"\n"):
+                fh.truncate(data.rfind(b"\n") + 1)
+    except FileNotFoundError:
+        pass

@@ -6,10 +6,12 @@
 1. start a TCP server on localhost and write the ``run.json`` manifest;
 2. spawn N worker OS processes (``repro serve-worker``) and wait for
    their hellos;
-3. route frames worker-to-worker (star topology), parking control
-   traffic addressed to a crashed worker until it reconnects — exactly
-   the simulation's reliable-network semantics: announcements and log
-   notifications are queued for delivery at restart, application
+3. route frames worker-to-worker (star topology) on their header alone,
+   forwarding the bytes that arrived through a per-destination outbox
+   that leaves as one write per turn of the event loop, and parking
+   control traffic addressed to a crashed worker until it reconnects —
+   exactly the simulation's reliable-network semantics: announcements and
+   log notifications are queued for delivery at restart, application
    messages and acks die with the transport endpoint;
 4. inject the (deterministically generated) load, SIGKILL the configured
    crash victims mid-run, and respawn them after the restart delay;
@@ -20,7 +22,9 @@
    (:mod:`repro.oracle.ingest`).
 
 The coordinator holds no protocol state: correctness rests entirely on
-the workers' traces and the post-hoc oracle.
+the workers' traces and the post-hoc oracle.  A run also fails, with the
+cause named in its report, when a worker's connection ends without the
+coordinator having ended it, or when settling never reaches quiescence.
 """
 
 from __future__ import annotations
@@ -37,7 +41,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 import repro
-from repro.backplane.framing import FramingError, read_frame, write_frame
+from repro.backplane.framing import (
+    KIND_APP,
+    KIND_LOCAL,
+    FramingError,
+    RawFrame,
+    read_frame,
+    write_frame,
+)
 from repro.backplane.loadgen import generate_stimuli
 from repro.oracle.ingest import Certification, certify_traces
 
@@ -83,20 +94,58 @@ class ServeReport:
     wall_seconds: float
     deliveries: int
     certification: Optional[Certification] = None
+    #: Named causes of failure outside the traces: a worker exit the
+    #: coordinator did not cause, a settle that never went quiescent.
+    failures: List[str] = field(default_factory=list)
+
+
+#: Bytes buffered towards one worker above which forwarding waits for the
+#: transport to drain (asyncio's default high-water mark).
+HIGH_WATER = 64 * 1024
 
 
 class _WorkerConn:
-    """One live worker connection plus its reader task."""
+    """One live worker connection.
+
+    Forwarded frames wait in ``outbox`` until the end of the current turn
+    of the event loop and then leave as one write; a coordinator frame
+    (:meth:`send`) flushes the outbox first, so each connection is FIFO.
+    """
 
     def __init__(self, pid: int, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter):
         self.pid = pid
         self.reader = reader
         self.writer = writer
-        self.task: Optional[asyncio.Task] = None
         self.status: Dict[int, asyncio.Future] = {}
+        self.outbox: List[bytes] = []
+        #: Set when the coordinator ends this connection itself (crash
+        #: injection, shutdown): its end is then expected.
+        self.closing = False
+
+    def queue(self, data: bytes) -> bool:
+        """Queue forwarded bytes; True when the transport is above its
+        high-water mark and the caller should :meth:`drain`."""
+        if not self.outbox:
+            asyncio.get_running_loop().call_soon(self.flush)
+        self.outbox.append(data)
+        return self.writer.transport.get_write_buffer_size() > HIGH_WATER
+
+    def flush(self) -> None:
+        if self.outbox:
+            data = b"".join(self.outbox)
+            self.outbox.clear()
+            self.writer.write(data)
+
+    async def drain(self) -> None:
+        self.flush()
+        try:
+            await self.writer.drain()
+        except (ConnectionError, OSError):
+            pass  # the reader task handles the disconnect bookkeeping
 
     async def send(self, frame: Dict[str, Any]) -> None:
+        self.flush()
         write_frame(self.writer, frame)
         await self.writer.drain()
 
@@ -109,11 +158,13 @@ class Coordinator:
         self.procs: Dict[int, subprocess.Popen] = {}
         self.down: set = set(range(plan.n))  # up after hello
         self.hello_events: Dict[int, asyncio.Event] = {}
-        #: Parked control frames for down workers: announcements keep every
-        #: copy (an old incarnation's announcement is never subsumed);
-        #: log notifications keep only the latest per origin.
-        self.parked_ann: Dict[int, List[Dict[str, Any]]] = {}
-        self.parked_log: Dict[int, Dict[int, Dict[str, Any]]] = {}
+        #: Parked control frames (as wire bytes) for down workers:
+        #: announcements keep every copy (an old incarnation's announcement
+        #: is never subsumed); log notifications keep only the latest per
+        #: origin.
+        self.parked_ann: Dict[int, List[bytes]] = {}
+        self.parked_log: Dict[int, Dict[int, bytes]] = {}
+        self.failures: List[str] = []
         self.app_frames_dropped = 0
         self.injected = 0
         self._seq = 0
@@ -159,7 +210,7 @@ class Coordinator:
                               plan.k if plan.k is not None else plan.n)
         report = ServeReport(
             run_dir=self.run_dir,
-            ok=not cert.violations,
+            ok=not cert.violations and not self.failures,
             violations=list(cert.violations),
             committed=list(cert.committed),
             injected=self.injected,
@@ -168,12 +219,14 @@ class Coordinator:
             wall_seconds=time.monotonic() - started,
             deliveries=deliveries,
             certification=cert,
+            failures=list(self.failures),
         )
         with open(os.path.join(self.run_dir, "report.json"), "w",
                   encoding="utf-8") as fh:
             json.dump({
                 "ok": report.ok,
                 "violations": report.violations,
+                "failures": report.failures,
                 "committed": report.committed,
                 "injected": report.injected,
                 "app_frames_dropped": report.app_frames_dropped,
@@ -240,85 +293,83 @@ class Coordinator:
         conn = _WorkerConn(pid, reader, writer)
         self.conns[pid] = conn
         self.down.discard(pid)
-        # Deliver control traffic parked while the worker was dead:
-        # announcements first (they drive orphan detection), then the
-        # latest log notification per origin.
-        for frame in self.parked_ann.pop(pid, []):
-            await conn.send(frame)
-        for frame in self.parked_log.pop(pid, {}).values():
-            await conn.send(frame)
+        # Deliver control traffic parked while the worker was dead, ahead
+        # of anything routed to it from now on: announcements first (they
+        # drive orphan detection), then the latest log notification per
+        # origin.
+        conn.outbox += self.parked_ann.pop(pid, [])
+        conn.outbox += self.parked_log.pop(pid, {}).values()
+        conn.flush()
         self.hello_events[pid].set()
-        conn.task = asyncio.current_task()
         await self._worker_reader(conn)
 
     async def _worker_reader(self, conn: _WorkerConn) -> None:
+        cause = "EOF"
         try:
             while True:
-                frame = await read_frame(conn.reader)
+                frame = await read_frame(conn.reader, raw=True)
                 if frame is None:
                     break
-                await self._route(conn.pid, frame)
-        except (FramingError, ConnectionError):
-            pass
+                kind, dst, data = frame
+                if kind == KIND_LOCAL:
+                    self._local(conn, frame.decode())
+                    continue
+                targets = ([pid for pid in range(self.plan.n)
+                            if pid != conn.pid] if dst == -1 else (dst,))
+                for target in targets:
+                    if target not in self.down:
+                        full = self._forward(target, data)
+                        if full is not None:
+                            await full.drain()
+                    elif kind == KIND_APP:
+                        # Fail-stop: the destination endpoint is gone.  The
+                        # sender's retransmission timer re-sends after the
+                        # restart.
+                        self.app_frames_dropped += 1
+                    else:
+                        self._park(target, frame)
+        except FramingError as exc:
+            cause = f"framing error: {exc}"
+        except ConnectionError as exc:
+            cause = f"connection error: {exc!r}"
         finally:
-            # Either we killed it (expected) or it died on its own; both
+            # Either we ended it (expected) or it died on its own; both
             # park its subsequent control traffic until a respawn.
             if self.conns.get(conn.pid) is conn:
                 del self.conns[conn.pid]
                 self.down.add(conn.pid)
                 self.hello_events[conn.pid] = asyncio.Event()
+            if not conn.closing:
+                self.failures.append(
+                    f"unexpected exit of worker P{conn.pid}: {cause}")
             conn.writer.close()
 
-    async def _route(self, src_pid: int, frame: Dict[str, Any]) -> None:
-        t = frame.get("t")
-        if t == "status":
-            conn = self.conns.get(src_pid)
-            if conn is not None:
-                future = conn.status.pop(frame.get("rid"), None)
-                if future is not None and not future.done():
-                    future.set_result(frame)
-            return
-        if t == "app":
-            dst = int(frame["dst"])
-            if dst in self.down:
-                # Fail-stop: the destination endpoint is gone.  The sender's
-                # retransmission timer re-sends after the restart.
-                self.app_frames_dropped += 1
-                return
-            await self._forward(dst, frame)
-            return
-        if t == "ctl":
-            dst = int(frame["dst"])
-            if dst == -1:
-                for target in range(self.plan.n):
-                    if target != src_pid:
-                        await self._deliver_ctl(target, frame)
-            else:
-                await self._deliver_ctl(dst, frame)
-            return
-        raise FramingError(f"unroutable worker frame {t!r}")
+    def _local(self, conn: _WorkerConn, frame: Dict[str, Any]) -> None:
+        """A worker frame addressed to the coordinator: a status reply."""
+        if frame.get("t") != "status":
+            raise FramingError(f"unroutable worker frame {frame.get('t')!r}")
+        future = conn.status.pop(frame.get("rid"), None)
+        if future is not None and not future.done():
+            future.set_result(frame)
 
-    async def _deliver_ctl(self, dst: int, frame: Dict[str, Any]) -> None:
-        if dst not in self.down:
-            await self._forward(dst, frame)
-            return
-        kind = frame.get("body", {}).get("kind")
+    def _park(self, dst: int, frame: RawFrame) -> None:
+        """Hold a control frame for a down worker until it reconnects."""
+        body = frame.decode().get("body", {})
+        kind = body.get("kind")
         if kind == "ann":
-            self.parked_ann.setdefault(dst, []).append(frame)
+            self.parked_ann.setdefault(dst, []).append(frame.data)
         elif kind == "log":
-            origin = int(frame["body"]["origin"])
-            self.parked_log.setdefault(dst, {})[origin] = frame
+            self.parked_log.setdefault(dst, {})[int(body["origin"])] = \
+                frame.data
         # Logging requests are best-effort hints and acks die with the
         # endpoint: both are dropped, as in the simulation.
 
-    async def _forward(self, dst: int, frame: Dict[str, Any]) -> None:
+    def _forward(self, dst: int, data: bytes) -> Optional[_WorkerConn]:
+        """Queue ``data`` to ``dst``; the connection when it must drain."""
         conn = self.conns.get(dst)
-        if conn is None:
-            return
-        try:
-            await conn.send(frame)
-        except (ConnectionError, OSError):
-            pass  # the reader task handles the disconnect bookkeeping
+        if conn is not None and conn.queue(data):
+            return conn
+        return None
 
     # -- load ------------------------------------------------------------------
 
@@ -344,14 +395,18 @@ class Coordinator:
             writer.close()
 
     async def _inject(self, dst: int, payload: Any) -> None:
-        if dst in self.down:
+        conn = self.conns.get(dst)
+        if dst in self.down or conn is None:
             self.app_frames_dropped += 1
             return
         seq = self._seq
         self._seq += 1
         self.injected += 1
-        await self._forward(dst, {"t": "cmd", "op": "inject",
-                                  "seq": seq, "payload": payload})
+        try:
+            await conn.send({"t": "cmd", "op": "inject", "seq": seq,
+                             "payload": payload})
+        except (ConnectionError, OSError):
+            pass  # the reader task handles the disconnect bookkeeping
 
     async def _load_task(self) -> None:
         plan = self.plan
@@ -388,6 +443,9 @@ class Coordinator:
         if proc is None or proc.poll() is not None:
             return
         self.down.add(pid)  # stop routing before the kill lands
+        conn = self.conns.get(pid)
+        if conn is not None:
+            conn.closing = True
         proc.send_signal(signal.SIGKILL)
         await asyncio.get_running_loop().run_in_executor(None, proc.wait)
         await asyncio.sleep(plan.restart_delay * plan.timescale)
@@ -417,14 +475,12 @@ class Coordinator:
         plan = self.plan
         pause = max(0.05, 10.0 * plan.timescale)
         consecutive = 0
-        deliveries = 0
         for _ in range(plan.settle_rounds):
             statuses = [await self._status(pid) for pid in range(plan.n)]
             if all(s is not None and s["quiescent"] for s in statuses):
                 consecutive += 1
                 if consecutive >= 2:
-                    deliveries = sum(s["deliveries"] for s in statuses)
-                    break
+                    return sum(s["deliveries"] for s in statuses)
             else:
                 consecutive = 0
             for pid in range(plan.n):
@@ -437,10 +493,13 @@ class Coordinator:
                 if conn is not None:
                     await conn.send({"t": "cmd", "op": "notify"})
             await asyncio.sleep(pause)
-        return deliveries
+        self.failures.append(
+            f"settle: not quiescent after {plan.settle_rounds} rounds")
+        return 0
 
     async def _shutdown_workers(self) -> None:
         for conn in list(self.conns.values()):
+            conn.closing = True
             try:
                 await conn.send({"t": "cmd", "op": "shutdown"})
             except (ConnectionError, OSError):

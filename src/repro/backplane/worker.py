@@ -5,8 +5,9 @@ Spawned by the coordinator, a worker:
 - builds one :class:`~repro.core.protocol.KOptimisticProcess` over a
   durable file-log journal under the run directory (so a SIGKILL loses
   exactly what the paper's fail-stop model says it loses);
-- connects to the coordinator and exchanges length-prefixed JSON frames
-  (the star topology routes every message through the coordinator);
+- connects to the coordinator and exchanges framed JSON (the star
+  topology routes every message through the coordinator), its own frames
+  leaving as one write per turn of the event loop;
 - hosts the protocol in the *same*
   :class:`~repro.runtime.host.ProcessHost` the simulation uses — dispatch,
   periodic flush / checkpoint / notify timers, fail-stop on a dead
@@ -24,13 +25,18 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.app.behavior import EchoBehavior
 from repro.app.hopchain import HopChainBehavior
 from repro.backplane.clock import JsonlTracer, WallClock
 from repro.backplane.codec import decode_app, decode_control, encode_app, encode_control
-from repro.backplane.framing import FramingError, read_frame, write_frame
+from repro.backplane.framing import (
+    FramingError,
+    encode_frame,
+    read_frame,
+    write_frame,
+)
 from repro.core.protocol import KOptimisticProcess
 from repro.net.message import AppMessage
 from repro.runtime.config import SimConfig
@@ -75,19 +81,36 @@ def config_from_manifest(manifest: Dict[str, Any], run_dir: str) -> SimConfig:
 
 
 class CoordinatorTransport:
-    """The host's transport: every send becomes a routed frame."""
+    """The host's transport: every send becomes a routed frame.
 
-    def __init__(self, writer: asyncio.StreamWriter):
+    Frames wait in an outbox that leaves as one ``write`` per turn of the
+    event loop (``call_soon`` schedules the flush), in the order they were
+    sent."""
+
+    def __init__(self, writer: asyncio.StreamWriter,
+                 call_soon: Callable[[Callable], Any]):
         self.writer = writer
+        self.call_soon = call_soon
+        self._outbox: List[bytes] = []
+
+    def send_frame(self, frame: Dict[str, Any]) -> None:
+        if not self._outbox:
+            self.call_soon(self.flush)
+        self._outbox.append(encode_frame(frame))
+
+    def flush(self) -> None:
+        if self._outbox:
+            data = b"".join(self._outbox)
+            self._outbox.clear()
+            self.writer.write(data)
 
     def send_app(self, msg: AppMessage) -> None:
-        write_frame(self.writer, {"t": "app", "dst": msg.dst,
-                                  "msg": encode_app(msg)})
+        self.send_frame({"t": "app", "dst": msg.dst, "msg": encode_app(msg)})
 
     def send_control(self, src: int, dst: int, payload: Any,
                      reliable: bool = False) -> None:
-        write_frame(self.writer, {"t": "ctl", "src": src, "dst": dst,
-                                  "body": encode_control(payload)})
+        self.send_frame({"t": "ctl", "src": src, "dst": dst,
+                         "body": encode_control(payload)})
 
     def multicast_control(self, src: int, dsts: Sequence[int], payload: Any,
                           reliable: bool = False) -> None:
@@ -100,8 +123,7 @@ class CoordinatorTransport:
         # dst -1 = coordinator-side fan-out; TCP plus coordinator-side
         # parking for down workers makes control delivery reliable, so the
         # flag needs no extra machinery here.
-        write_frame(self.writer, {"t": "ctl", "src": src, "dst": -1,
-                                  "body": encode_control(payload)})
+        self.send_control(src, -1, payload)
 
     # Nothing is queued on a process's behalf on this side of the wire, so
     # an in-process fail-stop (dead journal) has nothing to park or resume.
@@ -125,6 +147,7 @@ class Worker:
         self.tracer = JsonlTracer(
             os.path.join(run_dir, "trace", f"p{pid:03d}.jsonl"))
         self.host: Optional[ProcessHost] = None
+        self.transport: Optional[CoordinatorTransport] = None
         self._shutdown = asyncio.Event()
 
     # -- lifecycle -----------------------------------------------------------
@@ -149,6 +172,7 @@ class Worker:
             # app-level acks (see config_from_manifest).
             ack_app=True,
         )
+        self.transport = transport
         behavior = BEHAVIORS[self.manifest.get("behavior", "hopchain")]()
         protocol = protocol_factory_for(KOptimisticProcess)(
             self.pid, self.config, behavior, env.now)
@@ -160,7 +184,8 @@ class Worker:
         clock = WallClock(loop, float(self.manifest["timescale"]))
         reader, writer = await asyncio.open_connection(
             "127.0.0.1", int(self.manifest["port"]))
-        recovering = self.build_host(clock, CoordinatorTransport(writer))
+        recovering = self.build_host(
+            clock, CoordinatorTransport(writer, loop.call_soon))
         write_frame(writer, {"t": "hello", "pid": self.pid,
                              "recovered": recovering})
         await writer.drain()
@@ -176,11 +201,12 @@ class Worker:
                 frame = await read_frame(reader)
                 if frame is None:
                     break  # coordinator went away: exit quietly
-                self.dispatch(frame, writer)
+                self.dispatch(frame)
                 await writer.drain()
         except (FramingError, ConnectionError):
             return 1
         finally:
+            self.transport.flush()
             self.host.stop_timers()
             self.host.protocol.storage.close()
             self.tracer.close()
@@ -189,7 +215,7 @@ class Worker:
 
     # -- frame dispatch --------------------------------------------------------
 
-    def dispatch(self, frame: Dict[str, Any], writer: Any) -> None:
+    def dispatch(self, frame: Dict[str, Any]) -> None:
         """Decode one frame and hand it to the host."""
         t = frame.get("t")
         host = self.host
@@ -213,7 +239,7 @@ class Worker:
             host.checkpoint()
         elif op == "status":
             stats = host.protocol.stats
-            write_frame(writer, {
+            self.transport.send_frame({
                 "t": "status",
                 "rid": frame.get("rid"),
                 "pid": self.pid,

@@ -20,29 +20,43 @@ any run this simulator can produce (a bench run executes ~10^5 intervals).
 numpy feature probe
 -------------------
 
-numpy is optional.  When importable (and not disabled via the
-``REPRO_NO_NUMPY`` environment variable, which the equivalence tests use to
-exercise the fallback), large tables store their columns as ``int64``
-ndarrays and merge snapshots with ``np.maximum``; otherwise plain Python
-lists are used with identical semantics.  Small tables always use lists —
-per-scalar ndarray indexing costs more than it saves below ``NP_MIN_N``
-processes.
+numpy is optional and imported lazily.  When importable (and not disabled
+via the ``REPRO_NO_NUMPY`` environment variable, which the equivalence
+tests use to exercise the fallback), large tables store their columns as
+``int64`` ndarrays and merge snapshots with ``np.maximum``; otherwise plain
+Python lists are used with identical semantics.  Small tables always use
+lists — per-scalar ndarray indexing costs more than it saves below
+``NP_MIN_N`` processes — so the first :func:`use_numpy_for` that answers
+yes is what imports numpy, and a process that only ever builds small
+tables (an n = 2 serve worker) never pays for it.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Any
 
-try:  # pragma: no cover - exercised via both branches in CI matrices
-    import numpy as _numpy
-except Exception:  # pragma: no cover
-    _numpy = None
+_probed = False
 
-if os.environ.get("REPRO_NO_NUMPY"):
-    _numpy = None
 
-#: The numpy module, or ``None`` when unavailable/disabled.
-NUMPY = _numpy
+def numpy_module() -> Any:
+    """The numpy module, imported on the first call; ``None`` when it is
+    unavailable or disabled by ``REPRO_NO_NUMPY``."""
+    global NUMPY, _probed
+    if not _probed:
+        _probed = True
+        if not os.environ.get("REPRO_NO_NUMPY"):
+            try:
+                import numpy
+            except Exception:  # pragma: no cover - numpy-less installs
+                numpy = None
+            NUMPY = numpy
+    return NUMPY
+
+
+#: The numpy module once :func:`numpy_module` has imported it (``None``
+#: before then, and always when unavailable or disabled).
+NUMPY: Any = None
 
 #: Below this process count the list backend wins (scalar access dominates).
 NP_MIN_N = 64
@@ -65,6 +79,7 @@ def unpack_sii(packed: int) -> int:
 
 
 def use_numpy_for(n: int) -> bool:
-    """Whether a table over ``n`` processes should use ndarray columns."""
-    return NUMPY is not None and n >= NP_MIN_N
+    """Whether a table over ``n`` processes should use ndarray columns
+    (importing numpy if so, on first use)."""
+    return n >= NP_MIN_N and numpy_module() is not None
 

@@ -39,8 +39,11 @@ Fidelity notes (deviations are deliberate and argued):
   delivered afterwards from the recovered state.
 - **Incarnation persistence.**  A non-failed Rollback announces nothing
   (Theorem 1) yet must not lose its incarnation bump across a later crash,
-  so it writes a one-word incarnation marker to stable storage.  Failed
-  rollbacks get this for free from the synchronously logged announcement.
+  so it writes an incarnation marker to stable storage.  The marker also
+  carries where the closed incarnation ended, which Restart folds into
+  ``log``: otherwise a crash before the next notification would leave that
+  row short of the end forever.  Failed rollbacks get both for free from
+  the synchronously logged announcement.
 - **Restart honours logged announcements.**  Announcements are synchronously
   logged, so a restarting process first rebuilds iet/log from them and stops
   its replay at the first orphaned logged message, rather than blindly
@@ -603,7 +606,9 @@ class KOptimisticProcess:
         # keeps the process down and retries the restart later.
         self.storage.recover()
 
-        # Rebuild iet/log from synchronously logged announcements.
+        # Rebuild iet/log from synchronously logged announcements and the
+        # incarnation ends our own Rollbacks journaled: a crash right after
+        # a Rollback must not lose the end it has not yet notified.
         self.tdv = self._new_vector()
         self.iet = IncarnationEndTable(self.n)
         self.log = LoggingProgressTable(self.n)
@@ -613,6 +618,8 @@ class KOptimisticProcess:
         for ann in self.storage.announcements:
             self.iet.insert(ann.origin, ann.end)
             self.log.insert(ann.origin, ann.end)
+        for end in self.storage.incarnation_ends:
+            self.log.insert(self.pid, end)
         for checkpoint in self.storage.checkpoints:
             self.log.insert(self.pid, checkpoint.entry)
 
@@ -686,7 +693,7 @@ class KOptimisticProcess:
 
         new_inc = max(self._highest_inc, self.storage.highest_incarnation_marker()) + 1
         self._highest_inc = new_inc
-        self.storage.log_incarnation_start(new_inc)
+        self.storage.log_incarnation_start(new_inc, ended=stop)
         self.current = Entry(new_inc, stop.sii + 1)
         self.tdv.set(self.pid, self.current)
 

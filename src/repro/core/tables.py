@@ -59,7 +59,6 @@ from repro.core.columnar import PACK_MASK, PACK_SHIFT
 from repro.core.entry import Entry
 from repro.types import IncarnationId, IntervalIndex, ProcessId
 
-_np = columnar.NUMPY
 
 
 def _plain(cols):
@@ -102,7 +101,8 @@ class TableSnapshot:
         if isinstance(self.cols, list):
             cols = [-1] * len(self.cols)
         else:
-            cols = _np.full(len(self.cols), -1, dtype=_np.int64)
+            np = columnar.NUMPY
+            cols = np.full(len(self.cols), -1, dtype=np.int64)
         cols[pid::n] = self.cols[pid::n]
         return TableSnapshot(n, self.stride, cols)
 
@@ -273,7 +273,8 @@ class EntrySetTable:
 
     def _new_cols(self, size: int):
         if self._use_np:
-            return _np.full(size, -1, dtype=_np.int64)
+            np = columnar.NUMPY
+            return np.full(size, -1, dtype=np.int64)
         return [-1] * size
 
     def _set_cols(self, cols) -> None:
@@ -285,8 +286,8 @@ class EntrySetTable:
     def _grow(self, stride: int) -> None:
         """Append n-wide blocks of ``-1`` up to ``stride`` incarnations."""
         pad = self._new_cols(self.n * (stride - self._stride))
-        self._set_cols(_np.concatenate((self._cols, pad)) if self._use_np
-                       else self._cols + pad)
+        self._set_cols(columnar.NUMPY.concatenate((self._cols, pad))
+                       if self._use_np else self._cols + pad)
         self._stride = stride
 
     def _check_pid(self, pid: ProcessId) -> None:
@@ -391,17 +392,18 @@ class EntrySetTable:
                 self.merge_snapshot(snap)
             return
         if self._use_np:
+            np = columnar.NUMPY
             groups: Dict[int, List] = {}
             rest = []
             for snap in snaps:
                 if (isinstance(snap, TableSnapshot)
-                        and isinstance(snap.cols, _np.ndarray)):
+                        and isinstance(snap.cols, np.ndarray)):
                     groups.setdefault(snap.stride, []).append(snap.cols)
                 else:
                     rest.append(snap)
             for stride in sorted(groups):
                 group = groups[stride]
-                cols = group[0] if len(group) == 1 else _np.maximum.reduce(group)
+                cols = group[0] if len(group) == 1 else np.maximum.reduce(group)
                 self.merge_snapshot(TableSnapshot(self.n, stride, cols))
             for snap in rest:
                 self.merge_snapshot(snap)
@@ -431,7 +433,8 @@ class EntrySetTable:
             self._grow(snap.stride)
         n = self.n
         theirs = snap.cols
-        if self._use_np and isinstance(theirs, _np.ndarray):
+        np = columnar.NUMPY
+        if self._use_np and isinstance(theirs, np.ndarray):
             # Incarnation blocks are contiguous, so a narrower snapshot
             # lines up with a prefix of this column.
             mine = self._cols[:len(theirs)]
@@ -442,11 +445,11 @@ class EntrySetTable:
             # changes); a boolean compare cannot, and it also yields the
             # changed positions the delta changelog needs.
             grew = theirs > mine
-            if _np.count_nonzero(grew):
-                _np.maximum(mine, theirs, out=mine)
+            if np.count_nonzero(grew):
+                np.maximum(mine, theirs, out=mine)
                 self.version += 1
                 if self._track:
-                    positions = _np.nonzero(grew)[0]
+                    positions = np.nonzero(grew)[0]
                     self._note_changes(zip((positions % n).tolist(),
                                            (positions // n).tolist()))
             return

@@ -48,7 +48,6 @@ from repro.core import columnar
 from repro.core.entry import Entry
 from repro.types import ProcessId
 
-_np = columnar.NUMPY
 
 #: Globally unique interval identity.
 IntervalId = Tuple[ProcessId, int, int]  # (pid, inc, sii)
@@ -139,8 +138,9 @@ class DependencyOracle:
         #: that node's creation seq (see module docstring).  Both are kept
         #: exact by :meth:`_refresh_frontier`.
         self._stable_prefix: List[int] = [0] * n
-        self._frontier: Any = (_np.full(n, _ALL_STABLE, dtype=_np.int64)
-                               if self._use_np else [_ALL_STABLE] * n)
+        self._frontier: Any = (
+            columnar.NUMPY.full(n, _ALL_STABLE, dtype=columnar.NUMPY.int64)
+            if self._use_np else [_ALL_STABLE] * n)
         self._rolled_back_count = 0
         #: Bumped whenever a rollback marks nodes; invalidates orphan cache.
         self._rollback_epoch = 0
@@ -160,6 +160,7 @@ class DependencyOracle:
         if self._use_np:
             # Wide vectors: elementwise max in numpy instead of a Python
             # loop over n slots per predecessor.
+            np = columnar.NUMPY
             vec: Any = None
             for pred in node.preds:
                 pred_vec = self._vec.get(pred)
@@ -168,9 +169,9 @@ class DependencyOracle:
                 if vec is None:
                     vec = pred_vec.copy()
                 else:
-                    _np.maximum(vec, pred_vec, out=vec)
+                    np.maximum(vec, pred_vec, out=vec)
             if vec is None:
-                vec = _np.zeros(self.n, dtype=_np.int64)
+                vec = np.zeros(self.n, dtype=np.int64)
             if seq > vec[pid]:
                 vec[pid] = seq
         else:
@@ -351,7 +352,7 @@ class DependencyOracle:
             return revokers
         frontier = self._frontier
         if self._use_np:
-            return set(_np.nonzero(vec >= frontier)[0].tolist())
+            return set(columnar.NUMPY.nonzero(vec >= frontier)[0].tolist())
         # A zero slot never reaches a frontier: sequence numbers start at 1.
         return {j for j, reach in enumerate(vec) if reach >= frontier[j]}
 

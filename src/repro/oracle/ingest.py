@@ -64,33 +64,39 @@ class Certification:
 def load_trace_events(paths: Iterable[str]) -> List[Dict[str, Any]]:
     """Merge JSONL trace files into one time-ordered event list.
 
-    Unparsable lines are skipped (a SIGKILLed worker may leave one
-    truncated final line); the skip count rides along in the events under
-    the key ``None`` — use :func:`certify_traces` rather than reading it.
-    Ties are broken by (file, line) so the merge is deterministic.
+    A SIGKILLed worker may leave one torn final line: a last line without
+    its newline is skipped.  Any other unparsable line is damage, not a
+    torn write, and becomes a violation naming ``file:line``.  Both ride
+    along in a leading ``_meta`` event — use :func:`certify_traces` rather
+    than reading it.  Ties are broken by (file, line) so the merge is
+    deterministic.
     """
     events: List[Tuple[float, int, int, Dict[str, Any]]] = []
     skipped = 0
+    unparsable: List[str] = []
     for findex, path in enumerate(paths):
         with open(path, encoding="utf-8") as fh:
-            for lindex, line in enumerate(fh):
-                line = line.strip()
+            for lindex, raw in enumerate(fh):
+                line = raw.strip()
                 if not line:
                     continue
                 try:
                     record = json.loads(line)
                 except ValueError:
-                    skipped += 1
-                    continue
+                    record = None
                 if not isinstance(record, dict) or "category" not in record:
-                    skipped += 1
+                    if raw.endswith("\n"):
+                        unparsable.append(f"{path}:{lindex + 1}")
+                    else:
+                        skipped += 1
                     continue
                 events.append((float(record.get("time", 0.0)),
                                findex, lindex, record))
     events.sort(key=lambda item: item[:3])
     merged = [record for _, _, _, record in events]
-    if merged or skipped:
-        merged.insert(0, {"category": "_meta", "skipped_lines": skipped})
+    if merged or skipped or unparsable:
+        merged.insert(0, {"category": "_meta", "skipped_lines": skipped,
+                          "unparsable": unparsable})
     return merged
 
 
@@ -118,6 +124,8 @@ class _Ingest:
         category = record.get("category")
         if category == "_meta":
             self.counts["skipped_lines"] = int(record.get("skipped_lines", 0))
+            self.violations.extend(f"unparsable trace line {where}"
+                                   for where in record.get("unparsable", ()))
             return
         if not isinstance(category, str) or not category.startswith("dep."):
             return

@@ -32,7 +32,7 @@ from typing import Dict, Optional, Tuple
 from repro.core import columnar
 from repro.core.tables import TableSnapshot
 
-_np = columnar.NUMPY
+_np = columnar.numpy_module()
 
 #: Stage a snapshot through shared memory only past this many column
 #: entries; below it the pickle path is cheaper than the descriptor dance.

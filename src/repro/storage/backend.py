@@ -192,7 +192,12 @@ class StableBackend:
     def announcements(self) -> Tuple[FailureAnnouncement, ...]:
         raise NotImplementedError
 
-    def log_incarnation_start(self, inc: int) -> None:
+    def log_incarnation_start(self, inc: int,
+                              ended: Optional[Entry] = None) -> None:
+        raise NotImplementedError
+
+    @property
+    def incarnation_ends(self) -> Tuple[Entry, ...]:
         raise NotImplementedError
 
     def highest_incarnation_marker(self) -> int:

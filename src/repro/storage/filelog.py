@@ -277,6 +277,7 @@ class FileLogBackend(ModelBackend):
             list(self._checkpoints),
             list(self._log),
             list(self._announcements),
+            list(self._incarnation_ends),
             set(self._committed_outputs),
             self.highest_incarnation_marker(),
         )
@@ -375,6 +376,7 @@ class FileLogBackend(ModelBackend):
         self._checkpoints = state.checkpoints
         self._log = state.log
         self._announcements = state.announcements
+        self._incarnation_ends = state.incarnation_ends
         self._committed_outputs = state.committed
         self._highest_incarnation_marker = state.marker
         self._marker_cache = None
@@ -500,11 +502,12 @@ class FileLogBackend(ModelBackend):
         super().log_announcement(ann)
         self._journal(T_ANN, ann, sync=True)
 
-    def log_incarnation_start(self, inc: int) -> None:
+    def log_incarnation_start(self, inc: int,
+                              ended: Optional[Entry] = None) -> None:
         self._ensure_alive()
-        if inc > self._highest_incarnation_marker:
-            super().log_incarnation_start(inc)
-            self._journal(T_INCMARK, inc, sync=True)
+        if inc > self._highest_incarnation_marker or ended is not None:
+            super().log_incarnation_start(inc, ended)
+            self._journal(T_INCMARK, (inc, ended), sync=True)
 
     def record_committed_output(self, output_id: Any) -> None:
         self._ensure_alive()

@@ -56,8 +56,9 @@ MAGIC = 0x5A1D
 _HEADER = struct.Struct("<HBBII")
 HEADER_SIZE = _HEADER.size
 #: The header's version byte.  0 held pickled object graphs; 1's checkpoint
-#: lacked the buffers.  Neither has a decoder.
-FORMAT_VERSION = 2
+#: lacked the buffers; 2's incarnation marker lacked the end of the
+#: incarnation it closed.  None of them has a decoder.
+FORMAT_VERSION = 3
 
 # Record types.  One journal record per logical mutation; LOGMSG is framed
 # per message (not per batch) so a torn write loses at most a record tail.
@@ -196,27 +197,39 @@ def _unpack_commit(flat: Tuple) -> Any:
     return OutputId(*flat) if len(flat) == 4 else flat[0]
 
 
+def _pack_incmark(mark: Tuple[int, Any]) -> Tuple:
+    inc, ended = mark
+    return (inc,) if ended is None else (inc, ended.inc, ended.sii)
+
+
+def _unpack_incmark(flat: Tuple) -> Tuple[int, Any]:
+    return flat[0], (Entry(flat[1], flat[2]) if len(flat) == 3 else None)
+
+
 def _pack_snapshot(snapshot: Tuple) -> Tuple:
-    checkpoints, log, announcements, committed, marker = snapshot
+    checkpoints, log, announcements, ends, committed, marker = snapshot
     return ([_pack_checkpoint(c) for c in checkpoints],
             [_pack_logmsg(r) for r in log],
             [_pack_ann(a) for a in announcements],
+            [(e.inc, e.sii) for e in ends],
             [_pack_commit(o) for o in committed], marker)
 
 
 def _unpack_snapshot(flat: Tuple) -> Tuple:
-    checkpoints, log, announcements, committed, marker = flat
+    checkpoints, log, announcements, ends, committed, marker = flat
     return ([_unpack_checkpoint(c) for c in checkpoints],
             [_unpack_logmsg(r) for r in log],
             [_unpack_ann(a) for a in announcements],
+            [Entry(inc, sii) for inc, sii in ends],
             {_unpack_commit(o) for o in committed}, marker)
 
 
-#: rtype -> (pack, unpack); INCMARK, CKPT_DISCARD, LOG_POP and GC are one int.
+#: rtype -> (pack, unpack); CKPT_DISCARD, LOG_POP and GC are one int.
 _CODECS = {
     T_CHECKPOINT: (_pack_checkpoint, _unpack_checkpoint),
     T_LOGMSG: (_pack_logmsg, _unpack_logmsg),
     T_ANN: (_pack_ann, _unpack_ann),
+    T_INCMARK: (_pack_incmark, _unpack_incmark),
     T_COMMIT: (_pack_commit, _unpack_commit),
     T_SNAPSHOT: (_pack_snapshot, _unpack_snapshot),
 }
@@ -256,6 +269,7 @@ class RecoveredState:
     checkpoints: List[Any] = field(default_factory=list)
     log: List[Any] = field(default_factory=list)
     announcements: List[FailureAnnouncement] = field(default_factory=list)
+    incarnation_ends: List[Entry] = field(default_factory=list)
     committed: Set[Any] = field(default_factory=set)
     marker: int = 0
 
@@ -319,7 +333,10 @@ def apply_record(state: RecoveredState, rtype: int, obj: Any) -> None:
     elif rtype == T_ANN:
         state.announcements.append(obj)
     elif rtype == T_INCMARK:
-        state.marker = max(state.marker, obj)
+        inc, ended = obj
+        if ended is not None:
+            state.incarnation_ends.append(ended)
+        state.marker = max(state.marker, inc)
     elif rtype == T_COMMIT:
         state.committed.add(obj)
     elif rtype == T_CKPT_DISCARD:
@@ -332,7 +349,8 @@ def apply_record(state: RecoveredState, rtype: int, obj: Any) -> None:
             state.checkpoints = state.checkpoints[obj:]
             state.log = [r for r in state.log if r.position > keep.entry.sii]
     elif rtype == T_SNAPSHOT:
-        (state.checkpoints, state.log, state.announcements, state.committed,
+        (state.checkpoints, state.log, state.announcements,
+         state.incarnation_ends, state.committed,
          state.marker) = obj  # fresh lists and a set: _unpack_snapshot's own
     else:
         raise ValueError(f"unknown journal record type {rtype}")

@@ -9,6 +9,8 @@ models exactly what the paper's recovery layer persists:
 - **the message log** — delivered messages together with the state-interval
   index their delivery started (the "processing order");
 - **synchronously logged failure announcements** (Receive_failure_ann);
+- **incarnation markers**, each with the end of the incarnation a
+  Rollback closed, so a Restart still knows that end is stable;
 - **committed output ids** — so deterministic replay never re-commits an
   output to the outside world.
 
@@ -108,6 +110,8 @@ class ModelBackend(StableBackend):
         self._checkpoints: List[Checkpoint] = []
         self._log: List[LoggedMessage] = []
         self._announcements: List[FailureAnnouncement] = []
+        #: Where each incarnation a Rollback closed ended, in order.
+        self._incarnation_ends: List[Entry] = []
         self._committed_outputs: Set[Any] = set()
         self._highest_incarnation_marker = 0
         # Cached highest_incarnation_marker() result: maintained
@@ -273,20 +277,32 @@ class ModelBackend(StableBackend):
 
     # -- incarnation markers ----------------------------------------------------
 
-    def log_incarnation_start(self, inc: int) -> None:
-        """Synchronously persist that incarnation ``inc`` has been used.
+    def log_incarnation_start(self, inc: int,
+                              ended: Optional[Entry] = None) -> None:
+        """Synchronously persist that incarnation ``inc`` has been used,
+        and where the incarnation it closes ``ended``.
 
         Failure announcements double as incarnation markers for *failed*
         rollbacks; a non-failed Rollback broadcasts nothing (Theorem 1), so
         it must persist its incarnation bump here — otherwise a later crash
         would let the process reuse an incarnation number whose intervals
-        other processes may still carry dependencies on.
+        other processes may still carry dependencies on.  The end is the
+        stable prefix the Rollback kept: a Restart folds it into ``log``,
+        so a crash before the next notification cannot freeze that row.
         """
+        if ended is not None:
+            self._incarnation_ends.append(ended)
+        if inc > self._highest_incarnation_marker or ended is not None:
+            self.sync_writes += 1
         if inc > self._highest_incarnation_marker:
             self._highest_incarnation_marker = inc
-            self.sync_writes += 1
             if self._marker_cache is not None:
                 self._marker_cache = max(self._marker_cache, inc)
+
+    @property
+    def incarnation_ends(self) -> Tuple[Entry, ...]:
+        """Where each incarnation a Rollback closed ended."""
+        return tuple(self._incarnation_ends)
 
     def highest_incarnation_marker(self) -> int:
         """Highest incarnation recorded via any stable artifact (0 if none).
@@ -350,6 +366,7 @@ class ModelBackend(StableBackend):
             ),
             tuple(self._log),
             tuple(self._announcements),
+            tuple(self._incarnation_ends),
             frozenset(self._committed_outputs),
             self.highest_incarnation_marker(),
         )

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import struct
 
 import pytest
 
@@ -14,6 +15,10 @@ from repro.backplane.codec import (
     encode_control,
 )
 from repro.backplane.framing import (
+    HEADER_SIZE,
+    KIND_APP,
+    KIND_CTL,
+    KIND_LOCAL,
     MAX_FRAME,
     FramingError,
     encode_frame,
@@ -31,16 +36,23 @@ from repro.net.message import (
 from repro.types import MessageId
 
 
-def _drain(payloads):
+#: The wire header: body length, kind, destination.
+HEADER = struct.Struct(">IBh")
+
+
+def _drain(payloads, raw=False):
     """Feed encoded frames through a StreamReader and read them back."""
+    return _read_all(b"".join(map(encode_frame, payloads)), raw)
+
+
+def _read_all(data, raw=False):
     async def go():
         reader = asyncio.StreamReader()
-        for payload in payloads:
-            reader.feed_data(encode_frame(payload))
+        reader.feed_data(data)
         reader.feed_eof()
         out = []
         while True:
-            frame = await read_frame(reader)
+            frame = await read_frame(reader, raw=raw)
             if frame is None:
                 return out
             out.append(frame)
@@ -70,15 +82,45 @@ class TestFraming:
             encode_frame({"blob": "x" * (MAX_FRAME + 1)})
 
     def test_undecodable_body_raises(self):
-        async def go():
-            import struct
-            reader = asyncio.StreamReader()
-            body = b"\xff\xfe not json"
-            reader.feed_data(struct.pack(">I", len(body)) + body)
-            reader.feed_eof()
-            await read_frame(reader)
+        body = b"\xff\xfe not json"
+        with pytest.raises(FramingError, match="undecodable"):
+            _read_all(HEADER.pack(len(body), KIND_LOCAL, 0) + body)
+
+    def test_every_kind_round_trips_with_its_header(self):
+        frames = [
+            {"t": "hello", "pid": 1},
+            {"t": "cmd", "op": "inject", "seq": 3, "payload": {"tag": "t"}},
+            {"t": "status", "rid": 2, "quiescent": True},
+            {"t": "app", "dst": 1, "msg": {"seq": 4}},
+            {"t": "ctl", "src": 0, "dst": 3, "body": {"kind": "req"}},
+            # Negative: the coordinator fans this one out to every worker.
+            {"t": "ctl", "src": 2, "dst": -1, "body": {"kind": "ann"}},
+        ]
+        got = _drain(frames, raw=True)
+        assert [(f.kind, f.dst) for f in got] == [
+            (KIND_LOCAL, 0), (KIND_LOCAL, 0), (KIND_LOCAL, 0),
+            (KIND_APP, 1), (KIND_CTL, 3), (KIND_CTL, -1)]
+        assert [f.decode() for f in got] == frames
+        assert [f.data for f in got] == [encode_frame(f) for f in frames]
+        assert _drain(frames) == frames
+        for frame, wire in zip(frames, map(encode_frame, frames)):
+            length, _kind, _dst = HEADER.unpack_from(wire)
+            assert length == len(wire) - HEADER_SIZE
+
+    def test_unknown_kind_raises(self):
+        body = b'{"t":"app","dst":1}'
+        with pytest.raises(FramingError, match="unknown frame kind 7"):
+            _read_all(HEADER.pack(len(body), 7, 1) + body)
+
+    @pytest.mark.parametrize("cut", [1, HEADER_SIZE - 1, HEADER_SIZE + 3])
+    def test_a_header_or_body_cut_short_raises(self, cut):
+        wire = encode_frame({"t": "app", "dst": 1, "msg": {"seq": 4}})
+        with pytest.raises(FramingError, match="mid-"):
+            _read_all(wire + wire[:cut])
+
+    def test_a_destination_outside_the_header_is_refused(self):
         with pytest.raises(FramingError):
-            asyncio.run(go())
+            encode_frame({"t": "app", "dst": 1 << 16, "msg": {}})
 
 
 class TestCodec:
@@ -176,3 +218,46 @@ class TestJsonlTracer:
             ["msg.release", "dep.stable"]
         assert lines[1]["data"] == {"inc": 0, "sii": 4}
         assert isinstance(lines[0]["data"]["msg"], str)
+
+    def test_serializable_records_are_encoded_as_before(self, tmp_path):
+        """Byte for byte what the tracer wrote when it dumped every value
+        on its own first: one ``json.dumps`` of the whole record."""
+        path = tmp_path / "t.jsonl"
+        tracer = JsonlTracer(str(path))
+        records = [
+            (1.5, "dep.deliver", 0, {"inc": 0, "sii": 4, "src": -1}),
+            (2.0, "dep.commit", 1, {"payload": {"tag": "t\u00e9", "hops": [1, 2]},
+                                    "output": None, "ok": True}),
+            (3.25, "worker.start", None, {}),
+        ]
+        for time_, category, process, data in records:
+            tracer.record(time_, category, process, **data)
+        tracer.close()
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps({"time": t, "category": c, "process": p, "data": d})
+            + "\n" for t, c, p, d in records)
+
+    def test_a_value_json_cannot_encode_is_stringified(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        tracer = JsonlTracer(str(path))
+        entry = Entry(1, 7)
+        tracer.record(1.0, "x", 0, nested={"at": entry}, keyed={(1, 2): 3},
+                      plain=5)
+        tracer.close()
+        [line] = [json.loads(line) for line in path.read_text().splitlines()]
+        assert line["data"]["nested"] == {"at": str(entry)}
+        assert line["data"]["keyed"] == str({(1, 2): 3})
+        assert line["data"]["plain"] == 5
+
+    def test_a_respawn_cuts_the_torn_line_its_predecessor_left(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        tracer = JsonlTracer(str(path))
+        tracer.record(1.0, "dep.stable", 0, inc=0, sii=2)
+        tracer.close()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"time": 2.0, "categ')  # SIGKILL mid-write
+        tracer = JsonlTracer(str(path))
+        tracer.record(3.0, "worker.respawn", 0)
+        tracer.close()
+        assert [json.loads(line)["time"]
+                for line in path.read_text().splitlines()] == [1.0, 3.0]

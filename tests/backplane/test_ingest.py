@@ -158,6 +158,19 @@ class TestTraceFiles:
         assert cert.committed == [{"tag": "t9"}]
         assert cert.counts["skipped_lines"] == 1
 
+    def test_an_unparsable_line_inside_a_trace_is_a_violation(self, tmp_path):
+        path = tmp_path / "p000.jsonl"
+        path.write_text(
+            json.dumps(deliver(1.0, 0, 0, 2)) + "\n"
+            + "garbage, not a record\n"
+            + json.dumps(ev(4.0, "dep.stable", 0, inc=0, sii=2)) + "\n"
+            + '{"time": 5.0, "category": "dep.sta\n'  # complete, yet cut
+        )
+        cert = certify_traces([str(path)], n=1, k=1)
+        assert cert.violations == [f"unparsable trace line {path}:2",
+                                   f"unparsable trace line {path}:4"]
+        assert cert.counts["skipped_lines"] == 0
+
     def test_non_dep_categories_are_ignored(self, tmp_path):
         path = tmp_path / "p000.jsonl"
         path.write_text(

@@ -5,16 +5,19 @@ The worker is a thin driver: it decodes a frame and calls the shared
 without spawning an OS process: every frame type reaches the one host
 method it names, and a serve-hosted node accepts the checker's effect
 probes — the write-ahead rule holds on the real file journals under a
-run that commits outputs.
+run that commits outputs.  The loopback reads the wire format itself (the
+7-byte header and the batches an outbox writes), so the transport's
+framing and its one-write-per-turn outbox are pinned here too.
 """
 
 import json
 import os
+import struct
 
 import pytest
 
 from repro.backplane.codec import encode_app, encode_control
-from repro.backplane.framing import FramingError
+from repro.backplane.framing import HEADER_SIZE, KIND_APP, KIND_CTL, FramingError
 from repro.backplane.worker import CoordinatorTransport, Worker
 from repro.check.probes import ProbeSet
 from repro.storage.filelog import FileLogBackend
@@ -38,35 +41,58 @@ class ManualClock:
         pass
 
 
+HEADER = struct.Struct(">IBh")
+
+
 class Loopback:
-    """Stands in for the coordinator: frames the workers write are decoded
-    and routed to the destination worker's ``dispatch``."""
+    """Stands in for the coordinator: it parses what the workers write —
+    one batch of frames per write — and routes each frame on its header to
+    the destination worker's ``dispatch``.  The callbacks the transports
+    schedule with ``call_soon`` run at :meth:`end_turn`, the end of a turn
+    of the event loop."""
 
     def __init__(self):
         self.workers = {}
         self.queue = []
         self.frames = []
+        self.writes = []
+        self.soon = []
 
     def writer_for(self, pid):
         loopback = self
 
         class Writer:
             def write(self, data):
-                frame = json.loads(data[4:].decode("utf-8"))
-                loopback.frames.append(frame)
-                loopback.queue.append((pid, frame))
+                loopback.writes.append((pid, data))
+                while data:
+                    length, kind, dst = HEADER.unpack_from(data)
+                    end = HEADER_SIZE + length
+                    frame = json.loads(data[HEADER_SIZE:end].decode("utf-8"))
+                    loopback.frames.append(frame)
+                    loopback.queue.append((pid, kind, dst, frame))
+                    data = data[end:]
 
         return Writer()
 
+    def transport_for(self, pid):
+        return CoordinatorTransport(self.writer_for(pid), self.soon.append)
+
+    def end_turn(self):
+        while self.soon:
+            self.soon.pop(0)()
+
     def pump(self):
+        self.end_turn()
         while self.queue:
-            src, frame = self.queue.pop(0)
-            if frame["t"] == "status":
+            src, kind, dst, frame = self.queue.pop(0)
+            if kind not in (KIND_APP, KIND_CTL):
                 continue
+            assert dst == frame["dst"]
             targets = ([pid for pid in self.workers if pid != src]
-                       if frame["dst"] == -1 else [frame["dst"]])
+                       if dst == -1 else [dst])
             for pid in targets:
-                self.workers[pid].dispatch(frame, None)
+                self.workers[pid].dispatch(frame)
+            self.end_turn()
 
 
 @pytest.fixture
@@ -80,8 +106,7 @@ def fleet(tmp_path):
     loopback, clock = Loopback(), ManualClock()
     for pid in range(N):
         worker = Worker(pid, str(tmp_path))
-        recovering = worker.build_host(
-            clock, CoordinatorTransport(loopback.writer_for(pid)))
+        recovering = worker.build_host(clock, loopback.transport_for(pid))
         assert not recovering
         loopback.workers[pid] = worker
     yield loopback
@@ -98,28 +123,28 @@ def test_every_frame_type_reaches_its_host_method(fleet):
                 lambda *args, _name=name: calls.append((_name,) + args))
     msg = make_msg(1, 0, n=N)
     announcement = make_announcement(1, 0, 3)
-    writer = fleet.writer_for(0)
-    worker.dispatch({"t": "app", "msg": encode_app(msg)}, writer)
-    worker.dispatch({"t": "ctl", "body": encode_control(announcement)}, writer)
+    worker.dispatch({"t": "app", "msg": encode_app(msg)})
+    worker.dispatch({"t": "ctl", "body": encode_control(announcement)})
     worker.dispatch({"t": "cmd", "op": "inject", "seq": 9,
-                     "payload": {"tag": "t1", "hops": 0}}, writer)
+                     "payload": {"tag": "t1", "hops": 0}})
     for op in ("flush", "notify", "checkpoint"):
-        worker.dispatch({"t": "cmd", "op": op}, writer)
+        worker.dispatch({"t": "cmd", "op": op})
     assert [call[0] for call in calls] == [
         "incoming", "incoming", "inject", "flush", "notify", "checkpoint"]
     assert calls[0][1].msg_id == msg.msg_id
     assert calls[1][1] == announcement
     assert calls[2][1:] == ({"tag": "t1", "hops": 0}, 9)
 
-    worker.dispatch({"t": "cmd", "op": "status", "rid": 4}, writer)
+    worker.dispatch({"t": "cmd", "op": "status", "rid": 4})
+    fleet.end_turn()
     status = fleet.frames[-1]
     assert status["t"] == "status" and status["rid"] == 4
     assert status["quiescent"] is True
-    worker.dispatch({"t": "cmd", "op": "shutdown"}, writer)
+    worker.dispatch({"t": "cmd", "op": "shutdown"})
     assert worker._shutdown.is_set()
     for frame in ({"t": "nope"}, {"t": "cmd", "op": "nope"}):
         with pytest.raises(FramingError):
-            worker.dispatch(frame, writer)
+            worker.dispatch(frame)
 
 
 def test_write_ahead_probe_is_silent_on_a_serve_hosted_run(fleet):
@@ -133,12 +158,12 @@ def test_write_ahead_probe_is_silent_on_a_serve_hosted_run(fleet):
     for seq in range(6):
         fleet.workers[seq % N].dispatch(
             {"t": "cmd", "op": "inject", "seq": seq,
-             "payload": {"tag": f"t{seq}", "hops": 2}}, None)
+             "payload": {"tag": f"t{seq}", "hops": 2}})
         fleet.pump()
     for _ in range(3):
         for op in ("flush", "notify"):
             for worker in fleet.workers.values():
-                worker.dispatch({"t": "cmd", "op": op}, None)
+                worker.dispatch({"t": "cmd", "op": op})
             fleet.pump()
     hosts = [worker.host for worker in fleet.workers.values()]
     assert sum(h.protocol.stats.outputs_committed for h in hosts) == 6
@@ -152,6 +177,24 @@ def test_write_ahead_probe_is_silent_on_a_serve_hosted_run(fleet):
         "NoBarrier", (), {"barrier": lambda self: None})()
     fleet.workers[0].dispatch(
         {"t": "cmd", "op": "inject", "seq": 99,
-         "payload": {"tag": "t99", "hops": 0}}, None)
+         "payload": {"tag": "t99", "hops": 0}})
     broken.flush()
     assert [v for v in probes.violations if "write-ahead violated: P0" in v]
+
+
+def test_the_outbox_leaves_as_one_write_per_turn_in_send_order(fleet):
+    transport = fleet.workers[0].transport
+    sent = [{"t": "ctl", "src": 0, "dst": 1, "body": {"kind": "req",
+                                                       "origin": i}}
+            for i in range(5)]
+    for frame in sent[:3]:
+        transport.send_frame(frame)
+    assert fleet.writes == [] and len(fleet.soon) == 1
+    fleet.end_turn()
+    for frame in sent[3:]:
+        transport.send_frame(frame)
+    fleet.end_turn()
+    fleet.end_turn()  # an empty turn writes nothing
+    assert [len(data) > 0 for _pid, data in fleet.writes] == [True, True]
+    assert fleet.frames == sent
+    assert [dst for _src, _kind, dst, _frame in fleet.queue] == [1] * 5

@@ -21,7 +21,7 @@ from repro.core.tables import (
     SparseSnapshot,
 )
 
-np = columnar.NUMPY
+np = columnar.numpy_module()
 
 
 BIG = (1 << 62) - 1

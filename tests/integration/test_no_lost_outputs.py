@@ -14,6 +14,8 @@ the pending outputs and held sends of the intervals it covered, and
 these runs ended with tokens that never committed.
 """
 
+import functools
+import os
 import random
 from collections import Counter
 
@@ -89,3 +91,34 @@ def test_every_output_commits_exactly_once(shape):
         assert set(committed) <= set(expected), seed
         assert [token for token in expected if committed[token] != 1] == [], \
             seed
+
+
+@pytest.mark.slow
+def test_a_crash_right_after_a_rollback_leaves_nothing_pending(monkeypatch):
+    """The benchmark's ``chaos_adaptive_n16`` inputs with its crash
+    clusters 18 units apart instead of 60, seed 108, iteration 0.  P3 rolls
+    back at t = 511 and crashes at 518, before any notification reports
+    where incarnation 0 ended; it restarts from a checkpoint of
+    incarnation 1.  Before the incarnation marker carried that end, 482
+    outputs stayed pending on the row (P3, inc 0) forever."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__)))), "bench")
+    monkeypatch.syspath_prepend(bench)
+    import workloads
+
+    monkeypatch.setattr(workloads, "clustered_crashes", functools.partial(
+        workloads.clustered_crashes, gap=18.0))
+    workload = workloads.workload_by_name("chaos_adaptive_n16")
+    inputs = workload.inputs(108, 0)
+    harness = workload.build(inputs, storage_dir="")
+    try:
+        harness.run(inputs.duration)
+        harness.settle()
+        metrics = harness.metrics()
+        committed = {record.payload["token"]
+                     for _now, record in harness.committed_outputs}
+    finally:
+        harness.close()
+    assert metrics.violations == []
+    assert metrics.outputs_pending == 0
+    assert set(inputs.expected_outputs) <= committed

@@ -38,7 +38,7 @@ def relay_chain(oracle, hops):
 def harness_with_relay(n):
     harness = build_sim(n=n, k=K, until=None)
     relay_chain(harness.oracle, K + 1)
-    if columnar.NUMPY is not None:
+    if columnar.numpy_module() is not None:
         assert harness.oracle._use_np == (n >= 64)
     return harness
 

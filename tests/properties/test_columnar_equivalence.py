@@ -45,7 +45,7 @@ from repro.core.tables import (
     _snapshot_entries,
 )
 
-np = columnar.NUMPY
+np = columnar.numpy_module()
 
 
 # -- reference (pre-columnar) vector and tables --------------------------------

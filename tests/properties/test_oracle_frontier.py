@@ -181,7 +181,7 @@ def test_auto_picks_list_below_64_and_numpy_from_64():
     """The parametrization above only means something if "auto" really
     picks the list form below 64 and numpy at and above it."""
     assert not build_oracle(16, "auto")._use_np
-    if columnar.NUMPY is not None:
+    if columnar.numpy_module() is not None:
         assert build_oracle(64, "auto")._use_np
         assert build_oracle(70, "auto")._use_np
 

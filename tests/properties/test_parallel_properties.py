@@ -22,7 +22,7 @@ from repro.core import columnar
 from repro.core.entry import Entry
 from repro.core.tables import EntrySetTable, TableSnapshot
 
-_np = columnar.NUMPY
+_np = columnar.numpy_module()
 
 ops = st.lists(
     st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 40)),

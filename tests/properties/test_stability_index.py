@@ -147,7 +147,39 @@ def operations(n):
         st.tuples(st.just("announce"), peer, st.integers(0, 2),
                   st.integers(1, 10)),
         st.sampled_from([("flush",), ("checkpoint",), ("crash",)]),
-    ), max_size=30)
+    ), max_size=30).map(respect_ends)
+
+
+def respect_ends(ops):
+    """``ops`` as a history that could happen: an incarnation ends once,
+    at or beyond every interval of it already declared logged, and nothing
+    of it is declared logged beyond that end afterwards.  (A logged (40,
+    0, 2) followed by an announcement that incarnation 0 of P40 ended at 1
+    is not a history any run produces.)"""
+    ends, logged = {}, {}
+
+    def clamp(triples):
+        out = []
+        for pid, inc, sii in triples:
+            sii = min(sii, ends.get((pid, inc), sii))
+            logged[pid, inc] = max(logged.get((pid, inc), 0), sii)
+            out.append((pid, inc, sii))
+        return out
+
+    fixed = []
+    for op in ops:
+        kind = op[0]
+        if kind in ("notify", "insert"):
+            op = (kind, clamp(op[1]))
+        elif kind == "notify_batch":
+            op = (kind, [clamp(triples) for triples in op[1]])
+        elif kind == "announce":
+            _, pid, inc, sii = op
+            end = ends.setdefault(
+                (pid, inc), max(sii, logged.get((pid, inc), 0)))
+            op = (kind, pid, inc, end)
+        fixed.append(op)
+    return fixed
 
 
 def snapshot(n, triples):
@@ -252,6 +284,23 @@ class TestAgainstFullRescan:
     def test_fully_async_multi_incarnation_outputs(self, n, data):
         run_differential(n, data.draw(operations(n)), FullyAsyncProcess,
                          RescanFullyAsync, None)
+
+    def test_generated_histories_end_an_incarnation_once_past_its_log(self):
+        """The shape the generator once drew: (40, 0, 2) declared logged,
+        then incarnation 0 of P40 announced ended at 1."""
+        ops = respect_ends([
+            ("notify", [(40, 0, 2)]),
+            ("announce", 40, 0, 1),
+            ("insert", [(40, 0, 7), (40, 1, 3)]),
+            ("announce", 40, 0, 9),
+        ])
+        assert ops == [
+            ("notify", [(40, 0, 2)]),
+            ("announce", 40, 0, 2),
+            ("insert", [(40, 0, 2), (40, 1, 3)]),
+            ("announce", 40, 0, 2),
+        ]
+        run_differential(64, ops, FullyAsyncProcess, RescanFullyAsync, None)
 
     def test_rollback_keeps_the_survivors_waiting(self):
         """A directed case for the path random vectors rarely reach: a

@@ -58,7 +58,8 @@ op = st.one_of(
                               max_size=3)),
     st.tuples(st.just("append"), st.integers(1, 50), st.booleans()),
     st.tuples(st.just("announce"), st.integers(0, 3), st.integers(0, 50)),
-    st.tuples(st.just("incmark"), st.integers(1, 5)),
+    st.tuples(st.just("incmark"), st.integers(1, 5),
+              st.none() | st.integers(0, 50)),
     st.tuples(st.just("commit"), st.integers(0, 30)),
     st.tuples(st.just("pop"), st.integers(0, 50)),
     st.tuples(st.just("discard_ckpt"), st.integers(0, 5)),
@@ -93,7 +94,10 @@ def _apply(backend, operation, records):
         _, pid, sii = operation
         backend.log_announcement(FailureAnnouncement(pid, Entry(0, sii)))
     elif kind == "incmark":
-        backend.log_incarnation_start(operation[1])
+        # A Rollback's marker names where the incarnation it closed ended.
+        _, inc, end = operation
+        backend.log_incarnation_start(
+            inc, None if end is None else Entry(inc - 1, end))
     elif kind == "commit":
         # The runtime's ids and a foreign hashable, by turns.
         key = operation[1]

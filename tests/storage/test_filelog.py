@@ -21,6 +21,7 @@ from repro.storage.recovery import (
     HEADER_SIZE,
     MAGIC,
     T_CHECKPOINT,
+    T_INCMARK,
     T_LOGMSG,
     JournalFormatError,
     encode_record,
@@ -387,8 +388,11 @@ class TestFormatVersion:
         frame(T_CHECKPOINT, FORMAT_VERSION,
               pickle.dumps(V1_CHECKPOINT, protocol=4)),
         frame(T_LOGMSG, FORMAT_VERSION, b"not a pickle"),
+        # Version 2: an incarnation marker without the end it closed.
+        frame(T_INCMARK, 2, pickle.dumps(3, protocol=4)),
+        frame(T_INCMARK, FORMAT_VERSION, pickle.dumps(3, protocol=4)),
     ], ids=["version-0", "version-1", "wrong-shape", "v1-checkpoint-as-v2",
-            "not-a-pickle"])
+            "not-a-pickle", "version-2", "v2-incmark-as-v3"])
     def test_undecodable_frame_raises_and_leaves_the_journal(self, tmp_path,
                                                               bad):
         good = encode_record(T_LOGMSG, record(1))

@@ -108,10 +108,12 @@ checkpoints = st.builds(
     Checkpoint, entries, values, vectors,
     st.frozensets(message_ids, max_size=6), st.floats(0, 1e6),
     buffered, buffered, st.lists(outputs, max_size=3).map(tuple))
+incarnation_marks = st.tuples(st.integers(0, 1 << 20),
+                              st.none() | entries)
 snapshots = st.tuples(
     st.lists(checkpoints, max_size=3), st.lists(logged, max_size=4),
-    st.lists(announcements, max_size=3), st.sets(output_ids, max_size=4),
-    st.integers(0, 9))
+    st.lists(announcements, max_size=3), st.lists(entries, max_size=3),
+    st.sets(output_ids, max_size=4), st.integers(0, 9))
 
 
 # -- the round trip and what it must preserve -------------------------------------
@@ -179,12 +181,13 @@ def assert_same_value(got, sent):
 
 
 def assert_same_snapshot(got, sent):
-    got_ckpts, got_log, got_anns, got_committed, got_marker = got
-    checkpoints, log, anns, committed, marker = sent
+    got_ckpts, got_log, got_anns, got_ends, got_committed, got_marker = got
+    checkpoints, log, anns, ends, committed, marker = sent
     for assert_same, got_part, sent_part in (
             (assert_same_checkpoint, got_ckpts, checkpoints),
             (assert_same_logged, got_log, log),
-            (assert_same_value, got_anns, anns)):
+            (assert_same_value, got_anns, anns),
+            (assert_same_value, got_ends, ends)):
         assert type(got_part) is list and len(got_part) == len(sent_part)
         for g, s in zip(got_part, sent_part):
             assert_same(g, s)
@@ -210,7 +213,15 @@ class TestRoundTrip:
     def test_commit(self, output_id):
         assert_same_value(round_trip(T_COMMIT, output_id), output_id)
 
-    @given(rtype=st.sampled_from([T_INCMARK, T_CKPT_DISCARD, T_LOG_POP, T_GC]),
+    @given(mark=incarnation_marks)
+    def test_incarnation_mark(self, mark):
+        """Format 3: the incarnation started, with the end of the one a
+        Rollback closed (``None`` when nothing ended)."""
+        inc, ended = got = round_trip(T_INCMARK, mark)
+        assert type(got) is tuple and type(inc) is int and got == mark
+        assert ended is None or type(ended) is Entry
+
+    @given(rtype=st.sampled_from([T_CKPT_DISCARD, T_LOG_POP, T_GC]),
            value=st.integers(0, 1 << 40))
     def test_int_records(self, rtype, value):
         got = round_trip(rtype, value)
@@ -233,8 +244,8 @@ class TestRoundTrip:
                 tdv=live.copy(), send_interval=Entry(0, position)))
             for position in (5, 6))
         before = live.as_dict()
-        _, (got_first, got_second), _, _, _ = round_trip(
-            T_SNAPSHOT, ([], [first, second], [], set(), 0))
+        _, (got_first, got_second), _, _, _, _ = round_trip(
+            T_SNAPSHOT, ([], [first, second], [], [], set(), 0))
         pid = data.draw(st.sampled_from([1, 3, 7]))
         got_first.message.tdv.set(pid, Entry(5, 77))
         got_first.message.tdv.nullify(1 if pid != 1 else 3)
