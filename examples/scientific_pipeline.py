@@ -17,7 +17,7 @@ Run:  python examples/scientific_pipeline.py
 
 from repro.core.baselines import pessimistic_factory
 from repro.failures.injector import FailureSchedule
-from repro.runtime.config import SimConfig
+from repro.runtime.config import ASYNC_WRITE_COST, SYNC_WRITE_COST, SimConfig
 from repro.runtime.harness import SimulationHarness
 from repro.workloads.pipeline import PipelineWorkload
 
@@ -26,8 +26,8 @@ DURATION = 1500.0
 
 
 def run(name, factory=None, k=None):
-    config = SimConfig(n=N, k=k, seed=33, sync_write_cost=1.0,
-                       async_write_cost=0.05)
+    # The storage_cost column prices writes at the default constants.
+    config = SimConfig(n=N, k=k, seed=33)
     workload = PipelineWorkload(rate=1.0)
     kwargs = {"protocol_factory": factory} if factory else {}
     harness = SimulationHarness(
@@ -60,7 +60,8 @@ def main() -> None:
     opt = runs[1][1]
     saving = pess.storage_cost - opt.storage_cost
     print(f"""
-Total-execution-time view (storage cost model: sync=1.0, async=0.05):
+Total-execution-time view (storage cost model: sync={SYNC_WRITE_COST}, \
+async={ASYNC_WRITE_COST}):
  * optimistic logging saved {saving:.0f} cost units of synchronous storage
    traffic over the whole run;
  * the one failure cost it {opt.intervals_undone} undone intervals and

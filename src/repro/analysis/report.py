@@ -1,27 +1,12 @@
-"""Report rendering: markdown tables and quick ASCII series plots.
+"""Report rendering: quick ASCII series plots.
 
-Experiments print text tables by default (``runtime.metrics.format_table``);
-these helpers add a markdown form (for pasting into EXPERIMENTS.md) and a
-terminal bar chart that makes the tradeoff curves legible at a glance.
+Experiments print text tables (``runtime.metrics.format_table``); the bar
+chart here makes the tradeoff curves legible at a glance.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
-
-def markdown_table(rows: List[Dict[str, object]]) -> str:
-    """Render row dicts as a GitHub-flavoured markdown table."""
-    if not rows:
-        return "*(no rows)*"
-    headers = list(rows[0].keys())
-    lines = [
-        "| " + " | ".join(str(h) for h in headers) + " |",
-        "|" + "|".join("---" for _ in headers) + "|",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(str(row.get(h, "")) for h in headers) + " |")
-    return "\n".join(lines)
+from typing import Sequence
 
 
 def ascii_series(

@@ -4,7 +4,14 @@ The sans-IO core exchanges rich Python objects (:class:`AppMessage`,
 :class:`FailureAnnouncement`, ...); the backplane ships them between OS
 processes as JSON.  The encoding is lossless for everything the receiving
 protocol consumes; transient per-transmission fields (``wire_id``) are
-regenerated on decode.
+regenerated on decode.  Every field the encoder writes is required on
+decode: a frame that lacks one, or has a shape no encoder writes, raises
+:class:`CodecError`.
+
+A log notification travels as its :class:`~repro.core.tables.TableSnapshot`
+columns — ``stride`` incarnation blocks of ``n`` slots, ``-1`` for absent —
+and is decoded onto the list or ndarray backend a table over ``n``
+processes uses, so the receiver merges it exactly like an in-process one.
 
 Payloads must themselves be JSON-serializable — the PWD application model
 already requires plain-value state and payloads, so this imposes nothing
@@ -15,8 +22,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.core import columnar
 from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
+from repro.core.tables import TableSnapshot
 from repro.net.message import (
     AppAck,
     AppMessage,
@@ -78,16 +87,19 @@ def encode_app(msg: AppMessage) -> Dict[str, Any]:
 
 
 def decode_app(n: int, raw: Dict[str, Any]) -> AppMessage:
-    return AppMessage(
-        msg_id=decode_msg_id(raw["id"]),
-        src=int(raw["src"]),
-        dst=int(raw["dst"]),
-        payload=raw["payload"],
-        tdv=decode_tdv(n, raw["tdv"]),
-        send_interval=decode_entry(raw.get("si")),
-        replayed=bool(raw.get("replayed", False)),
-        k_limit=raw.get("k"),
-    )
+    try:
+        return AppMessage(
+            msg_id=decode_msg_id(raw["id"]),
+            src=int(raw["src"]),
+            dst=int(raw["dst"]),
+            payload=raw["payload"],
+            tdv=decode_tdv(n, raw["tdv"]),
+            send_interval=decode_entry(raw["si"]),
+            replayed=bool(raw["replayed"]),
+            k_limit=raw["k"],
+        )
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise CodecError(f"malformed app message {raw!r}: {exc!r}") from None
 
 
 # -- control payloads ---------------------------------------------------------
@@ -100,10 +112,12 @@ def encode_control(payload: Any) -> Dict[str, Any]:
                 "end": encode_entry(payload.end)}
     if isinstance(payload, LogProgressNotification):
         table = payload.table
-        rows = table.rows() if hasattr(table, "rows") else table
+        if not isinstance(table, TableSnapshot):
+            raise CodecError(f"unencodable log table {table!r}")
+        cols = table.cols
         return {"kind": "log", "origin": payload.origin,
-                "table": [{str(inc): int(sii) for inc, sii in row.items()}
-                          for row in rows]}
+                "stride": table.stride,
+                "cols": cols if isinstance(cols, list) else cols.tolist()}
     if isinstance(payload, LoggingRequest):
         return {"kind": "req", "origin": payload.origin,
                 "flush": payload.flush}
@@ -113,22 +127,34 @@ def encode_control(payload: Any) -> Dict[str, Any]:
     raise CodecError(f"unencodable control payload {payload!r}")
 
 
+def decode_snapshot(stride: int, cols: List[int]) -> TableSnapshot:
+    """The snapshot a log notification carried, on the backend a table
+    over its ``n`` processes uses."""
+    if stride < 1 or not cols or len(cols) % stride:
+        raise CodecError(
+            f"{len(cols)} columns do not split into {stride} blocks")
+    n = len(cols) // stride
+    if columnar.use_numpy_for(n):
+        np = columnar.NUMPY
+        return TableSnapshot(n, stride, np.array(cols, dtype=np.int64))
+    return TableSnapshot(n, stride, [int(v) for v in cols])
+
+
 def decode_control(raw: Dict[str, Any]) -> Any:
     kind = raw.get("kind")
-    if kind == "ann":
-        return FailureAnnouncement(int(raw["origin"]),
-                                   decode_entry(raw["end"]))
-    if kind == "log":
-        return LogProgressNotification(
-            int(raw["origin"]),
-            [{int(inc): int(sii) for inc, sii in row.items()}
-             for row in raw["table"]],
-        )
-    if kind == "req":
-        # A frame without the field predates it: flush first.
-        return LoggingRequest(int(raw["origin"]),
-                              bool(raw.get("flush", True)))
-    if kind == "ack":
-        return AppAck(decode_msg_id(raw["id"]), int(raw["src"]),
-                      int(raw["dst"]))
+    try:
+        if kind == "ann":
+            return FailureAnnouncement(int(raw["origin"]),
+                                       decode_entry(raw["end"]))
+        if kind == "log":
+            return LogProgressNotification(
+                int(raw["origin"]),
+                decode_snapshot(int(raw["stride"]), raw["cols"]))
+        if kind == "req":
+            return LoggingRequest(int(raw["origin"]), bool(raw["flush"]))
+        if kind == "ack":
+            return AppAck(decode_msg_id(raw["id"]), int(raw["src"]),
+                          int(raw["dst"]))
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise CodecError(f"malformed {kind} frame {raw!r}: {exc!r}") from None
     raise CodecError(f"unknown control kind {kind!r}")

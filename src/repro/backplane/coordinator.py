@@ -70,14 +70,11 @@ class ServePlan:
     crashes: List[Tuple[float, int]] = field(default_factory=list)
     restart_delay: float = 50.0
     run_dir: Optional[str] = None
-    #: Worker-side protocol config overrides (see worker.config_from_manifest).
-    config: Dict[str, Any] = field(default_factory=dict)
     #: Built-in load arrival shape: ``"uniform"`` or ``"openloop"``.
     profile: str = "uniform"
     #: Explicit stimulus list (overrides ``rate``; see loadgen).
     stimuli: Optional[List[Dict[str, Any]]] = None
     settle_rounds: int = 60
-    hello_timeout: float = 30.0
 
 
 @dataclass
@@ -102,6 +99,9 @@ class ServeReport:
 #: Bytes buffered towards one worker above which forwarding waits for the
 #: transport to drain (asyncio's default high-water mark).
 HIGH_WATER = 64 * 1024
+
+#: Seconds a spawned worker has to say hello.
+HELLO_TIMEOUT = 30.0
 
 
 class _WorkerConn:
@@ -248,7 +248,6 @@ class Coordinator:
                 "port": port,
                 "duration": plan.duration,
                 "crashes": plan.crashes,
-                "config": plan.config,
             }, fh, indent=2)
 
     def _spawn(self, pid: int) -> None:
@@ -268,7 +267,7 @@ class Coordinator:
         # wait_for (not asyncio.timeout) keeps the coordinator on 3.10.
         for pid in pids:
             await asyncio.wait_for(self.hello_events[pid].wait(),
-                                   self.plan.hello_timeout)
+                                   HELLO_TIMEOUT)
 
     # -- connection handling ---------------------------------------------------
 
@@ -415,7 +414,7 @@ class Coordinator:
             try:
                 await asyncio.wait_for(
                     self._load_done.wait(),
-                    plan.duration * plan.timescale + plan.hello_timeout)
+                    plan.duration * plan.timescale + HELLO_TIMEOUT)
             except asyncio.TimeoutError:
                 pass
             return

@@ -57,7 +57,6 @@ def load_manifest(run_dir: str) -> Dict[str, Any]:
 
 def config_from_manifest(manifest: Dict[str, Any], run_dir: str) -> SimConfig:
     """The worker-side protocol configuration for a serve run."""
-    overrides = manifest.get("config", {})
     return SimConfig(
         n=manifest["n"],
         k=manifest.get("k"),
@@ -67,13 +66,9 @@ def config_from_manifest(manifest: Dict[str, Any], run_dir: str) -> SimConfig:
         # At-least-once delivery across worker crashes: app-level acks with
         # timer retransmission, plus the footnote-3 sent-log replayed to a
         # restarted destination.
-        retransmit_timeout=overrides.get("retransmit_timeout", 8.0),
-        retransmit_backoff=overrides.get("retransmit_backoff", 2.0),
-        retransmit_budget=overrides.get("retransmit_budget", 12),
-        retransmit_window=overrides.get("retransmit_window", 64),
-        flush_interval=overrides.get("flush_interval", 40.0),
-        checkpoint_interval=overrides.get("checkpoint_interval", 160.0),
-        notify_interval=overrides.get("notify_interval", 20.0),
+        retransmit_timeout=8.0,
+        retransmit_budget=12,
+        retransmit_window=64,
         trace_enabled=True,
         check_invariants=False,  # certification is post-hoc via the oracle
         dep_trace=True,

@@ -154,10 +154,8 @@ class Scenario:
             notify_interval=self.notify_interval,
             restart_delay=self.restart_delay,
             # Lockstep network: maximal same-time ties for the explorer.
-            msg_latency_base=1.0,
             msg_latency_jitter=0.0,
             per_entry_latency=0.0,
-            control_latency=1.0,
         )
 
     def failure_schedule(self) -> FailureSchedule:

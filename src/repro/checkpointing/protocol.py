@@ -190,10 +190,6 @@ class LazyCheckpointProcess:
         """Adopt a recovery decision (a new global round begins)."""
         self.round = round_number
 
-    @property
-    def total_checkpoints(self) -> int:
-        return self.local_checkpoints + self.induced_checkpoints
-
     def __repr__(self) -> str:
         return (f"<ckpt-P{self.pid} Z={self.z} epoch={self.epoch} "
                 f"line={self.line} round={self.round}>")

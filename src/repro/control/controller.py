@@ -26,7 +26,7 @@ property tests in ``tests/properties/test_controller_properties.py``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.control.slo import LatencyWindow
@@ -180,12 +180,6 @@ class AdaptiveKController:
         return watched > self.config.slo_target
 
     # -- reporting -------------------------------------------------------------
-
-    def mean_k(self) -> float:
-        """Mean K over the recorded history (k_max before any tick)."""
-        if not self.history:
-            return float(self.k)
-        return sum(k for _, k in self.history) / len(self.history)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -46,13 +46,6 @@ class LatencyWindow:
         itself when the window holds exactly one."""
         return sample_percentile(self._samples, q)
 
-    def attainment(self, target: float) -> float:
-        """Fraction of samples at or under ``target``; 1.0 when the
-        window is empty or the target is unset (<= 0)."""
-        if target <= 0 or not self._samples:
-            return 1.0
-        return sum(1 for s in self._samples if s <= target) / len(self._samples)
-
     def samples(self) -> List[float]:
         return list(self._samples)
 

@@ -3,7 +3,7 @@ K-optimistic logging protocol (Figures 2-3), plus the baseline protocols
 it generalises."""
 
 from repro.core.depvec import DependencyVector
-from repro.core.entry import Entry, lex_max, lex_min
+from repro.core.entry import Entry
 from repro.core.protocol import KOptimisticProcess, ProtocolStats
 from repro.core.tables import IncarnationEndTable, LoggingProgressTable
 
@@ -14,6 +14,4 @@ __all__ = [
     "KOptimisticProcess",
     "LoggingProgressTable",
     "ProtocolStats",
-    "lex_max",
-    "lex_min",
 ]

@@ -95,8 +95,8 @@ class MultiIncarnationVector:
         )
 
     def iter_items(self) -> Iterator[Tuple[ProcessId, Entry]]:
-        """Unordered variant of :meth:`items` (hot-path duck-typing with
-        :class:`repro.core.depvec.DependencyVector`)."""
+        """Unordered variant of :meth:`items`, for the orphan check and
+        the stability index."""
         return ((p, Entry(inc, sii)) for (p, inc), sii in self._entries.items())
 
     def processes(self) -> Iterator[ProcessId]:
@@ -137,6 +137,15 @@ class FullyAsyncProcess(KOptimisticProcess):
 
     def _deliverable(self, msg: AppMessage) -> bool:
         return True
+
+    def _is_orphan_message(self, msg: AppMessage) -> bool:
+        """Check_orphan over every incarnation entry of ``m.tdv`` — a
+        multi-incarnation vector, or the plain vector of an outside-world
+        message."""
+        iet = self.iet
+        if iet.version == 0:
+            return False
+        return any(iet.invalidates(pid, e) for pid, e in msg.tdv.iter_items())
 
     def _check_send_buffer(self) -> List[Effect]:
         effects: List[Effect] = []

@@ -70,14 +70,6 @@ def pack(inc: int, sii: int) -> int:
     return (inc << PACK_SHIFT) | sii
 
 
-def unpack_inc(packed: int) -> int:
-    return packed >> PACK_SHIFT
-
-
-def unpack_sii(packed: int) -> int:
-    return packed & PACK_MASK
-
-
 def use_numpy_for(n: int) -> bool:
     """Whether a table over ``n`` processes should use ndarray columns
     (importing numpy if so, on first use)."""

@@ -158,24 +158,17 @@ class DependencyVector:
 
     # -- protocol operations ----------------------------------------------
 
-    def merge(self, other) -> None:
+    def merge(self, other: "DependencyVector") -> None:
         """Pairwise lexicographic max, as in Deliver_message:
         ``forall j: tdv[j] = max(tdv[j], m.tdv[j])``."""
         if other.n != self.n:
             raise ValueError(
                 f"cannot merge vectors of different sizes ({self.n} vs {other.n})"
             )
-        if isinstance(other, DependencyVector):
-            opids = other._pids
-            if not opids or opids is self._pids:
-                return
-            self._merge_columns(opids, other._packed)
+        opids = other._pids
+        if not opids or opids is self._pids:
             return
-        # Duck-typed path (reference vectors, multi-incarnation baseline).
-        for pid, entry in other.iter_items():
-            cur = self.get(pid)
-            if cur is None or cur < entry:
-                self.set(pid, entry)
+        self._merge_columns(opids, other._packed)
 
     def _merge_columns(self, opids: List[ProcessId], opacked: List[int]) -> None:
         """Two-pointer sorted join; replaces the columns only on change."""

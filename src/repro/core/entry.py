@@ -3,9 +3,9 @@
 Figure 2 of the paper declares ``type entry : (inc int, ssi int)`` and
 represents an omitted dependency as ``NULL``, defined to be lexicographically
 smaller than any non-NULL entry.  We model entries as a frozen, totally
-ordered dataclass and NULL as Python ``None``; the helpers below implement
-the NULL-aware lexicographic operations the pseudo-code relies on
-(``max`` in Deliver_message, ``min`` in Check_deliverability).
+ordered dataclass and NULL as Python ``None``.  The lexicographic ``max``
+of Deliver_message and ``min`` of Check_deliverability run on packed
+entries (:mod:`repro.core.columnar`), whose integer order is this one.
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ class Entry:
         """The entry for the next state interval of the same incarnation."""
         return Entry(self.inc, self.sii + 1)
 
-    def next_incarnation(self) -> "Entry":
-        """The first interval of the next incarnation (Restart/Rollback do
-        ``current.inc++ ; current.sii++``)."""
-        return Entry(self.inc + 1, self.sii + 1)
-
     def __str__(self) -> str:
         return f"({self.inc},{self.sii})"
 
@@ -45,23 +40,3 @@ class Entry:
 #: An optional entry: ``None`` encodes the pseudo-code's NULL.
 OptEntry = Optional[Entry]
 
-
-def lex_max(a: OptEntry, b: OptEntry) -> OptEntry:
-    """NULL-aware lexicographic maximum (NULL < any entry)."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a >= b else b
-
-
-def lex_min(a: OptEntry, b: OptEntry) -> OptEntry:
-    """NULL-aware lexicographic minimum (NULL < any entry)."""
-    if a is None or b is None:
-        return None
-    return a if a <= b else b
-
-
-def entry_str(e: OptEntry) -> str:
-    """Render an optional entry the way the paper writes it."""
-    return "NULL" if e is None else str(e)

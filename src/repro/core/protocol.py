@@ -118,16 +118,6 @@ class ProtocolStats:
         self.intervals_undone = 0
         self.messages_requeued = 0
 
-    def mean_send_hold(self) -> float:
-        if self.messages_released == 0:
-            return 0.0
-        return self.send_hold_time_total / self.messages_released
-
-    def mean_output_wait(self) -> float:
-        if self.outputs_committed == 0:
-            return 0.0
-        return self.output_wait_total / self.outputs_committed
-
 
 class _PendingSend:
     """A released message awaiting a transport ack (unreliable networks)."""
@@ -143,6 +133,10 @@ class _PendingSend:
 class KOptimisticProcess:
     """The per-process recovery layer running underneath the application."""
 
+    #: Each retransmission of an unacked message waits this factor longer
+    #: than the one before.
+    RETRANSMIT_BACKOFF = 2.0
+
     def __init__(
         self,
         pid: ProcessId,
@@ -157,7 +151,6 @@ class KOptimisticProcess:
         gc_on_checkpoint: bool = True,
         retransmit_window: int = 0,
         retransmit_timeout: float = 0.0,
-        retransmit_backoff: float = 2.0,
         retransmit_budget: int = 8,
         k_policy: Optional[Callable[[], int]] = None,
         delta_notifications: bool = False,
@@ -186,7 +179,6 @@ class KOptimisticProcess:
         # interpreted by the harness) re-releases it with exponential
         # backoff, up to ``retransmit_budget`` attempts.  0 disables.
         self.retransmit_timeout = retransmit_timeout
-        self.retransmit_backoff = retransmit_backoff
         self.retransmit_budget = retransmit_budget
         self._unacked: Dict[MessageId, _PendingSend] = {}
         # Per-message K policy (Section 4.2): consulted at enqueue time
@@ -343,7 +335,7 @@ class KOptimisticProcess:
         if self.retransmit_timeout <= 0 or msg.msg_id in self._unacked:
             return [ReleaseMessage(msg)]
         self._unacked[msg.msg_id] = _PendingSend(
-            msg, self.retransmit_timeout * self.retransmit_backoff)
+            msg, self.retransmit_timeout * self.RETRANSMIT_BACKOFF)
         return [ReleaseMessage(msg),
                 ScheduleRetransmit(msg.msg_id, self.retransmit_timeout)]
 
@@ -380,7 +372,7 @@ class KOptimisticProcess:
             return []
         pending.attempts += 1
         delay = pending.next_delay
-        pending.next_delay *= self.retransmit_backoff
+        pending.next_delay *= self.RETRANSMIT_BACKOFF
         self.stats.timer_retransmissions += 1
         return [ReleaseMessage(pending.msg), ScheduleRetransmit(msg_id, delay)]
 
@@ -863,24 +855,14 @@ class KOptimisticProcess:
         of the same process without knowing that the smaller one is stable
         (the Section 3 special case: no local entry means no delay).
         """
-        m_tdv = msg.tdv
         tdv = self.tdv
-        if isinstance(m_tdv, DependencyVector) and isinstance(tdv, DependencyVector):
-            log = self.log
-            for pid, theirs in m_tdv.iter_packed():
-                mine = tdv.get_packed(pid)
-                if mine < 0 or (mine >> _PACK_SHIFT) == (theirs >> _PACK_SHIFT):
-                    continue
-                smaller = mine if mine < theirs else theirs
-                if not log.covers_packed(pid, smaller):
-                    return False
-            return True
-        for pid, m_entry in m_tdv.iter_items():
-            mine = tdv.get(pid)
-            if mine is None or mine.inc == m_entry.inc:
+        log = self.log
+        for pid, theirs in msg.tdv.iter_packed():
+            mine = tdv.get_packed(pid)
+            if mine < 0 or (mine >> _PACK_SHIFT) == (theirs >> _PACK_SHIFT):
                 continue
-            smaller = min(mine, m_entry)
-            if not self.log.covers(pid, smaller):
+            smaller = mine if mine < theirs else theirs
+            if not log.covers_packed(pid, smaller):
                 return False
         return True
 
@@ -1119,11 +1101,8 @@ class KOptimisticProcess:
         iet = self.iet
         if iet.version == 0:
             return False  # empty table invalidates nothing
-        tdv = msg.tdv
-        if isinstance(tdv, DependencyVector):
-            return any(iet.invalidates_packed(pid, packed)
-                       for pid, packed in tdv.iter_packed())
-        return any(iet.invalidates(pid, e) for pid, e in tdv.iter_items())
+        return any(iet.invalidates_packed(pid, packed)
+                   for pid, packed in msg.tdv.iter_packed())
 
     def _scrub_orphans(self) -> List[Effect]:
         """Check_orphan(Send_buffer) and Check_orphan(Receive_buffer), plus
@@ -1177,18 +1156,11 @@ class KOptimisticProcess:
             return
         tdv = self.tdv
         log = self.log
-        if isinstance(tdv, DependencyVector):
-            own = self.pid  # own entry is managed by Checkpoint/flush
-            stable = [pid for pid, packed in tdv.iter_packed()
-                      if pid != own and log.covers_packed(pid, packed)]
-            for pid in stable:
-                tdv.nullify(pid)
-        else:
-            for pid, entry in list(tdv.iter_items()):
-                if pid == self.pid:
-                    continue  # own entry is managed by Checkpoint/flush
-                if log.covers(pid, entry):
-                    tdv.nullify(pid)
+        own = self.pid  # own entry is managed by Checkpoint/flush
+        stable = [pid for pid, packed in tdv.iter_packed()
+                  if pid != own and log.covers_packed(pid, packed)]
+        for pid in stable:
+            tdv.nullify(pid)
         self._nul_versions = (self.log.version, self.tdv.version)
 
     # ------------------------------------------------------------------
@@ -1204,24 +1176,10 @@ class KOptimisticProcess:
         """The non-NULL entries of the current dependency vector."""
         return list(self.tdv.items())
 
-    def iet_entries(self) -> List[Tuple[ProcessId, Entry]]:
-        """Every (process, incarnation-end) pair this process knows of."""
-        return list(self.iet.all_pairs())
-
-    def iet_invalidates(self, pid: ProcessId, entry: Entry) -> bool:
-        """Whether this process's incarnation-end table already proves a
-        dependency on ``entry`` of ``pid`` orphaned (Check_orphan's test,
-        evaluated on the raw table)."""
-        return self.iet.invalidates(pid, entry)
-
     def vector_known_orphan(self, tdv: DependencyVector) -> bool:
         """Whether the incarnation-end table invalidates any entry of
         ``tdv`` — i.e. whether a message carrying it is a *known* orphan."""
         return any(self.iet.invalidates(pid, e) for pid, e in tdv.items())
-
-    def log_covers(self, pid: ProcessId, entry: Entry) -> bool:
-        """Whether this process's log table records ``entry`` as stable."""
-        return self.log.covers(pid, entry)
 
     # ------------------------------------------------------------------
     # Helpers
@@ -1244,16 +1202,6 @@ class KOptimisticProcess:
     def unacked_count(self) -> int:
         """Released messages still awaiting a transport ack (in flight)."""
         return len(self._unacked)
-
-    @property
-    def stable_interval(self) -> Entry:
-        """Highest interval of the current state reconstructible from disk
-        (for introspection in tests and experiments)."""
-        position = max(
-            self.storage.latest_checkpoint_entry().sii,
-            self.storage.highest_logged_position(),
-        )
-        return Entry(self.current.inc, min(position, self.current.sii))
 
     def __repr__(self) -> str:
         return (

@@ -40,10 +40,20 @@ of the ndarray — so both dense backends hand out plain ``int`` / ``bool``
 (never ``numpy.int64`` / ``numpy.bool_``) at half the per-element cost of
 ndarray indexing.
 
+Wire form
+---------
+
+A notification carries one snapshot form, the :class:`TableSnapshot`
+column, in a simulation and between ``serve`` workers alike: the codec
+(:mod:`repro.backplane.codec`) ships ``stride`` and the flat column and
+rebuilds the snapshot on the list or ndarray backend the receiving table
+uses, so a decoded snapshot merges exactly like one made in-process.
+
 Delta gossip travels as :class:`SparseSnapshot` (explicit ``(pid, inc,
 sii)`` triples): with :meth:`EntrySetTable.enable_changelog` a
 notification can carry only the entries changed since the peer's last
 acknowledged changelog position (:meth:`EntrySetTable.delta_since`).
+Deltas stay inside a simulation; the codec refuses them.
 
 The dict-of-dicts model these tables replaced lives on as the reference
 in ``tests/properties/test_columnar_equivalence.py``, which drives both
@@ -76,9 +86,10 @@ class TableSnapshot:
     absent — as a flat int64 ndarray or a list of ``n * stride`` ints, so
     the receiver's :meth:`EntrySetTable.merge_snapshot` is one
     elementwise-max pass over a prefix of its own column instead of a
-    per-entry dict walk.  :meth:`rows` converts to the legacy
-    list-of-dicts form (used by the wire codec and tests);
-    :meth:`restrict` keeps a single row (own-progress-only gossip).
+    per-entry dict walk.  :meth:`rows` reads it as one ``inc -> max
+    index`` dict per process; :meth:`restrict` keeps a single row
+    (own-progress-only gossip).  Two snapshots are equal when they hold
+    the same entries, whatever their strides or backends.
     """
 
     __slots__ = ("n", "stride", "cols")
@@ -89,7 +100,7 @@ class TableSnapshot:
         self.cols = cols
 
     def rows(self) -> List[Dict[IncarnationId, IntervalIndex]]:
-        """Legacy ``incarnation -> max index`` dicts, one per process."""
+        """``incarnation -> max index`` dicts, one per process."""
         out: List[Dict[IncarnationId, IntervalIndex]] = [{} for _ in range(self.n)]
         for pid, inc, sii in _snapshot_entries(self):
             out[pid][inc] = sii
@@ -106,27 +117,9 @@ class TableSnapshot:
         cols[pid::n] = self.cols[pid::n]
         return TableSnapshot(n, self.stride, cols)
 
-    # Duck compatibility with the legacy list-of-dicts snapshot form, so
-    # callers (and tests) can keep indexing/iterating rows directly.
-
-    def __getitem__(self, pid: int) -> Dict[IncarnationId, IntervalIndex]:
-        if not 0 <= pid < self.n:
-            raise IndexError(f"process id {pid} out of range [0, {self.n})")
-        return {inc: value
-                for inc, value in enumerate(_plain(self.cols)[pid::self.n])
-                if value >= 0}
-
-    def __iter__(self):
-        return iter(self.rows())
-
-    def __len__(self) -> int:
-        return self.n
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TableSnapshot):
             return self.rows() == other.rows()
-        if isinstance(other, list):
-            return self.rows() == other
         return NotImplemented
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -143,8 +136,7 @@ class SparseSnapshot:
 
     Merging is order-insensitive (entries are global facts combined by
     max), so a receiver treats full and delta snapshots identically.
-    Duck-compatible with :class:`TableSnapshot` for the wire codec and
-    tests (``rows``/``restrict``/indexing/equality).
+    Shares ``rows``/``restrict``/equality with :class:`TableSnapshot`.
     """
 
     __slots__ = ("n", "entries", "full")
@@ -165,22 +157,9 @@ class SparseSnapshot:
         return SparseSnapshot(
             self.n, [e for e in self.entries if e[0] == pid], full=self.full)
 
-    def __getitem__(self, pid: int) -> Dict[IncarnationId, IntervalIndex]:
-        if not 0 <= pid < self.n:
-            raise IndexError(f"process id {pid} out of range [0, {self.n})")
-        return {inc: sii for p, inc, sii in self.entries if p == pid}
-
-    def __iter__(self):
-        return iter(self.rows())
-
-    def __len__(self) -> int:
-        return self.n
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (SparseSnapshot, TableSnapshot)):
             return self.rows() == other.rows()
-        if isinstance(other, list):
-            return self.rows() == other
         return NotImplemented
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -328,10 +307,6 @@ class EntrySetTable:
         self._check_pid(pid)
         return sum(1 for value in self._read[pid::self.n] if value >= 0)
 
-    def snapshot(self) -> List[Dict[IncarnationId, IntervalIndex]]:
-        """Deep copy of all rows as legacy ``inc -> max index`` dicts."""
-        return self.snapshot_columns().rows()
-
     def snapshot_columns(self) -> TableSnapshot:
         """Columnar copy of the table — what gossip piggybacks."""
         if self._use_np:
@@ -340,41 +315,22 @@ class EntrySetTable:
             cols = self._cols[:]
         return TableSnapshot(self.n, self._stride, cols)
 
-    def merge_snapshot(
-        self,
-        snap: Union[TableSnapshot, SparseSnapshot,
-                    List[Dict[IncarnationId, IntervalIndex]]],
-    ) -> None:
+    def merge_snapshot(self, snap: Union[TableSnapshot, SparseSnapshot]) -> None:
         """Insert every entry of a snapshot (Receive_log's outer loop).
 
-        Accepts a :class:`TableSnapshot` (the fast columnar path — one
-        elementwise-max pass), a :class:`SparseSnapshot` (a delta) or the
-        legacy list-of-dicts form (wire codec, archived
-        counterexamples).  Gossip makes this the most frequent
-        table operation, and most merges bring no news at all.
+        A :class:`TableSnapshot` merges in one elementwise-max pass, a
+        :class:`SparseSnapshot` (a delta) entry by entry.  Gossip makes
+        this the most frequent table operation, and most merges bring no
+        news at all.
         """
-        if isinstance(snap, TableSnapshot):
-            if snap.n != self.n:
-                raise ValueError(
-                    f"snapshot covers {snap.n} processes, table covers {self.n}"
-                )
-            self._merge_columns(snap)
-            return
-        if isinstance(snap, SparseSnapshot):
-            if snap.n != self.n:
-                raise ValueError(
-                    f"snapshot covers {snap.n} processes, table covers {self.n}"
-                )
-            self._merge_entries(snap.entries)
-            return
-        if len(snap) != self.n:
+        if snap.n != self.n:
             raise ValueError(
-                f"snapshot covers {len(snap)} processes, table covers {self.n}"
+                f"snapshot covers {snap.n} processes, table covers {self.n}"
             )
-        self._merge_entries(
-            (pid, inc, sii)
-            for pid, snap_row in enumerate(snap)
-            for inc, sii in snap_row.items())
+        if isinstance(snap, TableSnapshot):
+            self._merge_columns(snap)
+        else:
+            self._merge_entries(snap.entries)
 
     def merge_snapshots(self, snaps) -> None:
         """Merge a batch of snapshots (one gossip tick's worth) in one pass.
@@ -412,8 +368,7 @@ class EntrySetTable:
             self.merge_snapshot(snap)
 
     def _merge_entries(self, entries) -> None:
-        """Insert ``(pid, inc, sii)`` triples; shared by the sparse-snapshot
-        and legacy list-of-dicts merge paths."""
+        """Insert the ``(pid, inc, sii)`` triples of a sparse snapshot."""
         changed = False
         track = self._track
         for pid, inc, sii in entries:
@@ -545,9 +500,3 @@ class IncarnationEndTable(EntrySetTable):
             if read[t * n + pid] >= 0:
                 return t
         return -1
-
-    def all_pairs(self) -> Iterator[Tuple[ProcessId, Entry]]:
-        """(pid, end-entry) pairs across all processes (used by recovery)."""
-        for pid in range(self.n):
-            for entry in self.entries(pid):
-                yield pid, entry

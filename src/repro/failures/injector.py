@@ -23,7 +23,7 @@ comparison experiment faces the *same* failures.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 
@@ -144,10 +144,6 @@ class FailureSchedule:
     def has_network_events(self) -> bool:
         """True when the schedule perturbs the network itself."""
         return any(isinstance(e, NETWORK_EVENTS) for e in self.events)
-
-    def extended(self, extra: Sequence[FailureEvent]) -> "FailureSchedule":
-        """A new schedule with ``extra`` events merged in."""
-        return FailureSchedule([*self.events, *extra])
 
     def __iter__(self):
         return iter(self.events)

@@ -3,7 +3,6 @@ fault injection, and the ack/retransmit reliability layer."""
 
 from repro.net.channel import (
     Channel,
-    ExponentialLatency,
     FixedLatency,
     LatencyModel,
     UniformLatency,
@@ -22,7 +21,7 @@ from repro.net.network import Network
 from repro.net.reliable import ControlRetransmitter, ReliableConfig
 
 __all__ = ["AppAck", "AppMessage", "Channel", "ChannelFaults", "ControlAck",
-           "ControlEnvelope", "ControlRetransmitter", "ExponentialLatency",
+           "ControlEnvelope", "ControlRetransmitter",
            "FailureAnnouncement", "FaultDecision", "FixedLatency",
            "LatencyModel", "LogProgressNotification", "Network",
            "NetworkFaultModel", "OutputRecord", "ReliableConfig",

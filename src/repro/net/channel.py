@@ -10,9 +10,6 @@ overheads the K parameter trades off.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Optional
-
-from repro.net.message import AppMessage
 
 
 class LatencyModel:
@@ -59,20 +56,6 @@ class UniformLatency(LatencyModel):
 
     def delay(self, rng: random.Random, piggyback_entries: int = 0) -> float:
         return rng.uniform(self.low, self.high) + self.per_entry * piggyback_entries
-
-
-class ExponentialLatency(LatencyModel):
-    """Shifted-exponential delay: ``base + Exp(mean)`` plus piggyback cost."""
-
-    def __init__(self, base: float, mean: float, per_entry: float = 0.0):
-        if base < 0 or mean <= 0 or per_entry < 0:
-            raise ValueError("invalid exponential latency parameters")
-        self.base = base
-        self.mean = mean
-        self.per_entry = per_entry
-
-    def delay(self, rng: random.Random, piggyback_entries: int = 0) -> float:
-        return self.base + rng.expovariate(1.0 / self.mean) + self.per_entry * piggyback_entries
 
 
 class Channel:

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Optional
 
 from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
-from repro.types import IncarnationId, IntervalIndex, MessageId, ProcessId
+from repro.types import MessageId, ProcessId
 
 _wire_counter = itertools.count()
 
@@ -84,15 +84,18 @@ class FailureAnnouncement:
 class LogProgressNotification:
     """A logging progress notification.
 
-    ``table`` is a snapshot of the sender's ``log`` table — a columnar
-    :class:`~repro.core.tables.TableSnapshot` in-process, or the legacy
-    one-dict-per-process form when it crossed the wire codec.  Receive_log
-    merges every entry (the pseudo-code iterates over all ``j``), so
-    notifications gossip stability information transitively.
+    ``table`` is a :class:`~repro.core.tables.TableSnapshot` of the
+    sender's ``log`` table, in this process or off the wire alike: the
+    serve codec ships its columns and rebuilds it on the receiving
+    table's backend.  (A delta notification carries a
+    :class:`~repro.core.tables.SparseSnapshot` instead; it never leaves a
+    simulation.)  Receive_log merges every entry (the pseudo-code iterates
+    over all ``j``), so notifications gossip stability information
+    transitively.
     """
 
     origin: ProcessId
-    table: Any  # TableSnapshot | List[Dict[IncarnationId, IntervalIndex]]
+    table: Any  # TableSnapshot | SparseSnapshot
 
     def __str__(self) -> str:
         return f"log-progress[from P{self.origin}]"

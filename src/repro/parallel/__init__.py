@@ -8,12 +8,11 @@
 """
 
 from repro.parallel.runner import ParallelHarness, lookahead
-from repro.parallel.trace import canonical_dep_events, dump_canonical, render_jsonl
+from repro.parallel.trace import canonical_dep_events, render_jsonl
 
 __all__ = [
     "ParallelHarness",
     "lookahead",
     "canonical_dep_events",
-    "dump_canonical",
     "render_jsonl",
 ]

@@ -4,7 +4,7 @@ This runner puts each slice of processes (``pid % W``) with its own event
 heap on its own forked worker and exploits the network's minimum latency
 as conservative PDES lookahead:
 
-    L = min(msg_latency_base - msg_latency_jitter, control_latency) > 0
+    L = min(MSG_LATENCY_BASE - msg_latency_jitter, CONTROL_LATENCY) > 0
 
 Every cross-process message generated at time ``t`` arrives no earlier
 than ``t + L``.  Each epoch the coordinator computes the global minimum
@@ -31,16 +31,15 @@ from repro.failures.injector import (
     FailureSchedule,
     StorageFaultEvent,
 )
-from repro.parallel.trace import DepEvent, canonical_dep_events, dump_canonical
+from repro.parallel.trace import DepEvent, canonical_dep_events
 from repro.parallel.worker import OutboxEntry, worker_main
-from repro.runtime.config import SimConfig
+from repro.runtime.config import CONTROL_LATENCY, MSG_LATENCY_BASE, SimConfig
 from repro.runtime.metrics import RunMetrics, RunTotals, derive_metrics
 
 
 def lookahead(config: SimConfig) -> float:
     """The conservative lookahead window (positive by config validation)."""
-    return min(config.msg_latency_base - config.msg_latency_jitter,
-               config.control_latency)
+    return min(MSG_LATENCY_BASE - config.msg_latency_jitter, CONTROL_LATENCY)
 
 
 #: Canonical barrier-merge order for cross-worker arrivals.  ``src``
@@ -258,9 +257,6 @@ class ParallelHarness:
         """The merged ``dep.*`` trace in canonical order (see
         :mod:`repro.parallel.trace`)."""
         return canonical_dep_events(self._dep_events)
-
-    def dump_dep_trace(self, path: str) -> int:
-        return dump_canonical(self._dep_events, path)
 
     # -- teardown --------------------------------------------------------------
 

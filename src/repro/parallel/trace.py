@@ -61,11 +61,3 @@ def render_jsonl(events: Iterable[DepEvent]) -> str:
             sort_keys=True,
         ))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def dump_canonical(events: Iterable[Any], path: str) -> int:
-    """Write the canonical ``dep.*`` dump; returns the event count."""
-    deps = canonical_dep_events(events)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_jsonl(deps))
-    return len(deps)

@@ -7,8 +7,20 @@ virtual execution, event for event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
+
+# Constants of the simulated deployment that no run varies.
+
+#: Mean one-way latency of an application message (``msg_latency_jitter``
+#: spreads it uniformly either side).
+MSG_LATENCY_BASE = 1.0
+#: Latency of every control message.
+CONTROL_LATENCY = 1.0
+#: ``RunMetrics.storage_cost`` charged per synchronous and per
+#: asynchronous (batched) stable-storage operation.
+SYNC_WRITE_COST = 1.0
+ASYNC_WRITE_COST = 0.1
 
 
 @dataclass
@@ -32,11 +44,10 @@ class SimConfig:
     restart_delay: float = 10.0
 
     # -- network ---------------------------------------------------------
-    msg_latency_base: float = 1.0
+    #: Half-width of the uniform spread around ``MSG_LATENCY_BASE``.
     msg_latency_jitter: float = 0.5
     #: Added transmission latency per piggybacked dependency entry.
     per_entry_latency: float = 0.05
-    control_latency: float = 1.0
     fifo: bool = False
 
     # -- unreliable network -------------------------------------------------
@@ -52,16 +63,9 @@ class SimConfig:
     ack_layer: Optional[bool] = None
     #: App-message retransmission timeout (0 disables the timer; with the
     #: ack layer on and 0 here, the harness defaults it to the control
-    #: plane's ``ReliableConfig().rto``).
+    #: plane's ``ReliableConfig().rto``).  Each retry doubles the delay.
     retransmit_timeout: float = 0.0
-    retransmit_backoff: float = 2.0
     retransmit_budget: int = 8
-
-    # -- storage cost model -------------------------------------------------
-    #: Cost charged per synchronous stable-storage operation.
-    sync_write_cost: float = 1.0
-    #: Cost charged per asynchronous (batched) stable-storage operation.
-    async_write_cost: float = 0.1
 
     # -- storage backend -----------------------------------------------------
     #: ``"model"`` (in-memory cost model) or ``"filelog"`` (durable
@@ -124,7 +128,7 @@ class SimConfig:
     #: by the epoch-barrier runner in :mod:`repro.parallel`.  Requires a
     #: reliable network (the conservative safe window assumes
     #: deterministic cross-worker latencies) and positive lookahead
-    #: ``min(msg_latency_base - msg_latency_jitter, control_latency)``.
+    #: ``min(MSG_LATENCY_BASE - msg_latency_jitter, CONTROL_LATENCY)``.
     parallel_workers: int = 0
 
     # -- notification encoding ------------------------------------------------
@@ -163,10 +167,6 @@ class SimConfig:
         resolved global K."""
         return self.resolved_k() if self.k_max is None else self.k_max
 
-    def with_k(self, k: Optional[int]) -> "SimConfig":
-        """A copy of this config with a different degree of optimism."""
-        return replace(self, k=k)
-
     def validate(self) -> None:
         if self.n <= 0:
             raise ValueError(f"n must be positive, got {self.n}")
@@ -186,8 +186,6 @@ class SimConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
         if self.retransmit_timeout < 0:
             raise ValueError("retransmit_timeout must be non-negative")
-        if self.retransmit_backoff < 1.0:
-            raise ValueError("retransmit_backoff must be at least 1")
         if self.retransmit_budget < 0:
             raise ValueError("retransmit_budget must be non-negative")
         if self.parallel_workers < 0:
@@ -200,13 +198,13 @@ class SimConfig:
                     "parallel_workers > 1 requires a reliable network "
                     "(channel fault rates must be zero)"
                 )
-            lookahead = min(self.msg_latency_base - self.msg_latency_jitter,
-                            self.control_latency)
+            lookahead = min(MSG_LATENCY_BASE - self.msg_latency_jitter,
+                            CONTROL_LATENCY)
             if lookahead <= 0:
                 raise ValueError(
                     "parallel_workers > 1 needs positive lookahead: "
-                    "min(msg_latency_base - msg_latency_jitter, "
-                    f"control_latency) = {lookahead} must be > 0"
+                    "min(MSG_LATENCY_BASE - msg_latency_jitter, "
+                    f"CONTROL_LATENCY) = {lookahead} must be > 0"
                 )
         if self.delta_notifications and self.unreliable():
             raise ValueError(

@@ -47,7 +47,13 @@ from repro.net.message import AppMessage
 from repro.net.network import Network
 from repro.net.reliable import ReliableConfig
 from repro.oracle.graph import DependencyOracle
-from repro.runtime.config import SimConfig
+from repro.runtime.config import (
+    ASYNC_WRITE_COST,
+    CONTROL_LATENCY,
+    MSG_LATENCY_BASE,
+    SYNC_WRITE_COST,
+    SimConfig,
+)
 from repro.runtime.executor import ExecutionHooks
 from repro.runtime.host import Environment, ProcessHost
 from repro.runtime.metrics import RunMetrics, RunTotals, derive_metrics
@@ -83,7 +89,6 @@ def protocol_factory_for(cls: type) -> ProtocolFactory:
             gc_on_checkpoint=config.gc_on_checkpoint,
             retransmit_window=config.retransmit_window,
             retransmit_timeout=config.retransmit_timeout,
-            retransmit_backoff=config.retransmit_backoff,
             retransmit_budget=config.retransmit_budget,
             delta_notifications=config.delta_notifications,
         )
@@ -253,11 +258,11 @@ class SimulationHarness:
             engine=self.engine,
             rngs=self.rngs,
             latency=UniformLatency(
-                max(0.0, config.msg_latency_base - config.msg_latency_jitter),
-                config.msg_latency_base + config.msg_latency_jitter,
+                max(0.0, MSG_LATENCY_BASE - config.msg_latency_jitter),
+                MSG_LATENCY_BASE + config.msg_latency_jitter,
                 per_entry=config.per_entry_latency,
             ),
-            control_latency=FixedLatency(config.control_latency),
+            control_latency=FixedLatency(CONTROL_LATENCY),
             fifo=config.fifo,
             tracer=self.tracer,
             faults=faults,
@@ -597,11 +602,10 @@ class SimulationHarness:
             m.messages_requeued += stats.messages_requeued
             m.app_messages_lost += host.lost_app_messages
             m.crashes += host.crash_count
-            m.retransmissions += getattr(stats, "retransmissions", 0)
-            m.timer_retransmissions += getattr(stats, "timer_retransmissions", 0)
-            m.acks_received += getattr(stats, "acks_received", 0)
-            m.retransmit_budget_exhausted += getattr(
-                stats, "retransmit_budget_exhausted", 0)
+            m.retransmissions += stats.retransmissions
+            m.timer_retransmissions += stats.timer_retransmissions
+            m.acks_received += stats.acks_received
+            m.retransmit_budget_exhausted += stats.retransmit_budget_exhausted
             m.outputs_pending += len(host.protocol.output_buffer)
             storage = host.protocol.storage
             m.sync_writes += storage.sync_writes
@@ -631,10 +635,8 @@ class SimulationHarness:
                 totals.k_final.append(float(controller.k))
         m.max_piggyback_entries = self.network.piggyback_entries_max
         m.control_messages = self.network.control_messages_sent
-        m.storage_cost = (
-            m.sync_writes * self.config.sync_write_cost
-            + m.async_writes * self.config.async_write_cost
-        )
+        m.storage_cost = (m.sync_writes * SYNC_WRITE_COST
+                          + m.async_writes * ASYNC_WRITE_COST)
         m.app_drops = self.network.app_dropped
         m.control_drops = self.network.control_dropped
         m.partition_drops = self.network.partition_drops

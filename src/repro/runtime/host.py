@@ -384,7 +384,7 @@ class ProcessHost:
                     pid, owners, LoggingRequest(pid, flush=False))
             return
         own_only = not config.gossip_log_tables
-        if getattr(self.protocol, "delta_notifications", False):
+        if self.protocol.delta_notifications:
             # Delta encoding is per-destination (each peer has its own
             # changelog cursor): one notification made and sent per peer,
             # in the order broadcast_control would use.

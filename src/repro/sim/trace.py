@@ -8,7 +8,7 @@ trace, and the experiment harness derives several metrics from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,6 @@ class Tracer:
         #: holding millions of msg/timer records in memory.
         self.prefix = prefix
         self.events: List[TraceEvent] = []
-        self._subscribers: List[Callable[[TraceEvent], None]] = []
 
     def record(
         self,
@@ -55,14 +54,7 @@ class Tracer:
             return
         if self.prefix is not None and not category.startswith(self.prefix):
             return
-        event = TraceEvent(time, category, process, data)
-        self.events.append(event)
-        for subscriber in self._subscribers:
-            subscriber(event)
-
-    def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
-        """Invoke ``callback`` for every subsequently recorded event."""
-        self._subscribers.append(callback)
+        self.events.append(TraceEvent(time, category, process, data))
 
     def select(
         self,
@@ -94,46 +86,3 @@ class Tracer:
     def format(self, category: Optional[str] = None) -> str:
         """Human-readable dump, used by the example scripts."""
         return "\n".join(str(e) for e in self.iter_select(category=category))
-
-    # -- persistence --------------------------------------------------------
-
-    def dump_jsonl(self, path: str) -> int:
-        """Write the trace as JSON lines; returns the event count.
-
-        Only JSON-serializable data fields survive; non-serializable values
-        are stringified (traces carry strings and numbers in practice).
-        """
-        import json
-
-        def safe(value: Any) -> Any:
-            try:
-                json.dumps(value)
-                return value
-            except (TypeError, ValueError):
-                return str(value)
-
-        with open(path, "w", encoding="utf-8") as fh:
-            for event in self.events:
-                fh.write(json.dumps({
-                    "time": event.time,
-                    "category": event.category,
-                    "process": event.process,
-                    "data": {k: safe(v) for k, v in event.data.items()},
-                }) + "\n")
-        return len(self.events)
-
-    @classmethod
-    def load_jsonl(cls, path: str) -> "Tracer":
-        """Reconstruct a tracer from a JSONL dump (for offline analysis,
-        e.g. rendering timelines from archived runs)."""
-        import json
-
-        tracer = cls()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                raw = json.loads(line)
-                tracer.record(raw["time"], raw["category"], raw["process"],
-                              **raw.get("data", {}))
-        return tracer

@@ -146,12 +146,6 @@ class StableBackend:
     ) -> "Checkpoint":
         raise NotImplementedError
 
-    def latest_checkpoint(self) -> "Checkpoint":
-        raise NotImplementedError
-
-    def latest_checkpoint_entry(self) -> Entry:
-        raise NotImplementedError
-
     def restore_checkpoint(self, index: int) -> "Checkpoint":
         raise NotImplementedError
 
@@ -180,9 +174,6 @@ class StableBackend:
     def truncate_before(self, checkpoint_index: int) -> int:
         raise NotImplementedError
 
-    def highest_logged_position(self) -> IntervalIndex:
-        raise NotImplementedError
-
     # -- announcements / incarnations / outputs -------------------------------
 
     def log_announcement(self, ann: FailureAnnouncement) -> None:
@@ -207,10 +198,6 @@ class StableBackend:
         raise NotImplementedError
 
     def output_committed(self, output_id: Any) -> bool:
-        raise NotImplementedError
-
-    @property
-    def committed_output_count(self) -> int:
         raise NotImplementedError
 
 

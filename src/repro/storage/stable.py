@@ -145,28 +145,6 @@ class ModelBackend(StableBackend):
             self._marker_cache = max(self._marker_cache, entry.inc)
         return checkpoint
 
-    def latest_checkpoint(self) -> Checkpoint:
-        """A defensive copy of the newest checkpoint.
-
-        Callers that only need the checkpoint's position should use
-        :meth:`latest_checkpoint_entry`, which skips the state copy.
-        """
-        if not self._checkpoints:
-            raise RuntimeError(
-                f"P{self.pid}: no checkpoint on stable storage; the runtime "
-                "must write an initial checkpoint before starting"
-            )
-        return self._checkpoints[-1].copy()
-
-    def latest_checkpoint_entry(self) -> Entry:
-        """The newest checkpoint's entry, without copying its state."""
-        if not self._checkpoints:
-            raise RuntimeError(
-                f"P{self.pid}: no checkpoint on stable storage; the runtime "
-                "must write an initial checkpoint before starting"
-            )
-        return self._checkpoints[-1].entry
-
     def restore_checkpoint(self, index: int) -> Checkpoint:
         """The checkpoint at list position ``index``, as a defensive copy.
 
@@ -257,10 +235,6 @@ class ModelBackend(StableBackend):
             self._marker_cache = None
         return reclaimed
 
-    def highest_logged_position(self) -> IntervalIndex:
-        """Position of the newest logged message (0 when the log is empty)."""
-        return max((r.position for r in self._log), default=0)
-
     # -- announcements -----------------------------------------------------------
 
     def log_announcement(self, ann: FailureAnnouncement) -> None:
@@ -336,10 +310,6 @@ class ModelBackend(StableBackend):
 
     def output_committed(self, output_id: Any) -> bool:
         return output_id in self._committed_outputs
-
-    @property
-    def committed_output_count(self) -> int:
-        return len(self._committed_outputs)
 
     # -- introspection -----------------------------------------------------------
 

@@ -36,14 +36,6 @@ class VolatileBuffer:
         """Crash: volatile contents are lost."""
         self._records.clear()
 
-    def discard_after(self, sii: int) -> List[LoggedMessage]:
-        """Drop records beyond interval ``sii`` (non-failed rollback undoes
-        those deliveries); returns the dropped records."""
-        kept = [r for r in self._records if r.position <= sii]
-        dropped = [r for r in self._records if r.position > sii]
-        self._records = kept
-        return dropped
-
     @property
     def records(self) -> List[LoggedMessage]:
         return list(self._records)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import ascii_series, markdown_table
+from repro.analysis.report import ascii_series
 from repro.analysis.stats import is_monotone, percentile, summarize
 
 
@@ -67,19 +67,6 @@ class TestIsMonotone:
     def test_trivial(self):
         assert is_monotone([])
         assert is_monotone([7])
-
-
-class TestMarkdownTable:
-    def test_renders_rows(self):
-        text = markdown_table([{"a": 1, "b": "x"}, {"a": 2, "b": "y"}])
-        lines = text.splitlines()
-        assert lines[0] == "| a | b |"
-        assert lines[1] == "|---|---|"
-        assert lines[2] == "| 1 | x |"
-        assert len(lines) == 4
-
-    def test_empty(self):
-        assert markdown_table([]) == "*(no rows)*"
 
 
 class TestAsciiSeries:

@@ -24,8 +24,10 @@ from repro.backplane.framing import (
     encode_frame,
     read_frame,
 )
+from repro.core import columnar
 from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
+from repro.core.tables import LoggingProgressTable, SparseSnapshot
 from repro.net.message import (
     AppAck,
     AppMessage,
@@ -34,6 +36,7 @@ from repro.net.message import (
     LogProgressNotification,
 )
 from repro.types import MessageId
+from helpers import log_notification
 
 
 #: The wire header: body length, kind, destination.
@@ -160,29 +163,125 @@ class TestCodec:
         LoggingRequest(3),
         LoggingRequest(3, flush=False),
         AppAck(MessageId(1, 0, 2, 3), 2, 1),
-        LogProgressNotification(0, [{0: 9}, {}, {1: 2}, {0: 4}]),
+        log_notification(0, [{0: 9}, {}, {1: 2}, {0: 4}]),
     ])
     def test_control_round_trip(self, payload):
         decoded = decode_control(encode_control(payload))
         assert type(decoded) is type(payload)
         assert decoded == payload
 
-    def test_logging_request_frame_without_the_flush_field_flushes_first(self):
-        # A frame written before the field existed means what it meant then.
+    def test_logging_request_frame_without_the_flush_field_raises(self):
         assert encode_control(LoggingRequest(3, flush=False)) == {
             "kind": "req", "origin": 3, "flush": False}
-        wire = json.loads(json.dumps({"kind": "req", "origin": 3}))
-        assert decode_control(wire) == LoggingRequest(3, flush=True)
+        with pytest.raises(CodecError):
+            decode_control({"kind": "req", "origin": 3})
 
     def test_log_notification_int_keys_survive_json(self):
-        notif = LogProgressNotification(1, [{0: 1, 1: 7}, {2: 5}])
+        notif = log_notification(1, [{0: 1, 1: 7}, {2: 5}])
         wire = json.loads(json.dumps(encode_control(notif)))
         decoded = decode_control(wire)
-        assert decoded.table == [{0: 1, 1: 7}, {2: 5}]
+        assert decoded.table.rows() == [{0: 1, 1: 7}, {2: 5}]
 
     def test_unknown_control_kind_rejected(self):
         with pytest.raises(CodecError):
             decode_control({"kind": "mystery"})
+
+    @pytest.mark.parametrize("payload", [
+        FailureAnnouncement(2, Entry(1, 4)),
+        LoggingRequest(3, flush=False),
+        AppAck(MessageId(1, 0, 2, 3), 2, 1),
+        log_notification(0, [{0: 9}, {}, {1: 2}, {0: 4}]),
+    ], ids=["ann", "req", "ack", "log"])
+    def test_a_control_frame_missing_any_field_raises(self, payload):
+        wire = encode_control(payload)
+        for field in set(wire) - {"kind"}:
+            cut = {k: v for k, v in wire.items() if k != field}
+            with pytest.raises(CodecError):
+                decode_control(cut)
+
+    def test_an_app_frame_missing_any_field_raises(self):
+        msg = AppMessage(msg_id=MessageId(2, 0, 5, 9), src=2, dst=1,
+                         payload={"tag": "t1"}, tdv=DependencyVector(4),
+                         send_interval=Entry(0, 5))
+        wire = encode_app(msg)
+        for field in wire:
+            cut = {k: v for k, v in wire.items() if k != field}
+            with pytest.raises(CodecError):
+                decode_app(4, cut)
+
+
+def _sender(n):
+    """A log table that has seen two restarts of P0 (stride 3) and some
+    progress of every other process."""
+    table = LoggingProgressTable(n)
+    for pid in range(n):
+        table.insert(pid, Entry(0, 2 + pid % 5))
+    table.insert(0, Entry(1, 9))
+    table.insert(0, Entry(2, 12))
+    return table
+
+
+@pytest.fixture(params=["numpy", "lists"])
+def backend(request, monkeypatch):
+    """The two snapshot backends: numpy (ndarray columns from n = 64) and
+    what ``REPRO_NO_NUMPY=1`` gives, list columns at every n."""
+    if request.param == "numpy":
+        if columnar.numpy_module() is None:
+            pytest.skip("numpy unavailable or disabled")
+    else:
+        monkeypatch.setattr(columnar, "NUMPY", None)
+        monkeypatch.setattr(columnar, "_probed", True)
+    return request.param
+
+
+class TestLogNotificationWireForm:
+    """One snapshot form on the wire: the ``TableSnapshot`` columns."""
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_round_trip_lands_on_the_table_backend_and_merges_alike(
+            self, n, backend):
+        sender = _sender(n)
+        notif = LogProgressNotification(3, sender.snapshot_columns())
+        wire = encode_control(notif)
+        assert set(wire) == {"kind", "origin", "stride", "cols"}
+        assert wire["stride"] == 3 and len(wire["cols"]) == 3 * n
+        decoded = decode_control(json.loads(json.dumps(wire)))
+        assert decoded == notif and decoded.origin == 3
+        snap = decoded.table
+        assert (snap.n, snap.stride) == (n, 3)
+        ndarray = n >= columnar.NP_MIN_N and backend == "numpy"
+        assert isinstance(snap.cols, list) is not ndarray
+        assert all(type(v) is int for row in snap.rows() for v in row.values())
+        # Merged into a receiver narrower than the snapshot and one wider,
+        # the decoded snapshot does what the in-process one does.
+        for grown in (False, True):
+            over_wire, in_process = LoggingProgressTable(n), LoggingProgressTable(n)
+            for table in (over_wire, in_process):
+                table.insert(n - 1, Entry(0, 40))
+                if grown:
+                    table.insert(1, Entry(4, 1))
+            over_wire.merge_snapshot(snap)
+            in_process.merge_snapshot(notif.table)
+            assert over_wire.snapshot_columns() == in_process.snapshot_columns()
+            assert over_wire.version == in_process.version
+            assert over_wire.lookup(0, 2) == 12
+
+    def test_the_old_table_shape_raises(self):
+        with pytest.raises(CodecError):
+            decode_control({"kind": "log", "origin": 1,
+                            "table": [{"0": 3}, {}]})
+
+    @pytest.mark.parametrize("stride, cols", [
+        (0, [1, 2]), (3, [1, 2]), (1, []), (1, "abc")])
+    def test_columns_that_do_not_split_into_blocks_raise(self, stride, cols):
+        with pytest.raises(CodecError):
+            decode_control({"kind": "log", "origin": 0, "stride": stride,
+                            "cols": cols})
+
+    def test_a_delta_is_not_encodable(self):
+        delta = LogProgressNotification(0, SparseSnapshot(4, [(1, 0, 3)]))
+        with pytest.raises(CodecError):
+            encode_control(delta)
 
 
 class TestWallClock:

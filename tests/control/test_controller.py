@@ -120,15 +120,6 @@ class TestDecisionTrace:
         # history records every tick, decisions only the two changes.
         assert len(controller.history) == 3
 
-    def test_mean_k(self):
-        controller = make(ControllerConfig(k_max=8, slo_target=100.0))
-        assert controller.mean_k() == 8.0  # before any tick
-        controller.observe(Observation(10.0, revocations=1,
-                                       commit_waits=(1.0,)))  # -> 4
-        controller.observe(Observation(20.0, revocations=2,
-                                       commit_waits=(1.0,)))  # -> 2
-        assert controller.mean_k() == 3.0
-
 
 class TestExplorationDeterminism:
     CONFIG = ControllerConfig(k_max=8, slo_target=1000.0,

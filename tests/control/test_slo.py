@@ -1,7 +1,7 @@
 """LatencyWindow and the degenerate-window-safe sample statistics.
 
-The latency-accounting sweep's contract: mean, percentile and SLO
-attainment are *total* functions — empty windows, single samples and
+The latency-accounting sweep's contract: mean and percentile are *total*
+functions — empty windows, single samples and
 boundary percentiles are answers, not crashes.
 """
 
@@ -58,7 +58,6 @@ class TestLatencyWindow:
         assert window.count == 0
         assert window.mean() == 0.0
         assert window.percentile(99.0) == 0.0
-        assert window.attainment(10.0) == 1.0
 
     def test_single_sample_statistics(self):
         window = LatencyWindow(8)
@@ -73,14 +72,6 @@ class TestLatencyWindow:
         assert window.count == 3
         assert window.samples() == [2.0, 3.0, 4.0]
         assert window.mean() == 3.0
-
-    def test_attainment_counts_at_or_under_target(self):
-        window = LatencyWindow(8)
-        window.extend([1.0, 2.0, 3.0, 4.0])
-        assert window.attainment(2.0) == 0.5
-        assert window.attainment(0.5) == 0.0
-        # An unset target always reads as attained.
-        assert window.attainment(0.0) == 1.0
 
     def test_clear(self):
         window = LatencyWindow(4)

@@ -9,8 +9,13 @@ from repro.core.effects import (
     RollbackPerformed,
 )
 from repro.core.entry import Entry
-from repro.net.message import LogProgressNotification
-from helpers import deliver_env, effects_of, make_announcement, make_msg
+from helpers import (
+    deliver_env,
+    effects_of,
+    log_notification,
+    make_announcement,
+    make_msg,
+)
 
 
 class Forwarder(AppBehavior):
@@ -41,16 +46,12 @@ class TestStromYemini:
         # A logging progress notification does NOT shrink the vector.
         proc = sy(pid=0, n=4)
         proc.on_receive(make_msg(2, 0, entries={2: Entry(0, 7)}))
-        table = [{} for _ in range(4)]
-        table[2] = {0: 7}
-        proc.on_log_notification(LogProgressNotification(2, table))
+        proc.on_log_notification(log_notification(2, [{}, {}, {0: 7}, {}]))
         assert proc.tdv.get(2) == Entry(0, 7)
 
     def test_released_vector_keeps_stable_entries(self):
         proc = sy(pid=0, n=4)
-        table = [{} for _ in range(4)]
-        table[2] = {0: 7}
-        proc.on_log_notification(LogProgressNotification(2, table))
+        proc.on_log_notification(log_notification(2, [{}, {}, {0: 7}, {}]))
         effects = proc.on_receive(
             make_msg(2, 0, entries={2: Entry(0, 7)}, payload={"to": 1}))
         msg = effects_of(effects, ReleaseMessage)[0].message

@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.depvec import DependencyVector
-from repro.core.entry import Entry, lex_max
+from repro.core.entry import Entry
+from helpers import lex_max
 
 N = 6
 

@@ -1,24 +1,9 @@
-"""Small behaviours not covered elsewhere: stats helpers, introspection
-properties, repr formats, scale sanity."""
+"""Small behaviours not covered elsewhere: introspection, repr formats,
+scale sanity."""
 
 from repro.core.entry import Entry
-from repro.core.protocol import ProtocolStats
 from repro.core.tables import EntrySetTable
-from helpers import deliver_env, make_msg, make_proc
-
-
-class TestProtocolStats:
-    def test_mean_send_hold_empty(self):
-        assert ProtocolStats().mean_send_hold() == 0.0
-
-    def test_mean_send_hold(self):
-        stats = ProtocolStats()
-        stats.messages_released = 4
-        stats.send_hold_time_total = 10.0
-        assert stats.mean_send_hold() == 2.5
-
-    def test_mean_output_wait_empty(self):
-        assert ProtocolStats().mean_output_wait() == 0.0
+from helpers import deliver_env, make_proc
 
 
 class TestIntrospection:
@@ -26,9 +11,11 @@ class TestIntrospection:
         proc = make_proc()
         deliver_env(proc)
         deliver_env(proc)
-        assert proc.stable_interval == Entry(0, 1)  # only the initial ckpt
+        # The own row of the log table: only the initial checkpoint ...
+        assert proc.log.lookup(proc.pid, 0) == 1
         proc.flush()
-        assert proc.stable_interval == Entry(0, 3)
+        # ... until the flush makes both deliveries stable.
+        assert proc.log.lookup(proc.pid, 0) == 3
 
     def test_repr_mentions_k_and_current(self):
         proc = make_proc(pid=2, k=3)

@@ -9,9 +9,9 @@ receive-buffer discards forever, and ``_rollback`` pruned neither dict.
 from repro.app.behavior import AppBehavior
 from repro.core.effects import MessageDelivered, MessageDiscarded
 from repro.core.entry import Entry
-from repro.net.message import LogProgressNotification
 from helpers import (
     deliver_env,
+    log_notification,
     effects_of,
     make_announcement,
     make_msg,
@@ -99,9 +99,9 @@ class TestDeliverLoop:
         proc.on_receive(held)
         assert held in proc.receive_buffer
         # Stability of (1, (0,2)) lets the held message through.
-        table = [{} for _ in range(proc.n)]
-        table[1] = {0: 2}
-        effects = proc.on_log_notification(LogProgressNotification(1, table))
+        rows = [{} for _ in range(proc.n)]
+        rows[1] = {0: 2}
+        effects = proc.on_log_notification(log_notification(1, rows))
         delivered = effects_of(effects, MessageDelivered)
         assert [d.message for d in delivered] == [held]
         assert proc.receive_buffer == []
@@ -118,9 +118,9 @@ class TestDeliverLoop:
         proc.on_receive(make_msg(2, 0, n=6, entries={2: Entry(1, 9)}))
         assert len(proc.receive_buffer) == 2
         # Stability for P1 unlocks `blocked`; P2's gap stays open.
-        table = [{} for _ in range(6)]
-        table[1] = {0: 2}
-        effects = proc.on_log_notification(LogProgressNotification(1, table))
+        rows = [{} for _ in range(6)]
+        rows[1] = {0: 2}
+        effects = proc.on_log_notification(log_notification(1, rows))
         delivered = [d.message for d in effects_of(effects, MessageDelivered)]
         assert blocked in delivered
         assert [m.msg_id for m in proc.receive_buffer] != []

@@ -2,14 +2,19 @@
 (Figure 3, Corollaries 1-3, Theorem 2)."""
 
 from repro.core.entry import Entry
-from repro.net.message import LogProgressNotification
-from helpers import deliver_env, make_announcement, make_msg, make_proc
+from helpers import (
+    deliver_env,
+    log_notification,
+    make_announcement,
+    make_msg,
+    make_proc,
+)
 
 
 def notification(n, pid, entries):
-    table = [{} for _ in range(n)]
-    table[pid] = dict(entries)
-    return LogProgressNotification(pid, table)
+    rows = [{} for _ in range(n)]
+    rows[pid] = dict(entries)
+    return log_notification(pid, rows)
 
 
 class TestCheckpoint:
@@ -137,8 +142,8 @@ class TestReceiveLog:
     def test_gossip_spreads_transitively(self):
         # P1 learns about P2's stability from P3's notification.
         proc = make_proc(pid=1, n=4)
-        table = [{}, {}, {0: 9}, {0: 4}]
-        proc.on_log_notification(LogProgressNotification(3, table))
+        proc.on_log_notification(
+            log_notification(3, [{}, {}, {0: 9}, {0: 4}]))
         assert proc.log.covers(2, Entry(0, 9))
         assert proc.log.covers(3, Entry(0, 4))
 
@@ -147,11 +152,11 @@ class TestReceiveLog:
         deliver_env(proc)
         proc.flush()
         notif = proc.make_log_notification(own_only=True)
-        assert notif.table[0]  # own row present
-        assert all(not row for pid, row in enumerate(notif.table) if pid != 0)
+        assert notif.table.rows()[0]  # own row present
+        assert all(not row for pid, row in enumerate(notif.table.rows()) if pid != 0)
 
     def test_full_notification_contains_all_rows(self):
         proc = make_proc(pid=0, n=4)
         proc.on_log_notification(notification(4, 2, {0: 7}))
         notif = proc.make_log_notification()
-        assert notif.table[2] == {0: 7}
+        assert notif.table.rows()[2] == {0: 7}

@@ -5,7 +5,14 @@ import pytest
 
 from repro.core.effects import DuplicateDropped, MessageDelivered, MessageDiscarded
 from repro.core.entry import Entry
-from helpers import deliver_env, effects_of, make_announcement, make_msg, make_proc
+from helpers import (
+    deliver_env,
+    effects_of,
+    log_notification,
+    make_announcement,
+    make_msg,
+    make_proc,
+)
 
 
 class TestInitialize:
@@ -20,7 +27,7 @@ class TestInitialize:
     def test_initial_checkpoint_written(self):
         proc = make_proc()
         assert proc.storage.checkpoints_taken == 1
-        assert proc.storage.latest_checkpoint().entry == Entry(0, 1)
+        assert proc.storage.checkpoints[-1].entry == Entry(0, 1)
 
     def test_first_interval_recorded_stable(self):
         # "the first state interval is always stable".
@@ -142,14 +149,12 @@ class TestCheckDeliverability:
         assert not proc.receive_buffer
 
     def test_held_message_released_by_log_notification(self):
-        from repro.net.message import LogProgressNotification
-
         proc = make_proc(pid=4, n=6)
         proc.on_receive(make_msg(3, 4, n=6, entries={1: Entry(0, 4)}))
         proc.on_receive(make_msg(2, 4, n=6, entries={1: Entry(1, 5)}))
-        table = [{} for _ in range(6)]
-        table[1] = {0: 4}  # incarnation 0 of P1 stable through 4
-        effects = proc.on_log_notification(LogProgressNotification(1, table))
+        rows = [{} for _ in range(6)]
+        rows[1] = {0: 4}  # incarnation 0 of P1 stable through 4
+        effects = proc.on_log_notification(log_notification(1, rows))
         assert effects_of(effects, MessageDelivered)
 
     def test_smaller_incoming_incarnation_also_gated(self):

@@ -122,7 +122,7 @@ class TestOutputDrivenLogging:
         replies = effects_of(effects, SendNotification)
         assert len(replies) == 1
         assert replies[0].dst == 0
-        assert replies[0].notification.table[2]  # own progress included
+        assert replies[0].notification.table.rows()[2]  # own progress included
         assert server.storage.async_writes == 1
 
     def test_round_trip_commits_output(self):
@@ -224,7 +224,7 @@ class TestLoggingProgressPull:
         assert reply.notification.origin == 2
         assert owner.storage.async_writes == 0
         # What is already logged, not what a flush would add.
-        assert reply.notification.table[2] == {0: 1}
+        assert reply.notification.table.rows()[2] == {0: 1}
 
     def test_the_flush_bit_flushes_first(self):
         owner = make_proc(pid=2, n=4, k=4)
@@ -232,7 +232,7 @@ class TestLoggingProgressPull:
         effects = owner.on_logging_request(LoggingRequest(1, flush=True))
         (reply,) = effects_of(effects, SendNotification)
         assert owner.storage.async_writes == 1
-        assert reply.notification.table[2] == {0: 2}
+        assert reply.notification.table.rows()[2] == {0: 2}
         assert LoggingRequest(1).flush  # the default is Section 2's request
 
     def test_answer_is_the_full_table_or_the_own_row(self):
@@ -241,20 +241,20 @@ class TestLoggingProgressPull:
         request = LoggingRequest(0, flush=False)
         (full,) = owner.on_logging_request(request)
         (own,) = owner.on_logging_request(request, own_only=True)
-        assert full.notification.table[3] == {0: 9}
-        assert own.notification.table[3] == {}
-        assert own.notification.table[2] == full.notification.table[2]
+        assert full.notification.table.rows()[3] == {0: 9}
+        assert own.notification.table.rows()[3] == {}
+        assert own.notification.table.rows()[2] == full.notification.table.rows()[2]
 
     def test_answers_advance_the_askers_own_delta_cursor(self):
         owner = make_proc(pid=2, n=4, k=4, delta_notifications=True)
         request = LoggingRequest(0, flush=False)
         (first,) = owner.on_logging_request(request)
-        assert first.notification.table[2] == {0: 1}
+        assert first.notification.table.rows()[2] == {0: 1}
         owner.log.insert(3, Entry(0, 9))
         (second,) = owner.on_logging_request(request)
         assert not second.notification.table.full
         assert sorted(second.notification.table.entries) == [(3, 0, 9)]
         # Another asker has its own cursor: first contact is a full table.
         (other,) = owner.on_logging_request(LoggingRequest(1, flush=False))
-        assert other.notification.table[2] == {0: 1}
-        assert other.notification.table[3] == {0: 9}
+        assert other.notification.table.rows()[2] == {0: 1}
+        assert other.notification.table.rows()[3] == {0: 9}

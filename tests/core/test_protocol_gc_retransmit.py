@@ -9,7 +9,14 @@ from repro.core.effects import (
     RestartPerformed,
 )
 from repro.core.entry import Entry
-from helpers import deliver_env, effects_of, make_announcement, make_msg, make_proc
+from helpers import (
+    deliver_env,
+    effects_of,
+    log_notification,
+    make_announcement,
+    make_msg,
+    make_proc,
+)
 
 
 class Forwarder(AppBehavior):
@@ -46,15 +53,11 @@ class TestGarbageCollection:
         assert len(proc.storage.checkpoints) == 2
 
     def test_gc_unblocked_by_log_notification(self):
-        from repro.net.message import LogProgressNotification
-
         proc = make_proc(pid=0, n=4, behavior=Forwarder())
         proc.on_receive(make_msg(2, 0, entries={2: Entry(0, 7)}))
         proc.checkpoint()
         assert len(proc.storage.checkpoints) == 2
-        table = [{} for _ in range(4)]
-        table[2] = {0: 7}
-        proc.on_log_notification(LogProgressNotification(2, table))
+        proc.on_log_notification(log_notification(2, [{}, {}, {0: 7}, {}]))
         proc.checkpoint()
         assert len(proc.storage.checkpoints) == 1
 

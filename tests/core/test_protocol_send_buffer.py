@@ -4,8 +4,14 @@
 from repro.app.behavior import AppBehavior
 from repro.core.effects import ReleaseMessage
 from repro.core.entry import Entry
-from repro.net.message import LogProgressNotification
-from helpers import deliver_env, effects_of, make_announcement, make_msg, make_proc
+from helpers import (
+    deliver_env,
+    effects_of,
+    log_notification,
+    make_announcement,
+    make_msg,
+    make_proc,
+)
 
 
 class ForwardingBehavior(AppBehavior):
@@ -21,9 +27,9 @@ class ForwardingBehavior(AppBehavior):
 
 
 def notification(n, pid, inc, sii):
-    table = [{} for _ in range(n)]
-    table[pid] = {inc: sii}
-    return LogProgressNotification(pid, table)
+    rows = [{} for _ in range(n)]
+    rows[pid] = {inc: sii}
+    return log_notification(pid, rows)
 
 
 class TestSendBuffering:

@@ -25,7 +25,7 @@ class ForwardingBehavior(AppBehavior):
 
 def proc_with_timer(**kwargs):
     return make_proc(k=4, behavior=ForwardingBehavior(),
-                     retransmit_timeout=4.0, retransmit_backoff=2.0,
+                     retransmit_timeout=4.0,
                      retransmit_budget=3, **kwargs)
 
 

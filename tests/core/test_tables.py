@@ -53,7 +53,7 @@ class TestSnapshotMerge:
         t.insert(0, Entry(0, 5))
         t.insert(2, Entry(1, 7))
         u = EntrySetTable(3)
-        u.merge_snapshot(t.snapshot())
+        u.merge_snapshot(t.snapshot_columns())
         assert u.lookup(0, 0) == 5
         assert u.lookup(2, 1) == 7
 
@@ -62,20 +62,20 @@ class TestSnapshotMerge:
         t.insert(0, Entry(0, 9))
         u = EntrySetTable(2)
         u.insert(0, Entry(0, 4))
-        u.merge_snapshot(t.snapshot())
+        u.merge_snapshot(t.snapshot_columns())
         assert u.lookup(0, 0) == 9
 
     def test_snapshot_is_deep(self):
         t = EntrySetTable(2)
         t.insert(0, Entry(0, 1))
-        snap = t.snapshot()
+        snap = t.snapshot_columns()
         t.insert(0, Entry(0, 5))
-        assert snap[0][0] == 1
+        assert snap.rows()[0][0] == 1
 
     def test_size_mismatch_rejected(self):
         t = EntrySetTable(2)
         with pytest.raises(ValueError):
-            t.merge_snapshot([{}])
+            t.merge_snapshot(EntrySetTable(1).snapshot_columns())
 
 
 class TestLoggingProgressCovers:
@@ -140,12 +140,6 @@ class TestIncarnationEndInvalidates:
         iet.insert(0, Entry(2, 9))
         assert iet.highest_ended_incarnation(0) == 2
 
-    def test_all_pairs(self):
-        iet = IncarnationEndTable(3)
-        iet.insert(0, Entry(0, 4))
-        iet.insert(2, Entry(1, 2))
-        assert list(iet.all_pairs()) == [(0, Entry(0, 4)), (2, Entry(1, 2))]
-
     def test_figure1_r1(self):
         # r1 carries (0,4)_1: P3's dependency (0,5)_1 is invalidated,
         # P4's dependency (0,4)_1 is not.
@@ -180,12 +174,11 @@ class TestPlainPythonValues:
         assert type(table.row_size(2)) is int
         snap = table.snapshot_columns()
         assert all(type(v) is int for row in snap.rows() for v in row.values())
-        assert all(type(v) is int for v in snap[2].values())
-        assert all(type(v) is int for v in snap.restrict(2)[2].values())
+        assert all(type(v) is int for v in snap.restrict(2).rows()[2].values())
         delta = table.delta_since((0, 0))
         assert delta.entries == ((1, 0, 7), (2, 3, 9))
         assert all(type(x) is int for e in delta.entries for x in e)
-        assert json.loads(json.dumps(table.snapshot()))[2] == {"3": 9}
+        assert json.loads(json.dumps(snap.rows()))[2] == {"3": 9}
 
     def test_covers_is_bool(self, n):
         log = self._gossiped(LoggingProgressTable, n)

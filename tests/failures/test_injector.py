@@ -68,11 +68,3 @@ class TestUnifiedEventStream:
         assert not FailureSchedule([CrashEvent(1.0, 0)]).has_network_events()
         assert FailureSchedule([LossEvent(1.0, drop=0.2)]).has_network_events()
         assert not FailureSchedule.none().has_network_events()
-
-    def test_extended_merges_and_resorts(self):
-        from repro.failures.injector import PartitionEvent
-
-        base = FailureSchedule([CrashEvent(40.0, 1)])
-        extended = base.extended([PartitionEvent(20.0, ((1,),))])
-        assert [e.time for e in extended] == [20.0, 40.0]
-        assert len(base) == 1  # original untouched

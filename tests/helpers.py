@@ -11,7 +11,8 @@ from repro.core.depvec import DependencyVector
 from repro.core.effects import Effect
 from repro.core.entry import Entry
 from repro.core.protocol import KOptimisticProcess
-from repro.net.message import AppMessage, FailureAnnouncement
+from repro.core.tables import LoggingProgressTable
+from repro.net.message import AppMessage, FailureAnnouncement, LogProgressNotification
 from repro.types import MessageId
 
 _counter = itertools.count(1)
@@ -118,6 +119,35 @@ def make_msg(
 
 def make_announcement(origin: int, inc: int, sii: int) -> FailureAnnouncement:
     return FailureAnnouncement(origin, Entry(inc, sii))
+
+
+def log_notification(origin: int,
+                     rows: List[Dict[int, int]]) -> LogProgressNotification:
+    """The notification a sender whose log table holds ``rows`` (one
+    ``inc -> max index`` dict per process) would send: its columnar
+    snapshot, on the backend a table over ``len(rows)`` processes uses."""
+    table = LoggingProgressTable(len(rows))
+    for pid, row in enumerate(rows):
+        for inc, sii in row.items():
+            table.insert(pid, Entry(inc, sii))
+    return LogProgressNotification(origin, table.snapshot_columns())
+
+
+def lex_max(a: Optional[Entry], b: Optional[Entry]) -> Optional[Entry]:
+    """Reference NULL-aware lexicographic maximum (NULL < any entry): what
+    a vector merge must compute per process."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a if a >= b else b
+
+
+def lex_min(a: Optional[Entry], b: Optional[Entry]) -> Optional[Entry]:
+    """Reference NULL-aware lexicographic minimum (NULL < any entry)."""
+    if a is None or b is None:
+        return None
+    return a if a <= b else b
 
 
 def effects_of(effects: List[Effect], effect_type: type) -> List[Effect]:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.net.channel import (
     Channel,
-    ExponentialLatency,
     FixedLatency,
     UniformLatency,
 )
@@ -40,16 +39,6 @@ class TestLatencyModels:
             UniformLatency(3.0, 1.0)
         with pytest.raises(ValueError):
             UniformLatency(-1.0, 1.0)
-
-    def test_exponential_above_base(self):
-        model = ExponentialLatency(1.0, 2.0)
-        rng = random.Random(0)
-        for _ in range(100):
-            assert model.delay(rng) >= 1.0
-
-    def test_exponential_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            ExponentialLatency(1.0, 0.0)
 
 
 class TestChannel:

@@ -6,10 +6,10 @@ from repro.net.message import (
     AppMessage,
     FailureAnnouncement,
     LoggingRequest,
-    LogProgressNotification,
     OutputRecord,
 )
 from repro.types import MessageId, OutputId
+from helpers import log_notification
 
 
 def msg(entries=None, n=4):
@@ -69,7 +69,7 @@ class TestControlMessages:
         assert "inc 0 ended at 4" in str(ann)
 
     def test_log_progress_notification_str(self):
-        notif = LogProgressNotification(2, [{}, {}, {0: 5}])
+        notif = log_notification(2, [{}, {}, {0: 5}])
         assert "P2" in str(notif)
 
     def test_logging_request_str(self):

@@ -41,6 +41,7 @@ from repro.core.tables import (
     EntrySetTable,
     IncarnationEndTable,
     LoggingProgressTable,
+    SparseSnapshot,
     TableSnapshot,
     _snapshot_entries,
 )
@@ -229,10 +230,6 @@ class ReferenceIncarnationEndTable(ReferenceEntrySetTable):
         row = self._row(pid)
         return max(row) if row else -1
 
-    def all_pairs(self) -> Iterator[Tuple[int, Entry]]:
-        for pid in range(self.n):
-            for entry in self.entries(pid):
-                yield pid, entry
 
 SIZES = [5, 64]  # list backend / numpy backend (when numpy is present)
 
@@ -378,7 +375,7 @@ def table_ops(n):
     return st.lists(
         st.one_of(
             st.tuples(st.just("insert"), pids(n), entries),
-            st.tuples(st.just("merge_legacy"), rows_strategy(n)),
+            st.tuples(st.just("merge_sparse"), rows_strategy(n)),
             st.tuples(st.just("merge_snap"), rows_strategy(n)),
         ),
         max_size=15,
@@ -388,21 +385,30 @@ def table_ops(n):
 def apply_table_op(table, op, columnar_side):
     if op[0] == "insert":
         table.insert(op[1], op[2])
-    elif op[0] == "merge_legacy":
+    elif not columnar_side:
         table.merge_snapshot(op[1])
+    elif op[0] == "merge_sparse":
+        # The delta path: the rows as explicit (pid, inc, sii) triples.
+        table.merge_snapshot(SparseSnapshot(table.n, [
+            (pid, inc, sii) for pid, row in enumerate(op[1])
+            for inc, sii in row.items()]))
     else:
         # Columnar gossip path: rebuild the rows as a TableSnapshot so the
         # elementwise-max merge runs; the reference gets the same rows.
-        if columnar_side:
-            donor = EntrySetTable(table.n)
-            donor.merge_snapshot(op[1])
-            table.merge_snapshot(donor.snapshot_columns())
-        else:
-            table.merge_snapshot(op[1])
+        donor = EntrySetTable(table.n)
+        for pid, row in enumerate(op[1]):
+            for inc, sii in row.items():
+                donor.insert(pid, Entry(inc, sii))
+        table.merge_snapshot(donor.snapshot_columns())
+
+
+def pairs(table) -> List[Tuple[int, Entry]]:
+    """Every (pid, entry) the table holds, in pid then incarnation order."""
+    return [(pid, entry) for pid in range(table.n)
+            for entry in table.entries(pid)]
 
 
 def assert_tables_equal(col, ref):
-    assert col.snapshot() == ref.snapshot()
     assert col.snapshot_columns().rows() == ref.snapshot()
     for pid in range(col.n):
         assert list(col.entries(pid)) == list(ref.entries(pid))
@@ -419,12 +425,12 @@ class TestTableEquivalence:
         col = LoggingProgressTable(n)
         ref = ReferenceLoggingProgressTable(n)
         for op in data.draw(table_ops(n)):
-            before = col.snapshot()
+            before = col.snapshot_columns()
             version = col.version
             apply_table_op(col, op, columnar_side=True)
             apply_table_op(ref, op, columnar_side=False)
-            assert (col.version > version) == (col.snapshot() != before)
-            assert (col.version == 0) == (not any(col.snapshot()))
+            assert (col.version > version) == (col.snapshot_columns() != before)
+            assert (col.version == 0) == (not any(col.snapshot_columns().rows()))
         assert_tables_equal(col, ref)
         for _ in range(10):
             pid, entry = data.draw(pids(n)), data.draw(entries)
@@ -445,7 +451,7 @@ class TestTableEquivalence:
         for pid in range(n):
             assert (col.highest_ended_incarnation(pid)
                     == ref.highest_ended_incarnation(pid))
-        assert sorted(col.all_pairs()) == sorted(ref.all_pairs())
+        assert pairs(col) == pairs(ref)
         for _ in range(10):
             pid, entry = data.draw(pids(n)), data.draw(entries)
             expected = ref.invalidates(pid, entry)
@@ -512,7 +518,7 @@ def rehouse(snap, form):
 def assert_snapshot_views(snap, rows):
     """Every read-side view of a gossiped snapshot against reference rows."""
     n = len(rows)
-    assert snap.rows() == rows and snap == rows
+    assert snap.rows() == rows
     triples = [(pid, inc, sii) for pid in range(n)
                for inc, sii in sorted(rows[pid].items())]
     assert len(snap.cols) == n * snap.stride
@@ -520,7 +526,6 @@ def assert_snapshot_views(snap, rows):
     assert snap.stride == 1 + max((inc for _, inc, _ in triples), default=0)
     assert sorted(_snapshot_entries(snap)) == triples
     for pid in range(n):
-        assert snap[pid] == rows[pid]
         only = snap.restrict(pid)
         assert only.rows() == [rows[q] if q == pid else {} for q in range(n)]
 
@@ -541,7 +546,7 @@ def assert_queries_equal(kind, col, ref, probes):
         for pid in range(col.n):
             assert (col.highest_ended_incarnation(pid)
                     == ref.highest_ended_incarnation(pid))
-        assert sorted(col.all_pairs()) == sorted(ref.all_pairs())
+        assert pairs(col) == pairs(ref)
 
 
 def run_gossip_script(kind, n, ops, probes=()):
@@ -573,7 +578,7 @@ def run_gossip_script(kind, n, ops, probes=()):
                 col.merge_snapshot(picks[0][0])
             for _, rows in picks:
                 ref.merge_snapshot(rows)
-        assert col.snapshot() == ref.snapshot()
+        assert col.snapshot_columns().rows() == ref.snapshot()
         assert (col.version > version) == (ref.snapshot() != before)
     for col, ref in zip(cols, refs):
         assert_queries_equal(kind, col, ref, probes)
@@ -666,6 +671,6 @@ class TestStrideCrossings:
         assert (out.n, out.stride) == (snap.n, snap.stride)
         assert out.rows() == snap.rows()
         receiver.merge_snapshot(out)
-        twin.merge_snapshot(snap.rows())
-        assert receiver.snapshot() == twin.snapshot()
+        twin.merge_snapshot(snap)
+        assert receiver.snapshot_columns() == twin.snapshot_columns()
         assert receiver.version == twin.version

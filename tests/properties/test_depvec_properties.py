@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.depvec import DependencyVector
-from repro.core.entry import Entry, lex_max
+from repro.core.entry import Entry
+from helpers import lex_max
 from repro.core.tables import IncarnationEndTable, LoggingProgressTable
 
 N = 5
@@ -83,7 +84,7 @@ class TestTableProperties:
             a.insert(pid, entry)
         for pid, entry in reversed(inserts):
             b.insert(pid, entry)
-        assert a.snapshot() == b.snapshot()
+        assert a.snapshot_columns() == b.snapshot_columns()
 
     @given(st.lists(st.tuples(st.integers(0, N - 1), entries), max_size=20),
            st.integers(0, N - 1), entries)
@@ -122,8 +123,8 @@ class TestTableProperties:
         for pid, entry in inserts:
             direct.insert(pid, entry)
         merged = LoggingProgressTable(N)
-        merged.merge_snapshot(direct.snapshot())
-        assert merged.snapshot() == direct.snapshot()
+        merged.merge_snapshot(direct.snapshot_columns())
+        assert merged.snapshot_columns() == direct.snapshot_columns()
 
     @given(st.integers(0, N - 1), entries, entries)
     def test_covers_and_invalidates_disjoint_same_incarnation(self, pid, end, probe):

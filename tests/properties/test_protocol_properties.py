@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from repro.app.behavior import EchoBehavior
 from repro.core.entry import Entry
 from repro.core.protocol import KOptimisticProcess
-from repro.net.message import LogProgressNotification
-from helpers import make_announcement, make_msg
+from helpers import log_notification, make_announcement, make_msg
 
 N = 4
 
@@ -53,9 +52,9 @@ def apply_op(proc, op):
         proc.on_failure_announcement(make_announcement(origin, inc, sii))
     elif kind == "notify":
         _, origin, inc, sii = op
-        table = [{} for _ in range(N)]
-        table[origin] = {inc: sii}
-        proc.on_log_notification(LogProgressNotification(origin, table))
+        rows = [{} for _ in range(N)]
+        rows[origin] = {inc: sii}
+        proc.on_log_notification(log_notification(origin, rows))
     elif kind == "flush":
         proc.flush()
     elif kind == "checkpoint":
@@ -84,7 +83,8 @@ def check_invariants(proc):
     positions = [r.position for r in proc.volatile.records]
     assert positions == sorted(set(positions))
     if positions:
-        assert positions[0] > proc.storage.highest_logged_position()
+        assert positions[0] > max(
+            (r.position for r in proc.storage.logged_after(0)), default=0)
 
 
 class TestRandomOperationSequences:
@@ -126,10 +126,10 @@ class TestRandomOperationSequences:
                     effects = proc.on_failure_announcement(
                         make_announcement(op[1], op[2], op[3]))
                 elif kind == "notify":
-                    table = [{} for _ in range(N)]
-                    table[op[1]] = {op[2]: op[3]}
+                    rows = [{} for _ in range(N)]
+                    rows[op[1]] = {op[2]: op[3]}
                     effects = proc.on_log_notification(
-                        LogProgressNotification(op[1], table))
+                        log_notification(op[1], rows))
                 elif kind == "flush":
                     effects = proc.flush()
                 elif kind == "checkpoint":
@@ -162,9 +162,11 @@ class TestRandomOperationSequences:
         # tables mark as an orphan (stability and orphanhood are orthogonal
         # — a stable interval can still be lost), discarding orphans and
         # requeueing the non-orphan remainder for ordinary re-delivery.
-        # Everything volatile is gone.
+        # Everything volatile is gone: what the buffer holds now are the
+        # re-deliveries of requeued messages (popped from the log, or taken
+        # back from the checkpoint's receive buffer).
         discarded = proc.stats.orphans_discarded - orphans_before
         requeued = proc.stats.messages_requeued - requeued_before
         assert (proc.app_state["delivered"]
                 >= delivered_before - volatile - discarded - requeued)
-        assert len(proc.volatile) == 0
+        assert len(proc.volatile) <= requeued

@@ -15,13 +15,6 @@ class TestSimConfig:
         assert SimConfig(n=8, k=3).resolved_k() == 3
         assert SimConfig(n=8, k=0).resolved_k() == 0
 
-    def test_with_k_copies(self):
-        base = SimConfig(n=8, seed=3)
-        derived = base.with_k(2)
-        assert derived.k == 2
-        assert derived.seed == 3
-        assert base.k is None
-
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             SimConfig(n=0).validate()

@@ -123,6 +123,7 @@ class StubProtocol:
         self.failed = False
         self.send_buffer, self.receive_buffer, self.output_buffer = [], [], []
         self.unacked_count = 0
+        self.delta_notifications = False
 
     #: What every handler answers with.
     effects = [BroadcastAnnouncement(make_announcement(0, 0, 1))]
@@ -399,7 +400,7 @@ class TestPeriodic:
             reported = 0
             for time, frontier in flushes:
                 for note in [p for at, p in notes if at == time]:
-                    assert note.table[pid] == {frontier.inc: frontier.sii}
+                    assert note.table.rows()[pid] == {frontier.inc: frontier.sii}
                     reported += 1
             assert reported == 10 // shared
 
@@ -474,12 +475,12 @@ class TestFanoutPull:
             host.incoming(LoggingRequest(2, flush=False))
             ((kind, dst, answer),) = transport.sent
             assert (kind, dst) == ("ctl", 2)
-            assert answer.table[0] == {0: 1}
-            assert answer.table[1] == ({0: 9} if gossip else {})
+            assert answer.table.rows()[0] == {0: 1}
+            assert answer.table.rows()[1] == ({0: 9} if gossip else {})
             assert owner.storage.async_writes == 0
             host.incoming(LoggingRequest(2))         # Section 2: flush first
             assert owner.storage.async_writes == 1
-            assert transport.sent[-1][2].table[0] == {0: 2}
+            assert transport.sent[-1][2].table.rows()[0] == {0: 2}
 
     def test_a_down_owner_drops_the_ask_and_answers_once_it_is_back(self):
         host, clock, transport = build(restart_delay=10.0)

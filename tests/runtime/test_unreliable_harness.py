@@ -13,6 +13,7 @@ from repro.net.reliable import ReliableConfig
 from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
 from repro.workloads.random_peers import RandomPeersWorkload
+from helpers import log_notification
 
 
 def build(config, schedule=None, rate=0.5, until=150.0):
@@ -169,11 +170,10 @@ class TestFailStopControlRetransmission:
 
     def _build(self):
         from repro.app.behavior import EchoBehavior
-        from repro.net.message import LogProgressNotification
 
         config = SimConfig(n=3, seed=7, ack_layer=True)
         harness = SimulationHarness(config, EchoBehavior())
-        notif = LogProgressNotification(1, [{} for _ in range(3)])
+        notif = log_notification(1, [{} for _ in range(3)])
         # A reliable control send from P1 whose destination dies before the
         # envelope arrives: no ack will ever come back.
         harness.network.send_control(1, 2, notif, reliable=True)

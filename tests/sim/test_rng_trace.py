@@ -1,7 +1,7 @@
 """Unit tests for seeded RNG streams and the tracer."""
 
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceEvent, Tracer
+from repro.sim.trace import Tracer
 
 
 class TestRngRegistry:
@@ -66,14 +66,6 @@ class TestTracer:
         tracer.record(2.0, "a", 1)
         assert tracer.count("a") == 2
         assert tracer.count("a", process=0) == 1
-
-    def test_subscribers_invoked(self):
-        tracer = Tracer()
-        seen = []
-        tracer.subscribe(seen.append)
-        tracer.record(1.0, "x", None)
-        assert len(seen) == 1
-        assert isinstance(seen[0], TraceEvent)
 
     def test_clear(self):
         tracer = Tracer()

@@ -142,7 +142,7 @@ class TestCrashRecovery:
         backend.recover()
         assert backend.log_size == 2
         assert backend.output_committed("out-1")
-        assert backend.latest_checkpoint_entry() == Entry(0, 0)
+        assert backend.checkpoints[-1].entry == Entry(0, 0)
         assert backend.recoveries == 1
         assert backend.torn_records_dropped == 0
 
@@ -454,7 +454,7 @@ class TestSegments:
         assert not backend.sync_due
         backend.crash()
         backend.recover()
-        assert backend.latest_checkpoint_entry() == Entry(0, 29)
+        assert backend.checkpoints[-1].entry == Entry(0, 29)
         assert backend.output_committed("nope") is False
 
     def test_close_releases_the_tail_handle(self, tmp_path):

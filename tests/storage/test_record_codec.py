@@ -364,7 +364,9 @@ class TestGuardsBite:
 
         def duck_typed(tdv):
             flat = DependencyVector(tdv.n)
-            flat.merge(tdv)
+            for pid, entry in tdv.items():  # one entry per pid: the max
+                if flat.get(pid) is None or flat.get(pid) < entry:
+                    flat.set(pid, entry)
             return flat.columns()
 
         monkeypatch.setattr(recovery, "_pack_vector", duck_typed)

@@ -23,7 +23,7 @@ class TestCheckpoints:
     def test_write_and_read_latest(self):
         storage = ModelBackend(0)
         storage.write_checkpoint(Entry(0, 3), {"a": 1}, DependencyVector(4), set())
-        assert storage.latest_checkpoint().entry == Entry(0, 3)
+        assert storage.checkpoints[-1].entry == Entry(0, 3)
         assert storage.checkpoints_taken == 1
         assert storage.sync_writes == 1
 
@@ -32,18 +32,14 @@ class TestCheckpoints:
         state = {"nested": [1, 2]}
         storage.write_checkpoint(Entry(0, 3), state, DependencyVector(4), set())
         state["nested"].append(3)
-        assert storage.latest_checkpoint().app_state == {"nested": [1, 2]}
+        assert storage.checkpoints[-1].app_state == {"nested": [1, 2]}
 
     def test_checkpoint_vector_snapshot(self):
         storage = ModelBackend(0)
         tdv = DependencyVector(4, {1: Entry(0, 5)})
         storage.write_checkpoint(Entry(0, 3), {}, tdv, set())
         tdv.set(2, Entry(0, 9))
-        assert storage.latest_checkpoint().tdv.get(2) is None
-
-    def test_no_checkpoint_is_an_error(self):
-        with pytest.raises(RuntimeError):
-            ModelBackend(0).latest_checkpoint()
+        assert storage.checkpoints[-1].tdv.get(2) is None
 
     def test_discard_checkpoints_after(self):
         storage = ModelBackend(0)
@@ -51,7 +47,7 @@ class TestCheckpoints:
             storage.write_checkpoint(Entry(0, sii), {}, DependencyVector(4), set())
         storage.discard_checkpoints_after(0)
         assert len(storage.checkpoints) == 1
-        assert storage.latest_checkpoint().entry == Entry(0, 1)
+        assert storage.checkpoints[-1].entry == Entry(0, 1)
 
 
 class TestMessageLog:
@@ -80,12 +76,6 @@ class TestMessageLog:
         popped = storage.pop_logged_after(2)
         assert [r.position for r in popped] == [3, 4]
         assert storage.log_size == 1
-
-    def test_highest_logged_position(self):
-        storage = ModelBackend(0)
-        assert storage.highest_logged_position() == 0
-        storage.append_log([record(5)], sync=False)
-        assert storage.highest_logged_position() == 5
 
 
 class TestAnnouncements:
@@ -134,7 +124,6 @@ class TestCommittedOutputs:
         assert not storage.output_committed("o1")
         storage.record_committed_output("o1")
         assert storage.output_committed("o1")
-        assert storage.committed_output_count == 1
         assert storage.sync_writes == 1
 
 
@@ -146,10 +135,11 @@ class TestDefensiveCopies:
         storage = ModelBackend(0)
         storage.write_checkpoint(Entry(0, 3), {"n": [1]}, DependencyVector(4),
                                  {record(1).message.msg_id})
-        restored = storage.latest_checkpoint()
+        latest = len(storage.checkpoints) - 1
+        restored = storage.restore_checkpoint(latest)
         restored.app_state["n"].append(2)
         restored.tdv.set(2, Entry(0, 9))
-        pristine = storage.latest_checkpoint()
+        pristine = storage.restore_checkpoint(latest)
         assert pristine.app_state == {"n": [1]}
         assert pristine.tdv.get(2) is None
         # received_ids is handed out as a frozenset: immutable by type.

@@ -50,14 +50,6 @@ class TestVolatileBuffer:
         buf.clear()
         assert buf.drain() == []
 
-    def test_discard_after(self):
-        buf = VolatileBuffer()
-        for p in (2, 3, 4, 5):
-            buf.append(record(p))
-        dropped = buf.discard_after(3)
-        assert [r.position for r in dropped] == [4, 5]
-        assert [r.position for r in buf.records] == [2, 3]
-
     def test_records_returns_copy(self):
         buf = VolatileBuffer()
         buf.append(record(2))
