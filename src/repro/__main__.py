@@ -112,12 +112,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"\nparallel run: {parallel} workers, {harness.epochs} epochs, "
               f"{harness.cross_messages} cross-worker messages")
         from repro.oracle.ingest import certify_events
-        from repro.parallel import canonical_dep_events
 
         events = [{"time": t, "category": c, "process": p, "data": d}
-                  for t, c, p, d in canonical_dep_events(harness.dep_events())]
-        cert = certify_events(events, config.n,
-                              config.k if config.k is not None else config.n)
+                  for t, c, p, d in harness.dep_events()]
+        cert = certify_events(events, config.n, config.resolved_k())
         harness.close()
         if cert.violations:
             print("\nCERTIFICATION VIOLATIONS:")

@@ -22,6 +22,6 @@ length-prefixed JSON frames to a coordinator in a star topology:
 
 Correctness of a backplane run is certified *post hoc*: every worker
 streams ``dep.*`` trace events to its own JSONL file, and the coordinator
-replays the collected traces through the ground-truth dependency oracle
+feeds the collected traces to the same certifier the simulation uses
 (:mod:`repro.oracle.ingest`) after the run settles.
 """

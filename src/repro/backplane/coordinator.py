@@ -18,7 +18,6 @@
 5. settle: flush/notify rounds with status polls until every worker
    reports empty buffers and no unacked releases;
 6. shut the workers down and certify the collected ``dep.*`` traces
-   against the ground-truth dependency oracle
    (:mod:`repro.oracle.ingest`).
 
 The coordinator holds no protocol state: correctness rests entirely on
@@ -50,7 +49,8 @@ from repro.backplane.framing import (
     write_frame,
 )
 from repro.backplane.loadgen import generate_stimuli
-from repro.oracle.ingest import Certification, certify_traces
+from repro.oracle.certifier import Certification
+from repro.oracle.ingest import certify_traces
 
 
 @dataclass

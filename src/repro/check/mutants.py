@@ -41,7 +41,7 @@ class UnboundedReleaseProcess(KOptimisticProcess):
 
     ``Check_send_buffer`` runs with the commit-dependency limit forced to
     N, so messages leave while more than K processes could still revoke
-    them; the harness's oracle-backed release check fires.
+    them; the certifier's Theorem 4 check fires.
     """
 
     def _check_send_buffer(self) -> List[Effect]:

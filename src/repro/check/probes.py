@@ -1,8 +1,9 @@
 """The invariant probe layer.
 
 A :class:`ProbeSet` hangs checks off the harness's effect and step hooks
-and accumulates violations.  Together with the checks the harness already
-performs when ``check_invariants`` is on, every scenario run evaluates:
+and accumulates violations.  Together with the harness's
+:class:`~repro.oracle.certifier.Certifier` (which judges every run when
+``check_invariants`` is on), every scenario run evaluates:
 
 - **Theorem 1 (step form)** — no *known* orphan is ever delivered to the
   application: at delivery time the receiver's own incarnation-end table
@@ -23,9 +24,10 @@ performs when ``check_invariants`` is on, every scenario run evaluates:
 - **chain integrity** — a live chain never contains a rolled-back
   interval (``DependencyOracle.chain_integrity_violations``), the
   structural subset of consistency that must hold after *every* step.
-- **Theorem 4** — the harness itself checks the release bound (at most K
-  potential revokers per released message) on every ``ReleaseMessage``
-  effect, and the empty-revoker rule on every output commit.
+- **Theorem 4 and the output-commit rule** — not a probe: the certifier
+  judges the release bound (at most K potential revokers per released
+  message) on every ``ReleaseMessage`` effect, and the empty-revoker rule
+  on every output commit.
 - **per-message K discipline** — a released message that carries its own
   bound (Section 4.2) must satisfy it structurally: its piggybacked
   vector holds at most ``k_limit`` non-null entries, and under an
@@ -123,7 +125,7 @@ class ProbeSet:
     # -- step-level checks ---------------------------------------------------
 
     def _on_step(self, harness: SimulationHarness) -> None:
-        for text in harness.oracle.chain_integrity_violations():
+        for text in harness.certifier.oracle.chain_integrity_violations():
             self._report(text)
         self._check_vector_coverage(harness)
 
@@ -135,7 +137,7 @@ class ProbeSet:
         exactly the event that makes the corresponding intervals stable,
         and the residual race is within a single event callback.
         """
-        oracle = harness.oracle
+        oracle = harness.certifier.oracle
         for host in harness.hosts:
             if host.down or getattr(host.protocol, "failed", False):
                 continue

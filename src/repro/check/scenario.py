@@ -247,7 +247,7 @@ def run_scenario(
         counts=list(recorder.counts),
         events_executed=harness.engine.events_executed,
         outputs_committed=len(harness.committed_outputs),
-        max_release_revokers=harness.max_release_revokers,
+        max_release_revokers=harness.certifier.max_release_revokers,
         trace=[e for e in harness.tracer.events
                if e.category.startswith(TRACE_KEEP)],
     )

@@ -1,0 +1,170 @@
+"""The one judge of every run.
+
+A :class:`Certifier` owns the ground-truth :class:`DependencyOracle` and
+takes the five facts the shared :class:`~repro.runtime.executor.
+EffectExecutor` emits, as typed calls: :meth:`~Certifier.deliver`,
+:meth:`~Certifier.stable` and :meth:`~Certifier.recover` build the graph;
+:meth:`~Certifier.release` is judged against Theorem 4 (at most K
+potential revokers, the message's own bound when it has one, replayed or
+not) and :meth:`~Certifier.commit` against the output-commit rule (a
+known interval with no potential revoker, not an orphan).
+:meth:`~Certifier.finish` judges quiescent consistency and the
+committed-output ledger: each output committed once, none from an interval
+rolled back or orphaned by the end.
+
+The simulation harness makes the calls inline from its executor hooks;
+:mod:`repro.oracle.ingest` makes them from a trace's ``dep.*`` records
+after the run.  One class, so both feeds give the same verdict.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Set, Tuple
+
+from repro.core.entry import Entry
+from repro.oracle.graph import DependencyOracle, IntervalId
+
+
+@dataclass
+class Certification:
+    """The verdict of one certification."""
+
+    violations: List[str] = field(default_factory=list)
+    #: Payloads of committed outputs, in commit order.
+    committed: List[Any] = field(default_factory=list)
+    counts: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+class Certifier:
+    """Builds one run's dependency graph and judges every claim on it."""
+
+    def __init__(self, n: int, k: int):
+        self.k = k
+        self.oracle = DependencyOracle(n)
+        for pid in range(n):
+            self.oracle.start_process(pid)
+        self.violations: List[str] = []
+        self.committed: List[Any] = []
+        #: Largest potential-revoker set seen at any release.
+        self.max_release_revokers = 0
+        self.counts = {
+            "deliveries": 0, "releases": 0, "commits": 0,
+            "recoveries": 0, "stable": 0, "deferred": 0, "skipped_lines": 0,
+        }
+        #: Deliveries waiting for their sender interval, by that interval.
+        self._waiting: Dict[IntervalId, List[Tuple[Any, ...]]] = {}
+        #: Every commit in order: (output, interval), or (output, None)
+        #: when the commit was already condemned (unknown or orphan).
+        self._ledger: List[Tuple[Any, Optional[IntervalId]]] = []
+
+    # -- facts ---------------------------------------------------------------
+
+    def deliver(self, pid: int, interval: Entry, src: int,
+                src_interval: Optional[Entry]) -> None:
+        """A delivery at ``pid`` started ``interval``.  One whose sender
+        interval has not appeared (a tie in a merged trace) waits for it:
+        registering it now would drop the edge."""
+        if src >= 0 and src_interval is not None:
+            sender = (src, src_interval.inc, src_interval.sii)
+            if not self.oracle.exists(sender):
+                self.counts["deferred"] += 1
+                self._waiting.setdefault(sender, []).append(
+                    (pid, interval, src, src_interval))
+                return
+        self.counts["deliveries"] += 1
+        self.oracle.record_delivery(pid, interval, src, src_interval)
+        for waiter in self._waiting.pop((pid, interval.inc, interval.sii), ()):
+            self.deliver(*waiter)
+
+    def stable(self, pid: int, through: Entry) -> None:
+        """``pid``'s live chain is stable up to ``through``."""
+        self.counts["stable"] += 1
+        self.oracle.mark_stable(pid, through)
+
+    def recover(self, pid: int, survivor: Entry, new_current: Entry) -> None:
+        """``pid`` rolled back (or restarted) to ``survivor`` and began
+        ``new_current``."""
+        self.counts["recoveries"] += 1
+        self.oracle.record_recovery(pid, survivor, new_current)
+        new = (pid, new_current.inc, new_current.sii)
+        for waiter in self._waiting.pop(new, ()):
+            self.deliver(*waiter)
+
+    # -- claims --------------------------------------------------------------
+
+    def release(self, pid: int, interval: Entry, msg: Any,
+                k: Optional[int] = None) -> None:
+        """Theorem 4: ``msg``, sent from ``interval``, leaves with at most
+        ``k`` (default: the run's K) potential revokers.  An interval that
+        never appeared has none."""
+        self.counts["releases"] += 1
+        revokers = self.oracle.potential_revokers(
+            (pid, interval.inc, interval.sii))
+        if len(revokers) > self.max_release_revokers:
+            self.max_release_revokers = len(revokers)
+        bound = self.k if k is None else k
+        if len(revokers) > bound:
+            self.violations.append(
+                f"Theorem 4 violated: {msg} released by P{pid} with "
+                f"{len(revokers)} potential revokers {sorted(revokers)} "
+                f"> K={bound}")
+
+    def commit(self, pid: int, interval: Entry, output: Any,
+               payload: Any = None) -> None:
+        """The output-commit rule for ``output``, sent from ``interval``."""
+        self.counts["commits"] += 1
+        self.committed.append(payload)
+        iid = (pid, interval.inc, interval.sii)
+        oracle = self.oracle
+        if not oracle.exists(iid):
+            self._ledger.append((output, None))
+            self.violations.append(
+                f"output {output} committed from unknown interval {iid} "
+                f"at P{pid}")
+            return
+        revokers = oracle.potential_revokers(iid)
+        if revokers:
+            self.violations.append(
+                f"output {output} committed with live revokers "
+                f"{sorted(revokers)}")
+        if oracle.is_orphan(iid):
+            self._ledger.append((output, None))
+            self.violations.append(
+                f"output {output} committed from orphan interval {iid}")
+        else:
+            self._ledger.append((output, iid))
+
+    # -- the end of the run --------------------------------------------------
+
+    def finish(self) -> Certification:
+        """Judge the quiescent state and the committed-output ledger."""
+        violations = self.violations
+        for waiters in self._waiting.values():
+            for pid, interval, src, src_interval in waiters:
+                violations.append(
+                    f"delivery at P{pid} interval ({interval.inc},"
+                    f"{interval.sii}) references sender interval (P{src},"
+                    f"{src_interval.inc},{src_interval.sii}) that never "
+                    f"appeared in any trace")
+        violations.extend(self.oracle.check_consistency())
+        seen: Set[Any] = set()
+        for output, iid in self._ledger:
+            if output in seen:
+                violations.append(f"output {output} committed more than once")
+            elif iid is not None and self.oracle.node(iid).rolled_back:
+                violations.append(
+                    f"output {output} committed from rolled-back interval "
+                    f"{iid} (committed output was revoked)")
+            elif iid is not None and self.oracle.is_orphan(iid):
+                violations.append(
+                    f"output {output} committed from orphan interval {iid}")
+            seen.add(output)
+        return Certification(
+            violations=violations, committed=self.committed,
+            counts=dict(self.counts,
+                        max_release_revokers=self.max_release_revokers))

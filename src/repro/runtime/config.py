@@ -145,12 +145,13 @@ class SimConfig:
     #: everything).  Very large runs set ``"dep."`` so the certifier's
     #: events survive without holding millions of msg/timer records.
     trace_prefix: Optional[str] = None
-    #: Maintain the inline :class:`repro.oracle.graph.DependencyOracle`.
-    #: Off, the harness installs a null stub — post-hoc certification via
-    #: ``dep.*`` trace ingest still works, which is how very large n runs
-    #: (and parallel workers) are checked.
+    #: Feed the inline :class:`repro.oracle.certifier.Certifier`.  Off, the
+    #: harness builds none — post-hoc certification of the ``dep.*``
+    #: records still works, which is how very large n runs (and parallel
+    #: workers) are checked.
     oracle_enabled: bool = True
-    #: Cross-check Theorem 4 / output commit against the oracle (slower).
+    #: Let that certifier judge releases, commits and the quiescent state
+    #: (slower); off, it only tracks the dependency graph.
     check_invariants: bool = True
     #: Additionally record the numeric ``dep.*`` trace events that the
     #: post-hoc certifier (:mod:`repro.oracle.ingest`) consumes.  The

@@ -14,11 +14,10 @@ capabilities of its :class:`~repro.runtime.host.Environment`:
 - ``schedule(delay, callback)`` returning a cancellable handle
   (the engine in simulation, an asyncio adapter in the runtime);
 - ``now_fn()`` — virtual time in simulation, wall-clock in the runtime;
-- optional :class:`ExecutionHooks` — the simulation harness feeds the
-  ground-truth oracle and runs the Theorem-4 / output-commit checks
-  inline; the backplane passes none and is certified post-hoc by
-  replaying the collected traces through the same oracle
-  (:mod:`repro.oracle.ingest`).
+- optional :class:`ExecutionHooks` — the simulation harness feeds its
+  :class:`~repro.oracle.certifier.Certifier` the run's facts inline; the
+  backplane passes none, and its ``dep.*`` records feed the same
+  certifier after the run (:mod:`repro.oracle.ingest`).
 
 It also owns the **write-ahead barrier**: :meth:`EffectExecutor.execute`
 is the one point every driver and every protocol variant passes through
@@ -29,9 +28,9 @@ effect is interpreted, never after.
 
 With ``dep_trace`` enabled the executor additionally records the
 ``dep.*`` event family: a numeric, parser-free encoding of exactly the
-facts the dependency oracle consumes (interval creations, stability,
-recoveries, release/commit claims).  Post-hoc certification of a real
-multi-process run rests on these events alone.
+facts the certifier consumes (interval creations, stability, recoveries,
+release/commit claims), one record per typed call.  Post-hoc
+certification of a real multi-process run rests on these events alone.
 """
 
 from __future__ import annotations
@@ -63,18 +62,15 @@ class ExecutionHooks:
     """Observer slots the executor calls around actionable effects.
 
     The base class is a no-op (the runtime backplane's configuration);
-    the simulation harness subclasses it to maintain the ground-truth
-    oracle and evaluate invariants inline.
+    the simulation harness subclasses it to keep its books and feed its
+    :class:`~repro.oracle.certifier.Certifier` inline.
     """
 
     def pre_release(self, msg: Any) -> None:
         """Called before an app message is handed to the transport."""
 
-    def pre_commit(self, record: Any) -> None:
-        """Called before an output commit is recorded."""
-
     def post_commit(self, now: float, record: Any, wait: float = 0.0) -> None:
-        """Called after the commit checks, before the trace record.
+        """Called when an output commits, before the trace record.
 
         ``wait`` is the output's buffer residence time (from
         :class:`~repro.core.effects.CommitOutput`) — the fallback latency
@@ -173,7 +169,6 @@ class EffectExecutor:
                 )
             elif isinstance(effect, CommitOutput):
                 record = effect.record
-                hooks.pre_commit(record)
                 hooks.post_commit(now, record, effect.wait)
                 tracer.record(now, "output.commit", pid,
                               output=str(record.output_id))

@@ -9,9 +9,10 @@ is the simulated *environment* those hosts run in.  Responsibilities:
   an epoch-parallel worker owns a slice);
 - schedule workload traffic (outside-world messages) and the failure
   schedule's crashes, partitions and storage faults;
-- maintain the ground-truth oracle and cross-check protocol claims
-  (Theorem 4 on every release, emptiness of revoker sets on every output
-  commit, global consistency at quiescence);
+- feed the run's facts to its one judge, the
+  :class:`~repro.oracle.certifier.Certifier` (Theorem 4 on every release,
+  the output-commit rule on every commit, consistency and the
+  committed-output ledger at quiescence);
 - model reliability assumptions: application messages to a crashed process
   are lost (the paper's footnote 3 declares lost in-transit messages out of
   scope); on a reliable network control messages are queued and delivered
@@ -46,7 +47,7 @@ from repro.net.faults import ChannelFaults, NetworkFaultModel
 from repro.net.message import AppMessage
 from repro.net.network import Network
 from repro.net.reliable import ReliableConfig
-from repro.oracle.graph import DependencyOracle
+from repro.oracle.certifier import Certifier
 from repro.runtime.config import (
     ASYNC_WRITE_COST,
     CONTROL_LATENCY,
@@ -99,60 +100,35 @@ def protocol_factory_for(cls: type) -> ProtocolFactory:
 _default_protocol_factory = protocol_factory_for(KOptimisticProcess)
 
 
-class _NullOracle:
-    """Stand-in for :class:`DependencyOracle` when ``oracle_enabled`` is
-    off (very large n, parallel workers).  Absorbs every recording call;
-    correctness is then certified post-hoc from ``dep.*`` traces via
-    :mod:`repro.oracle.ingest`."""
-
-    total_intervals = 0
-    rolled_back_intervals = 0
-
-    def start_process(self, pid: int) -> None:
-        pass
-
-    def record_delivery(self, *args: Any) -> None:
-        pass
-
-    def mark_stable(self, *args: Any) -> None:
-        pass
-
-    def record_recovery(self, *args: Any) -> None:
-        pass
-
-    def live_interval(self, pid: int) -> None:
-        return None
-
-    def check_consistency(self) -> List[str]:
-        return []
-
-
-class _OracleHooks(ExecutionHooks):
-    """Executor hooks that maintain the harness's ground-truth oracle and
-    evaluate the inline invariant checks (Theorem 4 at release, empty
-    revoker set at output commit)."""
+class _HarnessHooks(ExecutionHooks):
+    """Executor hooks that keep the run's books (committed outputs, latency
+    samples, controller waits, rollback events) and, when the harness has
+    a certifier, feed it the run's facts inline — judging releases and
+    commits only under ``check_invariants``."""
 
     def __init__(self, harness: "SimulationHarness", pid: int):
         self.harness = harness
         self.pid = pid
-        self.check_invariants = harness.config.check_invariants
+        self.certifier = harness.certifier
+        self.judge = (harness.certifier if harness.config.check_invariants
+                      else None)
 
     def pre_release(self, msg: AppMessage) -> None:
-        if self.check_invariants and msg.src >= 0:
-            self.harness.check_release_bound(msg)
-
-    def pre_commit(self, record: Any) -> None:
-        if self.check_invariants:
-            self.harness.check_output_commit(record)
+        if self.judge is not None:
+            self.judge.release(self.pid, msg.send_interval, msg.msg_id,
+                               msg.k_limit)
 
     def post_commit(self, now: float, record: Any, wait: float = 0.0) -> None:
+        if self.judge is not None:
+            self.judge.commit(self.pid, record.send_interval,
+                              record.output_id, record.payload)
         self.harness.committed_outputs.append((now, record))
         # Output-commit latency sample: end-to-end (injection to commit)
         # when the payload carries an open-loop injection stamp ``t0``,
         # buffer residence time otherwise.  Feeds both the run-level SLO
         # percentiles and this process's adaptive-K controller window.
         sample = wait
-        payload = getattr(record, "payload", None)
+        payload = record.payload
         if isinstance(payload, dict):
             t0 = payload.get("t0")
             if isinstance(t0, (int, float)):
@@ -163,29 +139,29 @@ class _OracleHooks(ExecutionHooks):
             host.commit_waits.append(sample)
 
     def on_delivery(self, effect: MessageDelivered) -> None:
-        self.harness.oracle.record_delivery(
-            self.pid, effect.interval,
-            effect.message.src, effect.message.send_interval,
-        )
+        if self.certifier is not None:
+            self.certifier.deliver(self.pid, effect.interval,
+                                   effect.message.src,
+                                   effect.message.send_interval)
 
     def on_stable(self, effect: StableProgress) -> None:
-        self.harness.oracle.mark_stable(self.pid, effect.through)
+        if self.certifier is not None:
+            self.certifier.stable(self.pid, effect.through)
 
     def on_rollback(self, now: float, effect: RollbackPerformed) -> None:
-        self.harness.oracle.record_recovery(
-            self.pid, effect.restored_to, effect.new_current
-        )
+        if self.certifier is not None:
+            self.certifier.recover(self.pid, effect.restored_to,
+                                   effect.new_current)
         self.harness.rollback_events.append((now, self.pid))
 
     def on_restart(self, now: float, effect: RestartPerformed) -> None:
+        if self.certifier is None:
+            return
         survivor = effect.announcement.end
         # Count lost intervals against the pre-truncation chain tip.
-        tip = self.harness.oracle.live_interval(self.pid)
-        tip_sii = tip[2] if tip else 0
-        self.harness.intervals_lost += max(0, tip_sii - survivor.sii)
-        self.harness.oracle.record_recovery(
-            self.pid, survivor, effect.new_current
-        )
+        tip = self.certifier.oracle.live_interval(self.pid)
+        self.harness.intervals_lost += max(0, tip[2] - survivor.sii)
+        self.certifier.recover(self.pid, survivor, effect.new_current)
 
 
 class SimulationHarness:
@@ -241,8 +217,14 @@ class SimulationHarness:
         self.rngs = RngRegistry(config.seed)
         self.tracer = Tracer(enabled=config.trace_enabled,
                              prefix=config.trace_prefix)
-        self.oracle: Any = (DependencyOracle(config.n) if config.oracle_enabled
-                            else _NullOracle())
+        #: The run's one judge, fed inline by every host's executor hooks
+        #: (none with ``oracle_enabled`` off: such runs are certified post
+        #: hoc from their ``dep.*`` records).  ``violations`` is its list.
+        self.certifier: Optional[Certifier] = (
+            Certifier(config.n, config.resolved_k())
+            if config.oracle_enabled else None)
+        self.violations: List[str] = (
+            self.certifier.violations if self.certifier is not None else [])
         faults = None
         if unreliable:
             faults = NetworkFaultModel(
@@ -307,7 +289,7 @@ class SimulationHarness:
         for pid in (range(config.n) if owned is None else owned):
             protocol = protocol_factory(pid, config, behavior, self.env.now)
             host = ProcessHost(self.env, pid, protocol,
-                               hooks=_OracleHooks(self, pid),
+                               hooks=_HarnessHooks(self, pid),
                                effect_probes=self.effect_probes)
             if controller_config is not None:
                 host.controller = AdaptiveKController(
@@ -322,7 +304,6 @@ class SimulationHarness:
             self.network.register(pid, host.incoming)
         for host in self.hosts:
             host.boot()
-            self.oracle.start_process(host.pid)
 
         self.committed_outputs: List[Tuple[float, Any]] = []
         #: One output-commit latency sample per committed output:
@@ -331,13 +312,7 @@ class SimulationHarness:
         self.rollback_events: List[Tuple[float, int]] = []
         self.crash_events: List[Tuple[float, int]] = []
         self.partition_events: List[Tuple[float, str]] = []
-        self.violations: List[str] = []
         self.intervals_lost = 0
-        #: Largest potential-revoker set seen at any release (Theorem 4's
-        #: quantity; must stay <= K on every release of an app message).
-        self.max_release_revokers = 0
-        #: The system-wide K that unstamped releases are judged against.
-        self._k = config.resolved_k()
         self._inject_seq = itertools.count()
         self._horizon = 0.0
 
@@ -446,41 +421,6 @@ class SimulationHarness:
             return storage_fault
         raise TypeError(f"unknown failure event {event!r}")
 
-    # -- invariant checks --------------------------------------------------------
-
-    def check_release_bound(self, msg: AppMessage) -> None:
-        """Theorem 4: at release, at most K processes can revoke ``msg``."""
-        interval = (msg.src, msg.send_interval.inc, msg.send_interval.sii)
-        # An interval the oracle never saw (a replay re-send of a pre-crash
-        # interval, already checked) has no revokers and flags nothing.
-        revokers = self.oracle.potential_revokers(interval)
-        if len(revokers) > self.max_release_revokers:
-            self.max_release_revokers = len(revokers)
-        # A message carrying its own bound (Section 4.2) is judged against
-        # that bound, not the system-wide K — the global default applies
-        # only to unstamped messages.
-        k = self._k if msg.k_limit is None else msg.k_limit
-        if len(revokers) > k:
-            self.violations.append(
-                f"Theorem 4 violated: {msg.msg_id} released with "
-                f"{len(revokers)} potential revokers {sorted(revokers)} > K={k}"
-            )
-
-    def check_output_commit(self, record: Any) -> None:
-        """A committed output must have an empty potential-revoker set."""
-        interval = (record.process, record.send_interval.inc, record.send_interval.sii)
-        # An unknown interval has no revokers and is no orphan.
-        revokers = self.oracle.potential_revokers(interval)
-        if revokers:
-            self.violations.append(
-                f"output {record.output_id} committed with live revokers "
-                f"{sorted(revokers)}"
-            )
-        if self.oracle.is_orphan(interval):
-            self.violations.append(
-                f"output {record.output_id} committed from orphan interval"
-            )
-
     # -- main loop -------------------------------------------------------------
 
     def begin(self, duration: float) -> None:
@@ -525,7 +465,7 @@ class SimulationHarness:
             self.notify_all()
             self.engine.run(max_events=20_000_000)
         if self.config.check_invariants:
-            self.violations.extend(self.oracle.check_consistency())
+            self.certifier.finish()
 
     # The steps of settle(), one by one: the epoch-parallel runner drives
     # them across its barrier.
@@ -650,8 +590,10 @@ class SimulationHarness:
             m.ctl_budget_exhausted = self.network.reliable.budget_exhausted
             totals.ack_rtt_total = self.network.reliable.ack_rtt_total
         m.intervals_lost = self.intervals_lost
-        m.total_intervals = self.oracle.total_intervals
-        m.rolled_back_intervals = self.oracle.rolled_back_intervals
-        m.max_release_revokers = self.max_release_revokers
+        certifier = self.certifier
+        if certifier is not None:
+            m.total_intervals = certifier.oracle.total_intervals
+            m.rolled_back_intervals = certifier.oracle.rolled_back_intervals
+            m.max_release_revokers = certifier.max_release_revokers
         m.violations = list(self.violations)
         return totals

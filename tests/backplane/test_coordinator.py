@@ -11,6 +11,8 @@ not end and a settle that never went quiescent.
 """
 
 import asyncio
+import json
+import os
 import struct
 
 from repro.backplane.coordinator import Coordinator, ServePlan
@@ -226,3 +228,44 @@ def test_repro_serve_exits_nonzero_on_a_named_failure(tmp_path, monkeypatch,
     out = capsys.readouterr().out
     assert "unexpected exit of worker P0: EOF" in out
     assert "certified" not in out
+
+
+def test_a_malformed_trace_record_fails_the_run_with_a_report(
+        tmp_path, monkeypatch, capsys):
+    """A damaged ``dep.*`` record ends ``repro serve`` with a report that
+    names it and exit 1, not with a traceback and no report."""
+    from repro import __main__ as cli
+
+    async def fake_worker(port, pid, run_dir):
+        with open(os.path.join(run_dir, "trace", f"p{pid:03d}.jsonl"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(json.dumps({"time": 1.5, "category": "dep.stable",
+                                 "process": pid, "data": {"inc": 0}}) + "\n")
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        write_frame(writer, {"t": "hello", "pid": pid, "recovered": False})
+        await writer.drain()
+        while True:
+            frame = await read_frame(reader)
+            if frame is None or frame.get("op") == "shutdown":
+                break
+            if frame.get("op") == "status":
+                write_frame(writer, {"t": "status", "rid": frame["rid"],
+                                     "pid": pid, "quiescent": True,
+                                     "deliveries": 0})
+                await writer.drain()
+        writer.close()
+
+    def spawn(self, pid):
+        port = self._server.sockets[0].getsockname()[1]
+        asyncio.ensure_future(fake_worker(port, pid, self.run_dir))
+
+    monkeypatch.setattr(Coordinator, "_spawn", spawn)
+    code = cli.main(["serve", "--n", "2", "--duration", "2", "--rate", "1",
+                     "--timescale", "0.001", "--run-dir", str(tmp_path)])
+    expected = [f"malformed dep.stable record at P{pid}, t=1.5: KeyError "
+                f"'sii'" for pid in range(2)]
+    with open(tmp_path / "report.json", encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert code == 1
+    assert report["violations"] == expected and not report["ok"]
+    assert expected[0] in capsys.readouterr().out

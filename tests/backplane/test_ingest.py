@@ -2,10 +2,13 @@
 
 Synthetic ``dep.*`` streams exercise each check in isolation: a clean
 run, a Theorem-4 violation, an orphan commit, out-of-order delivery
-edges (the timestamp-tie deferral), and damaged trace files.
+edges (the timestamp-tie deferral), damaged trace files and malformed
+records.
 """
 
 import json
+
+import pytest
 
 from repro.oracle.ingest import (
     certify_events,
@@ -71,13 +74,18 @@ class TestViolations:
         # The same stream is clean for K=2.
         assert certify_events(events, n=3, k=2).ok
 
-    def test_replayed_release_skips_the_bound(self):
+    def test_replayed_release_is_judged_too(self):
+        # A replay re-send is a release like any other: the inline feed
+        # always judged it, and so does this one.
         events = [
             deliver(1.0, 0, 0, 2),
             deliver(2.0, 0, 0, 3),
             ev(3.0, "dep.release", 0, inc=0, sii=3, msg="m1", replayed=True),
         ]
-        assert certify_events(events, n=2, k=0).ok
+        assert certify_events(events, n=2, k=0).violations == [
+            "Theorem 4 violated: m1 released by P0 with "
+            "1 potential revokers [0] > K=0"]
+        assert certify_events(events, n=2, k=1).ok
 
     def test_commit_with_live_revokers_detected(self):
         events = [
@@ -183,3 +191,38 @@ class TestTraceFiles:
     def test_invalid_process_id_is_a_violation(self):
         cert = certify_events([deliver(1.0, 7, 0, 2)], n=2, k=1)
         assert any("invalid process" in v for v in cert.violations)
+
+
+#: One damaged record of each kind a trace can carry: a missing field, a
+#: field that is no integer, a bound that is no integer, no data mapping,
+#: and a field of the wrong type.
+MALFORMED = [
+    (ev(4.0, "dep.stable", 1, inc=0), "KeyError"),
+    (ev(4.0, "dep.deliver", 1, inc="x", sii=2, src=-1), "ValueError"),
+    (ev(4.0, "dep.release", 1, inc=0, sii=1, msg="m1", k="z"), "ValueError"),
+    ({"time": 4.0, "category": "dep.commit", "process": 1, "data": None},
+     "TypeError"),
+    (ev(4.0, "dep.recover", 1, s_inc=0, s_sii=[1], n_inc=1, n_sii=2),
+     "TypeError"),
+]
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize("record,error", MALFORMED,
+                             ids=[r["category"] for r, _ in MALFORMED])
+    def test_a_malformed_record_is_one_violation(self, record, error):
+        # The run goes on past the damage: the record after it counts.
+        events = [record, deliver(5.0, 0, 0, 2)]
+        cert = certify_events(events, n=2, k=1)
+        assert len(cert.violations) == 1
+        assert cert.violations[0].startswith(
+            f"malformed {record['category']} record at P1, t=4.0: {error} ")
+        assert cert.counts["deliveries"] == 1
+
+    def test_a_time_that_is_no_number_is_an_unparsable_line(self, tmp_path):
+        path = tmp_path / "p000.jsonl"
+        path.write_text(
+            json.dumps(ev("soon", "dep.stable", 0, inc=0, sii=1)) + "\n"
+            + json.dumps(deliver(1.0, 0, 0, 2)) + "\n")
+        cert = certify_traces([str(path)], n=1, k=1)
+        assert cert.violations == [f"unparsable trace line {path}:1"]

@@ -1,8 +1,9 @@
 """Tests for the storage-fault campaign checker.
 
-Covers the durability-violation detector itself (it must flag duplicate
-and revoked committed outputs — the smoke campaigns are only as strong as
-this check), tiny seeded smoke runs of both campaign styles, the
+Covers the durability checks themselves (the certifier's ledger must flag
+duplicate and unknown committed outputs, and the stable-storage guard a
+forgotten one — the smoke campaigns are only as strong as these checks),
+tiny seeded smoke runs of both campaign styles, the
 filelog-vs-model end-to-end equivalence under an identical crash
 schedule, and the regression test for the rollback-replay duplicate
 output-commit bug the campaign originally caught.
@@ -48,12 +49,17 @@ class TestDurabilityViolations:
         finally:
             harness.close()
 
+    # The committed-output ledger the campaigns rely on is the harness's
+    # certifier's: fed a second commit of one output, or a commit from an
+    # interval it never saw, it must say so.
+
     def test_duplicate_commit_is_flagged(self):
         harness = run_small()
         try:
-            time, record = harness.committed_outputs[0]
-            harness.committed_outputs.append((time + 1.0, record))
-            found = durability_violations(harness)
+            _, record = harness.committed_outputs[0]
+            harness.certifier.commit(record.process, record.send_interval,
+                                     record.output_id)
+            found = harness.certifier.finish().violations
             assert any("more than once" in v for v in found)
         finally:
             harness.close()
@@ -61,10 +67,8 @@ class TestDurabilityViolations:
     def test_unknown_interval_is_flagged(self):
         harness = run_small()
         try:
-            harness.committed_outputs.append((999.0, OutputRecord(
-                output_id="bogus", process=0, payload=None,
-                send_interval=Entry(40, 4096))))
-            found = durability_violations(harness)
+            harness.certifier.commit(0, Entry(40, 4096), "bogus")
+            found = harness.certifier.finish().violations
             assert any("unknown interval" in v for v in found)
         finally:
             harness.close()

@@ -138,9 +138,9 @@ class TestRecoveryProgress:
         for _t, record in harness.committed_outputs:
             interval = (record.process, record.send_interval.inc,
                         record.send_interval.sii)
-            if harness.oracle.exists(interval):
-                assert not harness.oracle.node(interval).rolled_back
-                assert not harness.oracle.is_orphan(interval)
+            if harness.certifier.oracle.exists(interval):
+                assert not harness.certifier.oracle.node(interval).rolled_back
+                assert not harness.certifier.oracle.is_orphan(interval)
 
 
 class TestCrashStorm:

@@ -1,161 +1,234 @@
-"""Non-vacuity of the two inline checks, on both of their consumers.
+"""Non-vacuity of the certifier's two claim checks, through both feeds.
 
-The Theorem 4 check at release and the empty-revoker check at output
-commit read the oracle's cached stable frontier.  A frontier that errs
-on the permissive side (a sentinel never cleared, a compare inverted)
-would make both checks pass silently on every run; these tests hand the
-checks a release with K+1 live revokers, a release judged against its
-own bound, and a commit with one live revoker, and require today's exact
-message text — from :class:`SimulationHarness` (the simulation's inline
-consumer) and from :mod:`repro.oracle.ingest` (the post-hoc one), on the
-list (n=16) and on the numpy (n=64) representation of the causal vector.
+The Theorem 4 check at release and the output-commit rule at commit read
+the oracle's cached stable frontier.  A frontier that errs on the
+permissive side (a sentinel never cleared, a compare inverted) would make
+both checks pass silently on every run; these cases hand the checks a
+release with K+1 live revokers, a release judged against its own bound,
+a commit with one live revoker or from an unknown interval, and a
+committed-output ledger with a duplicate, a revoked and an orphaned
+output, and require the exact message text.
+
+One suite, run through each feed of the one
+:class:`~repro.oracle.certifier.Certifier`: ``TestHarnessChecks`` speaks
+the typed calls the simulation harness makes inline, ``TestIngestChecks``
+writes the ``dep.*`` records :mod:`repro.oracle.ingest` parses after a
+run.  Both on the list (n=16) and on the numpy (n=64) representation of
+the causal vector.
 """
-
-import dataclasses
 
 import pytest
 
 from repro.core import columnar
+from repro.core.effects import CommitOutput, ReleaseMessage
 from repro.core.entry import Entry
 from repro.net.message import OutputRecord
+from repro.oracle.certifier import Certifier
 from repro.oracle.ingest import certify_events
-from repro.runtime.harness import _OracleHooks
 
 from helpers import build_sim, make_msg
 
 WIDTHS = [16, 64]
 K = 2
-
-
-def relay_chain(oracle, hops):
-    """P0 takes an outside message and relays it down P1 … P(hops-1):
-    interval (j, 0, 2) has exactly the revokers {0, …, j}."""
-    oracle.record_delivery(0, Entry(0, 2), None, None)
-    for j in range(1, hops):
-        oracle.record_delivery(j, Entry(0, 2), j - 1, Entry(0, 2))
-
-
-def harness_with_relay(n):
-    harness = build_sim(n=n, k=K, until=None)
-    relay_chain(harness.oracle, K + 1)
-    if columnar.numpy_module() is not None:
-        assert harness.oracle._use_np == (n >= 64)
-    return harness
-
-
-def release_from(pid, n, k_limit=None):
-    msg = make_msg(pid, pid + 1, n=n, send_interval=Entry(0, 2))
-    return dataclasses.replace(msg, k_limit=k_limit)
-
-
-def output_from(pid):
-    return OutputRecord("o1", pid, None, Entry(0, 2))
-
-
-@pytest.mark.parametrize("n", WIDTHS)
-class TestHarnessChecks:
-    def test_release_with_k_plus_one_live_revokers_is_flagged(self, n):
-        harness = harness_with_relay(n)
-        within = release_from(K - 1, n)
-        harness.check_release_bound(within)
-        assert harness.violations == []
-        assert harness.max_release_revokers == K
-        beyond = release_from(K, n)
-        harness.check_release_bound(beyond)
-        assert harness.violations == [
-            f"Theorem 4 violated: {beyond.msg_id} released with "
-            f"3 potential revokers [0, 1, 2] > K=2"]
-        assert harness.max_release_revokers == K + 1
-
-    def test_release_is_judged_against_its_own_bound(self, n):
-        harness = harness_with_relay(n)
-        harness.check_release_bound(release_from(K, n, k_limit=K + 1))
-        assert harness.violations == []    # looser than the global K
-        tight = release_from(1, n, k_limit=1)
-        harness.check_release_bound(tight)
-        assert harness.violations == [     # tighter than the global K
-            f"Theorem 4 violated: {tight.msg_id} released with "
-            f"2 potential revokers [0, 1] > K=1"]
-
-    def test_commit_with_one_live_revoker_is_flagged(self, n):
-        harness = harness_with_relay(n)
-        for pid in range(K):
-            harness.oracle.mark_stable(pid, Entry(0, 2))
-        harness.check_output_commit(output_from(K))
-        assert harness.violations == [
-            "output o1 committed with live revokers [2]"]
-        harness.oracle.mark_stable(K, Entry(0, 2))
-        harness.check_output_commit(output_from(K))
-        assert len(harness.violations) == 1    # all stable: a clean commit
-
-    def test_unknown_interval_flags_nothing(self, n):
-        harness = harness_with_relay(n)
-        ghost = make_msg(3, 4, n=n, send_interval=Entry(5, 9))
-        harness.check_release_bound(ghost)
-        harness.check_output_commit(OutputRecord("o9", 3, None, Entry(5, 9)))
-        assert harness.violations == []
-        assert harness.max_release_revokers == 0
-
-    def test_hooks_reach_both_checks(self, n):
-        harness = harness_with_relay(n)
-        hooks = _OracleHooks(harness, K)
-        beyond = release_from(K, n)
-        hooks.pre_release(beyond)
-        hooks.pre_commit(output_from(K))
-        assert harness.violations == [
-            f"Theorem 4 violated: {beyond.msg_id} released with "
-            f"3 potential revokers [0, 1, 2] > K=2",
-            "output o1 committed with live revokers [0, 1, 2]"]
-        hooks.check_invariants = False
-        hooks.pre_release(release_from(K, n))
-        hooks.pre_commit(output_from(K))
-        assert len(harness.violations) == 2
+INTERVAL = Entry(0, 2)
 
 
 def ev(time, category, pid, **data):
     return {"time": time, "category": category, "process": pid, "data": data}
 
 
-def relay_events():
-    events = [ev(1.0, "dep.deliver", 0, inc=0, sii=2, src=-1)]
-    for j in range(1, K + 1):
-        events.append(ev(1.0 + j, "dep.deliver", j, inc=0, sii=2,
-                         src=j - 1, src_inc=0, src_sii=2))
-    return events
+class Calls:
+    """The inline feed: typed calls on a certifier."""
+
+    def __init__(self, n, certifier=None):
+        self.certifier = certifier or Certifier(n, K)
+        if columnar.numpy_module() is not None:
+            assert self.certifier.oracle._use_np == (n >= 64)
+
+    def deliver(self, pid, interval, src=-1, src_interval=None):
+        self.certifier.deliver(pid, interval, src, src_interval)
+
+    def stable(self, pid, through):
+        self.certifier.stable(pid, through)
+
+    def release(self, pid, interval, msg, k=None):
+        self.certifier.release(pid, interval, msg, k)
+
+    def recover(self, pid, survivor, new_current):
+        self.certifier.recover(pid, survivor, new_current)
+
+    def commit(self, pid, interval, output):
+        self.certifier.commit(pid, interval, output)
+
+    def verdict(self):
+        return self.certifier.finish()
+
+
+class Records:
+    """The post-hoc feed: ``dep.*`` records through the ingest parser."""
+
+    def __init__(self, n):
+        self.n = n
+        self.events = []
+
+    def _add(self, category, pid, **data):
+        self.events.append(ev(float(len(self.events)), category, pid, **data))
+
+    def deliver(self, pid, interval, src=-1, src_interval=None):
+        data = {"inc": interval.inc, "sii": interval.sii, "src": src}
+        if src_interval is not None:
+            data.update(src_inc=src_interval.inc, src_sii=src_interval.sii)
+        self._add("dep.deliver", pid, **data)
+
+    def stable(self, pid, through):
+        self._add("dep.stable", pid, inc=through.inc, sii=through.sii)
+
+    def recover(self, pid, survivor, new_current):
+        self._add("dep.recover", pid, s_inc=survivor.inc, s_sii=survivor.sii,
+                  n_inc=new_current.inc, n_sii=new_current.sii)
+
+    def release(self, pid, interval, msg, k=None):
+        data = {"inc": interval.inc, "sii": interval.sii, "msg": msg,
+                "replayed": False}
+        if k is not None:
+            data["k"] = k
+        self._add("dep.release", pid, **data)
+
+    def commit(self, pid, interval, output):
+        self._add("dep.commit", pid, inc=interval.inc, sii=interval.sii,
+                  output=output)
+
+    def verdict(self):
+        return certify_events(self.events, n=self.n, k=K)
+
+
+def relay_chain(feed, hops=K + 1):
+    """P0 takes an outside message and relays it down P1 … P(hops-1):
+    interval (j, 0, 2) has exactly the revokers {0, …, j}."""
+    feed.deliver(0, INTERVAL)
+    for j in range(1, hops):
+        feed.deliver(j, INTERVAL, j - 1, INTERVAL)
 
 
 @pytest.mark.parametrize("n", WIDTHS)
-class TestIngestChecks:
+class _CertifierSuite:
+    Feed = None
+
+    def fed(self, n):
+        feed = self.Feed(n)
+        relay_chain(feed)
+        return feed
+
     def test_release_with_k_plus_one_live_revokers_is_flagged(self, n):
-        events = relay_events() + [
-            ev(9.0, "dep.release", K - 1, inc=0, sii=2, msg="m2"),
-            ev(9.1, "dep.release", K, inc=0, sii=2, msg="m3"),
-        ]
-        assert certify_events(events, n=n, k=K).violations == [
+        feed = self.fed(n)
+        feed.release(K - 1, INTERVAL, "m2")
+        feed.release(K, INTERVAL, "m3")
+        verdict = feed.verdict()
+        assert verdict.violations == [
             "Theorem 4 violated: m3 released by P2 with "
             "3 potential revokers [0, 1, 2] > K=2"]
+        assert verdict.counts["max_release_revokers"] == K + 1
 
     def test_release_is_judged_against_its_own_bound(self, n):
-        events = relay_events() + [
-            ev(9.0, "dep.release", K, inc=0, sii=2, msg="m3", k=K + 1),
-            ev(9.1, "dep.release", 1, inc=0, sii=2, msg="m2", k=1),
-        ]
-        assert certify_events(events, n=n, k=K).violations == [
+        feed = self.fed(n)
+        feed.release(K, INTERVAL, "m3", k=K + 1)   # looser than the global K
+        feed.release(1, INTERVAL, "m2", k=1)       # tighter than the global K
+        assert feed.verdict().violations == [
             "Theorem 4 violated: m2 released by P1 with "
             "2 potential revokers [0, 1] > K=1"]
 
     def test_commit_with_one_live_revoker_is_flagged(self, n):
-        events = relay_events() + [
-            ev(8.0 + pid, "dep.stable", pid, inc=0, sii=2)
-            for pid in range(K)
-        ] + [ev(12.0, "dep.commit", K, inc=0, sii=2, output="o1")]
-        assert certify_events(events, n=n, k=K).violations == [
+        feed = self.fed(n)
+        for pid in range(K):
+            feed.stable(pid, INTERVAL)
+        feed.commit(K, INTERVAL, "o1")
+        assert feed.verdict().violations == [
             "output o1 committed with live revokers [2]"]
-        events.insert(-1, ev(11.0, "dep.stable", K, inc=0, sii=2))
-        assert certify_events(events, n=n, k=K).ok
+        feed.stable(K, INTERVAL)
+        feed.commit(K, INTERVAL, "o2")             # all stable: clean
+        assert feed.verdict().violations == [
+            "output o1 committed with live revokers [2]"]
 
     def test_release_from_an_interval_that_never_appeared(self, n):
-        events = relay_events() + [
-            ev(9.0, "dep.release", 3, inc=5, sii=9, msg="m9")]
-        cert = certify_events(events, n=n, k=0)
-        assert cert.ok and cert.counts["releases"] == 1
+        feed = self.fed(n)
+        feed.release(3, Entry(5, 9), "m9")
+        verdict = feed.verdict()
+        assert verdict.ok
+        assert verdict.counts["releases"] == 1
+        assert verdict.counts["max_release_revokers"] == 0
+
+    def test_commit_from_an_unknown_interval_is_flagged(self, n):
+        feed = self.fed(n)
+        feed.commit(3, Entry(5, 9), "o9")
+        assert feed.verdict().violations == [
+            "output o9 committed from unknown interval (3, 5, 9) at P3"]
+
+    def test_the_ledger_flags_an_output_committed_twice(self, n):
+        feed = self.fed(n)
+        for pid in range(K + 1):
+            feed.stable(pid, INTERVAL)
+        feed.commit(K, INTERVAL, "o1")
+        feed.commit(K, INTERVAL, "o1")
+        assert feed.verdict().violations == [
+            "output o1 committed more than once"]
+
+    def test_the_ledger_flags_a_commit_revoked_by_the_end(self, n):
+        feed = self.fed(n)
+        for pid in range(K + 1):
+            feed.stable(pid, INTERVAL)
+        feed.commit(K, INTERVAL, "o1")             # clean when it left
+        feed.recover(K, Entry(0, 1), Entry(1, 2))
+        assert feed.verdict().violations == [
+            "output o1 committed from rolled-back interval (2, 0, 2) "
+            "(committed output was revoked)"]
+
+    def test_the_ledger_flags_a_commit_orphaned_by_the_end(self, n):
+        feed = self.fed(n)
+        for pid in range(K + 1):
+            feed.stable(pid, INTERVAL)
+        feed.commit(K, INTERVAL, "o1")
+        feed.recover(1, Entry(0, 1), Entry(1, 2))  # P2's past rolls back
+        assert feed.verdict().violations == [
+            "surviving interval (2, 0, 2) is an orphan",
+            "output o1 committed from orphan interval (2, 0, 2)"]
+
+    def test_hooks_reach_both_checks(self, n):
+        # The executor's release and commit claims reach this feed's
+        # checks: through the harness's hooks, or as its dep.* records.
+        harness = build_sim(n=n, k=K, until=None, dep_trace=True)
+        feed = (self.Feed(n, harness.certifier) if self.Feed is Calls
+                else self.Feed(n))
+        relay_chain(feed)
+        beyond = make_msg(K, K + 1, n=n, send_interval=INTERVAL)
+        harness.hosts[K].execute([
+            ReleaseMessage(beyond),
+            CommitOutput(OutputRecord("o1", K, None, INTERVAL))])
+        if self.Feed is Records:
+            feed.events += [ev(e.time, e.category, e.process, **e.data)
+                            for e in harness.tracer.events
+                            if e.category in ("dep.release", "dep.commit")]
+        assert feed.verdict().violations == [
+            f"Theorem 4 violated: {beyond.msg_id} released by P2 with "
+            f"3 potential revokers [0, 1, 2] > K=2",
+            "output o1 committed with live revokers [0, 1, 2]"]
+
+
+class TestHarnessChecks(_CertifierSuite):
+    """The suite through the typed calls of the harness's inline feed."""
+
+    Feed = Calls
+
+    def test_hooks_judge_nothing_without_check_invariants(self, n):
+        harness = build_sim(n=n, k=K, until=None, check_invariants=False)
+        relay_chain(Calls(n, harness.certifier))
+        harness.hosts[K].execute([
+            ReleaseMessage(make_msg(K, K + 1, n=n, send_interval=INTERVAL)),
+            CommitOutput(OutputRecord("o1", K, None, INTERVAL))])
+        assert harness.violations == []
+        assert harness.committed_outputs    # the books are still kept
+
+
+class TestIngestChecks(_CertifierSuite):
+    """The suite through the ``dep.*`` records of the post-hoc feed."""
+
+    Feed = Records

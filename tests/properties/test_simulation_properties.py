@@ -61,7 +61,7 @@ class TestRandomDeployments:
         # Dedup worked: each delivered message id was delivered at most
         # once per live incarnation chain (the oracle's chains contain no
         # rolled-back nodes).
-        assert harness.oracle.check_consistency() == []
+        assert harness.certifier.oracle.check_consistency() == []
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

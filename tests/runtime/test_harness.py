@@ -36,8 +36,8 @@ class TestFailureFreeRuns:
     def test_oracle_consistent_without_failures(self):
         harness = build()
         harness.run(300.0)
-        assert harness.oracle.check_consistency() == []
-        assert harness.oracle.rolled_back_intervals == 0
+        assert harness.certifier.oracle.check_consistency() == []
+        assert harness.certifier.oracle.rolled_back_intervals == 0
 
 
 class TestCrashHandling:

@@ -55,7 +55,7 @@ class TestPerMessageKAboveGlobal:
     must judge it against the *message's* bound, not the global one."""
 
     def test_online_release_check_honours_message_bound(self):
-        # Pre-fix: check_release_bound compared the release-time revoker
+        # Pre-fix: the inline release check compared the release-time revoker
         # count (1: the sender's own unflushed interval) against the
         # global K=0 and reported a false Theorem-4 violation.
         harness = _run_k0_with_bounded_send()
@@ -73,7 +73,7 @@ class TestPerMessageKAboveGlobal:
         harness.close()
 
     def test_posthoc_certification_honours_message_bound(self):
-        # Pre-fix: the oracle's _release handler checked every release
+        # Pre-fix: the post-hoc release check judged every release
         # against the run-wide K=0 and the certification came back dirty.
         harness = _run_k0_with_bounded_send()
         cert = certify_tracer(harness.tracer, n=3, k=0)
