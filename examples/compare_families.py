@@ -1,44 +1,36 @@
 """The whole zoo on one workload: six recovery schemes, one crash.
 
-Runs the recovery schemes in the repository side by side on the same
-random-peers traffic with the same mid-run crash and prints a live version
-of the docs/FAMILIES.md table (direct dependency tracking is excluded here
-and measured in experiment E9: its recovery cascade needs its own scale).  (The logging schemes run on the oracle-checked
-harness; the checkpoint-only and sender-based families on their own slim
-harnesses — same engine, same workload generator.)
+Runs the logging schemes in the repository side by side on the same
+random-peers traffic with the same mid-run crash, every one on the
+simulation harness with the inline certifier, and prints a live version of
+the docs/FAMILIES.md table.  (Direct dependency tracking is excluded here
+and measured in experiment E9: its recovery cascade needs its own scale.)
 
-Run:  python examples/compare_families.py   (~30 seconds)
+Run:  python examples/compare_families.py   (~1 second)
 """
 
-from repro.checkpointing import UNCOORDINATED, CheckpointConfig, CheckpointSimulation
 from repro.core.baselines import (
     fully_async_factory,
     pessimistic_factory,
+    sender_based_factory,
     strom_yemini_factory,
 )
 from repro.failures.injector import FailureSchedule
 from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
-from repro.senderbased import SenderBasedConfig, SenderBasedSimulation
 from repro.workloads.random_peers import RandomPeersWorkload
 
-# Small on purpose: the direct-tracking row's recovery cascade grows very
-# fast with scale (that is its measured property — see E9).
 N = 4
 DURATION = 400.0
 CRASH = FailureSchedule.single(DURATION / 2, 1)
 
 
-def workload():
-    return RandomPeersWorkload(rate=0.3, min_hops=2, max_hops=4,
-                               output_fraction=0.0)
-
-
 def run_logging(name, factory=None, k=None, fifo=False):
     config = SimConfig(n=N, k=k, seed=11, fifo=fifo, trace_enabled=False)
-    wl = workload()
-    kwargs = {"protocol_factory": factory} if factory else {}
-    harness = SimulationHarness(config, wl.behavior(), failures=CRASH, **kwargs)
+    wl = RandomPeersWorkload(rate=0.3, min_hops=2, max_hops=4,
+                             output_fraction=0.0)
+    harness = SimulationHarness(config, wl.behavior(), failures=CRASH,
+                                protocol_factory=factory)
     wl.install(harness, until=DURATION * 0.8)
     harness.run(DURATION)
     m = harness.metrics()
@@ -48,55 +40,27 @@ def run_logging(name, factory=None, k=None, fifo=False):
             m.intervals_undone)
 
 
-def run_sender_based():
-    config = SenderBasedConfig(n=N, seed=11)
-    wl = workload()
-    sim = SenderBasedSimulation(config, wl.behavior(), failures=CRASH)
-    wl.install(sim, until=DURATION * 0.8)
-    sim.run(DURATION)
-    m = sim.metrics()
-    return ("sender-based pessimistic", "acks", m.sync_writes,
-            f"{m.mean_send_block:.1f}", 0, 0)
-
-
-def run_checkpointing(z, label):
-    config = CheckpointConfig(n=N, z=z, seed=11)
-    wl = workload()
-    sim = CheckpointSimulation(config, wl.behavior(), failures=CRASH)
-    wl.install(sim, until=DURATION * 0.8)
-    sim.run(DURATION)
-    m = sim.metrics()
-    return (label, "line#", m.local_checkpoints + m.induced_checkpoints,
-            "-", m.cascade_rollbacks, m.work_lost)
-
-
 def main() -> None:
     rows = [
         run_logging("K=2 optimistic (the paper)", k=2),
         run_logging("K=N optimistic", k=N),
         run_logging("receiver-based pessimistic", pessimistic_factory, k=0),
-        run_sender_based(),
+        run_logging("sender-based pessimistic", sender_based_factory, k=0),
         run_logging("Strom-Yemini", strom_yemini_factory, fifo=True),
         run_logging("fully asynchronous", fully_async_factory),
-        # direct tracking is measured separately (E9): its naive
-        # announcement cascade can churn for minutes on adverse schedules.
-        run_checkpointing(2, "lazy checkpointing Z=2"),
-        run_checkpointing(UNCOORDINATED, "uncoordinated checkpointing"),
     ]
     header = (f"{'scheme':30} {'pgb':>6} {'writes':>7} {'latency':>8} "
-              f"{'procs_rb':>9} {'undone/lost':>12}")
+              f"{'procs_rb':>9} {'undone':>7}")
     print(header)
     print("-" * len(header))
     for name, pgb, writes, latency, procs, undone in rows:
         print(f"{name:30} {pgb:>6} {writes:>7} {latency:>8} "
-              f"{procs:>9} {undone:>12}")
+              f"{procs:>9} {undone:>7}")
     print("""
-Columns: pgb = mean piggybacked entries (logging schemes); writes = sync
-stable-storage ops (for the checkpoint family: total checkpoints);
-latency = mean per-message hold/block time; procs_rb = processes rolled
-back by the crash; undone/lost = intervals undone (logging) or work units
-lost and re-executed (checkpoint-only).  See docs/FAMILIES.md for the
-reading guide.""")
+Columns: pgb = mean piggybacked entries; writes = sync stable-storage ops;
+latency = mean per-message send hold; procs_rb = processes rolled back by
+the crash; undone = intervals undone by rollbacks.  See docs/FAMILIES.md
+for the reading guide.""")
 
 
 if __name__ == "__main__":

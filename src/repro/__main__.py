@@ -4,8 +4,8 @@ Commands:
 
 - ``experiment <name>`` — run one reproduction experiment
   (figure1, tradeoff, recovery, vector_size, comparison, output_commit,
-  direct_tracking, lazy_checkpointing, scalability, sender_based,
-  ablations, multiseed, unreliable, adaptive_k, all);
+  direct_tracking, scalability, sender_based, ablations, multiseed,
+  unreliable, adaptive_k, all);
 - ``simulate``           — run one ad-hoc simulation and print its metrics;
 - ``check``              — systematic schedule/fault exploration
   (``dfs``, ``random``, ``mutants``, ``replay``; see docs/TESTING.md);
@@ -33,7 +33,6 @@ EXPERIMENTS = {
     "comparison": "repro.experiments.comparison",
     "output_commit": "repro.experiments.output_commit",
     "direct_tracking": "repro.experiments.direct_tracking",
-    "lazy_checkpointing": "repro.experiments.lazy_checkpointing",
     "scalability": "repro.experiments.scalability",
     "sender_based": "repro.experiments.sender_based",
     "ablations": "repro.experiments.ablations",

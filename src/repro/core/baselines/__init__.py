@@ -4,6 +4,7 @@ plus harness factories for running them side by side."""
 from repro.core.baselines.direct import DirectDependencyProcess
 from repro.core.baselines.fully_async import FullyAsyncProcess, MultiIncarnationVector
 from repro.core.baselines.pessimistic import PessimisticProcess
+from repro.core.baselines.sender_based import SenderBasedProcess
 from repro.core.baselines.strom_yemini import StromYeminiProcess
 
 __all__ = [
@@ -11,10 +12,12 @@ __all__ = [
     "FullyAsyncProcess",
     "MultiIncarnationVector",
     "PessimisticProcess",
+    "SenderBasedProcess",
     "StromYeminiProcess",
     "direct_factory",
     "fully_async_factory",
     "pessimistic_factory",
+    "sender_based_factory",
     "strom_yemini_factory",
 ]
 
@@ -23,6 +26,14 @@ def pessimistic_factory(pid, config, behavior, now_fn):
     """Harness factory for :class:`PessimisticProcess`."""
     return PessimisticProcess(
         pid, config.n, 0, behavior, seed=config.seed, now_fn=now_fn
+    )
+
+
+def sender_based_factory(pid, config, behavior, now_fn):
+    """Harness factory for :class:`SenderBasedProcess` (use with k=0 on a
+    reliable network)."""
+    return SenderBasedProcess(
+        pid, config.n, behavior=behavior, seed=config.seed, now_fn=now_fn
     )
 
 

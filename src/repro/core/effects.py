@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.core.entry import Entry
-from repro.net.message import AppMessage, FailureAnnouncement, LogProgressNotification, OutputRecord
+from repro.net.message import AppMessage, FailureAnnouncement, OutputRecord
 
 
 class Effect:
@@ -56,12 +56,13 @@ class RequestLogging(Effect):
 
 
 @dataclass
-class SendNotification(Effect):
-    """Send a logging progress notification to one specific process
-    (the reply to a :class:`RequestLogging`)."""
+class SendControl(Effect):
+    """Send one control message to process ``dst``: the logging progress
+    notification answering a logging request, or a protocol variant's own
+    :class:`~repro.net.message.ControlMessage`."""
 
     dst: int
-    notification: LogProgressNotification
+    payload: Any
 
 
 @dataclass

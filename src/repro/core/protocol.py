@@ -71,7 +71,7 @@ from repro.core.effects import (
     RestartPerformed,
     RollbackPerformed,
     ScheduleRetransmit,
-    SendNotification,
+    SendControl,
     StableProgress,
 )
 from repro.core.entry import Entry
@@ -588,6 +588,25 @@ class KOptimisticProcess:
     def restart(self) -> List[Effect]:
         """Figure 3's Restart: rebuild from stable storage, announce the
         failure, and start a new incarnation."""
+        self._recover_tables()
+        effects: List[Effect] = []
+        self.failed = False
+        # Outputs re-enqueued during replay were first enqueued before the
+        # crash (the volatile buffer that held them — and their original
+        # enqueue stamps — is gone).  Backdating them to the crash instant
+        # keeps output-wait accounting from silently dropping the downtime.
+        self._replay_backdate = self._down_since
+        try:
+            checkpoint, replayed, _requeued = self._restore_and_replay(effects)
+            self._take_back_buffers(checkpoint)
+        finally:
+            self._replay_backdate = None
+            self._down_since = None
+        return self._announce_restart(effects, replayed)
+
+    def _recover_tables(self) -> None:
+        """Restart's first step: bring the journal back and rebuild iet
+        and log from what it holds."""
         if not self.failed:
             raise RuntimeError(f"P{self.pid}: restart without a crash")
 
@@ -615,20 +634,10 @@ class KOptimisticProcess:
         for checkpoint in self.storage.checkpoints:
             self.log.insert(self.pid, checkpoint.entry)
 
-        effects: List[Effect] = []
-        self.failed = False
-        # Outputs re-enqueued during replay were first enqueued before the
-        # crash (the volatile buffer that held them — and their original
-        # enqueue stamps — is gone).  Backdating them to the crash instant
-        # keeps output-wait accounting from silently dropping the downtime.
-        self._replay_backdate = self._down_since
-        try:
-            checkpoint, replayed, _requeued = self._restore_and_replay(effects)
-            self._take_back_buffers(checkpoint)
-        finally:
-            self._replay_backdate = None
-            self._down_since = None
-
+    def _announce_restart(self, effects: List[Effect],
+                          replayed: int) -> List[Effect]:
+        """Restart's last step, once the replay stopped at ``current``:
+        announce the failed incarnation's end and start the next one."""
         stop = self.current
         self.log.insert(self.pid, Entry(stop.inc, stop.sii))
         effects.append(StableProgress(self.pid, stop))
@@ -1042,7 +1051,7 @@ class KOptimisticProcess:
         already logged and leaves flushing to the flush timer."""
         self._require_running()
         effects = self.flush() if request.flush else []
-        effects.append(SendNotification(
+        effects.append(SendControl(
             request.origin,
             self.make_log_notification_for(request.origin, own_only=own_only)))
         return effects

@@ -4,7 +4,6 @@ from repro.experiments import (
     ablations,
     comparison,
     direct_tracking,
-    lazy_checkpointing,
     figure1,
     multiseed,
     output_commit,
@@ -26,7 +25,6 @@ def main(include_slow: bool = True) -> None:
     output_commit.main()
     ablations.main()
     direct_tracking.main()
-    lazy_checkpointing.main()
     scalability.main()
     sender_based.main()
     unreliable.main()

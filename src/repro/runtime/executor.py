@@ -50,7 +50,7 @@ from repro.core.effects import (
     RestartPerformed,
     RollbackPerformed,
     ScheduleRetransmit,
-    SendNotification,
+    SendControl,
     StableProgress,
 )
 from repro.net.message import LoggingRequest
@@ -209,9 +209,8 @@ class EffectExecutor:
                 for target in effect.targets:
                     self.transport.send_control(
                         pid, target, LoggingRequest(pid, flush=True))
-            elif isinstance(effect, SendNotification):
-                self.transport.send_control(
-                    pid, effect.dst, effect.notification)
+            elif isinstance(effect, SendControl):
+                self.transport.send_control(pid, effect.dst, effect.payload)
             elif isinstance(effect, ScheduleRetransmit):
                 self.schedule(
                     effect.delay,

@@ -30,6 +30,7 @@ from repro.net.message import (
     AppMessage,
     ControlAck,
     ControlEnvelope,
+    ControlMessage,
     FailureAnnouncement,
     LoggingRequest,
     LogProgressNotification,
@@ -202,7 +203,9 @@ class ProcessHost:
                 self.pending_control.append(payload)
             else:
                 # Logging requests are best-effort hints: dropping one only
-                # delays an output until the next periodic notification.
+                # delays an output until the next periodic notification.  A
+                # variant's own control messages are lost too; its recovery
+                # protocol answers for them.
                 self.lost_app_messages += isinstance(payload, AppMessage)
                 env.tracer.record(
                     env.now(), "net.lost", self.pid,
@@ -251,6 +254,8 @@ class ProcessHost:
         elif isinstance(payload, LoggingRequest):
             effects = self.protocol.on_logging_request(
                 payload, own_only=not self.config.gossip_log_tables)
+        elif isinstance(payload, ControlMessage):
+            effects = self.protocol.on_control(payload)
         else:
             raise TypeError(f"unexpected payload {payload!r}")
         self.execute(effects)

@@ -7,7 +7,7 @@ from repro.core.effects import (
     CommitOutput,
     ReleaseMessage,
     RequestLogging,
-    SendNotification,
+    SendControl,
 )
 from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
@@ -119,10 +119,10 @@ class TestOutputDrivenLogging:
         server = make_proc(pid=2, n=4, k=4)
         deliver_env(server)  # something to flush
         effects = server.on_logging_request(LoggingRequest(origin=0))
-        replies = effects_of(effects, SendNotification)
+        replies = effects_of(effects, SendControl)
         assert len(replies) == 1
         assert replies[0].dst == 0
-        assert replies[0].notification.table.rows()[2]  # own progress included
+        assert replies[0].payload.table.rows()[2]  # own progress included
         assert server.storage.async_writes == 1
 
     def test_round_trip_commits_output(self):
@@ -138,8 +138,8 @@ class TestOutputDrivenLogging:
         requester.flush()  # own side stable
         reply = effects_of(
             target.on_logging_request(LoggingRequest(origin=0)),
-            SendNotification)[0]
-        effects = requester.on_log_notification(reply.notification)
+            SendControl)[0]
+        effects = requester.on_log_notification(reply.payload)
         assert effects_of(effects, CommitOutput)
 
     def test_harness_end_to_end(self):
@@ -220,19 +220,19 @@ class TestLoggingProgressPull:
         deliver_env(owner)  # an unflushed interval
         effects = owner.on_logging_request(LoggingRequest(1, flush=False))
         (reply,) = effects
-        assert isinstance(reply, SendNotification) and reply.dst == 1
-        assert reply.notification.origin == 2
+        assert isinstance(reply, SendControl) and reply.dst == 1
+        assert reply.payload.origin == 2
         assert owner.storage.async_writes == 0
         # What is already logged, not what a flush would add.
-        assert reply.notification.table.rows()[2] == {0: 1}
+        assert reply.payload.table.rows()[2] == {0: 1}
 
     def test_the_flush_bit_flushes_first(self):
         owner = make_proc(pid=2, n=4, k=4)
         deliver_env(owner)
         effects = owner.on_logging_request(LoggingRequest(1, flush=True))
-        (reply,) = effects_of(effects, SendNotification)
+        (reply,) = effects_of(effects, SendControl)
         assert owner.storage.async_writes == 1
-        assert reply.notification.table.rows()[2] == {0: 2}
+        assert reply.payload.table.rows()[2] == {0: 2}
         assert LoggingRequest(1).flush  # the default is Section 2's request
 
     def test_answer_is_the_full_table_or_the_own_row(self):
@@ -241,20 +241,20 @@ class TestLoggingProgressPull:
         request = LoggingRequest(0, flush=False)
         (full,) = owner.on_logging_request(request)
         (own,) = owner.on_logging_request(request, own_only=True)
-        assert full.notification.table.rows()[3] == {0: 9}
-        assert own.notification.table.rows()[3] == {}
-        assert own.notification.table.rows()[2] == full.notification.table.rows()[2]
+        assert full.payload.table.rows()[3] == {0: 9}
+        assert own.payload.table.rows()[3] == {}
+        assert own.payload.table.rows()[2] == full.payload.table.rows()[2]
 
     def test_answers_advance_the_askers_own_delta_cursor(self):
         owner = make_proc(pid=2, n=4, k=4, delta_notifications=True)
         request = LoggingRequest(0, flush=False)
         (first,) = owner.on_logging_request(request)
-        assert first.notification.table.rows()[2] == {0: 1}
+        assert first.payload.table.rows()[2] == {0: 1}
         owner.log.insert(3, Entry(0, 9))
         (second,) = owner.on_logging_request(request)
-        assert not second.notification.table.full
-        assert sorted(second.notification.table.entries) == [(3, 0, 9)]
+        assert not second.payload.table.full
+        assert sorted(second.payload.table.entries) == [(3, 0, 9)]
         # Another asker has its own cursor: first contact is a full table.
         (other,) = owner.on_logging_request(LoggingRequest(1, flush=False))
-        assert other.notification.table.rows()[2] == {0: 1}
-        assert other.notification.table.rows()[3] == {0: 9}
+        assert other.payload.table.rows()[2] == {0: 1}
+        assert other.payload.table.rows()[3] == {0: 9}

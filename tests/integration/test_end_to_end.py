@@ -17,6 +17,7 @@ import pytest
 from repro.core.baselines import (
     fully_async_factory,
     pessimistic_factory,
+    sender_based_factory,
     strom_yemini_factory,
 )
 from repro.failures.injector import CrashEvent, FailureSchedule
@@ -72,6 +73,7 @@ class TestKOptimisticInvariants:
 class TestBaselineInvariants:
     @pytest.mark.parametrize("name,factory,extra", [
         ("pessimistic", pessimistic_factory, {"k": 0}),
+        ("sender_based", sender_based_factory, {"k": 0}),
         ("strom_yemini", strom_yemini_factory, {"fifo": True}),
         ("fully_async", fully_async_factory, {}),
     ])

@@ -48,3 +48,10 @@ class TestExamples:
         load_example("scientific_pipeline").main()
         out = capsys.readouterr().out
         assert "optimistic logging saved" in out
+
+    def test_compare_families_runs(self, capsys):
+        # Every row asserts its run certified clean.
+        load_example("compare_families").main()
+        out = capsys.readouterr().out
+        assert "sender-based pessimistic" in out
+        assert "checkpoint" not in out

@@ -15,6 +15,7 @@ from repro.core.baselines import (
     direct_factory,
     fully_async_factory,
     pessimistic_factory,
+    sender_based_factory,
     strom_yemini_factory,
 )
 from repro.core.effects import BroadcastAnnouncement
@@ -143,6 +144,7 @@ class TestWriteAheadProbe:
     @pytest.mark.parametrize("factory, k, outputs, config", [
         (None, 2, 0.25, {}),
         (filelog_variant(pessimistic_factory), 0, 0.25, {}),
+        (filelog_variant(sender_based_factory), 0, 0.25, {}),
         (filelog_variant(strom_yemini_factory), None, 0.25, {"fifo": True}),
         (filelog_variant(fully_async_factory), None, 0.25, {}),
         # Direct dependency tracking reproduces no output commit, and its
@@ -151,8 +153,8 @@ class TestWriteAheadProbe:
         # which it settles consistent.
         (filelog_variant(direct_factory), None, 0.0,
          {"seed": 2, "rate": 0.5}),
-    ], ids=["k_optimistic", "pessimistic", "strom_yemini", "fully_async",
-            "direct"])
+    ], ids=["k_optimistic", "pessimistic", "sender_based", "strom_yemini",
+            "fully_async", "direct"])
     def test_every_variant_keeps_the_rule(self, factory, k, outputs, config):
         config = dict(config)
         workload = RandomPeersWorkload(rate=config.pop("rate", 1.0),
