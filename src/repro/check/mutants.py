@@ -20,7 +20,7 @@ from typing import Dict, List
 from repro.core.depvec import DependencyVector
 from repro.core.effects import Effect
 from repro.core.protocol import KOptimisticProcess
-from repro.net.message import AppMessage
+from repro.net.message import AppMessage, LogProgressNotification
 from repro.runtime.harness import ProtocolFactory, protocol_factory_for
 
 
@@ -70,11 +70,31 @@ class ForgetfulPiggybackProcess(KOptimisticProcess):
         return vector
 
 
+class StaleVectorProcess(KOptimisticProcess):
+    """Receive_log merges the table but skips the vector's nullification
+    (breaks Theorem 2's "drop an entry once it is known stable").
+
+    Nothing unsafe follows — the vector only keeps entries longer, until
+    the next delivery's pass drops them — so only the Theorem 2
+    completeness probe sees it.
+    """
+
+    def on_log_notifications(
+            self, notifs: List[LogProgressNotification]) -> List[Effect]:
+        self._require_running()
+        self.log.merge_snapshots([notif.table for notif in notifs])
+        effects = self._check_send_buffer()
+        effects += self._update_output_buffer()
+        effects += self._deliver_loop()
+        return effects
+
+
 #: Registry used by the CLI, the exploration experiment, and the tests.
 MUTANTS: Dict[str, type] = {
     "orphan_blind": OrphanBlindProcess,
     "unbounded_release": UnboundedReleaseProcess,
     "forgetful_piggyback": ForgetfulPiggybackProcess,
+    "stale_vector": StaleVectorProcess,
 }
 
 

@@ -21,6 +21,12 @@ and accumulates violations.  Together with the harness's
   when its log table proves stability, and protocol stability knowledge
   is a subset of the oracle's, so on a correct protocol this never fires;
   a variant that forgets piggybacked entries trips it.
+- **Theorem 2 (completeness)** — the other direction: after every step,
+  the log table of a live process that applies Theorem 2 (K-optimistic
+  logging and the baselines that inherit its nullification) covers no
+  non-own entry of its vector, and no entry of a held send or a pending
+  output.  Every log change is followed by the nullification passes, so
+  a variant that skips one leaves a known-stable entry behind.
 - **chain integrity** — a live chain never contains a rolled-back
   interval (``DependencyOracle.chain_integrity_violations``), the
   structural subset of consistency that must hold after *every* step.
@@ -48,8 +54,10 @@ from __future__ import annotations
 
 from typing import List, Set
 
+from repro.core.columnar import PACK_MASK, PACK_SHIFT
 from repro.core.effects import Effect, MessageDelivered, ReleaseMessage
 from repro.core.entry import Entry
+from repro.core.protocol import KOptimisticProcess
 from repro.runtime.harness import ProcessHost, SimulationHarness
 
 
@@ -128,6 +136,7 @@ class ProbeSet:
         for text in harness.certifier.oracle.chain_integrity_violations():
             self._report(text)
         self._check_vector_coverage(harness)
+        self._check_vector_completeness(harness)
 
     def _check_vector_coverage(self, harness: SimulationHarness) -> None:
         """Theorem 3: non-stable causal dependencies stay in the vector.
@@ -159,3 +168,42 @@ class ProbeSet:
                         f"on non-stable interval {iid} but its dependency "
                         f"vector carries {entry} for P{qid}"
                     )
+
+    def _check_vector_completeness(self, harness: SimulationHarness) -> None:
+        """Theorem 2: no vector keeps an entry its log table covers.
+
+        Reads the raw table and vectors, so a variant that skips a
+        nullification pass cannot hide it.  Processes whose class
+        replaces the vector's nullification (the baselines that predate
+        Theorem 2) are exempt; their held vectors are the index's.
+        """
+        for host in harness.hosts:
+            proc = host.protocol
+            if host.down or proc.failed or (
+                    type(proc)._nullify_stable_tdv_entries
+                    is not KOptimisticProcess._nullify_stable_tdv_entries):
+                continue
+            covers = proc.log.covers_packed
+            for pid, packed in proc.tdv.iter_packed():
+                if pid != proc.pid and covers(pid, packed):
+                    self._report(
+                        f"Theorem 2 violated: P{host.pid}'s vector keeps "
+                        f"{_entry(packed)} for P{pid}, which its log table "
+                        f"already covers"
+                    )
+            held = [("held send", msg.msg_id, msg.tdv)
+                    for msg in proc.send_buffer]
+            held += [("pending output", p.record.output_id, p.tdv)
+                     for p in proc.output_buffer.pending]
+            for what, ident, tdv in held:
+                for pid, packed in tdv.iter_packed():
+                    if covers(pid, packed):
+                        self._report(
+                            f"Theorem 2 violated: P{host.pid}'s {what} "
+                            f"{ident} keeps {_entry(packed)} for P{pid}, "
+                            f"which its log table already covers"
+                        )
+
+
+def _entry(packed: int) -> Entry:
+    return Entry(packed >> PACK_SHIFT, packed & PACK_MASK)

@@ -130,7 +130,7 @@ class FullyAsyncProcess(KOptimisticProcess):
     def _new_vector(self):
         return MultiIncarnationVector(self.n)
 
-    def _nullify_stable_tdv_entries(self) -> None:
+    def _nullify_stable_tdv_entries(self, merged=None) -> None:
         """No commit dependency tracking in this baseline."""
 
     # -- fully decoupled: no delivery gating, no send buffering ---------------

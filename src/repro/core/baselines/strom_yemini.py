@@ -43,7 +43,7 @@ class StromYeminiProcess(KOptimisticProcess):
 
     # -- no commit dependency tracking ------------------------------------
 
-    def _nullify_stable_tdv_entries(self) -> None:
+    def _nullify_stable_tdv_entries(self, merged=None) -> None:
         """Logging progress never shrinks the vector (pre-Theorem-2)."""
 
     def _check_send_buffer(self) -> List[Effect]:

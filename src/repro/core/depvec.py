@@ -19,8 +19,7 @@ side mutates, at which point the mutator re-materialises its own lists.
 Sharing matters because a buffered message's vector *is* mutated in place
 (send-buffer nullification, Theorem 2), so an eager deep copy is the
 semantic baseline that COW must — and does — preserve.  A monotonically
-increasing :attr:`version` stamps every effective mutation so scan-heavy
-callers (stability rescans) can skip work when nothing changed.
+increasing :attr:`version` stamps every effective mutation.
 
 The pre-columnar dict-of-Entry implementation lives on as the reference
 in ``tests/properties/test_columnar_equivalence.py``, which drives both
@@ -35,6 +34,10 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 from repro.core.columnar import PACK_MASK, PACK_SHIFT
 from repro.core.entry import Entry, OptEntry
 from repro.types import ProcessId
+
+#: An entry :meth:`DependencyVector.merge` took: ``(pid, packed,
+#: replaced)``, ``replaced`` the packed entry it overwrote (-1: none).
+MergedEntry = Tuple[ProcessId, int, int]
 
 
 class DependencyVector:
@@ -122,6 +125,17 @@ class DependencyVector:
             del self._packed[i]
             self.version += 1
 
+    def discard(self, pid: ProcessId, packed: int) -> None:
+        """Nullify the entry for ``pid`` if it still is ``packed`` (one the
+        stability index popped); a superseded entry stays."""
+        pids = self._pids
+        i = bisect_left(pids, pid)
+        if i < len(pids) and pids[i] == pid and self._packed[i] == packed:
+            self._materialize()
+            del self._pids[i]
+            del self._packed[i]
+            self.version += 1
+
     def nullify_entry(self, pid: ProcessId, entry: Entry) -> None:
         """Drop one specific entry.  For this single-entry-per-process
         vector it is the same as :meth:`nullify`; the multi-incarnation
@@ -158,24 +172,28 @@ class DependencyVector:
 
     # -- protocol operations ----------------------------------------------
 
-    def merge(self, other: "DependencyVector") -> None:
+    def merge(self, other: "DependencyVector") -> Optional[List[MergedEntry]]:
         """Pairwise lexicographic max, as in Deliver_message:
-        ``forall j: tdv[j] = max(tdv[j], m.tdv[j])``."""
+        ``forall j: tdv[j] = max(tdv[j], m.tdv[j])``.
+
+        Returns the entries taken from ``other``, or ``None`` when nothing
+        changed."""
         if other.n != self.n:
             raise ValueError(
                 f"cannot merge vectors of different sizes ({self.n} vs {other.n})"
             )
         opids = other._pids
         if not opids or opids is self._pids:
-            return
-        self._merge_columns(opids, other._packed)
+            return None
+        return self._merge_columns(opids, other._packed)
 
-    def _merge_columns(self, opids: List[ProcessId], opacked: List[int]) -> None:
+    def _merge_columns(self, opids: List[ProcessId], opacked: List[int],
+                       ) -> Optional[List[MergedEntry]]:
         """Two-pointer sorted join; replaces the columns only on change."""
         spids, spacked = self._pids, self._packed
         res_pids: List[ProcessId] = []
         res_packed: List[int] = []
-        changed = False
+        taken: List[MergedEntry] = []
         i = j = 0
         ls, lo = len(spids), len(opids)
         while i < ls and j < lo:
@@ -186,16 +204,17 @@ class DependencyVector:
                 res_packed.append(spacked[i])
                 i += 1
             elif sp > op:
+                ov = opacked[j]
                 res_pids.append(op)
-                res_packed.append(opacked[j])
-                changed = True
+                res_packed.append(ov)
+                taken.append((op, ov, -1))
                 j += 1
             else:
                 sv = spacked[i]
                 ov = opacked[j]
                 if ov > sv:
+                    taken.append((sp, ov, sv))
                     sv = ov
-                    changed = True
                 res_pids.append(sp)
                 res_packed.append(sv)
                 i += 1
@@ -206,13 +225,14 @@ class DependencyVector:
         if j < lo:
             res_pids += opids[j:]
             res_packed += opacked[j:]
-            changed = True
-        if not changed:
-            return
+            taken += [(pid, ov, -1) for pid, ov in zip(opids[j:], opacked[j:])]
+        if not taken:
+            return None
         self._pids = res_pids
         self._packed = res_packed
         self._shared = False
         self.version += 1
+        return taken
 
     def copy(self) -> "DependencyVector":
         """An independent snapshot (used when piggybacking on a message).

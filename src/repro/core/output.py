@@ -46,15 +46,15 @@ def _orphaned(tdv, iet: IncarnationEndTable) -> bool:
 class OutputBuffer:
     """Holds outputs until every dependency entry is NULL (0-optimism).
 
-    The buffer owns its process's :class:`StabilityIndex` (the send buffer
-    registers its held vectors in the same one).  :meth:`update` runs after
+    Pending outputs wait in their process's :class:`StabilityIndex`, next
+    to the held sends and the process's vector.  :meth:`update` runs after
     every delivery/flush/notification, and judges only the outputs the
     index woke — an entry of theirs became stable — or that were added
     since the last call.
     """
 
-    def __init__(self):
-        self.index = StabilityIndex()
+    def __init__(self, index: StabilityIndex):
+        self.index = index
         #: Outputs the index watches, in buffer order.
         self._held: List[Waiter] = []
         #: Outputs added since the last :meth:`update`, not yet watched.

@@ -57,7 +57,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.app.behavior import AppBehavior, AppContext
 from repro.core.columnar import PACK_SHIFT as _PACK_SHIFT
-from repro.core.depvec import DependencyVector
+from repro.core.depvec import DependencyVector, MergedEntry
 from repro.core.effects import (
     BroadcastAnnouncement,
     CommitOutput,
@@ -76,7 +76,7 @@ from repro.core.effects import (
 )
 from repro.core.entry import Entry
 from repro.core.output import OutputBuffer
-from repro.core.stability import Waiter
+from repro.core.stability import StabilityIndex, Waiter
 from repro.core.tables import IncarnationEndTable, LoggingProgressTable
 from repro.net.message import (
     AppAck,
@@ -211,12 +211,13 @@ class KOptimisticProcess:
         # Buffers.
         self.receive_buffer: List[AppMessage] = []
         self.send_buffer: List[AppMessage] = []
-        self.output_buffer = OutputBuffer()
-        # One stability index per process, shared by both buffers (see
-        # repro.core.stability).  ``_sb_held`` are the index registrations
-        # of ``send_buffer[:len(_sb_held)]``, in step; messages enqueued
-        # since the last Check_send_buffer are the unwatched tail.
-        self._stability = self.output_buffer.index
+        # One stability index per process, shared by both buffers and the
+        # vector (see repro.core.stability).  ``_sb_held`` are the index
+        # registrations of ``send_buffer[:len(_sb_held)]``, in step;
+        # messages enqueued since the last Check_send_buffer are the
+        # unwatched tail.
+        self._stability = StabilityIndex()
+        self.output_buffer = OutputBuffer(self._stability)
         self._sb_held: List[Waiter] = []
         self._sb_woken: List[Waiter] = []
         self.volatile = VolatileBuffer()
@@ -230,11 +231,6 @@ class KOptimisticProcess:
         self._send_enqueue_times: Dict[int, float] = {}
         self._receive_times: Dict[int, float] = {}
         self.stats = ProtocolStats()
-
-        # Scan-skip state: Theorem-2 nullification of the local vector
-        # only changes its answer when the log table or the vector changed
-        # since the last pass.
-        self._nul_versions: Optional[Tuple[int, int]] = None
 
     # ------------------------------------------------------------------
     # Initialize
@@ -556,6 +552,7 @@ class KOptimisticProcess:
         self.receive_buffer.clear()
         for waiter in self._sb_held:
             self._stability.drop(waiter)
+        self._stability.forget_vector()
         self.send_buffer.clear()
         self._sb_held.clear()
         self._sb_woken.clear()
@@ -625,7 +622,6 @@ class KOptimisticProcess:
         self.log = LoggingProgressTable(self.n)
         if self.delta_notifications:
             self.log.enable_changelog()
-        self._invalidate_scan_caches()
         for ann in self.storage.announcements:
             self.iet.insert(ann.origin, ann.end)
             self.log.insert(ann.origin, ann.end)
@@ -750,7 +746,6 @@ class KOptimisticProcess:
         self.app_state = checkpoint.app_state
         self.current = checkpoint.entry
         self.tdv = checkpoint.tdv
-        self._invalidate_scan_caches()
         self.received_ids = set(checkpoint.received_ids)
         self._highest_inc = max(self._highest_inc, checkpoint.entry.inc)
 
@@ -881,10 +876,9 @@ class KOptimisticProcess:
         """Deliver_message(m): merge dependencies, start a new interval, run
         the deterministic application handler, queue its sends and outputs."""
         replay = replay_record is not None
-        self.tdv.merge(msg.tdv)
         # Theorem 2 at acquisition time: entries the log table already
         # covers are redundant the moment they are merged.
-        self._nullify_stable_tdv_entries()
+        self._nullify_stable_tdv_entries(self.tdv.merge(msg.tdv))
         if replay:
             self.current = Entry(replay_record.inc, replay_record.position)
         else:
@@ -1152,25 +1146,17 @@ class KOptimisticProcess:
     # Theorem 2 nullification
     # ------------------------------------------------------------------
 
-    def _nullify_stable_tdv_entries(self) -> None:
+    def _nullify_stable_tdv_entries(
+            self, merged: Optional[List[MergedEntry]] = None) -> None:
         """Receive_log's inner loop: drop every dependency entry whose
         interval is now known stable.
 
-        The outcome is a function of (log, tdv) alone, so when both carry
-        the versions recorded after the previous pass, nothing can be
-        newly covered and the scan is skipped.
+        The vector is a member of the stability index, so this applies
+        the pops of its entries queued since the last pass; ``merged`` are
+        the entries :meth:`DependencyVector.merge` just took.  The own
+        entry is managed by Checkpoint/flush.
         """
-        key = (self.log.version, self.tdv.version)
-        if key == self._nul_versions:
-            return
-        tdv = self.tdv
-        log = self.log
-        own = self.pid  # own entry is managed by Checkpoint/flush
-        stable = [pid for pid, packed in tdv.iter_packed()
-                  if pid != own and log.covers_packed(pid, packed)]
-        for pid in stable:
-            tdv.nullify(pid)
-        self._nul_versions = (self.log.version, self.tdv.version)
+        self._stability.nullify_vector(self.tdv, self.pid, self.log, merged)
 
     # ------------------------------------------------------------------
     # Read-only introspection (for the invariant probe layer and tests)
@@ -1193,13 +1179,6 @@ class KOptimisticProcess:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-
-    def _invalidate_scan_caches(self) -> None:
-        """Recovery replaces the vector and/or tables wholesale; new
-        objects restart their version counters, so drop the scan-skip
-        state rather than risk a stale match.  (The stability index
-        notices a replaced log table by identity.)"""
-        self._nul_versions = None
 
     def _require_running(self) -> None:
         if not self._initialized:

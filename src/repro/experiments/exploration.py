@@ -105,7 +105,7 @@ max potential-revoker count at release never exceeds the configured K
         mutant_rows(),
         notes="""
 Each mutant disables one safety mechanism (orphan detection, the K
-release bound, piggyback completeness).  The checker must catch all of
+release bound, piggyback completeness, Theorem 2 nullification).  The checker must catch all of
 them and shrink the violation to a short replayable trace — evidence the
 clean rows above are meaningful.
 """,

@@ -86,6 +86,9 @@ class NetworkFaultModel:
         for faults in self.overrides.values():
             faults.validate()
         self.apply_to_control = apply_to_control
+        #: Each ``(src, dst, control)`` channel's registry stream, looked
+        #: up once.
+        self._streams: Dict[Tuple[int, int, bool], random.Random] = {}
         self._islands: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._partition_started: Optional[float] = None
         self.partition_time = 0.0
@@ -171,5 +174,10 @@ class NetworkFaultModel:
         return DELIVER
 
     def _stream(self, src: int, dst: int, control: bool) -> random.Random:
-        kind = "ctl" if control else "app"
-        return self.rngs.stream(f"faults/{src}->{dst}/{kind}")
+        key = (src, dst, control)
+        stream = self._streams.get(key)
+        if stream is None:
+            kind = "ctl" if control else "app"
+            stream = self.rngs.stream(f"faults/{src}->{dst}/{kind}")
+            self._streams[key] = stream
+        return stream

@@ -32,12 +32,16 @@ them):
   j's frontier (any extra node the vector over-approximates is provably
   rolled back, and rolled-back nodes are excluded from revoker sets
   anyway);
-- **epoch-cached orphan sets** — rollbacks are the only events that can
-  orphan an *existing* interval, so the full orphan set is recomputed once
-  per rollback epoch in a single topological pass (creation order is a
-  topological order) and extended incrementally for newly created nodes.
-  Failure-free runs short-circuit on the rolled-back counter and never
-  traverse at all.
+- **an incrementally walked orphan set** — creation order is a
+  topological order, so one pass over it decides every node from its
+  predecessors, and nodes created since the last query extend the set.
+  Rollbacks are the only events that can orphan an *existing* interval,
+  and only one created after the earliest node a rollback marked: the
+  orphans before that node are kept and the walk resumes from it.  (A
+  rolled-back flag set back to ``False`` — only a test corrupting the
+  graph does that — restarts the walk from the first node.)  Failure-free
+  runs short-circuit on the rolled-back counter and never traverse at
+  all.
 """
 
 from __future__ import annotations
@@ -58,6 +62,9 @@ _EMPTY: FrozenSet[IntervalId] = frozenset()
 #: above every creation sequence number, so no causal vector reaches it.
 _ALL_STABLE = 1 << 62
 
+#: Orphan-walk restart point when no rolled-back flag changed.
+_UNTOUCHED = 1 << 62
+
 
 class IntervalNode:
     """One state interval in the ground-truth graph.
@@ -68,7 +75,8 @@ class IntervalNode:
     frontier coherent.
     """
 
-    __slots__ = ("interval", "preds", "_stable", "_rolled_back", "_owner")
+    __slots__ = ("interval", "preds", "_stable", "_rolled_back", "_owner",
+                 "_pos")
 
     def __init__(
         self,
@@ -82,6 +90,8 @@ class IntervalNode:
         self._stable = stable
         self._rolled_back = rolled_back
         self._owner: Optional["DependencyOracle"] = None
+        #: Index in the owner's creation order.
+        self._pos = 0
 
     @property
     def rolled_back(self) -> bool:
@@ -93,7 +103,7 @@ class IntervalNode:
             return
         self._rolled_back = value
         if self._owner is not None:
-            self._owner._note_rollback_flag(value)
+            self._owner._note_rollback_flag(self, value)
 
     @property
     def stable(self) -> bool:
@@ -142,11 +152,12 @@ class DependencyOracle:
             columnar.NUMPY.full(n, _ALL_STABLE, dtype=columnar.NUMPY.int64)
             if self._use_np else [_ALL_STABLE] * n)
         self._rolled_back_count = 0
-        #: Bumped whenever a rollback marks nodes; invalidates orphan cache.
-        self._rollback_epoch = 0
-        self._orphan_epoch = -1
-        self._orphan_upto = 0
+        #: The orphans among ``_creation_order[:_orphan_upto]``, valid for
+        #: the nodes before ``_orphan_from`` (the earliest node a flag
+        #: change touched since the last query).
         self._orphan_set: Set[IntervalId] = set()
+        self._orphan_upto = 0
+        self._orphan_from = _UNTOUCHED
 
     # -- construction -------------------------------------------------------
 
@@ -187,14 +198,19 @@ class DependencyOracle:
                 vec[pid] = seq
         self._vec[iid] = vec
         node._owner = self
+        node._pos = len(self._creation_order)
         self._nodes[iid] = node
         self._creation_order.append(iid)
 
-    def _note_rollback_flag(self, value: bool) -> None:
-        """A node's rolled-back flag changed; keep counter + cache epoch
-        coherent (called from the :class:`IntervalNode` property setter)."""
+    def _note_rollback_flag(self, node: IntervalNode, value: bool) -> None:
+        """A node's rolled-back flag changed; keep the counter and the
+        orphan walk coherent (called from the :class:`IntervalNode`
+        property setter).  Marking can only orphan ``node`` and nodes
+        created after it; unmarking may clear orphans anywhere."""
         self._rolled_back_count += 1 if value else -1
-        self._rollback_epoch += 1
+        start = node._pos if value else 0
+        if start < self._orphan_from:
+            self._orphan_from = start
 
     def _refresh_frontier(self, pid: ProcessId, start: int = 0) -> None:
         """Re-derive ``pid``'s stable frontier, given that its live chain
@@ -305,16 +321,18 @@ class DependencyOracle:
         return seen
 
     def _orphans(self) -> Set[IntervalId]:
-        """The current orphan set, recomputed lazily per rollback epoch and
-        extended incrementally for nodes created since the last call."""
+        """The current orphan set: the walk resumes from the earliest node
+        a rollback marked since the last call (or from where it stopped),
+        keeping what it decided before that node."""
         if self._rolled_back_count == 0:
             return _EMPTY  # type: ignore[return-value]
-        if self._orphan_epoch != self._rollback_epoch:
-            self._orphan_epoch = self._rollback_epoch
-            self._orphan_set = set()
-            self._orphan_upto = 0
         order = self._creation_order
         orphans = self._orphan_set
+        start = self._orphan_from
+        self._orphan_from = _UNTOUCHED
+        if start < self._orphan_upto:
+            orphans.difference_update(order[start:self._orphan_upto])
+            self._orphan_upto = start
         nodes = self._nodes
         i = self._orphan_upto
         while i < len(order):

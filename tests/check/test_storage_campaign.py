@@ -19,6 +19,7 @@ from repro.check.storage_campaign import (
 from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
 from repro.core.output import OutputBuffer
+from repro.core.stability import StabilityIndex
 from repro.failures.injector import CrashEvent, FailureSchedule
 from repro.net.message import OutputRecord
 from repro.runtime.config import SimConfig
@@ -142,7 +143,7 @@ class TestRollbackReplayDedup:
     were still pending — and both copies eventually committed."""
 
     def test_output_buffer_contains_pending_ids(self):
-        buffer = OutputBuffer()
+        buffer = OutputBuffer(StabilityIndex())
         record = OutputRecord(output_id="o-1", process=0, payload=None,
                               send_interval=Entry(0, 3))
         assert not buffer.contains("o-1")

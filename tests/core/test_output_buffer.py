@@ -3,6 +3,7 @@
 from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
 from repro.core.output import OutputBuffer
+from repro.core.stability import StabilityIndex
 from repro.core.tables import IncarnationEndTable, LoggingProgressTable
 from repro.net.message import OutputRecord
 from repro.types import OutputId
@@ -14,14 +15,14 @@ def make_record(pid=0, sii=2, seq=0):
 
 class TestOutputBuffer:
     def test_add_snapshots_vector(self):
-        buf = OutputBuffer()
+        buf = OutputBuffer(StabilityIndex())
         tdv = DependencyVector(4, {1: Entry(0, 5)})
         buf.add(make_record(), tdv)
         tdv.set(2, Entry(0, 9))
         assert buf.pending[0].tdv.get(2) is None
 
     def test_update_releases_when_all_null(self):
-        buf = OutputBuffer()
+        buf = OutputBuffer(StabilityIndex())
         buf.add(make_record(), DependencyVector(4, {1: Entry(0, 5)}))
         log = LoggingProgressTable(4)
         assert buf.update(log) == []
@@ -31,7 +32,7 @@ class TestOutputBuffer:
         assert len(buf) == 0
 
     def test_update_nullifies_incrementally(self):
-        buf = OutputBuffer()
+        buf = OutputBuffer(StabilityIndex())
         buf.add(make_record(),
                 DependencyVector(4, {1: Entry(0, 5), 2: Entry(0, 3)}))
         log = LoggingProgressTable(4)
@@ -42,12 +43,12 @@ class TestOutputBuffer:
         assert len(buf.update(log)) == 1
 
     def test_empty_vector_releases_immediately(self):
-        buf = OutputBuffer()
+        buf = OutputBuffer(StabilityIndex())
         buf.add(make_record(), DependencyVector(4))
         assert len(buf.update(LoggingProgressTable(4))) == 1
 
     def test_discard_orphans(self):
-        buf = OutputBuffer()
+        buf = OutputBuffer(StabilityIndex())
         buf.add(make_record(seq=0), DependencyVector(4, {1: Entry(0, 5)}))
         buf.add(make_record(seq=1), DependencyVector(4, {1: Entry(0, 3)}))
         iet = IncarnationEndTable(4)
@@ -58,20 +59,20 @@ class TestOutputBuffer:
         assert len(buf) == 1
 
     def test_discard_all(self):
-        buf = OutputBuffer()
+        buf = OutputBuffer(StabilityIndex())
         buf.add(make_record(), DependencyVector(4))
         buf.discard_all()
         assert len(buf) == 0
 
     def test_release_order_preserved(self):
-        buf = OutputBuffer()
+        buf = OutputBuffer(StabilityIndex())
         for seq in range(3):
             buf.add(make_record(seq=seq), DependencyVector(4))
         ready = buf.update(LoggingProgressTable(4))
         assert [p.record.payload for p in ready] == ["out-0", "out-1", "out-2"]
 
     def test_enqueue_time_kept(self):
-        buf = OutputBuffer()
+        buf = OutputBuffer(StabilityIndex())
         buf.add(make_record(), DependencyVector(4), now=42.0)
         ready = buf.update(LoggingProgressTable(4))
         assert ready[0].enqueued_at == 42.0
@@ -79,7 +80,7 @@ class TestOutputBuffer:
     def test_contains_follows_add_commit_and_discards(self):
         log = LoggingProgressTable(4)
         iet = IncarnationEndTable(4)
-        buf = OutputBuffer()
+        buf = OutputBuffer(StabilityIndex())
         held, orphan, ready = (make_record(seq=s) for s in range(3))
         buf.add(held, DependencyVector(4, {1: Entry(0, 5)}))
         buf.add(orphan, DependencyVector(4, {2: Entry(0, 9)}))
@@ -98,7 +99,7 @@ class TestOutputBuffer:
     def test_discarded_outputs_never_commit(self):
         log = LoggingProgressTable(4)
         iet = IncarnationEndTable(4)
-        buf = OutputBuffer()
+        buf = OutputBuffer(StabilityIndex())
         buf.add(make_record(seq=0), DependencyVector(4, {1: Entry(0, 5)}))
         assert buf.update(log) == []                     # now watched
         buf.add(make_record(seq=1), DependencyVector(4, {1: Entry(0, 6)}))

@@ -1,11 +1,12 @@
-"""The stability index against the full rescan it replaced.
+"""The stability index against the full rescans it replaced.
 
 ``Check_send_buffer`` and ``OutputBuffer.update`` used to re-test every
-entry of every held vector against the log table.  That rescan lives on
-here, in the test tree only, as the reference: hypothesis drives the real
-protocol and the rescanning one through the same random operations and
-requires identical effects — the same releases and commits in the same
-order, with the same vectors — and identical buffers after every step.
+entry of every held vector against the log table, and Receive_log every
+entry of the process's own vector.  Those rescans live on here, in the
+test tree only, as the reference: hypothesis drives the real protocol and
+the rescanning one through the same random operations and requires
+identical effects — the same releases and commits in the same order, with
+the same vectors — and identical buffers and vectors after every step.
 """
 
 import dataclasses
@@ -78,6 +79,14 @@ class RescanKOptimistic(KOptimisticProcess):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.output_buffer = RescanOutputBuffer()
+
+    def _nullify_stable_tdv_entries(self, merged=None):
+        """The literal Receive_log loop over the process's own vector:
+        every pass tests every entry."""
+        log = self.log
+        for pid in [pid for pid, packed in self.tdv.iter_packed()
+                    if pid != self.pid and log.covers_packed(pid, packed)]:
+            self.tdv.nullify(pid)
 
     def _check_send_buffer(self):
         effects = []
@@ -262,9 +271,14 @@ def run_differential(n, ops, real_cls, reference_cls, k):
         assert got == want, (step, op)
         assert buffers(real) == buffers(reference), (step, op)
         assert real.tdv == reference.tdv
-    # Every buffered vector is accounted for in the index, and nothing else.
+    # Every buffered vector and the process's own one (once a last
+    # Theorem-2 pass has applied its queued pops; the fully-async
+    # baseline runs none) is accounted for in the index, and nothing else.
+    real._nullify_stable_tdv_entries()
     held = sum(m.tdv.non_null_count() for m in real.send_buffer)
     held += sum(p.tdv.non_null_count() for p in real.output_buffer.pending)
+    if real_cls is KOptimisticProcess:
+        held += sum(1 for pid in real.tdv.processes() if pid != real.pid)
     assert held <= len(real._stability) <= 2 * held
 
 
@@ -453,29 +467,75 @@ class TestWorkBound:
         index = proc._stability
         positions = index.watched_positions()
         assert positions == self.W + 1   # the W peers and P0's own row
-        # The local vector's Theorem-2 scan (W + 1 entries) is not the index's.
-        own_scan = proc.tdv.non_null_count()
+        # The held copies and the process's vector share one group per peer
+        # entry; P0's own entry differs per message (one interval each).
+        assert len(index._groups) == self.W + self.B
 
-        # A row nobody waits on: one test per watched position, no more.
+        # A row nobody waits on: one test per watched position, no more —
+        # the process's own vector costs nothing extra.
         lookups, effects = self.notify(proc, 50, 9)
         assert not effects
-        assert lookups <= positions + own_scan
-        assert lookups < self.B * self.W // 10
+        assert lookups == positions
 
-        # One watched row moves: its B waiters are popped (one more test
-        # each), every other position is tested once.
+        # One watched row moves: its one group pops for all B waiters and
+        # the vector, every other position is tested once.
         lookups, effects = self.notify(proc, 7, 5)
         assert not effects                       # K=0: W entries still wait
         assert all(m.tdv.get(7) is None for m in proc.send_buffer)
+        assert proc.tdv.get(7) is None
         assert index.watched_positions() == positions - 1
-        assert lookups <= positions + self.B + own_scan
-        assert lookups < self.B * self.W // 10
+        assert lookups == positions
 
     def test_no_table_change_costs_no_lookups(self):
         proc = self.held_process()
         self.notify(proc, 7, 5)
         lookups, _ = self.notify(proc, 7, 5)     # the same news again
         assert lookups == 0
+
+    # Held copies of one vector register each entry once.
+    COPIES = 8
+    WIDTH = 12
+
+    def watched_copies(self):
+        from repro.core.stability import StabilityIndex
+
+        n = 16
+        index, log, woken = StabilityIndex(), CountingLog(n), []
+        vector = DependencyVector(
+            n, {pid: Entry(0, pid + 3) for pid in range(1, self.WIDTH + 1)})
+        waiters = []
+        for copy in range(self.COPIES):
+            index.advance(log)
+            log.lookups = 0
+            waiters.append(index.watch(copy, vector.copy(), log, woken))
+            # Only the first copy's entries are looked up: the others join.
+            assert log.lookups == (self.WIDTH if copy == 0 else 0)
+        assert index.collect(woken, lambda _item: 0) == []
+        return index, log, woken, waiters
+
+    def test_eight_copies_cost_one_heap_entry_per_entry(self):
+        index, _log, _woken, _waiters = self.watched_copies()
+        assert len(index._groups) == self.WIDTH
+        assert index.watched_positions() == self.WIDTH
+        assert len(index) == self.COPIES * self.WIDTH
+
+    def test_covering_a_shared_entry_is_one_pop_that_wakes_every_copy(self):
+        index, log, woken, waiters = self.watched_copies()
+        log.insert(5, Entry(0, 8))
+        log.lookups = 0
+        index.advance(log)
+        assert log.lookups == self.WIDTH         # one test per position
+        assert len(index._groups) == self.WIDTH - 1
+        assert sorted(w.item for w in woken) == list(range(self.COPIES))
+        assert all(w.tdv.get(5) is None for w in waiters)
+        assert all(w.tdv.non_null_count() == self.WIDTH - 1 for w in waiters)
+
+    def test_dropping_seven_copies_sweeps_to_one_member_per_group(self):
+        index, _log, _woken, waiters = self.watched_copies()
+        for waiter in waiters[1:]:
+            index.drop(waiter)
+        assert len(index._groups) == self.WIDTH
+        assert len(index) == self.WIDTH
 
 
 # -- hygiene ---------------------------------------------------------------------
@@ -503,8 +563,12 @@ class TestIndexHygiene:
         for host in harness.hosts:
             proc = host.protocol
             assert not proc.send_buffer and not len(proc.output_buffer)
-            assert len(proc._stability) == 0
-            assert proc._stability.watched_positions() == 0
+            # What is left is the vector's own entries, each its own
+            # group, and at most as many stale registrations.
+            entries = sum(1 for pid in proc.tdv.processes() if pid != proc.pid)
+            assert len(proc._stability._groups) >= entries
+            assert entries <= len(proc._stability) <= 2 * entries
+            assert proc._stability.awaited_owners() <= set(proc.tdv.processes())
             assert not proc._sb_held and not proc._sb_woken
 
     def test_unbounded_release_mutant_still_caught(self):
@@ -518,7 +582,8 @@ class TestIndexHygiene:
 
     def test_dropped_waiters_are_swept(self):
         """Waiters released with entries left (K > 0) or discarded go stale
-        in the heaps; the index sweeps them once they outnumber the live."""
+        in their groups; the index sweeps them once they outnumber the
+        live, which leaves the vector's one open dependency (on P2)."""
         proc = KOptimisticProcess(0, 8, 2, Scripted())
         proc.initialize()
         for i in range(20):
@@ -530,4 +595,5 @@ class TestIndexHygiene:
             proc.on_log_notification(LogProgressNotification(
                 1, snapshot(8, [(1, 0, i + 1)])))
             assert not proc.send_buffer          # released with 2 entries left
-            assert len(proc._stability) == 0
+            assert list(proc.tdv.processes()) == [0, 2]
+            assert len(proc._stability) == 1
