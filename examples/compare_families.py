@@ -10,11 +10,12 @@ Run:  python examples/compare_families.py   (~1 second)
 """
 
 from repro.core.baselines import (
-    fully_async_factory,
-    pessimistic_factory,
-    sender_based_factory,
-    strom_yemini_factory,
+    FullyAsyncProcess,
+    PessimisticProcess,
+    SenderBasedProcess,
+    StromYeminiProcess,
 )
+from repro.core.protocol import KOptimisticProcess
 from repro.failures.injector import FailureSchedule
 from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
@@ -25,12 +26,12 @@ DURATION = 400.0
 CRASH = FailureSchedule.single(DURATION / 2, 1)
 
 
-def run_logging(name, factory=None, k=None, fifo=False):
+def run_logging(name, protocol=KOptimisticProcess, k=None, fifo=False):
     config = SimConfig(n=N, k=k, seed=11, fifo=fifo, trace_enabled=False)
     wl = RandomPeersWorkload(rate=0.3, min_hops=2, max_hops=4,
                              output_fraction=0.0)
     harness = SimulationHarness(config, wl.behavior(), failures=CRASH,
-                                protocol_factory=factory)
+                                protocol=protocol)
     wl.install(harness, until=DURATION * 0.8)
     harness.run(DURATION)
     m = harness.metrics()
@@ -44,10 +45,10 @@ def main() -> None:
     rows = [
         run_logging("K=2 optimistic (the paper)", k=2),
         run_logging("K=N optimistic", k=N),
-        run_logging("receiver-based pessimistic", pessimistic_factory, k=0),
-        run_logging("sender-based pessimistic", sender_based_factory, k=0),
-        run_logging("Strom-Yemini", strom_yemini_factory, fifo=True),
-        run_logging("fully asynchronous", fully_async_factory),
+        run_logging("receiver-based pessimistic", PessimisticProcess, k=0),
+        run_logging("sender-based pessimistic", SenderBasedProcess, k=0),
+        run_logging("Strom-Yemini", StromYeminiProcess, fifo=True),
+        run_logging("fully asynchronous", FullyAsyncProcess),
     ]
     header = (f"{'scheme':30} {'pgb':>6} {'writes':>7} {'latency':>8} "
               f"{'procs_rb':>9} {'undone':>7}")

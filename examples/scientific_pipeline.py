@@ -15,7 +15,8 @@ on *every* item versus recovery work paid *once*.
 Run:  python examples/scientific_pipeline.py
 """
 
-from repro.core.baselines import pessimistic_factory
+from repro.core.baselines import PessimisticProcess
+from repro.core.protocol import KOptimisticProcess
 from repro.failures.injector import FailureSchedule
 from repro.runtime.config import ASYNC_WRITE_COST, SYNC_WRITE_COST, SimConfig
 from repro.runtime.harness import SimulationHarness
@@ -25,16 +26,15 @@ N = 6
 DURATION = 1500.0
 
 
-def run(name, factory=None, k=None):
+def run(name, protocol=KOptimisticProcess, k=None):
     # The storage_cost column prices writes at the default constants.
     config = SimConfig(n=N, k=k, seed=33)
     workload = PipelineWorkload(rate=1.0)
-    kwargs = {"protocol_factory": factory} if factory else {}
     harness = SimulationHarness(
         config,
         workload.behavior(),
         failures=FailureSchedule.single(DURATION / 2, pid=2),
-        **kwargs,
+        protocol=protocol,
     )
     workload.install(harness, until=DURATION * 0.8)
     harness.run(DURATION)
@@ -45,7 +45,7 @@ def run(name, factory=None, k=None):
 
 def main() -> None:
     runs = [
-        run("pessimistic", factory=pessimistic_factory, k=0),
+        run("pessimistic", protocol=PessimisticProcess, k=0),
         run("optimistic (K=N)", k=N),
     ]
     print(f"{'configuration':20} {'items':>6} {'sync_w':>7} {'async_w':>8} "

@@ -19,7 +19,8 @@ would look at:
 Run:  python examples/telecom_service.py
 """
 
-from repro.core.baselines import pessimistic_factory
+from repro.core.baselines import PessimisticProcess
+from repro.core.protocol import KOptimisticProcess
 from repro.failures.injector import FailureSchedule
 from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
@@ -29,15 +30,14 @@ N = 8
 DURATION = 900.0
 
 
-def run_operating_point(name, k, factory=None):
+def run_operating_point(name, k, protocol=KOptimisticProcess):
     config = SimConfig(n=N, k=k, seed=21)
     workload = TelecomWorkload(rate=1.2)
-    kwargs = {"protocol_factory": factory} if factory else {}
     harness = SimulationHarness(
         config,
         workload.behavior(),
         failures=FailureSchedule.single(DURATION / 2, pid=3),
-        **kwargs,
+        protocol=protocol,
     )
     workload.install(harness, until=DURATION * 0.8)
     harness.run(DURATION)
@@ -49,7 +49,7 @@ def run_operating_point(name, k, factory=None):
 def main() -> None:
     points = [
         run_operating_point("pessimistic (industry default)", 0,
-                            pessimistic_factory),
+                            PessimisticProcess),
         run_operating_point("K=2 optimistic", 2),
         run_operating_point(f"K={N} fully optimistic", N),
     ]

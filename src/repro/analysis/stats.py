@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -49,24 +49,6 @@ def summarize(values: Sequence[float], confidence: float = 0.95) -> Summary:
     std = math.sqrt(var)
     half = _t_quantile(n - 1, confidence) * std / math.sqrt(n)
     return Summary(n, mean, std, mean - half, mean + half)
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile, q in [0, 100]."""
-    if not values:
-        raise ValueError("cannot take a percentile of an empty sample")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    low = int(math.floor(rank))
-    high = int(math.ceil(rank))
-    if low == high:
-        return ordered[low]
-    frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
 
 
 def is_monotone(values: Sequence[float], decreasing: bool = False,

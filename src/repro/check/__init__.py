@@ -25,7 +25,7 @@ from repro.check.explorer import (
     RandomExplorer,
     RandomScenarioSampler,
 )
-from repro.check.mutants import MUTANTS, mutant_factory
+from repro.check.mutants import MUTANTS
 from repro.check.probes import ProbeSet
 from repro.check.scenario import (
     CheckResult,
@@ -57,7 +57,6 @@ __all__ = [
     "ShrinkResult",
     "dump_counterexample",
     "load_counterexample",
-    "mutant_factory",
     "run_scenario",
     "shrink",
 ]

@@ -27,7 +27,7 @@ from repro.check.explorer import (
     RandomExplorer,
     RandomScenarioSampler,
 )
-from repro.check.mutants import MUTANTS, mutant_factory
+from repro.check.mutants import MUTANTS
 from repro.check.scenario import Injection, Scenario, run_scenario
 from repro.check.shrinker import (
     dump_counterexample,
@@ -35,6 +35,7 @@ from repro.check.shrinker import (
     shrink,
 )
 from repro.check.storage_campaign import fault_campaign, fsync_sweep
+from repro.core.protocol import KOptimisticProcess
 
 
 def small_scenario(n: int = 2, k: Optional[int] = 1, tokens: int = 3,
@@ -107,14 +108,14 @@ def cmd_mutants(args: argparse.Namespace) -> int:
     for name in names:
         sampler = RandomScenarioSampler(seed=args.seed)
         explorer = RandomExplorer(sampler, runs=args.runs,
-                                  protocol_factory=mutant_factory(name))
+                                  protocol=MUTANTS[name])
         stats = explorer.explore()
         if not stats.found:
             print(f"{name}: NOT CAUGHT in {stats.runs} scenario(s)")
             all_caught = False
             continue
         shrunk = shrink(stats.counterexample,
-                        protocol_factory=mutant_factory(name))
+                        protocol=MUTANTS[name])
         print(f"{name}: caught after {stats.runs} scenario(s); "
               f"shrunk to trace of {shrunk.trace_length} event(s)")
         if args.out_dir:
@@ -127,8 +128,8 @@ def cmd_mutants(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     scenario, mutant = load_counterexample(args.path)
-    factory = mutant_factory(mutant) if mutant else None
-    result = run_scenario(scenario, factory)
+    result = run_scenario(
+        scenario, MUTANTS[mutant] if mutant else KOptimisticProcess)
     against = f" against mutant {mutant}" if mutant else ""
     if result.violations:
         print(f"replayed {args.path}{against}: violation reproduced "

@@ -28,7 +28,7 @@ from repro.check.scenario import (
     Scenario,
     run_scenario,
 )
-from repro.runtime.harness import ProtocolFactory
+from repro.core.protocol import KOptimisticProcess
 
 
 @dataclass
@@ -58,7 +58,7 @@ class BoundedDFSExplorer:
         scenario: Scenario,
         max_depth: int = 10,
         max_runs: int = 2000,
-        protocol_factory: Optional[ProtocolFactory] = None,
+        protocol: type = KOptimisticProcess,
     ):
         if scenario.choice_seed is not None:
             raise ValueError("DFS needs deterministic fallback choices; "
@@ -66,7 +66,7 @@ class BoundedDFSExplorer:
         self.scenario = scenario
         self.max_depth = max_depth
         self.max_runs = max_runs
-        self.protocol_factory = protocol_factory
+        self.protocol = protocol
 
     def explore(self) -> ExplorationStats:
         stats = ExplorationStats()
@@ -77,7 +77,7 @@ class BoundedDFSExplorer:
                 return stats  # budget exhausted, tree not fully covered
             prefix = stack.pop()
             candidate = self.scenario.with_choices(prefix)
-            result = run_scenario(candidate, self.protocol_factory)
+            result = run_scenario(candidate, self.protocol)
             stats.runs += 1
             if result.counts:
                 stats.max_branching = max(stats.max_branching,
@@ -163,17 +163,17 @@ class RandomExplorer:
         self,
         sampler: RandomScenarioSampler,
         runs: int = 1000,
-        protocol_factory: Optional[ProtocolFactory] = None,
+        protocol: type = KOptimisticProcess,
     ):
         self.sampler = sampler
         self.runs = runs
-        self.protocol_factory = protocol_factory
+        self.protocol = protocol
 
     def explore(self) -> ExplorationStats:
         stats = ExplorationStats()
         for index in range(self.runs):
             scenario = self.sampler.sample(index)
-            result = run_scenario(scenario, self.protocol_factory)
+            result = run_scenario(scenario, self.protocol)
             stats.runs += 1
             if result.counts:
                 stats.max_branching = max(stats.max_branching,

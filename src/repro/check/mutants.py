@@ -21,7 +21,6 @@ from repro.core.depvec import DependencyVector
 from repro.core.effects import Effect
 from repro.core.protocol import KOptimisticProcess
 from repro.net.message import AppMessage, LogProgressNotification
-from repro.runtime.harness import ProtocolFactory, protocol_factory_for
 
 
 class OrphanBlindProcess(KOptimisticProcess):
@@ -96,8 +95,3 @@ MUTANTS: Dict[str, type] = {
     "forgetful_piggyback": ForgetfulPiggybackProcess,
     "stale_vector": StaleVectorProcess,
 }
-
-
-def mutant_factory(name: str) -> ProtocolFactory:
-    """A :data:`ProtocolFactory` for the named mutant."""
-    return protocol_factory_for(MUTANTS[name])

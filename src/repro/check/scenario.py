@@ -21,6 +21,7 @@ import random
 from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.protocol import KOptimisticProcess
 from repro.failures.injector import (
     CrashEvent,
     FailureEvent,
@@ -29,7 +30,7 @@ from repro.failures.injector import (
     PartitionEvent,
 )
 from repro.runtime.config import SimConfig
-from repro.runtime.harness import ProtocolFactory, SimulationHarness
+from repro.runtime.harness import SimulationHarness
 from repro.sim.engine import EventHandle
 from repro.sim.trace import TraceEvent
 from repro.workloads.random_peers import TokenBehavior
@@ -218,7 +219,7 @@ class Scenario:
 
 def run_scenario(
     scenario: Scenario,
-    protocol_factory: Optional[ProtocolFactory] = None,
+    protocol: type = KOptimisticProcess,
 ) -> CheckResult:
     """Execute ``scenario`` under the probe layer and report the outcome.
 
@@ -231,7 +232,7 @@ def run_scenario(
     harness = SimulationHarness(
         scenario.config(), TokenBehavior(),
         failures=scenario.failure_schedule(),
-        protocol_factory=protocol_factory,
+        protocol=protocol,
     )
     probes = ProbeSet()
     probes.install(harness)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple, TypeVar
 
 from repro.check.scenario import CheckResult, Scenario, run_scenario
-from repro.runtime.harness import ProtocolFactory
+from repro.core.protocol import KOptimisticProcess
 
 T = TypeVar("T")
 
@@ -81,7 +81,7 @@ def _ddmin(items: List[T], still_fails: Callable[[List[T]], bool],
 
 def shrink(
     scenario: Scenario,
-    protocol_factory: Optional[ProtocolFactory] = None,
+    protocol: type = KOptimisticProcess,
     max_runs: int = 400,
 ) -> ShrinkResult:
     """Minimize a violating ``scenario``; raises if it does not violate."""
@@ -89,7 +89,7 @@ def shrink(
     last_failing: List[CheckResult] = []
 
     def fails(candidate: Scenario) -> bool:
-        result = run_scenario(candidate, protocol_factory)
+        result = run_scenario(candidate, protocol)
         if result.violations:
             last_failing.append(result)
             del last_failing[:-1]
@@ -164,7 +164,7 @@ def shrink(
         changed = current != before
 
     final = last_failing[0] if last_failing else run_scenario(
-        current, protocol_factory)
+        current, protocol)
     return ShrinkResult(scenario=current, result=final, runs=budget.used)
 
 
@@ -177,7 +177,7 @@ def dump_counterexample(path: str, scenario: Scenario, result: CheckResult,
 
     ``mutant`` names the broken protocol variant the violation was found
     against (``None`` for the real protocol) so replay can rebuild the
-    same protocol factory.
+    same protocol class.
     """
     payload = {
         "format": COUNTEREXAMPLE_FORMAT,

@@ -38,19 +38,18 @@ from __future__ import annotations
 
 from typing import Any, List
 
+from repro.core.baselines.immediate import ImmediateReleaseProcess
 from repro.core.depvec import DependencyVector
-from repro.core.effects import BroadcastAnnouncement, Effect, ReleaseMessage
-from repro.core.entry import Entry
-from repro.core.protocol import KOptimisticProcess
-from repro.net.message import FailureAnnouncement
+from repro.core.effects import Effect
 
 
-class DirectDependencyProcess(KOptimisticProcess):
-    """Sender-index-only piggybacking with cascaded rollback announcements."""
+class DirectDependencyProcess(ImmediateReleaseProcess):
+    """Sender-index-only piggybacking with cascaded rollback announcements.
 
-    def __init__(self, pid, n, k=None, behavior=None, **kwargs):
-        del k  # no send buffering in this scheme
-        super().__init__(pid, n, n, behavior, **kwargs)
+    Messages leave at once (scalability is the point of the scheme), and
+    every rollback is announced: downstream processes only carry *direct*
+    dependencies, so transitive orphan elimination works by propagating
+    announcements hop by hop."""
 
     # -- one-entry piggyback ---------------------------------------------------
 
@@ -59,33 +58,6 @@ class DirectDependencyProcess(KOptimisticProcess):
         vector = DependencyVector(self.n)
         vector.set(self.pid, self.current)
         return vector
-
-    # -- release immediately (scalability is the point of the scheme) ----------
-
-    def _check_send_buffer(self) -> List[Effect]:
-        effects: List[Effect] = []
-        for msg in self.send_buffer:
-            self._send_enqueue_times.pop(msg.wire_id, None)
-            self.stats.messages_released += 1
-            effects.append(ReleaseMessage(msg))
-        self.send_buffer = []
-        return effects
-
-    # -- cascaded announcements -------------------------------------------------
-
-    def _rollback(self) -> List[Effect]:
-        """Every rollback is announced: downstream processes only carry
-        *direct* dependencies, so transitive orphan elimination works by
-        propagating announcements hop by hop."""
-        old_inc = max(self._highest_inc, self.current.inc)
-        effects = super()._rollback()
-        end = Entry(old_inc, self.current.sii - 1)
-        announcement = FailureAnnouncement(self.pid, end)
-        self.storage.log_announcement(announcement)
-        self.iet.insert(self.pid, end)
-        self.log.insert(self.pid, end)
-        effects.append(BroadcastAnnouncement(announcement))
-        return effects
 
     # -- outputs are out of scope ------------------------------------------------
 

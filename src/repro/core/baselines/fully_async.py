@@ -12,16 +12,16 @@ released as soon as they are sent.  The price, as the paper notes, is that
 
 As in the Section 2 narrative, a rolled-back process "starts a new
 incarnation as if it itself has failed" and broadcasts its own rollback
-announcement.
+announcement; that and the immediate release come from
+:class:`~repro.core.baselines.immediate.ImmediateReleaseProcess`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Tuple
 
-from repro.core.effects import BroadcastAnnouncement, Effect, ReleaseMessage
+from repro.core.baselines.immediate import ImmediateReleaseProcess
 from repro.core.entry import Entry
-from repro.core.protocol import KOptimisticProcess
 from repro.net.message import AppMessage, FailureAnnouncement
 from repro.types import ProcessId
 
@@ -118,12 +118,8 @@ class MultiIncarnationVector:
         return "{" + inner + "}"
 
 
-class FullyAsyncProcess(KOptimisticProcess):
+class FullyAsyncProcess(ImmediateReleaseProcess):
     """Completely asynchronous recovery (Section 2's illustration protocol)."""
-
-    def __init__(self, pid, n, k=None, behavior=None, **kwargs):
-        del k  # no degree of optimism: release immediately
-        super().__init__(pid, n, n, behavior, **kwargs)
 
     # -- per-incarnation tracking ---------------------------------------------
 
@@ -133,7 +129,7 @@ class FullyAsyncProcess(KOptimisticProcess):
     def _nullify_stable_tdv_entries(self, merged=None) -> None:
         """No commit dependency tracking in this baseline."""
 
-    # -- fully decoupled: no delivery gating, no send buffering ---------------
+    # -- fully decoupled: no delivery gating ------------------------------------
 
     def _deliverable(self, msg: AppMessage) -> bool:
         return True
@@ -147,15 +143,6 @@ class FullyAsyncProcess(KOptimisticProcess):
             return False
         return any(iet.invalidates(pid, e) for pid, e in msg.tdv.iter_items())
 
-    def _check_send_buffer(self) -> List[Effect]:
-        effects: List[Effect] = []
-        for msg in self.send_buffer:
-            self._send_enqueue_times.pop(msg.wire_id, None)
-            self.stats.messages_released += 1
-            effects.append(ReleaseMessage(msg))
-        self.send_buffer = []
-        return effects
-
     # -- rollback: any invalidated incarnation entry orphans us ---------------
 
     def _state_orphaned_by(self, ann: FailureAnnouncement) -> bool:
@@ -163,14 +150,3 @@ class FullyAsyncProcess(KOptimisticProcess):
             self.iet.invalidates(ann.origin, entry)
             for entry in self.tdv.entries_for(ann.origin)
         )
-
-    def _rollback(self) -> List[Effect]:
-        old_inc = max(self._highest_inc, self.current.inc)
-        effects = super()._rollback()
-        end = Entry(old_inc, self.current.sii - 1)
-        announcement = FailureAnnouncement(self.pid, end)
-        self.storage.log_announcement(announcement)
-        self.iet.insert(self.pid, end)
-        self.log.insert(self.pid, end)
-        effects.append(BroadcastAnnouncement(announcement))
-        return effects

@@ -25,7 +25,10 @@ from repro.core.protocol import KOptimisticProcess
 
 
 class PessimisticProcess(KOptimisticProcess):
-    """0-risk logging: sync-on-delivery, empty piggyback, instant release."""
+    """0-risk logging: sync-on-delivery, empty piggyback, instant release.
+
+    Run it with ``SimConfig(k=0)``, so the certifier judges its releases
+    at the K it keeps."""
 
     def __init__(self, pid, n, k=0, behavior=None, **kwargs):
         # K is forced to 0: pessimistic logging is 0-optimistic by nature.

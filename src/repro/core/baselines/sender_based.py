@@ -93,7 +93,11 @@ class SBLogReply(ControlMessage):
 
 
 class SenderBasedProcess(PessimisticProcess):
-    """0-risk logging with the message log at the sender."""
+    """0-risk logging with the message log at the sender.
+
+    Run it with ``SimConfig(k=0)`` on a reliable network: the certifier
+    then judges its releases at K = 0, and a lossy network leaves runs
+    unquiescent."""
 
     def __init__(self, pid, n, k=0, behavior=None, **kwargs):
         super().__init__(pid, n, 0, behavior, **kwargs)

@@ -18,8 +18,7 @@ Copies are copy-on-write: the snapshot shares the columns until either
 side mutates, at which point the mutator re-materialises its own lists.
 Sharing matters because a buffered message's vector *is* mutated in place
 (send-buffer nullification, Theorem 2), so an eager deep copy is the
-semantic baseline that COW must — and does — preserve.  A monotonically
-increasing :attr:`version` stamps every effective mutation.
+semantic baseline that COW must — and does — preserve.
 
 The pre-columnar dict-of-Entry implementation lives on as the reference
 in ``tests/properties/test_columnar_equivalence.py``, which drives both
@@ -48,7 +47,7 @@ class DependencyVector:
     that is *not yet known stable* (commit dependency tracking, Theorem 2).
     """
 
-    __slots__ = ("n", "_pids", "_packed", "_shared", "version")
+    __slots__ = ("n", "_pids", "_packed", "_shared")
 
     def __init__(self, n: int, entries: Optional[Mapping[ProcessId, Entry]] = None):
         if n <= 0:
@@ -60,8 +59,6 @@ class DependencyVector:
         self._packed: List[int] = []
         #: True while the columns may be aliased by a COW copy.
         self._shared = False
-        #: Bumped on every effective mutation; lets callers cache scans.
-        self.version = 0
         if entries:
             for pid, entry in entries.items():
                 self.set(pid, entry)
@@ -107,12 +104,10 @@ class DependencyVector:
             if self._packed[i] != packed:
                 self._materialize()
                 self._packed[i] = packed
-                self.version += 1
         else:
             self._materialize()
             self._pids.insert(i, pid)
             self._packed.insert(i, packed)
-            self.version += 1
 
     def nullify(self, pid: ProcessId) -> None:
         """Set the entry for ``pid`` to NULL (Theorem 2 omission)."""
@@ -123,7 +118,6 @@ class DependencyVector:
             self._materialize()
             del self._pids[i]
             del self._packed[i]
-            self.version += 1
 
     def discard(self, pid: ProcessId, packed: int) -> None:
         """Nullify the entry for ``pid`` if it still is ``packed`` (one the
@@ -134,7 +128,6 @@ class DependencyVector:
             self._materialize()
             del self._pids[i]
             del self._packed[i]
-            self.version += 1
 
     def nullify_entry(self, pid: ProcessId, entry: Entry) -> None:
         """Drop one specific entry.  For this single-entry-per-process
@@ -231,7 +224,6 @@ class DependencyVector:
         self._pids = res_pids
         self._packed = res_packed
         self._shared = False
-        self.version += 1
         return taken
 
     def copy(self) -> "DependencyVector":
@@ -245,7 +237,6 @@ class DependencyVector:
         dup._pids = self._pids
         dup._packed = self._packed
         dup._shared = True
-        dup.version = 0
         self._shared = True
         return dup
 
@@ -264,7 +255,6 @@ class DependencyVector:
         vec._pids = pids
         vec._packed = packed
         vec._shared = True
-        vec.version = 0
         return vec
 
     # -- comparisons / rendering -------------------------------------------

@@ -979,19 +979,23 @@ class KOptimisticProcess:
         effects: List[Effect] = []
         now = self.now_fn()
         for waiter in ready:
-            msg = waiter.item
-            enqueued = self._send_enqueue_times.pop(msg.wire_id, now)
-            hold = now - enqueued
-            self.stats.send_hold_time_total += hold
-            if hold > self.stats.send_hold_time_max:
-                self.stats.send_hold_time_max = hold
-            self.stats.messages_released += 1
-            if self.retransmit_window > 0:
-                copies = self._sent_log.setdefault(msg.dst, [])
-                copies.append(msg)
-                del copies[: -self.retransmit_window]
-            effects += self._release(msg)
+            effects += self._release_held(waiter.item, now)
         return effects
+
+    def _release_held(self, msg: AppMessage, now: float) -> List[Effect]:
+        """Let one message leave the send buffer: its hold time, a copy in
+        the footnote-3 sent-log, then :meth:`_release`."""
+        enqueued = self._send_enqueue_times.pop(msg.wire_id, now)
+        hold = now - enqueued
+        self.stats.send_hold_time_total += hold
+        if hold > self.stats.send_hold_time_max:
+            self.stats.send_hold_time_max = hold
+        self.stats.messages_released += 1
+        if self.retransmit_window > 0:
+            copies = self._sent_log.setdefault(msg.dst, [])
+            copies.append(msg)
+            del copies[: -self.retransmit_window]
+        return self._release(msg)
 
     def _send_limit(self, msg: AppMessage) -> int:
         """The degree of optimism ``msg`` is released under (Section 4.2)."""

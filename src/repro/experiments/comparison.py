@@ -20,10 +20,11 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.baselines import (
-    fully_async_factory,
-    pessimistic_factory,
-    strom_yemini_factory,
+    FullyAsyncProcess,
+    PessimisticProcess,
+    StromYeminiProcess,
 )
+from repro.core.protocol import KOptimisticProcess
 from repro.experiments.runner import DURATION, print_experiment, simulate
 from repro.failures.injector import FailureSchedule
 from repro.runtime.config import SimConfig
@@ -35,18 +36,18 @@ def run(n: int = 8, seed: int = 42, duration: float = DURATION,
     failures = FailureSchedule.single(duration / 2, crash_pid)
     workload = RandomPeersWorkload(rate=0.8, min_hops=3, max_hops=8)
     variants = [
-        ("pessimistic", 0, pessimistic_factory, False),
-        ("K=0 optimistic", 0, None, False),
-        (f"K={n // 2} optimistic", n // 2, None, False),
-        (f"K={n} optimistic", n, None, False),
-        ("strom-yemini", None, strom_yemini_factory, True),
-        ("fully-async", None, fully_async_factory, False),
+        ("pessimistic", 0, PessimisticProcess, False),
+        ("K=0 optimistic", 0, KOptimisticProcess, False),
+        (f"K={n // 2} optimistic", n // 2, KOptimisticProcess, False),
+        (f"K={n} optimistic", n, KOptimisticProcess, False),
+        ("strom-yemini", None, StromYeminiProcess, True),
+        ("fully-async", None, FullyAsyncProcess, False),
     ]
     rows = []
-    for name, k, factory, fifo in variants:
+    for name, k, protocol, fifo in variants:
         config = SimConfig(n=n, k=k, seed=seed, fifo=fifo, trace_enabled=False)
         metrics = simulate(config, workload, failures=failures,
-                           protocol_factory=factory, duration=duration)
+                           protocol=protocol, duration=duration)
         rows.append({
             "protocol": name,
             "sync_w": metrics.sync_writes,

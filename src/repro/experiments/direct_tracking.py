@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.baselines import direct_factory, strom_yemini_factory
+from repro.core.baselines import DirectDependencyProcess, StromYeminiProcess
+from repro.core.protocol import KOptimisticProcess
 from repro.experiments.runner import print_experiment, simulate
 from repro.failures.injector import FailureSchedule
 from repro.runtime.config import SimConfig
@@ -40,16 +41,16 @@ def run(n: int = 4, seed: int = 1) -> List[Dict[str, object]]:
                                    output_fraction=0.0)
     failures = FailureSchedule.single(DURATION / 2, 1)
     variants = [
-        ("direct (1 entry/msg)", direct_factory, False),
-        ("transitive, commit-dep (K=N)", None, False),
-        ("transitive, size-N (S&Y)", strom_yemini_factory, True),
+        ("direct (1 entry/msg)", DirectDependencyProcess, False),
+        ("transitive, commit-dep (K=N)", KOptimisticProcess, False),
+        ("transitive, size-N (S&Y)", StromYeminiProcess, True),
     ]
     rows = []
-    for name, factory, fifo in variants:
+    for name, protocol, fifo in variants:
         config = SimConfig(n=n, k=None, seed=seed, fifo=fifo,
                            trace_enabled=False)
         metrics = simulate(config, workload, failures=failures,
-                           protocol_factory=factory, duration=DURATION)
+                           protocol=protocol, duration=DURATION)
         rows.append({
             "scheme": name,
             "pgb": round(metrics.mean_piggyback_entries, 2),

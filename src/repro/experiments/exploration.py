@@ -21,7 +21,7 @@ from repro.check.explorer import (
     RandomExplorer,
     RandomScenarioSampler,
 )
-from repro.check.mutants import MUTANTS, mutant_factory
+from repro.check.mutants import MUTANTS
 from repro.check.shrinker import shrink
 from repro.experiments.runner import print_experiment
 from repro.check.cli import small_scenario
@@ -65,7 +65,7 @@ def mutant_rows(runs: int = 40):
     for name in sorted(MUTANTS):
         sampler = RandomScenarioSampler(seed=0)
         stats = RandomExplorer(sampler, runs=runs,
-                               protocol_factory=mutant_factory(name)).explore()
+                               protocol=MUTANTS[name]).explore()
         row = {
             "mutant": name,
             "scenarios": stats.runs,
@@ -74,7 +74,7 @@ def mutant_rows(runs: int = 40):
         }
         if stats.found:
             shrunk = shrink(stats.counterexample,
-                            protocol_factory=mutant_factory(name))
+                            protocol=MUTANTS[name])
             row["shrunk_trace"] = shrunk.trace_length
         rows.append(row)
     return rows

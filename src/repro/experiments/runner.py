@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
+from repro.core.protocol import KOptimisticProcess
 from repro.failures.injector import FailureSchedule
 from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
@@ -20,7 +21,7 @@ def simulate(
     config: SimConfig,
     workload: Workload,
     failures: Optional[FailureSchedule] = None,
-    protocol_factory: Optional[Callable] = None,
+    protocol: type = KOptimisticProcess,
     duration: float = DURATION,
 ) -> RunMetrics:
     """Run one configuration to completion and return its metrics.
@@ -30,7 +31,7 @@ def simulate(
     """
     harness = SimulationHarness(config, workload.behavior(),
                                 failures=failures,
-                                protocol_factory=protocol_factory)
+                                protocol=protocol)
     workload.install(harness, until=duration * INJECT_FRACTION)
     harness.run(duration)
     metrics = harness.metrics()

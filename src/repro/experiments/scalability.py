@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.baselines import strom_yemini_factory
+from repro.core.baselines import StromYeminiProcess
 from repro.experiments.runner import print_experiment, simulate
 from repro.runtime.config import SimConfig
 from repro.workloads.random_peers import RandomPeersWorkload
@@ -44,7 +44,7 @@ def run(
                                        min_hops=3, max_hops=8)
         sy = simulate(
             SimConfig(n=n, k=None, seed=seed, fifo=True, trace_enabled=False),
-            workload, protocol_factory=strom_yemini_factory, duration=duration)
+            workload, protocol=StromYeminiProcess, duration=duration)
         unbounded = simulate(
             SimConfig(n=n, k=None, seed=seed, trace_enabled=False),
             workload, duration=duration)

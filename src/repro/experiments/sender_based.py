@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.baselines import pessimistic_factory, sender_based_factory
+from repro.core.baselines import PessimisticProcess, SenderBasedProcess
+from repro.core.protocol import KOptimisticProcess
 from repro.experiments.runner import print_experiment, simulate
 from repro.failures.injector import FailureSchedule
 from repro.runtime.config import SimConfig
@@ -34,9 +35,9 @@ from repro.workloads.random_peers import RandomPeersWorkload
 DURATION = 800.0
 
 DISCIPLINES = (
-    ("receiver-based sync", pessimistic_factory),
-    ("K=0 optimistic", None),
-    ("sender-based (ref [1])", sender_based_factory),
+    ("receiver-based sync", PessimisticProcess),
+    ("K=0 optimistic", KOptimisticProcess),
+    ("sender-based (ref [1])", SenderBasedProcess),
 )
 
 
@@ -44,12 +45,12 @@ def run(n: int = 6, seed: int = 42, duration: float = DURATION,
         crash_pid: int = 1) -> List[Dict[str, object]]:
     failures = FailureSchedule.single(duration / 2, crash_pid)
     rows = []
-    for name, factory in DISCIPLINES:
+    for name, protocol in DISCIPLINES:
         m = simulate(
             SimConfig(n=n, k=0, seed=seed, trace_enabled=False),
             RandomPeersWorkload(rate=0.6, min_hops=3, max_hops=8,
                                 output_fraction=0.0),
-            failures=failures, protocol_factory=factory, duration=duration)
+            failures=failures, protocol=protocol, duration=duration)
         rows.append({
             "discipline": name,
             "sync_w": m.sync_writes,

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.baselines import fully_async_factory, strom_yemini_factory
+from repro.core.baselines import FullyAsyncProcess, StromYeminiProcess
+from repro.core.protocol import KOptimisticProcess
 from repro.experiments.runner import DURATION, print_experiment, simulate
 from repro.failures.injector import FailureSchedule
 from repro.runtime.config import SimConfig
@@ -59,14 +60,14 @@ def run_protocol_sweep(
     failures = FailureSchedule.single(duration / 2, 1)
     workload = RandomPeersWorkload(rate=0.8, min_hops=3, max_hops=8)
     variants = [
-        ("k-optimistic (Thm 2)", None, None, False),
-        ("strom-yemini (size-N)", None, strom_yemini_factory, True),
-        ("fully-async (per-inc)", None, fully_async_factory, False),
+        ("k-optimistic (Thm 2)", None, KOptimisticProcess, False),
+        ("strom-yemini (size-N)", None, StromYeminiProcess, True),
+        ("fully-async (per-inc)", None, FullyAsyncProcess, False),
     ]
     rows = []
-    for name, k, factory, fifo in variants:
+    for name, k, protocol, fifo in variants:
         config = SimConfig(n=n, k=k, seed=seed, fifo=fifo, trace_enabled=False)
-        metrics = simulate(config, workload, protocol_factory=factory,
+        metrics = simulate(config, workload, protocol=protocol,
                            failures=failures, duration=duration)
         rows.append({
             "protocol": name,

@@ -26,6 +26,7 @@ import multiprocessing
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.app.behavior import AppBehavior
+from repro.core.protocol import KOptimisticProcess
 from repro.failures.injector import (
     CrashEvent,
     FailureSchedule,
@@ -76,7 +77,7 @@ class ParallelHarness:
         failures: Optional[FailureSchedule] = None,
         workload: Any = None,
         install_until: float = 0.0,
-        protocol_factory: Any = None,
+        protocol: type = KOptimisticProcess,
     ):
         config.validate()
         if config.parallel_workers < 2:
@@ -109,7 +110,7 @@ class ParallelHarness:
             proc = ctx.Process(
                 target=worker_main,
                 args=(child, worker_id, self.workers, config, behavior,
-                      schedule, workload, install_until, protocol_factory),
+                      schedule, workload, install_until, protocol),
                 daemon=True,
             )
             proc.start()

@@ -30,6 +30,7 @@ import time
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.protocol import KOptimisticProcess
 from repro.failures.injector import FailureSchedule
 from repro.net.message import LogProgressNotification
 from repro.parallel import shm as shm_mod
@@ -67,14 +68,14 @@ class _WorkerHarness(SimulationHarness):
 
     def __init__(self, config: SimConfig, behavior: Any,
                  failures: Optional[FailureSchedule], worker_id: int,
-                 workers: int, protocol_factory: Any = None):
+                 workers: int, protocol: type = KOptimisticProcess):
         self._worker_id = worker_id
         #: Transmissions to pids hosted by other workers, since the last
         #: :meth:`take_outbox`.
         self.outbox: List[OutboxEntry] = []
         self._outbox_counter = itertools.count()
         super().__init__(worker_config(config), behavior, failures=failures,
-                         protocol_factory=protocol_factory,
+                         protocol=protocol,
                          owned=range(worker_id, config.n, workers),
                          export=self._export)
         self.arena: Optional[SnapshotArena] = None
@@ -211,14 +212,14 @@ class _WorkerHarness(SimulationHarness):
 def worker_main(conn: Any, worker_id: int, workers: int, config: SimConfig,
                 behavior: Any, failures: Optional[FailureSchedule],
                 workload: Any, install_until: float,
-                protocol_factory: Any = None) -> None:
+                protocol: type = KOptimisticProcess) -> None:
     """Command loop driven by :class:`repro.parallel.runner.ParallelHarness`.
 
     Runs in a forked child; every command is answered exactly once, and
     ``finish`` replies with the result payload and exits the loop.
     """
     harness = _WorkerHarness(config, behavior, failures, worker_id, workers,
-                             protocol_factory=protocol_factory)
+                             protocol=protocol)
     try:
         if workload is not None:
             workload.install(harness, until=install_until)

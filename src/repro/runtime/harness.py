@@ -56,49 +56,11 @@ from repro.runtime.config import (
     SimConfig,
 )
 from repro.runtime.executor import ExecutionHooks
-from repro.runtime.host import Environment, ProcessHost
+from repro.runtime.host import Environment, ProcessHost, build_protocol
 from repro.runtime.metrics import RunMetrics, RunTotals, derive_metrics
-from repro.storage.backend import make_backend
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
-
-#: Signature for plugging in baseline protocols.
-ProtocolFactory = Callable[[int, SimConfig, AppBehavior, Callable[[], float]], Any]
-
-
-def protocol_factory_for(cls: type) -> ProtocolFactory:
-    """A :data:`ProtocolFactory` that builds ``cls`` (a
-    :class:`KOptimisticProcess` subclass) with the standard config-derived
-    keyword arguments.  Used for the default protocol, and by the checker's
-    deliberately broken mutants (:mod:`repro.check.mutants`)."""
-
-    def factory(
-        pid: int, config: SimConfig, behavior: AppBehavior,
-        now_fn: Callable[[], float],
-    ) -> KOptimisticProcess:
-        return cls(
-            pid=pid,
-            n=config.n,
-            k=config.resolved_k(),
-            behavior=behavior,
-            storage=make_backend(config, pid),
-            seed=config.seed,
-            now_fn=now_fn,
-            nullify_own_on_flush=config.nullify_own_on_flush,
-            output_driven_logging=config.output_driven_logging,
-            gc_on_checkpoint=config.gc_on_checkpoint,
-            retransmit_window=config.retransmit_window,
-            retransmit_timeout=config.retransmit_timeout,
-            retransmit_budget=config.retransmit_budget,
-            delta_notifications=config.delta_notifications,
-        )
-
-    return factory
-
-
-_default_protocol_factory = protocol_factory_for(KOptimisticProcess)
-
 
 class _HarnessHooks(ExecutionHooks):
     """Executor hooks that keep the run's books (committed outputs, latency
@@ -167,6 +129,8 @@ class _HarnessHooks(ExecutionHooks):
 class SimulationHarness:
     """Builds and runs one simulated deployment.
 
+    Every hosted process runs ``protocol`` (default the K-optimistic
+    protocol; a baseline or a checker mutant is just another class).
     ``owned`` names the pids this harness hosts (default: all ``n``).  An
     epoch-parallel worker passes its slice together with ``export``, which
     receives every transmission addressed to a pid hosted elsewhere
@@ -179,7 +143,7 @@ class SimulationHarness:
         config: SimConfig,
         behavior: AppBehavior,
         failures: Optional[FailureSchedule] = None,
-        protocol_factory: Optional[ProtocolFactory] = None,
+        protocol: type = KOptimisticProcess,
         owned: Optional[Iterable[int]] = None,
         export: Optional[Callable[..., None]] = None,
     ):
@@ -281,14 +245,13 @@ class SimulationHarness:
                 k_max=config.resolved_k_max(),
                 slo_target=config.slo_output_latency,
             )
-        if protocol_factory is None:
-            protocol_factory = _default_protocol_factory
         #: The hosted processes in pid order, and the same by pid.
         self.hosts: List[ProcessHost] = []
         self._by_pid: Dict[int, ProcessHost] = {}
         for pid in (range(config.n) if owned is None else owned):
-            protocol = protocol_factory(pid, config, behavior, self.env.now)
-            host = ProcessHost(self.env, pid, protocol,
+            host = ProcessHost(self.env, pid,
+                               build_protocol(protocol, pid, config, behavior,
+                                              self.env.now),
                                hooks=_HarnessHooks(self, pid),
                                effect_probes=self.effect_probes)
             if controller_config is not None:

@@ -24,7 +24,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Set, Tuple
 
+from repro.app.behavior import AppBehavior
 from repro.core.effects import Effect
+from repro.core.protocol import KOptimisticProcess
 from repro.net.message import (
     AppAck,
     AppMessage,
@@ -38,6 +40,7 @@ from repro.net.message import (
 from repro.runtime.config import SimConfig
 from repro.runtime.executor import EffectExecutor, ExecutionHooks
 from repro.sim.trace import Tracer
+from repro.storage.backend import make_backend
 from repro.storage.faults import StorageDeadError
 from repro.types import MessageId
 
@@ -114,6 +117,36 @@ def periodic(
             handle.cancel()
 
     return cancel
+
+
+def build_protocol(
+    cls: type,
+    pid: int,
+    config: SimConfig,
+    behavior: AppBehavior,
+    now_fn: Callable[[], float],
+) -> KOptimisticProcess:
+    """Process ``pid`` of the protocol variant ``cls`` (the default, a
+    baseline or a checker mutant) over the stable storage ``config``
+    names, with every setting ``config`` gives a process.  The one place
+    any driver builds a protocol: a variant overrides its own constructor
+    for what it fixes (K, Theorem 2's own-entry rule), never this."""
+    return cls(
+        pid=pid,
+        n=config.n,
+        k=config.resolved_k(),
+        behavior=behavior,
+        storage=make_backend(config, pid),
+        seed=config.seed,
+        now_fn=now_fn,
+        nullify_own_on_flush=config.nullify_own_on_flush,
+        output_driven_logging=config.output_driven_logging,
+        gc_on_checkpoint=config.gc_on_checkpoint,
+        retransmit_window=config.retransmit_window,
+        retransmit_timeout=config.retransmit_timeout,
+        retransmit_budget=config.retransmit_budget,
+        delta_notifications=config.delta_notifications,
+    )
 
 
 class ProcessHost:

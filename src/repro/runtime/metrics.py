@@ -30,9 +30,7 @@ def sample_percentile(samples: Sequence[float], q: float) -> float:
 
     Degenerate windows are well-defined rather than errors: an empty
     window reports 0.0 and a single-sample window reports that sample
-    for every q.  (:func:`repro.analysis.stats.percentile` raises on an
-    empty sample by design — experiment aggregation treats an empty
-    series as a bug; runtime latency windows must not.)
+    for every q.
     """
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q}")

@@ -19,7 +19,6 @@ from repro.check import (
     ChoiceRecorder,
     RandomExplorer,
     RandomScenarioSampler,
-    mutant_factory,
 )
 from repro.check.probes import ProbeSet
 from repro.oracle.ingest import certify_tracer
@@ -27,12 +26,12 @@ from repro.runtime.harness import SimulationHarness
 from repro.workloads.random_peers import TokenBehavior
 
 
-def traced_rerun(scenario, factory):
+def traced_rerun(scenario, protocol):
     """``run_scenario``'s run of ``scenario``, with ``dep_trace`` on."""
     config = replace(scenario.config(), dep_trace=True)
     harness = SimulationHarness(config, TokenBehavior(),
                                 failures=scenario.failure_schedule(),
-                                protocol_factory=factory)
+                                protocol=protocol)
     probes = ProbeSet()
     probes.install(harness)
     harness.engine.set_tie_breaker(
@@ -45,11 +44,10 @@ def traced_rerun(scenario, factory):
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_live_and_post_hoc_verdicts_agree_on_a_killing_run(name):
-    factory = mutant_factory(name)
     stats = RandomExplorer(RandomScenarioSampler(seed=0), runs=60,
-                           protocol_factory=factory).explore()
+                           protocol=MUTANTS[name]).explore()
     assert stats.found, f"{name} not caught"
-    harness, probes = traced_rerun(stats.counterexample, factory)
+    harness, probes = traced_rerun(stats.counterexample, MUTANTS[name])
     live = list(harness.violations)
     assert live + probes.violations, "the re-run no longer kills the mutant"
     config = harness.config

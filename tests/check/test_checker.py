@@ -20,7 +20,6 @@ from repro.check import (
     Scenario,
     dump_counterexample,
     load_counterexample,
-    mutant_factory,
     run_scenario,
     shrink,
 )
@@ -189,13 +188,12 @@ class TestMutationSmoke:
 
     @pytest.mark.parametrize("name", sorted(MUTANTS))
     def test_mutant_caught_shrunk_and_replayable(self, name, tmp_path):
-        factory = mutant_factory(name)
+        mutant = MUTANTS[name]
         sampler = RandomScenarioSampler(seed=0)
-        stats = RandomExplorer(sampler, runs=60,
-                               protocol_factory=factory).explore()
+        stats = RandomExplorer(sampler, runs=60, protocol=mutant).explore()
         assert stats.found, f"{name} not caught in {stats.runs} scenarios"
 
-        shrunk = shrink(stats.counterexample, protocol_factory=factory)
+        shrunk = shrink(stats.counterexample, protocol=mutant)
         assert shrunk.result.violations
         assert shrunk.trace_length <= 20
 
@@ -204,7 +202,7 @@ class TestMutationSmoke:
                             mutant=name)
         loaded, loaded_mutant = load_counterexample(path)
         assert loaded_mutant == name
-        replayed = run_scenario(loaded, mutant_factory(loaded_mutant))
+        replayed = run_scenario(loaded, MUTANTS[loaded_mutant])
         assert replayed.violations == shrunk.result.violations
         # The real protocol survives the same scenario.
         assert run_scenario(loaded).violations == []
@@ -214,13 +212,11 @@ class TestMutationSmoke:
         # orphan-blind mutant once a crash is in the scenario.
         scenario = small_scenario(n=3, k=1, tokens=4, horizon=30.0,
                                   crash=1)
-        factory = mutant_factory("orphan_blind")
+        mutant = MUTANTS["orphan_blind"]
         stats = BoundedDFSExplorer(
-            scenario, max_depth=6, max_runs=150,
-            protocol_factory=factory).explore()
+            scenario, max_depth=6, max_runs=150, protocol=mutant).explore()
         sampled = RandomExplorer(
-            RandomScenarioSampler(seed=2), runs=40,
-            protocol_factory=factory).explore()
+            RandomScenarioSampler(seed=2), runs=40, protocol=mutant).explore()
         assert stats.found or sampled.found
 
     def test_shrink_requires_a_violation(self):
@@ -230,12 +226,12 @@ class TestMutationSmoke:
 
 class TestShrinkQuality:
     def test_shrunk_scenario_is_small(self):
-        factory = mutant_factory("unbounded_release")
+        mutant = MUTANTS["unbounded_release"]
         stats = RandomExplorer(RandomScenarioSampler(seed=0), runs=60,
-                               protocol_factory=factory).explore()
+                               protocol=mutant).explore()
         assert stats.found
         original = stats.counterexample
-        shrunk = shrink(original, protocol_factory=factory)
+        shrunk = shrink(original, protocol=mutant)
         assert len(shrunk.scenario.injections) <= len(original.injections)
         assert len(shrunk.scenario.crashes) <= len(original.crashes)
         assert shrunk.scenario.horizon <= original.horizon

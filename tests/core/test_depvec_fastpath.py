@@ -43,22 +43,16 @@ class TestMergeMatchesReference:
         assert original.as_dict() == a
 
     @given(entry_maps, entry_maps)
-    def test_version_bumps_iff_content_changes(self, a, b):
+    def test_merge_reports_a_change_iff_content_changes(self, a, b):
         vec = DependencyVector(N, a)
-        before = (vec.version, vec.as_dict())
-        vec.merge(DependencyVector(N, b))
-        if vec.as_dict() == before[1]:
-            assert vec.version == before[0]
-        else:
-            assert vec.version > before[0]
+        taken = vec.merge(DependencyVector(N, b))
+        assert (taken is not None) == (vec.as_dict() != a)
 
     @given(entry_maps)
     def test_merge_empty_is_noop(self, a):
         vec = DependencyVector(N, a)
-        version = vec.version
-        vec.merge(DependencyVector(N))
+        assert vec.merge(DependencyVector(N)) is None
         assert vec.as_dict() == a
-        assert vec.version == version
 
 
 class TestCopyOnWrite:

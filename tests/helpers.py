@@ -26,7 +26,7 @@ def build_sim(
     workload: Any = None,
     rate: float = 0.5,
     until: Optional[float] = 200.0,
-    protocol_factory: Any = None,
+    protocol: type = KOptimisticProcess,
     **config_kwargs: Any,
 ):
     """One-stop scenario builder: config + workload + harness + install.
@@ -47,7 +47,7 @@ def build_sim(
         workload = RandomPeersWorkload(rate=rate)
     harness = SimulationHarness(config, workload.behavior(),
                                 failures=failures,
-                                protocol_factory=protocol_factory)
+                                protocol=protocol)
     if until is not None:
         workload.install(harness, until=until)
     return harness

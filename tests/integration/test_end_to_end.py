@@ -15,11 +15,12 @@ checks, for each run:
 import pytest
 
 from repro.core.baselines import (
-    fully_async_factory,
-    pessimistic_factory,
-    sender_based_factory,
-    strom_yemini_factory,
+    FullyAsyncProcess,
+    PessimisticProcess,
+    SenderBasedProcess,
+    StromYeminiProcess,
 )
+from repro.core.protocol import KOptimisticProcess
 from repro.failures.injector import CrashEvent, FailureSchedule
 from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
@@ -38,14 +39,14 @@ WORKLOADS = {
 CRASHES = FailureSchedule([CrashEvent(120.0, 1), CrashEvent(260.0, 3)])
 
 
-def run(workload_name, k=None, factory=None, failures=CRASHES, n=6, seed=3,
+def run(workload_name, k=None, protocol=KOptimisticProcess, failures=CRASHES,
+        n=6, seed=3,
         duration=450.0, **config_kwargs):
     config = SimConfig(n=n, k=k, seed=seed, trace_enabled=False,
                        **config_kwargs)
     workload = WORKLOADS[workload_name]()
-    kwargs = {"protocol_factory": factory} if factory else {}
     harness = SimulationHarness(config, workload.behavior(),
-                                failures=failures, **kwargs)
+                                failures=failures, protocol=protocol)
     workload.install(harness, until=duration * 0.8)
     harness.run(duration)
     return harness
@@ -71,21 +72,21 @@ class TestKOptimisticInvariants:
 
 
 class TestBaselineInvariants:
-    @pytest.mark.parametrize("name,factory,extra", [
-        ("pessimistic", pessimistic_factory, {"k": 0}),
-        ("sender_based", sender_based_factory, {"k": 0}),
-        ("strom_yemini", strom_yemini_factory, {"fifo": True}),
-        ("fully_async", fully_async_factory, {}),
+    @pytest.mark.parametrize("name,protocol,extra", [
+        ("pessimistic", PessimisticProcess, {"k": 0}),
+        ("sender_based", SenderBasedProcess, {"k": 0}),
+        ("strom_yemini", StromYeminiProcess, {"fifo": True}),
+        ("fully_async", FullyAsyncProcess, {}),
     ])
-    def test_no_violations_with_failures(self, name, factory, extra):
+    def test_no_violations_with_failures(self, name, protocol, extra):
         k = extra.pop("k", None)
-        harness = run("random_peers", k=k, factory=factory, **extra)
+        harness = run("random_peers", k=k, protocol=protocol, **extra)
         metrics = harness.metrics()
         assert metrics.crashes == 2
         assert metrics.violations == [], name
 
     def test_pessimistic_never_rolls_back_others(self):
-        harness = run("random_peers", k=0, factory=pessimistic_factory)
+        harness = run("random_peers", k=0, protocol=PessimisticProcess)
         metrics = harness.metrics()
         assert metrics.rollbacks == 0
         assert metrics.intervals_undone == 0

@@ -7,10 +7,11 @@ which direction a curve moves as K grows, and where the extremes land.
 import pytest
 
 from repro.core.baselines import (
-    fully_async_factory,
-    pessimistic_factory,
-    strom_yemini_factory,
+    FullyAsyncProcess,
+    PessimisticProcess,
+    StromYeminiProcess,
 )
+from repro.core.protocol import KOptimisticProcess
 from repro.failures.injector import FailureSchedule
 from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
@@ -20,12 +21,12 @@ N = 6
 DURATION = 800.0
 
 
-def run(k=None, factory=None, failures=None, seed=42, fifo=False, n=N):
+def run(k=None, protocol=KOptimisticProcess, failures=None, seed=42,
+        fifo=False, n=N):
     config = SimConfig(n=n, k=k, seed=seed, fifo=fifo, trace_enabled=False)
     workload = RandomPeersWorkload(rate=0.6, min_hops=3, max_hops=8)
-    kwargs = {"protocol_factory": factory} if factory else {}
     harness = SimulationHarness(config, workload.behavior(),
-                                failures=failures, **kwargs)
+                                failures=failures, protocol=protocol)
     workload.install(harness, until=DURATION * 0.8)
     harness.run(DURATION)
     return harness.metrics()
@@ -104,12 +105,13 @@ class TestProtocolFamilyComparison:
     def family(self):
         failures = FailureSchedule.single(DURATION / 2, 1)
         return {
-            "pessimistic": run(k=0, factory=pessimistic_factory, failures=failures),
+            "pessimistic": run(k=0, protocol=PessimisticProcess,
+                               failures=failures),
             "k0": run(k=0, failures=failures),
             "kn": run(k=N, failures=failures),
-            "strom_yemini": run(factory=strom_yemini_factory, failures=failures,
-                                fifo=True),
-            "fully_async": run(factory=fully_async_factory, failures=failures),
+            "strom_yemini": run(protocol=StromYeminiProcess,
+                                failures=failures, fifo=True),
+            "fully_async": run(protocol=FullyAsyncProcess, failures=failures),
         }
 
     def test_pessimistic_pays_sync_writes(self, family):

@@ -11,11 +11,11 @@ step, including:
 
 - the packed-query fast paths (``covers_packed``/``invalidates_packed``)
   agree with the Entry-based queries on both implementations;
-- the COW/version-counter contract from PR 4: ``version`` bumps exactly
-  when observable state changes, copies are O(1) aliases that detach on
-  first mutation, and mutations never leak across a copy;
-- ``version == 0`` iff an (append-only) table is empty — the invariant
-  the protocol's fast exits rely on;
+- the COW contract: copies are O(1) aliases that detach on first
+  mutation, and mutations never leak across a copy;
+- a table's ``version`` bumps exactly when its observable state changes,
+  and ``version == 0`` iff an (append-only) table is empty — the
+  invariants the stability index and the protocol's fast exits rely on;
 - the incarnation-major layout: tables are as wide as the highest
   incarnation they hold, so gossip routinely meets snapshots of another
   stride — taken *before* a growth and merged *after* it, on either side
@@ -58,10 +58,9 @@ np = columnar.numpy_module()
 
 class ReferenceDependencyVector:
     """The pre-columnar dict-of-Entry vector: same observable API as
-    :class:`DependencyVector` (including COW :meth:`copy` and
-    :attr:`version`)."""
+    :class:`DependencyVector` (including COW :meth:`copy`)."""
 
-    __slots__ = ("n", "_entries", "_shared", "version")
+    __slots__ = ("n", "_entries", "_shared")
 
     def __init__(self, n: int, entries: Optional[Mapping[int, Entry]] = None):
         if n <= 0:
@@ -69,7 +68,6 @@ class ReferenceDependencyVector:
         self.n = n
         self._entries: Dict[int, Entry] = {}
         self._shared = False
-        self.version = 0
         if entries:
             for pid, entry in entries.items():
                 self.set(pid, entry)
@@ -89,18 +87,15 @@ class ReferenceDependencyVector:
             if pid in self._entries:
                 self._materialize()
                 del self._entries[pid]
-                self.version += 1
         elif self._entries.get(pid) != entry:
             self._materialize()
             self._entries[pid] = entry
-            self.version += 1
 
     def nullify(self, pid: int) -> None:
         self._check_pid(pid)
         if pid in self._entries:
             self._materialize()
             del self._entries[pid]
-            self.version += 1
 
     def nullify_entry(self, pid: int, entry: Entry) -> None:
         self.nullify(pid)
@@ -139,7 +134,6 @@ class ReferenceDependencyVector:
         entries = self._entries
         for pid, entry in changed:
             entries[pid] = entry
-        self.version += 1
 
     def copy(self) -> "ReferenceDependencyVector":
         dup = ReferenceDependencyVector(self.n)
@@ -295,37 +289,11 @@ class TestVectorEquivalence:
             else:
                 copies.append((col.copy(), ref.copy(), col.as_dict()))
             assert_vectors_equal(col, ref)
-            assert col.version == ref.version
         # COW discipline: snapshots kept their state across later
         # mutations of the original, on both implementations.
         for col_copy, ref_copy, frozen in copies:
             assert col_copy.as_dict() == frozen
             assert ref_copy.as_dict() == frozen
-
-    @pytest.mark.parametrize("n", SIZES)
-    @given(data=st.data())
-    @_SEQ
-    def test_version_bumps_iff_observable_change(self, n, data):
-        col = DependencyVector(n, data.draw(entry_maps(n)))
-        ref = ReferenceDependencyVector(n, col.as_dict())
-        for op in data.draw(vector_ops(n)):
-            before = col.as_dict()
-            col_v, ref_v = col.version, ref.version
-            if op[0] == "set":
-                col.set(op[1], op[2])
-                ref.set(op[1], op[2])
-            elif op[0] == "nullify":
-                col.nullify(op[1])
-                ref.nullify(op[1])
-            elif op[0] == "merge":
-                col.merge(DependencyVector(n, op[1]))
-                ref.merge(ReferenceDependencyVector(n, op[1]))
-            else:
-                col.copy()
-                ref.copy()
-            changed = col.as_dict() != before
-            assert (col.version > col_v) == changed
-            assert (ref.version > ref_v) == changed
 
     @pytest.mark.parametrize("n", SIZES)
     @given(data=st.data())

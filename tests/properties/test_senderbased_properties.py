@@ -4,7 +4,7 @@ harness: Theorem 4 at K = 0 under random crash schedules."""
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.baselines import sender_based_factory
+from repro.core.baselines import SenderBasedProcess
 from repro.failures.injector import CrashEvent, FailureSchedule
 from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
@@ -33,7 +33,7 @@ def run(p):
                                    output_fraction=0.2)
     harness = SimulationHarness(config, workload.behavior(),
                                 failures=schedule,
-                                protocol_factory=sender_based_factory)
+                                protocol=SenderBasedProcess)
     workload.install(harness, until=DURATION * 0.8)
     harness.run(DURATION)
     return harness

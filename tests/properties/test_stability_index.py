@@ -102,17 +102,7 @@ class RescanKOptimistic(KOptimisticProcess):
             if msg.tdv.non_null_count() > limit:
                 still_held.append(msg)
                 continue
-            enqueued = self._send_enqueue_times.pop(msg.wire_id, now)
-            hold = now - enqueued
-            self.stats.send_hold_time_total += hold
-            self.stats.send_hold_time_max = max(
-                self.stats.send_hold_time_max, hold)
-            self.stats.messages_released += 1
-            if self.retransmit_window > 0:
-                copies = self._sent_log.setdefault(msg.dst, [])
-                copies.append(msg)
-                del copies[: -self.retransmit_window]
-            effects += self._release(msg)
+            effects += self._release_held(msg, now)
         self.send_buffer = still_held
         return effects
 
@@ -160,17 +150,27 @@ def operations(n):
 
 
 def respect_ends(ops):
-    """``ops`` as a history that could happen: an incarnation ends once,
-    at or beyond every interval of it already declared logged, and nothing
-    of it is declared logged beyond that end afterwards.  (A logged (40,
-    0, 2) followed by an announcement that incarnation 0 of P40 ended at 1
-    is not a history any run produces.)"""
+    """``ops`` as a history that could happen.  A process's incarnations
+    end in order, each once: at or beyond the end of every earlier one and
+    every interval of it or of an earlier one already declared logged, at
+    or below the end of every later one, and nothing of an incarnation is
+    declared logged beyond its own end or a later one's afterwards.  (A
+    logged (40, 0, 2) followed by an announcement that incarnation 0 of
+    P40 ended at 1 is not a history any run produces, nor is incarnation 1
+    ending below incarnation 0's end.)"""
     ends, logged = {}, {}
+
+    def ceiling(pid, inc):
+        """The lowest end declared for ``inc`` or a later incarnation."""
+        return min((end for (p, i), end in ends.items()
+                    if p == pid and i >= inc), default=None)
 
     def clamp(triples):
         out = []
         for pid, inc, sii in triples:
-            sii = min(sii, ends.get((pid, inc), sii))
+            cap = ceiling(pid, inc)
+            if cap is not None:
+                sii = min(sii, cap)
             logged[pid, inc] = max(logged.get((pid, inc), 0), sii)
             out.append((pid, inc, sii))
         return out
@@ -184,9 +184,13 @@ def respect_ends(ops):
             op = (kind, [clamp(triples) for triples in op[1]])
         elif kind == "announce":
             _, pid, inc, sii = op
-            end = ends.setdefault(
-                (pid, inc), max(sii, logged.get((pid, inc), 0)))
-            op = (kind, pid, inc, end)
+            if (pid, inc) not in ends:
+                floor = max([sii] + [
+                    end for (p, i), end in (*logged.items(), *ends.items())
+                    if p == pid and i <= inc])
+                cap = ceiling(pid, inc)
+                ends[pid, inc] = floor if cap is None else min(floor, cap)
+            op = (kind, pid, inc, ends[pid, inc])
         fixed.append(op)
     return fixed
 
@@ -300,19 +304,32 @@ class TestAgainstFullRescan:
                          RescanFullyAsync, None)
 
     def test_generated_histories_end_an_incarnation_once_past_its_log(self):
-        """The shape the generator once drew: (40, 0, 2) declared logged,
-        then incarnation 0 of P40 announced ended at 1."""
+        """The shapes the generator once drew: (40, 0, 2) declared logged,
+        then incarnation 0 of P40 announced ended at 1; incarnation 1 of
+        P17 ended below incarnation 0's end."""
         ops = respect_ends([
             ("notify", [(40, 0, 2)]),
             ("announce", 40, 0, 1),
             ("insert", [(40, 0, 7), (40, 1, 3)]),
             ("announce", 40, 0, 9),
+            # Incarnation 1 announced ending below incarnation 0's end,
+            # and an earlier incarnation announced after a later one.
+            ("announce", 17, 0, 6),
+            ("announce", 17, 1, 2),
+            ("announce", 63, 2, 4),
+            ("notify", [(63, 1, 9)]),
+            ("announce", 63, 1, 8),
         ])
         assert ops == [
             ("notify", [(40, 0, 2)]),
             ("announce", 40, 0, 2),
             ("insert", [(40, 0, 2), (40, 1, 3)]),
             ("announce", 40, 0, 2),
+            ("announce", 17, 0, 6),
+            ("announce", 17, 1, 6),
+            ("announce", 63, 2, 4),
+            ("notify", [(63, 1, 4)]),
+            ("announce", 63, 1, 4),
         ]
         run_differential(64, ops, FullyAsyncProcess, RescanFullyAsync, None)
 
@@ -547,10 +564,9 @@ CRASH_CLUSTERS = FailureSchedule(
 
 
 class TestIndexHygiene:
-    def crash_cluster_run(self, protocol_factory=None):
+    def crash_cluster_run(self, protocol=KOptimisticProcess):
         harness = build_sim(n=6, k=1, seed=5, rate=0.6, until=200.0,
-                            failures=CRASH_CLUSTERS,
-                            protocol_factory=protocol_factory)
+                            failures=CRASH_CLUSTERS, protocol=protocol)
         harness.run(220.0)
         harness.settle()
         return harness
@@ -575,9 +591,9 @@ class TestIndexHygiene:
         """The mutant flips ``self.k`` around ``super()._check_send_buffer()``:
         the limit must be read when a vector is judged, not when it is
         registered, or the mutant would go unnoticed."""
-        from repro.check.mutants import mutant_factory
+        from repro.check.mutants import MUTANTS
 
-        harness = self.crash_cluster_run(mutant_factory("unbounded_release"))
+        harness = self.crash_cluster_run(MUTANTS["unbounded_release"])
         assert any("Theorem 4" in v for v in harness.violations)
 
     def test_dropped_waiters_are_swept(self):

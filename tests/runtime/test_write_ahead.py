@@ -12,20 +12,21 @@ import pytest
 
 from repro.check.probes import ProbeSet
 from repro.core.baselines import (
-    direct_factory,
-    fully_async_factory,
-    pessimistic_factory,
-    sender_based_factory,
-    strom_yemini_factory,
+    DirectDependencyProcess,
+    FullyAsyncProcess,
+    PessimisticProcess,
+    SenderBasedProcess,
+    StromYeminiProcess,
 )
 from repro.core.effects import BroadcastAnnouncement
 from repro.core.entry import Entry
+from repro.core.protocol import KOptimisticProcess
 from repro.core.tables import LoggingProgressTable
 from repro.failures.injector import CrashEvent, FailureSchedule
 from repro.net.message import LogProgressNotification
 from repro.runtime.executor import EffectExecutor
 from repro.sim.trace import Tracer
-from repro.storage.backend import StableBackend, make_backend
+from repro.storage.backend import StableBackend
 from repro.storage.filelog import FileLogBackend
 from repro.workloads.random_peers import RandomPeersWorkload
 from helpers import Scripted, build_sim, make_announcement, make_msg
@@ -128,40 +129,31 @@ class TestFsyncBudget:
         assert fsyncs_of(host.notify, storage) == 0
 
 
-def filelog_variant(factory):
-    """``factory``'s protocol over a file-log journal."""
-    def build(pid, config, behavior, now_fn):
-        protocol = factory(pid, config, behavior, now_fn)
-        protocol.storage = make_backend(config, pid)
-        return protocol
-    return build
-
-
 CRASHES = FailureSchedule([CrashEvent(60.0, 1), CrashEvent(95.0, 3)])
 
 
 class TestWriteAheadProbe:
-    @pytest.mark.parametrize("factory, k, outputs, config", [
-        (None, 2, 0.25, {}),
-        (filelog_variant(pessimistic_factory), 0, 0.25, {}),
-        (filelog_variant(sender_based_factory), 0, 0.25, {}),
-        (filelog_variant(strom_yemini_factory), None, 0.25, {"fifo": True}),
-        (filelog_variant(fully_async_factory), None, 0.25, {}),
+    @pytest.mark.parametrize("protocol, k, outputs, config", [
+        (KOptimisticProcess, 2, 0.25, {}),
+        (PessimisticProcess, 0, 0.25, {}),
+        (SenderBasedProcess, 0, 0.25, {}),
+        (StromYeminiProcess, None, 0.25, {"fifo": True}),
+        (FullyAsyncProcess, None, 0.25, {}),
         # Direct dependency tracking reproduces no output commit, and its
         # announcement cascade leaves an orphan surviving on many
         # schedules (direct.py's "fair warning"): a seed and load on
         # which it settles consistent.
-        (filelog_variant(direct_factory), None, 0.0,
+        (DirectDependencyProcess, None, 0.0,
          {"seed": 2, "rate": 0.5}),
     ], ids=["k_optimistic", "pessimistic", "sender_based", "strom_yemini",
             "fully_async", "direct"])
-    def test_every_variant_keeps_the_rule(self, factory, k, outputs, config):
+    def test_every_variant_keeps_the_rule(self, protocol, k, outputs, config):
         config = dict(config)
         workload = RandomPeersWorkload(rate=config.pop("rate", 1.0),
                                        output_fraction=outputs)
         harness = build_sim(n=4, k=k, seed=config.pop("seed", 7),
                             workload=workload, until=100.0,
-                            failures=CRASHES, protocol_factory=factory,
+                            failures=CRASHES, protocol=protocol,
                             flush_interval=10.0, checkpoint_interval=40.0,
                             storage_backend="filelog", **config)
         probes = ProbeSet()

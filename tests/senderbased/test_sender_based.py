@@ -3,7 +3,6 @@ sans-IO process, and whole runs on the simulation harness."""
 
 from repro.app.behavior import AppBehavior
 from repro.check.explorer import RandomExplorer, RandomScenarioSampler
-from repro.core.baselines import sender_based_factory
 from repro.core.baselines.sender_based import (
     SBAck,
     SBCheckpointNote,
@@ -283,7 +282,7 @@ def run(failures=None, seed=42, duration=500.0, n=5, outputs=0.2):
                                    output_fraction=outputs)
     harness = SimulationHarness(config, workload.behavior(),
                                 failures=failures,
-                                protocol_factory=sender_based_factory)
+                                protocol=SenderBasedProcess)
     workload.install(harness, until=duration * 0.8)
     harness.run(duration)
     return harness
@@ -339,7 +338,7 @@ class TestSimulation:
             seed=5, k_choices=(0,), crash_probability=1.0, max_crashes=1,
             partition_probability=0.0)
         stats = RandomExplorer(sampler, runs=20,
-                               protocol_factory=sender_based_factory).explore()
+                               protocol=SenderBasedProcess).explore()
         assert not stats.found, stats.result.violations
         assert stats.max_release_revokers == 0
 
