@@ -32,6 +32,7 @@ class TestSampleHelpers:
         assert sample_percentile(samples, 0.0) == 1.0
         assert sample_percentile(samples, 100.0) == 4.0
         assert sample_percentile(samples, 50.0) == 2.5
+        assert sample_percentile([3.0, 1.0, 2.0], 50.0) == 2.0
 
     def test_percentile_interpolates(self):
         assert sample_percentile([0.0, 10.0], 25.0) == 2.5
