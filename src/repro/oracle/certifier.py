@@ -10,11 +10,13 @@ not) and :meth:`~Certifier.commit` against the output-commit rule (a
 known interval with no potential revoker, not an orphan).
 :meth:`~Certifier.finish` judges quiescent consistency and the
 committed-output ledger: each output committed once, none from an interval
-rolled back or orphaned by the end.
+rolled back or orphaned by the end.  A certifier built without
+``check_invariants`` only builds the graph: it judges nothing.
 
-The simulation harness makes the calls inline from its executor hooks;
-:mod:`repro.oracle.ingest` makes them from a trace's ``dep.*`` records
-after the run.  One class, so both feeds give the same verdict.
+In simulation each host's executor makes the calls inline, as it
+interprets the effects; :mod:`repro.oracle.ingest` makes them from a
+trace's ``dep.*`` records after the run.  One class, so both feeds give
+the same verdict.
 """
 
 from __future__ import annotations
@@ -43,8 +45,11 @@ class Certification:
 class Certifier:
     """Builds one run's dependency graph and judges every claim on it."""
 
-    def __init__(self, n: int, k: int):
+    def __init__(self, n: int, k: int, check_invariants: bool = True):
         self.k = k
+        #: Whether releases, commits and the end of the run are judged;
+        #: without, the certifier only tracks the dependency graph.
+        self.check_invariants = check_invariants
         self.oracle = DependencyOracle(n)
         for pid in range(n):
             self.oracle.start_process(pid)
@@ -61,6 +66,9 @@ class Certifier:
         #: Every commit in order: (output, interval), or (output, None)
         #: when the commit was already condemned (unknown or orphan).
         self._ledger: List[Tuple[Any, Optional[IntervalId]]] = []
+        #: Where :meth:`finish` put its verdicts in ``violations``, and
+        #: which: a later call replaces them instead of repeating them.
+        self._final: Tuple[int, List[str]] = (0, [])
 
     # -- facts ---------------------------------------------------------------
 
@@ -86,14 +94,17 @@ class Certifier:
         self.counts["stable"] += 1
         self.oracle.mark_stable(pid, through)
 
-    def recover(self, pid: int, survivor: Entry, new_current: Entry) -> None:
+    def recover(self, pid: int, survivor: Entry, new_current: Entry) -> int:
         """``pid`` rolled back (or restarted) to ``survivor`` and began
-        ``new_current``."""
+        ``new_current``; returns how many intervals of its live chain lay
+        past the survivor (those a restart lost)."""
         self.counts["recoveries"] += 1
+        lost = max(0, self.oracle.live_interval(pid)[2] - survivor.sii)
         self.oracle.record_recovery(pid, survivor, new_current)
         new = (pid, new_current.inc, new_current.sii)
         for waiter in self._waiting.pop(new, ()):
             self.deliver(*waiter)
+        return lost
 
     # -- claims --------------------------------------------------------------
 
@@ -102,6 +113,8 @@ class Certifier:
         """Theorem 4: ``msg``, sent from ``interval``, leaves with at most
         ``k`` (default: the run's K) potential revokers.  An interval that
         never appeared has none."""
+        if not self.check_invariants:
+            return
         self.counts["releases"] += 1
         revokers = self.oracle.potential_revokers(
             (pid, interval.inc, interval.sii))
@@ -117,6 +130,8 @@ class Certifier:
     def commit(self, pid: int, interval: Entry, output: Any,
                payload: Any = None) -> None:
         """The output-commit rule for ``output``, sent from ``interval``."""
+        if not self.check_invariants:
+            return
         self.counts["commits"] += 1
         self.committed.append(payload)
         iid = (pid, interval.inc, interval.sii)
@@ -142,8 +157,18 @@ class Certifier:
     # -- the end of the run --------------------------------------------------
 
     def finish(self) -> Certification:
-        """Judge the quiescent state and the committed-output ledger."""
+        """Judge the quiescent state and the committed-output ledger.
+
+        Judged again (a run settled twice), the new verdicts replace the
+        previous call's; a certifier without ``check_invariants`` judges
+        nothing."""
         violations = self.violations
+        if not self.check_invariants:
+            return Certification(violations=violations)
+        start, previous = self._final
+        if violations[start:start + len(previous)] == previous:
+            del violations[start:start + len(previous)]
+        start = len(violations)
         for waiters in self._waiting.values():
             for pid, interval, src, src_interval in waiters:
                 violations.append(
@@ -164,6 +189,7 @@ class Certifier:
                 violations.append(
                     f"output {output} committed from orphan interval {iid}")
             seen.add(output)
+        self._final = (start, violations[start:])
         return Certification(
             violations=violations, committed=self.committed,
             counts=dict(self.counts,

@@ -14,10 +14,12 @@ capabilities of its :class:`~repro.runtime.host.Environment`:
 - ``schedule(delay, callback)`` returning a cancellable handle
   (the engine in simulation, an asyncio adapter in the runtime);
 - ``now_fn()`` — virtual time in simulation, wall-clock in the runtime;
-- optional :class:`ExecutionHooks` — the simulation harness feeds its
-  :class:`~repro.oracle.certifier.Certifier` the run's facts inline; the
-  backplane passes none, and its ``dep.*`` records feed the same
-  certifier after the run (:mod:`repro.oracle.ingest`).
+- an optional :class:`~repro.oracle.certifier.Certifier`, which the
+  executor hands the run's facts inline, as typed calls (the simulation
+  harness gives one; the backplane gives none, and its ``dep.*`` records
+  feed the same certifier after the run, :mod:`repro.oracle.ingest`);
+- the ``books`` — its :class:`~repro.runtime.host.ProcessHost` — where
+  each commit, latency sample, rollback and lost interval is booked.
 
 It also owns the **write-ahead barrier**: :meth:`EffectExecutor.execute`
 is the one point every driver and every protocol variant passes through
@@ -35,7 +37,7 @@ certification of a real multi-process run rests on these events alone.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.core.effects import (
     BroadcastAnnouncement,
@@ -57,36 +59,8 @@ from repro.net.message import LoggingRequest
 from repro.sim.trace import Tracer
 from repro.storage.backend import StableBackend
 
-
-class ExecutionHooks:
-    """Observer slots the executor calls around actionable effects.
-
-    The base class is a no-op (the runtime backplane's configuration);
-    the simulation harness subclasses it to keep its books and feed its
-    :class:`~repro.oracle.certifier.Certifier` inline.
-    """
-
-    def pre_release(self, msg: Any) -> None:
-        """Called before an app message is handed to the transport."""
-
-    def post_commit(self, now: float, record: Any, wait: float = 0.0) -> None:
-        """Called when an output commits, before the trace record.
-
-        ``wait`` is the output's buffer residence time (from
-        :class:`~repro.core.effects.CommitOutput`) — the fallback latency
-        sample when the payload carries no injection stamp."""
-
-    def on_delivery(self, effect: MessageDelivered) -> None:
-        """Called for every *non-replay* delivery (a new state interval)."""
-
-    def on_stable(self, effect: StableProgress) -> None:
-        """Called when a stability frontier advances."""
-
-    def on_rollback(self, now: float, effect: RollbackPerformed) -> None:
-        """Called when a non-failed process rolled back orphans."""
-
-    def on_restart(self, now: float, effect: RestartPerformed) -> None:
-        """Called when a failed process completed Restart."""
+if TYPE_CHECKING:
+    from repro.oracle.certifier import Certifier
 
 
 class EffectExecutor:
@@ -102,7 +76,8 @@ class EffectExecutor:
         now_fn: Callable[[], float],
         tracer: Tracer,
         on_retransmit: Callable[[Any], None],
-        hooks: Optional[ExecutionHooks] = None,
+        certifier: Optional[Certifier] = None,
+        books: Any = None,
         dep_trace: bool = False,
     ):
         self.pid = pid
@@ -112,7 +87,8 @@ class EffectExecutor:
         self.now_fn = now_fn
         self.tracer = tracer
         self.on_retransmit = on_retransmit
-        self.hooks = hooks if hooks is not None else ExecutionHooks()
+        self.certifier = certifier
+        self.books = books
         self.dep_trace = dep_trace
 
     def execute(
@@ -135,14 +111,17 @@ class EffectExecutor:
         pid = self.pid
         now = self.now_fn()
         tracer = self.tracer
-        hooks = self.hooks
+        certifier = self.certifier
+        books = self.books
         dep = self.dep_trace
         for effect in effects:
             if probe is not None:
                 probe(effect)
             if isinstance(effect, ReleaseMessage):
                 msg = effect.message
-                hooks.pre_release(msg)
+                if certifier is not None:
+                    certifier.release(pid, msg.send_interval, msg.msg_id,
+                                      msg.k_limit)
                 tracer.record(now, "msg.release", pid,
                               msg=str(msg.msg_id), dst=msg.dst,
                               entries=msg.piggyback_size())
@@ -169,7 +148,18 @@ class EffectExecutor:
                 )
             elif isinstance(effect, CommitOutput):
                 record = effect.record
-                hooks.post_commit(now, record, effect.wait)
+                if certifier is not None:
+                    certifier.commit(pid, record.send_interval,
+                                     record.output_id, record.payload)
+                books.commits.append((now, record))
+                # The commit's latency: end-to-end when the payload
+                # carries an open-loop injection stamp ``t0``, its buffer
+                # residence time otherwise.
+                payload = record.payload
+                t0 = payload.get("t0") if isinstance(payload, dict) else None
+                books.latency_samples.append(
+                    now - float(t0) if isinstance(t0, (int, float))
+                    else effect.wait)
                 tracer.record(now, "output.commit", pid,
                               output=str(record.output_id))
                 if dep:
@@ -181,9 +171,11 @@ class EffectExecutor:
                                   wait=round(effect.wait, 6))
             elif isinstance(effect, MessageDelivered):
                 if not effect.replay:
-                    hooks.on_delivery(effect)
+                    msg = effect.message
+                    if certifier is not None:
+                        certifier.deliver(pid, effect.interval, msg.src,
+                                          msg.send_interval)
                     if dep:
-                        msg = effect.message
                         data = {"inc": effect.interval.inc,
                                 "sii": effect.interval.sii,
                                 "src": msg.src}
@@ -217,13 +209,17 @@ class EffectExecutor:
                     lambda mid=effect.msg_id: self.on_retransmit(mid),
                 )
             elif isinstance(effect, StableProgress):
-                hooks.on_stable(effect)
+                if certifier is not None:
+                    certifier.stable(pid, effect.through)
                 if dep:
                     tracer.record(now, "dep.stable", pid,
                                   inc=effect.through.inc,
                                   sii=effect.through.sii)
             elif isinstance(effect, RollbackPerformed):
-                hooks.on_rollback(now, effect)
+                if certifier is not None:
+                    certifier.recover(pid, effect.restored_to,
+                                      effect.new_current)
+                books.rollback_times.append(now)
                 tracer.record(now, "recovery.rollback", pid,
                               to=str(effect.restored_to),
                               new=str(effect.new_current),
@@ -235,12 +231,14 @@ class EffectExecutor:
                                   n_inc=effect.new_current.inc,
                                   n_sii=effect.new_current.sii)
             elif isinstance(effect, RestartPerformed):
-                hooks.on_restart(now, effect)
+                survivor = effect.announcement.end
+                if certifier is not None:
+                    books.intervals_lost += certifier.recover(
+                        pid, survivor, effect.new_current)
                 tracer.record(now, "recovery.restart", pid,
                               ann=str(effect.announcement),
                               replayed=effect.replayed)
                 if dep:
-                    survivor = effect.announcement.end
                     tracer.record(now, "dep.recover", pid,
                                   s_inc=survivor.inc,
                                   s_sii=survivor.sii,

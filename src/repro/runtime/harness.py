@@ -9,10 +9,13 @@ is the simulated *environment* those hosts run in.  Responsibilities:
   an epoch-parallel worker owns a slice);
 - schedule workload traffic (outside-world messages) and the failure
   schedule's crashes, partitions and storage faults;
-- feed the run's facts to its one judge, the
-  :class:`~repro.oracle.certifier.Certifier` (Theorem 4 on every release,
-  the output-commit rule on every commit, consistency and the
-  committed-output ledger at quiescence);
+- build the run's one judge, the
+  :class:`~repro.oracle.certifier.Certifier`, which every host's executor
+  feeds inline (Theorem 4 on every release, the output-commit rule on
+  every commit, consistency and the committed-output ledger at
+  quiescence);
+- gather the hosts' books (commits, latency samples, rollbacks, lost
+  intervals, controllers) into the run's totals;
 - model reliability assumptions: application messages to a crashed process
   are lost (the paper's footnote 3 declares lost in-transit messages out of
   scope); on a reliable network control messages are queued and delivered
@@ -32,7 +35,7 @@ from dataclasses import replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.app.behavior import AppBehavior
-from repro.core.effects import Effect, MessageDelivered, RestartPerformed, RollbackPerformed, StableProgress
+from repro.core.effects import Effect
 from repro.core.protocol import KOptimisticProcess
 from repro.failures.injector import (
     CrashEvent,
@@ -44,7 +47,6 @@ from repro.failures.injector import (
 )
 from repro.net.channel import FixedLatency, UniformLatency
 from repro.net.faults import ChannelFaults, NetworkFaultModel
-from repro.net.message import AppMessage
 from repro.net.network import Network
 from repro.net.reliable import ReliableConfig
 from repro.oracle.certifier import Certifier
@@ -55,76 +57,11 @@ from repro.runtime.config import (
     SYNC_WRITE_COST,
     SimConfig,
 )
-from repro.runtime.executor import ExecutionHooks
 from repro.runtime.host import Environment, ProcessHost, build_protocol
 from repro.runtime.metrics import RunMetrics, RunTotals, derive_metrics
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
-
-class _HarnessHooks(ExecutionHooks):
-    """Executor hooks that keep the run's books (committed outputs, latency
-    samples, controller waits, rollback events) and, when the harness has
-    a certifier, feed it the run's facts inline — judging releases and
-    commits only under ``check_invariants``."""
-
-    def __init__(self, harness: "SimulationHarness", pid: int):
-        self.harness = harness
-        self.pid = pid
-        self.certifier = harness.certifier
-        self.judge = (harness.certifier if harness.config.check_invariants
-                      else None)
-
-    def pre_release(self, msg: AppMessage) -> None:
-        if self.judge is not None:
-            self.judge.release(self.pid, msg.send_interval, msg.msg_id,
-                               msg.k_limit)
-
-    def post_commit(self, now: float, record: Any, wait: float = 0.0) -> None:
-        if self.judge is not None:
-            self.judge.commit(self.pid, record.send_interval,
-                              record.output_id, record.payload)
-        self.harness.committed_outputs.append((now, record))
-        # Output-commit latency sample: end-to-end (injection to commit)
-        # when the payload carries an open-loop injection stamp ``t0``,
-        # buffer residence time otherwise.  Feeds both the run-level SLO
-        # percentiles and this process's adaptive-K controller window.
-        sample = wait
-        payload = record.payload
-        if isinstance(payload, dict):
-            t0 = payload.get("t0")
-            if isinstance(t0, (int, float)):
-                sample = now - float(t0)
-        self.harness.output_latency_samples.append(sample)
-        host = self.harness._by_pid[self.pid]
-        if host.controller is not None:
-            host.commit_waits.append(sample)
-
-    def on_delivery(self, effect: MessageDelivered) -> None:
-        if self.certifier is not None:
-            self.certifier.deliver(self.pid, effect.interval,
-                                   effect.message.src,
-                                   effect.message.send_interval)
-
-    def on_stable(self, effect: StableProgress) -> None:
-        if self.certifier is not None:
-            self.certifier.stable(self.pid, effect.through)
-
-    def on_rollback(self, now: float, effect: RollbackPerformed) -> None:
-        if self.certifier is not None:
-            self.certifier.recover(self.pid, effect.restored_to,
-                                   effect.new_current)
-        self.harness.rollback_events.append((now, self.pid))
-
-    def on_restart(self, now: float, effect: RestartPerformed) -> None:
-        if self.certifier is None:
-            return
-        survivor = effect.announcement.end
-        # Count lost intervals against the pre-truncation chain tip.
-        tip = self.certifier.oracle.live_interval(self.pid)
-        self.harness.intervals_lost += max(0, tip[2] - survivor.sii)
-        self.certifier.recover(self.pid, survivor, effect.new_current)
-
 
 class SimulationHarness:
     """Builds and runs one simulated deployment.
@@ -181,11 +118,11 @@ class SimulationHarness:
         self.rngs = RngRegistry(config.seed)
         self.tracer = Tracer(enabled=config.trace_enabled,
                              prefix=config.trace_prefix)
-        #: The run's one judge, fed inline by every host's executor hooks
-        #: (none with ``oracle_enabled`` off: such runs are certified post
-        #: hoc from their ``dep.*`` records).  ``violations`` is its list.
+        #: The run's one judge, fed inline by every host's executor (none
+        #: with ``oracle_enabled`` off: such runs are certified post hoc
+        #: from their ``dep.*`` records).  ``violations`` is its list.
         self.certifier: Optional[Certifier] = (
-            Certifier(config.n, config.resolved_k())
+            Certifier(config.n, config.resolved_k(), config.check_invariants)
             if config.oracle_enabled else None)
         self.violations: List[str] = (
             self.certifier.violations if self.certifier is not None else [])
@@ -229,22 +166,12 @@ class SimulationHarness:
             transport=self.network,
             tracer=self.tracer,
             ack_app=self.ack_enabled,
+            certifier=self.certifier,
         )
         #: Probe layer (repro.check): callables invoked per executed
         #: effect and per engine step.  Empty in normal runs.
         self.effect_probes: List[Callable[["ProcessHost", Effect], None]] = []
         self._step_probes: List[Callable[["SimulationHarness"], None]] = []
-        controller_config = None
-        if config.adaptive_k:
-            # Imported lazily: repro.control's latency math lives on
-            # repro.runtime.metrics, so a top-level import here would
-            # close an import cycle through the package __init__s.
-            from repro.control import AdaptiveKController, ControllerConfig
-
-            controller_config = ControllerConfig(
-                k_max=config.resolved_k_max(),
-                slo_target=config.slo_output_latency,
-            )
         #: The hosted processes in pid order, and the same by pid.
         self.hosts: List[ProcessHost] = []
         self._by_pid: Dict[int, ProcessHost] = {}
@@ -252,30 +179,14 @@ class SimulationHarness:
             host = ProcessHost(self.env, pid,
                                build_protocol(protocol, pid, config, behavior,
                                               self.env.now),
-                               hooks=_HarnessHooks(self, pid),
                                effect_probes=self.effect_probes)
-            if controller_config is not None:
-                host.controller = AdaptiveKController(
-                    pid, controller_config, seed=config.seed
-                )
-                # Every message the application sends without an explicit
-                # bound now carries the controller's current K (Section
-                # 4.2's per-message path keeps receivers correct).
-                host.protocol.k_policy = host.controller.recommend
             self.hosts.append(host)
             self._by_pid[pid] = host
             self.network.register(pid, host.incoming)
         for host in self.hosts:
             host.boot()
 
-        self.committed_outputs: List[Tuple[float, Any]] = []
-        #: One output-commit latency sample per committed output:
-        #: end-to-end when the payload stamps ``t0``, buffer wait otherwise.
-        self.output_latency_samples: List[float] = []
-        self.rollback_events: List[Tuple[float, int]] = []
         self.crash_events: List[Tuple[float, int]] = []
-        self.partition_events: List[Tuple[float, str]] = []
-        self.intervals_lost = 0
         self._inject_seq = itertools.count()
         self._horizon = 0.0
 
@@ -338,22 +249,18 @@ class SimulationHarness:
 
     # -- failure plumbing ------------------------------------------------------
 
-    def _make_crash(self, pid: int) -> Callable[[], None]:
-        def crash() -> None:
-            self.crash_events.append((self.engine.now, pid))
-            self._by_pid[pid].crash()
-
-        return crash
-
     def _make_failure(self, event: Any) -> Callable[[], None]:
         """Map one schedule entry to its engine callback."""
         if isinstance(event, CrashEvent):
-            return self._make_crash(event.pid)
+            def crash() -> None:
+                self.crash_events.append((self.engine.now, event.pid))
+                self._by_pid[event.pid].crash()
+
+            return crash
         if isinstance(event, PartitionEvent):
             def partition() -> None:
                 self.network.faults.start_partition(event.islands,
                                                     self.engine.now)
-                self.partition_events.append((self.engine.now, "partition"))
                 self.tracer.record(self.engine.now, "net.partition", -1,
                                    islands=str(event.islands))
 
@@ -361,7 +268,6 @@ class SimulationHarness:
         if isinstance(event, HealEvent):
             def heal() -> None:
                 self.network.faults.heal(self.engine.now)
-                self.partition_events.append((self.engine.now, "heal"))
                 self.tracer.record(self.engine.now, "net.heal", -1)
 
             return heal
@@ -427,7 +333,7 @@ class SimulationHarness:
             self.engine.run(max_events=20_000_000)
             self.notify_all()
             self.engine.run(max_events=20_000_000)
-        if self.config.check_invariants:
+        if self.certifier is not None:
             self.certifier.finish()
 
     # The steps of settle(), one by one: the epoch-parallel runner drives
@@ -469,6 +375,14 @@ class SimulationHarness:
 
     # -- results ---------------------------------------------------------------
 
+    @property
+    def committed_outputs(self) -> List[Tuple[float, Any]]:
+        """Every hosted commit as ``(time, record)``, in time order (pid
+        order within one instant)."""
+        return sorted((commit for host in self.hosts
+                       for commit in host.commits),
+                      key=lambda commit: commit[0])
+
     def metrics(self) -> RunMetrics:
         """Aggregate the run into a :class:`RunMetrics` summary."""
         return derive_metrics([self.totals()])
@@ -483,9 +397,7 @@ class SimulationHarness:
             counters=m,
             piggyback_total=self.network.piggyback_entries_total,
             app_messages_sent=self.network.app_messages_sent,
-            output_latency_samples=list(self.output_latency_samples),
             crash_events=list(self.crash_events),
-            rollback_events=list(self.rollback_events),
         )
         for host in self.hosts:
             stats = host.protocol.stats
@@ -531,6 +443,10 @@ class SimulationHarness:
             m.storage_recovery_wall_s += storage.recovery_wall_s
             m.storage_dead_declared += storage.dead_declared
             m.storage_deaths += host.storage_deaths
+            m.intervals_lost += host.intervals_lost
+            totals.output_latency_samples.extend(host.latency_samples)
+            totals.rollback_events.extend(
+                (time, host.pid) for time in host.rollback_times)
             controller = host.controller
             if controller is not None:
                 m.k_decisions += len(controller.decisions) - 1  # minus "init"
@@ -552,7 +468,6 @@ class SimulationHarness:
             m.ctl_acked = self.network.reliable.acked
             m.ctl_budget_exhausted = self.network.reliable.budget_exhausted
             totals.ack_rtt_total = self.network.reliable.ack_rtt_total
-        m.intervals_lost = self.intervals_lost
         certifier = self.certifier
         if certifier is not None:
             m.total_intervals = certifier.oracle.total_intervals

@@ -5,8 +5,10 @@ around the sans-IO protocol: payload -> handler dispatch, the same-tick
 notification batch, the phase-staggered flush / checkpoint / notify /
 control timers, outside-world injection, quiescence, crash / downtime
 parking / restart, boot (fresh or after a crash), the clean fail-stop on
-a dead journal and the checker's effect probes.  It is written against an
-:class:`Environment`, never against a driver:
+a dead journal, the checker's effect probes, the process's books (commits,
+latency samples, rollbacks, lost intervals) and its adaptive-K
+controller.  It is written against an :class:`Environment`, never
+against a driver:
 
 - the **simulation harness** supplies virtual time, the engine's timer
   queue and the simulated :class:`~repro.net.network.Network` (a parallel
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Set, Tuple
 
 from repro.app.behavior import AppBehavior
 from repro.core.effects import Effect
@@ -38,11 +40,14 @@ from repro.net.message import (
     LogProgressNotification,
 )
 from repro.runtime.config import SimConfig
-from repro.runtime.executor import EffectExecutor, ExecutionHooks
+from repro.runtime.executor import EffectExecutor
 from repro.sim.trace import Tracer
 from repro.storage.backend import make_backend
 from repro.storage.faults import StorageDeadError
 from repro.types import MessageId
+
+if TYPE_CHECKING:
+    from repro.oracle.certifier import Certifier
 
 
 @dataclass
@@ -69,6 +74,9 @@ class Environment:
     #: Whether the transport endpoint acknowledges application messages
     #: (the sender then retransmits on a timer until acked).
     ack_app: bool = False
+    #: The run's judge, handed every process's facts inline by its
+    #: executor (the simulation's; ``serve`` certifies after the run).
+    certifier: Optional["Certifier"] = None
 
 
 def periodic(
@@ -157,7 +165,6 @@ class ProcessHost:
         env: Environment,
         pid: int,
         protocol: Any,
-        hooks: Optional[ExecutionHooks] = None,
         effect_probes: Optional[List[Callable[["ProcessHost", Effect], None]]] = None,
     ):
         self.env = env
@@ -172,7 +179,8 @@ class ProcessHost:
             now_fn=env.now,
             tracer=env.tracer,
             on_retransmit=self._retransmit_timer,
-            hooks=hooks,
+            certifier=env.certifier,
+            books=self,
             dep_trace=env.config.dep_trace,
         )
         #: Probe layer (repro.check): callables invoked per effect, just
@@ -188,12 +196,32 @@ class ProcessHost:
         self._notif_batch: List[LogProgressNotification] = []
         self.lost_app_messages = 0
         self.crash_count = 0
-        #: Adaptive-K controller (None unless ``config.adaptive_k``); the
-        #: driver installs ``controller.recommend`` as the protocol's
-        #: per-message ``k_policy``.
+        #: The books its executor keeps: every commit as ``(time,
+        #: record)``, one latency sample per commit, the times the process
+        #: rolled back, and the intervals its restarts lost (counted by
+        #: the certifier, so 0 without one).
+        self.commits: List[Tuple[float, Any]] = []
+        self.latency_samples: List[float] = []
+        self.rollback_times: List[float] = []
+        self.intervals_lost = 0
+        #: Adaptive-K controller (None unless ``config.adaptive_k``).
         self.controller: Optional[Any] = None
-        #: Latency samples accumulated since the last control tick.
-        self.commit_waits: List[float] = []
+        #: Latency samples already handed to the controller.
+        self._observed = 0
+        if self.config.adaptive_k:
+            # Imported here: repro.control's latency math lives on
+            # repro.runtime.metrics, so a top-level import would close an
+            # import cycle through the package __init__s.
+            from repro.control import AdaptiveKController, ControllerConfig
+
+            self.controller = AdaptiveKController(pid, ControllerConfig(
+                k_max=self.config.resolved_k_max(),
+                slo_target=self.config.slo_output_latency,
+            ), seed=self.config.seed)
+            # Every message the application sends without an explicit
+            # bound carries the controller's current K (Section 4.2's
+            # per-message path keeps receivers correct).
+            protocol.k_policy = self.controller.recommend
         #: Times the storage backend declared itself dead (fail-stop).
         self.storage_deaths = 0
         #: Transport-level dedup of reliable control envelopes by
@@ -438,7 +466,7 @@ class ProcessHost:
 
     def control_tick(self) -> None:
         """One adaptive-K observation: feed the controller the latency
-        samples gathered since the last tick plus the cumulative
+        samples booked since the last tick plus the cumulative
         revocation evidence (rollbacks, restarts, orphan and output
         discards — everything that proves optimism recently cost work)."""
         if self.controller is None or self.down:
@@ -446,13 +474,15 @@ class ProcessHost:
         from repro.control import Observation
 
         stats = self.protocol.stats
-        drained, self.commit_waits = self.commit_waits, []
+        samples = self.latency_samples
+        drained = tuple(samples[self._observed:])
+        self._observed = len(samples)
         now = self.env.now()
         obs = Observation(
             time=now,
             revocations=(stats.rollbacks + stats.restarts
                          + stats.orphans_discarded + stats.outputs_discarded),
-            commit_waits=tuple(drained),
+            commit_waits=drained,
         )
         new_k = self.controller.observe(obs)
         self.env.tracer.record(now, "control.k", self.pid, k=new_k)

@@ -5,12 +5,16 @@ commit and on the change and diffs the two outputs; a run that depends
 on string-hash order shows up as a difference between two
 ``PYTHONHASHSEED`` values of the same commit.  Per configuration it
 hashes the full trace, the next draw of every rng stream,
-``events_executed``, the control messages sent and the ``metrics()``
-row (less its one wall-clock field).  The configurations cover both storage backends, the lossy network
+``events_executed``, the control messages sent — each payload's type and
+table-entry count, in send order — and the ``metrics()`` row (less its
+one wall-clock field).  The configurations cover both storage backends, the lossy network
 and its retransmission, partitions, fanout pull, adaptive K, the
 dissemination switches, both table layouts (n = 64), the checker-facing
 oracle switches, and every baseline on model storage over a reliable
 network, over the file log and on a lossy network.
+
+A configuration that hashes like another exercises nothing of its own:
+the script then names the pair and exits non-zero.
 
 pytest does not collect this file (it is no ``test_*.py``).  Run::
 
@@ -23,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import sys
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.core.baselines import (
     DirectDependencyProcess,
@@ -79,10 +83,23 @@ def digest(protocol: type = KOptimisticProcess, n: int = 5,
     workload = RandomPeersWorkload(rate=rate, output_fraction=output_fraction)
     harness = SimulationHarness(sim_config, workload.behavior(),
                                 failures=failures, protocol=protocol)
+    network = harness.network
+    sent: List[Tuple[str, int]] = []
+    multicast = network.multicast_control
+
+    def record_control(src, dsts, payload, reliable=False):
+        # Every control send funnels through multicast_control.
+        table = getattr(payload, "table", None)
+        sent.append((type(payload).__name__,
+                     0 if table is None else sum(map(len, table.rows()))))
+        multicast(src, dsts, payload, reliable=reliable)
+
+    network.multicast_control = record_control
     try:
         workload.install(harness, until=until)
         harness.run(duration)
         h = hashlib.sha256()
+        h.update(repr(sent).encode())
         for event in harness.tracer.events:
             h.update(repr((event.time, event.category, event.process,
                            sorted(event.data.items()))).encode())
@@ -127,11 +144,20 @@ def configurations() -> Dict[str, Callable[[], str]]:
     return configs
 
 
-def main(names) -> None:
+def main(names) -> int:
     configs = configurations()
+    seen: Dict[str, str] = {}
+    shared = []
     for name in names or configs:
-        print(name, configs[name](), flush=True)
+        value = configs[name]()
+        print(name, value, flush=True)
+        if value in seen:
+            shared.append(f"{name} hashes like {seen[value]}")
+        seen.setdefault(value, name)
+    for line in shared:
+        print(line, file=sys.stderr)
+    return 1 if shared else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

@@ -19,9 +19,11 @@ the causal vector.
 
 import pytest
 
+from repro.check.mutants import MUTANTS
 from repro.core import columnar
 from repro.core.effects import CommitOutput, ReleaseMessage
 from repro.core.entry import Entry
+from repro.failures.injector import CrashEvent, FailureSchedule
 from repro.net.message import OutputRecord
 from repro.oracle.certifier import Certifier
 from repro.oracle.ingest import certify_events
@@ -194,7 +196,7 @@ class _CertifierSuite:
 
     def test_hooks_reach_both_checks(self, n):
         # The executor's release and commit claims reach this feed's
-        # checks: through the harness's hooks, or as its dep.* records.
+        # checks: as its inline calls, or as its dep.* records.
         harness = build_sim(n=n, k=K, until=None, dep_trace=True)
         feed = (self.Feed(n, harness.certifier) if self.Feed is Calls
                 else self.Feed(n))
@@ -232,3 +234,36 @@ class TestIngestChecks(_CertifierSuite):
     """The suite through the ``dep.*`` records of the post-hoc feed."""
 
     Feed = Records
+
+
+class TestFinishTwice:
+    """A run judged again at the end (``run()`` then ``settle()``) reports
+    each end-of-run verdict once: the new batch replaces the old one, and
+    the claims judged in between stay."""
+
+    def test_the_second_batch_replaces_the_first(self):
+        certifier = Certifier(4, K)
+        certifier.commit(0, Entry(0, 1), "o1")
+        certifier.commit(0, Entry(0, 1), "o1")
+        assert certifier.finish().violations == [
+            "output o1 committed more than once"]
+        certifier.commit(0, Entry(0, 5), "o2")
+        assert certifier.finish().violations == [
+            "output o2 committed from unknown interval (0, 0, 5) at P0",
+            "output o1 committed more than once"]
+
+    @pytest.mark.parametrize("mutant", ["orphan_blind", "forgetful_piggyback"])
+    def test_settling_a_run_again_repeats_no_verdict(self, mutant):
+        harness = build_sim(
+            n=4, k=1, seed=0, rate=0.6, until=150.0,
+            failures=FailureSchedule([CrashEvent(60.0, 1),
+                                      CrashEvent(90.0, 2)]),
+            protocol=MUTANTS[mutant])
+        harness.run(200.0)
+        verdicts = list(harness.violations)
+        assert verdicts                    # the mutant is caught
+        # The mutant never quiesces, so settling again may find more.
+        harness.settle()
+        assert set(verdicts) <= set(harness.violations)
+        assert len(set(harness.violations)) == len(harness.violations)
+        harness.close()

@@ -12,7 +12,7 @@ barrier.
 
 import pytest
 
-from repro.core.effects import BroadcastAnnouncement
+from repro.core.effects import BroadcastAnnouncement, CommitOutput
 from repro.core.entry import Entry
 from repro.net.message import (
     AppAck,
@@ -20,6 +20,7 @@ from repro.net.message import (
     ControlEnvelope,
     LoggingRequest,
     LogProgressNotification,
+    OutputRecord,
 )
 from repro.runtime.config import SimConfig
 from repro.runtime.host import Environment, ProcessHost, periodic
@@ -403,6 +404,36 @@ class TestPeriodic:
                     assert note.table.rows()[pid] == {frontier.inc: frontier.sii}
                     reported += 1
             assert reported == 10 // shared
+
+
+class TestAdaptiveK:
+    """Any host builds its own K controller from its config — the serve
+    worker's as much as the simulation's."""
+
+    def test_the_host_builds_arms_and_feeds_its_controller(self):
+        proc = make_proc(0, n=N, k=1)
+        host, clock, _transport = build(proc, adaptive_k=True,
+                                        control_interval=10.0)
+        controller = host.controller
+        assert controller is not None
+        assert proc.k_policy == controller.recommend
+        host.start_timers(horizon=30.0)
+
+        def commit(name, t0):
+            host.execute([CommitOutput(
+                OutputRecord(name, 0, {"t0": t0}, Entry(0, 1)), wait=0.1)])
+
+        clock.time = 2.0
+        commit("o1", 0.5)
+        clock.advance(5.0)      # the control grid: 10 * (0 + 1) / (N + 1)
+        assert [t for t, _k in controller.history] == [2.5]
+        assert controller.window.samples() == [1.5]
+        clock.time = 6.0
+        commit("o2", 5.0)
+        clock.advance(13.0)
+        assert [t for t, _k in controller.history] == [2.5, 12.5]
+        assert controller.window.samples() == [1.5, 1.0]
+        assert host.latency_samples == [1.5, 1.0]
 
 
 class TestFanoutPull:

@@ -13,21 +13,23 @@ class TestRecoverySpanAttribution:
         # old aggregation attributed the late rollbacks to *both*
         # crashes, reporting (110 + 10) / 2 = 60 instead of 7.5.
         harness.crash_events = [(100.0, 1), (200.0, 2)]
-        harness.rollback_events = [(105.0, 3), (210.0, 0)]
+        harness.hosts[3].rollback_times = [105.0]
+        harness.hosts[0].rollback_times = [210.0]
         metrics = harness.metrics()
         assert metrics.mean_recovery_span == ((105.0 - 100.0) + (210.0 - 200.0)) / 2
 
     def test_crash_with_no_rollbacks_contributes_no_span(self):
         harness = build(until=None)
         harness.crash_events = [(100.0, 1), (200.0, 2)]
-        harness.rollback_events = [(201.0, 0)]
+        harness.hosts[0].rollback_times = [201.0]
         metrics = harness.metrics()
         assert metrics.mean_recovery_span == 1.0
 
     def test_single_crash_unchanged(self):
         harness = build(until=None)
         harness.crash_events = [(50.0, 1)]
-        harness.rollback_events = [(52.0, 0), (58.0, 2)]
+        harness.hosts[0].rollback_times = [52.0]
+        harness.hosts[2].rollback_times = [58.0]
         metrics = harness.metrics()
         assert metrics.mean_recovery_span == 8.0
 

@@ -90,7 +90,7 @@ class TestOpenLoopWorkload:
         # Samples are injection-to-commit: strictly positive, and the
         # metrics see exactly one sample per committed output.
         assert all(span > 0 for span in spans)
-        assert len(harness.output_latency_samples) == len(spans)
+        assert len(harness.totals().output_latency_samples) == len(spans)
         assert stamps, "stamps should be nonempty"
         harness.close()
 
@@ -104,9 +104,10 @@ class TestOpenLoopWorkload:
                             until=100.0)
         harness.run(150.0)
         committed = len(harness.committed_outputs)
+        samples = harness.totals().output_latency_samples
         assert committed > 0
-        assert len(harness.output_latency_samples) == committed
-        assert all(s >= 0.0 for s in harness.output_latency_samples)
+        assert len(samples) == committed
+        assert all(s >= 0.0 for s in samples)
         harness.close()
 
     def test_behavior_chain_preserves_t0(self):
