@@ -12,9 +12,9 @@ slice (priority: crash > restart > rollback > delivery > release).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.sim.trace import TraceEvent, Tracer
+from repro.sim.trace import Tracer
 
 #: Event-category → (cell text builder, priority); higher wins a cell.
 _PRIORITY = {
@@ -26,16 +26,16 @@ _PRIORITY = {
 }
 
 
-def _cell_text(event: TraceEvent) -> str:
-    if event.category == "failure.crash":
+def _cell_text(category: str, data: Dict[str, Any]) -> str:
+    if category == "failure.crash":
         return "X"
-    if event.category == "recovery.restart":
-        return "R" + str(event.data.get("ann", "")).split("inc ")[-1].split(" ")[0]
-    if event.category == "recovery.rollback":
-        return "r" + str(event.data.get("to", ""))
-    if event.category == "msg.deliver":
-        return str(event.data.get("interval", "*"))
-    if event.category == "msg.release":
+    if category == "recovery.restart":
+        return "R" + str(data.get("ann", "")).split("inc ")[-1].split(" ")[0]
+    if category == "recovery.rollback":
+        return "r" + str(data.get("to", ""))
+    if category == "msg.deliver":
+        return str(data.get("interval", "*"))
+    if category == "msg.release":
         return "."
     return "?"
 
@@ -54,12 +54,12 @@ class TimelineRenderer:
 
     def render(self, tracer: Tracer, t_start: Optional[float] = None,
                t_end: Optional[float] = None) -> str:
-        events = [e for e in tracer.events
-                  if e.process is not None and e.category in _PRIORITY]
+        events = [record for record in tracer.rows()
+                  if record[2] is not None and record[1] in _PRIORITY]
         if not events:
             return "(no renderable events)"
-        lo = t_start if t_start is not None else min(e.time for e in events)
-        hi = t_end if t_end is not None else max(e.time for e in events)
+        lo = t_start if t_start is not None else min(r[0] for r in events)
+        hi = t_end if t_end is not None else max(r[0] for r in events)
         if hi <= lo:
             hi = lo + 1.0
         span = hi - lo
@@ -68,14 +68,14 @@ class TimelineRenderer:
         cells: List[List[Tuple[int, str]]] = [
             [(0, "")] * self.columns for _ in range(self.n)
         ]
-        for event in events:
-            if not lo <= event.time <= hi:
+        for time, category, pid, data in events:
+            if not lo <= time <= hi:
                 continue
             col = min(self.columns - 1,
-                      int((event.time - lo) / span * self.columns))
-            priority = _PRIORITY[event.category]
-            if priority > cells[event.process][col][0]:
-                cells[event.process][col] = (priority, _cell_text(event))
+                      int((time - lo) / span * self.columns))
+            priority = _PRIORITY[category]
+            if priority > cells[pid][col][0]:
+                cells[pid][col] = (priority, _cell_text(category, data))
 
         lines = [self._time_axis(lo, hi)]
         for pid in range(self.n):

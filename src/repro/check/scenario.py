@@ -32,7 +32,7 @@ from repro.failures.injector import (
 from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
 from repro.sim.engine import EventHandle
-from repro.sim.trace import TraceEvent
+from repro.sim.trace import Record
 from repro.workloads.random_peers import TokenBehavior
 
 
@@ -104,7 +104,7 @@ class CheckResult:
     events_executed: int
     outputs_committed: int
     max_release_revokers: int
-    trace: List[TraceEvent] = field(default_factory=list)
+    trace: List[Record] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -249,6 +249,6 @@ def run_scenario(
         events_executed=harness.engine.events_executed,
         outputs_committed=len(harness.committed_outputs),
         max_release_revokers=harness.certifier.max_release_revokers,
-        trace=[e for e in harness.tracer.events
-               if e.category.startswith(TRACE_KEEP)],
+        trace=[record for record in harness.tracer.rows()
+               if record[1].startswith(TRACE_KEEP)],
     )

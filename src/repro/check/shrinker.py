@@ -188,10 +188,9 @@ def dump_counterexample(path: str, scenario: Scenario, result: CheckResult,
         "choice_counts": result.counts,
         "events_executed": result.events_executed,
         "trace": [
-            {"time": event.time, "category": event.category,
-             "process": event.process,
-             "data": {k: str(v) for k, v in event.data.items()}}
-            for event in result.trace
+            {"time": time, "category": category, "process": process,
+             "data": {k: str(v) for k, v in data.items()}}
+            for time, category, process, data in result.trace
         ],
     }
     parent = os.path.dirname(path)

@@ -139,10 +139,10 @@ def certify_tracer(tracer: Any, n: int, k: int) -> Certification:
     virtual-time order), so no merge or sort is needed — this is the sim
     side of the differential sim-vs-serve test.
     """
-    events = [{"time": e.time, "category": e.category,
-               "process": e.process, "data": e.data}
-              for e in tracer.events]
-    return certify_events(events, n, k)
+    return certify_events(
+        [{"time": time, "category": category, "process": process,
+          "data": data}
+         for time, category, process, data in tracer.rows("dep.")], n, k)
 
 
 def certify_traces(paths: Iterable[str], n: int, k: int) -> Certification:

@@ -17,35 +17,22 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Tuple
 
-from repro.sim.trace import TraceEvent
-
 #: One canonical event: (time, category, process, data).
 DepEvent = Tuple[float, str, int, Dict[str, Any]]
 
 
-def as_dep_tuple(event: Any) -> DepEvent:
-    """Normalize a :class:`TraceEvent` (or an equivalent tuple) to the
-    canonical tuple shape."""
-    if isinstance(event, TraceEvent):
-        proc = -1 if event.process is None else event.process
-        return (event.time, event.category, proc, dict(event.data))
-    time, category, process, data = event
-    return (float(time), category, -1 if process is None else process,
-            dict(data))
-
-
 def canonical_dep_events(events: Iterable[Any]) -> List[DepEvent]:
-    """``dep.*`` events in canonical order.
+    """``dep.*`` events in canonical order, from ``(time, category,
+    process, data)`` records (``Tracer.rows()``, a worker's results).
 
     Stable sort by ``(time, process)``: per-process relative order (the
     semantic content) survives; cross-process same-time interleaving (the
     scheduler accident) is normalized away.
     """
-    deps = []
-    for event in events:
-        normalized = as_dep_tuple(event)
-        if normalized[1].startswith("dep."):
-            deps.append(normalized)
+    deps = [(float(time), category, -1 if process is None else process,
+             dict(data))
+            for time, category, process, data in events
+            if category.startswith("dep.")]
     deps.sort(key=lambda e: (e[0], e[2]))
     return deps
 

@@ -179,11 +179,8 @@ class _WorkerHarness(SimulationHarness):
     def collect_results(self) -> Dict[str, Any]:
         """Everything the coordinator needs: this slice's raw metric
         totals, its ``dep.*`` trace, and the committed outputs."""
-        dep_events = [
-            (e.time, e.category, e.process, e.data)
-            for e in self.tracer.events
-            if e.category.startswith("dep.") and e.process is not None
-        ]
+        dep_events = [record for record in self.tracer.rows("dep.")
+                      if record[2] is not None]
         committed = [
             (now, record.process, record.output_id)
             for now, record in self.committed_outputs

@@ -239,7 +239,13 @@ class ProcessHost:
     def boot(self, recovering: bool = False) -> None:
         """Bring the process up: a fresh start, or — when its journal
         already holds a previous life — REDO recovery plus the Restart
-        broadcast."""
+        broadcast.  A fresh start refuses a journal that already holds
+        records: it would run on top of that earlier life."""
+        used = None if recovering else self.protocol.storage.used_journal()
+        if used is not None:
+            raise ValueError(
+                f"P{self.pid}: journal directory {used} already holds "
+                f"records; a fresh run needs an empty storage_dir")
         self.execute(self.protocol.boot_after_crash() if recovering
                      else self.protocol.initialize())
 

@@ -97,6 +97,11 @@ class StableBackend:
     def close(self) -> None:
         """Release any OS resources (file handles)."""
 
+    def used_journal(self) -> Optional[str]:
+        """The durable journal, when it already holds records of an
+        earlier life; ``None`` for an empty one or the model backend."""
+        return None
+
     # -- durability frontier --------------------------------------------------
 
     def stable_frontier(self, current: Entry) -> Entry:

@@ -403,6 +403,11 @@ class FileLogBackend(ModelBackend):
                 pass
             self._handle = None
 
+    def used_journal(self) -> Optional[str]:
+        if self._written or self._segment_count > 1:
+            return self.directory
+        return None
+
     # ------------------------------------------------------------------
     # durability frontier
     # ------------------------------------------------------------------

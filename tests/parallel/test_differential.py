@@ -83,7 +83,7 @@ def _run_serial(name):
         workload.install(harness, until=duration * 0.8)
         harness.run(duration)
         return (
-            render_jsonl(canonical_dep_events(harness.tracer.events)),
+            render_jsonl(canonical_dep_events(harness.tracer.rows())),
             harness.engine.events_executed,
             harness.metrics().messages_delivered,
         )
@@ -158,7 +158,7 @@ def test_filelog_journals_have_one_writer(tmp_path, workers):
         workload.install(twin, until=duration * 0.8)
         twin.run(duration)
         twin_metrics = dataclasses.asdict(twin.metrics())
-        twin_dump = render_jsonl(canonical_dep_events(twin.tracer.events))
+        twin_dump = render_jsonl(canonical_dep_events(twin.tracer.rows()))
     finally:
         twin.close()
     assert len(built) == config.n and len(set(built.values())) == 1
