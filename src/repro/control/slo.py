@@ -2,10 +2,10 @@
 
 Output-commit latency is the quantity the paper's K trade-off is *about*:
 higher K releases messages earlier (shorter chains to commit) at the cost
-of more revocation exposure.  The controller and the run-level metrics
-both consume samples through a :class:`LatencyWindow`, whose mean and
-percentiles are total functions — empty and single-sample windows are
-well-defined, not errors (see :func:`repro.runtime.metrics.sample_percentile`).
+of more revocation exposure.  The controller reads a :class:`LatencyWindow`;
+the run-level metrics call :func:`repro.runtime.metrics.sample_percentile`
+directly.  Both are total functions: empty and single-sample windows are
+well-defined, not errors.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from repro.failures.injector import (
 from repro.parallel.trace import DepEvent, canonical_dep_events
 from repro.parallel.worker import OutboxEntry, worker_main
 from repro.runtime.config import CONTROL_LATENCY, MSG_LATENCY_BASE, SimConfig
-from repro.runtime.metrics import RunMetrics, RunTotals, derive_metrics
+from repro.runtime.metrics import RunMetrics, merge
 
 
 def lookahead(config: SimConfig) -> float:
@@ -97,10 +97,9 @@ class ParallelHarness:
         self.engine = _EngineView()
         self._duration = 0.0
         self._finished = False
-        self._totals: List[RunTotals] = []
+        self._shares: List[Dict[str, Any]] = []
         self._dep_events: List[DepEvent] = []
         self.committed_outputs: List[Tuple[float, int, Any]] = []
-        self.violations: List[str] = []
 
         ctx = multiprocessing.get_context("fork")
         self._conns = []
@@ -236,7 +235,7 @@ class ParallelHarness:
         #: Processes each worker built and hosted (its share of n).
         self.worker_hosts = [result["hosts"] for result in results]
         for result in results:
-            self._totals.append(result["totals"])
+            self._shares.append(result["share"])
             self._dep_events.extend(result["dep_events"])
             self.committed_outputs.extend(result["committed"])
             total_events += result["events_executed"]
@@ -250,9 +249,7 @@ class ParallelHarness:
     def metrics(self) -> RunMetrics:
         if not self._finished:
             raise RuntimeError("metrics() before run() completed")
-        merged = derive_metrics(self._totals)
-        self.violations = merged.violations
-        return merged
+        return merge(self._shares)
 
     def dep_events(self) -> List[DepEvent]:
         """The merged ``dep.*`` trace in canonical order (see

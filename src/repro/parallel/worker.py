@@ -37,6 +37,7 @@ from repro.parallel import shm as shm_mod
 from repro.parallel.shm import ArenaMap, ShmSnapshotRef, SnapshotArena
 from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
+from repro.runtime.metrics import share
 
 #: One cross-worker delivery: ``(arrival, gen_time, src, counter, dst,
 #: payload, label)``.  The first four fields are the canonical
@@ -177,8 +178,8 @@ class _WorkerHarness(SimulationHarness):
     # -- results ---------------------------------------------------------------
 
     def collect_results(self) -> Dict[str, Any]:
-        """Everything the coordinator needs: this slice's raw metric
-        totals, its ``dep.*`` trace, and the committed outputs."""
+        """Everything the coordinator needs: this slice's share of the
+        run's metrics, its ``dep.*`` trace, and the committed outputs."""
         dep_events = [record for record in self.tracer.rows("dep.")
                       if record[2] is not None]
         committed = [
@@ -188,7 +189,7 @@ class _WorkerHarness(SimulationHarness):
         return {
             "worker": self._worker_id,
             "hosts": len(self.hosts),
-            "totals": self.totals(),
+            "share": share(self),
             "dep_events": dep_events,
             "committed": committed,
             "events_executed": self.engine.events_executed,

@@ -14,8 +14,6 @@ is the simulated *environment* those hosts run in.  Responsibilities:
   feeds inline (Theorem 4 on every release, the output-commit rule on
   every commit, consistency and the committed-output ledger at
   quiescence);
-- gather the hosts' books (commits, latency samples, rollbacks, lost
-  intervals, controllers) into the run's totals;
 - model reliability assumptions: application messages to a crashed process
   are lost (the paper's footnote 3 declares lost in-transit messages out of
   scope); on a reliable network control messages are queued and delivered
@@ -50,15 +48,9 @@ from repro.net.faults import ChannelFaults, NetworkFaultModel
 from repro.net.network import Network
 from repro.net.reliable import ReliableConfig
 from repro.oracle.certifier import Certifier
-from repro.runtime.config import (
-    ASYNC_WRITE_COST,
-    CONTROL_LATENCY,
-    MSG_LATENCY_BASE,
-    SYNC_WRITE_COST,
-    SimConfig,
-)
+from repro.runtime.config import CONTROL_LATENCY, MSG_LATENCY_BASE, SimConfig
 from repro.runtime.host import Environment, ProcessHost, build_protocol
-from repro.runtime.metrics import RunMetrics, RunTotals, derive_metrics
+from repro.runtime.metrics import RunMetrics, merge, share
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
@@ -186,9 +178,9 @@ class SimulationHarness:
         for host in self.hosts:
             host.boot()
 
-        self.crash_events: List[Tuple[float, int]] = []
         self._inject_seq = itertools.count()
-        self._horizon = 0.0
+        #: The run's duration, fixed by :meth:`begin`.
+        self.horizon = 0.0
 
         # Handles are retained so run() can cancel events scheduled beyond
         # the horizon (they must not fire mid-settle).
@@ -252,11 +244,8 @@ class SimulationHarness:
     def _make_failure(self, event: Any) -> Callable[[], None]:
         """Map one schedule entry to its engine callback."""
         if isinstance(event, CrashEvent):
-            def crash() -> None:
-                self.crash_events.append((self.engine.now, event.pid))
-                self._by_pid[event.pid].crash()
-
-            return crash
+            host = self._by_pid[event.pid]
+            return lambda: host.crash()
         if isinstance(event, PartitionEvent):
             def partition() -> None:
                 self.network.faults.start_partition(event.islands,
@@ -295,7 +284,7 @@ class SimulationHarness:
     def begin(self, duration: float) -> None:
         """Fix the horizon, cancel the failure events beyond it and arm
         every host's periodic timers."""
-        self._horizon = duration
+        self.horizon = duration
         # Failure events beyond the horizon must not fire: settle() drains
         # the queue past ``duration``, and a stray crash mid-settle would
         # wreck quiescence (and the invariant checks that assume it).
@@ -385,93 +374,4 @@ class SimulationHarness:
 
     def metrics(self) -> RunMetrics:
         """Aggregate the run into a :class:`RunMetrics` summary."""
-        return derive_metrics([self.totals()])
-
-    def totals(self) -> RunTotals:
-        """This harness's raw share of the run's metrics: sums over the
-        hosted processes and their sends (see :class:`RunTotals`)."""
-        m = RunMetrics(n=self.config.n, k=self.config.resolved_k(),
-                       duration=self._horizon,
-                       slo_target=self.config.slo_output_latency)
-        totals = RunTotals(
-            counters=m,
-            piggyback_total=self.network.piggyback_entries_total,
-            app_messages_sent=self.network.app_messages_sent,
-            crash_events=list(self.crash_events),
-        )
-        for host in self.hosts:
-            stats = host.protocol.stats
-            m.messages_enqueued += stats.messages_enqueued
-            m.messages_released += stats.messages_released
-            m.messages_delivered += stats.deliveries - stats.replayed_deliveries
-            totals.send_hold_total += stats.send_hold_time_total
-            totals.delivery_wait_total += stats.delivery_wait_total
-            totals.output_wait_total += stats.output_wait_total
-            m.max_send_hold = max(m.max_send_hold, stats.send_hold_time_max)
-            m.duplicates_dropped += stats.duplicates_dropped
-            m.orphans_discarded += stats.orphans_discarded
-            m.outputs_discarded += stats.outputs_discarded
-            m.outputs_committed += stats.outputs_committed
-            m.rollbacks += stats.rollbacks
-            m.intervals_undone += stats.intervals_undone
-            m.messages_requeued += stats.messages_requeued
-            m.app_messages_lost += host.lost_app_messages
-            m.crashes += host.crash_count
-            m.retransmissions += stats.retransmissions
-            m.timer_retransmissions += stats.timer_retransmissions
-            m.acks_received += stats.acks_received
-            m.retransmit_budget_exhausted += stats.retransmit_budget_exhausted
-            m.outputs_pending += len(host.protocol.output_buffer)
-            storage = host.protocol.storage
-            m.sync_writes += storage.sync_writes
-            m.async_writes += storage.async_writes
-            m.gc_reclaimed += storage.gc_reclaimed
-            m.final_log_records += storage.log_size
-            m.final_checkpoints += len(storage.checkpoints)
-            m.storage_bytes_written += storage.bytes_written
-            m.storage_bytes_fsynced += storage.bytes_fsynced
-            m.storage_fsyncs += storage.fsyncs
-            m.storage_group_commits += storage.group_commits
-            m.storage_forced_commits += storage.forced_group_commits
-            m.storage_io_errors += storage.io_errors
-            m.storage_io_retries += storage.io_retries
-            m.storage_fsync_lies += storage.fsync_lies
-            m.storage_recoveries += storage.recoveries
-            m.storage_recovered_records += storage.recovered_records
-            m.storage_torn_dropped += storage.torn_records_dropped
-            m.storage_corrupt_dropped += storage.corrupt_records_dropped
-            m.storage_recovery_wall_s += storage.recovery_wall_s
-            m.storage_dead_declared += storage.dead_declared
-            m.storage_deaths += host.storage_deaths
-            m.intervals_lost += host.intervals_lost
-            totals.output_latency_samples.extend(host.latency_samples)
-            totals.rollback_events.extend(
-                (time, host.pid) for time in host.rollback_times)
-            controller = host.controller
-            if controller is not None:
-                m.k_decisions += len(controller.decisions) - 1  # minus "init"
-                totals.k_history.extend(k for _, k in controller.history)
-                totals.k_final.append(float(controller.k))
-        m.max_piggyback_entries = self.network.piggyback_entries_max
-        m.control_messages = self.network.control_messages_sent
-        m.storage_cost = (m.sync_writes * SYNC_WRITE_COST
-                          + m.async_writes * ASYNC_WRITE_COST)
-        m.app_drops = self.network.app_dropped
-        m.control_drops = self.network.control_dropped
-        m.partition_drops = self.network.partition_drops
-        m.duplicates_injected = self.network.duplicates_injected
-        if self.network.faults is not None:
-            m.partitions = self.network.faults.partitions_seen
-            m.partition_time = self.network.faults.partition_time
-        if self.network.reliable is not None:
-            m.ctl_retransmits = self.network.reliable.retransmits
-            m.ctl_acked = self.network.reliable.acked
-            m.ctl_budget_exhausted = self.network.reliable.budget_exhausted
-            totals.ack_rtt_total = self.network.reliable.ack_rtt_total
-        certifier = self.certifier
-        if certifier is not None:
-            m.total_intervals = certifier.oracle.total_intervals
-            m.rolled_back_intervals = certifier.oracle.rolled_back_intervals
-            m.max_release_revokers = certifier.max_release_revokers
-        m.violations = list(self.violations)
-        return totals
+        return merge([share(self)])

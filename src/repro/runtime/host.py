@@ -6,7 +6,7 @@ notification batch, the phase-staggered flush / checkpoint / notify /
 control timers, outside-world injection, quiescence, crash / downtime
 parking / restart, boot (fresh or after a crash), the clean fail-stop on
 a dead journal, the checker's effect probes, the process's books (commits,
-latency samples, rollbacks, lost intervals) and its adaptive-K
+latency samples, rollbacks, crashes, lost intervals) and its adaptive-K
 controller.  It is written against an :class:`Environment`, never
 against a driver:
 
@@ -195,7 +195,8 @@ class ProcessHost:
         #: environment runs behind everything else due at that time.
         self._notif_batch: List[LogProgressNotification] = []
         self.lost_app_messages = 0
-        self.crash_count = 0
+        #: The time of every crash that took the process down.
+        self.crash_times: List[float] = []
         #: The books its executor keeps: every commit as ``(time,
         #: record)``, one latency sample per commit, the times the process
         #: rolled back, and the intervals its restarts lost (counted by
@@ -501,6 +502,21 @@ class ProcessHost:
                     or protocol.receive_buffer or len(protocol.output_buffer)
                     or protocol.unacked_count)
 
+    # -- books only the run's metrics read ------------------------------------
+
+    @property
+    def messages_delivered(self) -> int:  # a replay is no new delivery
+        stats = self.protocol.stats
+        return stats.deliveries - stats.replayed_deliveries
+
+    @property
+    def outputs_pending(self) -> int:
+        return len(self.protocol.output_buffer)
+
+    @property
+    def final_checkpoints(self) -> int:
+        return len(self.protocol.storage.checkpoints)
+
     # -- failure handling -----------------------------------------------------
 
     def _storage_failed(self, context: str) -> None:
@@ -517,7 +533,7 @@ class ProcessHost:
         if self.down:
             return  # already down; schedule says crash a dead process: no-op
         self.down = True
-        self.crash_count += 1
+        self.crash_times.append(self.env.now())
         self.protocol.crash()
         # Fail-stop: a dead process transmits nothing, including control
         # retransmissions queued on its behalf before the crash.

@@ -1,8 +1,14 @@
 """Run metrics: the quantities the experiments report.
 
-``RunMetrics`` is a plain summary computed once at the end of a run from
-the protocol counters, the network, the oracle, and harness-level event
-records.  Experiments print selected columns; tests assert on them.
+Each counted field of :class:`RunMetrics` names its source once, in its
+``dataclasses.field`` metadata: an attribute path read on each hosted
+process (:func:`each`) or once on the harness (:func:`once`), and the
+``kind`` that combines a run's shares: ``run`` takes the first, ``sum``
+adds, ``max`` takes the largest, and a mean (``over=<count path>``)
+divides the summed total by the summed count.  :func:`share` reads one
+harness (a serial run's, or an epoch-parallel worker's); :func:`merge`
+combines the shares.  Adding a metric is a ``+=`` counter on its owner
+and one field here.
 """
 
 from __future__ import annotations
@@ -10,7 +16,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from functools import partial, reduce
+from operator import add, attrgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence
+
+from repro.runtime.config import ASYNC_WRITE_COST, SYNC_WRITE_COST
 
 
 def sample_mean(samples: Sequence[float]) -> float:
@@ -37,8 +47,6 @@ def sample_percentile(samples: Sequence[float], q: float) -> float:
     if not samples:
         return 0.0
     ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
     rank = (q / 100.0) * (len(ordered) - 1)
     lo = math.floor(rank)
     hi = math.ceil(rank)
@@ -47,30 +55,70 @@ def sample_percentile(samples: Sequence[float], q: float) -> float:
     return ordered[lo] + (ordered[hi] - ordered[lo]) * (rank - lo)
 
 
+#: Owners a run may lack (a reliable network's fault model and ack layer, a
+#: post hoc certified run's certifier): a field under one keeps its default.
+_OPTIONAL = frozenset({"network.faults", "network.reliable", "certifier"})
+
+
+def reader(path: str) -> Callable[[Any], Any]:
+    """The function reading the dotted ``path`` off an owner.  A path
+    ending in ``()`` is called, one under an absent optional owner reads
+    None, and any other path that does not resolve raises."""
+    if path.endswith("()"):
+        method = attrgetter(path[:-2])
+        return lambda owner: method(owner)()
+    head = next((o for o in _OPTIONAL if path.startswith(o + ".")), None)
+    if head is None:
+        return attrgetter(path)
+    holder, rest = attrgetter(head), attrgetter(path[len(head) + 1:])
+    return lambda owner: None if holder(owner) is None else rest(holder(owner))
+
+
+def each(source: str, kind: str = "sum", default: Any = 0,
+         over: Optional[str] = None, hosts: bool = True) -> Any:
+    """A field read at ``source`` on each hosted process, folded by ``kind``
+    (a mean sums ``source`` and ``over``); a callable default is a factory."""
+    metadata = {"source": source, "kind": "mean" if over else kind,
+                "over": over, "hosts": hosts, "read": reader(source),
+                "count": reader(over) if over else None}
+    if callable(default):
+        return field(default_factory=default, metadata=metadata)
+    return field(default=0.0 if over else default, metadata=metadata)
+
+
+#: A field read once at ``source`` on the harness.
+once = partial(each, hosts=False)
+
+
 @dataclass
 class RunMetrics:
     """Aggregated results of one simulation run."""
 
     # -- identification -----------------------------------------------------
-    n: int = 0
-    k: int = 0
-    duration: float = 0.0
+    n: int = once("config.n", "run")
+    k: int = once("config.resolved_k()", "run")
+    duration: float = once("horizon", "run", 0.0)
 
     # -- failure-free behaviour -------------------------------------------
-    messages_enqueued: int = 0
-    messages_released: int = 0
-    messages_delivered: int = 0
-    mean_send_hold: float = 0.0
-    max_send_hold: float = 0.0
-    mean_delivery_wait: float = 0.0
-    mean_piggyback_entries: float = 0.0
-    max_piggyback_entries: int = 0
-    sync_writes: int = 0
-    async_writes: int = 0
+    messages_enqueued: int = each("protocol.stats.messages_enqueued")
+    messages_released: int = each("protocol.stats.messages_released")
+    messages_delivered: int = each("messages_delivered")
+    mean_send_hold: float = each("protocol.stats.send_hold_time_total",
+                                 over="protocol.stats.messages_released")
+    max_send_hold: float = each("protocol.stats.send_hold_time_max", "max", 0.0)
+    mean_delivery_wait: float = each("protocol.stats.delivery_wait_total",
+                                     over="messages_delivered")
+    #: Per application-message transmission, retransmissions included.
+    mean_piggyback_entries: float = once("network.piggyback_entries_total",
+                                         over="network.app_messages_sent")
+    max_piggyback_entries: int = once("network.piggyback_entries_max", "max")
+    sync_writes: int = each("protocol.storage.sync_writes")
+    async_writes: int = each("protocol.storage.async_writes")
     storage_cost: float = 0.0
-    control_messages: int = 0
-    outputs_committed: int = 0
-    mean_output_latency: float = 0.0
+    control_messages: int = once("network.control_messages_sent")
+    outputs_committed: int = each("protocol.stats.outputs_committed")
+    mean_output_latency: float = each("protocol.stats.output_wait_total",
+                                      over="protocol.stats.outputs_committed")
 
     # -- output-commit latency SLO ------------------------------------------
     #: End-to-end output-commit latency percentiles.  Samples are measured
@@ -83,7 +131,7 @@ class RunMetrics:
     output_latency_count: int = 0
     #: The configured latency target (0 disables SLO accounting) and the
     #: fraction of samples that met it (1.0 with no target or no samples).
-    slo_target: float = 0.0
+    slo_target: float = once("config.slo_output_latency", "run", 0.0)
     slo_attained: float = 1.0
 
     # -- adaptive-K control ---------------------------------------------------
@@ -96,68 +144,72 @@ class RunMetrics:
 
     # -- recovery behaviour ---------------------------------------------------
     crashes: int = 0
-    rollbacks: int = 0
+    rollbacks: int = each("protocol.stats.rollbacks")
     processes_rolled_back: int = 0
-    intervals_undone: int = 0
-    intervals_lost: int = 0
-    orphans_discarded: int = 0
-    outputs_discarded: int = 0
-    messages_requeued: int = 0
-    duplicates_dropped: int = 0
-    app_messages_lost: int = 0
-    retransmissions: int = 0
-    gc_reclaimed: int = 0
-    final_log_records: int = 0
-    final_checkpoints: int = 0
+    intervals_undone: int = each("protocol.stats.intervals_undone")
+    intervals_lost: int = each("intervals_lost")
+    orphans_discarded: int = each("protocol.stats.orphans_discarded")
+    outputs_discarded: int = each("protocol.stats.outputs_discarded")
+    messages_requeued: int = each("protocol.stats.messages_requeued")
+    duplicates_dropped: int = each("protocol.stats.duplicates_dropped")
+    app_messages_lost: int = each("lost_app_messages")
+    retransmissions: int = each("protocol.stats.retransmissions")
+    gc_reclaimed: int = each("protocol.storage.gc_reclaimed")
+    final_log_records: int = each("protocol.storage.log_size")
+    final_checkpoints: int = each("final_checkpoints")
     mean_recovery_span: float = 0.0
 
     # -- storage backend (file-log; zeros on the in-memory model) -------------
-    storage_bytes_written: int = 0
-    storage_bytes_fsynced: int = 0
-    storage_fsyncs: int = 0
-    storage_group_commits: int = 0
-    storage_forced_commits: int = 0
-    storage_io_errors: int = 0
-    storage_io_retries: int = 0
-    storage_fsync_lies: int = 0
-    storage_recoveries: int = 0
-    storage_recovered_records: int = 0
-    storage_torn_dropped: int = 0
-    storage_corrupt_dropped: int = 0
+    storage_bytes_written: int = each("protocol.storage.bytes_written")
+    storage_bytes_fsynced: int = each("protocol.storage.bytes_fsynced")
+    storage_fsyncs: int = each("protocol.storage.fsyncs")
+    storage_group_commits: int = each("protocol.storage.group_commits")
+    storage_forced_commits: int = each("protocol.storage.forced_group_commits")
+    storage_io_errors: int = each("protocol.storage.io_errors")
+    storage_io_retries: int = each("protocol.storage.io_retries")
+    storage_fsync_lies: int = each("protocol.storage.fsync_lies")
+    storage_recoveries: int = each("protocol.storage.recoveries")
+    storage_recovered_records: int = each("protocol.storage.recovered_records")
+    storage_torn_dropped: int = each("protocol.storage.torn_records_dropped")
+    storage_corrupt_dropped: int = each(
+        "protocol.storage.corrupt_records_dropped")
     #: Wall-clock seconds spent in REDO recovery scans (not virtual time).
-    storage_recovery_wall_s: float = 0.0
+    storage_recovery_wall_s: float = each("protocol.storage.recovery_wall_s",
+                                          default=0.0)
     #: Times a backend declared itself dead (retry budget exhausted or an
     #: injected fsync-boundary crash).
-    storage_dead_declared: int = 0
+    storage_dead_declared: int = each("protocol.storage.dead_declared")
     #: Dead-backend events the runtime converted into fail-stop crashes.
-    storage_deaths: int = 0
+    storage_deaths: int = each("storage_deaths")
 
     # -- unreliable network ---------------------------------------------------
-    app_drops: int = 0
-    control_drops: int = 0
-    partition_drops: int = 0
-    duplicates_injected: int = 0
-    partitions: int = 0
-    partition_time: float = 0.0
+    app_drops: int = once("network.app_dropped")
+    control_drops: int = once("network.control_dropped")
+    partition_drops: int = once("network.partition_drops")
+    duplicates_injected: int = once("network.duplicates_injected")
+    partitions: int = once("network.faults.partitions_seen")
+    partition_time: float = once("network.faults.partition_time", default=0.0)
     #: Timer-driven app-message retransmissions (sender timeout fired).
-    timer_retransmissions: int = 0
-    acks_received: int = 0
-    retransmit_budget_exhausted: int = 0
+    timer_retransmissions: int = each("protocol.stats.timer_retransmissions")
+    acks_received: int = each("protocol.stats.acks_received")
+    retransmit_budget_exhausted: int = each(
+        "protocol.stats.retransmit_budget_exhausted")
     #: Control-plane (envelope) retransmission statistics.
-    ctl_retransmits: int = 0
-    ctl_acked: int = 0
-    ctl_budget_exhausted: int = 0
-    mean_ack_rtt: float = 0.0
+    ctl_retransmits: int = once("network.reliable.retransmits")
+    ctl_acked: int = once("network.reliable.acked")
+    ctl_budget_exhausted: int = once("network.reliable.budget_exhausted")
+    mean_ack_rtt: float = once("network.reliable.ack_rtt_total",
+                               over="network.reliable.acked")
     #: Outputs still waiting in some Output_buffer at the end of the run.
-    outputs_pending: int = 0
+    outputs_pending: int = each("outputs_pending")
 
     # -- ground truth -----------------------------------------------------------
-    total_intervals: int = 0
-    rolled_back_intervals: int = 0
+    total_intervals: int = once("certifier.oracle.total_intervals")
+    rolled_back_intervals: int = once("certifier.oracle.rolled_back_intervals")
     #: Largest oracle-computed potential-revoker set observed at any
     #: app-message release (Theorem 4 bounds this by K).
-    max_release_revokers: int = 0
-    violations: List[str] = field(default_factory=list)
+    max_release_revokers: int = once("certifier.max_release_revokers", "max")
+    violations: List[str] = once("violations", default=list)
 
     def throughput(self) -> float:
         """Delivered application messages per virtual time unit."""
@@ -186,104 +238,92 @@ class RunMetrics:
         }
 
 
-@dataclass
-class RunTotals:
-    """One harness's raw share of a run: everything that adds up.
-
-    ``counters`` holds the additive (and the three max) fields of
-    :class:`RunMetrics` with every derived field left at its default; the
-    remaining fields are the raw totals, samples and event lists the
-    derived fields are computed from.  A serial run has one of these, an
-    epoch-parallel run one per worker (workers own disjoint process sets
-    and network counters are sender-local, so the shares simply add).
-    """
-
-    counters: RunMetrics
-    send_hold_total: float = 0.0
-    delivery_wait_total: float = 0.0
-    output_wait_total: float = 0.0
-    piggyback_total: int = 0
-    app_messages_sent: int = 0
-    ack_rtt_total: float = 0.0
-    output_latency_samples: List[float] = field(default_factory=list)
-    crash_events: List[Tuple[float, int]] = field(default_factory=list)
-    rollback_events: List[Tuple[float, int]] = field(default_factory=list)
-    #: Every K a controller settled on over the run, and each
-    #: controller's final K (both empty without adaptive K).
-    k_history: List[float] = field(default_factory=list)
-    k_final: List[float] = field(default_factory=list)
+_DECLARED = tuple(f for f in dataclasses.fields(RunMetrics) if f.metadata)
 
 
-#: ``RunMetrics`` fields that describe the run rather than count it.
-_RUN_FIELDS = frozenset({"n", "k", "duration", "slo_target"})
-_MAX_FIELDS = frozenset({"max_send_hold", "max_piggyback_entries",
-                         "max_release_revokers"})
+def _combine(kind: str, values: Sequence[Any]) -> Any:
+    """The first of ``values`` (kind ``run``), the largest, or their sum."""
+    if kind == "run":
+        return values[0]
+    return max(values) if kind == "max" else reduce(add, values)
 
 
-def derive_metrics(parts: Sequence[RunTotals]) -> RunMetrics:
-    """The :class:`RunMetrics` of a run from the raw totals of its parts.
+def _fold(owners: Sequence[Any], kind: str, read: Callable[[Any], Any],
+          start: Any) -> Any:
+    """What ``read`` finds on ``owners``, then ``start``, combined."""
+    found = [value for value in map(read, owners) if value is not None]
+    return _combine(kind, found + [start])
 
-    Counters sum and maxima take the max; every mean, percentile and span
-    is computed here, once, from the summed totals and the concatenated
-    samples — averaging per-part means would weight parts, not events.
-    """
-    m = RunMetrics()
-    for f in dataclasses.fields(RunMetrics):
-        values = [getattr(part.counters, f.name) for part in parts]
-        if f.name in _RUN_FIELDS:
-            merged = values[0]
-        elif f.name in _MAX_FIELDS:
-            merged = max(values)
-        elif isinstance(values[0], list):
-            merged = [item for value in values for item in value]
+
+def share(harness: Any) -> Dict[str, Any]:
+    """One harness's share of its run: each declared field's value (a
+    mean's ``(total, count)``) and the samples the rest are taken over."""
+    hosts, blank, out = harness.hosts, RunMetrics(), {}
+    for f in _DECLARED:
+        meta = f.metadata
+        owners = hosts if meta["hosts"] else (harness,)
+        if meta["count"] is None:
+            out[f.name] = _fold(owners, meta["kind"], meta["read"],
+                                getattr(blank, f.name))
         else:
-            merged = sum(values)
-        setattr(m, f.name, merged)
+            out[f.name] = (_fold(owners, "sum", meta["read"], 0.0),
+                           _fold(owners, "sum", meta["count"], 0))
+    controllers = [h.controller for h in hosts if h.controller is not None]
+    out.update(
+        latency_samples=[s for host in hosts for s in host.latency_samples],
+        rollback_times=[(t, host.pid) for host in hosts
+                        for t in host.rollback_times],
+        crash_times=[t for host in hosts for t in host.crash_times],
+        k_history=[k for c in controllers for _, k in c.history],
+        k_final=[float(c.k) for c in controllers],
+        k_decisions=[len(c.decisions) - 1 for c in controllers])  # no "init"
+    return out
 
-    def mean(total: float, count: float) -> float:
-        return total / count if count else 0.0
 
-    m.mean_send_hold = mean(sum(p.send_hold_total for p in parts),
-                            m.messages_released)
-    m.mean_delivery_wait = mean(sum(p.delivery_wait_total for p in parts),
-                                m.messages_delivered)
-    m.mean_output_latency = mean(sum(p.output_wait_total for p in parts),
-                                 m.outputs_committed)
-    m.mean_piggyback_entries = mean(sum(p.piggyback_total for p in parts),
-                                    sum(p.app_messages_sent for p in parts))
-    m.mean_ack_rtt = mean(sum(p.ack_rtt_total for p in parts), m.ctl_acked)
+def merge(shares: Sequence[Dict[str, Any]]) -> RunMetrics:
+    """The :class:`RunMetrics` of a run from the shares of its parts: the
+    declared fields by kind, the rest computed once over all samples."""
+    m = RunMetrics()
+    for f in _DECLARED:
+        kind, values = f.metadata["kind"], [part[f.name] for part in shares]
+        if kind == "mean":
+            total, count = (_combine("sum", side) for side in zip(*values))
+            setattr(m, f.name, total / count if count else 0.0)
+        else:
+            setattr(m, f.name, _combine(kind, values))
 
-    # Output-commit latency SLO accounting (end-to-end samples).
-    samples = [s for part in parts for s in part.output_latency_samples]
+    def concat(key: str) -> List[Any]:
+        return [item for part in shares for item in part[key]]
+
+    m.storage_cost = (m.sync_writes * SYNC_WRITE_COST
+                      + m.async_writes * ASYNC_WRITE_COST)
+    samples = concat("latency_samples")  # end-to-end commit latencies
     m.output_latency_count = len(samples)
     m.output_latency_p50 = sample_percentile(samples, 50.0)
     m.output_latency_p95 = sample_percentile(samples, 95.0)
     m.output_latency_p99 = sample_percentile(samples, 99.0)
-    m.slo_attained = 1.0
     if m.slo_target > 0 and samples:
         m.slo_attained = (sum(1 for s in samples if s <= m.slo_target)
                           / len(samples))
-
-    final = [k for part in parts for k in part.k_final]
+    final = concat("k_final")
     m.adaptive_k = bool(final)
+    m.k_decisions = sum(concat("k_decisions"))
     if final:
-        history = [k for part in parts for k in part.k_history]
-        m.k_mean = sample_mean(history if history else final)
+        m.k_mean = sample_mean(concat("k_history") or final)
         m.k_final_mean = sample_mean(final)
-
-    rollbacks = [event for part in parts for event in part.rollback_events]
+    rollbacks = concat("rollback_times")
     m.processes_rolled_back = len({pid for _t, pid in rollbacks})
-    crash_times = sorted({t for part in parts for t, _pid in part.crash_events})
+    crashes = concat("crash_times")
+    m.crashes = len(crashes)
     # Attribute each rollback to the most recent crash at or before it: a
     # crash's recovery window closes when the next crash opens, otherwise
     # every late rollback would inflate the span of every earlier crash.
+    windows = sorted(set(crashes)) + [float("inf")]
     spans = []
-    for i, crash_time in enumerate(crash_times):
-        window_end = (crash_times[i + 1] if i + 1 < len(crash_times)
-                      else float("inf"))
-        window = [t for t, _pid in rollbacks if crash_time <= t < window_end]
+    for start, end in zip(windows, windows[1:]):
+        window = [t for t, _pid in rollbacks if start <= t < end]
         if window:
-            spans.append(max(window) - crash_time)
+            spans.append(max(window) - start)
     m.mean_recovery_span = sample_mean(spans)
     return m
 

@@ -121,7 +121,7 @@ class TestRecoveryProgress:
         # Deliveries continue after the last crash: recovery is not a
         # deadlock.
         harness = run("random_peers", k=None)
-        last_crash = max(t for t, _ in harness.crash_events)
+        last_crash = max(t for host in harness.hosts for t in host.crash_times)
         deliveries_after = [
             e for e in harness.tracer.events  # tracer disabled: use stats
         ]

@@ -266,7 +266,7 @@ class TestDowntime:
 
         clock.advance(10.0)              # the restart the crash scheduled
         clock.run_due()
-        assert not host.down and host.crash_count == 1
+        assert not host.down and len(host.crash_times) == 1
         assert ("restart", 0, None) in transport.sent
         assert host.protocol.calls[1:] == [
             ("restart",), ("on_failure_announcement", announcement),
@@ -276,7 +276,7 @@ class TestDowntime:
         host, clock, _transport = build()
         host.crash()
         host.crash()
-        assert host.crash_count == 1 and len(clock.timers) == 1
+        assert len(host.crash_times) == 1 and len(clock.timers) == 1
 
 
 def pending(clock):
@@ -712,7 +712,7 @@ class TestFailStop:
         clock.advance(10.0)
         # Restart's own writes died: down again, and a retry is scheduled.
         self.assert_fail_stopped(host, transport, "restart")
-        assert host.crash_count == 2 and len(clock.timers) == 1
+        assert len(host.crash_times) == 2 and len(clock.timers) == 1
 
     def test_a_journal_that_cannot_be_revived_keeps_the_process_down(self):
         host, clock, _transport = build(restart_delay=10.0)

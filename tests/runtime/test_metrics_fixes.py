@@ -12,7 +12,8 @@ class TestRecoverySpanAttribution:
         # Two crashes; each is followed by its own rollback wave.  The
         # old aggregation attributed the late rollbacks to *both*
         # crashes, reporting (110 + 10) / 2 = 60 instead of 7.5.
-        harness.crash_events = [(100.0, 1), (200.0, 2)]
+        harness.hosts[1].crash_times = [100.0]
+        harness.hosts[2].crash_times = [200.0]
         harness.hosts[3].rollback_times = [105.0]
         harness.hosts[0].rollback_times = [210.0]
         metrics = harness.metrics()
@@ -20,14 +21,15 @@ class TestRecoverySpanAttribution:
 
     def test_crash_with_no_rollbacks_contributes_no_span(self):
         harness = build(until=None)
-        harness.crash_events = [(100.0, 1), (200.0, 2)]
+        harness.hosts[1].crash_times = [100.0]
+        harness.hosts[2].crash_times = [200.0]
         harness.hosts[0].rollback_times = [201.0]
         metrics = harness.metrics()
         assert metrics.mean_recovery_span == 1.0
 
     def test_single_crash_unchanged(self):
         harness = build(until=None)
-        harness.crash_events = [(50.0, 1)]
+        harness.hosts[1].crash_times = [50.0]
         harness.hosts[0].rollback_times = [52.0]
         harness.hosts[2].rollback_times = [58.0]
         metrics = harness.metrics()
@@ -47,6 +49,34 @@ class TestRecoverySpanAttribution:
         # mean can never exceed the distance from a crash to the end of
         # the settled run.
         assert 0.0 <= metrics.mean_recovery_span <= harness.engine.now - 80.0
+
+    def test_crashing_a_process_already_down_opens_no_window(self):
+        # P1 is down from 78 until its restart at 88; a schedule entry
+        # crashing it again at 85 is a no-op, so it must not open a
+        # recovery window of its own (that cut the span from 11 to 4).
+        from repro.failures.injector import CrashEvent
+
+        runs = []
+        for events in ([CrashEvent(78.0, 1)],
+                       [CrashEvent(78.0, 1), CrashEvent(85.0, 1)]):
+            harness = build(n=4, k=4, seed=0, rate=1.5,
+                            failures=FailureSchedule(events))
+            harness.run(250.0)
+            runs.append(harness.metrics())
+        alone, twice = runs
+        assert alone.mean_recovery_span == 11.0 and alone.crashes == 1
+        assert (twice.mean_recovery_span, twice.rollbacks, twice.crashes) == (
+            alone.mean_recovery_span, alone.rollbacks, alone.crashes)
+
+    def test_a_storage_death_opens_a_window(self):
+        # A fail-stop on a dead journal is a crash: counted, and its
+        # rollbacks are spans of its own.
+        harness = build(until=None)
+        harness.hosts[2]._storage_failed("flush")
+        harness.hosts[0].rollback_times = [harness.engine.now + 3.0]
+        metrics = harness.metrics()
+        assert metrics.crashes == 1 and metrics.storage_deaths == 1
+        assert metrics.mean_recovery_span == 3.0
 
 
 class TestMeanGuards:

@@ -33,7 +33,8 @@ class TestSettleHorizon:
         harness.run(200.0)
         # The in-horizon crash fired; the beyond-horizon one was cancelled
         # instead of firing mid-settle.
-        assert [pid for _, pid in harness.crash_events] == [1]
+        assert [host.pid for host in harness.hosts
+                for _ in host.crash_times] == [1]
         assert harness.metrics().crashes == 1
         assert not any(host.down for host in harness.hosts)
 

@@ -90,7 +90,7 @@ class TestOpenLoopWorkload:
         # Samples are injection-to-commit: strictly positive, and the
         # metrics see exactly one sample per committed output.
         assert all(span > 0 for span in spans)
-        assert len(harness.totals().output_latency_samples) == len(spans)
+        assert sum(len(host.latency_samples) for host in harness.hosts) == len(spans)
         assert stamps, "stamps should be nonempty"
         harness.close()
 
@@ -104,7 +104,7 @@ class TestOpenLoopWorkload:
                             until=100.0)
         harness.run(150.0)
         committed = len(harness.committed_outputs)
-        samples = harness.totals().output_latency_samples
+        samples = [s for host in harness.hosts for s in host.latency_samples]
         assert committed > 0
         assert len(samples) == committed
         assert all(s >= 0.0 for s in samples)
