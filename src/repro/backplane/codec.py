@@ -27,7 +27,7 @@ from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
 from repro.core.tables import TableSnapshot
 from repro.net.message import (
-    AppAck,
+    Ack,
     AppMessage,
     FailureAnnouncement,
     LoggingRequest,
@@ -121,9 +121,14 @@ def encode_control(payload: Any) -> Dict[str, Any]:
     if isinstance(payload, LoggingRequest):
         return {"kind": "req", "origin": payload.origin,
                 "flush": payload.flush}
-    if isinstance(payload, AppAck):
-        return {"kind": "ack", "id": encode_msg_id(payload.msg_id),
-                "src": payload.src, "dst": payload.dst}
+    if isinstance(payload, Ack):
+        # An ack names a message by its id or an announcement in full.
+        of = payload.of
+        acked = ({"ann": [of.origin, of.end.inc, of.end.sii]}
+                 if isinstance(of, FailureAnnouncement)
+                 else {"id": encode_msg_id(of)})
+        return {"kind": "ack", **acked, "src": payload.src,
+                "dst": payload.dst}
     raise CodecError(f"unencodable control payload {payload!r}")
 
 
@@ -153,8 +158,13 @@ def decode_control(raw: Dict[str, Any]) -> Any:
         if kind == "req":
             return LoggingRequest(int(raw["origin"]), bool(raw["flush"]))
         if kind == "ack":
-            return AppAck(decode_msg_id(raw["id"]), int(raw["src"]),
-                          int(raw["dst"]))
+            if "ann" in raw:
+                origin, inc, sii = raw["ann"]
+                of: Any = FailureAnnouncement(int(origin),
+                                              Entry(int(inc), int(sii)))
+            else:
+                of = decode_msg_id(raw["id"])
+            return Ack(of, int(raw["src"]), int(raw["dst"]))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CodecError(f"malformed {kind} frame {raw!r}: {exc!r}") from None
     raise CodecError(f"unknown control kind {kind!r}")

@@ -62,9 +62,9 @@ def config_from_manifest(manifest: Dict[str, Any], run_dir: str) -> SimConfig:
         seed=manifest.get("seed", 0),
         storage_backend="filelog",
         storage_dir=os.path.join(run_dir, "storage"),
-        # At-least-once delivery across worker crashes: app-level acks with
-        # timer retransmission, plus the footnote-3 sent-log replayed to a
-        # restarted destination.
+        # At-least-once delivery across worker crashes: acks with timer
+        # retransmission of messages and announcements, plus the footnote-3
+        # sent-log replayed to a restarted destination.
         retransmit_timeout=8.0,
         retransmit_budget=12,
         retransmit_window=64,
@@ -101,32 +101,19 @@ class CoordinatorTransport:
     def send_app(self, msg: AppMessage) -> None:
         self.send_frame({"t": "app", "dst": msg.dst, "msg": encode_app(msg)})
 
-    def send_control(self, src: int, dst: int, payload: Any,
-                     reliable: bool = False) -> None:
+    def send_control(self, src: int, dst: int, payload: Any) -> None:
         self.send_frame({"t": "ctl", "src": src, "dst": dst,
                          "body": encode_control(payload)})
 
-    def multicast_control(self, src: int, dsts: Sequence[int], payload: Any,
-                          reliable: bool = False) -> None:
+    def multicast_control(self, src: int, dsts: Sequence[int],
+                          payload: Any) -> None:
         for dst in dsts:
-            self.send_control(src, dst, payload, reliable=reliable)
+            self.send_control(src, dst, payload)
 
     def broadcast_control(self, src: int, payload: Any,
-                          include_self: bool = False,
-                          reliable: bool = False) -> None:
-        # dst -1 = coordinator-side fan-out; TCP plus coordinator-side
-        # parking for down workers makes control delivery reliable, so the
-        # flag needs no extra machinery here.
+                          include_self: bool = False) -> None:
+        # dst -1 = coordinator-side fan-out.
         self.send_control(src, -1, payload)
-
-    # Nothing is queued on a process's behalf on this side of the wire, so
-    # an in-process fail-stop (dead journal) has nothing to park or resume.
-
-    def on_process_crash(self, pid: int) -> None:
-        pass
-
-    def on_process_restart(self, pid: int) -> None:
-        pass
 
 
 class Worker:
@@ -162,9 +149,6 @@ class Worker:
             after_due=lambda pid, callback: callback(),
             transport=transport,
             tracer=self.tracer,
-            # At-least-once delivery across worker crashes rests on
-            # app-level acks (see config_from_manifest).
-            ack_app=True,
         )
         self.transport = transport
         behavior = BEHAVIORS[self.manifest.get("behavior", "hopchain")]()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.effects import BroadcastAnnouncement, Effect
+from repro.core.effects import Effect
 from repro.core.entry import Entry
 from repro.core.protocol import KOptimisticProcess
 from repro.net.message import FailureAnnouncement
@@ -47,5 +47,5 @@ class ImmediateReleaseProcess(KOptimisticProcess):
         self.storage.log_announcement(announcement)
         self.iet.insert(self.pid, end)
         self.log.insert(self.pid, end)
-        effects.append(BroadcastAnnouncement(announcement))
+        effects += self._broadcast(announcement)
         return effects

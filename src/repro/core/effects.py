@@ -67,16 +67,18 @@ class SendControl(Effect):
 
 @dataclass
 class ScheduleRetransmit(Effect):
-    """Ask the runtime to fire :meth:`on_retransmit_timer` for ``msg_id``
+    """Ask the runtime to fire :meth:`on_retransmit_timer` for ``key``
     after ``delay`` time units.
 
-    The protocol core is sans-IO, so it cannot own timers; it requests
-    them as effects and the harness calls back.  The handler is
-    idempotent — if the message was acked (or orphaned, or the process
+    ``key`` names an entry awaiting an ack: a released message's id, or
+    ``(announcement, destination)`` for one copy of a failure
+    announcement.  The protocol core is sans-IO, so it cannot own timers;
+    it requests them as effects and the runtime calls back.  The handler
+    is idempotent — if the entry was acked (or orphaned, or the process
     crashed) by the time the timer fires, nothing happens.
     """
 
-    msg_id: Any
+    key: Any
     delay: float
 
 

@@ -79,7 +79,7 @@ from repro.core.output import OutputBuffer
 from repro.core.stability import StabilityIndex, Waiter
 from repro.core.tables import IncarnationEndTable, LoggingProgressTable
 from repro.net.message import (
-    AppAck,
+    Ack,
     AppMessage,
     FailureAnnouncement,
     LoggingRequest,
@@ -115,19 +115,29 @@ class ProtocolStats:
         self.timer_retransmissions = 0
         self.acks_received = 0
         self.retransmit_budget_exhausted = 0
+        #: The same three for failure announcements (one copy per
+        #: destination), and the time from a copy's first send to its ack.
+        self.ctl_retransmits = 0
+        self.ctl_acked = 0
+        self.ctl_budget_exhausted = 0
+        self.ack_rtt_total = 0.0
         self.intervals_undone = 0
         self.messages_requeued = 0
 
 
 class _PendingSend:
-    """A released message awaiting a transport ack (unreliable networks)."""
+    """What must arrive and awaits ``dst``'s ack: a released message, or
+    one destination's copy of a failure announcement."""
 
-    __slots__ = ("msg", "attempts", "next_delay")
+    __slots__ = ("msg", "dst", "attempts", "next_delay", "sent_at")
 
-    def __init__(self, msg: AppMessage, next_delay: float):
+    def __init__(self, msg: Any, dst: ProcessId, next_delay: float,
+                 sent_at: float):
         self.msg = msg
+        self.dst = dst
         self.attempts = 0
         self.next_delay = next_delay
+        self.sent_at = sent_at
 
 
 class KOptimisticProcess:
@@ -174,13 +184,15 @@ class KOptimisticProcess:
         self.retransmit_window = retransmit_window
         self._sent_log: Dict[ProcessId, List[AppMessage]] = {}
         # Timer-driven ack/retransmit (for unreliable networks): every
-        # released message stays pending until the destination transport
-        # acks it; a timer (requested as a ScheduleRetransmit effect and
-        # interpreted by the harness) re-releases it with exponential
-        # backoff, up to ``retransmit_budget`` attempts.  0 disables.
+        # released message, and every destination's copy of a failure
+        # announcement, stays pending until the destination acks it; a
+        # timer (requested as a ScheduleRetransmit effect and interpreted
+        # by the runtime) re-sends it with exponential backoff, up to
+        # ``retransmit_budget`` attempts.  0 disables.  Keys: a message's
+        # id, or ``(announcement, destination)``.
         self.retransmit_timeout = retransmit_timeout
         self.retransmit_budget = retransmit_budget
-        self._unacked: Dict[MessageId, _PendingSend] = {}
+        self._unacked: Dict[Any, _PendingSend] = {}
         # Per-message K policy (Section 4.2): consulted at enqueue time
         # for sends the application left unbounded.  The adaptive-K
         # controller (repro.control) plugs in here; ``None`` keeps the
@@ -280,6 +292,10 @@ class KOptimisticProcess:
     def on_failure_announcement(self, ann: FailureAnnouncement) -> List[Effect]:
         """Receive_failure_ann(j, t, x'): Figure 3."""
         self._require_running()
+        if self.iet.lookup(ann.origin, ann.end.inc) == ann.end.sii:
+            # A retransmitted copy: handled already (iet is rebuilt from
+            # the logged announcements, so this holds across our crashes).
+            return []
         effects: List[Effect] = []
         # "Synchronously log the received announcement" — so iet/log survive
         # our own later crash.
@@ -330,47 +346,80 @@ class KOptimisticProcess:
         then stays pending until acked (one timer per pending message)."""
         if self.retransmit_timeout <= 0 or msg.msg_id in self._unacked:
             return [ReleaseMessage(msg)]
-        self._unacked[msg.msg_id] = _PendingSend(
-            msg, self.retransmit_timeout * self.RETRANSMIT_BACKOFF)
-        return [ReleaseMessage(msg),
-                ScheduleRetransmit(msg.msg_id, self.retransmit_timeout)]
+        return [ReleaseMessage(msg), self._pending(msg.msg_id, msg, msg.dst)]
+
+    def _broadcast(self, ann: FailureAnnouncement) -> List[Effect]:
+        """Broadcast ``ann``; with timer-driven retransmission on, each
+        destination's copy then stays pending until that destination acks
+        it — the reliable broadcast Theorem 1's orphan detection needs."""
+        effects: List[Effect] = [BroadcastAnnouncement(ann)]
+        if self.retransmit_timeout > 0:
+            effects += [self._pending((ann, dst), ann, dst)
+                        for dst in range(self.n) if dst != self.pid]
+        return effects
+
+    def _pending(self, key: Any, msg: Any, dst: ProcessId) -> ScheduleRetransmit:
+        """Record ``msg`` as awaiting ``dst``'s ack; its first timer."""
+        self._unacked[key] = _PendingSend(
+            msg, dst, self.retransmit_timeout * self.RETRANSMIT_BACKOFF,
+            self.now_fn())
+        return ScheduleRetransmit(key, self.retransmit_timeout)
 
     # ------------------------------------------------------------------
     # Ack/retransmit (unreliable networks)
     # ------------------------------------------------------------------
 
-    def on_ack(self, ack: AppAck) -> List[Effect]:
-        """A transport ack arrived: the destination holds the message, so
-        stop retransmitting it.  Idempotent (acks may be duplicated)."""
-        if self._unacked.pop(ack.msg_id, None) is not None:
+    def on_ack(self, ack: Ack) -> List[Effect]:
+        """An ack arrived: its sender holds the message or announcement,
+        so stop retransmitting it there.  Idempotent (acks may be
+        duplicated, and one may outlive the entry it acks)."""
+        if isinstance(ack.of, FailureAnnouncement):
+            pending = self._unacked.pop((ack.of, ack.src), None)
+            if pending is not None:
+                self.stats.ctl_acked += 1
+                self.stats.ack_rtt_total += self.now_fn() - pending.sent_at
+        elif self._unacked.pop(ack.of, None) is not None:
             self.stats.acks_received += 1
         return []
 
-    def on_retransmit_timer(self, msg_id: MessageId) -> List[Effect]:
-        """A retransmission timer fired (the harness interpreting an
+    def on_retransmit_timer(self, key: Any) -> List[Effect]:
+        """A retransmission timer fired (the runtime interpreting an
         earlier :class:`ScheduleRetransmit`).
 
-        Re-releases the message and re-arms the timer with exponential
-        backoff unless it was acked in the meantime, became an orphan, or
-        the bounded retry budget ran out.  The re-release is safe: the
-        receiver deduplicates by message id, and stability only grows, so
-        Theorem 4's bound still holds at every re-release.
+        Re-sends the message or announcement copy and re-arms the timer
+        with exponential backoff unless it was acked in the meantime, the
+        message became an orphan, or the bounded retry budget ran out.
+        The re-release is safe: the receiver deduplicates by message id
+        (an announcement by its end, :meth:`on_failure_announcement`), and
+        stability only grows, so Theorem 4's bound still holds at every
+        re-release.
         """
-        pending = self._unacked.get(msg_id)
+        pending = self._unacked.get(key)
         if pending is None or self.failed:
             return []
-        if self._is_orphan_message(pending.msg):
-            del self._unacked[msg_id]
+        msg = pending.msg
+        released = isinstance(msg, AppMessage)
+        if released and self._is_orphan_message(msg):
+            del self._unacked[key]
             return []
+        stats = self.stats
         if pending.attempts >= self.retransmit_budget:
-            del self._unacked[msg_id]
-            self.stats.retransmit_budget_exhausted += 1
+            del self._unacked[key]
+            if released:
+                stats.retransmit_budget_exhausted += 1
+            else:
+                stats.ctl_budget_exhausted += 1
             return []
         pending.attempts += 1
         delay = pending.next_delay
         pending.next_delay *= self.RETRANSMIT_BACKOFF
-        self.stats.timer_retransmissions += 1
-        return [ReleaseMessage(pending.msg), ScheduleRetransmit(msg_id, delay)]
+        if released:
+            stats.timer_retransmissions += 1
+            resend: Effect = ReleaseMessage(msg)
+        else:
+            stats.ctl_retransmits += 1
+            resend = SendControl(pending.dst, msg)
+        return [resend, ScheduleRetransmit(key, delay)]
 
     # ------------------------------------------------------------------
     # Receive_log
@@ -469,7 +518,8 @@ class KOptimisticProcess:
             self.current, self.app_state, self.tdv, self.received_ids,
             time_taken=self.now_fn(),
             receive_buffer=self.receive_buffer,
-            sends=self.send_buffer + [p.msg for p in self._unacked.values()],
+            sends=self.send_buffer + [p.msg for p in self._unacked.values()
+                                      if isinstance(p.msg, AppMessage)],
             outputs=[(p.record, p.tdv) for p in self.output_buffer.pending],
         )
         self.log.insert(self.pid, self.current)
@@ -654,7 +704,14 @@ class KOptimisticProcess:
         effects.append(
             RestartPerformed(self.pid, announcement, replayed, self.current)
         )
-        effects.append(BroadcastAnnouncement(announcement))
+        if self.retransmit_timeout > 0:
+            # The crash dropped the copies still awaiting an ack: send every
+            # earlier announcement of ours again (receivers skip what they
+            # hold), the one just logged last.
+            for earlier in self.storage.announcements:
+                if earlier.origin == self.pid and earlier != announcement:
+                    effects += self._broadcast(earlier)
+        effects += self._broadcast(announcement)
         effects += self._check_send_buffer()
         effects += self._update_output_buffer()
         effects += self._deliver_loop()
@@ -1138,9 +1195,10 @@ class KOptimisticProcess:
                 if id(waiter.item) not in kept_ids:
                     self._stability.drop(waiter)
             self._sb_held = [w for w in self._sb_held if w.woken is not None]
-        for msg_id in [mid for mid, pending in self._unacked.items()
-                       if self._is_orphan_message(pending.msg)]:
-            del self._unacked[msg_id]  # retransmitting an orphan is pointless
+        for key in [key for key, pending in self._unacked.items()
+                    if isinstance(pending.msg, AppMessage)
+                    and self._is_orphan_message(pending.msg)]:
+            del self._unacked[key]  # retransmitting an orphan is pointless
         for pending in self.output_buffer.discard_orphans(self.iet):
             self.stats.outputs_discarded += 1
             effects.append(OutputDiscarded(pending.record))
@@ -1192,7 +1250,8 @@ class KOptimisticProcess:
 
     @property
     def unacked_count(self) -> int:
-        """Released messages still awaiting a transport ack (in flight)."""
+        """Released messages and announcement copies still awaiting an
+        ack (in flight)."""
         return len(self._unacked)
 
     def __repr__(self) -> str:

@@ -7,7 +7,7 @@ survive on top of the ack/retransmit layer:
 
 - **E13a** sweeps message loss from 1% to 10% (with duplication and
   reordering alongside) and reports the repair traffic: timer-driven
-  retransmissions, control-plane envelope retries, duplicates
+  retransmissions of messages and of announcement copies, duplicates
   suppressed.  Every run is oracle-checked — Theorem 4 holds at every
   release and no committed output is ever revoked.
 - **E13b** runs the acceptance scenario: 5% loss, one crash, one

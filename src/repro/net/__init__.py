@@ -1,5 +1,5 @@
-"""Network substrate: messages, channels with latency models, broadcast,
-fault injection, and the ack/retransmit reliability layer."""
+"""Network substrate: messages, channels with latency models, broadcast
+and fault injection."""
 
 from repro.net.channel import (
     Channel,
@@ -9,20 +9,15 @@ from repro.net.channel import (
 )
 from repro.net.faults import ChannelFaults, FaultDecision, NetworkFaultModel
 from repro.net.message import (
-    AppAck,
+    Ack,
     AppMessage,
-    ControlAck,
-    ControlEnvelope,
     FailureAnnouncement,
     LogProgressNotification,
     OutputRecord,
 )
 from repro.net.network import Network
-from repro.net.reliable import ControlRetransmitter, ReliableConfig
 
-__all__ = ["AppAck", "AppMessage", "Channel", "ChannelFaults", "ControlAck",
-           "ControlEnvelope", "ControlRetransmitter",
+__all__ = ["Ack", "AppMessage", "Channel", "ChannelFaults",
            "FailureAnnouncement", "FaultDecision", "FixedLatency",
            "LatencyModel", "LogProgressNotification", "Network",
-           "NetworkFaultModel", "OutputRecord", "ReliableConfig",
-           "UniformLatency"]
+           "NetworkFaultModel", "OutputRecord", "UniformLatency"]

@@ -15,11 +15,9 @@ one record, not n - 1.
 
 With a :class:`~repro.net.faults.NetworkFaultModel` attached, every
 transmission may be dropped, duplicated, or delayed out of order, and a
-scheduled partition silences whole process groups.  Control traffic sent
-with ``reliable=True`` then goes through the ack/retransmit layer
-(:mod:`repro.net.reliable`); :class:`~repro.net.message.ControlAck`
-records are consumed by the network itself — they are transport-level
-bookkeeping and never reach a protocol handler.
+scheduled partition silences whole process groups.  The network repairs
+nothing: what must arrive is acked and retransmitted by the sending
+protocol (:meth:`~repro.core.protocol.KOptimisticProcess.on_retransmit_timer`).
 """
 
 from __future__ import annotations
@@ -29,8 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.channel import Channel, FixedLatency, LatencyModel
 from repro.net.faults import NetworkFaultModel
-from repro.net.message import AppMessage, ControlAck, ControlEnvelope
-from repro.net.reliable import ControlRetransmitter, ReliableConfig
+from repro.net.message import AppMessage
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
@@ -55,7 +52,6 @@ class Network:
         fifo: bool = False,
         tracer: Optional[Tracer] = None,
         faults: Optional[NetworkFaultModel] = None,
-        reliable_config: Optional[ReliableConfig] = None,
         export: Optional[Callable[..., None]] = None,
     ):
         if n <= 0:
@@ -74,11 +70,6 @@ class Network:
         #: by another epoch-parallel worker.  None when all n are local.
         self._export = export
         self.faults = faults
-        self.reliable: Optional[ControlRetransmitter] = None
-        if reliable_config is not None:
-            self.reliable = ControlRetransmitter(
-                engine, self._transmit_envelope, reliable_config
-            )
         self.app_messages_sent = 0
         self.control_messages_sent = 0
         self.piggyback_entries_total = 0
@@ -156,64 +147,24 @@ class Network:
         arrival = channel.arrival_time(engine.now, entries)
         self._deliver_at(arrival, msg.src, (msg.dst,), msg, label=label)
 
-    def send_control(
-        self, src: int, dst: int, payload: Any, reliable: bool = False
-    ) -> None:
+    def send_control(self, src: int, dst: int, payload: Any) -> None:
         """Transmit a control message (announcement or notification) to
         one process: :meth:`multicast_control` with a single destination."""
-        self.multicast_control(src, (dst,), payload, reliable=reliable)
-
-    def multicast_control(
-        self, src: int, dsts: Sequence[int], payload: Any,
-        reliable: bool = False,
-    ) -> None:
-        """Transmit one control payload to each of ``dsts``, in order.
-
-        ``reliable=True`` routes through the ack/retransmit layer when one
-        is configured; without one it degrades to the plain lossy path
-        (which on a fault-free network *is* reliable).
-        """
-        self._check_pid(src)
-        if dsts:
-            self._check_pid(min(dsts))
-            self._check_pid(max(dsts))
-        if reliable and self.reliable is not None:
-            for dst in dsts:
-                self.reliable.send(src, dst, payload)
-            return
-        self._transmit_control(src, dsts, payload)
+        self.multicast_control(src, (dst,), payload)
 
     def broadcast_control(
         self, src: int, payload: Any, include_self: bool = False,
-        reliable: bool = False,
     ) -> None:
         """Send a control message to every (other) process."""
         self.multicast_control(
             src,
             [dst for dst in range(self.n) if include_self or dst != src],
-            payload, reliable=reliable)
+            payload)
 
-    # -- fail-stop gating ------------------------------------------------------
-
-    def on_process_crash(self, pid: int) -> None:
-        """``pid`` fail-stopped: park its pending reliable-control entries
-        so nothing is transmitted on a dead process's behalf."""
-        if self.reliable is not None:
-            self.reliable.park_source(pid)
-
-    def on_process_restart(self, pid: int) -> None:
-        """``pid`` completed Restart: resume its parked control entries."""
-        if self.reliable is not None:
-            self.reliable.resume_source(pid)
-
-    def _transmit_envelope(self, envelope: ControlEnvelope) -> None:
-        """Lossy-path callback used by the control retransmitter."""
-        self._transmit_control(envelope.src, (envelope.dst,), envelope)
-
-    def _transmit_control(self, src: int, dsts: Sequence[int],
+    def multicast_control(self, src: int, dsts: Sequence[int],
                           payload: Any) -> None:
-        """The lossy path to each of ``dsts``, in order: the fault decision,
-        then the channel's arrival time.
+        """Transmit one control payload to each of ``dsts``, in order: the
+        fault decision, then the channel's arrival time.
 
         Arrivals at one instant share one engine record — the callbacks
         run back to back in ``dsts`` order, exactly as per-destination
@@ -222,6 +173,10 @@ class Network:
         by one, and an observed engine (tie-breaker, step probes) is owed
         every arrival as its own labelled event.
         """
+        self._check_pid(src)
+        if dsts:
+            self._check_pid(min(dsts))
+            self._check_pid(max(dsts))
         self.control_messages_sent += len(dsts)
         engine = self.engine
         now = engine.now
@@ -292,11 +247,6 @@ class Network:
                                control=control)
 
     def _arrive(self, dsts: Sequence[int], payload: Any) -> None:
-        if isinstance(payload, ControlAck):
-            # Transport-level bookkeeping: never surfaces to the protocol.
-            if self.reliable is not None:
-                self.reliable.on_ack(payload)
-            return
         hooks = self._hooks
         for dst in dsts:
             hook = hooks[dst]

@@ -21,6 +21,9 @@ CONTROL_LATENCY = 1.0
 #: asynchronous (batched) stable-storage operation.
 SYNC_WRITE_COST = 1.0
 ASYNC_WRITE_COST = 0.1
+#: The retransmission timeout an unreliable network runs with when the
+#: config leaves ``retransmit_timeout`` at 0.
+RETRANSMIT_TIMEOUT = 4.0
 
 
 @dataclass
@@ -57,14 +60,13 @@ class SimConfig:
     duplicate_rate: float = 0.0
     #: Per-transmission probability of extra reordering delay.
     reorder_rate: float = 0.0
-    #: Ack/retransmit layer: ``None`` enables it automatically whenever the
-    #: network is unreliable (fault rates or schedule network events);
-    #: ``True``/``False`` force it on/off.
-    ack_layer: Optional[bool] = None
-    #: App-message retransmission timeout (0 disables the timer; with the
-    #: ack layer on and 0 here, the harness defaults it to the control
-    #: plane's ``ReliableConfig().rto``).  Each retry doubles the delay.
+    #: Acks and retransmission of released messages and failure
+    #: announcements: on exactly when this timeout is positive.  0 leaves
+    #: them off on a reliable network; on an unreliable one (fault rates
+    #: or schedule network events) the harness sets ``RETRANSMIT_TIMEOUT``.
+    #: Each retry doubles the delay.
     retransmit_timeout: float = 0.0
+    #: Retries per message or announcement copy before it is given up.
     retransmit_budget: int = 8
 
     # -- storage backend -----------------------------------------------------
@@ -187,8 +189,10 @@ class SimConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
         if self.retransmit_timeout < 0:
             raise ValueError("retransmit_timeout must be non-negative")
-        if self.retransmit_budget < 0:
-            raise ValueError("retransmit_budget must be non-negative")
+        if self.retransmit_budget < 1:
+            raise ValueError(
+                "retransmit_budget must be at least 1: announcements must "
+                f"arrive on a lossy network, got {self.retransmit_budget}")
         if self.parallel_workers < 0:
             raise ValueError(
                 f"parallel_workers must be >= 0, got {self.parallel_workers}"

@@ -9,7 +9,7 @@ capabilities of its :class:`~repro.runtime.host.Environment`:
 - ``transport`` with the :class:`Network` signatures —
   ``send_app(msg)``, ``send_control(src, dst, payload)``,
   ``multicast_control(src, dsts, payload)``,
-  ``broadcast_control(src, payload, reliable=...)`` (the simulated
+  ``broadcast_control(src, payload)`` (the simulated
   network, or the backplane's TCP transport);
 - ``schedule(delay, callback)`` returning a cancellable handle
   (the engine in simulation, an asyncio adapter in the runtime);
@@ -140,12 +140,7 @@ class EffectExecutor:
             elif isinstance(effect, BroadcastAnnouncement):
                 tracer.record(now, "ann.broadcast", pid,
                               ann=str(effect.announcement))
-                # Announcements MUST eventually reach everyone (Theorem 1);
-                # reliable=True engages the ack/retransmit layer when one is
-                # configured and degrades to the plain path otherwise.
-                self.transport.broadcast_control(
-                    pid, effect.announcement, reliable=True
-                )
+                self.transport.broadcast_control(pid, effect.announcement)
             elif isinstance(effect, CommitOutput):
                 record = effect.record
                 if certifier is not None:
@@ -206,7 +201,7 @@ class EffectExecutor:
             elif isinstance(effect, ScheduleRetransmit):
                 self.schedule(
                     effect.delay,
-                    lambda mid=effect.msg_id: self.on_retransmit(mid),
+                    lambda key=effect.key: self.on_retransmit(key),
                 )
             elif isinstance(effect, StableProgress):
                 if certifier is not None:

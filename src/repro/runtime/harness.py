@@ -16,11 +16,10 @@ is the simulated *environment* those hosts run in.  Responsibilities:
   quiescence);
 - model reliability assumptions: application messages to a crashed process
   are lost (the paper's footnote 3 declares lost in-transit messages out of
-  scope); on a reliable network control messages are queued and delivered
-  at restart (recovery announcements use reliable broadcast, as in
-  Strom-Yemini), while on an unreliable one announcements travel through
-  the ack/retransmit layer and timer-driven retransmission covers lost
-  application messages.
+  scope), control messages are queued and delivered at restart (recovery
+  announcements use reliable broadcast, as in Strom-Yemini), and on an
+  unreliable network the protocol's acks and retransmission timers repair
+  lost messages and announcements alike.
 """
 
 from __future__ import annotations
@@ -46,9 +45,13 @@ from repro.failures.injector import (
 from repro.net.channel import FixedLatency, UniformLatency
 from repro.net.faults import ChannelFaults, NetworkFaultModel
 from repro.net.network import Network
-from repro.net.reliable import ReliableConfig
 from repro.oracle.certifier import Certifier
-from repro.runtime.config import CONTROL_LATENCY, MSG_LATENCY_BASE, SimConfig
+from repro.runtime.config import (
+    CONTROL_LATENCY,
+    MSG_LATENCY_BASE,
+    RETRANSMIT_TIMEOUT,
+    SimConfig,
+)
 from repro.runtime.host import Environment, ProcessHost, build_protocol
 from repro.runtime.metrics import RunMetrics, merge, share
 from repro.sim.engine import Engine
@@ -85,14 +88,11 @@ class SimulationHarness:
                     f"{type(event).__name__} at t={event.time} names pid "
                     f"{event.pid}, outside range(n={config.n})")
         # Resolve the unreliable-network stack: a fault model whenever the
-        # config rates or the schedule can perturb traffic, and (unless
-        # forced) the ack/retransmit layer alongside it.
+        # config rates or the schedule can perturb traffic, and acks with
+        # retransmission timers alongside it.
         unreliable = config.unreliable() or self.failures.has_network_events()
-        self.ack_enabled = (
-            unreliable if config.ack_layer is None else config.ack_layer
-        )
-        if self.ack_enabled and config.retransmit_timeout == 0:
-            config = replace(config, retransmit_timeout=ReliableConfig().rto)
+        if unreliable and config.retransmit_timeout == 0:
+            config = replace(config, retransmit_timeout=RETRANSMIT_TIMEOUT)
         # The file-log backend needs a directory; resolve an unset one to a
         # temporary directory owned (and eventually removed) by the harness.
         self._owned_storage_dir: Optional[str] = None
@@ -141,7 +141,6 @@ class SimulationHarness:
             fifo=config.fifo,
             tracer=self.tracer,
             faults=faults,
-            reliable_config=ReliableConfig() if self.ack_enabled else None,
             export=export,
         )
         engine = self.engine
@@ -157,7 +156,6 @@ class SimulationHarness:
                 f"notify-drain:{pid}" if engine.wants_labels else None),
             transport=self.network,
             tracer=self.tracer,
-            ack_app=self.ack_enabled,
             certifier=self.certifier,
         )
         #: Probe layer (repro.check): callables invoked per executed

@@ -24,16 +24,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.app.behavior import AppBehavior
 from repro.core.effects import Effect
 from repro.core.protocol import KOptimisticProcess
 from repro.net.message import (
-    AppAck,
+    Ack,
     AppMessage,
-    ControlAck,
-    ControlEnvelope,
     ControlMessage,
     FailureAnnouncement,
     LoggingRequest,
@@ -44,7 +42,6 @@ from repro.runtime.executor import EffectExecutor
 from repro.sim.trace import Tracer
 from repro.storage.backend import make_backend
 from repro.storage.faults import StorageDeadError
-from repro.types import MessageId
 
 if TYPE_CHECKING:
     from repro.oracle.certifier import Certifier
@@ -67,13 +64,9 @@ class Environment:
     #: be cancelled.
     after_due: Callable[[int, Callable[[], None]], None]
     #: The :class:`~repro.net.network.Network` signatures: ``send_app``,
-    #: ``send_control``, ``multicast_control``, ``broadcast_control``,
-    #: ``on_process_crash``, ``on_process_restart``.
+    #: ``send_control``, ``multicast_control``, ``broadcast_control``.
     transport: Any
     tracer: Tracer
-    #: Whether the transport endpoint acknowledges application messages
-    #: (the sender then retransmits on a timer until acked).
-    ack_app: bool = False
     #: The run's judge, handed every process's facts inline by its
     #: executor (the simulation's; ``serve`` certifies after the run).
     certifier: Optional["Certifier"] = None
@@ -225,11 +218,10 @@ class ProcessHost:
             protocol.k_policy = self.controller.recommend
         #: Times the storage backend declared itself dead (fail-stop).
         self.storage_deaths = 0
-        #: Transport-level dedup of reliable control envelopes by
-        #: ``(src, seq)``.  Survives crashes: the transport endpoint's
-        #: identity persists, and a seen envelope was already handed to the
-        #: protocol (announcements are logged synchronously on receipt).
-        self._ctl_seen: Set[Tuple[int, int]] = set()
+        #: Whether this endpoint acks what must arrive — application
+        #: messages and announcements — on arrival: exactly when the
+        #: protocol retransmits until acked.
+        self.acks = self.config.retransmit_timeout > 0
         self._timers: List[Callable[[], None]] = []
         #: The highest pid notify() asked at its last fanout tick with more
         #: awaited owners than the budget; the next tick carries on behind it.
@@ -261,13 +253,12 @@ class ProcessHost:
     def _incoming(self, payload: Any) -> None:
         env = self.env
         if self.down:
-            if isinstance(payload, (ControlEnvelope, AppAck)):
-                # The transport endpoint died with the process: no ack is
-                # sent, so the sender's retransmission timer keeps the
-                # envelope alive until we answer after restart.
+            if isinstance(payload, Ack):
+                # What it acks died with the process's pending entries.
                 env.tracer.record(env.now(), "net.lost", self.pid,
                                   msg=str(payload))
             elif isinstance(payload, (FailureAnnouncement, LogProgressNotification)):
+                # Handled (and an announcement acked) at restart.
                 self.pending_control.append(payload)
             else:
                 # Logging requests are best-effort hints: dropping one only
@@ -293,29 +284,22 @@ class ProcessHost:
             return
         if isinstance(payload, AppMessage):
             effects = self.protocol.on_receive(payload)
-            if env.ack_app and payload.src >= 0:
-                # The live transport endpoint acks on arrival; a dead one
-                # acks nothing, which keeps the sender's timer retrying.
+            if self.acks and payload.src >= 0:
+                # The live endpoint acks on arrival, every copy (the last
+                # ack may have been lost); a dead one acks nothing, which
+                # keeps the sender's timer retrying.
                 env.transport.send_control(
                     self.pid, payload.src,
-                    AppAck(payload.msg_id, self.pid, payload.src),
+                    Ack(payload.msg_id, self.pid, payload.src),
                 )
-        elif isinstance(payload, AppAck):
+        elif isinstance(payload, Ack):
             effects = self.protocol.on_ack(payload)
-        elif isinstance(payload, ControlEnvelope):
-            # Always ack — the previous ack may itself have been lost —
-            # but hand each envelope to the protocol exactly once.
-            env.transport.send_control(
-                self.pid, payload.src,
-                ControlAck(payload.seq, self.pid, payload.src),
-            )
-            key = (payload.src, payload.seq)
-            if key in self._ctl_seen:
-                return
-            self._ctl_seen.add(key)
-            self.incoming(payload.payload)
-            return
         elif isinstance(payload, FailureAnnouncement):
+            if self.acks:
+                env.transport.send_control(
+                    self.pid, payload.origin,
+                    Ack(payload, self.pid, payload.origin),
+                )
             env.tracer.record(env.now(), "ann.receive", self.pid,
                               ann=str(payload))
             effects = self.protocol.on_failure_announcement(payload)
@@ -375,10 +359,10 @@ class ProcessHost:
         except StorageDeadError:
             self._storage_failed("notification")
 
-    def _retransmit_timer(self, msg_id: MessageId) -> None:
+    def _retransmit_timer(self, key: Any) -> None:
         if self.down:
             return  # crash cleared _unacked; the timer dies with it
-        self.execute(self.protocol.on_retransmit_timer(msg_id))
+        self.execute(self.protocol.on_retransmit_timer(key))
 
     # -- periodic activities --------------------------------------------------
 
@@ -535,9 +519,6 @@ class ProcessHost:
         self.down = True
         self.crash_times.append(self.env.now())
         self.protocol.crash()
-        # Fail-stop: a dead process transmits nothing, including control
-        # retransmissions queued on its behalf before the crash.
-        self.env.transport.on_process_crash(self.pid)
         self.env.tracer.record(self.env.now(), "failure.crash", self.pid)
         self.env.schedule(self.config.restart_delay, self.restart)
 
@@ -562,9 +543,6 @@ class ProcessHost:
             self.env.schedule(self.config.restart_delay, self.restart)
             return
         self.down = False
-        # Back alive: pre-crash reliable-control envelopes may resume their
-        # retry cycle (destinations deduplicate, so re-sends are harmless).
-        self.env.transport.on_process_restart(self.pid)
         try:
             self.execute(effects)
         except StorageDeadError:

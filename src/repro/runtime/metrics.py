@@ -55,9 +55,9 @@ def sample_percentile(samples: Sequence[float], q: float) -> float:
     return ordered[lo] + (ordered[hi] - ordered[lo]) * (rank - lo)
 
 
-#: Owners a run may lack (a reliable network's fault model and ack layer, a
-#: post hoc certified run's certifier): a field under one keeps its default.
-_OPTIONAL = frozenset({"network.faults", "network.reliable", "certifier"})
+#: Owners a run may lack (a reliable network's fault model, a post hoc
+#: certified run's certifier): a field under one keeps its default.
+_OPTIONAL = frozenset({"network.faults", "certifier"})
 
 
 def reader(path: str) -> Callable[[Any], Any]:
@@ -194,12 +194,13 @@ class RunMetrics:
     acks_received: int = each("protocol.stats.acks_received")
     retransmit_budget_exhausted: int = each(
         "protocol.stats.retransmit_budget_exhausted")
-    #: Control-plane (envelope) retransmission statistics.
-    ctl_retransmits: int = once("network.reliable.retransmits")
-    ctl_acked: int = once("network.reliable.acked")
-    ctl_budget_exhausted: int = once("network.reliable.budget_exhausted")
-    mean_ack_rtt: float = once("network.reliable.ack_rtt_total",
-                               over="network.reliable.acked")
+    #: The same retransmitter on failure announcements (one copy per
+    #: destination); the mean ack RTT is taken from a copy's first send.
+    ctl_retransmits: int = each("protocol.stats.ctl_retransmits")
+    ctl_acked: int = each("protocol.stats.ctl_acked")
+    ctl_budget_exhausted: int = each("protocol.stats.ctl_budget_exhausted")
+    mean_ack_rtt: float = each("protocol.stats.ack_rtt_total",
+                               over="protocol.stats.ctl_acked")
     #: Outputs still waiting in some Output_buffer at the end of the run.
     outputs_pending: int = each("outputs_pending")
 

@@ -52,7 +52,6 @@ def expected_tags():
 def sim_cert():
     config = SimConfig(
         n=N, k=K, seed=SEED,
-        ack_layer=True,
         retransmit_timeout=8.0,
         retransmit_window=64,
         dep_trace=True,

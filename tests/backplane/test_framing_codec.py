@@ -29,7 +29,7 @@ from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
 from repro.core.tables import LoggingProgressTable, SparseSnapshot
 from repro.net.message import (
-    AppAck,
+    Ack,
     AppMessage,
     FailureAnnouncement,
     LoggingRequest,
@@ -162,8 +162,9 @@ class TestCodec:
         FailureAnnouncement(2, Entry(1, 4)),
         LoggingRequest(3),
         LoggingRequest(3, flush=False),
-        AppAck(MessageId(1, 0, 2, 3), 2, 1),
+        Ack(MessageId(1, 0, 2, 3), 2, 1),
         log_notification(0, [{0: 9}, {}, {1: 2}, {0: 4}]),
+        Ack(FailureAnnouncement(2, Entry(1, 4)), 0, 2),
     ])
     def test_control_round_trip(self, payload):
         decoded = decode_control(encode_control(payload))
@@ -189,9 +190,10 @@ class TestCodec:
     @pytest.mark.parametrize("payload", [
         FailureAnnouncement(2, Entry(1, 4)),
         LoggingRequest(3, flush=False),
-        AppAck(MessageId(1, 0, 2, 3), 2, 1),
+        Ack(MessageId(1, 0, 2, 3), 2, 1),
         log_notification(0, [{0: 9}, {}, {1: 2}, {0: 4}]),
-    ], ids=["ann", "req", "ack", "log"])
+        Ack(FailureAnnouncement(2, Entry(1, 4)), 0, 2),
+    ], ids=["ann", "req", "ack", "log", "ann_ack"])
     def test_a_control_frame_missing_any_field_raises(self, payload):
         wire = encode_control(payload)
         for field in set(wire) - {"kind"}:

@@ -25,9 +25,10 @@ from repro.core.effects import (
 from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
 from repro.core.tables import LoggingProgressTable
-from repro.net.message import AppAck, LogProgressNotification
+from repro.net.message import Ack, LogProgressNotification
 from repro.storage.filelog import FileLogBackend
 from repro.storage.stable import ModelBackend
+from repro.types import MessageId
 from helpers import Scripted, effects_of, make_announcement, make_msg, make_proc
 
 N = 3
@@ -159,9 +160,10 @@ class TestCheckpointKeepsWhatItOwes:
         assert proc.unacked_count == 1
         effects = crash_and_restart(proc)
         assert released(effects) == [lost]
-        assert [e.msg_id for e in effects_of(effects, ScheduleRetransmit)] \
-            == [lost]
-        assert proc.unacked_count == 1
+        # The Restart's announcement copies are pending too.
+        assert [e.key for e in effects_of(effects, ScheduleRetransmit)
+                if isinstance(e.key, MessageId)] == [lost]
+        assert lost in proc._unacked
 
     def test_orphaned_buffers_are_not_taken_back(self, storage):
         proc = proc_over(storage, k=0)
@@ -192,7 +194,7 @@ class TestWindowRetransmissionRidesTheAckTimer:
         effects = step(proc, proc.on_receive(make_msg(
             1, 0, n=N, payload={"sends": [(2, None)]})))
         (msg_id,) = released(effects)
-        step(proc, proc.on_ack(AppAck(msg_id, 2, 0)))
+        step(proc, proc.on_ack(Ack(msg_id, 2, 0)))
         assert proc.unacked_count == 0
         # P2 restarts: footnote 3 re-sends the window to it ...
         effects = step(proc, proc.on_failure_announcement(
@@ -200,7 +202,7 @@ class TestWindowRetransmissionRidesTheAckTimer:
         assert released(effects) == [msg_id]
         # ... and the re-send stays pending until acked, so a drop on the
         # way is retried.
-        assert [e.msg_id for e in effects_of(effects, ScheduleRetransmit)] \
+        assert [e.key for e in effects_of(effects, ScheduleRetransmit)] \
             == [msg_id]
         assert released(step(proc, proc.on_retransmit_timer(msg_id))) \
             == [msg_id]

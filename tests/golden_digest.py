@@ -87,12 +87,12 @@ def digest(protocol: type = KOptimisticProcess, n: int = 5,
     sent: List[Tuple[str, int]] = []
     multicast = network.multicast_control
 
-    def record_control(src, dsts, payload, reliable=False):
+    def record_control(src, dsts, payload):
         # Every control send funnels through multicast_control.
         table = getattr(payload, "table", None)
         sent.append((type(payload).__name__,
                      0 if table is None else sum(map(len, table.rows()))))
-        multicast(src, dsts, payload, reliable=reliable)
+        multicast(src, dsts, payload)
 
     network.multicast_control = record_control
     try:

@@ -1,25 +1,23 @@
-"""Network-layer behaviour with a fault model and the reliable control
-path attached."""
+"""Network-layer behaviour with a fault model attached."""
 
+from repro.app.behavior import EchoBehavior
 from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
+from repro.failures.injector import CrashEvent, FailureSchedule
 from repro.net.faults import ChannelFaults, NetworkFaultModel
-from repro.net.message import AppMessage, ControlAck, ControlEnvelope
+from repro.net.message import Ack, AppMessage, FailureAnnouncement
 from repro.net.network import Network
-from repro.net.reliable import ReliableConfig
+from repro.runtime.config import SimConfig
+from repro.runtime.harness import SimulationHarness
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.types import MessageId
 
 
-def build(n=2, faults=None, reliable=False, seed=0):
+def build(n=2, faults=None, seed=0):
     engine = Engine()
     rngs = RngRegistry(seed)
-    network = Network(
-        n=n, engine=engine, rngs=rngs,
-        faults=faults,
-        reliable_config=ReliableConfig() if reliable else None,
-    )
+    network = Network(n=n, engine=engine, rngs=rngs, faults=faults)
     inboxes = [[] for _ in range(n)]
     for pid in range(n):
         network.register(pid, inboxes[pid].append)
@@ -75,50 +73,44 @@ class TestAppFaults:
 
 
 class TestReliableControlPath:
-    def test_reliable_send_wraps_in_envelope(self):
-        engine, network, inboxes = build(reliable=True)
-        network.send_control(0, 1, "announcement", reliable=True)
-        engine.run(until=1.5)
-        (envelope,) = inboxes[1]
-        assert isinstance(envelope, ControlEnvelope)
-        assert envelope.payload == "announcement"
+    """The network repairs nothing: what must arrive is acked and resent
+    by the sending protocol, so control traffic crosses it as is."""
 
     def test_unreliable_send_stays_bare(self):
-        engine, network, inboxes = build(reliable=True)
-        network.send_control(0, 1, "note", reliable=False)
+        engine, network, inboxes = build(faults=fault_model())
+        network.send_control(0, 1, "note")
         engine.run(until=1.5)
         assert inboxes[1] == ["note"]
 
-    def test_reliable_without_layer_degrades_to_plain(self):
-        engine, network, inboxes = build(reliable=False)
-        network.send_control(0, 1, "announcement", reliable=True)
+    def test_an_ack_reaches_the_senders_hook(self):
+        engine, network, inboxes = build(faults=fault_model())
+        ack = Ack(FailureAnnouncement(0, Entry(0, 3)), 1, 0)
+        network.send_control(1, 0, ack)
         engine.run()
-        assert inboxes[1] == ["announcement"]
-
-    def test_acks_consumed_by_transport_and_stop_retries(self):
-        engine, network, inboxes = build(reliable=True)
-        network.send_control(0, 1, "announcement", reliable=True)
-        engine.run(until=1.5)
-        (envelope,) = inboxes[1]
-        # The destination transport acks; the ack is consumed by the
-        # network itself and never reaches process 0's hook.
-        network.send_control(1, 0, ControlAck(envelope.seq, 1, 0))
-        engine.run()
-        assert inboxes[0] == []
-        assert network.reliable.acked == 1
-        assert inboxes[1] == [envelope]  # no retransmission happened
+        assert inboxes[0] == [ack]
 
     def test_unacked_envelope_is_retransmitted(self):
-        engine, network, inboxes = build(reliable=True)
-        network.send_control(0, 1, "announcement", reliable=True)
-        engine.run(until=5.0)  # past the first RTO of 4.0
-        assert len(inboxes[1]) == 2
-        assert network.reliable.retransmits == 1
+        # P1 crashes at 5 and announces at its restart at 15.  The
+        # network loses every ack P2 sends, so P1 never hears back from
+        # P2 and resends its copy once the first timeout of 4 expires.
+        harness = SimulationHarness(
+            SimConfig(n=3, seed=7, retransmit_timeout=4.0),
+            EchoBehavior(),
+            failures=FailureSchedule([CrashEvent(5.0, 1)]))
+        network = harness.network
+        multicast = network.multicast_control
 
-    def test_broadcast_control_reliable_kwarg(self):
-        engine, network, inboxes = build(n=3, reliable=True)
-        network.broadcast_control(0, "announcement", reliable=True)
-        engine.run(until=1.5)
-        assert all(isinstance(p, ControlEnvelope) for p in inboxes[1])
-        assert all(isinstance(p, ControlEnvelope) for p in inboxes[2])
-        assert inboxes[0] == []
+        def lose_acks_from_p2(src, dsts, payload):
+            if not (src == 2 and isinstance(payload, Ack)):
+                multicast(src, dsts, payload)
+
+        network.multicast_control = lose_acks_from_p2
+        harness.run(20.0, settle=False)
+        received = [r.time for r in harness.tracer.select("ann.receive")
+                    if r.process == 2]
+        assert received == [16.0, 20.0]  # the first copy and the resent one
+        assert len(harness.hosts[2].protocol.storage.announcements) == 1
+        stats = harness.hosts[1].protocol.stats
+        assert stats.ctl_retransmits == 1
+        assert stats.ctl_acked == 1  # P0's ack only
+        assert harness.hosts[1].protocol.unacked_count == 1

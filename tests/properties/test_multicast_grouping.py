@@ -36,9 +36,9 @@ class PerDestinationNetwork(Network):
     so every destination gets its own record (consecutive sequence
     numbers, same fault decisions and channel draws in the same order)."""
 
-    def multicast_control(self, src, dsts, payload, reliable=False):
+    def multicast_control(self, src, dsts, payload):
         for dst in dsts:
-            super().multicast_control(src, (dst,), payload, reliable=reliable)
+            super().multicast_control(src, (dst,), payload)
 
 
 class SteppedLatency(LatencyModel):
@@ -111,18 +111,19 @@ def run(network_cls, config, crashes, jittered, chooser_seed, step_probe):
     jittered=st.booleans(),
     drop=st.sampled_from([0.0, 0.0, 0.08]),
     duplicate=st.sampled_from([0.0, 0.0, 0.1]),
-    ack_layer=st.sampled_from([None, True, False]),
+    timeout=st.sampled_from([0.0, 0.0, 4.0]),
     fanout=st.sampled_from([None, None, 1, 2, 3]),
     chooser_seed=st.one_of(st.none(), st.integers(0, 99)),
     step_probe=st.booleans(),
     crash=st.booleans(),
 )
 def test_grouped_send_is_indistinguishable_from_the_per_destination_loop(
-        seed, n, fifo, jittered, drop, duplicate, ack_layer, fanout,
+        seed, n, fifo, jittered, drop, duplicate, timeout, fanout,
         chooser_seed, step_probe, crash):
     config = SimConfig(
         n=n, k=2, seed=seed, fifo=fifo, drop_rate=drop,
-        duplicate_rate=duplicate, ack_layer=ack_layer, notify_fanout=fanout,
+        duplicate_rate=duplicate, retransmit_timeout=timeout,
+        notify_fanout=fanout,
         notify_interval=4.0, flush_interval=6.0,
         checkpoint_interval=15.0, restart_delay=3.0)
     crashes = [(12.5, seed % n)] if crash else []

@@ -17,9 +17,7 @@ import pytest
 from repro.core.effects import BroadcastAnnouncement, CommitOutput
 from repro.core.entry import Entry
 from repro.net.message import (
-    AppAck,
-    ControlAck,
-    ControlEnvelope,
+    Ack,
     LoggingRequest,
     LogProgressNotification,
     OutputRecord,
@@ -93,22 +91,15 @@ class RecordingTransport:
     def send_app(self, msg):
         self.sent.append(("app", msg.dst, msg))
 
-    def send_control(self, src, dst, payload, reliable=False):
+    def send_control(self, src, dst, payload):
         self.sent.append(("ctl", dst, payload))
 
-    def multicast_control(self, src, dsts, payload, reliable=False):
+    def multicast_control(self, src, dsts, payload):
         for dst in dsts:
-            self.send_control(src, dst, payload, reliable=reliable)
+            self.send_control(src, dst, payload)
 
-    def broadcast_control(self, src, payload, include_self=False,
-                          reliable=False):
+    def broadcast_control(self, src, payload, include_self=False):
         self.sent.append(("bcast", None, payload))
-
-    def on_process_crash(self, pid):
-        self.sent.append(("crash", pid, None))
-
-    def on_process_restart(self, pid):
-        self.sent.append(("restart", pid, None))
 
 
 class DyingStorage(StableBackend):
@@ -160,13 +151,16 @@ class StubProtocol:
         return sorted(self.awaited)
 
 
-def build(protocol=None, ack_app=False, n=N, **config):
+def build(protocol=None, acks=False, n=N, **config):
+    """A host over the fake environment; ``acks`` turns the endpoint's
+    acks on the way a config does, with a retransmission timeout."""
     clock, transport = FakeScheduler(), RecordingTransport()
+    if acks:
+        config.setdefault("retransmit_timeout", 4.0)
     env = Environment(
         config=SimConfig(n=n, k=1, **config),
         now=clock.now, schedule=clock.schedule, after_due=clock.after_due,
         transport=transport, tracer=Tracer(enabled=True),
-        ack_app=ack_app,
     )
     host = ProcessHost(env, 0, protocol or StubProtocol())
     return host, clock, transport
@@ -178,19 +172,19 @@ def handlers(host):
 
 class TestDispatch:
     def test_app_message_is_received_and_acked_when_the_endpoint_acks(self):
-        host, _clock, transport = build(ack_app=True)
+        host, _clock, transport = build(acks=True)
         msg = make_msg(1, 0, n=N)
         host.incoming(msg)
         assert host.protocol.calls == [("on_receive", msg)]
         acks = [p for kind, dst, p in transport.sent
                 if kind == "ctl" and dst == 1]
-        assert acks == [AppAck(msg.msg_id, 0, 1)]
+        assert acks == [Ack(msg.msg_id, 0, 1)]
 
     def test_no_ack_without_an_ack_layer_or_for_the_outside_world(self):
-        host, _clock, transport = build(ack_app=False)
+        host, _clock, transport = build(acks=False)
         host.incoming(make_msg(1, 0, n=N))
         assert not [s for s in transport.sent if s[0] == "ctl"]
-        host, _clock, transport = build(ack_app=True)
+        host, _clock, transport = build(acks=True)
         host.inject({"x": 1}, seq=7)
         (call,) = host.protocol.calls
         assert call[0] == "on_receive"
@@ -200,7 +194,7 @@ class TestDispatch:
 
     def test_control_kinds_reach_their_handlers(self):
         host, clock, _transport = build()
-        ack = AppAck(make_msg(0, 1, n=N).msg_id, 1, 0)
+        ack = Ack(make_msg(0, 1, n=N).msg_id, 1, 0)
         announcement = make_announcement(1, 0, 3)
         request = LoggingRequest(2)
         host.incoming(ack)
@@ -222,15 +216,19 @@ class TestDispatch:
         assert host.protocol.calls == [("on_log_notifications",
                                         [first, second])]
 
-    def test_envelope_is_acked_every_time_and_delivered_once(self):
-        host, _clock, transport = build()
-        envelope = ControlEnvelope(5, 1, 0, make_announcement(1, 0, 3))
-        host.incoming(envelope)
-        host.incoming(envelope)
-        assert handlers(host) == ["on_failure_announcement"]
-        acks = [p for kind, _dst, p in transport.sent
-                if isinstance(p, ControlAck)]
-        assert acks == [ControlAck(5, 0, 1)] * 2
+    def test_announcement_is_acked_every_time_when_the_endpoint_acks(self):
+        # The protocol skips a copy it holds already; the endpoint acks
+        # every copy, since the last ack may have been lost.
+        announcement = make_announcement(1, 0, 3)
+        host, _clock, transport = build(acks=True)
+        host.incoming(announcement)
+        host.incoming(announcement)
+        assert handlers(host) == ["on_failure_announcement"] * 2
+        acks = [(dst, p) for kind, dst, p in transport.sent if kind == "ctl"]
+        assert acks == [(1, Ack(announcement, 0, 1))] * 2
+        host, _clock, transport = build(acks=False)
+        host.incoming(announcement)
+        assert not [s for s in transport.sent if s[0] == "ctl"]
 
     def test_unknown_payload_is_rejected(self):
         host, _clock, _transport = build()
@@ -248,29 +246,29 @@ class TestDispatch:
 
 class TestDowntime:
     def test_control_is_parked_and_the_rest_is_lost(self):
-        host, clock, transport = build(ack_app=True, restart_delay=10.0)
+        host, clock, transport = build(acks=True, restart_delay=10.0)
         host.crash()
-        assert ("crash", 0, None) in transport.sent
         announcement = make_announcement(1, 0, 3)
         notification = LogProgressNotification(1, None)
         host.incoming(make_msg(1, 0, n=N))
         host.incoming(LoggingRequest(2))
-        host.incoming(AppAck(make_msg(0, 1, n=N).msg_id, 1, 0))
-        host.incoming(ControlEnvelope(5, 1, 0, announcement))
+        host.incoming(Ack(make_msg(0, 1, n=N).msg_id, 1, 0))
         host.incoming(announcement)
         host.incoming(notification)
         assert handlers(host) == ["crash"]
         assert host.lost_app_messages == 1
-        assert len(host.env.tracer.select("net.lost")) == 4
+        assert len(host.env.tracer.select("net.lost")) == 3
         assert not [s for s in transport.sent if s[0] == "ctl"]  # no acks
 
         clock.advance(10.0)              # the restart the crash scheduled
         clock.run_due()
         assert not host.down and len(host.crash_times) == 1
-        assert ("restart", 0, None) in transport.sent
         assert host.protocol.calls[1:] == [
             ("restart",), ("on_failure_announcement", announcement),
             ("on_log_notifications", [notification])]
+        # The parked announcement is acked once it is handled.
+        assert [(dst, p) for kind, dst, p in transport.sent
+                if kind == "ctl"] == [(1, Ack(announcement, 0, 1))]
 
     def test_crashing_a_dead_process_is_a_no_op(self):
         host, clock, _transport = build()
@@ -663,7 +661,7 @@ class TestEmptyStep:
             assert host.protocol.storage.barriers == 1
             assert host.down and host.storage_deaths == 1
             assert host.protocol.failed
-            assert ("crash", 0, None) in transport.sent
+            assert len(host.crash_times) == 1
             (record,) = host.env.tracer.select("storage.dead")
             assert record.data["context"] == context
             assert len(clock.timers) == 1    # the restart

@@ -2,8 +2,8 @@
 
 Every counted field names the attribute path it is read from; a path
 that does not resolve must raise rather than report the field's default,
-and only an absent optional owner (a reliable network's fault model or
-ack layer, the inline certifier) may stand in for a default.  ``merge``
+and only an absent optional owner (a reliable network's fault model, the
+inline certifier) may stand in for a default.  ``merge``
 combines the shares of a run by each field's kind, with no parallel
 runner involved.
 """
@@ -23,7 +23,7 @@ from repro.runtime.metrics import (
 from helpers import build_sim
 
 DECLARED = [f for f in dataclasses.fields(RunMetrics) if f.metadata]
-OPTIONAL = ("network.faults.", "network.reliable.", "certifier.")
+OPTIONAL = ("network.faults.", "certifier.")
 
 
 def sources(harness, f):
@@ -63,7 +63,6 @@ class TestDeclaredSources:
                       slo_output_latency=30.0, oracle_enabled=True)
         try:
             assert harness.network.faults is not None
-            assert harness.network.reliable is not None
             assert harness.certifier is not None
             for f in DECLARED:
                 for path, value in sources(harness, f):
@@ -75,18 +74,15 @@ class TestDeclaredSources:
             harness.close()
 
     @pytest.mark.parametrize("config, absent", [
-        ({}, {"partitions", "partition_time", "ctl_retransmits",
-              "ctl_acked", "ctl_budget_exhausted", "mean_ack_rtt"}),
+        ({}, {"partitions", "partition_time"}),
         ({"oracle_enabled": False, "check_invariants": False},
-         {"partitions", "partition_time", "ctl_retransmits", "ctl_acked",
-          "ctl_budget_exhausted", "mean_ack_rtt", "total_intervals",
+         {"partitions", "partition_time", "total_intervals",
           "rolled_back_intervals", "max_release_revokers"}),
     ], ids=["default", "oracle-off"])
     def test_only_an_absent_optional_owner_reads_as_none(self, config,
                                                          absent):
         harness = run(**config)
         assert harness.network.faults is None
-        assert harness.network.reliable is None
         read_none = set()
         for f in DECLARED:
             for path, value in sources(harness, f):

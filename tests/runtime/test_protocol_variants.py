@@ -22,8 +22,7 @@ from repro.core.baselines import (
 from repro.core.effects import ReleaseMessage, ScheduleRetransmit
 from repro.core.protocol import KOptimisticProcess
 from repro.failures.injector import CrashEvent, FailureSchedule
-from repro.net.reliable import ReliableConfig
-from repro.runtime.config import SimConfig
+from repro.runtime.config import RETRANSMIT_TIMEOUT, SimConfig
 from repro.runtime.harness import SimulationHarness
 from repro.storage.filelog import FileLogBackend
 from repro.workloads.random_peers import RandomPeersWorkload
@@ -45,7 +44,7 @@ def test_a_lossy_file_log_config_reaches_every_variant(protocol):
     harness = SimulationHarness(config, Scripted(), protocol=protocol)
     try:
         timeout = harness.config.retransmit_timeout
-        assert timeout == ReliableConfig().rto > 0
+        assert timeout == RETRANSMIT_TIMEOUT > 0
         for host in harness.hosts:
             proc = host.protocol
             assert type(proc) is protocol
@@ -68,7 +67,7 @@ def test_immediate_release_keeps_the_sent_log(protocol):
     assert proc.stats.messages_released == 4
     # One timer per release, and the window keeps the last two copies per
     # destination.
-    assert [e.msg_id for e in effects if isinstance(e, ScheduleRetransmit)] \
+    assert [e.key for e in effects if isinstance(e, ScheduleRetransmit)] \
         == [m.msg_id for m in released]
     assert proc._sent_log == {2: released[1:3], 3: released[3:]}
     # P2 restarted: its copies go out again.

@@ -2,6 +2,8 @@
 settle-horizon fix: failure events scheduled beyond the run's duration
 must not fire during settle()."""
 
+import pytest
+
 from repro.failures.injector import (
     CrashEvent,
     FailureSchedule,
@@ -9,11 +11,9 @@ from repro.failures.injector import (
     LossEvent,
     PartitionEvent,
 )
-from repro.net.reliable import ReliableConfig
-from repro.runtime.config import SimConfig
+from repro.runtime.config import RETRANSMIT_TIMEOUT, SimConfig
 from repro.runtime.harness import SimulationHarness
 from repro.workloads.random_peers import RandomPeersWorkload
-from helpers import log_notification
 
 
 def build(config, schedule=None, rate=0.5, until=150.0):
@@ -60,18 +60,16 @@ class TestFaultResolution:
     def test_reliable_config_is_legacy_path(self):
         harness = build(SimConfig(n=4, seed=0, trace_enabled=False))
         assert harness.network.faults is None
-        assert harness.network.reliable is None
-        assert not harness.ack_enabled
         assert harness.config.retransmit_timeout == 0.0
+        assert not any(host.acks for host in harness.hosts)
 
     def test_fault_rates_enable_stack(self):
         config = SimConfig(n=4, seed=0, drop_rate=0.05, trace_enabled=False)
         harness = build(config)
         assert harness.network.faults is not None
-        assert harness.network.reliable is not None
-        assert harness.ack_enabled
-        # The app retransmission timer is defaulted on.
-        assert harness.config.retransmit_timeout == ReliableConfig().rto
+        # Acks and the retransmission timer are defaulted on.
+        assert harness.config.retransmit_timeout == RETRANSMIT_TIMEOUT
+        assert all(host.acks for host in harness.hosts)
 
     def test_schedule_network_events_enable_stack(self):
         config = SimConfig(n=4, seed=0, trace_enabled=False)
@@ -79,15 +77,31 @@ class TestFaultResolution:
                                     HealEvent(80.0)])
         harness = build(config, schedule)
         assert harness.network.faults is not None
-        assert harness.ack_enabled
+        assert all(host.acks for host in harness.hosts)
 
-    def test_ack_layer_forced_off(self):
-        config = SimConfig(n=4, seed=0, drop_rate=0.05, ack_layer=False,
+    def test_a_timeout_on_a_reliable_network_turns_acks_on(self):
+        # One switch: a retransmission timeout without acks would resend
+        # every release until its budget ran out.
+        config = SimConfig(n=5, k=2, seed=7, retransmit_timeout=5.0,
                            trace_enabled=False)
-        harness = build(config)
-        assert harness.network.faults is not None
-        assert harness.network.reliable is None
-        assert harness.config.retransmit_timeout == 0.0
+        workload = RandomPeersWorkload(rate=0.6, output_fraction=0.25)
+        harness = SimulationHarness(config, workload.behavior())
+        workload.install(harness, until=160.0)
+        harness.run(200.0)
+        m = harness.metrics()
+        assert harness.network.faults is None
+        assert m.messages_released > 0
+        assert m.timer_retransmissions == 0
+        assert m.retransmit_budget_exhausted == 0
+        assert m.acks_received == m.messages_released
+        assert m.violations == []
+
+    def test_no_run_goes_without_retries(self):
+        # A budget of 0 would leave a lossy network's announcements to
+        # chance — the unsafe runs the retries exist to prevent.
+        config = SimConfig(n=4, seed=0, drop_rate=0.05, retransmit_budget=0)
+        with pytest.raises(ValueError, match="retransmit_budget"):
+            build(config)
 
 
 class TestUnreliableRuns:
@@ -166,36 +180,40 @@ class TestUnreliableRuns:
 
 
 class TestFailStopControlRetransmission:
-    """A crashed process must not transmit: its pending reliable-control
-    envelopes are parked on crash and resumed (not dropped) on restart."""
+    """A crashed process must not transmit: the copies of its announcement
+    still awaiting an ack die with it, and its restart sends every
+    announcement of its own again."""
 
     def _build(self):
         from repro.app.behavior import EchoBehavior
 
-        config = SimConfig(n=3, seed=7, ack_layer=True)
-        harness = SimulationHarness(config, EchoBehavior())
-        notif = log_notification(1, [{} for _ in range(3)])
-        # A reliable control send from P1 whose destination dies before the
-        # envelope arrives: no ack will ever come back.
-        harness.network.send_control(1, 2, notif, reliable=True)
-        harness.engine.schedule(0.2, harness.hosts[2].crash)
-        harness.engine.schedule(0.5, harness.hosts[1].crash)
-        return harness
+        config = SimConfig(n=3, seed=7, retransmit_timeout=4.0)
+        # P1's announcement at its restart at 15 reaches P2 while P2 is
+        # down (14 to 24), so no ack comes back before P1 dies again at 18.
+        schedule = FailureSchedule([CrashEvent(5.0, 1), CrashEvent(14.0, 2),
+                                    CrashEvent(18.0, 1)])
+        return SimulationHarness(config, EchoBehavior(), failures=schedule)
 
     def test_no_transmission_while_source_is_down(self):
         harness = self._build()
-        rtx = harness.network.reliable
-        # Run past two rto periods (4.0, 8.0) but short of the restarts at
-        # ~10.x: a dead source must stay silent the whole time.
-        harness.run(9.0, settle=False)
-        assert rtx.retransmits == 0
-        assert rtx.outstanding == 1  # parked, not dropped
+        source = harness.hosts[1].protocol
+        # Past when P1 would first retry (19), short of its restart at 28: a
+        # dead source must stay silent the whole time.
+        harness.run(27.0, settle=False)
+        assert source.stats.ctl_retransmits == 0
+        assert source.unacked_count == 0
 
-    def test_envelope_resumes_and_is_acked_after_restart(self):
+    def test_restart_rebroadcasts_and_is_acked(self):
         harness = self._build()
-        rtx = harness.network.reliable
-        harness.run(40.0, settle=False)
-        harness.engine.run()
-        assert rtx.outstanding == 0
-        assert rtx.acked >= 1
+        harness.run(60.0)
+        first, second = [ann for ann
+                         in harness.hosts[1].protocol.storage.announcements
+                         if ann.origin == 1]
+        # P2 handles the first copy that reaches it once, whichever that
+        # was, and skips the rest.
+        logged = [ann for ann
+                  in harness.hosts[2].protocol.storage.announcements
+                  if ann.origin == 1]
+        assert logged == [first, second]
+        assert harness.hosts[1].protocol.unacked_count == 0
         assert harness.metrics().violations == []

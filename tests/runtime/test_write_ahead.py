@@ -213,7 +213,7 @@ class RecordingTransport:
     def __init__(self, log):
         self.log = log
 
-    def broadcast_control(self, src, payload, reliable=False):
+    def broadcast_control(self, src, payload):
         self.log.append("broadcast")
 
 

@@ -37,7 +37,6 @@ ALLOWED = {
     "inject_now": "protocol-level harness tests inject at the current instant",
     "state_digest": "checker tests compare end states of two runs",
     "render_jsonl": "parallel trace tests compare the canonical JSONL rendering",
-    "outstanding": "reliable-transport tests count the envelopes still unacknowledged",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
