@@ -29,15 +29,13 @@ def generate_stimuli(
     duration: float,
     rate: float,
     exclude: Iterable[int] = (),
-    hops_min: int = 1,
-    hops_max: int = 3,
     profile: str = "uniform",
 ) -> List[Dict[str, Any]]:
     """Outside-world stimuli ``{"time", "dst", "payload"}`` in time order.
 
     ``time`` is in virtual units; ``rate`` is stimuli per unit.  Payloads
-    are hop-chain requests (see :mod:`repro.app.hopchain`), each with a
-    globally unique tag.
+    are hop-chain requests (see :mod:`repro.app.hopchain`) of 1 to 3 hops,
+    each with a globally unique tag.
 
     ``profile`` selects the arrival shape: ``"uniform"`` (evenly spaced,
     the closed-form historical default) or ``"openloop"`` (heavy-tailed
@@ -71,7 +69,7 @@ def generate_stimuli(
             "time": time,
             "dst": rng.choice(targets),
             "payload": {"tag": f"t{i:05d}",
-                        "hops": rng.randint(hops_min, hops_max)},
+                        "hops": rng.randint(1, 3)},
         })
     return stimuli
 

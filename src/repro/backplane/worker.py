@@ -212,8 +212,6 @@ class Worker:
             host.flush()
         elif op == "notify":
             host.notify()
-        elif op == "checkpoint":
-            host.checkpoint()
         elif op == "status":
             stats = host.protocol.stats
             self.transport.send_frame({

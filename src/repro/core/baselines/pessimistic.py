@@ -7,8 +7,10 @@ message is sent is always recreatable, and therefore no process failure
 will ever revoke any message."
 
 This baseline implements the first form: every delivery is synchronously
-forced to stable storage *before* the handler's sends can leave the
-process.  Because every interval anywhere is stable by the time anything
+forced to stable storage *before* anything of its step can leave the
+process — the handler's sends, and the ack of the delivered message too
+(every send is an effect the executor runs after the write-ahead
+barrier).  Because every interval anywhere is stable by the time anything
 depends on it, no dependency tracking is needed at all — messages carry an
 empty vector and are released immediately.  The price is one synchronous
 stable-storage operation per delivered message, the failure-free overhead

@@ -9,7 +9,7 @@ feed tracing, metrics, and the ground-truth oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, List, Optional
 
 from repro.core.entry import Entry
 from repro.net.message import AppMessage, FailureAnnouncement, OutputRecord
@@ -48,20 +48,23 @@ class CommitOutput(Effect):
 
 
 @dataclass
-class RequestLogging(Effect):
-    """Output-driven logging (Section 2): ask ``targets`` to flush now so a
-    pending output's dependencies become stable sooner."""
-
-    targets: list
-
-
-@dataclass
 class SendControl(Effect):
-    """Send one control message to process ``dst``: the logging progress
-    notification answering a logging request, or a protocol variant's own
+    """Send one control message to process ``dst``: an ack, a retransmitted
+    announcement copy, a logging request or the notification answering
+    one, a delta-encoded notification, or a protocol variant's own
     :class:`~repro.net.message.ControlMessage`."""
 
     dst: int
+    payload: Any
+
+
+@dataclass
+class MulticastControl(Effect):
+    """Send one control message to several processes in one transport call:
+    ``dsts`` in the order given, or every other process when ``dsts`` is
+    None (a periodic notification's broadcast)."""
+
+    dsts: Optional[List[int]]
     payload: Any
 
 

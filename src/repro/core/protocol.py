@@ -53,6 +53,7 @@ Fidelity notes (deviations are deliberate and argued):
 from __future__ import annotations
 
 import copy
+from bisect import bisect_right
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.app.behavior import AppBehavior, AppContext
@@ -65,9 +66,9 @@ from repro.core.effects import (
     Effect,
     MessageDelivered,
     MessageDiscarded,
+    MulticastControl,
     OutputDiscarded,
     ReleaseMessage,
-    RequestLogging,
     RestartPerformed,
     RollbackPerformed,
     ScheduleRetransmit,
@@ -164,6 +165,8 @@ class KOptimisticProcess:
         retransmit_budget: int = 8,
         k_policy: Optional[Callable[[], int]] = None,
         delta_notifications: bool = False,
+        gossip_log_tables: bool = True,
+        notify_fanout: Optional[int] = None,
     ):
         if not 0 <= pid < n:
             raise ValueError(f"pid {pid} out of range for n={n}")
@@ -219,6 +222,13 @@ class KOptimisticProcess:
         self._delta_peers: Dict[ProcessId, Tuple[int, int, int]] = {}
         if delta_notifications:
             self.log.enable_changelog()
+        # Dissemination (notify): gossip the whole table or the own row
+        # only; push to everyone (fanout None) or pull from at most
+        # ``notify_fanout`` awaited owners, carrying on behind the last
+        # pid asked.
+        self.gossip_log_tables = gossip_log_tables
+        self.notify_fanout = notify_fanout
+        self._last_asked = pid
 
         # Buffers.
         self.receive_buffer: List[AppMessage] = []
@@ -272,31 +282,38 @@ class KOptimisticProcess:
     # ------------------------------------------------------------------
 
     def on_receive(self, msg: AppMessage) -> List[Effect]:
-        """Receive_message(m): orphan check, then buffer, then deliver loop."""
+        """Receive_message(m): orphan check, then buffer, then deliver loop.
+
+        With acks on, every copy from a process — a duplicate or an orphan
+        too, since the last ack may have been lost — is acked first."""
         self._require_running()
+        effects = self._ack(msg.src, msg.msg_id) if msg.src >= 0 else []
         if msg.msg_id in self.received_ids:
             self.stats.duplicates_dropped += 1
-            return [DuplicateDropped(msg)]
+            effects.append(DuplicateDropped(msg))
+            return effects
         if self._is_orphan_message(msg):
             self.stats.orphans_discarded += 1
-            return [MessageDiscarded(msg, reason="orphan-on-receive")]
+            effects.append(MessageDiscarded(msg, reason="orphan-on-receive"))
+            return effects
         self.received_ids.add(msg.msg_id)
         self._receive_times[msg.wire_id] = self.now_fn()
         self.receive_buffer.append(msg)
-        return self._deliver_loop()
+        return effects + self._deliver_loop()
 
     # ------------------------------------------------------------------
     # Receive_failure_ann
     # ------------------------------------------------------------------
 
     def on_failure_announcement(self, ann: FailureAnnouncement) -> List[Effect]:
-        """Receive_failure_ann(j, t, x'): Figure 3."""
+        """Receive_failure_ann(j, t, x'): Figure 3.  With acks on, every
+        copy is acked first."""
         self._require_running()
+        effects = self._ack(ann.origin, ann)
         if self.iet.lookup(ann.origin, ann.end.inc) == ann.end.sii:
             # A retransmitted copy: handled already (iet is rebuilt from
             # the logged announcements, so this holds across our crashes).
-            return []
-        effects: List[Effect] = []
+            return effects
         # "Synchronously log the received announcement" — so iet/log survive
         # our own later crash.
         self.storage.log_announcement(ann)
@@ -368,6 +385,13 @@ class KOptimisticProcess:
     # ------------------------------------------------------------------
     # Ack/retransmit (unreliable networks)
     # ------------------------------------------------------------------
+
+    def _ack(self, dst: ProcessId, of: Any) -> List[Effect]:
+        """The receiver's half: with acks on, tell ``dst`` that ``of`` (a
+        message id or an announcement) arrived."""
+        if self.retransmit_timeout <= 0:
+            return []
+        return [SendControl(dst, Ack(of, self.pid, dst))]
 
     def on_ack(self, ack: Ack) -> List[Effect]:
         """An ack arrived: its sender holds the message or announcement,
@@ -453,15 +477,16 @@ class KOptimisticProcess:
         effects += self._deliver_loop()
         return effects
 
-    def make_log_notification(self, own_only: bool = False) -> LogProgressNotification:
+    def make_log_notification(self) -> LogProgressNotification:
         """Build a logging progress notification for broadcast.
 
-        With ``own_only`` the notification carries only this process's own
-        row; by default the full table is gossiped (Receive_log's signature
-        iterates over all j, so transitive propagation is intended).
+        By default the full table is gossiped (Receive_log's signature
+        iterates over all j, so transitive propagation is intended); with
+        :attr:`gossip_log_tables` off it carries only this process's own
+        row.
         """
         snapshot = self.log.snapshot_columns()
-        if own_only:
+        if not self.gossip_log_tables:
             snapshot = snapshot.restrict(self.pid)
         return LogProgressNotification(self.pid, snapshot)
 
@@ -470,8 +495,7 @@ class KOptimisticProcess:
     DELTA_FULL_REFRESH_EVERY = 16
 
     def make_log_notification_for(
-            self, dst: ProcessId, own_only: bool = False,
-    ) -> LogProgressNotification:
+            self, dst: ProcessId) -> LogProgressNotification:
         """Per-destination notification, delta-encoded when possible.
 
         With :attr:`delta_notifications` the changelog cursor acknowledged
@@ -484,20 +508,48 @@ class KOptimisticProcess:
         ``SimConfig.validate`` enforces.
         """
         if not self.delta_notifications:
-            return self.make_log_notification(own_only=own_only)
+            return self.make_log_notification()
         cursor_now = self.log.changelog_position
         state = self._delta_peers.get(dst)
         if state is not None and state[2] < self.DELTA_FULL_REFRESH_EVERY:
             delta = self.log.delta_since((state[0], state[1]))
             if delta is not None:
-                if own_only:
+                if not self.gossip_log_tables:
                     delta = delta.restrict(self.pid)
                 self._delta_peers[dst] = (cursor_now[0], cursor_now[1],
                                           state[2] + 1)
                 return LogProgressNotification(self.pid, delta)
-        notif = self.make_log_notification(own_only=own_only)
+        notif = self.make_log_notification()
         self._delta_peers[dst] = (cursor_now[0], cursor_now[1], 0)
         return notif
+
+    def notify(self) -> List[Effect]:
+        """One periodic logging-progress tick.
+
+        Broadcast mode (``notify_fanout`` None) pushes this process's
+        notification to everyone (one per peer when delta-encoded: each
+        peer has its own cursor).  Fanout mode pulls: it asks at most
+        ``notify_fanout`` of its :meth:`awaited_owners`, taking turns in
+        pid order when there are more, and each answers it alone
+        (:meth:`on_logging_request`).  A process waiting on nobody sends
+        nothing; a lost ask or answer, or a down owner, is asked again at
+        a later tick."""
+        self._require_running()
+        fanout = self.notify_fanout
+        if fanout is not None:
+            owners = self.awaited_owners()
+            if len(owners) > fanout:
+                start = bisect_right(owners, self._last_asked)
+                owners = (owners[start:] + owners[:start])[:fanout]
+                self._last_asked = owners[-1]
+            if not owners:
+                return []
+            return [MulticastControl(owners, LoggingRequest(self.pid,
+                                                            flush=False))]
+        if self.delta_notifications:
+            return [SendControl(dst, self.make_log_notification_for(dst))
+                    for dst in range(self.n) if dst != self.pid]
+        return [MulticastControl(None, self.make_log_notification())]
 
     # ------------------------------------------------------------------
     # Checkpoint
@@ -1083,9 +1135,8 @@ class KOptimisticProcess:
         self.output_buffer.add(record, self.tdv, now=now)
         self.stats.outputs_enqueued += 1
         if self.output_driven_logging:
-            targets = [pid for pid in self.tdv.processes() if pid != self.pid]
-            if targets:
-                return [RequestLogging(targets)]
+            return [SendControl(target, LoggingRequest(self.pid, flush=True))
+                    for target in self.tdv.processes() if target != self.pid]
         return []
 
     def awaited_owners(self) -> List[ProcessId]:
@@ -1098,8 +1149,7 @@ class KOptimisticProcess:
         owners.discard(self.pid)
         return sorted(owners)
 
-    def on_logging_request(self, request: LoggingRequest,
-                           own_only: bool = False) -> List[Effect]:
+    def on_logging_request(self, request: LoggingRequest) -> List[Effect]:
         """Answer ``request.origin`` alone with the notification a periodic
         tick would carry.  An output-driven request (``request.flush``,
         Section 2) flushes first; a fanout-mode pull reports what is
@@ -1107,8 +1157,7 @@ class KOptimisticProcess:
         self._require_running()
         effects = self.flush() if request.flush else []
         effects.append(SendControl(
-            request.origin,
-            self.make_log_notification_for(request.origin, own_only=own_only)))
+            request.origin, self.make_log_notification_for(request.origin)))
         return effects
 
     def _update_output_buffer(self) -> List[Effect]:

@@ -26,7 +26,10 @@ is the one point every driver and every protocol variant passes through
 between a handler returning and its effects becoming visible, so that is
 where the step's synchronous storage writes are made durable
 (:meth:`repro.storage.backend.StableBackend.barrier`) — before the first
-effect is interpreted, never after.
+effect is interpreted, never after.  It is also a process's only way out:
+every send — a release, an announcement, an ack, a notification, a
+logging request — is an effect, each turned into exactly one transport
+call here, so every send passes the barrier and the effect probes.
 
 With ``dep_trace`` enabled the executor additionally records the
 ``dep.*`` event family: a numeric, parser-free encoding of exactly the
@@ -46,16 +49,15 @@ from repro.core.effects import (
     Effect,
     MessageDelivered,
     MessageDiscarded,
+    MulticastControl,
     OutputDiscarded,
     ReleaseMessage,
-    RequestLogging,
     RestartPerformed,
     RollbackPerformed,
     ScheduleRetransmit,
     SendControl,
     StableProgress,
 )
-from repro.net.message import LoggingRequest
 from repro.sim.trace import Tracer
 from repro.storage.backend import StableBackend
 
@@ -192,12 +194,14 @@ class EffectExecutor:
             elif isinstance(effect, OutputDiscarded):
                 tracer.record(now, "output.discard", pid,
                               output=str(effect.record.output_id))
-            elif isinstance(effect, RequestLogging):
-                for target in effect.targets:
-                    self.transport.send_control(
-                        pid, target, LoggingRequest(pid, flush=True))
             elif isinstance(effect, SendControl):
                 self.transport.send_control(pid, effect.dst, effect.payload)
+            elif isinstance(effect, MulticastControl):
+                if effect.dsts is None:
+                    self.transport.broadcast_control(pid, effect.payload)
+                else:
+                    self.transport.multicast_control(pid, effect.dsts,
+                                                     effect.payload)
             elif isinstance(effect, ScheduleRetransmit):
                 self.schedule(
                     effect.delay,

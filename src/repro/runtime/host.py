@@ -17,12 +17,14 @@ against a driver:
   wall clock, asyncio timers and a TCP transport.
 
 What a driver keeps for itself is how bytes move and when time passes.
+The host itself sends nothing: every message a process sends — acks and
+notification ticks included — is an effect the protocol returns, and the
+executor's write-ahead barrier runs before any of them leaves.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
@@ -147,6 +149,8 @@ def build_protocol(
         retransmit_timeout=config.retransmit_timeout,
         retransmit_budget=config.retransmit_budget,
         delta_notifications=config.delta_notifications,
+        gossip_log_tables=config.gossip_log_tables,
+        notify_fanout=config.notify_fanout,
     )
 
 
@@ -218,14 +222,7 @@ class ProcessHost:
             protocol.k_policy = self.controller.recommend
         #: Times the storage backend declared itself dead (fail-stop).
         self.storage_deaths = 0
-        #: Whether this endpoint acks what must arrive — application
-        #: messages and announcements — on arrival: exactly when the
-        #: protocol retransmits until acked.
-        self.acks = self.config.retransmit_timeout > 0
         self._timers: List[Callable[[], None]] = []
-        #: The highest pid notify() asked at its last fanout tick with more
-        #: awaited owners than the budget; the next tick carries on behind it.
-        self._last_asked = pid
 
     # -- boot ------------------------------------------------------------------
 
@@ -245,12 +242,6 @@ class ProcessHost:
     # -- incoming traffic ---------------------------------------------------
 
     def incoming(self, payload: Any) -> None:
-        try:
-            self._incoming(payload)
-        except StorageDeadError:
-            self._storage_failed("incoming")
-
-    def _incoming(self, payload: Any) -> None:
         env = self.env
         if self.down:
             if isinstance(payload, Ack):
@@ -282,35 +273,22 @@ class ProcessHost:
             if len(self._notif_batch) == 1:
                 env.after_due(self.pid, self._drain_notifications)
             return
+        protocol = self.protocol
         if isinstance(payload, AppMessage):
-            effects = self.protocol.on_receive(payload)
-            if self.acks and payload.src >= 0:
-                # The live endpoint acks on arrival, every copy (the last
-                # ack may have been lost); a dead one acks nothing, which
-                # keeps the sender's timer retrying.
-                env.transport.send_control(
-                    self.pid, payload.src,
-                    Ack(payload.msg_id, self.pid, payload.src),
-                )
+            handler = protocol.on_receive
         elif isinstance(payload, Ack):
-            effects = self.protocol.on_ack(payload)
+            handler = protocol.on_ack
         elif isinstance(payload, FailureAnnouncement):
-            if self.acks:
-                env.transport.send_control(
-                    self.pid, payload.origin,
-                    Ack(payload, self.pid, payload.origin),
-                )
             env.tracer.record(env.now(), "ann.receive", self.pid,
                               ann=str(payload))
-            effects = self.protocol.on_failure_announcement(payload)
+            handler = protocol.on_failure_announcement
         elif isinstance(payload, LoggingRequest):
-            effects = self.protocol.on_logging_request(
-                payload, own_only=not self.config.gossip_log_tables)
+            handler = protocol.on_logging_request
         elif isinstance(payload, ControlMessage):
-            effects = self.protocol.on_control(payload)
+            handler = protocol.on_control
         else:
             raise TypeError(f"unexpected payload {payload!r}")
-        self.execute(effects)
+        self._step("incoming", handler, payload)
 
     def inject(self, payload: Any, seq: int) -> None:
         """Deliver an outside-world message now; ``seq`` is the
@@ -354,15 +332,22 @@ class ProcessHost:
             # notifications that arrive while down — replay at restart.
             self.pending_control.extend(batch)
             return
-        try:
-            self.execute(self.protocol.on_log_notifications(batch))
-        except StorageDeadError:
-            self._storage_failed("notification")
+        self._step("notification", self.protocol.on_log_notifications, batch)
 
     def _retransmit_timer(self, key: Any) -> None:
+        # While down the timer dies: the crash cleared what it retries.
+        self._step("retransmit", self.protocol.on_retransmit_timer, key)
+
+    def _step(self, context: str, handler: Callable[..., List[Effect]],
+              *args: Any) -> None:
+        """Run one protocol step: nothing while the process is down, a
+        clean fail-stop when the journal dies."""
         if self.down:
-            return  # crash cleared _unacked; the timer dies with it
-        self.execute(self.protocol.on_retransmit_timer(key))
+            return
+        try:
+            self.execute(handler(*args))
+        except StorageDeadError:
+            self._storage_failed(context)
 
     # -- periodic activities --------------------------------------------------
 
@@ -399,61 +384,15 @@ class ProcessHost:
         self._timers = []
 
     def flush(self) -> None:
-        if self.down:
-            return
-        try:
-            self.execute(self.protocol.flush())
-        except StorageDeadError:
-            self._storage_failed("flush")
+        self._step("flush", self.protocol.flush)
 
     def checkpoint(self) -> None:
-        if self.down:
-            return
-        try:
-            self.execute(self.protocol.checkpoint())
-        except StorageDeadError:
-            self._storage_failed("checkpoint")
+        self._step("checkpoint", self.protocol.checkpoint)
 
     def notify(self) -> None:
-        """One logging-progress tick.
-
-        Broadcast mode (``notify_fanout=None``) pushes this process's
-        notification to everyone.  Fanout mode pulls instead: the process
-        asks at most ``notify_fanout`` of the owners it is waiting on
-        (:meth:`KOptimisticProcess.awaited_owners
-        <repro.core.protocol.KOptimisticProcess.awaited_owners>`) for
-        theirs, taking turns in pid order when there are more; each answers
-        the asker alone.  A process waiting on nobody sends nothing, and an
-        ask or answer that is lost — or an owner that is down — is simply
-        asked again at a later tick."""
-        if self.down:
-            return
-        config, transport, pid = self.config, self.env.transport, self.pid
-        fanout = config.notify_fanout
-        if fanout is not None:
-            owners = self.protocol.awaited_owners()
-            if len(owners) > fanout:
-                start = bisect_right(owners, self._last_asked)
-                owners = (owners[start:] + owners[:start])[:fanout]
-                self._last_asked = owners[-1]
-            if owners:
-                transport.multicast_control(
-                    pid, owners, LoggingRequest(pid, flush=False))
-            return
-        own_only = not config.gossip_log_tables
-        if self.protocol.delta_notifications:
-            # Delta encoding is per-destination (each peer has its own
-            # changelog cursor): one notification made and sent per peer,
-            # in the order broadcast_control would use.
-            for dst in range(config.n):
-                if dst != pid:
-                    transport.send_control(
-                        pid, dst,
-                        self.protocol.make_log_notification_for(
-                            dst, own_only=own_only))
-        else:
-            transport.broadcast_control(
-                pid, self.protocol.make_log_notification(own_only=own_only))
+        """One logging-progress tick: push or pull, as the protocol's
+        :meth:`~repro.core.protocol.KOptimisticProcess.notify` decides."""
+        self._step("notify", self.protocol.notify)
 
     def control_tick(self) -> None:
         """One adaptive-K observation: feed the controller the latency

@@ -91,10 +91,6 @@ def _is_dead(record: Tuple) -> bool:
 class Engine:
     """A single-threaded discrete-event scheduler with virtual time."""
 
-    #: Compaction thresholds: rebuild the heap once at least this many
-    #: cancelled records linger AND they make up half the queue.
-    COMPACT_MIN_DEAD = 64
-
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
         self._seq = 0
@@ -127,8 +123,8 @@ class Engine:
         """Number of live (non-cancelled, not yet fired) scheduled records
         and deferred callbacks.
 
-        Cancelled records linger in the heap until lazily popped or
-        compacted, but they no longer count here.
+        Cancelled records linger in the heap until lazily popped, but
+        they no longer count here.
         """
         return self._live
 
@@ -218,20 +214,9 @@ class Engine:
         self._live += 1
 
     def _note_cancel(self) -> None:
-        """A queued handle was cancelled; maybe compact the heap.
-
-        Cancelled records are deleted lazily, so a cancellation-heavy
-        workload (ack/retransmit timers) can leave the heap mostly dead
-        weight, inflating every push/pop.  Once the dead fraction reaches
-        one half (and is big enough to be worth the rebuild), filter and
-        re-heapify — pop order is decided entirely by the (time, seq)
-        prefix, so rebuilding never changes the firing sequence.
-        """
+        """A queued handle was cancelled: one live record fewer.  The
+        record itself is deleted lazily, skipped when it is popped."""
         self._live -= 1
-        dead = len(self._queue) + len(self._deferred) - self._live
-        if dead >= self.COMPACT_MIN_DEAD and dead * 2 >= len(self._queue):
-            self._queue = [rec for rec in self._queue if not _is_dead(rec)]
-            heapq.heapify(self._queue)
 
     # -- external schedule control --------------------------------------------
 

@@ -77,6 +77,11 @@ from repro.types import IntervalIndex, MessageId
 
 #: Compact once this many segments exist (tail + history).
 COMPACT_SEGMENT_THRESHOLD = 4
+#: Backoff between retries of a transient I/O error: doubling from the
+#: base, capped.  Recorded in ``backoff_time``, never slept (simulation
+#: determinism).
+IO_BACKOFF_BASE = 0.002
+IO_BACKOFF_MAX = 0.1
 
 
 class FileLogBackend(ModelBackend):
@@ -91,10 +96,7 @@ class FileLogBackend(ModelBackend):
         segment_bytes: int = 262144,
         max_pending_records: int = 64,
         io_retries: int = 5,
-        io_backoff_base: float = 0.002,
-        io_backoff_max: float = 0.1,
         fsync_policy: str = "group",
-        sleep_fn: Optional[Callable[[float], None]] = None,
     ):
         super().__init__(pid)
         if fsync_policy not in ("group", "strict"):
@@ -106,11 +108,7 @@ class FileLogBackend(ModelBackend):
         self._segment_bytes = segment_bytes
         self._max_pending_records = max_pending_records
         self._retry_limit = io_retries
-        self._backoff_base = io_backoff_base
-        self._backoff_max = io_backoff_max
         self._fsync_policy = fsync_policy
-        #: Backoff sink: default only records (simulation determinism).
-        self._sleep_fn = sleep_fn
 
         self._handle: Optional[Any] = None
         self._seg_index = 0
@@ -162,11 +160,6 @@ class FileLogBackend(ModelBackend):
             f"({context})"
         )
 
-    def _record_backoff(self, delay: float) -> None:
-        self.backoff_time += delay
-        if self._sleep_fn is not None:
-            self._sleep_fn(delay)
-
     def _retrying(self, op: Callable[[], Any], context: str) -> Any:
         """Run a physical op with capped exponential backoff on EIO."""
         attempt = 0
@@ -177,9 +170,8 @@ class FileLogBackend(ModelBackend):
                 self.io_errors += 1
                 if attempt >= self._retry_limit:
                     self._die(context)
-                self._record_backoff(
-                    min(self._backoff_max, self._backoff_base * (2 ** attempt))
-                )
+                self.backoff_time += min(IO_BACKOFF_MAX,
+                                         IO_BACKOFF_BASE * 2 ** attempt)
                 self.io_retries += 1
                 attempt += 1
 

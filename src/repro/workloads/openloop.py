@@ -122,7 +122,8 @@ class OpenLoopBehavior(AppBehavior):
 
 
 class OpenLoopWorkload(Workload):
-    """Open-loop token injection: heavy tails, diurnal cycle, bursts."""
+    """Open-loop token injection: heavy tails, diurnal cycle, bursts, in
+    :func:`open_loop_times`'s default shape."""
 
     def __init__(
         self,
@@ -130,12 +131,6 @@ class OpenLoopWorkload(Workload):
         min_hops: int = 2,
         max_hops: int = 6,
         output_fraction: float = 0.5,
-        alpha: float = 1.7,
-        diurnal_amplitude: float = 0.4,
-        diurnal_period: float = 400.0,
-        burst_probability: float = 0.02,
-        burst_multiplier: float = 6.0,
-        burst_mean_length: float = 12.0,
     ):
         if not 0 <= min_hops <= max_hops:
             raise ValueError("need 0 <= min_hops <= max_hops")
@@ -145,30 +140,13 @@ class OpenLoopWorkload(Workload):
         self.min_hops = min_hops
         self.max_hops = max_hops
         self.output_fraction = output_fraction
-        self.alpha = alpha
-        self.diurnal_amplitude = diurnal_amplitude
-        self.diurnal_period = diurnal_period
-        self.burst_probability = burst_probability
-        self.burst_multiplier = burst_multiplier
-        self.burst_mean_length = burst_mean_length
 
     def behavior(self) -> AppBehavior:
         return OpenLoopBehavior()
 
-    def arrival_times(self, rng: random.Random, until: float) -> Iterator[float]:
-        return open_loop_times(
-            rng, self.rate, until,
-            alpha=self.alpha,
-            diurnal_amplitude=self.diurnal_amplitude,
-            diurnal_period=self.diurnal_period,
-            burst_probability=self.burst_probability,
-            burst_multiplier=self.burst_multiplier,
-            burst_mean_length=self.burst_mean_length,
-        )
-
     def install(self, harness, until: float) -> None:
         rng = harness.rngs.stream("workload/openloop")
-        for token, time in enumerate(self.arrival_times(rng, until)):
+        for token, time in enumerate(open_loop_times(rng, self.rate, until)):
             dst = rng.randrange(harness.config.n)
             payload = {
                 "token": token,

@@ -118,7 +118,7 @@ def fleet(tmp_path):
 def test_every_frame_type_reaches_its_host_method(fleet):
     worker = fleet.workers[0]
     host, calls = worker.host, []
-    for name in ("incoming", "inject", "flush", "notify", "checkpoint"):
+    for name in ("incoming", "inject", "flush", "notify"):
         setattr(host, name,
                 lambda *args, _name=name: calls.append((_name,) + args))
     msg = make_msg(1, 0, n=N)
@@ -127,10 +127,10 @@ def test_every_frame_type_reaches_its_host_method(fleet):
     worker.dispatch({"t": "ctl", "body": encode_control(announcement)})
     worker.dispatch({"t": "cmd", "op": "inject", "seq": 9,
                      "payload": {"tag": "t1", "hops": 0}})
-    for op in ("flush", "notify", "checkpoint"):
+    for op in ("flush", "notify"):
         worker.dispatch({"t": "cmd", "op": op})
     assert [call[0] for call in calls] == [
-        "incoming", "incoming", "inject", "flush", "notify", "checkpoint"]
+        "incoming", "incoming", "inject", "flush", "notify"]
     assert calls[0][1].msg_id == msg.msg_id
     assert calls[1][1] == announcement
     assert calls[2][1:] == ({"tag": "t1", "hops": 0}, 9)
@@ -142,7 +142,8 @@ def test_every_frame_type_reaches_its_host_method(fleet):
     assert status["quiescent"] is True
     worker.dispatch({"t": "cmd", "op": "shutdown"})
     assert worker._shutdown.is_set()
-    for frame in ({"t": "nope"}, {"t": "cmd", "op": "nope"}):
+    for frame in ({"t": "nope"}, {"t": "cmd", "op": "nope"},
+                  {"t": "cmd", "op": "checkpoint"}):
         with pytest.raises(FramingError):
             worker.dispatch(frame)
 

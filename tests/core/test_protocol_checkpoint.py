@@ -148,10 +148,10 @@ class TestReceiveLog:
         assert proc.log.covers(3, Entry(0, 4))
 
     def test_own_row_notification(self):
-        proc = make_proc(pid=0, n=4)
+        proc = make_proc(pid=0, n=4, gossip_log_tables=False)
         deliver_env(proc)
         proc.flush()
-        notif = proc.make_log_notification(own_only=True)
+        notif = proc.make_log_notification()
         assert notif.table.rows()[0]  # own row present
         assert all(not row for pid, row in enumerate(notif.table.rows()) if pid != 0)
 

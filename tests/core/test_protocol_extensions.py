@@ -1,12 +1,13 @@
 """Tests for the paper's in-text extensions: per-message K (Section 4.2),
 output-driven logging (Section 2) and its no-flush form, the fanout-mode
-pull of logging progress."""
+pull of logging progress, and the periodic notify tick that pushes or
+pulls it."""
 
 from repro.app.behavior import AppBehavior
 from repro.core.effects import (
     CommitOutput,
+    MulticastControl,
     ReleaseMessage,
-    RequestLogging,
     SendControl,
 )
 from repro.core.depvec import DependencyVector
@@ -92,6 +93,12 @@ class TestPerMessageK:
         assert effects_of(effects, ReleaseMessage)
 
 
+def logging_requests(effects):
+    """``(target, request)`` for each logging request the effects send."""
+    return [(e.dst, e.payload) for e in effects_of(effects, SendControl)
+            if isinstance(e.payload, LoggingRequest)]
+
+
 class TestOutputDrivenLogging:
     def test_request_emitted_for_dependencies(self):
         proc = make_proc(pid=0, n=4, k=4, behavior=OutputBehavior(),
@@ -99,21 +106,23 @@ class TestOutputDrivenLogging:
         effects = proc.on_receive(make_msg(2, 0, entries={2: Entry(0, 7),
                                                           3: Entry(0, 4)},
                                            payload={"output": "X"}))
-        requests = effects_of(effects, RequestLogging)
-        assert len(requests) == 1
-        assert set(requests[0].targets) == {2, 3}
+        # One send per process the output depends on, each with the
+        # flush bit (Section 2's request).
+        assert sorted(logging_requests(effects)) == [
+            (2, LoggingRequest(0, flush=True)),
+            (3, LoggingRequest(0, flush=True))]
 
     def test_no_request_without_flag(self):
         proc = make_proc(pid=0, n=4, k=4, behavior=OutputBehavior())
         effects = proc.on_receive(make_msg(2, 0, entries={2: Entry(0, 7)},
                                            payload={"output": "X"}))
-        assert not effects_of(effects, RequestLogging)
+        assert not logging_requests(effects)
 
     def test_no_request_when_no_remote_dependencies(self):
         proc = make_proc(pid=0, n=4, k=4, behavior=OutputBehavior(),
                          output_driven_logging=True)
         effects = deliver_env(proc, {"output": "X"})
-        assert not effects_of(effects, RequestLogging)
+        assert not logging_requests(effects)
 
     def test_request_handler_flushes_and_replies(self):
         server = make_proc(pid=2, n=4, k=4)
@@ -133,8 +142,7 @@ class TestOutputDrivenLogging:
         deliver_env(target)  # target's interval (0,2) exists but is volatile
         effects = requester.on_receive(
             make_msg(2, 0, entries={2: Entry(0, 2)}, payload={"output": "X"}))
-        request = effects_of(effects, RequestLogging)[0]
-        assert request.targets == [2]
+        assert logging_requests(effects) == [(2, LoggingRequest(0))]
         requester.flush()  # own side stable
         reply = effects_of(
             target.on_logging_request(LoggingRequest(origin=0)),
@@ -193,9 +201,9 @@ class TestAwaitedOwners:
         proc.on_receive(make_msg(2, 0, n=6,
                                  entries={2: Entry(0, 7), 3: Entry(0, 4)},
                                  payload={"outputs": ["X"]}))
-        owner = make_proc(pid=3, n=6, k=0)
+        owner = make_proc(pid=3, n=6, k=0, gossip_log_tables=False)
         owner.log.insert(3, Entry(0, 4))
-        proc.on_log_notification(owner.make_log_notification(own_only=True))
+        proc.on_log_notification(owner.make_log_notification())
         assert proc.awaited_owners() == [2]
 
     def test_positions_whose_waiters_were_all_dropped_are_ignored(self):
@@ -236,11 +244,13 @@ class TestLoggingProgressPull:
         assert LoggingRequest(1).flush  # the default is Section 2's request
 
     def test_answer_is_the_full_table_or_the_own_row(self):
-        owner = make_proc(pid=2, n=4, k=4)
-        owner.log.insert(3, Entry(0, 9))
         request = LoggingRequest(0, flush=False)
-        (full,) = owner.on_logging_request(request)
-        (own,) = owner.on_logging_request(request, own_only=True)
+        answers = []
+        for gossip in (True, False):
+            owner = make_proc(pid=2, n=4, k=4, gossip_log_tables=gossip)
+            owner.log.insert(3, Entry(0, 9))
+            answers += owner.on_logging_request(request)
+        full, own = answers
         assert full.payload.table.rows()[3] == {0: 9}
         assert own.payload.table.rows()[3] == {}
         assert own.payload.table.rows()[2] == full.payload.table.rows()[2]
@@ -258,3 +268,42 @@ class TestLoggingProgressPull:
         (other,) = owner.on_logging_request(LoggingRequest(1, flush=False))
         assert other.payload.table.rows()[2] == {0: 1}
         assert other.payload.table.rows()[3] == {0: 9}
+
+
+class TestNotifyTick:
+    """``notify`` returns the whole tick as effects: one broadcast, one
+    delta per peer, or one multicast ask."""
+
+    def test_push_is_one_broadcast_of_the_table(self):
+        proc = make_proc(pid=1, n=4)
+        proc.log.insert(3, Entry(0, 9))
+        (push,) = proc.notify()
+        assert isinstance(push, MulticastControl) and push.dsts is None
+        assert push.payload.origin == 1
+        assert push.payload.table.rows()[3] == {0: 9}
+
+    def test_delta_mode_sends_each_peer_its_own_notification(self):
+        proc = make_proc(pid=1, n=4, delta_notifications=True)
+        first = proc.notify()                        # full snapshots
+        assert [(type(e), e.dst) for e in first] == [
+            (SendControl, 0), (SendControl, 2), (SendControl, 3)]
+        proc.log.insert(3, Entry(0, 9))
+        second = proc.notify()
+        assert not any(e.payload.table.full for e in second)
+        assert [sorted(e.payload.table.entries) for e in second] == [
+            [(3, 0, 9)]] * 3
+
+    def test_pull_asks_the_awaited_owners_in_one_multicast(self):
+        proc = make_proc(pid=0, n=6, k=0, behavior=Scripted(),
+                         notify_fanout=2)
+        assert proc.notify() == []                   # awaiting nobody
+        proc.on_receive(make_msg(2, 0, n=6,
+                                 entries={2: Entry(0, 7), 3: Entry(0, 4)},
+                                 payload={"outputs": ["X"]}))
+        proc.on_receive(make_msg(4, 0, n=6, entries={4: Entry(0, 2)},
+                                 payload={}))
+        assert proc.notify() == [
+            MulticastControl([2, 3], LoggingRequest(0, flush=False))]
+        # More owners than the budget: the next tick carries on behind.
+        assert proc.notify() == [
+            MulticastControl([4, 2], LoggingRequest(0, flush=False))]

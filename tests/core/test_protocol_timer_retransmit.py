@@ -5,13 +5,16 @@ The protocol stays sans-IO: releasing a message — or broadcasting an
 announcement — with a retransmission timeout configured also emits a
 :class:`ScheduleRetransmit` effect per destination; the runtime turns it
 into a timer and calls ``on_retransmit_timer`` when it fires.  ``on_ack``
-stops the cycle.
+stops the cycle.  The receiver's half is an effect too: with acks on,
+``on_receive`` and ``on_failure_announcement`` ack every copy first.
 """
 
 from repro.app.behavior import AppBehavior
 from repro.core.baselines import StromYeminiProcess
 from repro.core.effects import (
     BroadcastAnnouncement,
+    DuplicateDropped,
+    MessageDiscarded,
     ReleaseMessage,
     RollbackPerformed,
     ScheduleRetransmit,
@@ -248,6 +251,40 @@ class TestAnnouncements:
             (ann, 1), (ann, 2), (ann, 3)]
 
 
+class TestAcks:
+    def test_every_copy_is_acked_first(self):
+        proc = proc_with_timer(pid=0)
+        msg = make_msg(1, 0, payload={"to": 2})
+        ack = SendControl(1, Ack(msg.msg_id, 0, 1))
+        effects = proc.on_receive(msg)
+        assert effects[0] == ack
+        assert effects_of(effects, ReleaseMessage)   # the delivery ran
+        assert proc.on_receive(msg) == [ack, DuplicateDropped(msg)]
+        proc.on_failure_announcement(make_announcement(3, 0, 2))
+        orphan = make_msg(3, 0, entries={3: Entry(0, 5)})
+        assert proc.on_receive(orphan) == [
+            SendControl(3, Ack(orphan.msg_id, 0, 3)),
+            MessageDiscarded(orphan, reason="orphan-on-receive")]
+
+    def test_no_ack_when_acks_are_off_or_for_the_outside_world(self):
+        proc = make_proc(k=4, behavior=ForwardingBehavior())
+        effects = proc.on_receive(make_msg(1, 0))
+        assert not effects_of(effects, SendControl)
+        effects = deliver_env(proc_with_timer(), payload={})
+        assert not effects_of(effects, SendControl)
+
+    def test_an_announcement_is_acked_before_anything_it_causes(self):
+        proc = make_proc(k=4, behavior=ForwardingBehavior(),
+                         retransmit_timeout=4.0, retransmit_window=8)
+        deliver_env(proc, payload={"to": 2})      # sent-log: one to P2
+        ann = make_announcement(2, 0, 2)
+        effects = proc.on_failure_announcement(ann)
+        assert effects[0] == SendControl(2, Ack(ann, 0, 2))
+        assert effects_of(effects, ReleaseMessage)   # the sent-log replay
+        assert not effects_of(
+            make_proc(k=4).on_failure_announcement(ann), SendControl)
+
+
 class TestReReceivedAnnouncement:
     def test_a_second_copy_logs_replays_and_rolls_back_nothing(self):
         proc = make_proc(k=4, behavior=ForwardingBehavior(),
@@ -270,6 +307,15 @@ class TestReReceivedAnnouncement:
         assert proc.storage.sync_writes == sync_writes
         assert proc.stats.rollbacks == rollbacks
         assert proc.stats.retransmissions == replays
+
+    def test_a_held_copy_returns_only_its_ack(self):
+        proc = proc_with_timer(pid=0)
+        ann = make_announcement(2, 0, 2)
+        proc.on_failure_announcement(ann)
+        sync_writes = proc.storage.sync_writes
+        assert proc.on_failure_announcement(ann) == [
+            SendControl(2, Ack(ann, 0, 2))]
+        assert proc.storage.sync_writes == sync_writes
 
     def test_a_copy_arriving_after_our_own_crash_is_still_recognised(self):
         proc = make_proc(k=4)

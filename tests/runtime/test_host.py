@@ -7,14 +7,19 @@ transport — and pin what every driver then inherits: which handler each
 payload kind reaches, the periodic timers, quiescence, boot, and the clean
 fail-stop when the journal dies at the write-ahead barrier — also on a
 step that produced no effect, which skips the executor but never the
-barrier.
+barrier.  The host sends nothing itself: acks and notification ticks reach
+the transport as the protocol's effects.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.core.effects import BroadcastAnnouncement, CommitOutput
+from repro.core.effects import (
+    BroadcastAnnouncement,
+    CommitOutput,
+    MulticastControl,
+)
 from repro.core.entry import Entry
 from repro.net.message import (
     Ack,
@@ -119,7 +124,6 @@ class StubProtocol:
         self.failed = False
         self.send_buffer, self.receive_buffer, self.output_buffer = [], [], []
         self.unacked_count = 0
-        self.delta_notifications = False
 
     #: What every handler answers with.
     effects = [BroadcastAnnouncement(make_announcement(0, 0, 1))]
@@ -140,23 +144,20 @@ class StubProtocol:
         self.calls.append(("crash",))
         self.failed = True
 
-    def make_log_notification(self, own_only=False):
-        self.calls.append(("make_log_notification", own_only))
-        return LogProgressNotification(0, None)
-
-    #: Whose logging progress the stub says it is waiting on.
-    awaited = ()
-
-    def awaited_owners(self):
-        return sorted(self.awaited)
+    def notify(self):
+        self.calls.append(("notify",))
+        return [MulticastControl(None, LogProgressNotification(0, None))]
 
 
-def build(protocol=None, acks=False, n=N, **config):
-    """A host over the fake environment; ``acks`` turns the endpoint's
-    acks on the way a config does, with a retransmission timeout."""
+def acking(**kwargs):
+    """A real protocol for P0 that acks what arrives: acks are on exactly
+    when it retransmits until acked."""
+    return make_proc(0, n=N, k=1, retransmit_timeout=4.0, **kwargs)
+
+
+def build(protocol=None, n=N, **config):
+    """A host over the fake environment."""
     clock, transport = FakeScheduler(), RecordingTransport()
-    if acks:
-        config.setdefault("retransmit_timeout", 4.0)
     env = Environment(
         config=SimConfig(n=n, k=1, **config),
         now=clock.now, schedule=clock.schedule, after_due=clock.after_due,
@@ -172,25 +173,32 @@ def handlers(host):
 
 class TestDispatch:
     def test_app_message_is_received_and_acked_when_the_endpoint_acks(self):
-        host, _clock, transport = build(acks=True)
+        # The ack is the step's first send, and a duplicate is acked
+        # again (the last ack may have been lost).
+        host, _clock, transport = build(acking())
         msg = make_msg(1, 0, n=N)
         host.incoming(msg)
-        assert host.protocol.calls == [("on_receive", msg)]
+        assert transport.sent[0] == ("ctl", 1, Ack(msg.msg_id, 0, 1))
+        host.incoming(msg)
         acks = [p for kind, dst, p in transport.sent
                 if kind == "ctl" and dst == 1]
-        assert acks == [Ack(msg.msg_id, 0, 1)]
+        assert acks == [Ack(msg.msg_id, 0, 1)] * 2
+        assert host.protocol.stats.duplicates_dropped == 1
 
     def test_no_ack_without_an_ack_layer_or_for_the_outside_world(self):
-        host, _clock, transport = build(acks=False)
+        host, _clock, transport = build(make_proc(0, n=N, k=1))
         host.incoming(make_msg(1, 0, n=N))
         assert not [s for s in transport.sent if s[0] == "ctl"]
-        host, _clock, transport = build(acks=True)
+        host, _clock, transport = build(acking())
+        host.inject({"x": 1}, seq=7)
+        assert host.protocol.stats.deliveries == 1
+        assert not [s for s in transport.sent if s[0] == "ctl"]
+        host, _clock, _transport = build()
         host.inject({"x": 1}, seq=7)
         (call,) = host.protocol.calls
         assert call[0] == "on_receive"
         assert call[1].src == -1 and call[1].msg_id.seq == 7
         assert call[1].tdv.non_null_count() == 0
-        assert not [s for s in transport.sent if s[0] == "ctl"]
 
     def test_control_kinds_reach_their_handlers(self):
         host, clock, _transport = build()
@@ -217,16 +225,16 @@ class TestDispatch:
                                         [first, second])]
 
     def test_announcement_is_acked_every_time_when_the_endpoint_acks(self):
-        # The protocol skips a copy it holds already; the endpoint acks
+        # The protocol logs a copy it holds already only once, and acks
         # every copy, since the last ack may have been lost.
         announcement = make_announcement(1, 0, 3)
-        host, _clock, transport = build(acks=True)
+        host, _clock, transport = build(acking())
         host.incoming(announcement)
         host.incoming(announcement)
-        assert handlers(host) == ["on_failure_announcement"] * 2
+        assert list(host.protocol.storage.announcements) == [announcement]
         acks = [(dst, p) for kind, dst, p in transport.sent if kind == "ctl"]
         assert acks == [(1, Ack(announcement, 0, 1))] * 2
-        host, _clock, transport = build(acks=False)
+        host, _clock, transport = build(make_proc(0, n=N, k=1))
         host.incoming(announcement)
         assert not [s for s in transport.sent if s[0] == "ctl"]
 
@@ -246,7 +254,7 @@ class TestDispatch:
 
 class TestDowntime:
     def test_control_is_parked_and_the_rest_is_lost(self):
-        host, clock, transport = build(acks=True, restart_delay=10.0)
+        host, clock, transport = build(restart_delay=10.0)
         host.crash()
         announcement = make_announcement(1, 0, 3)
         notification = LogProgressNotification(1, None)
@@ -266,7 +274,14 @@ class TestDowntime:
         assert host.protocol.calls[1:] == [
             ("restart",), ("on_failure_announcement", announcement),
             ("on_log_notifications", [notification])]
-        # The parked announcement is acked once it is handled.
+
+        # A process that acks acks nothing while down, and the parked
+        # announcement once it is handled.
+        host, clock, transport = build(acking(), restart_delay=10.0)
+        host.crash()
+        host.incoming(announcement)
+        assert not [s for s in transport.sent if s[0] == "ctl"]
+        clock.advance(10.0)
         assert [(dst, p) for kind, dst, p in transport.sent
                 if kind == "ctl"] == [(1, Ack(announcement, 0, 1))]
 
@@ -353,8 +368,8 @@ class TestPeriodic:
         calls = handlers(host)
         assert calls.count("flush") == 2
         assert calls.count("checkpoint") == 1
-        assert calls.count("make_log_notification") == 4
-        assert calls[:2] == ["flush", "make_log_notification"]
+        assert calls.count("notify") == 4
+        assert calls[:2] == ["flush", "notify"]
         assert [p for kind, _dst, p in transport.sent if kind == "bcast"
                 and isinstance(p, LogProgressNotification)]
         assert not clock.timers
@@ -439,20 +454,30 @@ class TestAdaptiveK:
 
 
 class TestFanoutPull:
+    """The notify tick goes out as the protocol's effects, one transport
+    call per tick; the host only starts it."""
+
     def asked(self, transport):
         asked = [dst for kind, dst, _p in transport.sent if kind == "ctl"]
         del transport.sent[:]
         return asked
 
+    def puller(self, n, fanout):
+        """A host over a real P0 in fanout mode, awaiting whichever owners
+        the test sets as ``host.protocol.awaited``."""
+        proc = make_proc(0, n=n, k=1, notify_fanout=fanout)
+        proc.awaited = ()
+        proc.awaited_owners = lambda: sorted(proc.awaited)
+        return build(proc, n=n)
+
     def test_a_process_awaiting_nobody_sends_nothing(self):
-        host, _clock, transport = build(notify_fanout=2)
+        host, _clock, transport = self.puller(N, 2)
         for _ in range(3):
             host.notify()
         assert transport.sent == []
-        assert "make_log_notification" not in handlers(host)
 
     def test_a_tick_asks_the_awaited_owners_without_the_flush_bit(self):
-        host, _clock, transport = build(n=6, notify_fanout=4)
+        host, _clock, transport = self.puller(6, 4)
         host.protocol.awaited = (5, 2, 3)
         host.notify()
         assert transport.sent == [
@@ -466,7 +491,7 @@ class TestFanoutPull:
     def test_more_owners_than_the_budget_take_turns(self):
         owners = [1, 2, 4, 5, 6, 7, 8]
         for fanout in (1, 2, 3, 7):
-            host, _clock, transport = build(n=9, notify_fanout=fanout)
+            host, _clock, transport = self.puller(9, fanout)
             host.protocol.awaited = owners
             asked = []
             for _ in range(-(-len(owners) // fanout)):   # ceil(m / f) ticks
@@ -479,7 +504,7 @@ class TestFanoutPull:
             assert asked[:len(owners)] == owners
 
     def test_turns_survive_a_changing_awaited_set(self):
-        host, _clock, transport = build(n=9, notify_fanout=2)
+        host, _clock, transport = self.puller(9, 2)
         host.protocol.awaited = [1, 3, 5, 7]
         host.notify()
         assert self.asked(transport) == [1, 3]
@@ -493,17 +518,18 @@ class TestFanoutPull:
         assert self.asked(transport) == [2]
 
     def test_broadcast_mode_still_pushes_to_everyone(self):
-        host, _clock, transport = build()
-        host.protocol.awaited = (1, 2)
+        host, _clock, transport = build(make_proc(0, n=N, k=1))
+        host.protocol.awaited_owners = lambda: [1, 2]
         host.notify()
-        assert [kind for kind, _dst, _p in transport.sent] == ["bcast"]
+        assert [(kind, type(p)) for kind, _dst, p in transport.sent] == [
+            ("bcast", LogProgressNotification)]
 
     def test_the_host_answers_with_what_a_periodic_tick_would_carry(self):
         for gossip in (True, False):
-            owner = make_proc(0, n=N, k=1, behavior=Scripted())
+            owner = make_proc(0, n=N, k=1, behavior=Scripted(),
+                              notify_fanout=1, gossip_log_tables=gossip)
             owner.log.insert(1, Entry(0, 9))
-            host, _clock, transport = build(
-                protocol=owner, notify_fanout=1, gossip_log_tables=gossip)
+            host, _clock, transport = build(protocol=owner)
             host.inject({}, seq=1)                   # an unflushed interval
             host.incoming(LoggingRequest(2, flush=False))
             ((kind, dst, answer),) = transport.sent

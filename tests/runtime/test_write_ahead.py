@@ -4,8 +4,9 @@ Synchronous storage writes only mark the journal; the effect executor
 commits them once, before the step's first effect is interpreted.  These
 tests pin the three things that rule promises: the fsync budget of each
 kind of step, the invariant itself (checked by the ``ProbeSet`` probe on
-every protocol variant, and shown to bite on a host that skips the
-barrier), and the clean fail-stop when the device dies at the barrier.
+every protocol variant, shown to bite on a host that skips the barrier,
+and checked at the transport, where nothing may leave a process ahead of
+its barrier), and the clean fail-stop when the device dies at the barrier.
 """
 
 import pytest
@@ -196,6 +197,41 @@ class TestWriteAheadProbe:
             # The hosts that do run the barrier stay clean.
             harness.hosts[1].flush()
             assert all("P0" in v for v in probes.violations)
+        finally:
+            harness.close()
+
+
+class TestNothingLeavesAheadOfTheBarrier:
+    def test_no_transport_call_while_a_sync_write_awaits_the_barrier(self):
+        """Every send — acks included — is an effect the executor
+        interprets after the barrier: pessimistic logging's per-delivery
+        sync record is durable before the delivery is acked."""
+        harness = build_sim(
+            n=4, k=0, seed=3, protocol=PessimisticProcess,
+            workload=RandomPeersWorkload(rate=0.5, output_fraction=0.5),
+            until=120.0, failures=FailureSchedule([CrashEvent(60.0, 1)]),
+            storage_backend="filelog", retransmit_timeout=4.0)
+        network, hosts = harness.network, harness.hosts
+        calls, early = [], []
+
+        def watched(name, send):
+            def wrapper(*args, **kwargs):
+                src = args[0].src if name == "send_app" else args[0]
+                calls.append(name)
+                if hosts[src].protocol.storage.sync_due:
+                    early.append((name, src, args[-1]))
+                return send(*args, **kwargs)
+            return wrapper
+
+        for name in ("send_app", "send_control", "broadcast_control",
+                     "multicast_control"):
+            setattr(network, name, watched(name, getattr(network, name)))
+        try:
+            harness.run(160.0)
+            assert calls.count("send_control") > 100   # the acks among them
+            assert sum(h.protocol.storage.sync_writes for h in hosts) > 100
+            assert early == []
+            assert harness.violations == []
         finally:
             harness.close()
 

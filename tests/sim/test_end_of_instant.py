@@ -140,16 +140,6 @@ class TestBookkeeping:
         engine.advance_to(3.0)
         assert engine.now == 3.0
 
-    def test_compaction_does_not_mistake_deferred_work_for_dead_records(self):
-        engine = Engine()
-        for _ in range(engine.COMPACT_MIN_DEAD * 2):
-            engine.defer(lambda: None)
-        keep = engine.schedule(1.0, lambda: None)
-        engine.schedule(2.0, lambda: None).cancel()
-        # One dead record among two: below the threshold, nothing rebuilt.
-        assert len(engine._queue) == 2
-        assert not keep.cancelled
-
     def test_a_raw_record_counts_the_callbacks_it_stands_for(self):
         engine = Engine()
         seen = []
