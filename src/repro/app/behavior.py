@@ -28,18 +28,29 @@ from repro.types import ProcessId
 class AppContext:
     """Capabilities available to a handler during one state interval."""
 
-    __slots__ = ("pid", "n", "inc", "sii", "rng", "_sends", "_outputs")
+    __slots__ = ("pid", "n", "inc", "sii", "_seed", "_rng", "_sends",
+                 "_outputs")
 
     def __init__(self, pid: ProcessId, n: int, inc: int, sii: int, seed: int):
         self.pid = pid
         self.n = n
         self.inc = inc
         self.sii = sii
-        # Seeded purely by the interval identity, so a replayed interval
-        # draws the same numbers as the original execution.
-        self.rng = random.Random(f"{seed}/{pid}/{inc}/{sii}")
+        self._seed = seed
+        self._rng: Optional[random.Random] = None
         self._sends: List[Tuple[ProcessId, Any, Optional[int]]] = []
         self._outputs: List[Any] = []
+
+    @property
+    def rng(self) -> random.Random:
+        """The interval's RNG, seeded purely by the interval identity, so a
+        replayed interval draws the same numbers as the original execution.
+        It is seeded when first read: a handler that never draws does not
+        pay for the seeding."""
+        if self._rng is None:
+            self._rng = random.Random(
+                f"{self._seed}/{self.pid}/{self.inc}/{self.sii}")
+        return self._rng
 
     def send(self, dst: ProcessId, payload: Any, k: Optional[int] = None) -> None:
         """Queue an application message to ``dst``.

@@ -95,12 +95,30 @@ def _jsonable(value: Any) -> Any:
         return str(value)
 
 
+#: How far :func:`_cut_torn_tail` reads back from the end at a time.
+_TAIL_BLOCK = 64 * 1024
+
+
 def _cut_torn_tail(path: str) -> None:
-    """Truncate ``path`` after its last complete line."""
+    """Truncate ``path`` after its last complete line.
+
+    Reads back from the end one block at a time until it meets a newline,
+    so a respawn reads the torn line (at most), never the whole trace."""
     try:
         with open(path, "r+b") as fh:
-            data = fh.read()
-            if data and not data.endswith(b"\n"):
-                fh.truncate(data.rfind(b"\n") + 1)
+            end = fh.seek(0, 2)
+            pos = end
+            while pos > 0:
+                start = max(0, pos - _TAIL_BLOCK)
+                fh.seek(start)
+                block = fh.read(pos - start)
+                cut = block.rfind(b"\n")
+                if cut >= 0:
+                    if start + cut + 1 < end:
+                        fh.truncate(start + cut + 1)
+                    return
+                pos = start
+            if end:
+                fh.truncate(0)
     except FileNotFoundError:
         pass

@@ -20,18 +20,20 @@ Storage layout (columnar, incarnation-major)
 A table is one flat integer column per incarnation, laid end to end: slot
 ``inc * n + pid`` holds the maximum index recorded for that ``(pid, inc)``
 pair or ``-1`` when absent.  ``stride`` is the highest incarnation seen
-plus one — it starts at 1 and grows by appending one n-wide block of
-``-1`` — so a table, its gossiped :class:`TableSnapshot` and every merge
-are exactly as wide as the information they hold (the paper's "an
-implementation can omit NULL entries"): a failure-free run never carries
-more than n slots.  Because incarnation blocks are contiguous, a snapshot
-of a different stride merges as a *prefix*: a wider one grows the table
-first, a narrower one is merged into ``mine[:len(theirs)]``.  Either way a
-whole-table gossip merge is a single flat elementwise-max pass —
-``np.maximum`` when numpy is available and the table is large, one list
-loop otherwise.  Change detection (and hence :attr:`version` maintenance)
-is an explicit elementwise comparison: values only ever grow under
-max-merge, so ``theirs > mine`` marks exactly the changed slots.  (An
+plus one — it starts at 0, with an empty column, and grows by appending
+one n-wide block of ``-1`` per new incarnation — so a table, its gossiped
+:class:`TableSnapshot` and every merge are exactly as wide as the
+information they hold (the paper's "an implementation can omit NULL
+entries"): an ``iet`` nothing ended in holds no slot at all, and a
+failure-free ``log`` never more than n.  Because incarnation blocks are
+contiguous, a snapshot of a different stride merges as a *prefix*: a
+wider one grows the table first, a narrower one is merged into
+``mine[:len(theirs)]``.  Either way a whole-table gossip merge is a
+single flat elementwise-max pass — ``np.maximum`` when numpy is available
+and the table is large, one list loop otherwise.  Change detection (and
+hence :attr:`version` maintenance) is an explicit elementwise comparison:
+values only ever grow under max-merge, so ``theirs > mine`` marks exactly
+the changed slots.  (An
 earlier column-sum trick wrapped silently at 2**63 and could miss changes
 in a batched merge.)
 
@@ -202,9 +204,9 @@ class EntrySetTable:
         self._track = False
         self._changes: List[Tuple[int, int]] = []
         self.changelog_epoch = 0
-        self._stride = 1
+        self._stride = 0
         self._use_np = columnar.use_numpy_for(n)
-        self._set_cols(self._new_cols(n))
+        self._set_cols(self._new_cols(0))
 
     # -- changelog (delta gossip) --------------------------------------------
 

@@ -22,7 +22,9 @@ class LatencyModel:
         """Whether :meth:`delay` consumes random draws.  Deterministic
         models return False so the network can share one dummy rng across
         their channels instead of allocating a ~2.5 KB ``random.Random``
-        per process pair (material at n=10k with gossip fanout)."""
+        per process pair (material at n=10k with gossip fanout), and, since
+        such a model gives every piggyback-free control hop the same delay,
+        time control traffic without any per-pair :class:`Channel`."""
         return True
 
 

@@ -1,17 +1,20 @@
-"""The interconnect: N processes, N*N channels, multicast support.
+"""The interconnect: N processes, point-to-point channels, multicast support.
 
-The network owns one :class:`Channel` per ordered process pair and turns
-"transmit" requests into engine events that invoke the destination's
-receive hook.  Both application messages and control traffic (failure
-announcements, logging progress notifications) travel through the same
-channels; control messages carry no piggybacked vector.
+The network turns "transmit" requests into engine events that invoke the
+destination's receive hook, timed by a :class:`Channel` per ordered
+process pair and kind of traffic: application messages, or control
+traffic (failure announcements, logging progress notifications), which
+carries no piggybacked vector.
 
 Control traffic has one send path, :meth:`Network.multicast_control`
 (a unicast and a broadcast are calls to it): the fault decision and the
-channel's arrival time are taken per destination, in order, and the
-arrivals that fall on one instant then share one engine record — a
-logging-progress broadcast over fixed-latency channels costs the engine
-one record, not n - 1.
+arrival time are taken per destination, in order, and the arrivals that
+fall on one instant then share one engine record — a logging-progress
+broadcast over fixed-latency channels costs the engine one record, not
+n - 1.  Channels are made on first use, and a control hop makes none
+unless its latency model draws: control carries no piggyback, so a
+model that does not draw gives every control hop the same delay, and a
+FIFO clamp could never move its arrival.
 
 With a :class:`~repro.net.faults.NetworkFaultModel` attached, every
 transmission may be dropped, duplicated, or delayed out of order, and a
@@ -183,6 +186,11 @@ class Network:
         faults = self.faults
         solo = faults is not None or engine.steps_observed
         labelled = engine.wants_labels
+        latency = self._control_latency
+        # A model that does not draw has one control delay; only one that
+        # draws needs each pair's Channel (its rng stream, its FIFO clamp).
+        fixed = (None if latency.draws_rng()
+                 else now + latency.delay(_NO_DRAW_RNG, 0))
         shared: Dict[float, List[int]] = {}
         for dst in dsts:
             label = (f"ctl:{src}->{dst}:{type(payload).__name__}"
@@ -195,14 +203,18 @@ class Network:
                                      what=str(payload))
                     continue
                 extra_delay, duplicate = decision.extra_delay, decision.duplicate
-            channel = self._channel(src, dst, control=True)
-            arrival = channel.arrival_time(now, 0) + extra_delay
+            if fixed is None:
+                channel = self._channel(src, dst, control=True)
+                arrival = channel.arrival_time(now, 0) + extra_delay
+            else:
+                arrival = fixed + extra_delay
             if solo:
                 self._deliver_at(arrival, src, (dst,), payload, label=label)
                 if duplicate:
                     self.duplicates_injected += 1
-                    self._deliver_at(channel.arrival_time(now, 0), src, (dst,),
-                                     payload,
+                    again = (fixed if fixed is not None
+                             else channel.arrival_time(now, 0))
+                    self._deliver_at(again, src, (dst,), payload,
                                      label=f"dup:{label}" if label else None)
             elif arrival in shared:
                 shared[arrival].append(dst)

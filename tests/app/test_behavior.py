@@ -1,5 +1,7 @@
 """Unit tests for the PWD application model."""
 
+import random
+
 import pytest
 
 from repro.app.behavior import AppBehavior, AppContext, EchoBehavior
@@ -45,6 +47,16 @@ class TestAppContext:
         a = AppContext(0, 4, 1, 7, seed=42)
         b = AppContext(0, 4, 2, 7, seed=42)
         assert a.rng.random() != b.rng.random()
+
+    def test_rng_is_seeded_on_first_read_by_the_interval_identity(self):
+        # Seeding is deferred until a handler draws; what it draws is the
+        # stream of the interval's seed string, as if seeded up front.
+        ctx = AppContext(3, 8, 1, 7, seed=42)
+        assert ctx._rng is None
+        expected = random.Random("42/3/1/7")
+        assert [ctx.rng.random() for _ in range(5)] == \
+            [expected.random() for _ in range(5)]
+        assert ctx.rng is ctx.rng
 
     def test_sends_returns_copy(self):
         ctx = AppContext(0, 4, 0, 2, seed=0)

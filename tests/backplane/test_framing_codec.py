@@ -6,6 +6,7 @@ import struct
 
 import pytest
 
+from repro.backplane import clock as clock_module
 from repro.backplane.clock import JsonlTracer, WallClock
 from repro.backplane.codec import (
     CodecError,
@@ -362,3 +363,83 @@ class TestJsonlTracer:
         tracer.close()
         assert [json.loads(line)["time"]
                 for line in path.read_text().splitlines()] == [1.0, 3.0]
+
+
+class TestCutTornTail:
+    """A respawn's tail cut reads back from the end, a block at a time."""
+
+    def cut(self, path):
+        """Run the cut on ``path``; the number of bytes it read."""
+        read = [0]
+        real_open = open
+
+        class Counting:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def read(self, size=-1):
+                data = self._fh.read(size)
+                read[0] += len(data)
+                return data
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(clock_module, "open",
+                          lambda *a, **k: Counting(real_open(*a, **k)),
+                          raising=False)
+            clock_module._cut_torn_tail(str(path))
+        return read[0]
+
+    def test_a_torn_line_longer_than_a_block_is_cut(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        intact = b'{"time": 1.0}\n{"time": 2.0}\n'
+        torn = (b'{"time": 3.0, "data": "'
+                + b"x" * (3 * clock_module._TAIL_BLOCK + 17))
+        path.write_bytes(intact + torn)
+        self.cut(path)
+        assert path.read_bytes() == intact
+
+    def test_a_file_without_a_newline_is_cut_to_nothing(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"y" * (clock_module._TAIL_BLOCK + 5))
+        self.cut(path)
+        assert path.read_bytes() == b""
+
+    def test_an_intact_file_is_left_byte_identical(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        body = b"".join(b'{"time": %d}\n' % i for i in range(1000))
+        path.write_bytes(body)
+        before = path.stat().st_mtime_ns
+        self.cut(path)
+        assert path.read_bytes() == body
+        assert path.stat().st_mtime_ns == before
+
+    def test_an_empty_or_missing_file_is_left_alone(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        self.cut(path)
+        assert not path.exists()
+        path.write_bytes(b"")
+        self.cut(path)
+        assert path.read_bytes() == b""
+
+    def test_a_multi_megabyte_trace_is_not_read_whole(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        line = b'{"time": 1.0, "category": "dep.deliver", "data": {}}\n'
+        with open(path, "wb") as fh:
+            for _ in range(8 * 1024 * 1024 // len(line)):
+                fh.write(line)
+        size = path.stat().st_size
+        assert size > 8_000_000
+        assert self.cut(path) <= clock_module._TAIL_BLOCK
+        assert path.stat().st_size == size
+        path.write_bytes(path.read_bytes() + b'{"time": 2.0, "cat')
+        assert self.cut(path) <= clock_module._TAIL_BLOCK
+        assert path.stat().st_size == size

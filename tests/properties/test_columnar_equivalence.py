@@ -490,8 +490,9 @@ def assert_snapshot_views(snap, rows):
     triples = [(pid, inc, sii) for pid in range(n)
                for inc, sii in sorted(rows[pid].items())]
     assert len(snap.cols) == n * snap.stride
-    # Tight: the last incarnation block is there because it holds something.
-    assert snap.stride == 1 + max((inc for _, inc, _ in triples), default=0)
+    # Tight: the last incarnation block is there because it holds
+    # something, and an empty table is zero-wide.
+    assert snap.stride == max((inc for _, inc, _ in triples), default=-1) + 1
     assert sorted(_snapshot_entries(snap)) == triples
     for pid in range(n):
         only = snap.restrict(pid)
