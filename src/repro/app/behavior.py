@@ -8,7 +8,8 @@ shape by construction:
 - all application state lives in a plain value handed to and returned by
   the handler (the recovery layer checkpoints and deep-copies it);
 - the handler may interact with the world only through the
-  :class:`AppContext` (sends, outputs, and a deterministic per-interval RNG);
+  :class:`AppContext` (sends, outputs, and a deterministic per-interval
+  stream of draws, a function of the interval's identity alone);
 - the handler is invoked once per delivered message and must be a pure
   function of ``(state, payload, ctx)``.
 
@@ -19,9 +20,9 @@ state — the property every message-logging protocol rests on.
 
 from __future__ import annotations
 
-import random
 from typing import Any, List, Optional, Tuple
 
+from repro.sim.rng import Draws, interval_key
 from repro.types import ProcessId
 
 
@@ -37,19 +38,19 @@ class AppContext:
         self.inc = inc
         self.sii = sii
         self._seed = seed
-        self._rng: Optional[random.Random] = None
+        self._rng: Optional[Draws] = None
         self._sends: List[Tuple[ProcessId, Any, Optional[int]]] = []
         self._outputs: List[Any] = []
 
     @property
-    def rng(self) -> random.Random:
-        """The interval's RNG, seeded purely by the interval identity, so a
-        replayed interval draws the same numbers as the original execution.
-        It is seeded when first read: a handler that never draws does not
-        pay for the seeding."""
+    def rng(self) -> Draws:
+        """The interval's draws: draw ``i`` is a pure function of
+        ``(seed, pid, inc, sii, i)``, so a replayed interval draws the same
+        numbers as the original execution.  Keyed when first read: a
+        handler that never draws does not pay for the key."""
         if self._rng is None:
-            self._rng = random.Random(
-                f"{self._seed}/{self.pid}/{self.inc}/{self.sii}")
+            self._rng = Draws(
+                interval_key(self._seed, self.pid, self.inc, self.sii))
         return self._rng
 
     def send(self, dst: ProcessId, payload: Any, k: Optional[int] = None) -> None:

@@ -104,7 +104,8 @@ def cmd_random(args: argparse.Namespace) -> int:
 
 def cmd_mutants(args: argparse.Namespace) -> int:
     names = sorted(MUTANTS) if args.mutant == "all" else [args.mutant]
-    all_caught = True
+    # An empty registry catches nothing; it must not read as a pass.
+    all_caught = bool(names)
     for name in names:
         sampler = RandomScenarioSampler(seed=args.seed)
         explorer = RandomExplorer(sampler, runs=args.runs,

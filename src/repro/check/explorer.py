@@ -10,9 +10,10 @@ Two strategies over :class:`~repro.check.scenario.Scenario` runs:
   Tractable for tiny configs (2-3 processes, a handful of tokens).
 - :class:`RandomExplorer` — seeded random sampling for 3-6 process
   configs: each index deterministically derives a scenario (injections,
-  crash points, partition placements, tie-break seed) from the sampler
-  seed, so a violating sample is reproducible from ``(seed, index)``
-  alone — and, being a plain scenario, shrinkable.
+  crash points, partition placements, tie-break seed, dissemination
+  mode) from the sampler seed, so a violating sample is reproducible
+  from ``(seed, index)`` alone — and, being a plain scenario,
+  shrinkable.
 """
 
 from __future__ import annotations
@@ -149,10 +150,15 @@ class RandomScenarioSampler:
                 start=start, end=min(start + length, self.horizon * 0.9),
                 islands=((isolated,),),
             ))
+        choice_seed = rng.randrange(2 ** 32)
+        # A quarter of the scenarios pull logging progress, asking two
+        # awaited owners per tick (drawn last: no other field depends on
+        # it).
+        fanout = 2 if rng.random() < 0.25 else None
         return Scenario(
             n=n, k=k, seed=index, horizon=self.horizon,
             injections=injections, crashes=crashes, partitions=partitions,
-            choices=[], choice_seed=rng.randrange(2 ** 32),
+            choices=[], choice_seed=choice_seed, notify_fanout=fanout,
         )
 
 

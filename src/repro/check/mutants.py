@@ -1,10 +1,12 @@
 """Deliberately broken protocol variants.
 
 A checker that never fires proves nothing.  Each mutant here disables one
-safety mechanism of :class:`~repro.core.protocol.KOptimisticProcess`; the
-mutation smoke tests (and ``python -m repro check mutants``) assert that
-exploration finds a violation against every one of them and that the
-shrinker reduces it to a small replayable counterexample.
+safety or liveness mechanism of
+:class:`~repro.core.protocol.KOptimisticProcess`, or the piecewise
+determinism it assumes of the application; the mutation smoke tests (and
+``python -m repro check mutants``) assert that exploration finds a
+violation against every one of them and that the shrinker reduces it to a
+small replayable counterexample.
 
 The probes are deliberately mutant-proof: orphan detection in the probe
 layer re-evaluates the raw incarnation-end table
@@ -15,12 +17,19 @@ protocol predicate cannot simultaneously hide the symptom.
 
 from __future__ import annotations
 
+import random
 from typing import Dict, List
 
+from repro.app.behavior import AppContext
 from repro.core.depvec import DependencyVector
 from repro.core.effects import Effect
 from repro.core.protocol import KOptimisticProcess
-from repro.net.message import AppMessage, LogProgressNotification
+from repro.net.message import (
+    AppMessage,
+    LoggingRequest,
+    LogProgressNotification,
+)
+from repro.workloads.openloop import OpenLoopBehavior
 
 
 class OrphanBlindProcess(KOptimisticProcess):
@@ -88,10 +97,53 @@ class StaleVectorProcess(KOptimisticProcess):
         return effects
 
 
+class DeafOwnerProcess(KOptimisticProcess):
+    """Never answers a :class:`~repro.net.message.LoggingRequest` (breaks
+    liveness in fanout-pull mode, where asking the awaited owners is the
+    only way logging progress travels).
+
+    Nothing unsafe follows — held sends and pending outputs just wait for
+    ever — so only the quiescent liveness probe sees it, on a scenario
+    with ``notify_fanout`` set.
+    """
+
+    def on_logging_request(self, request: LoggingRequest) -> List[Effect]:
+        self._require_running()
+        return []
+
+
+class GlobalRandomOpenLoop(OpenLoopBehavior):
+    """Picks each next hop from the module-level ``random`` instead of the
+    interval's own draws (breaks piecewise determinism)."""
+
+    def next_hop(self, ctx: AppContext) -> int:
+        i = random.randrange(ctx.n - 1)
+        return i if i < ctx.pid else i + 1
+
+
+class GlobalRandomAppProcess(KOptimisticProcess):
+    """The protocol, intact, running :class:`GlobalRandomOpenLoop` whatever
+    behaviour it is given.
+
+    A replayed interval draws from wherever the shared generator stands
+    now, so it sends its token to another peer than its first execution
+    did; the replay-determinism probe fires.  Building a process reseeds
+    the generator, so a run, and its counterexample's replay, repeat
+    exactly.
+    """
+
+    def __init__(self, **kwargs):
+        kwargs["behavior"] = GlobalRandomOpenLoop()
+        super().__init__(**kwargs)
+        random.seed(0)
+
+
 #: Registry used by the CLI, the exploration experiment, and the tests.
 MUTANTS: Dict[str, type] = {
     "orphan_blind": OrphanBlindProcess,
     "unbounded_release": UnboundedReleaseProcess,
     "forgetful_piggyback": ForgetfulPiggybackProcess,
     "stale_vector": StaleVectorProcess,
+    "deaf_owner": DeafOwnerProcess,
+    "global_random_app": GlobalRandomAppProcess,
 }

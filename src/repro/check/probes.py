@@ -39,6 +39,16 @@ and accumulates violations.  Together with the harness's
   vector holds at most ``k_limit`` non-null entries, and under an
   adaptive-K run the stamped bound never exceeds the controller ceiling
   ``resolved_k_max()`` (the effective-K-stays-bounded invariant).
+- **replay determinism (PWD)** — when a replayed delivery regenerates an
+  interval ``(pid, inc, sii)``, the handler's sends and outputs equal the
+  first execution's.  Each interval's draws are a function of its
+  identity (:func:`~repro.sim.rng.interval_key`), so a handler that draws
+  from anything else — a shared generator, the clock — shows here.
+- **liveness at quiescence** — :meth:`ProbeSet.check_quiescent`, run once
+  after ``settle``: no held send and no pending output may depend only on
+  surviving intervals (existing, not rolled back, not orphaned); such a
+  one would wait for ever.  An owner that never answers a fanout-mode
+  logging request leaves exactly that behind.
 - **write-ahead** — whenever any effect of a process is interpreted, its
   storage backend has no synchronous write still waiting for the barrier
   (``StableBackend.sync_due``): no release, notification, announcement or
@@ -52,7 +62,7 @@ would repeat it every step).
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.core.columnar import PACK_MASK, PACK_SHIFT
 from repro.core.effects import Effect, MessageDelivered, ReleaseMessage
@@ -67,6 +77,9 @@ class ProbeSet:
     def __init__(self) -> None:
         self.violations: List[str] = []
         self._seen: Set[str] = set()
+        #: ``(pid, inc, sii)`` -> the sends and outputs of its first
+        #: execution.
+        self._produced: Dict[Tuple[int, int, int], Tuple[Any, Any]] = {}
 
     def install(self, harness: SimulationHarness) -> None:
         harness.add_effect_probe(self._on_effect)
@@ -98,7 +111,10 @@ class ProbeSet:
         if isinstance(effect, ReleaseMessage):
             self._check_release_k(host, effect)
             return
-        if not isinstance(effect, MessageDelivered) or effect.replay:
+        if not isinstance(effect, MessageDelivered):
+            return
+        self._check_replay_determinism(host, effect)
+        if effect.replay:
             return
         msg = effect.message
         if msg.src < 0:
@@ -108,6 +124,21 @@ class ProbeSet:
                 f"known orphan {msg.msg_id} delivered to the application "
                 f"at P{host.pid} (its incarnation-end table already "
                 f"invalidates a piggybacked dependency)"
+            )
+
+    def _check_replay_determinism(self, host: ProcessHost,
+                                  effect: MessageDelivered) -> None:
+        """PWD: a replayed interval produces what its first run did."""
+        interval = effect.interval
+        key = (host.pid, interval.inc, interval.sii)
+        produced = (list(effect.sends), list(effect.outputs))
+        first = self._produced.setdefault(key, produced)
+        if effect.replay and first != produced:
+            self._report(
+                f"replay determinism violated: P{host.pid} regenerated "
+                f"interval {key} with sends {produced[0]} and outputs "
+                f"{produced[1]}, but its first execution produced sends "
+                f"{first[0]} and outputs {first[1]}"
             )
 
     def _check_release_k(self, host: ProcessHost, effect: ReleaseMessage) -> None:
@@ -203,6 +234,38 @@ class ProbeSet:
                             f"{ident} keeps {_entry(packed)} for P{pid}, "
                             f"which its log table already covers"
                         )
+
+    # -- quiescent checks ------------------------------------------------------
+
+    def check_quiescent(self, harness: SimulationHarness) -> None:
+        """Liveness, once the run has settled: every held send and pending
+        output of a live process waits on some interval that did not
+        survive (rolled back or orphaned, so it is to be discarded), never
+        on surviving intervals alone."""
+        if harness.certifier is None:
+            return
+        oracle = harness.certifier.oracle
+
+        def survives(pid: int, entry: Entry) -> bool:
+            iid = (pid, entry.inc, entry.sii)
+            return (oracle.exists(iid) and not oracle.node(iid).rolled_back
+                    and not oracle.is_orphan(iid))
+
+        for host in harness.hosts:
+            proc = host.protocol
+            if host.down or proc.failed:
+                continue
+            waiting = [("held send", msg.msg_id, msg.tdv)
+                       for msg in proc.send_buffer]
+            waiting += [("pending output", p.record.output_id, p.tdv)
+                        for p in proc.output_buffer.pending]
+            for what, ident, tdv in waiting:
+                if all(survives(pid, entry) for pid, entry in tdv.items()):
+                    self._report(
+                        f"liveness violated: P{host.pid}'s {what} {ident} "
+                        f"still waits after settle, though every interval "
+                        f"it depends on survives ({dict(tdv.items())})"
+                    )
 
 
 def _entry(packed: int) -> Entry:

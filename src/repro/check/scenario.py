@@ -5,7 +5,8 @@ controlled run: topology (n, K, seed), token-workload injections,
 crash/partition placements, the horizon, and the schedule *choices* — the
 indices an external tie-breaker picks among same-time engine events.
 ``run_scenario`` executes one scenario with the invariant probe layer
-installed and returns a :class:`CheckResult`.
+installed, runs the quiescent liveness probe once it has settled, and
+returns a :class:`CheckResult`.
 
 Scenarios use a **lockstep** network (fixed unit latency, no jitter, no
 per-entry cost) so that independently sent messages arrive at the same
@@ -142,6 +143,9 @@ class Scenario:
     checkpoint_interval: float = 40.0
     notify_interval: float = 5.0
     restart_delay: float = 5.0
+    #: Fanout-pull dissemination: each notify tick asks at most this many
+    #: awaited owners (``None``: every process broadcasts its table).
+    notify_fanout: Optional[int] = None
 
     # -- construction ------------------------------------------------------
 
@@ -154,6 +158,7 @@ class Scenario:
             checkpoint_interval=self.checkpoint_interval,
             notify_interval=self.notify_interval,
             restart_delay=self.restart_delay,
+            notify_fanout=self.notify_fanout,
             # Lockstep network: maximal same-time ties for the explorer.
             msg_latency_jitter=0.0,
             per_entry_latency=0.0,
@@ -205,6 +210,7 @@ class Scenario:
             checkpoint_interval=data.get("checkpoint_interval", 40.0),
             notify_interval=data.get("notify_interval", 5.0),
             restart_delay=data.get("restart_delay", 5.0),
+            notify_fanout=data.get("notify_fanout"),
         )
 
     def dump(self, path: str) -> None:
@@ -241,6 +247,7 @@ def run_scenario(
     for injection in scenario.injections:
         harness.inject_at(injection.time, injection.dst, injection.payload())
     harness.run(scenario.horizon)
+    probes.check_quiescent(harness)
     violations = list(harness.violations) + list(probes.violations)
     return CheckResult(
         violations=violations,

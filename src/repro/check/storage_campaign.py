@@ -15,7 +15,8 @@ Two campaign styles, both deterministic given their seed:
 
 Every run is judged by the harness's certifier (its ledger: each output
 committed once, none from an interval rolled back or orphaned by the end)
-and a :class:`~repro.check.probes.ProbeSet`.  The campaigns add
+and a :class:`~repro.check.probes.ProbeSet`, its quiescent liveness probe
+included.  The campaigns add
 :func:`durability_violations`: every committed output is still recorded
 as committed in its process's stable storage — the at-most-once guard
 that survives REDO replay.
@@ -121,6 +122,7 @@ def _run_one(config: SimConfig, schedule: FailureSchedule,
     workload.install(harness, until=horizon - 100.0)
     try:
         harness.run(horizon)
+        probes.check_quiescent(harness)
         metrics = harness.metrics()
         violations = list(metrics.violations)
         violations.extend(probes.violations)

@@ -9,7 +9,7 @@ feed tracing, metrics, and the ground-truth oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.entry import Entry
 from repro.net.message import AppMessage, FailureAnnouncement, OutputRecord
@@ -107,11 +107,16 @@ class MessageDelivered(Effect):
 
     ``replay`` marks deterministic re-execution of an existing stable
     interval (after a failure), as opposed to a brand-new interval.
+    ``sends`` (``(dst, payload, k)`` triples) and ``outputs`` are what the
+    application handler produced in the interval, in order: piecewise
+    determinism says a replay produces them again.
     """
 
     message: AppMessage
     interval: Entry
     replay: bool = False
+    sends: Sequence[Tuple[int, Any, Optional[int]]] = ()
+    outputs: Sequence[Any] = ()
 
 
 @dataclass

@@ -998,7 +998,10 @@ class KOptimisticProcess:
         ctx = AppContext(self.pid, self.n, self.current.inc, self.current.sii, self.seed)
         self.app_state = self.behavior.on_message(self.app_state, msg.payload, ctx)
 
-        effects: List[Effect] = [MessageDelivered(msg, self.current, replay=replay)]
+        sends = ctx.sends_with_limits
+        outputs = ctx.outputs
+        effects: List[Effect] = [
+            MessageDelivered(msg, self.current, replay, sends, outputs)]
         self.stats.deliveries += 1
         if replay:
             self.stats.replayed_deliveries += 1
@@ -1012,10 +1015,10 @@ class KOptimisticProcess:
             # Hook for protocol variants (pessimistic logging syncs here).
             effects += self._post_delivery_effects()
 
-        for seq, (dst, payload, k_limit) in enumerate(ctx.sends_with_limits):
+        for seq, (dst, payload, k_limit) in enumerate(sends):
             self._enqueue_send(dst, payload, seq, replayed=replay,
                                k_limit=k_limit)
-        for seq, payload in enumerate(ctx.outputs):
+        for seq, payload in enumerate(outputs):
             effects += self._enqueue_output(payload, seq)
 
         effects += self._check_send_buffer()

@@ -179,8 +179,8 @@ def main() -> None:
               "process asking one awaited owner per period, a full-table "
               "answer spreads stability transitively through Receive_log's "
               "all-rows merge, where an own-row answer settles one "
-              "dependency per period: hold time is about a sixth shorter "
-              "and output latency about a fifth.",
+              "dependency per period: hold time and output latency are both "
+              "shorter.",
     )
     print_experiment(
         "A3 - Output-driven logging at sparse notification periods",

@@ -9,22 +9,22 @@ overheads the K parameter trades off.
 
 from __future__ import annotations
 
-import random
+from typing import Optional
+
+from repro.sim.rng import Draws
 
 
 class LatencyModel:
     """Base class: draws a transmission delay for one message."""
 
-    def delay(self, rng: random.Random, piggyback_entries: int = 0) -> float:
+    def delay(self, rng: Optional[Draws], piggyback_entries: int = 0) -> float:
         raise NotImplementedError
 
     def draws_rng(self) -> bool:
-        """Whether :meth:`delay` consumes random draws.  Deterministic
-        models return False so the network can share one dummy rng across
-        their channels instead of allocating a ~2.5 KB ``random.Random``
-        per process pair (material at n=10k with gossip fanout), and, since
-        such a model gives every piggyback-free control hop the same delay,
-        time control traffic without any per-pair :class:`Channel`."""
+        """Whether :meth:`delay` consumes random draws.  A model that does
+        not is called with no stream, and, since it gives every
+        piggyback-free control hop the same delay, the network times
+        control traffic over it without any per-pair :class:`Channel`."""
         return True
 
 
@@ -37,7 +37,7 @@ class FixedLatency(LatencyModel):
         self.base = base
         self.per_entry = per_entry
 
-    def delay(self, rng: random.Random, piggyback_entries: int = 0) -> float:
+    def delay(self, rng: Optional[Draws], piggyback_entries: int = 0) -> float:
         return self.base + self.per_entry * piggyback_entries
 
     def draws_rng(self) -> bool:
@@ -56,39 +56,31 @@ class UniformLatency(LatencyModel):
         self.high = high
         self.per_entry = per_entry
 
-    def delay(self, rng: random.Random, piggyback_entries: int = 0) -> float:
+    def delay(self, rng: Optional[Draws], piggyback_entries: int = 0) -> float:
         return rng.uniform(self.low, self.high) + self.per_entry * piggyback_entries
 
 
-class Channel:
-    """A unidirectional channel from ``src`` to ``dst``.
+class Channel(Draws):
+    """What one unidirectional channel keeps: its draw stream (a
+    :class:`~repro.sim.rng.Draws`, two ints) and the last arrival time it
+    handed out.  The latency model and FIFO mode are the network's, passed
+    in per transmission.
 
-    ``transmit`` computes the arrival time of a message and invokes the
-    engine-provided scheduler.  In FIFO mode arrival times are clamped to be
-    non-decreasing so that reordering never happens on a single channel.
+    In FIFO mode arrival times are clamped to be non-decreasing so that
+    reordering never happens on a single channel.
     """
 
-    def __init__(
-        self,
-        src: int,
-        dst: int,
-        latency: LatencyModel,
-        rng: random.Random,
-        fifo: bool = False,
-    ):
-        self.src = src
-        self.dst = dst
-        self.latency = latency
-        self.rng = rng
-        self.fifo = fifo
-        self._last_arrival = float("-inf")
-        self.transmitted = 0
+    __slots__ = ("last_arrival",)
 
-    def arrival_time(self, now: float, piggyback_entries: int = 0) -> float:
+    def __init__(self, key: int):
+        super().__init__(key)
+        self.last_arrival = float("-inf")
+
+    def arrival_time(self, now: float, latency: LatencyModel,
+                     fifo: bool = False, piggyback_entries: int = 0) -> float:
         """Arrival time for a message handed to the channel at ``now``."""
-        arrival = now + self.latency.delay(self.rng, piggyback_entries)
-        if self.fifo and arrival < self._last_arrival:
-            arrival = self._last_arrival
-        self._last_arrival = arrival
-        self.transmitted += 1
+        arrival = now + latency.delay(self, piggyback_entries)
+        if fifo and arrival < self.last_arrival:
+            arrival = self.last_arrival
+        self.last_arrival = arrival
         return arrival

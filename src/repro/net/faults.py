@@ -6,19 +6,18 @@ This module drops both assumptions: every transmission consults a
 :class:`NetworkFaultModel` that may drop it, duplicate it, or delay it out
 of order, and a scheduled partition blocks whole process groups.
 
-Determinism: every probabilistic decision is drawn from a named
-:class:`~repro.sim.rng.RngRegistry` stream keyed by the channel
-(``faults/{src}->{dst}/{app|ctl}``), so the same seed produces the same
-fault pattern regardless of what any other component draws.
+Determinism: every probabilistic decision is drawn from the channel's own
+fault stream, a :class:`~repro.sim.rng.Draws` keyed by
+``(seed, "faults/{src}->{dst}/{app|ctl}")``, so the same seed produces the
+same fault pattern regardless of what any other component draws.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import Draws, RngRegistry
 
 
 @dataclass(frozen=True)
@@ -27,7 +26,7 @@ class ChannelFaults:
 
     ``drop``/``duplicate``/``reorder`` are independent per-transmission
     probabilities; a reordered message is additionally delayed by a
-    uniform draw from ``[0, reorder_spread]`` on top of its normal
+    uniform amount in ``[0, reorder_spread)`` on top of its normal
     latency (non-FIFO channels then overtake it naturally).
     """
 
@@ -86,9 +85,9 @@ class NetworkFaultModel:
         for faults in self.overrides.values():
             faults.validate()
         self.apply_to_control = apply_to_control
-        #: Each ``(src, dst, control)`` channel's registry stream, looked
-        #: up once.
-        self._streams: Dict[Tuple[int, int, bool], random.Random] = {}
+        #: Each ``(src, dst, control)`` channel's fault draws (key and
+        #: index), made on its first probabilistic decision.
+        self._draws: Dict[Tuple[int, int, bool], Draws] = {}
         self._islands: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._partition_started: Optional[float] = None
         self.partition_time = 0.0
@@ -162,22 +161,26 @@ class NetworkFaultModel:
         faults = self.faults_for(src, dst)
         if not faults.any_enabled:
             return DELIVER
-        rng = self._stream(src, dst, control)
-        if faults.drop > 0 and rng.random() < faults.drop:
+        rng = self._draws.get((src, dst, control))
+        if rng is None:
+            kind = "ctl" if control else "app"
+            rng = self._draws[src, dst, control] = Draws(
+                self.rngs.key(f"faults/{src}->{dst}/{kind}"))
+        # One draw decides the transmission: each coin in turn takes the
+        # part of the uniform below its probability, and the part it
+        # leaves, rescaled to [0, 1), is again uniform and independent of
+        # that coin; the reorder delay is what the last coin leaves.
+        u = rng.random()
+        drop = faults.drop
+        if u < drop:
             return FaultDecision(drop=True)
-        duplicate = faults.duplicate > 0 and rng.random() < faults.duplicate
+        u = (u - drop) / (1.0 - drop)
+        dup = faults.duplicate
+        duplicate = u < dup
+        u = u / dup if duplicate else (u - dup) / (1.0 - dup)
         extra = 0.0
-        if faults.reorder > 0 and rng.random() < faults.reorder:
-            extra = rng.uniform(0.0, faults.reorder_spread)
+        if u < faults.reorder:
+            extra = faults.reorder_spread * (u / faults.reorder)
         if duplicate or extra:
             return FaultDecision(duplicate=duplicate, extra_delay=extra)
         return DELIVER
-
-    def _stream(self, src: int, dst: int, control: bool) -> random.Random:
-        key = (src, dst, control)
-        stream = self._streams.get(key)
-        if stream is None:
-            kind = "ctl" if control else "app"
-            stream = self.rngs.stream(f"faults/{src}->{dst}/{kind}")
-            self._streams[key] = stream
-        return stream

@@ -14,7 +14,9 @@ broadcast over fixed-latency channels costs the engine one record, not
 n - 1.  Channels are made on first use, and a control hop makes none
 unless its latency model draws: control carries no piggyback, so a
 model that does not draw gives every control hop the same delay, and a
-FIFO clamp could never move its arrival.
+FIFO clamp could never move its arrival.  A channel is its draw stream
+and its last arrival (:class:`~repro.net.channel.Channel`); its draws are
+keyed by ``(seed, "net/{src}->{dst}/{app|ctl}")``.
 
 With a :class:`~repro.net.faults.NetworkFaultModel` attached, every
 transmission may be dropped, duplicated, or delayed out of order, and a
@@ -25,7 +27,6 @@ protocol (:meth:`~repro.core.protocol.KOptimisticProcess.on_retransmit_timer`).
 
 from __future__ import annotations
 
-import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.channel import Channel, FixedLatency, LatencyModel
@@ -37,9 +38,6 @@ from repro.sim.trace import Tracer
 
 #: Hook invoked when a message (of any kind) arrives at a process.
 ReceiveHook = Callable[[Any], None]
-
-#: Shared placeholder rng for channels whose latency model never draws.
-_NO_DRAW_RNG = random.Random(0)
 
 
 class Network:
@@ -64,6 +62,11 @@ class Network:
         self.tracer = tracer
         self._latency = latency or FixedLatency(1.0)
         self._control_latency = control_latency or self._latency
+        #: Every control hop's delay when the control model does not draw
+        #: (None when it does: then each pair's ``Channel`` draws it).
+        self._control_delay = (
+            None if self._control_latency.draws_rng()
+            else self._control_latency.delay(None, 0))
         self._hooks: List[Optional[ReceiveHook]] = [None] * n
         self._channels: Dict[Tuple[int, int, bool], Channel] = {}
         self._rngs = rngs
@@ -94,15 +97,8 @@ class Network:
         key = (src, dst, control)
         channel = self._channels.get(key)
         if channel is None:
-            latency = self._control_latency if control else self._latency
-            if latency.draws_rng():
-                rng = self._rngs.stream(
-                    f"net/{src}->{dst}/{'ctl' if control else 'app'}")
-            else:
-                # Deterministic latency never draws: share one dummy rng
-                # instead of allocating a Random per process pair.
-                rng = _NO_DRAW_RNG
-            channel = Channel(src, dst, latency, rng, fifo=self._fifo)
+            channel = Channel(self._rngs.key(
+                f"net/{src}->{dst}/{'ctl' if control else 'app'}"))
             self._channels[key] = channel
         return channel
 
@@ -134,12 +130,14 @@ class Network:
                                  dst=msg.dst, what=str(msg.msg_id))
                 return
             channel = self._channel(msg.src, msg.dst, control=False)
-            arrival = channel.arrival_time(engine.now, entries)
+            arrival = channel.arrival_time(engine.now, self._latency,
+                                           self._fifo, entries)
             arrival += decision.extra_delay
             self._deliver_at(arrival, msg.src, (msg.dst,), msg, label=label)
             if decision.duplicate:
                 self.duplicates_injected += 1
-                dup_arrival = channel.arrival_time(engine.now, entries)
+                dup_arrival = channel.arrival_time(engine.now, self._latency,
+                                                   self._fifo, entries)
                 if self.tracer:
                     self.tracer.record(engine.now, "net.duplicate", msg.src,
                                        msg=str(msg.msg_id), dst=msg.dst)
@@ -147,7 +145,8 @@ class Network:
                                  label=f"dup:{label}" if label else None)
             return
         channel = self._channel(msg.src, msg.dst, control=False)
-        arrival = channel.arrival_time(engine.now, entries)
+        arrival = channel.arrival_time(engine.now, self._latency, self._fifo,
+                                       entries)
         self._deliver_at(arrival, msg.src, (msg.dst,), msg, label=label)
 
     def send_control(self, src: int, dst: int, payload: Any) -> None:
@@ -187,10 +186,11 @@ class Network:
         solo = faults is not None or engine.steps_observed
         labelled = engine.wants_labels
         latency = self._control_latency
+        fifo = self._fifo
         # A model that does not draw has one control delay; only one that
-        # draws needs each pair's Channel (its rng stream, its FIFO clamp).
-        fixed = (None if latency.draws_rng()
-                 else now + latency.delay(_NO_DRAW_RNG, 0))
+        # draws needs each pair's Channel (its draws, its FIFO clamp).
+        fixed = (None if self._control_delay is None
+                 else now + self._control_delay)
         shared: Dict[float, List[int]] = {}
         for dst in dsts:
             label = (f"ctl:{src}->{dst}:{type(payload).__name__}"
@@ -205,7 +205,7 @@ class Network:
                 extra_delay, duplicate = decision.extra_delay, decision.duplicate
             if fixed is None:
                 channel = self._channel(src, dst, control=True)
-                arrival = channel.arrival_time(now, 0) + extra_delay
+                arrival = channel.arrival_time(now, latency, fifo) + extra_delay
             else:
                 arrival = fixed + extra_delay
             if solo:
@@ -213,7 +213,7 @@ class Network:
                 if duplicate:
                     self.duplicates_injected += 1
                     again = (fixed if fixed is not None
-                             else channel.arrival_time(now, 0))
+                             else channel.arrival_time(now, latency, fifo))
                     self._deliver_at(again, src, (dst,), payload,
                                      label=f"dup:{label}" if label else None)
             elif arrival in shared:

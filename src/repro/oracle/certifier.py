@@ -69,6 +69,8 @@ class Certifier:
         #: Where :meth:`finish` put its verdicts in ``violations``, and
         #: which: a later call replaces them instead of repeating them.
         self._final: Tuple[int, List[str]] = (0, [])
+        #: Every Theorem 4 verdict reported, so a repeat is not.
+        self._release_verdicts: Set[str] = set()
 
     # -- facts ---------------------------------------------------------------
 
@@ -122,10 +124,14 @@ class Certifier:
             self.max_release_revokers = len(revokers)
         bound = self.k if k is None else k
         if len(revokers) > bound:
-            self.violations.append(
-                f"Theorem 4 violated: {msg} released by P{pid} with "
-                f"{len(revokers)} potential revokers {sorted(revokers)} "
-                f"> K={bound}")
+            text = (f"Theorem 4 violated: {msg} released by P{pid} with "
+                    f"{len(revokers)} potential revokers {sorted(revokers)} "
+                    f"> K={bound}")
+            # A message released again (a sent-log copy for a restarted
+            # receiver) over the same revokers is the same claim.
+            if text not in self._release_verdicts:
+                self._release_verdicts.add(text)
+                self.violations.append(text)
 
     def commit(self, pid: int, interval: Entry, output: Any,
                payload: Any = None) -> None:

@@ -97,16 +97,18 @@ class OpenLoopBehavior(AppBehavior):
     def initial_state(self, pid: int, n: int) -> Any:
         return {"tokens_seen": 0, "work": 0}
 
+    def next_hop(self, ctx: AppContext) -> int:
+        """A uniform peer other than ourselves, without building the O(n)
+        peer list: index i of that list is pid i below us, i+1 above."""
+        i = ctx.rng.randrange(ctx.n - 1)
+        return i if i < ctx.pid else i + 1
+
     def on_message(self, state: Any, payload: Any, ctx: AppContext) -> Any:
         state["tokens_seen"] += 1
         state["work"] = (state["work"] * 31 + payload.get("token", 0)) % 1_000_003
         hops = payload.get("hops", 0)
         if hops > 0:
-            # A uniform peer other than ourselves, without building the
-            # O(n) peer list: index i of that list is pid i below us, i+1 above.
-            i = ctx.rng.randrange(ctx.n - 1)
-            dst = i if i < ctx.pid else i + 1
-            ctx.send(dst, {
+            ctx.send(self.next_hop(ctx), {
                 "token": payload.get("token", 0),
                 "hops": hops - 1,
                 "emit_output": payload.get("emit_output", False),

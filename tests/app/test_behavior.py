@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.app.behavior import AppBehavior, AppContext, EchoBehavior
+from repro.sim.rng import Draws, interval_key
 
 
 class TestAppContext:
@@ -49,14 +50,15 @@ class TestAppContext:
         assert a.rng.random() != b.rng.random()
 
     def test_rng_is_seeded_on_first_read_by_the_interval_identity(self):
-        # Seeding is deferred until a handler draws; what it draws is the
-        # stream of the interval's seed string, as if seeded up front.
+        # Keying is deferred until a handler draws; what it draws is the
+        # stream keyed by the interval's identity, no Mersenne Twister.
         ctx = AppContext(3, 8, 1, 7, seed=42)
         assert ctx._rng is None
-        expected = random.Random("42/3/1/7")
+        expected = Draws(interval_key(42, 3, 1, 7))
         assert [ctx.rng.random() for _ in range(5)] == \
             [expected.random() for _ in range(5)]
         assert ctx.rng is ctx.rng
+        assert not isinstance(ctx.rng, random.Random)
 
     def test_sends_returns_copy(self):
         ctx = AppContext(0, 4, 0, 2, seed=0)

@@ -5,7 +5,7 @@ it with is run again with ``dep_trace`` on.  The certifier the harness fed
 inline and :func:`~repro.oracle.ingest.certify_tracer` over the same
 run's ``dep.*`` records must report the same violations, string for
 string.  ``unbounded_release`` breaks Theorem 4, which the certifier
-itself judges, so its post-hoc verdict alone must kill it; the other two
+itself judges, so its post-hoc verdict alone must kill it; the others
 are killed by the probes, and the certifier's verdict on them is whatever
 consistency and the ledger say, on both feeds alike.
 """
@@ -39,6 +39,7 @@ def traced_rerun(scenario, protocol):
     for injection in scenario.injections:
         harness.inject_at(injection.time, injection.dst, injection.payload())
     harness.run(scenario.horizon)
+    probes.check_quiescent(harness)
     return harness, probes
 
 

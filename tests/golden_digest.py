@@ -4,7 +4,7 @@ A change that claims "same schedule" runs this script on the parent
 commit and on the change and diffs the two outputs; a run that depends
 on string-hash order shows up as a difference between two
 ``PYTHONHASHSEED`` values of the same commit.  Per configuration it
-hashes the full trace, the next draw of every rng stream,
+hashes the full trace, the next draw of every channel and fault stream,
 ``events_executed``, the control messages sent — each payload's type and
 table-entry count, in send order — and the ``metrics()`` row (less its
 one wall-clock field).  The configurations cover both storage backends, the lossy network
@@ -47,6 +47,8 @@ from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
 from repro.workloads.random_peers import RandomPeersWorkload
 
+from helpers import next_draws  # this script's own directory, tests/
+
 DURATION = 200.0
 CRASHES = FailureSchedule([CrashEvent(60.0, 1), CrashEvent(130.0, 3)])
 PARTITION = FailureSchedule([
@@ -63,9 +65,9 @@ BASELINES: Dict[str, Tuple[type, Dict[str, Any]]] = {
     "fully_async": (FullyAsyncProcess, {}),
     # Direct tracking commits no output, and its announcement cascade
     # storms on most schedules (direct.py's "fair warning"): one that
-    # settles.
+    # settles (re-pinned when the schedules move).
     "direct": (DirectDependencyProcess, {
-        "n": 4, "seed": 2, "rate": 0.5, "output_fraction": 0.0,
+        "n": 4, "seed": 26, "rate": 0.5, "output_fraction": 0.0,
         "failures": FailureSchedule([CrashEvent(60.0, 1),
                                      CrashEvent(95.0, 3)]),
         "until": 100.0, "duration": 160.0, "flush_interval": 10.0,
@@ -103,9 +105,8 @@ def digest(protocol: type = KOptimisticProcess, n: int = 5,
         for event in harness.tracer.events:
             h.update(repr((event.time, event.category, event.process,
                            sorted(event.data.items()))).encode())
-        streams = harness.rngs._streams
-        for name in sorted(streams):
-            h.update(repr((name, streams[name].random())).encode())
+        for name, draw in next_draws(harness.network).items():
+            h.update(repr((name, draw)).encode())
         h.update(repr((harness.engine.events_executed,
                        harness.network.control_messages_sent)).encode())
         metrics = dataclasses.replace(harness.metrics(),

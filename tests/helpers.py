@@ -13,9 +13,23 @@ from repro.core.entry import Entry
 from repro.core.protocol import KOptimisticProcess
 from repro.core.tables import LoggingProgressTable
 from repro.net.message import AppMessage, FailureAnnouncement, LogProgressNotification
+from repro.sim.rng import draw64
 from repro.types import MessageId
 
 _counter = itertools.count(1)
+
+
+def next_draws(network) -> Dict[tuple, int]:
+    """The next draw of every channel's stream and every fault stream a
+    network holds, by ``("net" | "faults", src, dst, control)``, read
+    without advancing any of them."""
+    streams = {("net",) + key: channel
+               for key, channel in network._channels.items()}
+    if network.faults is not None:
+        streams.update({("faults",) + key: draws
+                        for key, draws in network.faults._draws.items()})
+    return {name: draw64(draws.key, draws.index)
+            for name, draws in sorted(streams.items())}
 
 
 def build_sim(

@@ -32,12 +32,11 @@ class TestChannelFaults:
 class TestDecide:
     def test_no_faults_is_identity(self):
         # The fault-free decision is the shared DELIVER singleton and the
-        # channel's RNG stream is never drawn from (determinism of legacy
+        # channel's fault draws are never made (determinism of legacy
         # runs depends on this).
         fm = model()
         assert fm.decide(0, 1, control=False) is DELIVER
-        fresh = RngRegistry(0).stream("faults/0->1/app")
-        assert fm.rngs.stream("faults/0->1/app").random() == fresh.random()
+        assert fm._draws == {}
 
     def test_certain_drop(self):
         fm = model(drop=1.0)

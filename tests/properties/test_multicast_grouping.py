@@ -27,6 +27,7 @@ from repro.runtime.harness import SimulationHarness
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.workloads.random_peers import RandomPeersWorkload
+from tests.helpers import next_draws
 
 # -- the reference: every destination its own transmission ----------------------
 
@@ -46,7 +47,7 @@ class SteppedLatency(LatencyModel):
     arrivals coincide."""
 
     def delay(self, rng, piggyback_entries=0):
-        return rng.choice([0.5, 1.0, 1.0, 1.5])
+        return (0.5, 1.0, 1.0, 1.5)[rng.randrange(4)]
 
 
 # -- driving one run -------------------------------------------------------------
@@ -91,8 +92,7 @@ def run(network_cls, config, crashes, jittered, chooser_seed, step_probe):
                       for e in harness.tracer.events],
             "events_executed": harness.engine.events_executed,
             "control_messages_sent": harness.network.control_messages_sent,
-            "rng": {name: stream.random()
-                    for name, stream in harness.rngs._streams.items()},
+            "rng": next_draws(harness.network),
             "offered": chooser.offered if chooser else None,
             "steps": steps,
             "violations": list(harness.violations),

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.faults import ChannelFaults, FaultDecision, NetworkFaultModel
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import Draws, RngRegistry
 
 rates = st.floats(0.05, 0.9)
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -63,9 +63,10 @@ class TestSeedDeterminism:
         # The stream name includes the traffic class, so app and control
         # decisions on the same channel never share draws.
         registry = RngRegistry(seed)
-        app = [registry.fresh("faults/0->1/app").random() for _ in range(5)]
-        ctl = [registry.fresh("faults/0->1/ctl").random() for _ in range(5)]
-        assert app != ctl
+        app = Draws(registry.key("faults/0->1/app"))
+        ctl = Draws(registry.key("faults/0->1/ctl"))
+        assert ([app.random() for _ in range(5)]
+                != [ctl.random() for _ in range(5)])
 
 
 class TestFaultFreePathDrawsNoRng:
@@ -78,13 +79,8 @@ class TestFaultFreePathDrawsNoRng:
             for src, dst in ((0, 1), (1, 2), (2, 0)):
                 assert model.decide(src, dst, False) == FaultDecision()
                 assert model.decide(src, dst, True) == FaultDecision()
-        # The per-channel fault streams were never advanced: their next
-        # draw is still a fresh stream's first draw.
-        for src, dst in ((0, 1), (1, 2), (2, 0)):
-            for kind in ("app", "ctl"):
-                name = f"faults/{src}->{dst}/{kind}"
-                assert (registry.stream(name).random()
-                        == registry.fresh(name).random())
+        # No per-channel fault stream was ever made, let alone advanced.
+        assert model._draws == {}
 
     @settings(max_examples=10, deadline=None)
     @given(seed=seeds)

@@ -7,15 +7,21 @@ Two structures used to be allocated ahead of their information:
   slots of ``-1``;
 - every control hop built a per-pair :class:`~repro.net.channel.Channel`,
   although over a latency model that does not draw it only ever answers
-  ``now + delay``.
+  ``now + delay``;
+- every channel over a drawing latency model, and every lossy channel's
+  fault decisions, held a ~2.9 KB Mersenne-Twister ``random.Random``.
 
-Now an empty table is zero-wide and grows on its first entry, and a
-control hop over such a model makes no ``Channel``.  The per-pair
+Now an empty table is zero-wide and grows on its first entry, a
+control hop over such a model makes no ``Channel``, and a channel's or
+fault stream's draws are two ints, a key and an index.  The per-pair
 network those hops used to go through lives on here, in the test tree
 only, as the reference the channel-free send must be indistinguishable
 from.
 """
 
+import gc
+import random
+import types
 from typing import Dict, List
 from unittest import mock
 
@@ -25,7 +31,7 @@ from repro.core import columnar
 from repro.failures.injector import CrashEvent, FailureSchedule
 from repro.net.network import Network
 from repro.runtime import harness as harness_module
-from tests.helpers import build_sim
+from tests.helpers import build_sim, next_draws
 
 np = columnar.numpy_module()
 
@@ -66,6 +72,42 @@ def test_a_fixed_latency_control_hop_builds_no_channel():
         # Not vacuous: application traffic still has its channels.
         assert any(not control for _src, _dst, control in network._channels)
         assert not [key for key in network._channels if key[2]]
+    finally:
+        harness.close()
+
+
+def _reachable(root, limit=200_000):
+    """Every object reachable from ``root`` through ``gc.get_referents``
+    (modules, classes and functions are not followed: they lead to the
+    whole interpreter)."""
+    seen, stack, found = set(), [root], []
+    while stack and len(seen) < limit:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+                obj, (type, types.ModuleType, types.FunctionType,
+                      types.BuiltinFunctionType, types.MethodType)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    assert len(seen) < limit, "walk truncated"
+    return found
+
+
+def test_no_mersenne_twister_behind_the_network():
+    # n = 128 on the default jittered latency: every application channel
+    # draws its delays, and the lossy rates give the fault model streams
+    # too.  None of them may be a random.Random.
+    harness = _run(128, drop_rate=0.02, duplicate_rate=0.02,
+                   reorder_rate=0.02)
+    try:
+        network = harness.network
+        assert network._latency.draws_rng()
+        assert len(network._channels) > 100
+        assert network.faults is not None and network.faults._draws
+        for root in (network, network.faults):
+            assert not [obj for obj in _reachable(root)
+                        if isinstance(obj, random.Random)]
     finally:
         harness.close()
 
@@ -140,14 +182,17 @@ class ChannelPerPairNetwork(Network):
                     continue
                 extra_delay, duplicate = decision.extra_delay, decision.duplicate
             channel = self._channel(src, dst, control=True)
-            arrival = channel.arrival_time(now, 0) + extra_delay
+            latency = self._control_latency
+            arrival = (channel.arrival_time(now, latency, self._fifo)
+                       + extra_delay)
             if solo:
                 self._deliver_at(arrival, src, (dst,), payload, label=label)
                 if duplicate:
                     self.duplicates_injected += 1
-                    self._deliver_at(channel.arrival_time(now, 0), src, (dst,),
-                                     payload,
-                                     label=f"dup:{label}" if label else None)
+                    self._deliver_at(
+                        channel.arrival_time(now, latency, self._fifo), src,
+                        (dst,), payload,
+                        label=f"dup:{label}" if label else None)
             elif arrival in shared:
                 shared[arrival].append(dst)
             else:
@@ -167,8 +212,11 @@ def _observe(network_cls, **config):
                       for e in harness.tracer.events],
             "events_executed": harness.engine.events_executed,
             "control_messages_sent": harness.network.control_messages_sent,
-            "rng": {name: stream.random()
-                    for name, stream in harness.rngs._streams.items()},
+            # A control channel over the fixed control latency never
+            # draws; only the reference network has them.
+            "rng": {name: draw for name, draw
+                    in next_draws(harness.network).items()
+                    if not (name[0] == "net" and name[3])},
             "violations": list(harness.violations),
             "control_channels": sum(
                 1 for key in harness.network._channels if key[2]),

@@ -143,9 +143,10 @@ class TestWriteAheadProbe:
         # Direct dependency tracking reproduces no output commit, and its
         # announcement cascade leaves an orphan surviving on many
         # schedules (direct.py's "fair warning"): a seed and load on
-        # which it settles consistent.
+        # which it settles consistent (re-pinned whenever the schedules
+        # move: with counter-based draws seed 2 no longer does).
         (DirectDependencyProcess, None, 0.0,
-         {"seed": 2, "rate": 0.5}),
+         {"seed": 9, "rate": 0.5}),
     ], ids=["k_optimistic", "pessimistic", "sender_based", "strom_yemini",
             "fully_async", "direct"])
     def test_every_variant_keeps_the_rule(self, protocol, k, outputs, config):

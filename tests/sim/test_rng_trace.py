@@ -1,13 +1,19 @@
 """Unit tests for seeded RNG streams and the tracer."""
 
-from repro.sim.rng import RngRegistry
+import random
+
+from repro.sim.rng import Draws, RngRegistry
 from repro.sim.trace import Tracer
 
 
 class TestRngRegistry:
-    def test_same_name_same_stream_object(self):
+    def test_same_name_same_key_no_cached_stream(self):
+        # Nothing is cached: a name stands for its key, and each call
+        # builds the stream over again from it.
         rngs = RngRegistry(1)
-        assert rngs.stream("a") is rngs.stream("a")
+        assert rngs.key("a") == rngs.key("a")
+        assert rngs.stream("a") is not rngs.stream("a")
+        assert not hasattr(rngs, "_streams")
 
     def test_streams_are_deterministic_across_registries(self):
         a = RngRegistry(7).stream("net").random()
@@ -27,10 +33,14 @@ class TestRngRegistry:
 
     def test_fresh_streams_not_cached(self):
         rngs = RngRegistry(3)
-        f1 = rngs.fresh("x")
-        f2 = rngs.fresh("x")
+        f1 = rngs.stream("x")
+        f2 = rngs.stream("x")
         assert f1 is not f2
         assert f1.random() == f2.random()
+        # A generator's Mersenne Twister is seeded from the name's key.
+        assert (rngs.stream("x").random()
+                == random.Random(rngs.key("x")).random())
+        assert Draws(rngs.key("x")).random() == Draws(rngs.key("x")).random()
 
 
 class TestTracer:
