@@ -24,9 +24,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.runner import print_experiment
+from repro.experiments.runner import Sweep
 from repro.failures.injector import CrashEvent, FailureSchedule
-from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
 from repro.runtime.metrics import RunMetrics
 from repro.workloads.openloop import OpenLoopWorkload
@@ -44,6 +43,54 @@ DURATION = 600.0
 CRASHES: Sequence[Tuple[float, int]] = (
     (0.35, 3), (0.38, 9), (0.41, 13), (0.44, 5),
     (0.68, 12), (0.71, 2), (0.74, 7))
+#: The controller under ``K_CEILING``, in place of a static ``k``.
+ADAPTIVE = dict(adaptive_k=True, k_max=K_CEILING, control_interval=10.0)
+
+
+def violations(m: RunMetrics) -> int:
+    return len(m.violations)
+
+
+def k_mean(m: RunMetrics) -> Optional[float]:
+    return m.k_mean if m.adaptive_k else None
+
+
+def k_decisions(m: RunMetrics) -> Optional[int]:
+    return m.k_decisions if m.adaptive_k else None
+
+
+SWEEP = Sweep(
+    "E15 - Adaptive-K controller vs static K "
+    "(open-loop heavy traffic + crash cluster; identical arrival and "
+    "failure schedules)",
+    params=dict(scale=1.0, static_ks=STATIC_KS),
+    duration=lambda p: max(DURATION * p.scale, 40.0),
+    config=dict(n=N, k=K_CEILING, seed=7, retransmit_window=32,
+                slo_output_latency=90.0, trace_enabled=True),
+    workload=OpenLoopWorkload(rate=1.2),
+    failures=lambda p: FailureSchedule(
+        [CrashEvent(p.duration * fraction, pid) for fraction, pid in CRASHES]),
+    rows=lambda p: [({"policy": "adaptive"}, ADAPTIVE),
+                    *[({"policy": f"static K={k}"}, dict(k=k))
+                      for k in p.static_ks]],
+    columns=("policy", "outputs", ("p50", "output_latency_p50", 2),
+             ("p95", "output_latency_p95", 2), ("p99", "output_latency_p99", 2),
+             ("slo_attained", "slo_attained", 4),
+             ("revoked", "rolled_back_intervals"),
+             ("out_discard", "outputs_discarded"), ("violations", violations),
+             ("k_mean", k_mean, 2), ("k_decisions", k_decisions)),
+    strict=False,
+    notes="""
+The controller starts fully optimistic, collapses K multiplicatively
+when the crash cluster produces revocation evidence, and climbs back
+once the system is healthy again.  A static K pays for the whole run
+what the controller only pays during the storm: low static K holds
+latency hostage in the healthy phase, high static K inflates revoked
+work during the cluster.  All runs are oracle-checked (violations
+column); the per-message K path keeps every receiver correct while K
+moves (Theorem 2 / Section 4.2).
+""",
+)
 
 
 def build(scale: float = 1.0, static_k: Optional[int] = None,
@@ -51,59 +98,14 @@ def build(scale: float = 1.0, static_k: Optional[int] = None,
     """A ready-to-run harness for the scenario and its duration: the
     controller under ``K_CEILING``, or a fixed ``static_k`` in its place.
     ``overrides`` replace ``SimConfig`` fields (``seed``, ``dep_trace``)."""
-    duration = max(DURATION * scale, 40.0)
-    fields: Dict[str, Any] = dict(
-        n=N, k=K_CEILING, seed=7, retransmit_window=32,
-        slo_output_latency=90.0)
-    if static_k is None:
-        fields.update(adaptive_k=True, k_max=K_CEILING, control_interval=10.0)
-    else:
-        fields["k"] = static_k
-    fields.update(overrides)
-    workload = OpenLoopWorkload(rate=1.2)
-    harness = SimulationHarness(
-        SimConfig(**fields), workload.behavior(),
-        failures=FailureSchedule(
-            [CrashEvent(duration * fraction, pid)
-             for fraction, pid in CRASHES]))
-    workload.install(harness, until=duration * 0.8)
-    return harness, duration
-
-
-def _run(scale: float, static_k: Optional[int] = None) -> RunMetrics:
-    harness, duration = build(scale, static_k)
-    try:
-        harness.run(duration)
-        return harness.metrics()
-    finally:
-        harness.close()
-
-
-def _row(policy: str, metrics: RunMetrics) -> Dict[str, object]:
-    row: Dict[str, object] = {
-        "policy": policy,
-        "outputs": metrics.outputs_committed,
-        "p50": round(metrics.output_latency_p50, 2),
-        "p95": round(metrics.output_latency_p95, 2),
-        "p99": round(metrics.output_latency_p99, 2),
-        "slo_attained": round(metrics.slo_attained, 4),
-        "revoked": metrics.rolled_back_intervals,
-        "out_discard": metrics.outputs_discarded,
-        "violations": len(metrics.violations),
-    }
-    if metrics.adaptive_k:
-        row["k_mean"] = round(metrics.k_mean, 2)
-        row["k_decisions"] = metrics.k_decisions
-    return row
+    run = ADAPTIVE if static_k is None else {"k": static_k}
+    return SWEEP.harness({**run, **overrides}, scale=scale)
 
 
 def run_sweep(scale: float = 1.0,
               static_ks: Sequence[int] = STATIC_KS) -> List[Dict[str, object]]:
     """The controller and every static point on one arrival schedule."""
-    rows = [_row("adaptive", _run(scale))]
-    for k in static_ks:
-        rows.append(_row(f"static K={k}", _run(scale, k)))
-    return rows
+    return SWEEP.run(scale=scale, static_ks=static_ks)
 
 
 def best_static(rows: List[Dict[str, object]]) -> Optional[Dict[str, object]]:
@@ -115,23 +117,7 @@ def best_static(rows: List[Dict[str, object]]) -> Optional[Dict[str, object]]:
 
 
 def main(scale: float = 1.0) -> None:
-    rows = run_sweep(scale)
-    print_experiment(
-        "E15 - Adaptive-K controller vs static K "
-        "(open-loop heavy traffic + crash cluster; identical arrival and "
-        "failure schedules)",
-        rows,
-        notes="""
-The controller starts fully optimistic, collapses K multiplicatively
-when the crash cluster produces revocation evidence, and climbs back
-once the system is healthy again.  A static K pays for the whole run
-what the controller only pays during the storm: low static K holds
-latency hostage in the healthy phase, high static K inflates revoked
-work during the cluster.  All runs are oracle-checked (violations
-column); the per-message K path keeps every receiver correct while K
-moves (Theorem 2 / Section 4.2).
-""",
-    )
+    rows = SWEEP.main(scale=scale)
     champion = best_static(rows)
     if champion is not None:
         adaptive = rows[0]

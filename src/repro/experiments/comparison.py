@@ -15,61 +15,29 @@ One workload, one failure schedule, five recovery layers:
 Run: ``python -m repro.experiments.comparison``
 """
 
-from __future__ import annotations
-
-from typing import Dict, List
-
-from repro.core.baselines import (
-    FullyAsyncProcess,
-    PessimisticProcess,
-    StromYeminiProcess,
-)
-from repro.core.protocol import KOptimisticProcess
-from repro.experiments.runner import DURATION, print_experiment, simulate
+from repro.core.baselines import (FullyAsyncProcess, PessimisticProcess,
+                                  StromYeminiProcess)
+from repro.experiments.runner import DURATION, Sweep
 from repro.failures.injector import FailureSchedule
-from repro.runtime.config import SimConfig
 from repro.workloads.random_peers import RandomPeersWorkload
 
-
-def run(n: int = 8, seed: int = 42, duration: float = DURATION,
-        crash_pid: int = 1) -> List[Dict[str, object]]:
-    failures = FailureSchedule.single(duration / 2, crash_pid)
-    workload = RandomPeersWorkload(rate=0.8, min_hops=3, max_hops=8)
-    variants = [
-        ("pessimistic", 0, PessimisticProcess, False),
-        ("K=0 optimistic", 0, KOptimisticProcess, False),
-        (f"K={n // 2} optimistic", n // 2, KOptimisticProcess, False),
-        (f"K={n} optimistic", n, KOptimisticProcess, False),
-        ("strom-yemini", None, StromYeminiProcess, True),
-        ("fully-async", None, FullyAsyncProcess, False),
-    ]
-    rows = []
-    for name, k, protocol, fifo in variants:
-        config = SimConfig(n=n, k=k, seed=seed, fifo=fifo, trace_enabled=False)
-        metrics = simulate(config, workload, failures=failures,
-                           protocol=protocol, duration=duration)
-        rows.append({
-            "protocol": name,
-            "sync_w": metrics.sync_writes,
-            "async_w": metrics.async_writes,
-            "stor_cost": round(metrics.storage_cost, 1),
-            "hold": round(metrics.mean_send_hold, 2),
-            "pgb": round(metrics.mean_piggyback_entries, 2),
-            "rollbacks": metrics.rollbacks,
-            "procs_rb": metrics.processes_rolled_back,
-            "undone": metrics.intervals_undone,
-            "orphans": metrics.orphans_discarded,
-            "outputs": metrics.outputs_committed,
-        })
-    return rows
-
-
-def main() -> None:
-    rows = run()
-    print_experiment(
-        "E6 - Protocol family comparison (N=8, random peers, one crash)",
-        rows,
-        notes="""
+SWEEP = Sweep(
+    "E6 - Protocol family comparison (N=8, random peers, one crash)",
+    params=dict(n=8, seed=42, duration=DURATION, crash_pid=1),
+    workload=RandomPeersWorkload(rate=0.8, min_hops=3, max_hops=8),
+    failures=lambda p: FailureSchedule.single(p.duration / 2, p.crash_pid),
+    rows=lambda p: [
+        ({"protocol": "pessimistic"}, dict(k=0, protocol=PessimisticProcess)),
+        ({"protocol": "K=0 optimistic"}, dict(k=0)),
+        ({"protocol": f"K={p.n // 2} optimistic"}, dict(k=p.n // 2)),
+        ({"protocol": f"K={p.n} optimistic"}, dict(k=p.n)),
+        ({"protocol": "strom-yemini"},
+         dict(protocol=StromYeminiProcess, fifo=True)),
+        ({"protocol": "fully-async"}, dict(protocol=FullyAsyncProcess))],
+    columns=("protocol", "sync_w", "async_w", ("stor_cost", "storage_cost", 1),
+             "hold", "pgb", "rollbacks", "procs_rb", "undone", "orphans",
+             "outputs"),
+    notes="""
 Expected shape: pessimistic logging pays roughly one synchronous stable-
 storage write per delivery but confines every failure to the failed
 process.  The optimistic protocols batch their writes (async_w) and pay at
@@ -79,8 +47,9 @@ carries systematically larger vectors (no Theorem 2); the fully
 asynchronous baseline is cheapest in failure-free coupling but spreads the
 most orphans.
 """,
-    )
-
+)
+run = SWEEP.run
+main = SWEEP.main
 
 if __name__ == "__main__":
     main()

@@ -18,58 +18,34 @@ closure-assembly sub-protocol that is out of scope (see
 Run: ``python -m repro.experiments.direct_tracking``
 """
 
-from __future__ import annotations
-
-from typing import Dict, List
-
 from repro.core.baselines import DirectDependencyProcess, StromYeminiProcess
-from repro.core.protocol import KOptimisticProcess
-from repro.experiments.runner import print_experiment, simulate
+from repro.experiments.runner import Sweep
 from repro.failures.injector import FailureSchedule
-from repro.runtime.config import SimConfig
 from repro.workloads.random_peers import RandomPeersWorkload
 
 DURATION = 400.0
 
-
-def run(n: int = 4, seed: int = 1) -> List[Dict[str, object]]:
-    # Deliberately small: direct tracking's recovery cascade grows so fast
-    # with scale and load that larger configurations take minutes of
-    # announcement ping-pong to quiesce — which is itself the measured
-    # point (transitive tracking recovers in one round).
-    workload = RandomPeersWorkload(rate=0.3, min_hops=2, max_hops=4,
-                                   output_fraction=0.0)
-    failures = FailureSchedule.single(DURATION / 2, 1)
-    variants = [
-        ("direct (1 entry/msg)", DirectDependencyProcess, False),
-        ("transitive, commit-dep (K=N)", KOptimisticProcess, False),
-        ("transitive, size-N (S&Y)", StromYeminiProcess, True),
-    ]
-    rows = []
-    for name, protocol, fifo in variants:
-        config = SimConfig(n=n, k=None, seed=seed, fifo=fifo,
-                           trace_enabled=False)
-        metrics = simulate(config, workload, failures=failures,
-                           protocol=protocol, duration=DURATION)
-        rows.append({
-            "scheme": name,
-            "pgb": round(metrics.mean_piggyback_entries, 2),
-            "rollbacks": metrics.rollbacks,
-            "undone": metrics.intervals_undone,
-            "orphans": metrics.orphans_discarded,
-            "control_msgs": metrics.control_messages,
-            "span": round(metrics.mean_recovery_span, 1),
-        })
-    return rows
-
-
-def main() -> None:
-    rows = run()
-    print_experiment(
-        "E9 - Direct vs transitive dependency tracking "
-        "(N=4, one crash, output-free workload)",
-        rows,
-        notes="""
+# Deliberately small: direct tracking's recovery cascade grows so fast
+# with scale and load that larger configurations take minutes of
+# announcement ping-pong to quiesce — which is itself the measured
+# point (transitive tracking recovers in one round).
+SWEEP = Sweep(
+    "E9 - Direct vs transitive dependency tracking "
+    "(N=4, one crash, output-free workload)",
+    params=dict(n=4, seed=1),
+    duration=DURATION,
+    workload=RandomPeersWorkload(rate=0.3, min_hops=2, max_hops=4,
+                                 output_fraction=0.0),
+    failures=lambda p: FailureSchedule.single(p.duration / 2, 1),
+    rows=lambda p: [
+        ({"scheme": "direct (1 entry/msg)"},
+         dict(protocol=DirectDependencyProcess)),
+        ({"scheme": "transitive, commit-dep (K=N)"}, {}),
+        ({"scheme": "transitive, size-N (S&Y)"},
+         dict(protocol=StromYeminiProcess, fifo=True))],
+    columns=("scheme", "pgb", "rollbacks", "undone", "orphans", "control_msgs",
+             ("span", "mean_recovery_span", 1)),
+    notes="""
 Direct tracking achieves the minimum piggyback (exactly 1 entry) but pays
 at recovery: orphan elimination cascades announcement by announcement, so
 one crash triggers an order of magnitude more rollbacks, undone intervals
@@ -78,8 +54,9 @@ to quiesce.  Commit dependency tracking keeps transitive one-shot recovery
 while shrinking the vector toward the direct scheme's size - the middle
 ground this paper contributes.
 """,
-    )
-
+)
+run = SWEEP.run
+main = SWEEP.main
 
 if __name__ == "__main__":
     main()

@@ -10,44 +10,29 @@ Run: ``python -m repro.experiments.multiseed`` (slower than the others).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.analysis.stats import is_monotone, summarize
-from repro.experiments.runner import print_experiment, simulate
+from repro.experiments.runner import Sweep
 from repro.failures.injector import FailureSchedule
-from repro.runtime.config import SimConfig
 from repro.workloads.random_peers import RandomPeersWorkload
 
 DURATION = 800.0
 
-
-def run(
-    n: int = 6,
-    ks: Sequence[int] = (0, 2, 4, 6),
-    seeds: Sequence[int] = (1, 2, 3, 4, 5),
-) -> List[Dict[str, object]]:
-    rows = []
-    for k in ks:
-        holds, undone, procs = [], [], []
-        for seed in seeds:
-            config = SimConfig(n=n, k=k, seed=seed, trace_enabled=False)
-            workload = RandomPeersWorkload(rate=0.6, min_hops=3, max_hops=8)
-            metrics = simulate(
-                config, workload,
-                failures=FailureSchedule.single(DURATION / 2, 1),
-                duration=DURATION,
-            )
-            holds.append(metrics.mean_send_hold)
-            undone.append(float(metrics.intervals_undone))
-            procs.append(float(metrics.processes_rolled_back))
-        rows.append({
-            "K": k,
-            "hold": str(summarize(holds)),
-            "undone": str(summarize(undone)),
-            "procs_rb": str(summarize(procs)),
-            "seeds": len(seeds),
-        })
-    return rows
+SWEEP = Sweep(
+    "E3/E4 robustness - K sweep over 5 seeds (mean +/- 95% CI)",
+    params=dict(n=6, ks=(0, 2, 4, 6), seeds=(1, 2, 3, 4, 5)),
+    duration=DURATION,
+    workload=RandomPeersWorkload(rate=0.6, min_hops=3, max_hops=8),
+    failures=lambda p: FailureSchedule.single(p.duration / 2, 1),
+    rows=lambda p: [({"K": k, "seeds": len(p.seeds)},
+                     *[dict(k=k, seed=seed) for seed in p.seeds])
+                    for k in p.ks],
+    columns=("K", ("hold", "mean_send_hold"), ("undone", "intervals_undone"),
+             ("procs_rb", "processes_rolled_back"), "seeds"),
+    fold=lambda values: str(summarize(values)),
+)
+run = SWEEP.run
 
 
 def check_shapes(rows: List[Dict[str, object]]) -> List[str]:
@@ -75,12 +60,7 @@ def check_shapes(rows: List[Dict[str, object]]) -> List[str]:
 
 
 def main() -> None:
-    rows = run()
-    print_experiment(
-        "E3/E4 robustness - K sweep over 5 seeds (mean +/- 95% CI)",
-        rows,
-    )
-    problems = check_shapes(rows)
+    problems = check_shapes(SWEEP.main())
     print("shape check:", problems or "both curves monotone in the mean")
 
 

@@ -10,98 +10,47 @@ be shown to the outside world.
 Run: ``python -m repro.experiments.output_commit``
 """
 
-from __future__ import annotations
-
-from typing import Dict, List, Optional, Sequence
-
-from repro.experiments.runner import DURATION, print_experiment, simulate
+from repro.experiments.runner import DURATION, Sweep, main_of
 from repro.failures.injector import FailureSchedule
-from repro.runtime.config import SimConfig
 from repro.workloads.telecom import TelecomWorkload
 
-
-def run_k_sweep(
-    n: int = 8,
-    ks: Optional[Sequence[Optional[int]]] = None,
-    seed: int = 42,
-    duration: float = DURATION,
-) -> List[Dict[str, object]]:
-    if ks is None:
-        ks = [0, 2, 4, n]
-    rows = []
-    for k in ks:
-        config = SimConfig(n=n, k=k, seed=seed, trace_enabled=False)
-        metrics = simulate(config, TelecomWorkload(rate=1.0),
-                           duration=duration)
-        rows.append({
-            "K": metrics.k,
-            "outputs": metrics.outputs_committed,
-            "out_lat": round(metrics.mean_output_latency, 2),
-            "hold": round(metrics.mean_send_hold, 2),
-        })
-    return rows
-
-
-def run_notification_sweep(
-    n: int = 8,
-    periods: Sequence[float] = (5.0, 20.0, 80.0),
-    seed: int = 42,
-    duration: float = DURATION,
-) -> List[Dict[str, object]]:
-    rows = []
-    for period in periods:
-        config = SimConfig(n=n, k=None, seed=seed, notify_interval=period,
-                           trace_enabled=False)
-        metrics = simulate(config, TelecomWorkload(rate=1.0),
-                           duration=duration)
-        rows.append({
-            "notify_period": period,
-            "out_lat": round(metrics.mean_output_latency, 2),
-            "outputs": metrics.outputs_committed,
-        })
-    return rows
-
-
-def run_crash_safety(n: int = 8, seed: int = 42,
-                     duration: float = DURATION) -> List[Dict[str, object]]:
-    """With crashes: outputs still commit, and none is ever revoked (the
-    oracle inside ``simulate`` enforces it)."""
-    rows = []
-    for k in (0, n):
-        config = SimConfig(n=n, k=k, seed=seed, trace_enabled=False)
-        metrics = simulate(config, TelecomWorkload(rate=1.0),
-                           failures=FailureSchedule.single(duration / 2, 2),
-                           duration=duration)
-        rows.append({
-            "K": metrics.k,
-            "outputs": metrics.outputs_committed,
-            "outputs_discarded": metrics.crashes,  # crash count for context
-            "rollbacks": metrics.rollbacks,
-        })
-    return rows
-
-
-def main() -> None:
-    print_experiment(
-        "E7a - Output commit latency vs K (N=8, telecom calls + billing)",
-        run_k_sweep(),
-        notes="""
+E7A = Sweep(
+    "E7a - Output commit latency vs K (N=8, telecom calls + billing)",
+    params=dict(n=8, ks=None, seed=42, duration=DURATION),
+    workload=TelecomWorkload(rate=1.0),
+    rows=lambda p: [({}, dict(k=k)) for k in
+                    (p.ks if p.ks is not None else [0, 2, 4, p.n])],
+    columns=("K", "outputs", "out_lat", "hold"),
+    notes="""
 Outputs are always 0-optimistic, so their commit latency is governed by
 stability propagation, not by K; low-K systems even see *lower* output
 latency because incoming messages arrive pre-stabilized.  What K buys is
 the message hold column - the service's responsiveness.
 """,
-    )
-    print_experiment(
-        "E7b - Output commit latency vs notification period",
-        run_notification_sweep(),
-        notes="Fresher logging-progress notifications commit outputs sooner.",
-    )
-    print_experiment(
-        "E7c - Billing records under failures (oracle-checked: none revoked)",
-        run_crash_safety(),
-    )
-
+)
+E7B = Sweep(
+    "E7b - Output commit latency vs notification period",
+    params=dict(n=8, periods=(5.0, 20.0, 80.0), seed=42, duration=DURATION),
+    workload=TelecomWorkload(rate=1.0),
+    rows=lambda p: [({"notify_period": period}, dict(notify_interval=period))
+                    for period in p.periods],
+    columns=("notify_period", "out_lat", "outputs"),
+    notes="Fresher logging-progress notifications commit outputs sooner.",
+)
+# With crashes: outputs still commit, and none is ever revoked (the
+# oracle inside the runner enforces it).
+E7C = Sweep(
+    "E7c - Billing records under failures (oracle-checked: none revoked)",
+    params=dict(n=8, seed=42, duration=DURATION),
+    workload=TelecomWorkload(rate=1.0),
+    failures=lambda p: FailureSchedule.single(p.duration / 2, 2),
+    rows=lambda p: [({}, dict(k=k)) for k in (0, p.n)],
+    columns=("K", "outputs", ("outputs_discarded", "crashes"), "rollbacks"),
+)
+run_k_sweep = E7A.run
+run_notification_sweep = E7B.run
+run_crash_safety = E7C.run
+main = main_of(E7A, E7B, E7C)
 
 if __name__ == "__main__":
     main()

@@ -17,65 +17,32 @@ workload) into runs that differ only in K and report the rollback scope:
 Run: ``python -m repro.experiments.recovery``
 """
 
-from __future__ import annotations
-
-from typing import Dict, List, Optional, Sequence
-
-from repro.experiments.runner import DURATION, print_experiment, simulate
+from repro.experiments.runner import DURATION, Sweep
 from repro.failures.injector import CrashEvent, FailureSchedule
-from repro.runtime.config import SimConfig
 from repro.workloads.random_peers import RandomPeersWorkload
 
-
-def run(
-    n: int = 8,
-    ks: Optional[Sequence[Optional[int]]] = None,
-    seed: int = 42,
-    crash_time: float = DURATION / 2,
-    crash_pid: int = 1,
-    duration: float = DURATION,
-    extra_crashes: Sequence[CrashEvent] = (),
-) -> List[Dict[str, object]]:
-    """Sweep K with an identical injected failure."""
-    if ks is None:
-        ks = [0, 1, 2, 4, 6, n]
-    schedule = FailureSchedule(
-        [CrashEvent(crash_time, crash_pid), *extra_crashes]
-    )
-    rows = []
-    for k in ks:
-        config = SimConfig(n=n, k=k, seed=seed, trace_enabled=False)
-        metrics = simulate(config, RandomPeersWorkload(rate=0.8, min_hops=3,
-                                                       max_hops=8),
-                           failures=schedule, duration=duration)
-        rows.append({
-            "K": metrics.k,
-            "rollbacks": metrics.rollbacks,
-            "procs_rb": metrics.processes_rolled_back,
-            "undone": metrics.intervals_undone,
-            "lost": metrics.intervals_lost,
-            "orphans": metrics.orphans_discarded,
-            "requeued": metrics.messages_requeued,
-            "span": round(metrics.mean_recovery_span, 2),
-            "hold": round(metrics.mean_send_hold, 2),
-        })
-    return rows
-
-
-def main() -> None:
-    rows = run()
-    print_experiment(
-        "E4 - Recovery cost vs degree of optimism K "
-        "(N=8, random peers, one crash of P1 mid-run)",
-        rows,
-        notes="""
+SWEEP = Sweep(
+    "E4 - Recovery cost vs degree of optimism K "
+    "(N=8, random peers, one crash of P1 mid-run)",
+    params=dict(n=8, ks=None, seed=42, crash_time=DURATION / 2, crash_pid=1,
+                duration=DURATION, extra_crashes=()),
+    workload=RandomPeersWorkload(rate=0.8, min_hops=3, max_hops=8),
+    failures=lambda p: FailureSchedule(
+        [CrashEvent(p.crash_time, p.crash_pid), *p.extra_crashes]),
+    rows=lambda p: [({}, dict(k=k)) for k in
+                    (p.ks if p.ks is not None else [0, 1, 2, 4, 6, p.n])],
+    columns=("K", "rollbacks", "procs_rb", "undone", "lost", "orphans",
+             ("requeued", "messages_requeued"),
+             ("span", "mean_recovery_span", 2), "hold"),
+    notes="""
 Expected shape: at K=0 recovery is fully localized (no other process rolls
 back, no orphans); rollback scope, orphan counts, and the failure's blast
 radius grow with K.  The last column shows the price paid for that
 localization in failure-free hold time - the two sides of the knob.
 """,
-    )
-
+)
+run = SWEEP.run
+main = SWEEP.main
 
 if __name__ == "__main__":
     main()

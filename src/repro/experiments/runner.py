@@ -1,8 +1,18 @@
-"""Shared experiment plumbing: build-and-run one simulation, collect rows."""
+"""Shared experiment plumbing: an experiment is a declared :class:`Sweep`.
+
+A sweep is one table: parameters with their defaults, rows of label
+columns and runs, and the columns every row reports.  :meth:`Sweep.run`
+simulates the rows and returns the table as row dicts; :meth:`Sweep.main`
+prints it.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import dataclasses
+from dataclasses import dataclass, field
+from operator import attrgetter
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.protocol import KOptimisticProcess
 from repro.failures.injector import FailureSchedule
@@ -16,26 +26,50 @@ DURATION = 1200.0
 #: Traffic stops at this fraction of the horizon so the system can drain.
 INJECT_FRACTION = 0.8
 
+#: The headers the tables share: ``(RunMetrics field, digits)``.
+COLUMNS: Dict[str, Tuple[str, Optional[int]]] = {
+    "K": ("k", None), "hold": ("mean_send_hold", 2),
+    "pgb": ("mean_piggyback_entries", 2),
+    "pgb_mean": ("mean_piggyback_entries", 3), "sync_w": ("sync_writes", None),
+    "async_w": ("async_writes", None), "out_lat": ("mean_output_latency", 2),
+    "outputs": ("outputs_committed", None), "rollbacks": ("rollbacks", None),
+    "procs_rb": ("processes_rolled_back", None),
+    "undone": ("intervals_undone", None), "lost": ("intervals_lost", None),
+    "orphans": ("orphans_discarded", None),
+    "control_msgs": ("control_messages", None),
+}
+CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(SimConfig))
 
-def simulate(
-    config: SimConfig,
-    workload: Workload,
-    failures: Optional[FailureSchedule] = None,
-    protocol: type = KOptimisticProcess,
-    duration: float = DURATION,
-) -> RunMetrics:
-    """Run one configuration to completion and return its metrics.
 
-    Raises if the run violated any oracle-checked invariant — experiment
-    numbers from an inconsistent run would be meaningless.
-    """
+def prepare(config: SimConfig, workload: Workload,
+            failures: Optional[FailureSchedule] = None,
+            protocol: type = KOptimisticProcess,
+            duration: float = DURATION) -> SimulationHarness:
+    """A harness with the workload installed, ready to run ``duration``."""
     harness = SimulationHarness(config, workload.behavior(),
                                 failures=failures,
                                 protocol=protocol)
     workload.install(harness, until=duration * INJECT_FRACTION)
-    harness.run(duration)
-    metrics = harness.metrics()
-    if metrics.violations:
+    return harness
+
+
+def simulate(config: SimConfig, workload: Workload,
+             failures: Optional[FailureSchedule] = None,
+             protocol: type = KOptimisticProcess,
+             duration: float = DURATION, strict: bool = True) -> RunMetrics:
+    """Run one configuration to completion and return its metrics.
+
+    Raises if the run violated any oracle-checked invariant — experiment
+    numbers from an inconsistent run would be meaningless — unless
+    ``strict`` is off, for a table that reports violations itself.
+    """
+    harness = prepare(config, workload, failures, protocol, duration)
+    try:
+        harness.run(duration)
+        metrics = harness.metrics()
+    finally:
+        harness.close()
+    if strict and metrics.violations:
         raise AssertionError(
             f"invariant violations in experiment run: {metrics.violations[:3]}"
         )
@@ -52,3 +86,115 @@ def print_experiment(title: str, rows: List[Dict[str, object]], notes: str = "")
         print()
         print(notes.strip())
     print()
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One experiment table, declared.
+
+    ``rows(p)`` yields ``(labels, run, ...)``: the label columns' values,
+    then the row's runs.  A run is ``SimConfig`` overrides plus the
+    optional keys ``protocol``, ``workload`` and ``tag``; its config is
+    ``trace_enabled=False``, then ``config``, then the parameters named
+    like a ``SimConfig`` field, then the overrides.  ``duration`` is the
+    horizon (a number, or a function of the parameters; None reads the
+    ``duration`` parameter), and ``p.duration`` carries it.
+
+    A column is a header, naming a label of the row or one of
+    :data:`COLUMNS`, or ``(header, source[, digits])``: the source is a
+    ``RunMetrics`` field or a named function of the metrics.  A field
+    ``"tag.field"`` reads the run tagged ``tag``; any other source reads
+    the row's first run, or every run through ``fold``.  A cell whose
+    value is None is left out of its row.
+    """
+
+    title: str
+    rows: Callable[[SimpleNamespace], Iterable[Tuple[Any, ...]]]
+    columns: Tuple[Any, ...]
+    workload: Optional[Workload] = None
+    params: Mapping[str, Any] = field(default_factory=dict)
+    config: Mapping[str, Any] = field(default_factory=dict)
+    failures: Callable[[SimpleNamespace], Optional[FailureSchedule]] = (
+        lambda p: None)
+    duration: Any = None
+    fold: Optional[Callable[[List[Any]], Any]] = None
+    #: Off when the table reports violations instead of raising on them.
+    strict: bool = True
+    notes: str = ""
+
+    def bind(self, **params: Any) -> SimpleNamespace:
+        """The defaults with ``params`` over them, and the horizon."""
+        unknown = sorted(set(params) - set(self.params))
+        if unknown:
+            raise TypeError(f"unknown parameter(s) {unknown}")
+        p = SimpleNamespace(**{**self.params, **params})
+        if self.duration is not None:
+            p.duration = (self.duration(p) if callable(self.duration)
+                          else self.duration)
+        return p
+
+    def harness(self, run: Dict[str, Any],
+                **params: Any) -> Tuple[SimulationHarness, float]:
+        """One run's ready harness and its horizon."""
+        p = self.bind(**params)
+        return prepare(*self._arguments(p, run)), p.duration
+
+    def run(self, **params: Any) -> List[Dict[str, object]]:
+        """Simulate every row; the table as row dicts."""
+        p = self.bind(**params)
+        return [self._row(p, labels, runs) for labels, *runs in self.rows(p)]
+
+    def main(self, **params: Any) -> List[Dict[str, object]]:
+        """Print the table and return its rows."""
+        rows = self.run(**params)
+        print_experiment(self.title, rows, notes=self.notes)
+        return rows
+
+    def _arguments(self, p: SimpleNamespace, run: Dict[str, Any]) -> tuple:
+        run = dict(run)
+        run.pop("tag", None)
+        protocol = run.pop("protocol", KOptimisticProcess)
+        workload = run.pop("workload", self.workload)
+        fields = {"trace_enabled": False, **self.config,
+                  **{k: v for k, v in vars(p).items() if k in CONFIG_FIELDS},
+                  **run}
+        return (SimConfig(**fields), workload, self.failures(p), protocol,
+                p.duration)
+
+    def _row(self, p: SimpleNamespace, labels: Mapping[str, object],
+             runs: List[Dict[str, Any]]) -> Dict[str, object]:
+        results = [(run.get("tag", ""),
+                    simulate(*self._arguments(p, run), strict=self.strict))
+                   for run in runs]
+        row: Dict[str, object] = {}
+        for column in self.columns:
+            if column in labels:
+                row[column] = labels[column]
+                continue
+            header, source, digits = resolve(column)
+            tag = ""
+            if isinstance(source, str):
+                tag, _, name = source.rpartition(".")
+                source = attrgetter(name)
+            values = [source(m) for t, m in results if not tag or t == tag]
+            value = self.fold(values) if self.fold else values[0]
+            if value is not None:
+                row[header.format(**vars(p))] = (
+                    value if digits is None else round(value, digits))
+        return row
+
+
+def resolve(column: Any) -> Tuple[str, Any, Optional[int]]:
+    """A non-label column as ``(header, source, digits)``."""
+    if isinstance(column, str):
+        return (column, *COLUMNS[column])
+    header, source, *digits = column
+    return header, source, digits[0] if digits else None
+
+
+def main_of(*sweeps: Sweep) -> Callable[[], None]:
+    """A module ``main`` printing ``sweeps`` in order."""
+    def main() -> None:
+        for sweep in sweeps:
+            sweep.main()
+    return main

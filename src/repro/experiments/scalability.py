@@ -19,56 +19,36 @@ piggybacked vector size of:
 Run: ``python -m repro.experiments.scalability``
 """
 
-from __future__ import annotations
-
-from typing import Dict, List, Optional, Sequence
-
 from repro.core.baselines import StromYeminiProcess
-from repro.experiments.runner import print_experiment, simulate
-from repro.runtime.config import SimConfig
+from repro.experiments.runner import Sweep
 from repro.workloads.random_peers import RandomPeersWorkload
 
 DURATION = 600.0
 
 
-def run(
-    ns: Sequence[int] = (4, 8, 16, 24),
-    k_fixed: int = 4,
-    seed: int = 42,
-    duration: float = DURATION,
-    per_process_rate: float = 0.1,
-) -> List[Dict[str, object]]:
-    rows = []
-    for n in ns:
-        workload = RandomPeersWorkload(rate=per_process_rate * n,
+def _rows(p):
+    for n in p.ns:
+        workload = RandomPeersWorkload(rate=p.per_process_rate * n,
                                        min_hops=3, max_hops=8)
-        sy = simulate(
-            SimConfig(n=n, k=None, seed=seed, fifo=True, trace_enabled=False),
-            workload, protocol=StromYeminiProcess, duration=duration)
-        unbounded = simulate(
-            SimConfig(n=n, k=None, seed=seed, trace_enabled=False),
-            workload, duration=duration)
-        capped = simulate(
-            SimConfig(n=n, k=min(k_fixed, n), seed=seed, trace_enabled=False),
-            workload, duration=duration)
-        rows.append({
-            "N": n,
-            "sy_pgb": round(sy.mean_piggyback_entries, 2),
-            "cdt_pgb": round(unbounded.mean_piggyback_entries, 2),
-            f"K={k_fixed}_pgb": round(capped.mean_piggyback_entries, 2),
-            f"K={k_fixed}_max": capped.max_piggyback_entries,
-            f"K={k_fixed}_hold": round(capped.mean_send_hold, 2),
-        })
-    return rows
+        yield ({"N": n},
+               dict(tag="sy", n=n, fifo=True, protocol=StromYeminiProcess,
+                    workload=workload),
+               dict(tag="cdt", n=n, workload=workload),
+               dict(tag="cap", n=n, k=min(p.k_fixed, n), workload=workload))
 
 
-def main() -> None:
-    rows = run()
-    print_experiment(
-        "E11 - Piggybacked vector size vs system size N "
-        "(fixed per-process load)",
-        rows,
-        notes="""
+SWEEP = Sweep(
+    "E11 - Piggybacked vector size vs system size N "
+    "(fixed per-process load)",
+    params=dict(ns=(4, 8, 16, 24), k_fixed=4, seed=42, duration=DURATION,
+                per_process_rate=0.1),
+    rows=_rows,
+    columns=("N", ("sy_pgb", "sy.mean_piggyback_entries", 2),
+             ("cdt_pgb", "cdt.mean_piggyback_entries", 2),
+             ("K={k_fixed}_pgb", "cap.mean_piggyback_entries", 2),
+             ("K={k_fixed}_max", "cap.max_piggyback_entries"),
+             ("K={k_fixed}_hold", "cap.mean_send_hold", 2)),
+    notes="""
 Strom-Yemini's vector tracks one entry per process it transitively heard
 from and approaches N as the system grows.  Commit dependency tracking
 (cdt) carries only the non-stable part, which is bounded by how much the
@@ -76,8 +56,9 @@ system can produce within one stability lag - not by N.  A fixed K caps
 the vector outright (max column == K) at the price of the hold column,
 which is the whole point of the knob.
 """,
-    )
-
+)
+run = SWEEP.run
+main = SWEEP.main
 
 if __name__ == "__main__":
     main()

@@ -21,15 +21,10 @@ reads the same metrics.
 Run: ``python -m repro.experiments.sender_based``
 """
 
-from __future__ import annotations
-
-from typing import Dict, List
-
 from repro.core.baselines import PessimisticProcess, SenderBasedProcess
 from repro.core.protocol import KOptimisticProcess
-from repro.experiments.runner import print_experiment, simulate
+from repro.experiments.runner import Sweep
 from repro.failures.injector import FailureSchedule
-from repro.runtime.config import SimConfig
 from repro.workloads.random_peers import RandomPeersWorkload
 
 DURATION = 800.0
@@ -40,36 +35,20 @@ DISCIPLINES = (
     ("sender-based (ref [1])", SenderBasedProcess),
 )
 
-
-def run(n: int = 6, seed: int = 42, duration: float = DURATION,
-        crash_pid: int = 1) -> List[Dict[str, object]]:
-    failures = FailureSchedule.single(duration / 2, crash_pid)
-    rows = []
-    for name, protocol in DISCIPLINES:
-        m = simulate(
-            SimConfig(n=n, k=0, seed=seed, trace_enabled=False),
-            RandomPeersWorkload(rate=0.6, min_hops=3, max_hops=8,
-                                output_fraction=0.0),
-            failures=failures, protocol=protocol, duration=duration)
-        rows.append({
-            "discipline": name,
-            "sync_w": m.sync_writes,
-            "ctl_msgs": m.control_messages,
-            "latency_cost": round(m.mean_send_hold, 2),
-            "procs_rb": m.processes_rolled_back,
-            "lost": m.intervals_lost,
-            "revokers": m.max_release_revokers,
-        })
-    return rows
-
-
-def main() -> None:
-    rows = run()
-    print_experiment(
-        "E12 - Three pessimistic disciplines (N=6, one crash; "
-        "latency_cost = mean send hold)",
-        rows,
-        notes="""
+SWEEP = Sweep(
+    "E12 - Three pessimistic disciplines (N=6, one crash; "
+    "latency_cost = mean send hold)",
+    params=dict(n=6, seed=42, duration=DURATION, crash_pid=1),
+    config=dict(k=0),
+    workload=RandomPeersWorkload(rate=0.6, min_hops=3, max_hops=8,
+                                 output_fraction=0.0),
+    failures=lambda p: FailureSchedule.single(p.duration / 2, p.crash_pid),
+    rows=lambda p: [({"discipline": name}, dict(protocol=protocol))
+                    for name, protocol in DISCIPLINES],
+    columns=("discipline", "sync_w", ("ctl_msgs", "control_messages"),
+             ("latency_cost", "mean_send_hold", 2), "procs_rb", "lost",
+             ("revokers", "max_release_revokers")),
+    notes="""
 Same guarantee, three different bills.  Receiver-based sync pays a disk
 write per delivery but adds no message latency; K=0-optimistic batches its
 writes and pays in hold time governed by the stability lag (A6); the
@@ -82,8 +61,9 @@ whose sends were still held; the other two replay every interval.  The
 paper's K generalizes the *second* discipline because it is the one with a
 tunable risk budget.
 """,
-    )
-
+)
+run = SWEEP.run
+main = SWEEP.main
 
 if __name__ == "__main__":
     main()

@@ -17,59 +17,34 @@ identical traffic — and report the overhead metrics:
 Run: ``python -m repro.experiments.tradeoff``
 """
 
-from __future__ import annotations
-
-from typing import Dict, List, Optional, Sequence
-
-from repro.experiments.runner import DURATION, print_experiment, simulate
-from repro.runtime.config import SimConfig
+from repro.experiments.runner import DURATION, Sweep
+from repro.runtime.metrics import RunMetrics
 from repro.workloads.random_peers import RandomPeersWorkload
 
-
-def run(
-    n: int = 8,
-    ks: Optional[Sequence[Optional[int]]] = None,
-    seed: int = 42,
-    duration: float = DURATION,
-) -> List[Dict[str, object]]:
-    """Sweep K on a failure-free random-peers workload."""
-    if ks is None:
-        ks = [0, 1, 2, 4, 6, n]
-    rows = []
-    for k in ks:
-        config = SimConfig(n=n, k=k, seed=seed, trace_enabled=False)
-        metrics = simulate(config, RandomPeersWorkload(rate=0.8, min_hops=3,
-                                                       max_hops=8),
-                           duration=duration)
-        rows.append({
-            "K": metrics.k,
-            "hold": round(metrics.mean_send_hold, 2),
-            "e2e": round(metrics.mean_delivery_wait, 2),
-            "pgb": round(metrics.mean_piggyback_entries, 2),
-            "sync_w": metrics.sync_writes,
-            "async_w": metrics.async_writes,
-            "out_lat": round(metrics.mean_output_latency, 2),
-            "thru": round(metrics.throughput(), 2),
-        })
-    return rows
-
-
-def main() -> None:
-    from repro.analysis.report import ascii_series
-
-    rows = run()
-    print_experiment(
-        "E3 - Failure-free overhead vs degree of optimism K "
-        "(N=8, random peers, no failures)",
-        rows,
-        notes="""
+SWEEP = Sweep(
+    "E3 - Failure-free overhead vs degree of optimism K "
+    "(N=8, random peers, no failures)",
+    params=dict(n=8, ks=None, seed=42, duration=DURATION),
+    workload=RandomPeersWorkload(rate=0.8, min_hops=3, max_hops=8),
+    rows=lambda p: [({}, dict(k=k)) for k in
+                    (p.ks if p.ks is not None else [0, 1, 2, 4, 6, p.n])],
+    columns=("K", "hold", ("e2e", "mean_delivery_wait", 2), "pgb", "sync_w",
+             "async_w", "out_lat", ("thru", RunMetrics.throughput, 2)),
+    notes="""
 Expected shape (paper Section 4.1): the send-buffer hold time falls
 monotonically as K grows, reaching 0 at K=N; piggybacked vector size grows
 with K but stays well below N thanks to commit dependency tracking
 (Theorem 2).  K=0 messages carry no entries at all - they are released
 only once every dependency is stable, i.e. pessimistic behaviour.
 """,
-    )
+)
+run = SWEEP.run
+
+
+def main() -> None:
+    from repro.analysis.report import ascii_series
+
+    rows = SWEEP.main()
     print(ascii_series("mean send-buffer hold vs K",
                        [r["K"] for r in rows], [r["hold"] for r in rows]))
     print()

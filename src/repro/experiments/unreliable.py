@@ -21,15 +21,11 @@ Run: ``python -m repro.experiments.unreliable``
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Tuple
 
-from repro.experiments.runner import print_experiment, simulate
-from repro.failures.injector import (
-    CrashEvent,
-    FailureSchedule,
-    HealEvent,
-    PartitionEvent,
-)
+from repro.experiments.runner import Sweep, prepare, print_experiment
+from repro.failures.injector import (CrashEvent, FailureSchedule, HealEvent,
+                                     PartitionEvent)
 from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
 from repro.runtime.metrics import RunMetrics
@@ -40,39 +36,37 @@ from repro.workloads.telecom import TelecomWorkload
 #: events, and the shapes show up well before 1200 time units.
 DURATION = 600.0
 
+def drops(m: RunMetrics) -> int:
+    return m.app_drops + m.control_drops
 
-def run_loss_sweep(
-    n: int = 6,
-    k: int = 2,
-    loss_rates: Sequence[float] = (0.0, 0.01, 0.02, 0.05, 0.10),
-    seed: int = 42,
-    duration: float = DURATION,
-) -> List[Dict[str, object]]:
-    """Message loss vs repair traffic (duplication/reordering ride along)."""
-    rows = []
-    for loss in loss_rates:
-        config = SimConfig(
-            n=n, k=k, seed=seed,
-            drop_rate=loss,
-            duplicate_rate=loss / 2,
-            reorder_rate=loss,
-            trace_enabled=False,
-        )
-        metrics = simulate(config, RandomPeersWorkload(rate=0.6, min_hops=2,
-                                                       max_hops=6),
-                           duration=duration)
-        rows.append({
-            "loss": loss,
-            "delivered": metrics.messages_delivered,
-            "drops": metrics.app_drops + metrics.control_drops,
-            "rexmit": metrics.timer_retransmissions,
-            "acks": metrics.acks_received,
-            "ctl_rexmit": metrics.ctl_retransmits,
-            "dups_dropped": metrics.duplicates_dropped,
-            "budget_exh": (metrics.retransmit_budget_exhausted
-                           + metrics.ctl_budget_exhausted),
-        })
-    return rows
+
+def budget_exh(m: RunMetrics) -> int:
+    return m.retransmit_budget_exhausted + m.ctl_budget_exhausted
+
+
+# Message loss vs repair traffic (duplication/reordering ride along).
+E13A = Sweep(
+    "E13a - Repair traffic vs message loss rate (N=6, K=2, "
+    "random peers; duplication and reordering enabled)",
+    params=dict(n=6, k=2, loss_rates=(0.0, 0.01, 0.02, 0.05, 0.10), seed=42,
+                duration=DURATION),
+    workload=RandomPeersWorkload(rate=0.6, min_hops=2, max_hops=6),
+    rows=lambda p: [({"loss": loss}, dict(drop_rate=loss,
+                                          duplicate_rate=loss / 2,
+                                          reorder_rate=loss))
+                    for loss in p.loss_rates],
+    columns=("loss", ("delivered", "messages_delivered"), ("drops", drops),
+             ("rexmit", "timer_retransmissions"), ("acks", "acks_received"),
+             ("ctl_rexmit", "ctl_retransmits"),
+             ("dups_dropped", "duplicates_dropped"), ("budget_exh", budget_exh)),
+    notes="""
+Retransmissions and suppressed duplicates grow with the loss rate while
+delivery stays near the loss-free count: the ack/retransmit layer turns
+an unreliable network back into the reliable one the paper assumes.
+budget_exh > 0 would flag a message abandoned past its retry budget.
+""",
+)
+run_loss_sweep = E13A.run
 
 
 def _acceptance_harness(seed: int, duration: float) -> SimulationHarness:
@@ -87,11 +81,8 @@ def _acceptance_harness(seed: int, duration: float) -> SimulationHarness:
         PartitionEvent(duration * 0.6, ((4, 5),)),
         HealEvent(duration * 0.75),
     ])
-    workload = TelecomWorkload(rate=0.8)
-    harness = SimulationHarness(config, workload.behavior(),
-                                failures=schedule)
-    workload.install(harness, until=duration * 0.8)
-    return harness
+    return prepare(config, TelecomWorkload(rate=0.8), schedule,
+                   duration=duration)
 
 
 def run_safety_check(
@@ -123,17 +114,7 @@ def run_safety_check(
 
 
 def main() -> None:
-    print_experiment(
-        "E13a - Repair traffic vs message loss rate (N=6, K=2, "
-        "random peers; duplication and reordering enabled)",
-        run_loss_sweep(),
-        notes="""
-Retransmissions and suppressed duplicates grow with the loss rate while
-delivery stays near the loss-free count: the ack/retransmit layer turns
-an unreliable network back into the reliable one the paper assumes.
-budget_exh > 0 would flag a message abandoned past its retry budget.
-""",
-    )
+    E13A.main()
     metrics, deterministic = run_safety_check()
     print_experiment(
         "E13b - Acceptance: 5% loss + crash + partition (telecom, "

@@ -14,92 +14,53 @@ demonstrate it:
 Run: ``python -m repro.experiments.vector_size``
 """
 
-from __future__ import annotations
-
-from typing import Dict, List, Optional, Sequence
-
 from repro.core.baselines import FullyAsyncProcess, StromYeminiProcess
-from repro.core.protocol import KOptimisticProcess
-from repro.experiments.runner import DURATION, print_experiment, simulate
+from repro.experiments.runner import DURATION, Sweep, main_of
 from repro.failures.injector import FailureSchedule
-from repro.runtime.config import SimConfig
 from repro.workloads.random_peers import RandomPeersWorkload
 
-
-def run_notification_sweep(
-    n: int = 8,
-    periods: Sequence[float] = (2.5, 10.0, 40.0, 160.0, 640.0),
-    seed: int = 42,
-    duration: float = 2000.0,
-) -> List[Dict[str, object]]:
-    # Moderate traffic: stability information must have time to propagate
-    # between a process's deliveries for Theorem 2 to have anything to omit.
-    rows = []
-    for period in periods:
-        config = SimConfig(n=n, k=None, seed=seed, notify_interval=period,
-                           trace_enabled=False)
-        metrics = simulate(config, RandomPeersWorkload(rate=0.15, min_hops=2,
-                                                       max_hops=4),
-                           duration=duration)
-        rows.append({
-            "notify_period": period,
-            "pgb_mean": round(metrics.mean_piggyback_entries, 3),
-            "control_msgs": metrics.control_messages,
-            "out_lat": round(metrics.mean_output_latency, 2),
-        })
-    return rows
-
-
-def run_protocol_sweep(
-    n: int = 8,
-    seed: int = 42,
-    duration: float = DURATION,
-) -> List[Dict[str, object]]:
-    # A mid-run crash makes multiple incarnations coexist, which is what
-    # separates per-incarnation tracking from single-entry tracking.
-    failures = FailureSchedule.single(duration / 2, 1)
-    workload = RandomPeersWorkload(rate=0.8, min_hops=3, max_hops=8)
-    variants = [
-        ("k-optimistic (Thm 2)", None, KOptimisticProcess, False),
-        ("strom-yemini (size-N)", None, StromYeminiProcess, True),
-        ("fully-async (per-inc)", None, FullyAsyncProcess, False),
-    ]
-    rows = []
-    for name, k, protocol, fifo in variants:
-        config = SimConfig(n=n, k=k, seed=seed, fifo=fifo, trace_enabled=False)
-        metrics = simulate(config, workload, protocol=protocol,
-                           failures=failures, duration=duration)
-        rows.append({
-            "protocol": name,
-            "pgb_mean": round(metrics.mean_piggyback_entries, 3),
-            "n": n,
-        })
-    return rows
-
-
-def main() -> None:
-    print_experiment(
-        "E5a - Piggybacked vector size vs logging-progress notification period "
-        "(N=8, K=N)",
-        run_notification_sweep(),
-        notes="""
+# Moderate traffic: stability information must have time to propagate
+# between a process's deliveries for Theorem 2 to have anything to omit.
+E5A = Sweep(
+    "E5a - Piggybacked vector size vs logging-progress notification period "
+    "(N=8, K=N)",
+    params=dict(n=8, periods=(2.5, 10.0, 40.0, 160.0, 640.0), seed=42,
+                duration=2000.0),
+    workload=RandomPeersWorkload(rate=0.15, min_hops=2, max_hops=4),
+    rows=lambda p: [({"notify_period": period}, dict(notify_interval=period))
+                    for period in p.periods],
+    columns=("notify_period", "pgb_mean", "control_msgs", "out_lat"),
+    notes="""
 Fresher stability information means more Theorem-2 omissions: the mean
 vector size falls well below N when notifications are frequent, and decays
 toward full transitive tracking as they become rare.  The cost is control
 traffic; out_lat shows the same freshness also speeds up output commit.
 """,
-    )
-    print_experiment(
-        "E5b - Vector size by protocol (same workload, N=8)",
-        run_protocol_sweep(),
-        notes="""
+)
+# A mid-run crash makes multiple incarnations coexist, which is what
+# separates per-incarnation tracking from single-entry tracking.
+E5B = Sweep(
+    "E5b - Vector size by protocol (same workload, N=8)",
+    params=dict(n=8, seed=42, duration=DURATION),
+    workload=RandomPeersWorkload(rate=0.8, min_hops=3, max_hops=8),
+    failures=lambda p: FailureSchedule.single(p.duration / 2, 1),
+    rows=lambda p: [
+        ({"protocol": "k-optimistic (Thm 2)"}, {}),
+        ({"protocol": "strom-yemini (size-N)"},
+         dict(protocol=StromYeminiProcess, fifo=True)),
+        ({"protocol": "fully-async (per-inc)"},
+         dict(protocol=FullyAsyncProcess))],
+    columns=("protocol", "pgb_mean", ("n", "n")),
+    notes="""
 Strom & Yemini carry (close to) one entry per process; the fully
 asynchronous protocol of Section 2 carries one entry per *incarnation* and
 can exceed N after failures; commit dependency tracking carries only
 non-stable dependencies and stays smallest.
 """,
-    )
-
+)
+run_notification_sweep = E5A.run
+run_protocol_sweep = E5B.run
+main = main_of(E5A, E5B)
 
 if __name__ == "__main__":
     main()
