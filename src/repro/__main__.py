@@ -25,6 +25,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+#: Module paths, imported only when an experiment runs (``serve-worker``
+#: starts through this module); ``all`` runs the others in this order.
 EXPERIMENTS = {
     "figure1": "repro.experiments.figure1",
     "tradeoff": "repro.experiments.tradeoff",
@@ -32,12 +34,12 @@ EXPERIMENTS = {
     "vector_size": "repro.experiments.vector_size",
     "comparison": "repro.experiments.comparison",
     "output_commit": "repro.experiments.output_commit",
+    "ablations": "repro.experiments.ablations",
     "direct_tracking": "repro.experiments.direct_tracking",
     "scalability": "repro.experiments.scalability",
     "sender_based": "repro.experiments.sender_based",
-    "ablations": "repro.experiments.ablations",
-    "multiseed": "repro.experiments.multiseed",
     "unreliable": "repro.experiments.unreliable",
+    "multiseed": "repro.experiments.multiseed",
     "exploration": "repro.experiments.exploration",
     "adaptive_k": "repro.experiments.adaptive_k",
     "all": "repro.experiments.all",

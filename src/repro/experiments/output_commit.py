@@ -45,7 +45,8 @@ E7C = Sweep(
     workload=TelecomWorkload(rate=1.0),
     failures=lambda p: FailureSchedule.single(p.duration / 2, 2),
     rows=lambda p: [({}, dict(k=k)) for k in (0, p.n)],
-    columns=("K", "outputs", ("outputs_discarded", "crashes"), "rollbacks"),
+    columns=("K", "outputs", ("outputs_discarded", "outputs_discarded"),
+             ("crashes", "crashes"), "rollbacks"),
 )
 run_k_sweep = E7A.run
 run_notification_sweep = E7B.run
