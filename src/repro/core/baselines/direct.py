@@ -51,6 +51,15 @@ class DirectDependencyProcess(ImmediateReleaseProcess):
     dependencies, so transitive orphan elimination works by propagating
     announcements hop by hop."""
 
+    def __init__(self, pid, n, k=None, behavior=None, **kwargs):
+        # Theorem 3 reclaims everything before a checkpoint whose vector is
+        # all stable, which proves the checkpoint can never be orphaned only
+        # when the vector is transitive.  A direct vector omits the
+        # dependencies a cascade later revokes, so reclamation could leave
+        # no checkpoint to roll back to: this scheme keeps its history.
+        kwargs["gc_on_checkpoint"] = False
+        super().__init__(pid, n, k, behavior, **kwargs)
+
     # -- one-entry piggyback ---------------------------------------------------
 
     def _piggyback_vector(self) -> DependencyVector:

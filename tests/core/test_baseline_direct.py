@@ -11,7 +11,10 @@ from repro.core.effects import (
     RollbackPerformed,
 )
 from repro.core.entry import Entry
-from helpers import deliver_env, effects_of, make_announcement, make_msg
+from repro.failures.injector import CrashEvent, FailureSchedule
+from repro.workloads.random_peers import RandomPeersWorkload
+from helpers import (build_sim, deliver_env, effects_of, make_announcement,
+                     make_msg)
 
 
 class Forwarder(AppBehavior):
@@ -104,3 +107,20 @@ class TestDirectTracking:
         deliver_env(proc, {"to": 1})
         assert not proc.send_buffer
         assert proc.stats.send_hold_time_total == 0.0
+
+
+class TestNoTheorem3Reclamation:
+    def test_cascade_always_finds_a_checkpoint(self):
+        # The golden digest's direct configuration at seed 2: with
+        # Theorem-3 reclamation on, a cascaded rollback judged every
+        # retained checkpoint orphaned and restore raised.
+        harness = build_sim(
+            n=4, seed=2, protocol=DirectDependencyProcess, until=100.0,
+            workload=RandomPeersWorkload(rate=0.5, output_fraction=0.0),
+            failures=FailureSchedule([CrashEvent(60.0, 1),
+                                      CrashEvent(95.0, 3)]),
+            flush_interval=10.0, checkpoint_interval=40.0)
+        harness.run(160.0)
+        metrics = harness.metrics()
+        assert metrics.crashes == 2 and metrics.rollbacks > 0
+        assert metrics.violations == []
