@@ -116,6 +116,7 @@ class RandomScenarioSampler:
     crash_probability: float = 0.7
     max_crashes: int = 2
     partition_probability: float = 0.25
+    crash_point_probability: float = 0.5
 
     def sample(self, index: int) -> Scenario:
         rng = random.Random(f"repro-check/{self.seed}/{index}")
@@ -155,10 +156,17 @@ class RandomScenarioSampler:
         # awaited owners per tick (drawn last: no other field depends on
         # it).
         fanout = 2 if rng.random() < 0.25 else None
+        # Crash points, drawn last (no other field depends on them); each
+        # is one more crash, within the same budget.
+        crash_points = tuple(
+            kind for kind in ("checkpoint", "rollback")
+            if rng.random() < self.crash_point_probability
+        )[:max(0, self.max_crashes - len(crashes))]
         return Scenario(
             n=n, k=k, seed=index, horizon=self.horizon,
             injections=injections, crashes=crashes, partitions=partitions,
             choices=[], choice_seed=choice_seed, notify_fanout=fanout,
+            crash_points=crash_points,
         )
 
 

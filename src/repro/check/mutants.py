@@ -24,11 +24,13 @@ from repro.app.behavior import AppContext
 from repro.core.depvec import DependencyVector
 from repro.core.effects import Effect
 from repro.core.protocol import KOptimisticProcess
+from repro.core.tables import LoggingProgressTable
 from repro.net.message import (
     AppMessage,
     LoggingRequest,
     LogProgressNotification,
 )
+from repro.storage.stable import Checkpoint
 from repro.workloads.openloop import OpenLoopBehavior
 
 
@@ -112,6 +114,46 @@ class DeafOwnerProcess(KOptimisticProcess):
         return []
 
 
+class FrozenIncarnationRowProcess(KOptimisticProcess):
+    """Restart rebuilds ``log`` without the incarnation ends its own
+    Rollbacks journaled (breaks liveness after a Rollback).
+
+    A Rollback records the end of the incarnation it closes in ``log``
+    only; a crash before any peer learns it loses it for good, so nothing
+    depending on that incarnation past its last checkpoint can ever be
+    released.  The liveness probe sees the owner's log miss its own
+    stable interval.  The random explorer kills it (the ``"rollback"``
+    crash point), but its shortest counterexample keeps 22 trace events
+    — two crashes, two Rollbacks and a reclaimed checkpoint — above the
+    mutation smoke's bar of 20, so it is not in :data:`MUTANTS`.
+    """
+
+    def _recover_tables(self) -> None:
+        super()._recover_tables()
+        self.log = LoggingProgressTable(self.n)
+        if self.delta_notifications:
+            self.log.enable_changelog()
+        for ann in self.storage.announcements:
+            self.log.insert(ann.origin, ann.end)
+        for checkpoint in self.storage.checkpoints:
+            self.log.insert(self.pid, checkpoint.entry)
+
+
+class ForgetfulCheckpointProcess(KOptimisticProcess):
+    """Restart does not take back what the restored checkpoint owes
+    (breaks liveness after a crash).
+
+    The sends, outputs and received messages still buffered when the
+    checkpoint was taken die with the crash, and replay regenerates only
+    what later intervals owe; the liveness probe sees a surviving
+    interval's send never released or output never committed (the
+    ``"checkpoint"`` crash point places that crash).
+    """
+
+    def _take_back_buffers(self, checkpoint: Checkpoint) -> None:
+        pass
+
+
 class GlobalRandomOpenLoop(OpenLoopBehavior):
     """Picks each next hop from the module-level ``random`` instead of the
     interval's own draws (breaks piecewise determinism)."""
@@ -146,4 +188,5 @@ MUTANTS: Dict[str, type] = {
     "stale_vector": StaleVectorProcess,
     "deaf_owner": DeafOwnerProcess,
     "global_random_app": GlobalRandomAppProcess,
+    "forgetful_checkpoint": ForgetfulCheckpointProcess,
 }

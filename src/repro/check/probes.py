@@ -48,7 +48,13 @@ and accumulates violations.  Together with the harness's
   after ``settle``: no held send and no pending output may depend only on
   surviving intervals (existing, not rolled back, not orphaned); such a
   one would wait for ever.  An owner that never answers a fanout-mode
-  logging request leaves exactly that behind.
+  logging request leaves exactly that behind.  Two more rules close the
+  gaps a crash can open: every send a surviving interval made was
+  released and every output it made committed (a Restart that does not
+  take back what its checkpoint owes loses them), and a process that
+  records its own flushes knows each of its own stable surviving
+  intervals (a Restart that forgets the end of an incarnation its
+  Rollback closed leaves it, and so every peer, unaware for ever).
 - **write-ahead** — whenever any effect of a process is interpreted, its
   storage backend has no synchronous write still waiting for the barrier
   (``StableBackend.sync_due``): no release, notification, announcement or
@@ -62,13 +68,14 @@ would repeat it every step).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, Callable, Dict, List, Set, Tuple
 
 from repro.core.columnar import PACK_MASK, PACK_SHIFT
 from repro.core.effects import Effect, MessageDelivered, ReleaseMessage
 from repro.core.entry import Entry
 from repro.core.protocol import KOptimisticProcess
 from repro.runtime.harness import ProcessHost, SimulationHarness
+from repro.types import OutputId
 
 
 class ProbeSet:
@@ -80,6 +87,8 @@ class ProbeSet:
         #: ``(pid, inc, sii)`` -> the sends and outputs of its first
         #: execution.
         self._produced: Dict[Tuple[int, int, int], Tuple[Any, Any]] = {}
+        #: Every application message released, by id.
+        self._released: Set[Any] = set()
 
     def install(self, harness: SimulationHarness) -> None:
         harness.add_effect_probe(self._on_effect)
@@ -109,6 +118,7 @@ class ProbeSet:
     def _on_effect(self, host: ProcessHost, effect: Effect) -> None:
         self.write_ahead(host, effect)
         if isinstance(effect, ReleaseMessage):
+            self._released.add(effect.message.msg_id)
             self._check_release_k(host, effect)
             return
         if not isinstance(effect, MessageDelivered):
@@ -266,6 +276,64 @@ class ProbeSet:
                         f"still waits after settle, though every interval "
                         f"it depends on survives ({dict(tdv.items())})"
                     )
+        self._check_own_stability(harness, survives)
+        self._check_lost_work(harness, survives)
+
+    def _check_own_stability(self, harness: SimulationHarness,
+                             survives: Callable[[int, Entry], bool]) -> None:
+        """A process that records its own flushes knows every surviving
+        interval of its own that is stable: its peers learn stability
+        only from it, so one it forgot holds whatever depends on it for
+        ever, even if nothing does yet."""
+        oracle = harness.certifier.oracle
+        for host in harness.hosts:
+            proc = host.protocol
+            if host.down or proc.failed or not proc.nullify_own_on_flush:
+                continue
+            for pid, inc, sii in oracle.live_chain(host.pid):
+                entry = Entry(inc, sii)
+                if (oracle.node((pid, inc, sii)).stable
+                        and survives(pid, entry)
+                        and not proc.log.covers(pid, entry)):
+                    self._report(
+                        f"liveness violated: P{pid}'s log table does not "
+                        f"cover its own stable interval {entry}, so no "
+                        f"peer can learn that it is stable")
+                    break
+
+    def _check_lost_work(self, harness: SimulationHarness,
+                         survives: Callable[[int, Entry], bool]) -> None:
+        """What a surviving interval produced is never lost: each of its
+        sends was released and each of its outputs committed.  (A released
+        message may still be lost in transit, footnote 3's scope.)"""
+        released: Dict[Tuple[int, int, int], int] = {}
+        for msg_id in self._released:
+            key = (msg_id.sender, msg_id.send_inc, msg_id.send_sii)
+            released[key] = released.get(key, 0) + 1
+        committed = {record.output_id
+                     for _time, record in harness.committed_outputs}
+        for key, (sends, outputs) in sorted(self._produced.items()):
+            pid, inc, sii = key
+            if not survives(pid, Entry(inc, sii)):
+                continue
+            if released.get(key, 0) < len(sends):
+                self._report(
+                    f"liveness violated: surviving interval {key} sent "
+                    f"{len(sends)} messages but only "
+                    f"{released.get(key, 0)} were ever released")
+            # A commit the journal records counts: a crash between that
+            # record and the commit itself is the output-commit boundary,
+            # not lost work.
+            storage = harness.hosts[pid].protocol.storage
+            lost = [seq for seq in range(len(outputs))
+                    if OutputId(pid, inc, sii, seq) not in committed
+                    and not storage.output_committed(
+                        OutputId(pid, inc, sii, seq))]
+            if lost:
+                self._report(
+                    f"liveness violated: surviving interval {key} output "
+                    f"{len(outputs)} records but {len(lost)} never "
+                    f"committed")
 
 
 def _entry(packed: int) -> Entry:

@@ -20,8 +20,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.effects import Effect, RollbackPerformed, StableProgress
+from repro.core.entry import Entry
 from repro.core.protocol import KOptimisticProcess
 from repro.failures.injector import (
     CrashEvent,
@@ -31,7 +33,7 @@ from repro.failures.injector import (
     PartitionEvent,
 )
 from repro.runtime.config import SimConfig
-from repro.runtime.harness import SimulationHarness
+from repro.runtime.harness import ProcessHost, SimulationHarness
 from repro.sim.engine import EventHandle
 from repro.sim.trace import Record
 from repro.workloads.random_peers import TokenBehavior
@@ -146,6 +148,9 @@ class Scenario:
     #: Fanout-pull dissemination: each notify tick asks at most this many
     #: awaited owners (``None``: every process broadcasts its table).
     notify_fanout: Optional[int] = None
+    #: Crashes the protocol's own steps place, each once (see
+    #: :class:`CrashPoint`): ``"checkpoint"`` and/or ``"rollback"``.
+    crash_points: Tuple[str, ...] = ()
 
     # -- construction ------------------------------------------------------
 
@@ -211,6 +216,7 @@ class Scenario:
             notify_interval=data.get("notify_interval", 5.0),
             restart_delay=data.get("restart_delay", 5.0),
             notify_fanout=data.get("notify_fanout"),
+            crash_points=tuple(data.get("crash_points", ())),
         )
 
     def dump(self, path: str) -> None:
@@ -221,6 +227,58 @@ class Scenario:
     def load(cls, path: str) -> "Scenario":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+class CrashPoint:
+    """Crashes one process right after a step that made something durable
+    which, at that moment, only its own stable storage records (before
+    anything else falls due at that instant, its notification included).
+
+    - ``"checkpoint"``: the first checkpoint that still owes a send, an
+      output or an undelivered message: Restart must take them back from
+      the checkpoint, for replay regenerates none of them;
+    - ``"rollback"``: after a Rollback that replayed past its checkpoint,
+      the first flush or checkpoint making intervals of the new
+      incarnation stable while no other process knows where the closed
+      incarnation ended: Restart must recover that end from the journal.
+    """
+
+    def __init__(self, kind: str, harness: SimulationHarness):
+        if kind not in ("checkpoint", "rollback"):
+            raise ValueError(f"unknown crash point {kind!r}")
+        self.kind = kind
+        self.harness = harness
+        #: pid -> (the end its last Rollback closed, the next interval).
+        self.rolled_back: Dict[int, Tuple[Entry, Entry]] = {}
+        self.fired = False
+
+    def __call__(self, host: ProcessHost, effect: Effect) -> None:
+        if self.fired or not isinstance(effect, (RollbackPerformed,
+                                                 StableProgress)):
+            return
+        checkpoint = host.protocol.storage.checkpoints[-1]
+        if isinstance(effect, RollbackPerformed):
+            if effect.restored_to.sii > checkpoint.entry.sii:
+                self.rolled_back[host.pid] = (effect.restored_to,
+                                              effect.new_current)
+            return
+        checkpointed = (checkpoint.entry == effect.through
+                        and checkpoint.time_taken > 0.0)
+        if self.kind == "checkpoint":
+            due = checkpointed and bool(checkpoint.sends or checkpoint.outputs
+                                        or checkpoint.receive_buffer)
+        else:
+            # Restart resumes in the new incarnation: from this checkpoint,
+            # or by replaying a delivery this flush made stable.
+            end, began = self.rolled_back.get(host.pid, (None, None))
+            due = (began is not None and effect.through.inc == began.inc
+                   and (checkpointed or effect.through.sii > began.sii)
+                   and not any(other.protocol.log.covers(host.pid, end)
+                               for other in self.harness.hosts
+                               if other is not host))
+        if due:
+            self.fired = True
+            self.harness.engine.schedule(0.0, host.crash)
 
 
 def run_scenario(
@@ -242,6 +300,8 @@ def run_scenario(
     )
     probes = ProbeSet()
     probes.install(harness)
+    for kind in scenario.crash_points:
+        harness.add_effect_probe(CrashPoint(kind, harness))
     recorder = ChoiceRecorder(scenario.choices, seed=scenario.choice_seed)
     harness.engine.set_tie_breaker(recorder)
     for injection in scenario.injections:

@@ -21,6 +21,7 @@ from repro.check import (
     RandomScenarioSampler,
 )
 from repro.check.probes import ProbeSet
+from repro.check.scenario import CrashPoint
 from repro.oracle.ingest import certify_tracer
 from repro.runtime.harness import SimulationHarness
 from repro.workloads.random_peers import TokenBehavior
@@ -34,6 +35,8 @@ def traced_rerun(scenario, protocol):
                                 protocol=protocol)
     probes = ProbeSet()
     probes.install(harness)
+    for kind in scenario.crash_points:
+        harness.add_effect_probe(CrashPoint(kind, harness))
     harness.engine.set_tie_breaker(
         ChoiceRecorder(scenario.choices, seed=scenario.choice_seed))
     for injection in scenario.injections:

@@ -9,6 +9,12 @@ liveness probe (I7), each with the mutant it exists to kill.
   peers' held sends and pending outputs wait for ever on intervals that
   survive, which only the liveness probe, run once the scenario has
   settled, sees.
+- ``forgetful_checkpoint`` (Restart does not take back what its
+  checkpoint owes) loses a surviving interval's output when a crash
+  follows a checkpoint; ``FrozenIncarnationRowProcess`` (Restart does not
+  fold the incarnation ends its Rollbacks journaled) leaves its owner
+  unaware of its own stable intervals when a crash follows a Rollback.
+  Each needs its crash point: a crash the protocol's own step places.
 """
 
 from dataclasses import replace
@@ -20,8 +26,9 @@ from repro.check import (
     RandomScenarioSampler,
     run_scenario,
 )
-from repro.check import storage_campaign
+from repro.check import shrink, storage_campaign
 from repro.check.cli import small_scenario
+from repro.check.mutants import FrozenIncarnationRowProcess
 from repro.core.effects import MessageDelivered
 from repro.runtime.harness import SimulationHarness
 from repro.workloads.random_peers import TokenBehavior
@@ -37,7 +44,34 @@ def killing_run(name):
 def test_the_registry_holds_every_mutant():
     assert set(MUTANTS) >= {
         "orphan_blind", "unbounded_release", "forgetful_piggyback",
-        "stale_vector", "deaf_owner", "global_random_app"}
+        "stale_vector", "deaf_owner", "global_random_app",
+        "forgetful_checkpoint"}
+
+
+def test_forgetful_checkpoint_is_killed_after_a_checkpoint():
+    scenario, result = killing_run("forgetful_checkpoint")
+    assert "checkpoint" in scenario.crash_points
+    assert any(v.startswith("liveness violated: surviving interval")
+               for v in result.violations)
+    assert run_scenario(scenario).violations == []
+    # The crash the checkpoint placed is the one that loses the work.
+    no_point = replace(scenario, crash_points=())
+    assert run_scenario(no_point, MUTANTS["forgetful_checkpoint"]) \
+        .violations == []
+
+
+def test_frozen_incarnation_row_is_killed_after_a_rollback():
+    stats = RandomExplorer(RandomScenarioSampler(seed=0), runs=60,
+                           protocol=FrozenIncarnationRowProcess).explore()
+    assert stats.found
+    scenario, result = stats.counterexample, stats.result
+    assert "rollback" in scenario.crash_points
+    assert any("does not cover its own stable interval" in v
+               for v in result.violations)
+    assert run_scenario(scenario).violations == []
+    shrunk = shrink(scenario, protocol=FrozenIncarnationRowProcess)
+    assert shrunk.result.violations
+    assert run_scenario(shrunk.scenario).violations == []
 
 
 def test_global_random_app_is_killed_by_the_replay_probe():
