@@ -24,7 +24,6 @@ from repro.app.behavior import AppContext
 from repro.core.depvec import DependencyVector
 from repro.core.effects import Effect
 from repro.core.protocol import KOptimisticProcess
-from repro.core.tables import LoggingProgressTable
 from repro.net.message import (
     AppMessage,
     LoggingRequest,
@@ -112,31 +111,6 @@ class DeafOwnerProcess(KOptimisticProcess):
     def on_logging_request(self, request: LoggingRequest) -> List[Effect]:
         self._require_running()
         return []
-
-
-class FrozenIncarnationRowProcess(KOptimisticProcess):
-    """Restart rebuilds ``log`` without the incarnation ends its own
-    Rollbacks journaled (breaks liveness after a Rollback).
-
-    A Rollback records the end of the incarnation it closes in ``log``
-    only; a crash before any peer learns it loses it for good, so nothing
-    depending on that incarnation past its last checkpoint can ever be
-    released.  The liveness probe sees the owner's log miss its own
-    stable interval.  The random explorer kills it (the ``"rollback"``
-    crash point), but its shortest counterexample keeps 22 trace events
-    — two crashes, two Rollbacks and a reclaimed checkpoint — above the
-    mutation smoke's bar of 20, so it is not in :data:`MUTANTS`.
-    """
-
-    def _recover_tables(self) -> None:
-        super()._recover_tables()
-        self.log = LoggingProgressTable(self.n)
-        if self.delta_notifications:
-            self.log.enable_changelog()
-        for ann in self.storage.announcements:
-            self.log.insert(ann.origin, ann.end)
-        for checkpoint in self.storage.checkpoints:
-            self.log.insert(self.pid, checkpoint.entry)
 
 
 class ForgetfulCheckpointProcess(KOptimisticProcess):

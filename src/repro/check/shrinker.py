@@ -120,18 +120,6 @@ def shrink(
         if len(injections) < len(current.injections):
             current = replace(current, injections=injections)
 
-        # Injection simplification: a shorter token path, then no output.
-        for i, injection in enumerate(current.injections):
-            simpler = [replace(injection, hops=hops)
-                       for hops in range(injection.hops)]
-            if injection.emit_output:
-                simpler.append(replace(injection, emit_output=False))
-            for candidate in simpler:
-                injections = list(current.injections)
-                injections[i] = candidate
-                if attempt(replace(current, injections=injections)):
-                    break
-
         crashes = _ddmin(
             list(current.crashes),
             lambda items: fails(replace(current, crashes=items)),

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.runner import Sweep
+from repro.experiments.runner import Sweep, print_experiment
 from repro.failures.injector import CrashEvent, FailureSchedule
 from repro.runtime.harness import SimulationHarness
 from repro.runtime.metrics import RunMetrics
@@ -117,7 +117,8 @@ def best_static(rows: List[Dict[str, object]]) -> Optional[Dict[str, object]]:
 
 
 def main(scale: float = 1.0) -> None:
-    rows = SWEEP.main(scale=scale)
+    rows = run_sweep(scale)
+    print_experiment(SWEEP.title, rows, notes=SWEEP.notes)
     champion = best_static(rows)
     if champion is not None:
         adaptive = rows[0]

@@ -31,7 +31,6 @@ ALLOWED = {
     "row_size": "test_columnar_equivalence compares row widths with the reference table",
     "partition_active": "network tests assert a partition is up before and gone after a heal",
     "watched_positions": "stability-index tests count the heap positions a waiter holds",
-    "live_chain": "oracle tests read the live chain of one process",
     "non_stable_intervals": "oracle tests check what the frontier leaves unstable",
     "orphan_intervals": "oracle tests check which intervals a recovery orphaned",
     "inject_now": "protocol-level harness tests inject at the current instant",
