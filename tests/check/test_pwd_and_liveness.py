@@ -29,16 +29,16 @@ from repro.check import (
 )
 from repro.check import shrink, storage_campaign
 from repro.check.cli import small_scenario
+from repro.core.effects import MessageDelivered
 from repro.core.protocol import KOptimisticProcess
 from repro.core.tables import LoggingProgressTable
-from repro.core.effects import MessageDelivered
 from repro.runtime.harness import SimulationHarness
 from repro.workloads.random_peers import TokenBehavior
 
 
 class FrozenIncarnationRowProcess(KOptimisticProcess):
     """Restart rebuilds ``log`` without the incarnation ends its own
-    Rollbacks journaled (PR 29's parent).
+    Rollbacks journaled (the hole ``test_rollback_then_crash.py`` pins).
 
     A Rollback records the end of the incarnation it closes in ``log``
     only; a crash before any peer learns it loses it for good, so nothing
