@@ -116,7 +116,6 @@ class RandomScenarioSampler:
     crash_probability: float = 0.7
     max_crashes: int = 2
     partition_probability: float = 0.25
-    crash_point_probability: float = 0.5
 
     def sample(self, index: int) -> Scenario:
         rng = random.Random(f"repro-check/{self.seed}/{index}")
@@ -156,11 +155,11 @@ class RandomScenarioSampler:
         # awaited owners per tick (drawn last: no other field depends on
         # it).
         fanout = 2 if rng.random() < 0.25 else None
-        # Crash points, drawn last (no other field depends on them); each
-        # is one more crash, within the same budget.
+        # Crash points, each drawn with probability 1/2 and last (no
+        # other field depends on them); each is one more crash, within
+        # the same budget.
         crash_points = tuple(
-            kind for kind in ("checkpoint", "rollback")
-            if rng.random() < self.crash_point_probability
+            kind for kind in ("checkpoint", "rollback") if rng.random() < 0.5
         )[:max(0, self.max_crashes - len(crashes))]
         return Scenario(
             n=n, k=k, seed=index, horizon=self.horizon,

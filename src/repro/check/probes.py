@@ -321,14 +321,19 @@ class ProbeSet:
                     f"liveness violated: surviving interval {key} sent "
                     f"{len(sends)} messages but only "
                     f"{released.get(key, 0)} were ever released")
-            # A commit the journal records counts: a crash between that
-            # record and the commit itself is the output-commit boundary,
-            # not lost work.
-            storage = harness.hosts[pid].protocol.storage
+            # Known open loss, not reported here (CHANGES.md, the FOUND
+            # entry on output commit at the fsync boundary): a crash after
+            # the fsync that makes an output's commit record durable and
+            # before CommitOutput runs loses that output for good, since
+            # Restart will not commit it twice.  So a journaled commit is
+            # excused only at a process that crashed; anywhere else an
+            # output the journal records but nobody saw is reported.
+            host = harness.hosts[pid]
+            excused = (host.protocol.storage.output_committed
+                       if host.crash_times else lambda output_id: False)
             lost = [seq for seq in range(len(outputs))
                     if OutputId(pid, inc, sii, seq) not in committed
-                    and not storage.output_committed(
-                        OutputId(pid, inc, sii, seq))]
+                    and not excused(OutputId(pid, inc, sii, seq))]
             if lost:
                 self._report(
                     f"liveness violated: surviving interval {key} output "

@@ -19,7 +19,7 @@ Run: ``python -m repro.experiments.ablations``
 
 from functools import partial
 
-from repro.experiments.runner import Sweep, main_of
+from repro.experiments.runner import Sweep
 from repro.failures.injector import FailureSchedule
 from repro.workloads.pipeline import PipelineWorkload
 from repro.workloads.random_peers import RandomPeersWorkload
@@ -35,9 +35,9 @@ ablation = partial(Sweep, duration=DURATION, params=dict(n=6, seed=42),
 
 A1 = ablation(
     "A1 - Theorem 2 applied at flush time (vs checkpoint-only)",
-    config=dict(k=2),
     rows=lambda p: [({"flush_thm2": "on" if enabled else "off"},
-                     dict(nullify_own_on_flush=enabled))
+                     dict(n=p.n, k=2, seed=p.seed,
+                          nullify_own_on_flush=enabled))
                     for enabled in (True, False)],
     columns=("flush_thm2", "hold", "pgb", "out_lat"),
     notes="Flush-time self-stability is most of what keeps low-K holds "
@@ -55,9 +55,9 @@ A2 = ablation(
     "A2 - Full-table gossip vs own-row notifications "
     "(fanout-1 dissemination)",
     params=dict(n=8, seed=42),
-    config=dict(k=2, notify_interval=20.0, notify_fanout=1),
     rows=lambda p: [({"gossip": "full-table" if gossip else "own-row"},
-                     dict(gossip_log_tables=gossip))
+                     dict(n=p.n, k=2, seed=p.seed, notify_interval=20.0,
+                          notify_fanout=1, gossip_log_tables=gossip))
                     for gossip in (True, False)],
     columns=("gossip", "hold", "pgb", "out_lat"),
     notes="Under broadcast the two modes are identical; with each "
@@ -70,9 +70,9 @@ A2 = ablation(
 A3 = ablation(
     "A3 - Output-driven logging at sparse notification periods",
     workload=TelecomWorkload(rate=0.6),
-    config=dict(notify_interval=200.0, flush_interval=200.0),
     rows=lambda p: [({"mode": "output-driven" if driven else "periodic-only"},
-                     dict(output_driven_logging=driven))
+                     dict(n=p.n, seed=p.seed, notify_interval=200.0,
+                          flush_interval=200.0, output_driven_logging=driven))
                     for driven in (False, True)],
     columns=("mode", "out_lat", "outputs", "control_msgs"),
     notes="Demand-driven flushes commit outputs far sooner than waiting "
@@ -82,8 +82,8 @@ A3 = ablation(
 # A4: Theorem-3-based storage reclamation on vs off.
 A4 = ablation(
     "A4 - Storage reclamation via Theorem 3 (GC on checkpoints)",
-    config=dict(k=2),
-    rows=lambda p: [({"gc": "on" if gc else "off"}, dict(gc_on_checkpoint=gc))
+    rows=lambda p: [({"gc": "on" if gc else "off"},
+                     dict(n=p.n, k=2, seed=p.seed, gc_on_checkpoint=gc))
                     for gc in (True, False)],
     columns=("gc", ("final_log_records", "final_log_records"),
              ("final_checkpoints", "final_checkpoints"),
@@ -105,10 +105,10 @@ A5 = ablation(
     "A5 - Sender-side retransmission (footnote 3)",
     params=dict(n=5, seed=13),
     workload=PipelineWorkload(rate=1.0),
-    config=dict(restart_delay=60.0),
     failures=lambda p: FailureSchedule.single(p.duration / 2, p.n // 2),
     rows=lambda p: [({"retransmit": f"window={window}" if window else "off"},
-                     dict(retransmit_window=window)) for window in (0, 64)],
+                     dict(n=p.n, seed=p.seed, restart_delay=60.0,
+                          retransmit_window=window)) for window in (0, 64)],
     columns=("retransmit", ("lost_in_transit", "app_messages_lost"),
              ("resent", "retransmissions"),
              ("items_completed", "outputs_committed")),
@@ -122,9 +122,9 @@ A5 = ablation(
 # time tracks the flush period almost linearly.
 A6 = ablation(
     "A6 - The stability lag: hold time vs flush period at K=1",
-    config=dict(k=1),
     rows=lambda p: [({"flush_period": period},
-                     dict(flush_interval=period, notify_interval=period / 2))
+                     dict(n=p.n, k=1, seed=p.seed, flush_interval=period,
+                          notify_interval=period / 2))
                     for period in (10.0, 20.0, 40.0, 80.0)],
     columns=("flush_period", "hold", "out_lat", "async_w"),
     notes="K bounds how many non-stable dependencies a message may "
@@ -138,7 +138,12 @@ run_output_driven = A3.run
 run_gc = A4.run
 run_retransmission = A5.run
 run_flush_period = A6.run
-main = main_of(A1, A2, A3, A4, A5, A6)
+
+
+def main() -> None:
+    for sweep in (A1, A2, A3, A4, A5, A6):
+        sweep.main()
+
 
 if __name__ == "__main__":
     main()

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.runner import Sweep, print_experiment
+from repro.experiments.runner import Sweep, prepare, print_experiment
 from repro.failures.injector import CrashEvent, FailureSchedule
+from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
 from repro.runtime.metrics import RunMetrics
 from repro.workloads.openloop import OpenLoopWorkload
@@ -43,8 +44,21 @@ DURATION = 600.0
 CRASHES: Sequence[Tuple[float, int]] = (
     (0.35, 3), (0.38, 9), (0.41, 13), (0.44, 5),
     (0.68, 12), (0.71, 2), (0.74, 7))
+#: Every run's ``SimConfig`` fields but its K policy.
+BASE = dict(n=N, k=K_CEILING, seed=7, retransmit_window=32,
+            slo_output_latency=90.0, trace_enabled=True)
 #: The controller under ``K_CEILING``, in place of a static ``k``.
-ADAPTIVE = dict(adaptive_k=True, k_max=K_CEILING, control_interval=10.0)
+ADAPTIVE = dict(BASE, adaptive_k=True, k_max=K_CEILING, control_interval=10.0)
+WORKLOAD = OpenLoopWorkload(rate=1.2)
+
+
+def duration_of(scale: float) -> float:
+    return max(DURATION * scale, 40.0)
+
+
+def crashes(duration: float) -> FailureSchedule:
+    return FailureSchedule([CrashEvent(duration * fraction, pid)
+                            for fraction, pid in CRASHES])
 
 
 def violations(m: RunMetrics) -> int:
@@ -63,15 +77,11 @@ SWEEP = Sweep(
     "E15 - Adaptive-K controller vs static K "
     "(open-loop heavy traffic + crash cluster; identical arrival and "
     "failure schedules)",
-    params=dict(scale=1.0, static_ks=STATIC_KS),
-    duration=lambda p: max(DURATION * p.scale, 40.0),
-    config=dict(n=N, k=K_CEILING, seed=7, retransmit_window=32,
-                slo_output_latency=90.0, trace_enabled=True),
-    workload=OpenLoopWorkload(rate=1.2),
-    failures=lambda p: FailureSchedule(
-        [CrashEvent(p.duration * fraction, pid) for fraction, pid in CRASHES]),
+    params=dict(duration=DURATION, static_ks=STATIC_KS),
+    workload=WORKLOAD,
+    failures=lambda p: crashes(p.duration),
     rows=lambda p: [({"policy": "adaptive"}, ADAPTIVE),
-                    *[({"policy": f"static K={k}"}, dict(k=k))
+                    *[({"policy": f"static K={k}"}, dict(BASE, k=k))
                       for k in p.static_ks]],
     columns=("policy", "outputs", ("p50", "output_latency_p50", 2),
              ("p95", "output_latency_p95", 2), ("p99", "output_latency_p99", 2),
@@ -79,7 +89,6 @@ SWEEP = Sweep(
              ("revoked", "rolled_back_intervals"),
              ("out_discard", "outputs_discarded"), ("violations", violations),
              ("k_mean", k_mean, 2), ("k_decisions", k_decisions)),
-    strict=False,
     notes="""
 The controller starts fully optimistic, collapses K multiplicatively
 when the crash cluster produces revocation evidence, and climbs back
@@ -98,14 +107,16 @@ def build(scale: float = 1.0, static_k: Optional[int] = None,
     """A ready-to-run harness for the scenario and its duration: the
     controller under ``K_CEILING``, or a fixed ``static_k`` in its place.
     ``overrides`` replace ``SimConfig`` fields (``seed``, ``dep_trace``)."""
-    run = ADAPTIVE if static_k is None else {"k": static_k}
-    return SWEEP.harness({**run, **overrides}, scale=scale)
+    run = ADAPTIVE if static_k is None else dict(BASE, k=static_k)
+    duration = duration_of(scale)
+    return prepare(SimConfig(**{**run, **overrides}), WORKLOAD,
+                   crashes(duration), duration=duration), duration
 
 
 def run_sweep(scale: float = 1.0,
               static_ks: Sequence[int] = STATIC_KS) -> List[Dict[str, object]]:
     """The controller and every static point on one arrival schedule."""
-    return SWEEP.run(scale=scale, static_ks=static_ks)
+    return SWEEP.run(duration=duration_of(scale), static_ks=static_ks)
 
 
 def best_static(rows: List[Dict[str, object]]) -> Optional[Dict[str, object]]:

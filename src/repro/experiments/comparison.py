@@ -21,19 +21,23 @@ from repro.experiments.runner import DURATION, Sweep
 from repro.failures.injector import FailureSchedule
 from repro.workloads.random_peers import RandomPeersWorkload
 
+
+def _protocols(n):
+    return (("pessimistic", dict(k=0, protocol=PessimisticProcess)),
+            ("K=0 optimistic", dict(k=0)),
+            (f"K={n // 2} optimistic", dict(k=n // 2)),
+            (f"K={n} optimistic", dict(k=n)),
+            ("strom-yemini", dict(protocol=StromYeminiProcess, fifo=True)),
+            ("fully-async", dict(protocol=FullyAsyncProcess)))
+
+
 SWEEP = Sweep(
     "E6 - Protocol family comparison (N=8, random peers, one crash)",
     params=dict(n=8, seed=42, duration=DURATION, crash_pid=1),
     workload=RandomPeersWorkload(rate=0.8, min_hops=3, max_hops=8),
     failures=lambda p: FailureSchedule.single(p.duration / 2, p.crash_pid),
-    rows=lambda p: [
-        ({"protocol": "pessimistic"}, dict(k=0, protocol=PessimisticProcess)),
-        ({"protocol": "K=0 optimistic"}, dict(k=0)),
-        ({"protocol": f"K={p.n // 2} optimistic"}, dict(k=p.n // 2)),
-        ({"protocol": f"K={p.n} optimistic"}, dict(k=p.n)),
-        ({"protocol": "strom-yemini"},
-         dict(protocol=StromYeminiProcess, fifo=True)),
-        ({"protocol": "fully-async"}, dict(protocol=FullyAsyncProcess))],
+    rows=lambda p: [({"protocol": name}, dict(run, n=p.n, seed=p.seed))
+                    for name, run in _protocols(p.n)],
     columns=("protocol", "sync_w", "async_w", ("stor_cost", "storage_cost", 1),
              "hold", "pgb", "rollbacks", "procs_rb", "undone", "orphans",
              "outputs"),

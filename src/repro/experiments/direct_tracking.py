@@ -25,6 +25,12 @@ from repro.workloads.random_peers import RandomPeersWorkload
 
 DURATION = 400.0
 
+SCHEMES = (
+    ("direct (1 entry/msg)", dict(protocol=DirectDependencyProcess)),
+    ("transitive, commit-dep (K=N)", {}),
+    ("transitive, size-N (S&Y)", dict(protocol=StromYeminiProcess, fifo=True)),
+)
+
 # Deliberately small: direct tracking's recovery cascade grows so fast
 # with scale and load that larger configurations take minutes of
 # announcement ping-pong to quiesce — which is itself the measured
@@ -37,12 +43,8 @@ SWEEP = Sweep(
     workload=RandomPeersWorkload(rate=0.3, min_hops=2, max_hops=4,
                                  output_fraction=0.0),
     failures=lambda p: FailureSchedule.single(p.duration / 2, 1),
-    rows=lambda p: [
-        ({"scheme": "direct (1 entry/msg)"},
-         dict(protocol=DirectDependencyProcess)),
-        ({"scheme": "transitive, commit-dep (K=N)"}, {}),
-        ({"scheme": "transitive, size-N (S&Y)"},
-         dict(protocol=StromYeminiProcess, fifo=True))],
+    rows=lambda p: [({"scheme": name}, dict(run, n=p.n, seed=p.seed))
+                    for name, run in SCHEMES],
     columns=("scheme", "pgb", "rollbacks", "undone", "orphans", "control_msgs",
              ("span", "mean_recovery_span", 1)),
     notes="""

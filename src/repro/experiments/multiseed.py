@@ -19,6 +19,14 @@ from repro.workloads.random_peers import RandomPeersWorkload
 
 DURATION = 800.0
 
+
+def mean_ci(name: str):
+    """A column of ``name``'s mean +/- 95% CI over the row's seeds."""
+    def column(*runs):
+        return str(summarize([getattr(m, name) for m in runs]))
+    return column
+
+
 SWEEP = Sweep(
     "E3/E4 robustness - K sweep over 5 seeds (mean +/- 95% CI)",
     params=dict(n=6, ks=(0, 2, 4, 6), seeds=(1, 2, 3, 4, 5)),
@@ -26,11 +34,11 @@ SWEEP = Sweep(
     workload=RandomPeersWorkload(rate=0.6, min_hops=3, max_hops=8),
     failures=lambda p: FailureSchedule.single(p.duration / 2, 1),
     rows=lambda p: [({"K": k, "seeds": len(p.seeds)},
-                     *[dict(k=k, seed=seed) for seed in p.seeds])
+                     *[dict(n=p.n, k=k, seed=seed) for seed in p.seeds])
                     for k in p.ks],
-    columns=("K", ("hold", "mean_send_hold"), ("undone", "intervals_undone"),
-             ("procs_rb", "processes_rolled_back"), "seeds"),
-    fold=lambda values: str(summarize(values)),
+    columns=("K", ("hold", mean_ci("mean_send_hold")),
+             ("undone", mean_ci("intervals_undone")),
+             ("procs_rb", mean_ci("processes_rolled_back")), "seeds"),
 )
 run = SWEEP.run
 

@@ -10,7 +10,7 @@ be shown to the outside world.
 Run: ``python -m repro.experiments.output_commit``
 """
 
-from repro.experiments.runner import DURATION, Sweep, main_of
+from repro.experiments.runner import DURATION, Sweep
 from repro.failures.injector import FailureSchedule
 from repro.workloads.telecom import TelecomWorkload
 
@@ -18,7 +18,7 @@ E7A = Sweep(
     "E7a - Output commit latency vs K (N=8, telecom calls + billing)",
     params=dict(n=8, ks=None, seed=42, duration=DURATION),
     workload=TelecomWorkload(rate=1.0),
-    rows=lambda p: [({}, dict(k=k)) for k in
+    rows=lambda p: [({}, dict(n=p.n, k=k, seed=p.seed)) for k in
                     (p.ks if p.ks is not None else [0, 2, 4, p.n])],
     columns=("K", "outputs", "out_lat", "hold"),
     notes="""
@@ -32,7 +32,8 @@ E7B = Sweep(
     "E7b - Output commit latency vs notification period",
     params=dict(n=8, periods=(5.0, 20.0, 80.0), seed=42, duration=DURATION),
     workload=TelecomWorkload(rate=1.0),
-    rows=lambda p: [({"notify_period": period}, dict(notify_interval=period))
+    rows=lambda p: [({"notify_period": period},
+                     dict(n=p.n, seed=p.seed, notify_interval=period))
                     for period in p.periods],
     columns=("notify_period", "out_lat", "outputs"),
     notes="Fresher logging-progress notifications commit outputs sooner.",
@@ -44,14 +45,19 @@ E7C = Sweep(
     params=dict(n=8, seed=42, duration=DURATION),
     workload=TelecomWorkload(rate=1.0),
     failures=lambda p: FailureSchedule.single(p.duration / 2, 2),
-    rows=lambda p: [({}, dict(k=k)) for k in (0, p.n)],
+    rows=lambda p: [({}, dict(n=p.n, k=k, seed=p.seed)) for k in (0, p.n)],
     columns=("K", "outputs", ("outputs_discarded", "outputs_discarded"),
              ("crashes", "crashes"), "rollbacks"),
 )
 run_k_sweep = E7A.run
 run_notification_sweep = E7B.run
 run_crash_safety = E7C.run
-main = main_of(E7A, E7B, E7C)
+
+
+def main() -> None:
+    for sweep in (E7A, E7B, E7C):
+        sweep.main()
+
 
 if __name__ == "__main__":
     main()

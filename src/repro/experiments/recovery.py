@@ -29,7 +29,7 @@ SWEEP = Sweep(
     workload=RandomPeersWorkload(rate=0.8, min_hops=3, max_hops=8),
     failures=lambda p: FailureSchedule(
         [CrashEvent(p.crash_time, p.crash_pid), *p.extra_crashes]),
-    rows=lambda p: [({}, dict(k=k)) for k in
+    rows=lambda p: [({}, dict(n=p.n, k=k, seed=p.seed)) for k in
                     (p.ks if p.ks is not None else [0, 1, 2, 4, 6, p.n])],
     columns=("K", "rollbacks", "procs_rb", "undone", "lost", "orphans",
              ("requeued", "messages_requeued"),

@@ -8,9 +8,7 @@ prints it.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -38,7 +36,6 @@ COLUMNS: Dict[str, Tuple[str, Optional[int]]] = {
     "orphans": ("orphans_discarded", None),
     "control_msgs": ("control_messages", None),
 }
-CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(SimConfig))
 
 
 def prepare(config: SimConfig, workload: Workload,
@@ -56,12 +53,11 @@ def prepare(config: SimConfig, workload: Workload,
 def simulate(config: SimConfig, workload: Workload,
              failures: Optional[FailureSchedule] = None,
              protocol: type = KOptimisticProcess,
-             duration: float = DURATION, strict: bool = True) -> RunMetrics:
+             duration: float = DURATION) -> RunMetrics:
     """Run one configuration to completion and return its metrics.
 
     Raises if the run violated any oracle-checked invariant — experiment
-    numbers from an inconsistent run would be meaningless — unless
-    ``strict`` is off, for a table that reports violations itself.
+    numbers from an inconsistent run would be meaningless.
     """
     harness = prepare(config, workload, failures, protocol, duration)
     try:
@@ -69,7 +65,7 @@ def simulate(config: SimConfig, workload: Workload,
         metrics = harness.metrics()
     finally:
         harness.close()
-    if strict and metrics.violations:
+    if metrics.violations:
         raise AssertionError(
             f"invariant violations in experiment run: {metrics.violations[:3]}"
         )
@@ -93,33 +89,28 @@ class Sweep:
     """One experiment table, declared.
 
     ``rows(p)`` yields ``(labels, run, ...)``: the label columns' values,
-    then the row's runs.  A run is ``SimConfig`` overrides plus the
-    optional keys ``protocol``, ``workload`` and ``tag``; its config is
-    ``trace_enabled=False``, then ``config``, then the parameters named
-    like a ``SimConfig`` field, then the overrides.  ``duration`` is the
-    horizon (a number, or a function of the parameters; None reads the
-    ``duration`` parameter), and ``p.duration`` carries it.
+    then the row's runs.  A run is the ``SimConfig`` fields of one
+    simulation (tracing off unless it says otherwise) plus, optionally,
+    its ``protocol`` class and ``workload``.  Every run shares the sweep's
+    ``workload``, ``failures(p)`` and horizon: ``duration``, or the
+    ``duration`` parameter when that is None.
 
     A column is a header, naming a label of the row or one of
     :data:`COLUMNS`, or ``(header, source[, digits])``: the source is a
-    ``RunMetrics`` field or a named function of the metrics.  A field
-    ``"tag.field"`` reads the run tagged ``tag``; any other source reads
-    the row's first run, or every run through ``fold``.  A cell whose
-    value is None is left out of its row.
+    ``RunMetrics`` field, read on the row's first run, or a named
+    function called with the metrics of each of the row's runs.  A header
+    may name a parameter (``"K={k_fixed}_max"``).  A cell whose value is
+    None is left out of its row.
     """
 
     title: str
+    params: Mapping[str, Any]
     rows: Callable[[SimpleNamespace], Iterable[Tuple[Any, ...]]]
     columns: Tuple[Any, ...]
     workload: Optional[Workload] = None
-    params: Mapping[str, Any] = field(default_factory=dict)
-    config: Mapping[str, Any] = field(default_factory=dict)
     failures: Callable[[SimpleNamespace], Optional[FailureSchedule]] = (
         lambda p: None)
-    duration: Any = None
-    fold: Optional[Callable[[List[Any]], Any]] = None
-    #: Off when the table reports violations instead of raising on them.
-    strict: bool = True
+    duration: Optional[float] = None
     notes: str = ""
 
     def bind(self, **params: Any) -> SimpleNamespace:
@@ -127,22 +118,14 @@ class Sweep:
         unknown = sorted(set(params) - set(self.params))
         if unknown:
             raise TypeError(f"unknown parameter(s) {unknown}")
-        p = SimpleNamespace(**{**self.params, **params})
-        if self.duration is not None:
-            p.duration = (self.duration(p) if callable(self.duration)
-                          else self.duration)
-        return p
-
-    def harness(self, run: Dict[str, Any],
-                **params: Any) -> Tuple[SimulationHarness, float]:
-        """One run's ready harness and its horizon."""
-        p = self.bind(**params)
-        return prepare(*self._arguments(p, run)), p.duration
+        return SimpleNamespace(
+            **{"duration": self.duration, **self.params, **params})
 
     def run(self, **params: Any) -> List[Dict[str, object]]:
         """Simulate every row; the table as row dicts."""
         p = self.bind(**params)
-        return [self._row(p, labels, runs) for labels, *runs in self.rows(p)]
+        return [self._row(p, labels, [self._simulate(p, run) for run in runs])
+                for labels, *runs in self.rows(p)]
 
     def main(self, **params: Any) -> List[Dict[str, object]]:
         """Print the table and return its rows."""
@@ -150,34 +133,24 @@ class Sweep:
         print_experiment(self.title, rows, notes=self.notes)
         return rows
 
-    def _arguments(self, p: SimpleNamespace, run: Dict[str, Any]) -> tuple:
-        run = dict(run)
-        run.pop("tag", None)
-        protocol = run.pop("protocol", KOptimisticProcess)
-        workload = run.pop("workload", self.workload)
-        fields = {"trace_enabled": False, **self.config,
-                  **{k: v for k, v in vars(p).items() if k in CONFIG_FIELDS},
-                  **run}
-        return (SimConfig(**fields), workload, self.failures(p), protocol,
-                p.duration)
+    def _simulate(self, p: SimpleNamespace,
+                  run: Mapping[str, Any]) -> RunMetrics:
+        fields = {"trace_enabled": False, **run}
+        protocol = fields.pop("protocol", KOptimisticProcess)
+        workload = fields.pop("workload", self.workload)
+        return simulate(SimConfig(**fields), workload, self.failures(p),
+                        protocol, p.duration)
 
     def _row(self, p: SimpleNamespace, labels: Mapping[str, object],
-             runs: List[Dict[str, Any]]) -> Dict[str, object]:
-        results = [(run.get("tag", ""),
-                    simulate(*self._arguments(p, run), strict=self.strict))
-                   for run in runs]
+             metrics: List[RunMetrics]) -> Dict[str, object]:
         row: Dict[str, object] = {}
         for column in self.columns:
             if column in labels:
                 row[column] = labels[column]
                 continue
             header, source, digits = resolve(column)
-            tag = ""
-            if isinstance(source, str):
-                tag, _, name = source.rpartition(".")
-                source = attrgetter(name)
-            values = [source(m) for t, m in results if not tag or t == tag]
-            value = self.fold(values) if self.fold else values[0]
+            value = (getattr(metrics[0], source) if isinstance(source, str)
+                     else source(*metrics))
             if value is not None:
                 row[header.format(**vars(p))] = (
                     value if digits is None else round(value, digits))
@@ -190,11 +163,3 @@ def resolve(column: Any) -> Tuple[str, Any, Optional[int]]:
         return (column, *COLUMNS[column])
     header, source, *digits = column
     return header, source, digits[0] if digits else None
-
-
-def main_of(*sweeps: Sweep) -> Callable[[], None]:
-    """A module ``main`` printing ``sweeps`` in order."""
-    def main() -> None:
-        for sweep in sweeps:
-            sweep.main()
-    return main

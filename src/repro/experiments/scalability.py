@@ -30,11 +30,18 @@ def _rows(p):
     for n in p.ns:
         workload = RandomPeersWorkload(rate=p.per_process_rate * n,
                                        min_hops=3, max_hops=8)
-        yield ({"N": n},
-               dict(tag="sy", n=n, fifo=True, protocol=StromYeminiProcess,
-                    workload=workload),
-               dict(tag="cdt", n=n, workload=workload),
-               dict(tag="cap", n=n, k=min(p.k_fixed, n), workload=workload))
+        run = dict(n=n, seed=p.seed, workload=workload)
+        yield ({"N": n}, dict(run, k=min(p.k_fixed, n)),
+               dict(run, fifo=True, protocol=StromYeminiProcess), run)
+
+
+# A row's runs: the fixed K (read by field name), Strom-Yemini, K=N.
+def sy_pgb(cap, sy, cdt):
+    return sy.mean_piggyback_entries
+
+
+def cdt_pgb(cap, sy, cdt):
+    return cdt.mean_piggyback_entries
 
 
 SWEEP = Sweep(
@@ -43,11 +50,10 @@ SWEEP = Sweep(
     params=dict(ns=(4, 8, 16, 24), k_fixed=4, seed=42, duration=DURATION,
                 per_process_rate=0.1),
     rows=_rows,
-    columns=("N", ("sy_pgb", "sy.mean_piggyback_entries", 2),
-             ("cdt_pgb", "cdt.mean_piggyback_entries", 2),
-             ("K={k_fixed}_pgb", "cap.mean_piggyback_entries", 2),
-             ("K={k_fixed}_max", "cap.max_piggyback_entries"),
-             ("K={k_fixed}_hold", "cap.mean_send_hold", 2)),
+    columns=("N", ("sy_pgb", sy_pgb, 2), ("cdt_pgb", cdt_pgb, 2),
+             ("K={k_fixed}_pgb", "mean_piggyback_entries", 2),
+             ("K={k_fixed}_max", "max_piggyback_entries"),
+             ("K={k_fixed}_hold", "mean_send_hold", 2)),
     notes="""
 Strom-Yemini's vector tracks one entry per process it transitively heard
 from and approaches N as the system grows.  Commit dependency tracking

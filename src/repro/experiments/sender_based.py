@@ -39,11 +39,11 @@ SWEEP = Sweep(
     "E12 - Three pessimistic disciplines (N=6, one crash; "
     "latency_cost = mean send hold)",
     params=dict(n=6, seed=42, duration=DURATION, crash_pid=1),
-    config=dict(k=0),
     workload=RandomPeersWorkload(rate=0.6, min_hops=3, max_hops=8,
                                  output_fraction=0.0),
     failures=lambda p: FailureSchedule.single(p.duration / 2, p.crash_pid),
-    rows=lambda p: [({"discipline": name}, dict(protocol=protocol))
+    rows=lambda p: [({"discipline": name},
+                     dict(n=p.n, k=0, seed=p.seed, protocol=protocol))
                     for name, protocol in DISCIPLINES],
     columns=("discipline", "sync_w", ("ctl_msgs", "control_messages"),
              ("latency_cost", "mean_send_hold", 2), "procs_rb", "lost",

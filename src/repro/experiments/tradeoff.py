@@ -26,7 +26,7 @@ SWEEP = Sweep(
     "(N=8, random peers, no failures)",
     params=dict(n=8, ks=None, seed=42, duration=DURATION),
     workload=RandomPeersWorkload(rate=0.8, min_hops=3, max_hops=8),
-    rows=lambda p: [({}, dict(k=k)) for k in
+    rows=lambda p: [({}, dict(n=p.n, k=k, seed=p.seed)) for k in
                     (p.ks if p.ks is not None else [0, 1, 2, 4, 6, p.n])],
     columns=("K", "hold", ("e2e", "mean_delivery_wait", 2), "pgb", "sync_w",
              "async_w", "out_lat", ("thru", RunMetrics.throughput, 2)),

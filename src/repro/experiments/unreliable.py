@@ -51,7 +51,8 @@ E13A = Sweep(
     params=dict(n=6, k=2, loss_rates=(0.0, 0.01, 0.02, 0.05, 0.10), seed=42,
                 duration=DURATION),
     workload=RandomPeersWorkload(rate=0.6, min_hops=2, max_hops=6),
-    rows=lambda p: [({"loss": loss}, dict(drop_rate=loss,
+    rows=lambda p: [({"loss": loss}, dict(n=p.n, k=p.k, seed=p.seed,
+                                          drop_rate=loss,
                                           duplicate_rate=loss / 2,
                                           reorder_rate=loss))
                     for loss in p.loss_rates],

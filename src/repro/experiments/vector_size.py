@@ -15,7 +15,7 @@ Run: ``python -m repro.experiments.vector_size``
 """
 
 from repro.core.baselines import FullyAsyncProcess, StromYeminiProcess
-from repro.experiments.runner import DURATION, Sweep, main_of
+from repro.experiments.runner import DURATION, Sweep
 from repro.failures.injector import FailureSchedule
 from repro.workloads.random_peers import RandomPeersWorkload
 
@@ -27,7 +27,8 @@ E5A = Sweep(
     params=dict(n=8, periods=(2.5, 10.0, 40.0, 160.0, 640.0), seed=42,
                 duration=2000.0),
     workload=RandomPeersWorkload(rate=0.15, min_hops=2, max_hops=4),
-    rows=lambda p: [({"notify_period": period}, dict(notify_interval=period))
+    rows=lambda p: [({"notify_period": period},
+                     dict(n=p.n, seed=p.seed, notify_interval=period))
                     for period in p.periods],
     columns=("notify_period", "pgb_mean", "control_msgs", "out_lat"),
     notes="""
@@ -37,6 +38,11 @@ toward full transitive tracking as they become rare.  The cost is control
 traffic; out_lat shows the same freshness also speeds up output commit.
 """,
 )
+PROTOCOLS = (
+    ("k-optimistic (Thm 2)", {}),
+    ("strom-yemini (size-N)", dict(protocol=StromYeminiProcess, fifo=True)),
+    ("fully-async (per-inc)", dict(protocol=FullyAsyncProcess)),
+)
 # A mid-run crash makes multiple incarnations coexist, which is what
 # separates per-incarnation tracking from single-entry tracking.
 E5B = Sweep(
@@ -44,12 +50,8 @@ E5B = Sweep(
     params=dict(n=8, seed=42, duration=DURATION),
     workload=RandomPeersWorkload(rate=0.8, min_hops=3, max_hops=8),
     failures=lambda p: FailureSchedule.single(p.duration / 2, 1),
-    rows=lambda p: [
-        ({"protocol": "k-optimistic (Thm 2)"}, {}),
-        ({"protocol": "strom-yemini (size-N)"},
-         dict(protocol=StromYeminiProcess, fifo=True)),
-        ({"protocol": "fully-async (per-inc)"},
-         dict(protocol=FullyAsyncProcess))],
+    rows=lambda p: [({"protocol": name}, dict(run, n=p.n, seed=p.seed))
+                    for name, run in PROTOCOLS],
     columns=("protocol", "pgb_mean", ("n", "n")),
     notes="""
 Strom & Yemini carry (close to) one entry per process; the fully
@@ -60,7 +62,12 @@ non-stable dependencies and stays smallest.
 )
 run_notification_sweep = E5A.run
 run_protocol_sweep = E5B.run
-main = main_of(E5A, E5B)
+
+
+def main() -> None:
+    for sweep in (E5A, E5B):
+        sweep.main()
+
 
 if __name__ == "__main__":
     main()

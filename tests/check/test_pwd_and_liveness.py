@@ -29,7 +29,7 @@ from repro.check import (
 )
 from repro.check import shrink, storage_campaign
 from repro.check.cli import small_scenario
-from repro.core.effects import MessageDelivered
+from repro.core.effects import CommitOutput, MessageDelivered
 from repro.core.protocol import KOptimisticProcess
 from repro.core.tables import LoggingProgressTable
 from repro.runtime.harness import SimulationHarness
@@ -98,6 +98,27 @@ def test_frozen_incarnation_row_is_killed_after_a_rollback():
     shrunk = shrink(scenario, protocol=FrozenIncarnationRowProcess)
     assert shrunk.result.violations
     assert run_scenario(shrunk.scenario).violations == []
+
+
+class SilentCommitProcess(KOptimisticProcess):
+    """Journals each output's commit but never shows the output to the
+    outside world."""
+
+    def _update_output_buffer(self):
+        return [effect for effect in super()._update_output_buffer()
+                if not isinstance(effect, CommitOutput)]
+
+
+def test_a_journaled_commit_nobody_saw_is_lost_work_without_a_crash():
+    # Only a crash of the output's own process excuses a journaled
+    # commit that never reached the outside world; P0 never crashes.
+    for crash in (None, 1):
+        scenario = small_scenario(n=3, k=1, tokens=4, horizon=40.0,
+                                  crash=crash)
+        assert run_scenario(scenario).violations == []
+        assert run_scenario(scenario, SilentCommitProcess).violations == [
+            "liveness violated: surviving interval (0, 0, 5) output 1 "
+            "records but 1 never committed"]
 
 
 def test_global_random_app_is_killed_by_the_replay_probe():

@@ -1,7 +1,8 @@
 """Every declared experiment table resolves, without running a simulation.
 
 A column names a ``RunMetrics`` field, a header of the shared vocabulary
-or a named derived function; a run overrides only ``SimConfig`` fields.
+or a named derived function; a run names only ``SimConfig`` fields, a
+protocol class and a workload.
 A misspelt name would otherwise surface minutes into ``experiment all``.
 """
 
@@ -11,10 +12,12 @@ import importlib
 import pytest
 
 from repro.__main__ import EXPERIMENTS
-from repro.experiments.runner import COLUMNS, CONFIG_FIELDS, Sweep, resolve
+from repro.experiments.runner import COLUMNS, Sweep, resolve
+from repro.runtime.config import SimConfig
 from repro.runtime.metrics import RunMetrics
 
 FIELDS = {f.name for f in dataclasses.fields(RunMetrics)}
+CONFIG_FIELDS = {f.name for f in dataclasses.fields(SimConfig)}
 
 
 def _sweeps():
@@ -46,9 +49,9 @@ def test_columns_resolve(sweep):
     assert rows
     for labels, *runs in rows:
         assert runs
-        tags = {run.get("tag", "") for run in runs}
         for run in runs:
-            assert set(run) - {"tag", "protocol", "workload"} <= CONFIG_FIELDS
+            assert set(run) - {"protocol", "workload"} <= CONFIG_FIELDS
+            assert {"n", "seed"} <= set(run)
         for column in sweep.columns:
             if column in labels:
                 continue
@@ -56,10 +59,8 @@ def test_columns_resolve(sweep):
             header.format(**vars(p))
             if callable(source):
                 assert source.__name__ != "<lambda>", header
-                continue
-            tag, _, name = source.rpartition(".")
-            assert name in FIELDS, header
-            assert not tag or tag in tags, header
+            else:
+                assert source in FIELDS, header
 
 
 def test_unknown_parameter_is_rejected():
