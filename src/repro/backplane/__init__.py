@@ -7,8 +7,8 @@ differs.  Here each recovery unit is one OS process speaking
 length-prefixed JSON frames to a coordinator in a star topology:
 
 - :mod:`repro.backplane.framing` — the wire framing;
-- :mod:`repro.backplane.codec`   — JSON encoding of the protocol's
-  message types (:class:`~repro.net.message.AppMessage` and friends);
+- :mod:`repro.backplane.codec`   — the flat form of every type the wire
+  ships as JSON and the file journal pickles;
 - :mod:`repro.backplane.clock`   — wall-clock timers with the engine's
   ``now``/``schedule`` interface, plus the streaming JSONL tracer;
 - :mod:`repro.backplane.worker`  — one recovery unit (``repro

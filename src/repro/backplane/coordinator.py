@@ -353,13 +353,11 @@ class Coordinator:
 
     def _park(self, dst: int, frame: RawFrame) -> None:
         """Hold a control frame for a down worker until it reconnects."""
-        body = frame.decode().get("body", {})
-        kind = body.get("kind")
+        kind, origin = frame.decode()["body"][:2]  # the codec's flat form
         if kind == "ann":
             self.parked_ann.setdefault(dst, []).append(frame.data)
         elif kind == "log":
-            self.parked_log.setdefault(dst, {})[int(body["origin"])] = \
-                frame.data
+            self.parked_log.setdefault(dst, {})[origin] = frame.data
         # Logging requests are best-effort hints and acks die with the
         # endpoint: both are dropped, as in the simulation.
 

@@ -24,6 +24,7 @@ from repro.app.behavior import AppContext
 from repro.core.depvec import DependencyVector
 from repro.core.effects import Effect
 from repro.core.protocol import KOptimisticProcess
+from repro.core.tables import LoggingProgressTable
 from repro.net.message import (
     AppMessage,
     LoggingRequest,
@@ -128,6 +129,28 @@ class ForgetfulCheckpointProcess(KOptimisticProcess):
         pass
 
 
+class FrozenIncarnationRowProcess(KOptimisticProcess):
+    """Restart rebuilds ``log`` without the incarnation ends its own
+    Rollbacks journaled (breaks liveness after a Rollback and a crash).
+
+    A Rollback records the end of the incarnation it closes in ``log``
+    only; a crash before any peer learns it loses it for good, so nothing
+    depending on that incarnation past its last checkpoint can ever be
+    released.  The own-stability rule of the liveness probe sees it (the
+    ``"rollback"`` crash point places that crash).
+    """
+
+    def _recover_tables(self) -> None:
+        super()._recover_tables()
+        self.log = LoggingProgressTable(self.n)
+        if self.delta_notifications:
+            self.log.enable_changelog()
+        for ann in self.storage.announcements:
+            self.log.insert(ann.origin, ann.end)
+        for checkpoint in self.storage.checkpoints:
+            self.log.insert(self.pid, checkpoint.entry)
+
+
 class GlobalRandomOpenLoop(OpenLoopBehavior):
     """Picks each next hop from the module-level ``random`` instead of the
     interval's own draws (breaks piecewise determinism)."""
@@ -163,4 +186,5 @@ MUTANTS: Dict[str, type] = {
     "deaf_owner": DeafOwnerProcess,
     "global_random_app": GlobalRandomAppProcess,
     "forgetful_checkpoint": ForgetfulCheckpointProcess,
+    "frozen_incarnation_row": FrozenIncarnationRowProcess,
 }

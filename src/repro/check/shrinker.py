@@ -2,8 +2,9 @@
 
 Given a violating scenario, :func:`shrink` minimizes it with classic
 ddmin passes over each scenario component — injections, crashes,
-partitions, the tie-break choice list — plus horizon reduction, iterated
-to a fixpoint under a run budget.  The reduction predicate is simply
+partitions, the tie-break choice list — plus simpler injections (fewer
+hops, no output), single crash points dropped and horizon reduction,
+iterated to a fixpoint under a run budget.  The reduction predicate is simply
 "re-running the candidate still violates *some* invariant": any smaller
 failing scenario is a better counterexample.
 
@@ -20,7 +21,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple, TypeVar
 
-from repro.check.scenario import CheckResult, Scenario, run_scenario
+from repro.check.scenario import CheckResult, Injection, Scenario, run_scenario
 from repro.core.protocol import KOptimisticProcess
 
 T = TypeVar("T")
@@ -79,6 +80,12 @@ def _ddmin(items: List[T], still_fails: Callable[[List[T]], bool],
     return items
 
 
+def _with(injections: List[Injection], i: int, **changes) -> List[Injection]:
+    """``injections`` with the ``i``-th one changed."""
+    return injections[:i] + [replace(injections[i], **changes)] \
+        + injections[i + 1:]
+
+
 def shrink(
     scenario: Scenario,
     protocol: type = KOptimisticProcess,
@@ -135,6 +142,22 @@ def shrink(
         )
         if len(partitions) < len(current.partitions):
             current = replace(current, partitions=partitions)
+
+        # Simpler injections: fewer hops, lowest first (a token may start
+        # where one of its hops took it), then no output.
+        for i, injection in enumerate(current.injections):
+            others = [p for p in range(current.n) if p != injection.dst]
+            any(attempt(replace(current, injections=_with(
+                current.injections, i, hops=hops, dst=dst)))
+                for hops in range(injection.hops)
+                for dst in [injection.dst] + others)
+            if current.injections[i].emit_output:
+                attempt(replace(current, injections=_with(
+                    current.injections, i, emit_output=False)))
+
+        for point in current.crash_points:
+            attempt(replace(current, crash_points=tuple(
+                p for p in current.crash_points if p != point)))
 
         # Choice-list reduction: positions are meaningful, so only try
         # suffix truncation and zeroing individual picks (a zero is the

@@ -242,7 +242,7 @@ class DependencyVector:
 
     def columns(self) -> Tuple[int, List[ProcessId], List[int]]:
         """``(n, pids, packed)`` — the live columns, for a serializer that
-        reads them at once (the journal codec).  Not for keeping."""
+        reads them at once (the codec).  Not for keeping."""
         return self.n, self._pids, self._packed
 
     @classmethod

@@ -1,42 +1,37 @@
 """A durable, segmented, append-only file-log backend.
 
 :class:`FileLogBackend` gives the recovery layer real durability with real
-failure modes.  It subclasses :class:`repro.storage.stable.ModelBackend`
-so the *logical* semantics (what is stored, what replay returns) are the
-model's, verbatim; what this class adds is the *physical* layer:
+failure modes.  It subclasses :class:`repro.storage.stable.ModelBackend`,
+whose methods define the *logical* semantics — on every write and, through
+REDO, on every restart; what this class adds is the *physical* layer:
 
 - every logical mutation is journaled as one CRC32-framed record
-  (``recovery.encode_record``) appended to the active segment file;
-- durability follows a **write-ahead rule**, not the individual
-  operations: a synchronous mutation only appends its frame and marks the
-  journal sync-due, and :meth:`barrier` — run by the effect executor
-  before a protocol step's first effect is interpreted — makes the whole
-  step durable with one strict group commit.  An asynchronous log batch
-  ends with one *tolerant* commit.  Journal order equals operation order,
-  so losing an un-fsynced suffix rewinds storage to an earlier consistent
-  state (prefix consistency): a crash before the barrier recovers to a
+  (:func:`repro.storage.recovery.encode_record`) in the active segment;
+- durability follows a **write-ahead rule**: a synchronous mutation only
+  appends its frame and marks the journal sync-due, and :meth:`barrier` —
+  run by the effect executor before a protocol step's first effect —
+  makes the whole step durable with one strict group commit; an
+  asynchronous log batch ends with one *tolerant* commit.  Journal order
+  equals operation order, so a crash before the barrier recovers to a
   frame-prefix of the step, none of whose effects ever ran;
 - the backend tracks *belief* vs *truth*: ``believed`` advances on any
   fsync that reported success, ``persisted`` only on honest ones.  A
   crash truncates the file to the truth (plus an optionally-armed torn
   tail), which is how lying fsyncs become observable;
-- :meth:`stable_frontier` exposes the believed-durable tip.  While a
-  group commit is outstanding the frontier lags ``current``, the
-  protocol's flush then advances its own ``log``-table row only up to
-  the frontier, and output commits wait — K-optimism is never violated
-  by unflushed bytes;
+- :meth:`stable_frontier` exposes the believed-durable tip: while a group
+  commit is outstanding it lags ``current``, so the protocol's flush
+  advances its own ``log``-table row only that far and output commits
+  wait — K-optimism is never violated by unflushed bytes;
 - transient I/O errors retry with capped exponential backoff; an
   exhausted budget (or an injected fsync-boundary crash) declares the
-  backend **dead** and every subsequent operation raises
-  :class:`StorageDeadError` until :meth:`recover` — the runtime converts
-  that into a clean fail-stop crash;
-- when the pending queue exceeds ``max_pending_records`` despite failing
-  tolerant commits, the backend degrades gracefully by forcing a
-  blocking group commit (retry-until-dead) rather than growing the
-  un-durable window without bound;
-- garbage collection triggers snapshot **compaction**: the surviving
-  logical state is written as one SNAPSHOT frame into a fresh segment,
-  fsynced, and only then are the older segments unlinked.
+  backend **dead**: every operation raises :class:`StorageDeadError` until
+  :meth:`recover`, which the runtime turns into a clean fail-stop crash;
+- past ``max_pending_records`` despite failing tolerant commits, the
+  backend forces a blocking group commit rather than grow the un-durable
+  window without bound;
+- garbage collection triggers snapshot **compaction**: the live logical
+  state goes as one SNAPSHOT frame into a fresh segment, fsynced before
+  the older segments are unlinked.
 
 Backoff delays and injected stalls are *recorded* in counters, never
 slept: wall-clock must not leak into the deterministic simulation.
@@ -46,11 +41,10 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Callable, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
-from repro.net.message import AppMessage, FailureAnnouncement, OutputRecord
+from repro.net.message import FailureAnnouncement
 from repro.storage.faults import (
     StorageDeadError,
     StorageFaultInjector,
@@ -73,7 +67,7 @@ from repro.storage.recovery import (
     segment_name,
 )
 from repro.storage.stable import Checkpoint, LoggedMessage, ModelBackend
-from repro.types import IntervalIndex, MessageId
+from repro.types import IntervalIndex
 
 #: Compact once this many segments exist (tail + history).
 COMPACT_SEGMENT_THRESHOLD = 4
@@ -82,6 +76,39 @@ COMPACT_SEGMENT_THRESHOLD = 4
 #: determinism).
 IO_BACKOFF_BASE = 0.002
 IO_BACKOFF_MAX = 0.1
+
+
+#: REDO: each record replayed through the model method that wrote it.
+_REDO = {
+    T_CHECKPOINT: lambda model, ckpt: model.write_checkpoint(**vars(ckpt)),
+    T_LOGMSG: lambda model, record: model.append_log([record], sync=False),
+    T_ANN: ModelBackend.log_announcement,
+    T_INCMARK: lambda model, mark: model.log_incarnation_start(*mark),
+    T_COMMIT: ModelBackend.record_committed_output,
+    T_CKPT_DISCARD: ModelBackend.discard_checkpoints_after,
+    T_LOG_POP: ModelBackend.pop_logged_after,
+    T_GC: ModelBackend.truncate_before,
+}
+#: The incarnation a record names.  A restarted process never reuses one
+#: its journal named, even in a record a later one dropped.
+_INCARNATION = {
+    T_CHECKPOINT: lambda ckpt: ckpt.entry.inc,
+    T_LOGMSG: lambda record: record.inc,
+    T_INCMARK: lambda mark: mark[0],
+}
+
+
+def _redo_compaction(pid: int, snapshot: Tuple) -> Tuple[ModelBackend, int]:
+    """A fresh model holding what compaction wrote, and its marker."""
+    checkpoints, log, announcements, ends, committed, marker = snapshot
+    model = ModelBackend(pid)
+    for rtype, records in ((T_CHECKPOINT, checkpoints), (T_LOGMSG, log),
+                           (T_ANN, announcements),
+                           (T_INCMARK, [(marker, end) for end in ends]),
+                           (T_COMMIT, committed)):
+        for record in records:
+            _REDO[rtype](model, record)
+    return model, marker
 
 
 class FileLogBackend(ModelBackend):
@@ -331,16 +358,7 @@ class FileLogBackend(ModelBackend):
         prefix of it survives, cut mid-record, for recovery to detect.
         """
         try:
-            if self._handle is not None:
-                try:
-                    self._handle.flush()
-                except (OSError, ValueError):
-                    pass
-                try:
-                    self._handle.close()
-                except (OSError, ValueError):
-                    pass
-                self._handle = None
+            self.close()
             keep = self._persisted
             tail = self._written - self._persisted
             torn = self.injector.torn_tail_length(tail)
@@ -358,36 +376,44 @@ class FileLogBackend(ModelBackend):
     def recover(self) -> None:
         """REDO-only fast restart: scan, verify, truncate, rebuild.
 
-        Replaces the in-memory mirror wholesale with the state folded out
-        of the (possibly repaired) journal, then reopens the tail segment
-        for appending.  Wall-clock cost lands in ``recovery_wall_s`` —
-        the number the recovery benchmarks report.
+        Replays the (possibly repaired) journal, record by record, through
+        the :class:`ModelBackend` method that wrote each record, on a fresh
+        model whose state then replaces the in-memory mirror wholesale;
+        the tail segment reopens for appending.  Wall-clock cost lands in
+        ``recovery_wall_s`` — the number the recovery benchmarks report.
         """
         start = time.perf_counter()
-        state, stats = scan_segments(self.directory)
-        self._checkpoints = state.checkpoints
-        self._log = state.log
-        self._announcements = state.announcements
-        self._incarnation_ends = state.incarnation_ends
-        self._committed_outputs = state.committed
-        self._highest_incarnation_marker = state.marker
+        model, marker = ModelBackend(self.pid), 0
+
+        def redo(rtype: int, record: Any) -> None:
+            nonlocal model, marker
+            if rtype == T_SNAPSHOT:
+                model, marker = _redo_compaction(self.pid, record)
+                return
+            _REDO[rtype](model, record)
+            if rtype in _INCARNATION:
+                marker = max(marker, _INCARNATION[rtype](record))
+
+        records, stop = scan_segments(self.directory, redo)
+        self._checkpoints = model._checkpoints
+        self._log = model._log
+        self._announcements = model._announcements
+        self._incarnation_ends = model._incarnation_ends
+        self._committed_outputs = model._committed_outputs
+        self._highest_incarnation_marker = marker
         self._marker_cache = None
         self._dead = False
         self._durable_entry = Entry(0, 0)
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            except (OSError, ValueError):
-                pass
-            self._handle = None
+        self.close()
         self._open_tail()
         self.recoveries += 1
-        self.recovered_records += stats.records
-        self.torn_records_dropped += stats.torn_records
-        self.corrupt_records_dropped += stats.corrupt_records
+        self.recovered_records += records
+        self.torn_records_dropped += stop == "torn"
+        self.corrupt_records_dropped += stop == "corrupt"
         self.recovery_wall_s += time.perf_counter() - start
 
     def close(self) -> None:
+        """Release the tail handle (closing flushes what it buffers)."""
         if self._handle is not None:
             try:
                 self._handle.close()
@@ -431,22 +457,9 @@ class FileLogBackend(ModelBackend):
     # logical operations: mirror via super(), journal beneath
     # ------------------------------------------------------------------
 
-    def write_checkpoint(
-        self,
-        entry: Entry,
-        app_state: Any,
-        tdv: DependencyVector,
-        received_ids: Set[MessageId],
-        time_taken: float = 0.0,
-        receive_buffer: Iterable[AppMessage] = (),
-        sends: Iterable[AppMessage] = (),
-        outputs: Iterable[Tuple[OutputRecord, Any]] = (),
-    ) -> Checkpoint:
+    def write_checkpoint(self, *args: Any, **kwargs: Any) -> Checkpoint:
         self._ensure_alive()
-        checkpoint = super().write_checkpoint(
-            entry, app_state, tdv, received_ids, time_taken,
-            receive_buffer, sends, outputs,
-        )
+        checkpoint = super().write_checkpoint(*args, **kwargs)
         self._journal(T_CHECKPOINT, checkpoint, sync=True)
         return checkpoint
 

@@ -82,7 +82,7 @@ def test_forwarded_frames_arrive_byte_identical(tmp_path):
         app = raw(KIND_APP, 1,
                   b'{"t": "app",  "dst": 1, "msg": {"x": "\\u00e9"}}')
         ctl = raw(KIND_CTL, -1, b'{"t":"ctl","src":0,"dst":-1,'
-                                b'"body":{"kind":"req", "origin":0}}')
+                                b'"body":["req", 0,  true]}')
         fakes[0][1].write(app + ctl)
         await fakes[0][1].drain()
         assert [await read_raw(fakes[1][0]), await read_raw(fakes[1][0])] \
@@ -98,8 +98,9 @@ def test_forwarded_frames_arrive_byte_identical(tmp_path):
 def test_each_destination_is_fifo_across_forwards_commands_and_parking(
         tmp_path):
     def ctl(kind, origin, tag):
-        return encode_frame({"t": "ctl", "src": origin, "dst": 2, "body": {
-            "kind": kind, "origin": origin, "tag": tag}})
+        # The codec's flat form: the kind, then the origin.
+        return encode_frame({"t": "ctl", "src": origin, "dst": 2,
+                             "body": [kind, origin, tag]})
 
     async def go():
         coordinator, server, port = await started(tmp_path)
@@ -125,8 +126,8 @@ def test_each_destination_is_fifo_across_forwards_commands_and_parking(
         got = []
         for _ in range(7):
             frame = await asyncio.wait_for(read_frame(reader), 5.0)
-            got.append(frame.get("body", {}).get("tag") or frame.get("op")
-                       or frame["msg"]["n"])
+            got.append(frame["body"][2] if "body" in frame
+                       else frame.get("op") or frame["msg"]["n"])
         await shut(coordinator, server, writer,
                    *(w for _r, w in fakes.values()))
         return got

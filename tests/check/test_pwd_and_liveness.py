@@ -11,8 +11,8 @@ liveness probe (I7), each with the mutant it exists to kill.
   settled, sees.
 - ``forgetful_checkpoint`` (Restart does not take back what its
   checkpoint owes) loses a surviving interval's output when a crash
-  follows a checkpoint; ``FrozenIncarnationRowProcess`` below (Restart
-  does not fold the incarnation ends its Rollbacks journaled) leaves its
+  follows a checkpoint; ``frozen_incarnation_row`` (Restart does not
+  fold the incarnation ends its Rollbacks journaled) leaves its
   owner unaware of its own stable intervals when a crash follows a
   Rollback.  Each needs its crash point: a crash the protocol's own step
   places.
@@ -27,37 +27,12 @@ from repro.check import (
     RandomScenarioSampler,
     run_scenario,
 )
-from repro.check import shrink, storage_campaign
+from repro.check import storage_campaign
 from repro.check.cli import small_scenario
 from repro.core.effects import CommitOutput, MessageDelivered
 from repro.core.protocol import KOptimisticProcess
-from repro.core.tables import LoggingProgressTable
 from repro.runtime.harness import SimulationHarness
 from repro.workloads.random_peers import TokenBehavior
-
-
-class FrozenIncarnationRowProcess(KOptimisticProcess):
-    """Restart rebuilds ``log`` without the incarnation ends its own
-    Rollbacks journaled (the hole ``test_rollback_then_crash.py`` pins).
-
-    A Rollback records the end of the incarnation it closes in ``log``
-    only; a crash before any peer learns it loses it for good, so nothing
-    depending on that incarnation past its last checkpoint can ever be
-    released.  The explorer kills it, but the shrinker leaves its
-    counterexample at 38 trace events (two crashes, two Rollbacks and a
-    reclaimed checkpoint), above the mutation smoke's bar of 20, so it is
-    not in ``MUTANTS`` and lives here.
-    """
-
-    def _recover_tables(self) -> None:
-        super()._recover_tables()
-        self.log = LoggingProgressTable(self.n)
-        if self.delta_notifications:
-            self.log.enable_changelog()
-        for ann in self.storage.announcements:
-            self.log.insert(ann.origin, ann.end)
-        for checkpoint in self.storage.checkpoints:
-            self.log.insert(self.pid, checkpoint.entry)
 
 
 def killing_run(name):
@@ -71,7 +46,7 @@ def test_the_registry_holds_every_mutant():
     assert set(MUTANTS) >= {
         "orphan_blind", "unbounded_release", "forgetful_piggyback",
         "stale_vector", "deaf_owner", "global_random_app",
-        "forgetful_checkpoint"}
+        "forgetful_checkpoint", "frozen_incarnation_row"}
 
 
 def test_forgetful_checkpoint_is_killed_after_a_checkpoint():
@@ -87,17 +62,11 @@ def test_forgetful_checkpoint_is_killed_after_a_checkpoint():
 
 
 def test_frozen_incarnation_row_is_killed_after_a_rollback():
-    stats = RandomExplorer(RandomScenarioSampler(seed=0), runs=60,
-                           protocol=FrozenIncarnationRowProcess).explore()
-    assert stats.found
-    scenario, result = stats.counterexample, stats.result
+    scenario, result = killing_run("frozen_incarnation_row")
     assert "rollback" in scenario.crash_points
     assert any("does not cover its own stable interval" in v
                for v in result.violations)
     assert run_scenario(scenario).violations == []
-    shrunk = shrink(scenario, protocol=FrozenIncarnationRowProcess)
-    assert shrunk.result.violations
-    assert run_scenario(shrunk.scenario).violations == []
 
 
 class SilentCommitProcess(KOptimisticProcess):

@@ -20,7 +20,11 @@ from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
 from repro.core.output import OutputBuffer
 from repro.core.stability import StabilityIndex
-from repro.failures.injector import CrashEvent, FailureSchedule
+from repro.failures.injector import (
+    CrashEvent,
+    FailureSchedule,
+    StorageFaultEvent,
+)
 from repro.net.message import OutputRecord
 from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
@@ -168,3 +172,28 @@ class TestRollbackReplayDedup:
             assert len(protocol.output_buffer) == size
         finally:
             harness.close()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "open loss (CHANGES.md, PR 42's FOUND entry on output commit at the "
+    "fsync boundary): a crash right after the fsync that makes an output's "
+    "commit record durable, before CommitOutput runs, loses the output"))
+def test_every_journaled_commit_reaches_the_outside_world():
+    # fsync_sweep(seed=1, n=2, k=2, horizon=140.0, max_points=4)'s point
+    # at P1's 6th fsync: the sweep reports it clean.
+    horizon = 140.0
+    workload = RandomPeersWorkload(rate=1.0)
+    harness = SimulationHarness(
+        SimConfig(n=2, k=2, seed=1, flush_interval=20.0,
+                  checkpoint_interval=80.0, storage_backend="filelog"),
+        workload.behavior(), failures=FailureSchedule([
+            StorageFaultEvent(0.0, 1, "crash_after_fsyncs", count=6)]))
+    workload.install(harness, until=horizon - 100.0)
+    try:
+        harness.run(horizon)
+        committed = {record.output_id
+                     for _, record in harness.committed_outputs}
+        journaled = harness.hosts[1].protocol.storage.state_digest()[4]
+        assert journaled <= committed
+    finally:
+        harness.close()

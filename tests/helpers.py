@@ -3,6 +3,7 @@ messages, simulation harnesses, and effect extraction."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from typing import Any, Dict, List, Optional, Type
 
@@ -145,6 +146,28 @@ def log_notification(origin: int,
         for inc, sii in row.items():
             table.insert(pid, Entry(inc, sii))
     return LogProgressNotification(origin, table.snapshot_columns())
+
+
+def assert_identical(got: Any, sent: Any) -> None:
+    """``got`` equals ``sent`` with the same type at every level: fields of
+    dataclasses, items of containers, a vector's entries."""
+    assert type(got) is type(sent), (got, sent)
+    if dataclasses.is_dataclass(sent):
+        for field in dataclasses.fields(sent):
+            assert_identical(getattr(got, field.name), getattr(sent, field.name))
+    elif isinstance(sent, DependencyVector):
+        assert got.n == sent.n and list(got.items()) == list(sent.items())
+    elif isinstance(sent, (list, tuple)):
+        assert len(got) == len(sent), (got, sent)
+        for g, s in zip(got, sent):
+            assert_identical(g, s)
+    elif isinstance(sent, dict):
+        assert list(got) == list(sent), (got, sent)
+        for key in sent:
+            assert_identical(got[key], sent[key])
+    elif isinstance(sent, (set, frozenset)):
+        assert {(type(v), v) for v in got} == {(type(v), v) for v in sent}
+    assert got == sent, (got, sent)
 
 
 def lex_max(a: Optional[Entry], b: Optional[Entry]) -> Optional[Entry]:

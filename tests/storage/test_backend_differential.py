@@ -99,10 +99,7 @@ def _apply(backend, operation, records):
         backend.log_incarnation_start(
             inc, None if end is None else Entry(inc - 1, end))
     elif kind == "commit":
-        # The runtime's ids and a foreign hashable, by turns.
-        key = operation[1]
-        backend.record_committed_output(
-            OutputId(0, 0, key, 0) if key % 2 else ("out", key))
+        backend.record_committed_output(OutputId(0, 0, operation[1], 0))
     elif kind == "pop":
         backend.pop_logged_after(operation[1])
     elif kind == "discard_ckpt":

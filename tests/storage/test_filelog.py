@@ -29,7 +29,10 @@ from repro.storage.recovery import (
 )
 from repro.storage.stable import LoggedMessage, ModelBackend
 from repro.storage.faults import StorageDeadError
-from repro.types import MessageId
+from repro.types import MessageId, OutputId
+
+#: The runtime commits outputs by their ``OutputId``.
+OUT_1 = OutputId(0, 0, 3, 1)
 
 
 def record(position, inc=0, src=1, pad=0):
@@ -94,7 +97,7 @@ class TestGroupCommit:
         backend.pop_logged_after(1)
         backend.discard_checkpoints_after(0)
         backend.log_incarnation_start(1)
-        backend.record_committed_output("out-1")
+        backend.record_committed_output(OUT_1)
         assert backend.fsyncs == 0 and backend.sync_due
         backend.barrier()
         assert backend.fsyncs == backend.group_commits == 1
@@ -115,7 +118,7 @@ class TestGroupCommit:
 
     def test_async_commit_covers_earlier_sync_frames(self, tmp_path):
         backend = make_backend(tmp_path)
-        backend.record_committed_output("out-1")
+        backend.record_committed_output(OUT_1)
         backend.append_log([record(1)], sync=False)
         assert backend.fsyncs == 1 and not backend.sync_due
 
@@ -136,12 +139,12 @@ class TestCrashRecovery:
         backend = make_backend(tmp_path)
         checkpointed(backend)
         backend.append_log([record(1), record(2)], sync=False)
-        backend.record_committed_output("out-1")
+        backend.record_committed_output(OUT_1)
         backend.barrier()
         backend.crash()
         backend.recover()
         assert backend.log_size == 2
-        assert backend.output_committed("out-1")
+        assert backend.output_committed(OUT_1)
         assert backend.checkpoints[-1].entry == Entry(0, 0)
         assert backend.recoveries == 1
         assert backend.torn_records_dropped == 0
@@ -181,14 +184,14 @@ class TestCrashRecovery:
         backend.append_log([record(i, pad=i * 37) for i in range(1, 5)],
                            sync=True)
         checkpointed(backend, sii=4)
-        backend.record_committed_output("out-1")
+        backend.record_committed_output(OUT_1)
         backend.crash()
         backend.recover()
         assert backend.recoveries == 1 and not backend.sync_due
         # Journal order is operation order: whatever survived is a prefix.
         survivors = [r.position for r in backend.logged_after(0)]
         assert survivors == list(range(1, len(survivors) + 1))
-        assert not backend.output_committed("out-1")
+        assert not backend.output_committed(OUT_1)
         if len(backend.checkpoints) == 2:
             assert len(survivors) == 4
 
@@ -197,11 +200,11 @@ class TestCrashRecovery:
         checkpointed(backend)
         backend.barrier()
         backend.append_log([record(1)], sync=True)
-        backend.record_committed_output("out-1")
+        backend.record_committed_output(OUT_1)
         backend.crash()
         backend.recover()
         assert backend.log_size == 0
-        assert not backend.output_committed("out-1")
+        assert not backend.output_committed(OUT_1)
 
 
 class TestTornWrite:
@@ -297,7 +300,7 @@ class TestTransientErrors:
             backend.append_log([record(1)], sync=True)
         assert backend.dead_declared == 1
         with pytest.raises(StorageDeadError):
-            backend.record_committed_output("x")
+            backend.record_committed_output(OUT_1)
         backend.injector._armed.clear()
         backend.recover()
         backend.append_log([record(1)], sync=True)
@@ -491,7 +494,7 @@ class TestFrontier:
 class TestModelBackendBarrier:
     def test_model_is_always_durable(self):
         backend = ModelBackend(0)
-        backend.record_committed_output("out-1")
+        backend.record_committed_output(OUT_1)
         assert not backend.sync_due
         backend.barrier()
         assert backend.fsyncs == 0

@@ -6,7 +6,7 @@ from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
 from repro.net.message import AppMessage, FailureAnnouncement
 from repro.storage.stable import LoggedMessage, ModelBackend
-from repro.types import MessageId
+from repro.types import MessageId, OutputId
 
 
 def record(position, inc=0, src=1):
@@ -121,9 +121,10 @@ class TestIncarnationMarkers:
 class TestCommittedOutputs:
     def test_record_and_query(self):
         storage = ModelBackend(0)
-        assert not storage.output_committed("o1")
-        storage.record_committed_output("o1")
-        assert storage.output_committed("o1")
+        output_id = OutputId(0, 0, 3, 1)
+        assert not storage.output_committed(output_id)
+        storage.record_committed_output(output_id)
+        assert storage.output_committed(output_id)
         assert storage.sync_writes == 1
 
 

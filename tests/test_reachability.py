@@ -36,6 +36,7 @@ ALLOWED = {
     "inject_now": "protocol-level harness tests inject at the current instant",
     "state_digest": "checker tests compare end states of two runs",
     "render_jsonl": "parallel trace tests compare the canonical JSONL rendering",
+    "as_dict": "vector tests compare entries as a plain dict, on either vector type",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
