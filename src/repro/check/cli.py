@@ -20,7 +20,7 @@ every mutant caught, replay reproduces the violation) and 1 otherwise.
 from __future__ import annotations
 
 import argparse
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 from repro.check.explorer import (
     BoundedDFSExplorer,
@@ -40,16 +40,26 @@ from repro.core.protocol import KOptimisticProcess
 
 def small_scenario(n: int = 2, k: Optional[int] = 1, tokens: int = 3,
                    horizon: float = 30.0,
-                   crash: Optional[int] = None) -> Scenario:
-    """The DFS workhorse: a tiny deterministic token scenario."""
+                   crash: Union[None, int, Sequence[int]] = None) -> Scenario:
+    """The DFS workhorse: a tiny deterministic token scenario.
+
+    ``crash`` names a pid that crashes at ``horizon / 2``, or a pair of
+    distinct pids: the second crashes half a flush interval after the
+    first, so both crashes fall inside one flush interval."""
     injections = [
         Injection(time=1.0 + 2.0 * i, dst=i % n, token=i, hops=2,
                   emit_output=(i == tokens - 1))
         for i in range(tokens)
     ]
-    crashes = [] if crash is None else [(horizon / 2, crash)]
-    return Scenario(n=n, k=k, seed=0, horizon=horizon,
-                    injections=injections, crashes=crashes)
+    pids = [crash] if isinstance(crash, int) else list(crash or ())
+    if len(pids) > 2 or len(set(pids)) < len(pids):
+        raise ValueError(f"crash takes one pid or two distinct pids, "
+                         f"got {pids}")
+    scenario = Scenario(n=n, k=k, seed=0, horizon=horizon,
+                        injections=injections)
+    scenario.crashes = [(horizon / 2 + i * scenario.flush_interval / 2, pid)
+                        for i, pid in enumerate(pids)]
+    return scenario
 
 
 def _report_found(stats, out: Optional[str], shrunk=None) -> None:
@@ -72,8 +82,11 @@ def _report_found(stats, out: Optional[str], shrunk=None) -> None:
 
 
 def cmd_dfs(args: argparse.Namespace) -> int:
-    scenario = small_scenario(n=args.n, k=args.k, tokens=args.tokens,
-                              horizon=args.horizon, crash=args.crash)
+    try:
+        scenario = small_scenario(n=args.n, k=args.k, tokens=args.tokens,
+                                  horizon=args.horizon, crash=args.crash)
+    except ValueError as exc:
+        raise SystemExit(f"check dfs: {exc}")
     explorer = BoundedDFSExplorer(scenario, max_depth=args.depth,
                                   max_runs=args.max_runs)
     stats = explorer.explore()
@@ -175,7 +188,10 @@ def configure(parser: argparse.ArgumentParser) -> None:
     dfs.add_argument("--horizon", type=float, default=30.0)
     dfs.add_argument("--depth", type=int, default=10)
     dfs.add_argument("--max-runs", type=int, default=2000)
-    dfs.add_argument("--crash", type=int, default=None, metavar="PID")
+    dfs.add_argument("--crash", type=int, nargs="+", default=None,
+                     metavar="PID",
+                     help="crash PID at horizon/2; a second PID crashes "
+                          "half a flush interval later")
     dfs.add_argument("--out", default=None, help="counterexample path")
     dfs.set_defaults(func=cmd_dfs)
 

@@ -29,13 +29,14 @@ from repro.check.cli import small_scenario
 
 def dfs_rows(max_runs: int = 300):
     rows = []
-    for n, crash in ((2, None), (2, 1), (3, None)):
+    for n, crash in ((2, None), (2, 1), (2, (1, 0)), (3, None), (3, (1, 0))):
         scenario = small_scenario(n=n, k=1, tokens=3, crash=crash)
         stats = BoundedDFSExplorer(scenario, max_depth=8,
                                    max_runs=max_runs).explore()
         rows.append({
             "n": n,
-            "crash": "-" if crash is None else f"P{crash}",
+            "crash": "+".join(f"P{pid}" for _t, pid in scenario.crashes)
+                     or "-",
             "schedules": stats.runs,
             "coverage": "full" if stats.exhausted else "capped",
             "max_branch": stats.max_branching,
@@ -88,7 +89,9 @@ def main() -> None:
 Every enumerated schedule of the real protocol satisfies the step
 invariants (no known-orphan delivery, chain integrity, Theorem 3
 coverage) and the release/commit bounds.  'full' coverage means the
-depth-bounded choice tree was exhausted, not just sampled.
+depth-bounded choice tree was exhausted, not just sampled.  P1+P0: P1
+crashes at horizon/2 and P0 half a flush interval later, inside one
+flush interval; both restart in every schedule.
 """,
     )
     print_experiment(

@@ -48,6 +48,11 @@ from repro.storage.faults import StorageDeadError
 if TYPE_CHECKING:
     from repro.oracle.certifier import Certifier
 
+#: Timer phases a run spreads its processes over: process p shares its
+#: flush, checkpoint, notify and control instants with p + 16, p + 32, ...
+#: (see :meth:`ProcessHost.start_timers`).
+PHASE_SLOTS = 16
+
 
 @dataclass
 class Environment:
@@ -354,15 +359,20 @@ class ProcessHost:
     def start_timers(self, horizon: Optional[float] = None) -> None:
         """Arm the periodic activities (see :func:`periodic`).
 
-        Activity I runs on the grid phase * I + j * I, phase = (pid + 1) /
-        (n + 1), so the processes' flushes and checkpoints spread over the
-        period — except the notification, whose grid phase * F + j * N is
-        anchored on the flush's, and which runs behind everything else due
-        at its instant (``after_due``).  Whenever the two grids meet — at
-        every flush with the defaults, F = 40 = 2N — the flush is therefore
-        reported at its own instant."""
+        Activity I runs on the grid phase * I + j * I, phase = (pid mod S
+        + 1) / (min(n, S) + 1) with S = :data:`PHASE_SLOTS`, so the
+        processes' flushes and checkpoints spread over the period — each
+        on its own phase up to n = S, beyond it S slots shared by the pids
+        congruent mod S.  The processes of one slot broadcast their
+        notifications at the same instants, so at a receiver they land
+        together and one drain merges them in one Receive_log pass.  The
+        notification's grid phase * F + j * N is anchored on the flush's,
+        and it runs behind everything else due at its instant
+        (``after_due``).  Whenever the two grids meet — at every flush
+        with the defaults, F = 40 = 2N — the flush is therefore reported
+        at its own instant."""
         config = self.config
-        phase = (self.pid + 1) / (config.n + 1)
+        phase = (self.pid % PHASE_SLOTS + 1) / (min(config.n, PHASE_SLOTS) + 1)
         flush_at = config.flush_interval * phase
         activities = [
             (config.checkpoint_interval * phase, config.checkpoint_interval,

@@ -24,6 +24,7 @@ from repro.check import (
     shrink,
 )
 from repro.check.cli import small_scenario
+from repro.check.probes import ProbeSet
 from repro.sim.engine import Engine, SimulationError
 
 
@@ -179,6 +180,38 @@ class TestBoundedDFS:
         scenario = small_scenario().with_choices([], choice_seed=1)
         with pytest.raises(ValueError):
             BoundedDFSExplorer(scenario)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_crash_pair_explores_clean_and_both_restart(self, n,
+                                                        monkeypatch):
+        """Two crashes inside one flush interval: every schedule the DFS
+        runs reaches the quiescent probe with both processes restarted."""
+        leaves = []
+        check_quiescent = ProbeSet.check_quiescent
+
+        def recording(probes, harness):
+            leaves.append({host.pid: (len(host.crash_times),
+                                      host.protocol.stats.restarts,
+                                      host.down)
+                           for host in harness.hosts})
+            check_quiescent(probes, harness)
+
+        monkeypatch.setattr(ProbeSet, "check_quiescent", recording)
+        scenario = small_scenario(n=n, tokens=3, crash=(1, 0))
+        flush = scenario.flush_interval
+        assert scenario.crashes == [(15.0, 1), (15.0 + flush / 2, 0)]
+        stats = BoundedDFSExplorer(scenario, max_depth=8,
+                                   max_runs=100).explore()
+        assert not stats.found, stats.result.violations
+        assert stats.max_branching >= 2
+        assert len(leaves) == stats.runs
+        for leaf in leaves:
+            assert leaf[0] == leaf[1] == (1, 1, False)
+
+    def test_crash_takes_at_most_two_distinct_pids(self):
+        for crash in ((1, 1), (0, 1, 2)):
+            with pytest.raises(ValueError):
+                small_scenario(n=3, crash=crash)
 
 
 class TestMutationSmoke:

@@ -21,6 +21,7 @@ from repro.core.effects import (
     MulticastControl,
 )
 from repro.core.entry import Entry
+from repro.core.protocol import KOptimisticProcess
 from repro.net.message import (
     Ack,
     LoggingRequest,
@@ -29,12 +30,12 @@ from repro.net.message import (
 )
 from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
-from repro.runtime.host import Environment, ProcessHost, periodic
+from repro.runtime.host import PHASE_SLOTS, Environment, ProcessHost, periodic
 from repro.sim.trace import Tracer
 from repro.storage.backend import StableBackend
 from repro.storage.faults import StorageDeadError
 from repro.storage.filelog import FileLogBackend
-from helpers import Scripted, make_announcement, make_msg, make_proc
+from helpers import Scripted, build_sim, make_announcement, make_msg, make_proc
 
 N = 3
 
@@ -362,7 +363,8 @@ class TestPeriodic:
                                        notify_interval=2.0)
         host.start_timers(horizon=8.0)
         clock.advance(50.0)
-        # Phase (pid + 1) / (n + 1) = 1/4: flush at 1, 5; checkpoint at
+        # P0 of 3 processes has phase (pid + 1) / (n + 1) = 1/4 (its own
+        # slot: n <= PHASE_SLOTS): flush at 1, 5; checkpoint at
         # 2; notify on the flush's grid, at 1, 3, 5, 7 — nothing past the
         # horizon.
         calls = handlers(host)
@@ -421,6 +423,64 @@ class TestPeriodic:
                     assert note.table.rows()[pid] == {frontier.inc: frontier.sii}
                     reported += 1
             assert reported == 10 // shared
+
+
+class CountingProcess(KOptimisticProcess):
+    """Counts its Receive_log passes and the notifications they merge."""
+
+    passes = notifications = 0
+
+    def on_log_notifications(self, notifs):
+        self.passes += 1
+        self.notifications += len(notifs)
+        return super().on_log_notifications(notifs)
+
+
+class TestPhaseSlots:
+    """Up to n = PHASE_SLOTS every process has its own timer phase, (pid
+    + 1) / (n + 1); beyond, the pids congruent mod PHASE_SLOTS share one,
+    so their notifications land together and are merged in one pass."""
+
+    @staticmethod
+    def first_flush(pid, n):
+        clock, transport = FakeScheduler(), RecordingTransport()
+        config = SimConfig(n=n, k=1)
+        env = Environment(config=config, now=clock.now,
+                          schedule=clock.schedule, after_due=clock.after_due,
+                          transport=transport, tracer=Tracer(enabled=False))
+        host = ProcessHost(env, pid, StubProtocol())
+        flushes = []
+        host.flush = lambda: flushes.append(clock.time)
+        host.start_timers()
+        clock.advance(config.flush_interval)
+        return flushes[0], config.flush_interval
+
+    @pytest.mark.parametrize("n", range(1, PHASE_SLOTS + 1))
+    def test_up_to_the_slot_count_each_pid_has_its_own_phase(self, n):
+        for pid in range(n):
+            at, interval = self.first_flush(pid, n)
+            assert at == interval * ((pid + 1) / (n + 1)), (pid, n)
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_beyond_it_the_pids_share_the_slots(self, n):
+        phases = {}
+        for pid in range(n):
+            phases.setdefault(self.first_flush(pid, n)[0], []).append(pid)
+        assert len(phases) == PHASE_SLOTS
+        for pids in phases.values():
+            assert {pid % PHASE_SLOTS for pid in pids} == {pids[0]}
+
+    def test_a_receiver_merges_a_slot_in_one_pass(self):
+        harness = build_sim(n=64, k=2, seed=0, until=60.0,
+                            protocol=CountingProcess, trace_enabled=False)
+        harness.run(60.0, settle=False)
+        passes = sum(host.protocol.passes for host in harness.hosts)
+        notifications = sum(host.protocol.notifications
+                            for host in harness.hosts)
+        # One phase per process merged 1.0 notifications per pass here;
+        # 16 shared slots merge 64 / 16 = 4 senders' at once.
+        assert passes > 0
+        assert notifications / passes >= 3
 
 
 class TestAdaptiveK:
