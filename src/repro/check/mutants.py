@@ -24,7 +24,6 @@ from repro.app.behavior import AppContext
 from repro.core.depvec import DependencyVector
 from repro.core.effects import Effect
 from repro.core.protocol import KOptimisticProcess
-from repro.core.tables import LoggingProgressTable
 from repro.net.message import (
     AppMessage,
     LoggingRequest,
@@ -142,9 +141,7 @@ class FrozenIncarnationRowProcess(KOptimisticProcess):
 
     def _recover_tables(self) -> None:
         super()._recover_tables()
-        self.log = LoggingProgressTable(self.n)
-        if self.delta_notifications:
-            self.log.enable_changelog()
+        self.log = self.dissemination.new_table()
         for ann in self.storage.announcements:
             self.log.insert(ann.origin, ann.end)
         for checkpoint in self.storage.checkpoints:

@@ -47,5 +47,5 @@ class ImmediateReleaseProcess(KOptimisticProcess):
         self.storage.log_announcement(announcement)
         self.iet.insert(self.pid, end)
         self.log.insert(self.pid, end)
-        effects += self._broadcast(announcement)
+        effects += self.retransmit.broadcast(announcement)
         return effects

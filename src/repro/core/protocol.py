@@ -1,25 +1,28 @@
 """The K-optimistic logging protocol (Figures 2 and 3 of the paper).
 
 Every routine of the pseudo-code maps onto a method of
-:class:`KOptimisticProcess`:
+:class:`KOptimisticProcess`; ``tests/reference/figure23.py`` is the same
+routines over plain dicts, run in lockstep with this module:
 
-=======================  ==============================================
-Paper routine            Method
-=======================  ==============================================
-Initialize               :meth:`initialize`
-Receive_message          :meth:`on_receive`
-Deliver_message          :meth:`_deliver` (driven by the deliver loop)
-Check_deliverability     :meth:`_deliverable`
-Check_orphan             :meth:`_is_orphan_message` / buffer scrubbing
-Send_message             :meth:`_enqueue_send` (called by the app context)
-Check_send_buffer        :meth:`_check_send_buffer`
-Restart                  :meth:`restart` (after :meth:`crash`)
-Receive_failure_ann      :meth:`on_failure_announcement`
-Rollback                 :meth:`_rollback`
-Checkpoint               :meth:`checkpoint`
-Receive_log              :meth:`on_log_notification`
-Insert                   ``EntrySetTable.insert``
-=======================  ==============================================
+=====================  ============================================  ============
+Paper routine          Method                                        Module
+=====================  ============================================  ============
+Initialize             :meth:`initialize`                            protocol
+Receive_message        :meth:`on_receive`                            protocol
+Deliver_message        :meth:`_deliver` (driven by the deliver loop)  protocol
+Check_deliverability   :meth:`_deliverable`                          protocol
+Check_orphan           :meth:`_is_orphan_message` / buffer scrubbing  protocol
+Send_message           :meth:`_enqueue_send` (called by the app ctx)  protocol
+Check_send_buffer      :meth:`_check_send_buffer`                    protocol
+Restart                :meth:`restart` (after :meth:`crash`)         protocol
+Receive_failure_ann    :meth:`on_failure_announcement`               protocol
+Rollback               :meth:`_rollback`                             protocol
+Checkpoint             :meth:`checkpoint`                            protocol
+Receive_log            :meth:`on_log_notification`                   protocol
+Insert                 ``EntrySetTable.insert``                      tables
+(notifications)        ``Dissemination``                             dissemination
+(footnote 3, acks)     ``Retransmission``                            retransmit
+=====================  ============================================  ============
 
 Handlers are sans-IO: they return :mod:`repro.core.effects` objects instead
 of touching a network, so every routine is unit-testable in isolation and
@@ -52,33 +55,28 @@ Fidelity notes (deviations are deliberate and argued):
 
 from __future__ import annotations
 
-import copy
-from bisect import bisect_right
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.app.behavior import AppBehavior, AppContext
 from repro.core.columnar import PACK_SHIFT as _PACK_SHIFT
 from repro.core.depvec import DependencyVector, MergedEntry
+from repro.core.dissemination import Dissemination
 from repro.core.effects import (
-    BroadcastAnnouncement,
     CommitOutput,
     DuplicateDropped,
     Effect,
     MessageDelivered,
     MessageDiscarded,
-    MulticastControl,
     OutputDiscarded,
-    ReleaseMessage,
     RestartPerformed,
     RollbackPerformed,
-    ScheduleRetransmit,
-    SendControl,
     StableProgress,
 )
 from repro.core.entry import Entry
 from repro.core.output import OutputBuffer
+from repro.core.retransmit import Retransmission
 from repro.core.stability import StabilityIndex, Waiter
-from repro.core.tables import IncarnationEndTable, LoggingProgressTable
+from repro.core.tables import IncarnationEndTable
 from repro.net.message import (
     Ack,
     AppMessage,
@@ -126,27 +124,8 @@ class ProtocolStats:
         self.messages_requeued = 0
 
 
-class _PendingSend:
-    """What must arrive and awaits ``dst``'s ack: a released message, or
-    one destination's copy of a failure announcement."""
-
-    __slots__ = ("msg", "dst", "attempts", "next_delay", "sent_at")
-
-    def __init__(self, msg: Any, dst: ProcessId, next_delay: float,
-                 sent_at: float):
-        self.msg = msg
-        self.dst = dst
-        self.attempts = 0
-        self.next_delay = next_delay
-        self.sent_at = sent_at
-
-
 class KOptimisticProcess:
     """The per-process recovery layer running underneath the application."""
-
-    #: Each retransmission of an unacked message waits this factor longer
-    #: than the one before.
-    RETRANSMIT_BACKOFF = 2.0
 
     def __init__(
         self,
@@ -180,22 +159,17 @@ class KOptimisticProcess:
         self.seed = seed
         self.now_fn = now_fn or (lambda: 0.0)
         self.nullify_own_on_flush = nullify_own_on_flush
-        self.output_driven_logging = output_driven_logging
         self.gc_on_checkpoint = gc_on_checkpoint
-        # Footnote 3: lost in-transit messages "can be retrieved from the
-        # senders' volatile logs".  A window of 0 disables retransmission.
-        self.retransmit_window = retransmit_window
-        self._sent_log: Dict[ProcessId, List[AppMessage]] = {}
-        # Timer-driven ack/retransmit (for unreliable networks): every
-        # released message, and every destination's copy of a failure
-        # announcement, stays pending until the destination acks it; a
-        # timer (requested as a ScheduleRetransmit effect and interpreted
-        # by the runtime) re-sends it with exponential backoff, up to
-        # ``retransmit_budget`` attempts.  0 disables.  Keys: a message's
-        # id, or ``(announcement, destination)``.
-        self.retransmit_timeout = retransmit_timeout
-        self.retransmit_budget = retransmit_budget
-        self._unacked: Dict[Any, _PendingSend] = {}
+        self.stats = ProtocolStats()
+        # Footnote 3's sent-log and the ack/retransmit map
+        # (repro.core.retransmit); a window and a timeout of 0 disable them.
+        self.retransmit = Retransmission(
+            pid, n, self.stats, self.now_fn, retransmit_window,
+            retransmit_timeout, retransmit_budget)
+        # How logging progress leaves this process (repro.core.dissemination).
+        self.dissemination = Dissemination(
+            pid, n, delta_notifications, gossip_log_tables, notify_fanout,
+            output_driven_logging)
         # Per-message K policy (Section 4.2): consulted at enqueue time
         # for sends the application left unbounded.  The adaptive-K
         # controller (repro.control) plugs in here; ``None`` keeps the
@@ -212,23 +186,9 @@ class KOptimisticProcess:
 
         # Figure 2 variable declarations.
         self.tdv = self._new_vector()
-        self.log = LoggingProgressTable(n)
+        self.log = self.dissemination.new_table()
         self.iet = IncarnationEndTable(n)
         self.current = Entry(0, 1)
-
-        # Delta gossip (make_log_notification_for): per-peer changelog
-        # cursor (epoch, offset, deltas_since_full).
-        self.delta_notifications = delta_notifications
-        self._delta_peers: Dict[ProcessId, Tuple[int, int, int]] = {}
-        if delta_notifications:
-            self.log.enable_changelog()
-        # Dissemination (notify): gossip the whole table or the own row
-        # only; push to everyone (fanout None) or pull from at most
-        # ``notify_fanout`` awaited owners, carrying on behind the last
-        # pid asked.
-        self.gossip_log_tables = gossip_log_tables
-        self.notify_fanout = notify_fanout
-        self._last_asked = pid
 
         # Buffers.
         self.receive_buffer: List[AppMessage] = []
@@ -252,7 +212,6 @@ class KOptimisticProcess:
         self._highest_inc = 0
         self._send_enqueue_times: Dict[int, float] = {}
         self._receive_times: Dict[int, float] = {}
-        self.stats = ProtocolStats()
 
     # ------------------------------------------------------------------
     # Initialize
@@ -287,7 +246,8 @@ class KOptimisticProcess:
         With acks on, every copy from a process — a duplicate or an orphan
         too, since the last ack may have been lost — is acked first."""
         self._require_running()
-        effects = self._ack(msg.src, msg.msg_id) if msg.src >= 0 else []
+        effects = (self.retransmit.ack(msg.src, msg.msg_id) if msg.src >= 0
+                   else [])
         if msg.msg_id in self.received_ids:
             self.stats.duplicates_dropped += 1
             effects.append(DuplicateDropped(msg))
@@ -309,7 +269,7 @@ class KOptimisticProcess:
         """Receive_failure_ann(j, t, x'): Figure 3.  With acks on, every
         copy is acked first."""
         self._require_running()
-        effects = self._ack(ann.origin, ann)
+        effects = self.retransmit.ack(ann.origin, ann)
         if self.iet.lookup(ann.origin, ann.end.inc) == ann.end.sii:
             # A retransmitted copy: handled already (iet is rebuilt from
             # the logged announcements, so this holds across our crashes).
@@ -320,9 +280,7 @@ class KOptimisticProcess:
         self.iet.insert(ann.origin, ann.end)
         # Corollary 1: the announcement also says (t, x') is stable.
         self.log.insert(ann.origin, ann.end)
-        # The origin lost every gossiped table row with its volatile state:
-        # our next notification to it must be a full snapshot.
-        self._delta_peers.pop(ann.origin, None)
+        self.dissemination.peer_restarted(ann.origin)
 
         # Roll back first if our own state is orphaned (see fidelity notes).
         if self._state_orphaned_by(ann):
@@ -334,116 +292,26 @@ class KOptimisticProcess:
         # (the paper's pseudo-code nullifies only buffered copies here; the
         # local entry would be dropped by the next Receive_log anyway).
         self._nullify_stable_tdv_entries()
-        effects += self._retransmit_to(ann.origin)
+        # Footnote 3: re-send recent messages to a restarted process.
+        for msg in self.retransmit.resend_to(ann.origin,
+                                             self._is_orphan_message):
+            effects += self._release(msg)
         effects += self._check_send_buffer()
         effects += self._update_output_buffer()
         effects += self._deliver_loop()
         return effects
 
-    def _retransmit_to(self, dst: ProcessId) -> List[Effect]:
-        """Footnote 3: re-send recent messages to a restarted process from
-        the volatile sent-log; its receive buffer died with it.  Duplicates
-        are harmless (receivers deduplicate by message id) and orphan
-        copies are pruned here and discarded again on receipt."""
-        if self.retransmit_window <= 0:
-            return []
-        copies = self._sent_log.get(dst)
-        if not copies:
-            return []
-        survivors = [m for m in copies if not self._is_orphan_message(m)]
-        self._sent_log[dst] = survivors
-        self.stats.retransmissions += len(survivors)
-        effects: List[Effect] = []
-        for msg in survivors:
-            effects += self._release(msg)
-        return effects
+    # The retransmission component (repro.core.retransmit) decides these.
 
     def _release(self, msg: AppMessage) -> List[Effect]:
-        """Put ``msg`` on the wire; with timer-driven retransmission on, it
-        then stays pending until acked (one timer per pending message)."""
-        if self.retransmit_timeout <= 0 or msg.msg_id in self._unacked:
-            return [ReleaseMessage(msg)]
-        return [ReleaseMessage(msg), self._pending(msg.msg_id, msg, msg.dst)]
-
-    def _broadcast(self, ann: FailureAnnouncement) -> List[Effect]:
-        """Broadcast ``ann``; with timer-driven retransmission on, each
-        destination's copy then stays pending until that destination acks
-        it — the reliable broadcast Theorem 1's orphan detection needs."""
-        effects: List[Effect] = [BroadcastAnnouncement(ann)]
-        if self.retransmit_timeout > 0:
-            effects += [self._pending((ann, dst), ann, dst)
-                        for dst in range(self.n) if dst != self.pid]
-        return effects
-
-    def _pending(self, key: Any, msg: Any, dst: ProcessId) -> ScheduleRetransmit:
-        """Record ``msg`` as awaiting ``dst``'s ack; its first timer."""
-        self._unacked[key] = _PendingSend(
-            msg, dst, self.retransmit_timeout * self.RETRANSMIT_BACKOFF,
-            self.now_fn())
-        return ScheduleRetransmit(key, self.retransmit_timeout)
-
-    # ------------------------------------------------------------------
-    # Ack/retransmit (unreliable networks)
-    # ------------------------------------------------------------------
-
-    def _ack(self, dst: ProcessId, of: Any) -> List[Effect]:
-        """The receiver's half: with acks on, tell ``dst`` that ``of`` (a
-        message id or an announcement) arrived."""
-        if self.retransmit_timeout <= 0:
-            return []
-        return [SendControl(dst, Ack(of, self.pid, dst))]
+        """Put ``msg`` on the wire (:meth:`Retransmission.release`)."""
+        return self.retransmit.release(msg)
 
     def on_ack(self, ack: Ack) -> List[Effect]:
-        """An ack arrived: its sender holds the message or announcement,
-        so stop retransmitting it there.  Idempotent (acks may be
-        duplicated, and one may outlive the entry it acks)."""
-        if isinstance(ack.of, FailureAnnouncement):
-            pending = self._unacked.pop((ack.of, ack.src), None)
-            if pending is not None:
-                self.stats.ctl_acked += 1
-                self.stats.ack_rtt_total += self.now_fn() - pending.sent_at
-        elif self._unacked.pop(ack.of, None) is not None:
-            self.stats.acks_received += 1
-        return []
+        return self.retransmit.on_ack(ack)
 
     def on_retransmit_timer(self, key: Any) -> List[Effect]:
-        """A retransmission timer fired (the runtime interpreting an
-        earlier :class:`ScheduleRetransmit`).
-
-        Re-sends the message or announcement copy and re-arms the timer
-        with exponential backoff unless it was acked in the meantime, the
-        message became an orphan, or the bounded retry budget ran out.
-        The re-release is safe: the receiver deduplicates by message id
-        (an announcement by its end, :meth:`on_failure_announcement`), and
-        stability only grows, so Theorem 4's bound still holds at every
-        re-release.
-        """
-        pending = self._unacked.get(key)
-        if pending is None or self.failed:
-            return []
-        msg = pending.msg
-        released = isinstance(msg, AppMessage)
-        if released and self._is_orphan_message(msg):
-            del self._unacked[key]
-            return []
-        stats = self.stats
-        if pending.attempts >= self.retransmit_budget:
-            del self._unacked[key]
-            if released:
-                stats.retransmit_budget_exhausted += 1
-            else:
-                stats.ctl_budget_exhausted += 1
-            return []
-        pending.attempts += 1
-        delay = pending.next_delay
-        pending.next_delay *= self.RETRANSMIT_BACKOFF
-        if released:
-            stats.timer_retransmissions += 1
-            resend: Effect = ReleaseMessage(msg)
-        else:
-            stats.ctl_retransmits += 1
-            resend = SendControl(pending.dst, msg)
-        return [resend, ScheduleRetransmit(key, delay)]
+        return self.retransmit.on_timer(key, self._is_orphan_message)
 
     # ------------------------------------------------------------------
     # Receive_log
@@ -477,79 +345,33 @@ class KOptimisticProcess:
         effects += self._deliver_loop()
         return effects
 
+    # The dissemination policy (repro.core.dissemination) decides these.
+
     def make_log_notification(self) -> LogProgressNotification:
-        """Build a logging progress notification for broadcast.
-
-        By default the full table is gossiped (Receive_log's signature
-        iterates over all j, so transitive propagation is intended); with
-        :attr:`gossip_log_tables` off it carries only this process's own
-        row.
-        """
-        snapshot = self.log.snapshot_columns()
-        if not self.gossip_log_tables:
-            snapshot = snapshot.restrict(self.pid)
-        return LogProgressNotification(self.pid, snapshot)
-
-    #: Every this-many delta notifications to a peer, send a full snapshot
-    #: anyway — a cheap safety valve bounding the damage of any divergence.
-    DELTA_FULL_REFRESH_EVERY = 16
+        return self.dissemination.notification(self.log)
 
     def make_log_notification_for(
             self, dst: ProcessId) -> LogProgressNotification:
-        """Per-destination notification, delta-encoded when possible.
-
-        With :attr:`delta_notifications` the changelog cursor acknowledged
-        by the last notification to ``dst`` selects only the entries that
-        changed since (:meth:`EntrySetTable.delta_since`); first contact, a
-        stale cursor (changelog compaction), the periodic refresh, or a
-        crashed peer (cursor dropped on its failure announcement) fall back
-        to the full snapshot.  Sound only on reliable channels — a dropped
-        delta would silently lose the acknowledged entries — which
-        ``SimConfig.validate`` enforces.
-        """
-        if not self.delta_notifications:
-            return self.make_log_notification()
-        cursor_now = self.log.changelog_position
-        state = self._delta_peers.get(dst)
-        if state is not None and state[2] < self.DELTA_FULL_REFRESH_EVERY:
-            delta = self.log.delta_since((state[0], state[1]))
-            if delta is not None:
-                if not self.gossip_log_tables:
-                    delta = delta.restrict(self.pid)
-                self._delta_peers[dst] = (cursor_now[0], cursor_now[1],
-                                          state[2] + 1)
-                return LogProgressNotification(self.pid, delta)
-        notif = self.make_log_notification()
-        self._delta_peers[dst] = (cursor_now[0], cursor_now[1], 0)
-        return notif
+        return self.dissemination.notification_for(self.log, dst)
 
     def notify(self) -> List[Effect]:
-        """One periodic logging-progress tick.
-
-        Broadcast mode (``notify_fanout`` None) pushes this process's
-        notification to everyone (one per peer when delta-encoded: each
-        peer has its own cursor).  Fanout mode pulls: it asks at most
-        ``notify_fanout`` of its :meth:`awaited_owners`, taking turns in
-        pid order when there are more, and each answers it alone
-        (:meth:`on_logging_request`).  A process waiting on nobody sends
-        nothing; a lost ask or answer, or a down owner, is asked again at
-        a later tick."""
+        """One periodic logging-progress tick (:meth:`Dissemination.tick`)."""
         self._require_running()
-        fanout = self.notify_fanout
-        if fanout is not None:
-            owners = self.awaited_owners()
-            if len(owners) > fanout:
-                start = bisect_right(owners, self._last_asked)
-                owners = (owners[start:] + owners[:start])[:fanout]
-                self._last_asked = owners[-1]
-            if not owners:
-                return []
-            return [MulticastControl(owners, LoggingRequest(self.pid,
-                                                            flush=False))]
-        if self.delta_notifications:
-            return [SendControl(dst, self.make_log_notification_for(dst))
-                    for dst in range(self.n) if dst != self.pid]
-        return [MulticastControl(None, self.make_log_notification())]
+        return self.dissemination.tick(self.log, self.awaited_owners)
+
+    def awaited_owners(self) -> List[ProcessId]:
+        return Dissemination.awaited_owners(
+            self._stability, self.tdv.processes(), self.pid)
+
+    def on_logging_request(self, request: LoggingRequest) -> List[Effect]:
+        """Answer ``request.origin`` alone with the notification a periodic
+        tick would carry.  An output-driven request (``request.flush``,
+        Section 2) flushes first; a fanout-mode pull reports what is
+        already logged and leaves flushing to the flush timer."""
+        self._require_running()
+        effects = self.flush() if request.flush else []
+        effects.append(self.dissemination.answer(self.log, request))
+        return effects
 
     # ------------------------------------------------------------------
     # Checkpoint
@@ -570,8 +392,7 @@ class KOptimisticProcess:
             self.current, self.app_state, self.tdv, self.received_ids,
             time_taken=self.now_fn(),
             receive_buffer=self.receive_buffer,
-            sends=self.send_buffer + [p.msg for p in self._unacked.values()
-                                      if isinstance(p.msg, AppMessage)],
+            sends=self.send_buffer + self.retransmit.unacked_messages(),
             outputs=[(p.record, p.tdv) for p in self.output_buffer.pending],
         )
         self.log.insert(self.pid, self.current)
@@ -658,13 +479,12 @@ class KOptimisticProcess:
         self.send_buffer.clear()
         self._sb_held.clear()
         self._sb_woken.clear()
-        self._sent_log.clear()
-        self._unacked.clear()
+        self.retransmit.clear()
         self.output_buffer.discard_all()
         self._send_enqueue_times.clear()
         self._receive_times.clear()
         self.received_ids = set()
-        self._delta_peers.clear()
+        self.dissemination.clear()
 
     def boot_after_crash(self) -> List[Effect]:
         """Bring a *freshly constructed* instance up from an existing journal.
@@ -721,9 +541,7 @@ class KOptimisticProcess:
         # a Rollback must not lose the end it has not yet notified.
         self.tdv = self._new_vector()
         self.iet = IncarnationEndTable(self.n)
-        self.log = LoggingProgressTable(self.n)
-        if self.delta_notifications:
-            self.log.enable_changelog()
+        self.log = self.dissemination.new_table()
         for ann in self.storage.announcements:
             self.iet.insert(ann.origin, ann.end)
             self.log.insert(ann.origin, ann.end)
@@ -756,14 +574,10 @@ class KOptimisticProcess:
         effects.append(
             RestartPerformed(self.pid, announcement, replayed, self.current)
         )
-        if self.retransmit_timeout > 0:
-            # The crash dropped the copies still awaiting an ack: send every
-            # earlier announcement of ours again (receivers skip what they
-            # hold), the one just logged last.
-            for earlier in self.storage.announcements:
-                if earlier.origin == self.pid and earlier != announcement:
-                    effects += self._broadcast(earlier)
-        effects += self._broadcast(announcement)
+        # The crash dropped the copies still awaiting an ack: with acks on,
+        # every earlier announcement of ours goes again, this one last.
+        effects += self.retransmit.broadcast(announcement,
+                                             self.storage.announcements)
         effects += self._check_send_buffer()
         effects += self._update_output_buffer()
         effects += self._deliver_loop()
@@ -840,7 +654,7 @@ class KOptimisticProcess:
         """
         checkpoints = self.storage.checkpoints
         idx = len(checkpoints) - 1
-        while idx >= 0 and self._checkpoint_is_orphan(checkpoints[idx]):
+        while idx >= 0 and self.vector_known_orphan(checkpoints[idx].tdv):
             idx -= 1
         if idx < 0:
             raise RuntimeError(
@@ -923,12 +737,6 @@ class KOptimisticProcess:
                     or self.vector_known_orphan(tdv)):
                 self.output_buffer.add(record, tdv, now=now)
                 stats.outputs_enqueued += 1
-
-    def _checkpoint_is_orphan(self, checkpoint: Checkpoint) -> bool:
-        """Condition (I) of Rollback, against all known incarnation ends."""
-        return any(
-            self.iet.invalidates(pid, entry) for pid, entry in checkpoint.tdv.items()
-        )
 
     # ------------------------------------------------------------------
     # Deliver_message and the deliver loop
@@ -1103,10 +911,7 @@ class KOptimisticProcess:
         if hold > self.stats.send_hold_time_max:
             self.stats.send_hold_time_max = hold
         self.stats.messages_released += 1
-        if self.retransmit_window > 0:
-            copies = self._sent_log.setdefault(msg.dst, [])
-            copies.append(msg)
-            del copies[: -self.retransmit_window]
+        self.retransmit.record(msg)
         return self._release(msg)
 
     def _send_limit(self, msg: AppMessage) -> int:
@@ -1119,11 +924,8 @@ class KOptimisticProcess:
 
     def _enqueue_output(self, payload: Any, seq: int) -> List[Effect]:
         """Queue an output; it is a 0-optimistic message (Section 4.2).
-
-        With output-driven logging (Section 2's alternative to waiting for
-        periodic notifications), enqueueing also asks every process we
-        depend on to force its logging progress now.
-        """
+        Enqueueing may ask for logging progress
+        (:meth:`Dissemination.output_requests`)."""
         output_id = OutputId(self.pid, self.current.inc, self.current.sii, seq)
         if self.storage.output_committed(output_id):
             return []  # deterministic replay of an already-committed output
@@ -1137,31 +939,7 @@ class KOptimisticProcess:
             else self._replay_backdate
         self.output_buffer.add(record, self.tdv, now=now)
         self.stats.outputs_enqueued += 1
-        if self.output_driven_logging:
-            return [SendControl(target, LoggingRequest(self.pid, flush=True))
-                    for target in self.tdv.processes() if target != self.pid]
-        return []
-
-    def awaited_owners(self) -> List[ProcessId]:
-        """The processes whose logging progress this one is waiting on,
-        in pid order: the owners of the log positions its held sends and
-        pending outputs watch, plus the non-NULL pids of its own vector
-        (every entry Theorem 2 drops there is one fewer to piggyback)."""
-        owners = self._stability.awaited_owners()
-        owners.update(self.tdv.processes())
-        owners.discard(self.pid)
-        return sorted(owners)
-
-    def on_logging_request(self, request: LoggingRequest) -> List[Effect]:
-        """Answer ``request.origin`` alone with the notification a periodic
-        tick would carry.  An output-driven request (``request.flush``,
-        Section 2) flushes first; a fanout-mode pull reports what is
-        already logged and leaves flushing to the flush timer."""
-        self._require_running()
-        effects = self.flush() if request.flush else []
-        effects.append(SendControl(
-            request.origin, self.make_log_notification_for(request.origin)))
-        return effects
+        return self.dissemination.output_requests(self.tdv.processes())
 
     def _update_output_buffer(self) -> List[Effect]:
         effects: List[Effect] = []
@@ -1247,10 +1025,7 @@ class KOptimisticProcess:
                 if id(waiter.item) not in kept_ids:
                     self._stability.drop(waiter)
             self._sb_held = [w for w in self._sb_held if w.woken is not None]
-        for key in [key for key, pending in self._unacked.items()
-                    if isinstance(pending.msg, AppMessage)
-                    and self._is_orphan_message(pending.msg)]:
-            del self._unacked[key]  # retransmitting an orphan is pointless
+        self.retransmit.scrub(self._is_orphan_message)
         for pending in self.output_buffer.discard_orphans(self.iet):
             self.stats.outputs_discarded += 1
             effects.append(OutputDiscarded(pending.record))
@@ -1304,7 +1079,7 @@ class KOptimisticProcess:
     def unacked_count(self) -> int:
         """Released messages and announcement copies still awaiting an
         ack (in flight)."""
-        return len(self._unacked)
+        return len(self.retransmit.pending)
 
     def __repr__(self) -> str:
         return (

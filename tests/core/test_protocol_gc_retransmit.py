@@ -104,7 +104,7 @@ class TestRetransmission:
         sender, _ = self._sender_receiver(window=2)
         for _ in range(5):
             deliver_env(sender, {"to": 1})
-        assert len(sender._sent_log[1]) == 2
+        assert len(sender.retransmit.sent_log[1]) == 2
 
     def test_retransmit_on_restart_announcement(self):
         sender, receiver = self._sender_receiver()
@@ -143,7 +143,7 @@ class TestRetransmission:
                            retransmit_window=8)
         sender.on_receive(make_msg(2, 0, entries={2: Entry(0, 7)},
                                    payload={"to": 1}))
-        assert len(sender._sent_log[1]) == 1
+        assert len(sender.retransmit.sent_log[1]) == 1
         # P2's failure orphans the sent message AND rolls the sender back.
         sender.on_failure_announcement(make_announcement(2, 0, 3))
         # A later restart announcement from P1 retransmits nothing stale.
@@ -154,7 +154,7 @@ class TestRetransmission:
     def test_disabled_by_default(self):
         sender = make_proc(pid=0, n=4, k=4, behavior=Forwarder())
         deliver_env(sender, {"to": 1})
-        assert sender._sent_log == {}
+        assert sender.retransmit.sent_log == {}
         effects = sender.on_failure_announcement(make_announcement(1, 0, 1))
         assert not effects_of(effects, ReleaseMessage)
 

@@ -54,14 +54,14 @@ class TestRelease:
         msg, timer = release_one(proc)
         assert timer.key == msg.msg_id
         assert timer.delay == 4.0
-        assert msg.msg_id in proc._unacked
+        assert msg.msg_id in proc.retransmit.pending
 
     def test_no_timer_when_disabled(self):
         proc = make_proc(k=4, behavior=ForwardingBehavior())
         effects = deliver_env(proc, payload={"to": 1})
         assert effects_of(effects, ReleaseMessage)
         assert not effects_of(effects, ScheduleRetransmit)
-        assert proc._unacked == {}
+        assert proc.retransmit.pending == {}
 
 
 class TestTimerFiring:
@@ -82,7 +82,7 @@ class TestTimerFiring:
         msg, _ = release_one(proc)
         assert proc.on_ack(Ack(msg.msg_id, 1, proc.pid)) == []
         assert proc.stats.acks_received == 1
-        assert msg.msg_id not in proc._unacked
+        assert msg.msg_id not in proc.retransmit.pending
         assert proc.on_retransmit_timer(msg.msg_id) == []
         assert proc.stats.timer_retransmissions == 0
 
@@ -101,16 +101,16 @@ class TestTimerFiring:
                               ReleaseMessage)
         assert proc.on_retransmit_timer(msg.msg_id) == []
         assert proc.stats.retransmit_budget_exhausted == 1
-        assert msg.msg_id not in proc._unacked
+        assert msg.msg_id not in proc.retransmit.pending
 
     def test_crash_clears_unacked(self):
         proc = proc_with_timer()
         msg, _ = release_one(proc)
         proc.crash()
-        assert proc._unacked == {}
+        assert proc.retransmit.pending == {}
         proc.restart()
         # Only the Restart's own announcement is pending again.
-        assert msg.msg_id not in proc._unacked
+        assert msg.msg_id not in proc.retransmit.pending
         assert proc.on_retransmit_timer(msg.msg_id) == []
 
     def test_orphaned_pending_message_not_retransmitted(self):
@@ -119,7 +119,7 @@ class TestTimerFiring:
         # triggering message.
         proc.on_receive(make_msg(2, 0, entries={2: Entry(0, 5)},
                                  payload={"to": 1}))
-        pending_ids = list(proc._unacked)
+        pending_ids = list(proc.retransmit.pending)
         assert pending_ids
         # P2's incarnation 0 ends at 2: our state rolls back and the
         # pending send is an orphan — the scrub already pruned it.
@@ -204,7 +204,7 @@ class TestAnnouncements:
         assert proc.on_retransmit_timer((ann, 1)) == []
         assert proc.stats.ctl_budget_exhausted == 1
         assert proc.stats.retransmit_budget_exhausted == 0
-        assert (ann, 1) not in proc._unacked
+        assert (ann, 1) not in proc.retransmit.pending
 
     def test_ack_rtt_is_taken_from_the_first_send(self):
         proc = self.proc()

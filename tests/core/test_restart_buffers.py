@@ -163,7 +163,7 @@ class TestCheckpointKeepsWhatItOwes:
         # The Restart's announcement copies are pending too.
         assert [e.key for e in effects_of(effects, ScheduleRetransmit)
                 if isinstance(e.key, MessageId)] == [lost]
-        assert lost in proc._unacked
+        assert lost in proc.retransmit.pending
 
     def test_orphaned_buffers_are_not_taken_back(self, storage):
         proc = proc_over(storage, k=0)

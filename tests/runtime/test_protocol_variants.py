@@ -49,8 +49,8 @@ def test_a_lossy_file_log_config_reaches_every_variant(protocol):
             proc = host.protocol
             assert type(proc) is protocol
             assert isinstance(proc.storage, FileLogBackend)
-            assert proc.retransmit_window == 16
-            assert proc.retransmit_timeout == timeout
+            assert proc.retransmit.window == 16
+            assert proc.retransmit.timeout == timeout
     finally:
         harness.close()
 
@@ -69,7 +69,7 @@ def test_immediate_release_keeps_the_sent_log(protocol):
     # destination.
     assert [e.key for e in effects if isinstance(e, ScheduleRetransmit)] \
         == [m.msg_id for m in released]
-    assert proc._sent_log == {2: released[1:3], 3: released[3:]}
+    assert proc.retransmit.sent_log == {2: released[1:3], 3: released[3:]}
     # P2 restarted: its copies go out again.
     effects = proc.on_failure_announcement(make_announcement(2, 0, 1))
     again = [e.message for e in effects if isinstance(e, ReleaseMessage)]

@@ -61,7 +61,7 @@ class TestFaultResolution:
         harness = build(SimConfig(n=4, seed=0, trace_enabled=False))
         assert harness.network.faults is None
         assert harness.config.retransmit_timeout == 0.0
-        assert not any(host.protocol.retransmit_timeout > 0
+        assert not any(host.protocol.retransmit.timeout > 0
                        for host in harness.hosts)
 
     def test_fault_rates_enable_stack(self):
@@ -70,7 +70,7 @@ class TestFaultResolution:
         assert harness.network.faults is not None
         # Acks and the retransmission timer are defaulted on.
         assert harness.config.retransmit_timeout == RETRANSMIT_TIMEOUT
-        assert all(host.protocol.retransmit_timeout > 0
+        assert all(host.protocol.retransmit.timeout > 0
                    for host in harness.hosts)
 
     def test_schedule_network_events_enable_stack(self):
@@ -79,7 +79,7 @@ class TestFaultResolution:
                                     HealEvent(80.0)])
         harness = build(config, schedule)
         assert harness.network.faults is not None
-        assert all(host.protocol.retransmit_timeout > 0
+        assert all(host.protocol.retransmit.timeout > 0
                    for host in harness.hosts)
 
     def test_a_timeout_on_a_reliable_network_turns_acks_on(self):
