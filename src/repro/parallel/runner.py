@@ -35,6 +35,7 @@ from repro.failures.injector import (
 from repro.parallel.trace import DepEvent, canonical_dep_events
 from repro.parallel.worker import OutboxEntry, worker_main
 from repro.runtime.config import CONTROL_LATENCY, MSG_LATENCY_BASE, SimConfig
+from repro.runtime.harness import SETTLE_ROUNDS
 from repro.runtime.metrics import RunMetrics, merge
 
 
@@ -212,11 +213,11 @@ class ParallelHarness:
             self._settle()
         self._finish()
 
-    def _settle(self, rounds: int = 4) -> None:
+    def _settle(self) -> None:
         """Mirror :meth:`SimulationHarness.settle` across the barrier."""
         self._align()
         self._barrier_action("restart_down")
-        for _ in range(rounds):
+        for _ in range(SETTLE_ROUNDS):
             if all(self._command_all(("quiescent", None))):
                 break
             self._align()

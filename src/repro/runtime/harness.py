@@ -58,6 +58,12 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
 
+#: The most flush/notify rounds ``settle`` runs before it gives up on
+#: quiescence (a run that never quiesces — a variant waiting on a
+#: checkpoint settle never takes — stops here, unquiescent).
+SETTLE_ROUNDS = 64
+
+
 class SimulationHarness:
     """Builds and runs one simulated deployment.
 
@@ -301,8 +307,9 @@ class SimulationHarness:
         if settle:
             self.settle()
 
-    def settle(self, rounds: int = 4) -> None:
-        """Quiesce the system after the timed phase."""
+    def settle(self) -> None:
+        """Quiesce the system after the timed phase: flush/notify rounds
+        until every process is quiescent, at most :data:`SETTLE_ROUNDS`."""
         # A partition still in force would hold traffic hostage forever;
         # heal it so quiescence is reachable (and partition_time is closed).
         if self.network.faults is not None:
@@ -310,7 +317,7 @@ class SimulationHarness:
         self.engine.run(max_events=20_000_000)
         self.restart_down()
         self.engine.run(max_events=20_000_000)
-        for _ in range(rounds):
+        for _ in range(SETTLE_ROUNDS):
             # The flush/notify rounds exist only to dislodge held traffic;
             # once every buffer is empty another round cannot change
             # anything (the engine queue is already drained), so stop.

@@ -82,6 +82,7 @@ def _run_serial(name):
     try:
         workload.install(harness, until=duration * 0.8)
         harness.run(duration)
+        assert harness.quiescent(), f"case {name!r} ends unquiescent"
         return (
             render_jsonl(canonical_dep_events(harness.tracer.rows())),
             harness.engine.events_executed,

@@ -152,3 +152,16 @@ class TestTimers:
         harness = build()
         harness.run(100.0)
         assert harness.network.control_messages_sent > 0
+
+
+class TestSettle:
+    def test_settle_runs_rounds_until_the_system_is_quiescent(self):
+        # The golden digest's k0_n16 configuration.  Four flush/notify
+        # rounds left P2 and P14 each holding one send whose only
+        # dependency was their own surviving interval; two more quiesce it.
+        harness = build(n=16, k=0, seed=7, rate=1.5, until=160.0,
+                        failures=FailureSchedule([CrashEvent(60.0, 1),
+                                                  CrashEvent(130.0, 3)]))
+        harness.run(200.0)
+        assert harness.quiescent()
+        assert harness.violations == []
