@@ -8,9 +8,10 @@ EffectExecutor` emits, as typed calls: :meth:`~Certifier.deliver`,
 potential revokers, the message's own bound when it has one, replayed or
 not) and :meth:`~Certifier.commit` against the output-commit rule (a
 known interval with no potential revoker, not an orphan).
-:meth:`~Certifier.finish` judges quiescent consistency and the
-committed-output ledger: each output committed once, none from an interval
-rolled back or orphaned by the end.  A certifier built without
+:meth:`~Certifier.finish` judges quiescent consistency, the
+committed-output ledger — each output committed once, none from an
+interval rolled back or orphaned by the end — and lost sends: every send
+a surviving interval made was released.  A certifier built without
 ``check_invariants`` only builds the graph: it judges nothing.
 
 In simulation each host's executor makes the calls inline, as it
@@ -71,14 +72,22 @@ class Certifier:
         self._final: Tuple[int, List[str]] = (0, [])
         #: Every Theorem 4 verdict reported, so a repeat is not.
         self._release_verdicts: Set[str] = set()
+        #: Intervals with a send not yet released: one bit per send.
+        self._owed: Dict[IntervalId, int] = {}
+        #: Processes that record their own stability only at Checkpoint:
+        #: their sends may wait at quiescence, so they owe none.
+        self.checkpoint_only: Set[int] = set()
 
     # -- facts ---------------------------------------------------------------
 
     def deliver(self, pid: int, interval: Entry, src: int,
-                src_interval: Optional[Entry]) -> None:
-        """A delivery at ``pid`` started ``interval``.  One whose sender
-        interval has not appeared (a tie in a merged trace) waits for it:
-        registering it now would drop the edge."""
+                src_interval: Optional[Entry], sends: int = 0) -> None:
+        """A delivery at ``pid`` started ``interval``, which made ``sends``
+        sends.  One whose sender interval has not appeared (a tie in a
+        merged trace) waits for it: registering it now would drop the
+        edge."""
+        if sends and self.check_invariants:
+            self._owed[(pid, interval.inc, interval.sii)] = (1 << sends) - 1
         if src >= 0 and src_interval is not None:
             sender = (src, src_interval.inc, src_interval.sii)
             if not self.oracle.exists(sender):
@@ -111,15 +120,22 @@ class Certifier:
     # -- claims --------------------------------------------------------------
 
     def release(self, pid: int, interval: Entry, msg: Any,
-                k: Optional[int] = None) -> None:
-        """Theorem 4: ``msg``, sent from ``interval``, leaves with at most
-        ``k`` (default: the run's K) potential revokers.  An interval that
-        never appeared has none."""
+                k: Optional[int] = None, seq: int = 0) -> None:
+        """Theorem 4: ``msg``, the ``seq``-th send of ``interval``, leaves
+        with at most ``k`` (default: the run's K) potential revokers.  An
+        interval that never appeared has none."""
         if not self.check_invariants:
             return
+        iid = (pid, interval.inc, interval.sii)
+        owed = self._owed.get(iid)
+        if owed is not None:
+            owed &= ~(1 << seq)
+            if owed:
+                self._owed[iid] = owed
+            else:
+                del self._owed[iid]
         self.counts["releases"] += 1
-        revokers = self.oracle.potential_revokers(
-            (pid, interval.inc, interval.sii))
+        revokers = self.oracle.potential_revokers(iid)
         if len(revokers) > self.max_release_revokers:
             self.max_release_revokers = len(revokers)
         bound = self.k if k is None else k
@@ -195,6 +211,15 @@ class Certifier:
                 violations.append(
                     f"output {output} committed from orphan interval {iid}")
             seen.add(output)
+        oracle = self.oracle
+        for iid, owed in sorted(self._owed.items()):
+            if (iid[0] not in self.checkpoint_only and oracle.exists(iid)
+                    and not oracle.node(iid).rolled_back
+                    and not oracle.is_orphan(iid)):
+                seqs = [seq for seq in range(owed.bit_length())
+                        if owed >> seq & 1]
+                violations.append(f"surviving interval {iid} never "
+                                  f"released send(s) {seqs}")
         self._final = (start, violations[start:])
         return Certification(
             violations=violations, committed=self.committed,

@@ -104,13 +104,15 @@ def _apply(certifier: Certifier, record: Dict[str, Any]) -> None:
             call, args = certifier.deliver, (
                 _entry(data, "inc", "sii"), src,
                 _entry(data, "src_inc", "src_sii")
-                if src >= 0 and "src_inc" in data else None)
+                if src >= 0 and "src_inc" in data else None,
+                int(data.get("sends", 0)))
         elif category == "dep.stable":
             call, args = certifier.stable, (_entry(data, "inc", "sii"),)
         elif category == "dep.release":
             call, args = certifier.release, (
                 _entry(data, "inc", "sii"), data.get("msg"),
-                int(data["k"]) if "k" in data else None)
+                int(data["k"]) if "k" in data else None,
+                int(data.get("seq", 0)))
         else:
             call, args = certifier.commit, (
                 _entry(data, "inc", "sii"), str(data["output"]),

@@ -121,16 +121,17 @@ class EffectExecutor:
                 probe(effect)
             if isinstance(effect, ReleaseMessage):
                 msg = effect.message
+                seq = msg.msg_id.seq
                 if certifier is not None:
                     certifier.release(pid, msg.send_interval, msg.msg_id,
-                                      msg.k_limit)
+                                      msg.k_limit, seq)
                 tracer.record(now, "msg.release", pid,
                               msg=str(msg.msg_id), dst=msg.dst,
                               entries=msg.piggyback_size())
                 if dep:
                     si = msg.send_interval
                     data = {"inc": si.inc, "sii": si.sii,
-                            "msg": str(msg.msg_id),
+                            "msg": str(msg.msg_id), "seq": seq,
                             "replayed": msg.replayed}
                     # A per-message bound (Section 4.2) must travel with
                     # the release claim, or the post-hoc certifier would
@@ -169,13 +170,16 @@ class EffectExecutor:
             elif isinstance(effect, MessageDelivered):
                 if not effect.replay:
                     msg = effect.message
+                    sends = len(effect.sends)
                     if certifier is not None:
                         certifier.deliver(pid, effect.interval, msg.src,
-                                          msg.send_interval)
+                                          msg.send_interval, sends)
                     if dep:
                         data = {"inc": effect.interval.inc,
                                 "sii": effect.interval.sii,
                                 "src": msg.src}
+                        if sends:
+                            data["sends"] = sends
                         if msg.src >= 0 and msg.send_interval is not None:
                             data["src_inc"] = msg.send_interval.inc
                             data["src_sii"] = msg.send_interval.sii

@@ -179,6 +179,10 @@ class SimulationHarness:
             self.hosts.append(host)
             self._by_pid[pid] = host
             self.network.register(pid, host.incoming)
+        if self.certifier is not None:
+            self.certifier.checkpoint_only = {
+                host.pid for host in self.hosts
+                if not host.protocol.nullify_own_on_flush}
         for host in self.hosts:
             host.boot()
 

@@ -60,3 +60,17 @@ def test_live_and_post_hoc_verdicts_agree_on_a_killing_run(name):
     assert post_hoc == live
     if name == "unbounded_release":
         assert any(v.startswith("Theorem 4 violated") for v in post_hoc)
+
+
+@pytest.mark.parametrize("index,name", [(15, "deaf_owner"),
+                                        (218, "forgetful_checkpoint")])
+def test_the_post_hoc_feed_reports_a_lost_send(index, name):
+    # The held send of a deaf owner's asker, and the send a forgetful
+    # checkpoint dropped, each belong to a surviving interval.
+    harness, _probes = traced_rerun(RandomScenarioSampler().sample(index),
+                                    MUTANTS[name])
+    config = harness.config
+    post_hoc = certify_tracer(harness.tracer, config.n,
+                              config.resolved_k()).violations
+    lost = [v for v in post_hoc if "never released send" in v]
+    assert len(lost) == 1, post_hoc

@@ -14,12 +14,15 @@ One suite, run through each feed of the one
 the typed calls the simulation harness makes inline, ``TestIngestChecks``
 writes the ``dep.*`` records :mod:`repro.oracle.ingest` parses after a
 run.  Both on the list (n=16) and on the numpy (n=64) representation of
-the causal vector.
+the causal vector.  The lost-send rule of ``finish`` gets the same
+treatment: a surviving interval that never released one of its sends is
+named with the send's index.
 """
 
 import pytest
 
 from repro.check.mutants import MUTANTS
+from repro.core.baselines import StromYeminiProcess
 from repro.core import columnar
 from repro.core.effects import CommitOutput, ReleaseMessage
 from repro.core.entry import Entry
@@ -47,14 +50,14 @@ class Calls:
         if columnar.numpy_module() is not None:
             assert self.certifier.oracle._use_np == (n >= 64)
 
-    def deliver(self, pid, interval, src=-1, src_interval=None):
-        self.certifier.deliver(pid, interval, src, src_interval)
+    def deliver(self, pid, interval, src=-1, src_interval=None, sends=0):
+        self.certifier.deliver(pid, interval, src, src_interval, sends)
 
     def stable(self, pid, through):
         self.certifier.stable(pid, through)
 
-    def release(self, pid, interval, msg, k=None):
-        self.certifier.release(pid, interval, msg, k)
+    def release(self, pid, interval, msg, k=None, seq=0):
+        self.certifier.release(pid, interval, msg, k, seq)
 
     def recover(self, pid, survivor, new_current):
         self.certifier.recover(pid, survivor, new_current)
@@ -76,10 +79,12 @@ class Records:
     def _add(self, category, pid, **data):
         self.events.append(ev(float(len(self.events)), category, pid, **data))
 
-    def deliver(self, pid, interval, src=-1, src_interval=None):
+    def deliver(self, pid, interval, src=-1, src_interval=None, sends=0):
         data = {"inc": interval.inc, "sii": interval.sii, "src": src}
         if src_interval is not None:
             data.update(src_inc=src_interval.inc, src_sii=src_interval.sii)
+        if sends:
+            data["sends"] = sends
         self._add("dep.deliver", pid, **data)
 
     def stable(self, pid, through):
@@ -89,9 +94,9 @@ class Records:
         self._add("dep.recover", pid, s_inc=survivor.inc, s_sii=survivor.sii,
                   n_inc=new_current.inc, n_sii=new_current.sii)
 
-    def release(self, pid, interval, msg, k=None):
+    def release(self, pid, interval, msg, k=None, seq=0):
         data = {"inc": interval.inc, "sii": interval.sii, "msg": msg,
-                "replayed": False}
+                "seq": seq, "replayed": False}
         if k is not None:
             data["k"] = k
         self._add("dep.release", pid, **data)
@@ -194,6 +199,23 @@ class _CertifierSuite:
             "surviving interval (2, 0, 2) is an orphan",
             "output o1 committed from orphan interval (2, 0, 2)"]
 
+    def test_a_surviving_interval_that_never_released_a_send(self, n):
+        feed = self.fed(n)
+        feed.deliver(3, INTERVAL, K, INTERVAL, sends=3)
+        feed.release(3, INTERVAL, "m0", k=n, seq=0)
+        feed.release(3, INTERVAL, "m0", k=n, seq=0)   # a re-release
+        feed.release(3, INTERVAL, "m2", k=n, seq=2)
+        assert feed.verdict().violations == [
+            "surviving interval (3, 0, 2) never released send(s) [1]"]
+        feed.release(3, INTERVAL, "m1", k=n, seq=1)
+        assert feed.verdict().ok
+
+    def test_a_rolled_back_interval_owes_no_send(self, n):
+        feed = self.fed(n)
+        feed.deliver(3, INTERVAL, K, INTERVAL, sends=1)
+        feed.recover(3, Entry(0, 1), Entry(1, 2))
+        assert feed.verdict().ok
+
     def test_hooks_reach_both_checks(self, n):
         # The executor's release and commit claims reach this feed's
         # checks: as its inline calls, or as its dep.* records.
@@ -228,6 +250,17 @@ class TestHarnessChecks(_CertifierSuite):
             CommitOutput(OutputRecord("o1", K, None, INTERVAL))])
         assert harness.violations == []
         assert harness.committed_outputs    # the books are still kept
+
+    def test_a_process_stable_only_at_checkpoint_owes_no_send(self, n):
+        # Strom & Yemini record their own stability only at Checkpoint, so
+        # a send may wait at quiescence on an interval the oracle knows is
+        # stable; the harness exempts such processes (the post-hoc feed
+        # judges every process).
+        harness = build_sim(n=n, until=None, protocol=StromYeminiProcess)
+        assert harness.certifier.checkpoint_only == set(range(n))
+        harness.certifier.deliver(0, INTERVAL, -1, None, 1)
+        assert harness.certifier.finish().ok
+        assert build_sim(n=n, until=None).certifier.checkpoint_only == set()
 
 
 class TestIngestChecks(_CertifierSuite):
