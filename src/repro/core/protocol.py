@@ -955,6 +955,15 @@ class KOptimisticProcess:
     # ------------------------------------------------------------------
     # Variant hooks (overridden by the baseline protocols)
     # ------------------------------------------------------------------
+    #
+    # A variant (core/baselines/, check/mutants.py) overrides only these
+    # (tests/core/test_variant_hooks.py): the factories and predicates
+    # _new_vector, _state_orphaned_by, _post_delivery_effects,
+    # _piggyback_vector, _deliverable, _is_orphan_message and
+    # _nullify_stable_tdv_entries; the steps _check_send_buffer,
+    # _enqueue_output, _release, _rollback, _recover_tables and
+    # _take_back_buffers; and __init__, flush, checkpoint, crash, restart,
+    # on_log_notifications, on_logging_request and unacked_count.
 
     def _new_vector(self) -> DependencyVector:
         """Factory for the dependency-vector type this protocol tracks."""

@@ -33,14 +33,21 @@ N = 8
 
 # -- strategies: what the protocol ships and journals, as JSON can carry it --
 
-#: Application values: plain JSON (the PWD model's payloads and states).
-values = st.recursive(
-    st.none() | st.booleans() | st.integers(-(1 << 40), 1 << 40)
-    | st.text(max_size=6) | st.floats(allow_nan=False, allow_infinity=False),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=8,
-)
+#: Application values: plain JSON (the PWD model's payloads and states),
+#: nested at most two deep.  ``st.recursive`` redraws every tree that
+#: exceeds its ``max_leaves``, and one such draw once took 2.1 s on a
+#: loaded machine (hypothesis' ``too_slow``); a fixed depth never redraws.
+leaves = (st.none() | st.booleans() | st.integers(-(1 << 40), 1 << 40)
+          | st.text(max_size=6)
+          | st.floats(allow_nan=False, allow_infinity=False))
+
+
+def containers(inner):
+    return (st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=3))
+
+
+values = leaves | containers(leaves | containers(leaves))
 pids = st.integers(0, N - 1)
 indices = st.integers(0, 1 << 30)
 entries = st.builds(Entry, st.integers(0, 9), indices)
