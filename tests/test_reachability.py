@@ -37,6 +37,7 @@ ALLOWED = {
     "state_digest": "checker tests compare end states of two runs",
     "render_jsonl": "parallel trace tests compare the canonical JSONL rendering",
     "as_dict": "vector tests compare entries as a plain dict, on either vector type",
+    "sent_log": "retransmission tests read the footnote-3 copies a process keeps",
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
