@@ -124,16 +124,15 @@ class Dissemination:
         return SendControl(request.origin,
                            self.notification_for(log, request.origin))
 
-    @staticmethod
-    def awaited_owners(index: StabilityIndex, tdv_pids,
-                       own: ProcessId) -> List[ProcessId]:
+    def awaited_owners(self, index: StabilityIndex,
+                       tdv_pids) -> List[ProcessId]:
         """The processes a process is waiting on, in pid order: the owners
         of the log positions its held sends and pending outputs watch,
         plus the non-NULL pids of its own vector (every entry Theorem 2
         drops there is one fewer to piggyback)."""
         owners = index.awaited_owners()
         owners.update(tdv_pids)
-        owners.discard(own)
+        owners.discard(self.pid)
         return sorted(owners)
 
     def output_requests(self, tdv_pids) -> List[Effect]:

@@ -4,25 +4,25 @@ Every routine of the pseudo-code maps onto a method of
 :class:`KOptimisticProcess`; ``tests/reference/figure23.py`` is the same
 routines over plain dicts, run in lockstep with this module:
 
-=====================  ============================================  ============
-Paper routine          Method                                        Module
-=====================  ============================================  ============
-Initialize             :meth:`initialize`                            protocol
-Receive_message        :meth:`on_receive`                            protocol
-Deliver_message        :meth:`_deliver` (driven by the deliver loop)  protocol
-Check_deliverability   :meth:`_deliverable`                          protocol
-Check_orphan           :meth:`_is_orphan_message` / buffer scrubbing  protocol
-Send_message           :meth:`_enqueue_send` (called by the app ctx)  protocol
-Check_send_buffer      :meth:`_check_send_buffer`                    protocol
-Restart                :meth:`restart` (after :meth:`crash`)         protocol
-Receive_failure_ann    :meth:`on_failure_announcement`               protocol
-Rollback               :meth:`_rollback`                             protocol
-Checkpoint             :meth:`checkpoint`                            protocol
-Receive_log            :meth:`on_log_notification`                   protocol
-Insert                 ``EntrySetTable.insert``                      tables
-(notifications)        ``Dissemination``                             dissemination
-(footnote 3, acks)     ``Retransmission``                            retransmit
-=====================  ============================================  ============
+====================  =================================================  =============
+Paper routine         Method                                             Module
+====================  =================================================  =============
+Initialize            :meth:`initialize`                                 protocol
+Receive_message       :meth:`on_receive`                                 protocol
+Deliver_message       :meth:`_deliver` (driven by the deliver loop)      protocol
+Check_deliverability  :meth:`_deliverable`                               protocol
+Check_orphan          :meth:`_is_orphan_message` / buffer scrubbing      protocol
+Send_message          :meth:`_enqueue_send` (called by the app context)  protocol
+Check_send_buffer     :meth:`_check_send_buffer`                         protocol
+Restart               :meth:`restart` (after :meth:`crash`)              protocol
+Receive_failure_ann   :meth:`on_failure_announcement`                    protocol
+Rollback              :meth:`_rollback`                                  protocol
+Checkpoint            :meth:`checkpoint`                                 protocol
+Receive_log           :meth:`on_log_notification`                        protocol
+Insert                ``EntrySetTable.insert``                           tables
+notifications         :meth:`notify` and its builders                    dissemination
+footnote 3, acks      :meth:`_release`, :meth:`on_ack`                   retransmit
+====================  =================================================  =============
 
 Handlers are sans-IO: they return :mod:`repro.core.effects` objects instead
 of touching a network, so every routine is unit-testable in isolation and
@@ -360,8 +360,8 @@ class KOptimisticProcess:
         return self.dissemination.tick(self.log, self.awaited_owners)
 
     def awaited_owners(self) -> List[ProcessId]:
-        return Dissemination.awaited_owners(
-            self._stability, self.tdv.processes(), self.pid)
+        return self.dissemination.awaited_owners(self._stability,
+                                                 self.tdv.processes())
 
     def on_logging_request(self, request: LoggingRequest) -> List[Effect]:
         """Answer ``request.origin`` alone with the notification a periodic

@@ -1,26 +1,17 @@
 """Figures 2 and 3 of the paper as a plain dict-and-set process.
 
-The executable reference that ``test_lockstep.py`` runs step by step next
-to :class:`repro.core.protocol.KOptimisticProcess`.  One method per
-routine of the pseudo-code; each docstring quotes the routine as
-docs/PROTOCOL.md and DESIGN.md §5 state it.
+The executable reference ``test_lockstep.py`` runs step by step next to
+:class:`repro.core.protocol.KOptimisticProcess`: one method per routine,
+each docstring quoting the routine as docs/PROTOCOL.md and DESIGN.md §5
+state it.  ``tdv`` is a dict ``pid -> Entry`` (NULL is an absent key),
+``log`` and ``iet`` dicts ``pid -> {inc: highest index}``, the buffers
+lists; nothing is columnar, indexed or cached.  Stable storage is the
+repo's ``ModelBackend``, so both processes' storage compares through
+``state_digest()``.  Effects are plain tuples ``(kind, ...)``.
 
-Everything is plain Python: ``tdv`` is a dict ``pid -> Entry`` (a NULL
-entry is an absent key), ``log`` and ``iet`` are dicts ``pid -> {inc:
-highest index}``, the buffers are lists.  Nothing is columnar, indexed or
-cached: every Check_send_buffer walks every entry of every buffered
-vector, every Receive_log every entry of the local one.  Stable storage is
-the repo's in-memory ``ModelBackend``, so the two processes' storage can
-be compared through ``state_digest()``.
-
-Handlers return effects as plain tuples, ``(kind, ...)``;
-``test_lockstep.canonical_effect`` maps the implementation's effect
-objects onto the same tuples.
-
-Where the implementation does what the figures leave implicit, the
-reference does it too and names it: every such place cites one key of
-:data:`STATED_DIFFERENCES` in brackets, and the lockstep compares exactly,
-allowing no difference that is not stated here.
+What the implementation adds to the figures, the reference adds too: each
+such place cites a key of :data:`STATED_DIFFERENCES` in brackets, and the
+lockstep allows no difference that is not stated there.
 """
 
 from __future__ import annotations
@@ -35,44 +26,37 @@ from repro.types import MessageId, OutputId
 
 #: What the repo adds to Figures 2–3, each one a named, stated difference.
 STATED_DIFFERENCES: Dict[str, str] = {
-    "deliver-loop": "The pseudo-code marks messages deliverable and "
-    "delivers them in a separate application-driven event; here a deliver "
-    "loop runs at the end of each handler that can unblock a message "
-    "(receive, announcement, Receive_log, Checkpoint, Restart), the same "
-    "schedule with the application always ready.  A flush runs none.",
-    "rollback-first": "Receive_failure_ann evaluates the rollback "
-    "condition before it scrubs the buffers and delivers: delivering "
-    "first would knowingly extend an orphan state.",
-    "incarnation-marker": "A non-failed Rollback announces nothing "
-    "(Theorem 1) but journals its new incarnation with where the closed "
-    "one ended; Restart folds every such end into log.",
+    "deliver-loop": "a deliver loop ends each handler that can unblock a "
+    "message (not a flush): the paper's application-driven delivery with "
+    "the application always ready",
+    "rollback-first": "Receive_failure_ann rolls back before it scrubs the "
+    "buffers and delivers: delivering first would extend an orphan state",
+    "incarnation-marker": "a non-failed Rollback journals its new "
+    "incarnation and where the closed one ended; Restart folds the ends "
+    "into log",
     "incarnation-end": "Restart announces the highest incarnation any "
-    "stable artifact proves was used, not the restored checkpoint's.",
-    "checkpointed-buffers": "Checkpoint also saves what its intervals "
-    "still owe (receive buffer, held sends, pending outputs); Restart "
-    "takes them back unless delivered since, orphaned, committed or "
-    "pending.  Rollback keeps its live buffers.",
-    "theorem2-at-merge": "Deliver_message drops every dependency the log "
-    "table already covers right after the merge, so the local vector never "
-    "carries a known-stable entry.",
-    "theorem2-at-flush": "A flush records its progress in the own log row "
-    "through the backend's stable_frontier (for the model backend, "
-    "current) and drops the own entry once covered.",
-    "own-entry": "Receive_log and Theorem 2 on the local vector leave the "
-    "own entry alone; Checkpoint and flush manage it.",
-    "corollary1-on-tdv": "An announcement certifies (t, x') stable, so "
-    "Receive_failure_ann applies Theorem 2 to the local vector too.",
-    "announcement-repeat": "A copy of an announcement already in iet is "
-    "ignored (iet is rebuilt from the logged ones across crashes).",
+    "stable artifact proves was used",
+    "checkpointed-buffers": "Checkpoint saves the buffers its intervals "
+    "owe; Restart takes them back unless delivered since, orphaned, "
+    "committed or pending; Rollback keeps its live buffers",
+    "theorem2-at-merge": "Deliver_message drops every entry log covers "
+    "right after the merge",
+    "theorem2-at-flush": "a flush inserts the backend's stable_frontier "
+    "into the own log row and drops the own entry once covered",
+    "own-entry": "Theorem 2 on the local vector leaves the own entry to "
+    "Checkpoint and flush",
+    "corollary1-on-tdv": "Receive_failure_ann applies Theorem 2 to the "
+    "local vector too",
+    "announcement-repeat": "an announcement already in iet is ignored",
     "restart-honours-announcements": "Restart rebuilds iet and log from "
-    "the logged announcements and replays only while the state stays "
-    "non-orphan, like Rollback.",
-    "initial-checkpoint": "Initialize writes the implicit initial "
-    "checkpoint (Corollary 3) and starts with an empty vector.",
-    "output-dedup": "Replay re-enqueues an output only if it is neither "
-    "committed nor pending.",
-    "storage-reclamation": "Checkpoint reclaims every checkpoint older "
-    "than the newest one whose vector log covers (Theorem 3).",
+    "the logged announcements and replays only while the state is not "
+    "an orphan",
+    "initial-checkpoint": "Initialize writes the initial checkpoint "
+    "(Corollary 3) and starts with an empty vector",
+    "output-dedup": "replay re-enqueues an output only if it is neither "
+    "committed nor pending",
+    "storage-reclamation": "Checkpoint reclaims what precedes the newest "
+    "checkpoint whose vector log covers (Theorem 3)",
 }
 
 Row = Dict[int, int]
