@@ -44,6 +44,7 @@ from repro.core.effects import (
     RollbackPerformed,
     StableProgress,
 )
+from repro.core.entry import Entry
 from repro.core.protocol import KOptimisticProcess
 from repro.net.message import AppMessage
 from repro.types import MessageId
@@ -143,7 +144,7 @@ def implementation_state(proc: KOptimisticProcess) -> Tuple[Any, ...]:
 
 def reference_state(ref: Figure23Process) -> Tuple[Any, ...]:
     def table(rows):
-        return [tuple(figure23.Entry(inc, sii)
+        return [tuple(Entry(inc, sii)
                       for inc, sii in sorted(rows[j].items()))
                 for j in range(ref.n)]
 
