@@ -45,9 +45,11 @@ class WallClock:
         return time.time()
 
     def schedule(self, delay: float, callback: Callable[[], None],
-                 label: Optional[str] = None) -> asyncio.TimerHandle:
+                 label: Optional[str] = None,
+                 callbacks: int = 1) -> asyncio.TimerHandle:
         """Run ``callback`` after ``delay`` *virtual units*; the returned
-        handle has ``.cancel()``, matching the engine's EventHandle."""
+        handle has ``.cancel()``, matching the engine's EventHandle.
+        ``callbacks`` (the engine's event count) means nothing here."""
         return self.loop.call_later(max(0.0, delay) * self.timescale, callback)
 
 

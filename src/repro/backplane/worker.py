@@ -40,7 +40,8 @@ from repro.backplane.framing import (
 from repro.core.protocol import KOptimisticProcess
 from repro.net.message import AppMessage
 from repro.runtime.config import SimConfig
-from repro.runtime.host import Environment, ProcessHost, build_protocol
+from repro.runtime.host import (Environment, ProcessHost, build_protocol,
+                                start_timers)
 
 #: Behaviours a serve run can name in its manifest.
 BEHAVIORS = {
@@ -146,7 +147,7 @@ class Worker:
             schedule=clock.schedule,
             # Wall-clock frames arrive one at a time: nothing else is due
             # "now", so a notification batch is drained at once.
-            after_due=lambda pid, callback: callback(),
+            after_due=lambda pid, callback, callbacks=1: callback(),
             transport=transport,
             tracer=self.tracer,
         )
@@ -171,7 +172,7 @@ class Worker:
         self.tracer.record(
             clock.now, "worker.respawn" if recovering else "worker.start",
             self.pid)
-        self.host.start_timers()
+        stop_timers = start_timers([self.host])
 
         try:
             while not self._shutdown.is_set():
@@ -184,7 +185,7 @@ class Worker:
             return 1
         finally:
             self.transport.flush()
-            self.host.stop_timers()
+            stop_timers()
             self.host.protocol.storage.close()
             self.tracer.close()
             writer.close()

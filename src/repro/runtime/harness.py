@@ -52,7 +52,8 @@ from repro.runtime.config import (
     RETRANSMIT_TIMEOUT,
     SimConfig,
 )
-from repro.runtime.host import Environment, ProcessHost, build_protocol
+from repro.runtime.host import (Environment, ProcessHost, build_protocol,
+                                start_timers)
 from repro.runtime.metrics import RunMetrics, merge, share
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
@@ -157,9 +158,10 @@ class SimulationHarness:
             schedule=engine.schedule,
             # The engine's end-of-instant queue: behind every delivery
             # due now.
-            after_due=lambda pid, callback: engine.defer(
+            after_due=lambda pid, callback, callbacks=1: engine.defer(
                 callback,
-                f"notify-drain:{pid}" if engine.wants_labels else None),
+                f"notify-drain:{pid}" if engine.wants_labels else None,
+                callbacks),
             transport=self.network,
             tracer=self.tracer,
             certifier=self.certifier,
@@ -291,7 +293,7 @@ class SimulationHarness:
 
     def begin(self, duration: float) -> None:
         """Fix the horizon, cancel the failure events beyond it and arm
-        every host's periodic timers."""
+        the periodic timers: per slot, per host if steps are observed."""
         self.horizon = duration
         # Failure events beyond the horizon must not fire: settle() drains
         # the queue past ``duration``, and a stray crash mid-settle would
@@ -299,8 +301,8 @@ class SimulationHarness:
         for event, handle in self._failure_handles:
             if event.time > duration:
                 handle.cancel()
-        for host in self.hosts:
-            host.start_timers(duration)
+        start_timers(self.hosts, duration,
+                     fold=not self.engine.steps_observed)
 
     def run(self, duration: float, settle: bool = True) -> None:
         """Run for ``duration`` virtual time units, then (optionally) settle:

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+from functools import partial
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from repro.app.behavior import AppBehavior
 from repro.core.effects import Effect
@@ -50,7 +52,7 @@ if TYPE_CHECKING:
 
 #: Timer phases a run spreads its processes over: process p shares its
 #: flush, checkpoint, notify and control instants with p + 16, p + 32, ...
-#: (see :meth:`ProcessHost.start_timers`).
+#: (see :func:`start_timers`).
 PHASE_SLOTS = 16
 
 
@@ -61,15 +63,17 @@ class Environment:
     config: SimConfig
     #: Current time: virtual in simulation, wall-clock in ``serve``.
     now: Callable[[], float]
-    #: ``schedule(delay, callback)`` -> handle with ``.cancel()``.
+    #: ``schedule(delay, callback, callbacks=1)`` -> handle with
+    #: ``.cancel()``; ``callbacks`` counts the processes a timer serves.
     schedule: Callable[..., Any]
     #: ``after_due(pid, callback)``: run ``callback`` once, at the current
     #: time, after everything due at it has been handled — including
     #: whatever that work makes due now (the drain point of the
     #: notification batch, and the notify tick).  Callbacks handed over at
     #: one time run in the order given; nothing is returned and nothing can
-    #: be cancelled.
-    after_due: Callable[[int, Callable[[], None]], None]
+    #: be cancelled.  An optional third argument counts the processes one
+    #: callback serves, as for ``schedule``.
+    after_due: Callable[..., None]
     #: The :class:`~repro.net.network.Network` signatures: ``send_app``,
     #: ``send_control``, ``multicast_control``, ``broadcast_control``.
     transport: Any
@@ -227,7 +231,6 @@ class ProcessHost:
             protocol.k_policy = self.controller.recommend
         #: Times the storage backend declared itself dead (fail-stop).
         self.storage_deaths = 0
-        self._timers: List[Callable[[], None]] = []
 
     # -- boot ------------------------------------------------------------------
 
@@ -356,43 +359,6 @@ class ProcessHost:
 
     # -- periodic activities --------------------------------------------------
 
-    def start_timers(self, horizon: Optional[float] = None) -> None:
-        """Arm the periodic activities (see :func:`periodic`).
-
-        Activity I runs on the grid phase * I + j * I, phase = (pid mod S
-        + 1) / (min(n, S) + 1) with S = :data:`PHASE_SLOTS`, so the
-        processes' flushes and checkpoints spread over the period — each
-        on its own phase up to n = S, beyond it S slots shared by the pids
-        congruent mod S.  The processes of one slot broadcast their
-        notifications at the same instants, so at a receiver they land
-        together and one drain merges them in one Receive_log pass.  The
-        notification's grid phase * F + j * N is anchored on the flush's,
-        and it runs behind everything else due at its instant
-        (``after_due``).  Whenever the two grids meet — at every flush
-        with the defaults, F = 40 = 2N — the flush is therefore reported
-        at its own instant."""
-        config = self.config
-        phase = (self.pid % PHASE_SLOTS + 1) / (min(config.n, PHASE_SLOTS) + 1)
-        flush_at = config.flush_interval * phase
-        activities = [
-            (config.checkpoint_interval * phase, config.checkpoint_interval,
-             self.checkpoint),
-            (flush_at, config.flush_interval, self.flush),
-            (flush_at, config.notify_interval,
-             lambda: self.env.after_due(self.pid, self.notify)),
-        ]
-        if self.controller is not None:
-            activities.append((config.control_interval * phase,
-                               config.control_interval, self.control_tick))
-        for anchor, interval, action in activities:
-            self._timers.append(periodic(self.env.schedule, anchor, interval,
-                                         action, horizon))
-
-    def stop_timers(self) -> None:
-        for cancel in self._timers:
-            cancel()
-        self._timers = []
-
     def flush(self) -> None:
         self._step("flush", self.protocol.flush)
 
@@ -504,3 +470,76 @@ class ProcessHost:
         pending, self.pending_control = self.pending_control, []
         for payload in pending:
             self.incoming(payload)
+
+
+def start_timers(hosts: Sequence[ProcessHost],
+                 horizon: Optional[float] = None,
+                 fold: bool = True) -> Callable[[], None]:
+    """Arm the periodic activities of ``hosts`` (given in pid order; see
+    :func:`periodic`) and return a function that cancels them all.
+
+    Activity I runs on the grid phase * I + j * I, phase = (pid mod S + 1)
+    / (min(n, S) + 1) with S = :data:`PHASE_SLOTS`, so the processes'
+    flushes and checkpoints spread over the period — each on its own phase
+    up to n = S, beyond it S slots shared by the pids congruent mod S.
+    The processes of one slot broadcast their notifications at the same
+    instants, so at a receiver they land together and one drain merges
+    them in one Receive_log pass.  The notification's grid
+    phase * F + j * N is anchored on the flush's, and it runs behind
+    everything else due at its instant (``after_due``).  Whenever the two
+    grids meet — at every flush with the defaults, F = 40 = 2N — the flush
+    is therefore reported at its own instant.
+
+    The hosts of one slot share one timer per activity, which runs that
+    activity for each of them in pid order (one ``after_due`` callback for
+    the notify tick); groups are armed slot by slot, each in activity
+    order.  With ``fold`` off — something watches the run callback by
+    callback — every host is its own group, armed in pid order."""
+    groups: Dict[int, List[ProcessHost]] = {}
+    for host in hosts:
+        groups.setdefault(host.pid % PHASE_SLOTS if fold else host.pid,
+                          []).append(host)
+    cancels = [cancel for key in sorted(groups)
+               for cancel in _arm_group(groups[key], horizon)]
+
+    def stop() -> None:
+        for cancel in cancels:
+            cancel()
+
+    return stop
+
+
+def _arm_group(members: List[ProcessHost],
+               horizon: Optional[float]) -> List[Callable[[], None]]:
+    """One :func:`periodic` timer per activity, shared by ``members``
+    (processes of one timer slot)."""
+    env = members[0].env
+    config = env.config
+    count = len(members)
+    schedule = partial(env.schedule, callbacks=count)
+    phase = ((members[0].pid % PHASE_SLOTS + 1)
+             / (min(config.n, PHASE_SLOTS) + 1))
+    flush_at = config.flush_interval * phase
+
+    def each(name: str) -> Callable[[], None]:
+        actions = [getattr(host, name) for host in members]
+
+        def run() -> None:
+            for action in actions:
+                action()
+
+        return run
+
+    notify = each("notify")
+    activities = [
+        (config.checkpoint_interval * phase, config.checkpoint_interval,
+         each("checkpoint")),
+        (flush_at, config.flush_interval, each("flush")),
+        (flush_at, config.notify_interval,
+         lambda: env.after_due(members[0].pid, notify, count)),
+    ]
+    if members[0].controller is not None:
+        activities.append((config.control_interval * phase,
+                           config.control_interval, each("control_tick")))
+    return [periodic(schedule, anchor, interval, action, horizon)
+            for anchor, interval, action in activities]

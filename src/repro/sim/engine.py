@@ -17,6 +17,11 @@ Two record shapes share the heap:
   record may stand for several process-level callbacks (a control message
   arriving at ``callbacks`` destinations at one instant).
 
+A handle record or a deferred callback may likewise stand for several
+(one periodic activity of every process sharing a timer slot); each
+record counts as many events as the callbacks it delivers, so
+:attr:`Engine.events_executed` does not depend on how work is folded.
+
 The two are discriminated by tuple length; the ``(time, seq)`` prefix
 alone decides pop order, so mixing shapes never affects the firing
 sequence.
@@ -63,13 +68,16 @@ class SimulationError(RuntimeError):
 class EventHandle:
     """Handle returned by :meth:`Engine.schedule`; supports cancellation."""
 
-    __slots__ = ("time", "cancelled", "label", "_callback", "_engine")
+    __slots__ = ("time", "cancelled", "label", "callbacks", "_callback",
+                 "_engine")
 
     def __init__(self, time: float, callback: Callable[..., None],
-                 label: Optional[str] = None):
+                 label: Optional[str] = None, callbacks: int = 1):
         self.time = time
         self.cancelled = False
         self.label = label
+        #: How many process-level callbacks firing delivers.
+        self.callbacks = callbacks
         self._callback = callback
         self._engine: Optional["Engine"] = None
 
@@ -95,8 +103,10 @@ class Engine:
         self._now = float(start_time)
         self._seq = 0
         self._queue: List[Tuple] = []
-        #: The end-of-instant queue: ``(callback, label)`` in defer order.
-        self._deferred: Deque[Tuple[Callable[[], None], Optional[str]]] = deque()
+        #: The end-of-instant queue: ``(callback, label, callbacks)`` in
+        #: defer order.
+        self._deferred: Deque[Tuple[Callable[[], None], Optional[str],
+                                    int]] = deque()
         self._live = 0
         self._events_executed = 0
         self._running = False
@@ -114,8 +124,8 @@ class Engine:
 
     @property
     def events_executed(self) -> int:
-        """Number of callbacks delivered so far: one per handle record and
-        deferred callback, ``callbacks`` per raw record."""
+        """Number of callbacks delivered so far: ``callbacks`` per fired
+        record or deferred callback (one unless it serves several)."""
         return self._events_executed
 
     @property
@@ -149,24 +159,28 @@ class Engine:
         delay: float,
         callback: Callable[[], None],
         label: Optional[str] = None,
+        callbacks: int = 1,
     ) -> EventHandle:
-        """Schedule ``callback`` to fire ``delay`` time units from now."""
+        """Schedule ``callback`` to fire ``delay`` time units from now;
+        ``callbacks`` is how many process-level callbacks it delivers."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, label)
+        return self.schedule_at(self._now + delay, callback, label, callbacks)
 
     def schedule_at(
         self,
         time: float,
         callback: Callable[[], None],
         label: Optional[str] = None,
+        callbacks: int = 1,
     ) -> EventHandle:
-        """Schedule ``callback`` to fire at absolute virtual ``time``."""
+        """Schedule ``callback`` to fire at absolute virtual ``time``;
+        ``callbacks`` is how many process-level callbacks it delivers."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} (current time {self._now})"
             )
-        handle = EventHandle(time, callback, label)
+        handle = EventHandle(time, callback, label, callbacks)
         handle._engine = self
         heapq.heappush(self._queue, (time, self._seq, handle))
         self._seq += 1
@@ -203,14 +217,16 @@ class Engine:
         self,
         callback: Callable[[], None],
         label: Optional[str] = None,
+        callbacks: int = 1,
     ) -> None:
         """Run ``callback`` at the current time, once nothing scheduled is
         due at it any more; deferred callbacks run in defer order.
+        ``callbacks`` is how many process-level callbacks it delivers.
 
         No handle and not cancellable.  Whatever a deferred callback
         schedules *at* the current time fires before the next deferred
         callback does."""
-        self._deferred.append((callback, label))
+        self._deferred.append((callback, label, callbacks))
         self._live += 1
 
     def _note_cancel(self) -> None:
@@ -287,7 +303,7 @@ class Engine:
         if total > 1:
             handles = [_display_handle(record) for record in records]
             handles += [EventHandle(self._now, callback, label)
-                        for callback, label in deferred]
+                        for callback, label, _ in deferred]
             index = self._tie_breaker(handles)
             if not 0 <= index < total:
                 raise SimulationError(
@@ -312,7 +328,7 @@ class Engine:
         callback = handle._callback
         handle.cancelled = True  # mark consumed; cancel() becomes no-op
         self._live -= 1
-        self._events_executed += 1
+        self._events_executed += handle.callbacks
         callback()  # type: ignore[misc]
         if self.post_step is not None:
             self.post_step()
@@ -327,7 +343,7 @@ class Engine:
 
     def _fire_deferred(self, entry: Tuple) -> None:
         self._live -= 1
-        self._events_executed += 1
+        self._events_executed += entry[2]
         entry[0]()
         if self.post_step is not None:
             self.post_step()

@@ -30,7 +30,13 @@ from repro.net.message import (
 )
 from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
-from repro.runtime.host import PHASE_SLOTS, Environment, ProcessHost, periodic
+from repro.runtime.host import (
+    PHASE_SLOTS,
+    Environment,
+    ProcessHost,
+    periodic,
+    start_timers,
+)
 from repro.sim.trace import Tracer
 from repro.storage.backend import StableBackend
 from repro.storage.faults import StorageDeadError
@@ -59,12 +65,12 @@ class FakeScheduler:
     def now(self):
         return self.time
 
-    def schedule(self, delay, callback):
+    def schedule(self, delay, callback, callbacks=1):
         handle = Handle(self.time + delay, callback)
         self.timers.append(handle)
         return handle
 
-    def after_due(self, pid, callback):
+    def after_due(self, pid, callback, callbacks=1):
         self.due.append(callback)
 
     def run_due(self):
@@ -361,7 +367,7 @@ class TestPeriodic:
         host, clock, transport = build(flush_interval=4.0,
                                        checkpoint_interval=8.0,
                                        notify_interval=2.0)
-        host.start_timers(horizon=8.0)
+        start_timers([host], horizon=8.0)
         clock.advance(50.0)
         # P0 of 3 processes has phase (pid + 1) / (n + 1) = 1/4 (its own
         # slot: n <= PHASE_SLOTS): flush at 1, 5; checkpoint at
@@ -378,8 +384,8 @@ class TestPeriodic:
 
     def test_stopped_timers_stay_stopped(self):
         host, clock, _transport = build()
-        host.start_timers()
-        host.stop_timers()
+        stop_timers = start_timers([host])
+        stop_timers()
         clock.advance(1000.0)
         assert host.protocol.calls == []
         assert not pending(clock)
@@ -411,7 +417,7 @@ class TestPeriodic:
             protocol.flush = recording_flush
             transport.broadcast_control = (
                 lambda src, payload, **kw: notes.append((clock.time, payload)))
-            host.start_timers(horizon=400.0)
+            start_timers([host], horizon=400.0)
             for t in range(3, 400, 7):              # deliveries to flush
                 clock.advance(float(t))
                 host.inject({}, seq=t)
@@ -451,7 +457,7 @@ class TestPhaseSlots:
         host = ProcessHost(env, pid, StubProtocol())
         flushes = []
         host.flush = lambda: flushes.append(clock.time)
-        host.start_timers()
+        start_timers([host])
         clock.advance(config.flush_interval)
         return flushes[0], config.flush_interval
 
@@ -494,7 +500,7 @@ class TestAdaptiveK:
         controller = host.controller
         assert controller is not None
         assert proc.k_policy == controller.recommend
-        host.start_timers(horizon=30.0)
+        start_timers([host], horizon=30.0)
 
         def commit(name, t0):
             host.execute([CommitOutput(

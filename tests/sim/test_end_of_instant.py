@@ -150,6 +150,36 @@ class TestBookkeeping:
         assert seen == [1, 2, 3, 4]
         assert engine.events_executed == 4
 
+    def test_grouped_handles_and_deferred_callbacks_count_their_members(self):
+        # One periodic timer of a whole timer slot, and its notify tick's
+        # end-of-instant callback, count one event per process served.
+        engine = Engine()
+        seen = []
+
+        def slot_tick():
+            seen.extend("abc")
+            engine.defer(lambda: seen.extend("ABC"), callbacks=3)
+
+        engine.schedule(1.0, slot_tick, callbacks=3)
+        engine.schedule_at(1.0, seen.append, callbacks=1).cancel()
+        engine.schedule(2.0, lambda: seen.append("d"))
+        engine.run(until=1.0)
+        assert seen == list("abcABC")
+        assert engine.events_executed == 6
+        engine.run()
+        assert engine.events_executed == 7
+
+    def test_cancelling_a_grouped_handle_cancels_every_member(self):
+        engine = Engine()
+        seen = []
+        handle = engine.schedule(1.0, lambda: seen.extend("abc"),
+                                 callbacks=3)
+        assert engine.pending == 1
+        handle.cancel()
+        assert engine.pending == 0
+        engine.run()
+        assert seen == [] and engine.events_executed == 0
+
 
 class TestTieBreaker:
     def test_deferred_work_is_offered_behind_the_records_due_now(self):
