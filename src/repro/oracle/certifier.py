@@ -10,9 +10,10 @@ not) and :meth:`~Certifier.commit` against the output-commit rule (a
 known interval with no potential revoker, not an orphan).
 :meth:`~Certifier.finish` judges quiescent consistency, the
 committed-output ledger — each output committed once, none from an
-interval rolled back or orphaned by the end — and lost sends: every send
-a surviving interval made was released.  A certifier built without
-``check_invariants`` only builds the graph: it judges nothing.
+interval rolled back or orphaned by the end — and lost work: every send
+a surviving interval made was released, and every output it made was
+committed.  A certifier built without ``check_invariants`` only builds
+the graph: it judges nothing.
 
 In simulation each host's executor makes the calls inline, as it
 interprets the effects; :mod:`repro.oracle.ingest` makes them from a
@@ -23,7 +24,7 @@ the same verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.entry import Entry
 from repro.oracle.graph import DependencyOracle, IntervalId
@@ -72,22 +73,35 @@ class Certifier:
         self._final: Tuple[int, List[str]] = (0, [])
         #: Every Theorem 4 verdict reported, so a repeat is not.
         self._release_verdicts: Set[str] = set()
-        #: Intervals with a send not yet released: one bit per send.
+        #: Intervals with a send not yet released, and with an output not
+        #: yet committed: one bit per send or output.
         self._owed: Dict[IntervalId, int] = {}
+        self._owed_outputs: Dict[IntervalId, int] = {}
         #: Processes that record their own stability only at Checkpoint:
-        #: their sends may wait at quiescence, so they owe none.
+        #: their sends and outputs may wait at quiescence, so they owe none.
         self.checkpoint_only: Set[int] = set()
+        #: ``(interval, seq) -> bool``: whether an output a surviving
+        #: interval never committed is excused.  The inline feed excuses a
+        #: commit journaled at a process that crashed (the known loss at
+        #: the fsync boundary); post hoc nothing is.
+        self.output_excused: Callable[[IntervalId, int], bool] = \
+            lambda iid, seq: False
 
     # -- facts ---------------------------------------------------------------
 
     def deliver(self, pid: int, interval: Entry, src: int,
-                src_interval: Optional[Entry], sends: int = 0) -> None:
+                src_interval: Optional[Entry], sends: int = 0,
+                outputs: int = 0) -> None:
         """A delivery at ``pid`` started ``interval``, which made ``sends``
-        sends.  One whose sender interval has not appeared (a tie in a
-        merged trace) waits for it: registering it now would drop the
-        edge."""
-        if sends and self.check_invariants:
-            self._owed[(pid, interval.inc, interval.sii)] = (1 << sends) - 1
+        sends and ``outputs`` outputs.  One whose sender interval has not
+        appeared (a tie in a merged trace) waits for it: registering it
+        now would drop the edge."""
+        if self.check_invariants:
+            iid = (pid, interval.inc, interval.sii)
+            if sends:
+                self._owed[iid] = (1 << sends) - 1
+            if outputs:
+                self._owed_outputs[iid] = (1 << outputs) - 1
         if src >= 0 and src_interval is not None:
             sender = (src, src_interval.inc, src_interval.sii)
             if not self.oracle.exists(sender):
@@ -127,13 +141,7 @@ class Certifier:
         if not self.check_invariants:
             return
         iid = (pid, interval.inc, interval.sii)
-        owed = self._owed.get(iid)
-        if owed is not None:
-            owed &= ~(1 << seq)
-            if owed:
-                self._owed[iid] = owed
-            else:
-                del self._owed[iid]
+        _pay(self._owed, iid, seq)
         self.counts["releases"] += 1
         revokers = self.oracle.potential_revokers(iid)
         if len(revokers) > self.max_release_revokers:
@@ -150,13 +158,15 @@ class Certifier:
                 self.violations.append(text)
 
     def commit(self, pid: int, interval: Entry, output: Any,
-               payload: Any = None) -> None:
-        """The output-commit rule for ``output``, sent from ``interval``."""
+               payload: Any = None, seq: int = 0) -> None:
+        """The output-commit rule for ``output``, the ``seq``-th output of
+        ``interval``."""
         if not self.check_invariants:
             return
         self.counts["commits"] += 1
         self.committed.append(payload)
         iid = (pid, interval.inc, interval.sii)
+        _pay(self._owed_outputs, iid, seq)
         oracle = self.oracle
         if not oracle.exists(iid):
             self._ledger.append((output, None))
@@ -212,16 +222,34 @@ class Certifier:
                     f"output {output} committed from orphan interval {iid}")
             seen.add(output)
         oracle = self.oracle
-        for iid, owed in sorted(self._owed.items()):
-            if (iid[0] not in self.checkpoint_only and oracle.exists(iid)
-                    and not oracle.node(iid).rolled_back
-                    and not oracle.is_orphan(iid)):
-                seqs = [seq for seq in range(owed.bit_length())
-                        if owed >> seq & 1]
-                violations.append(f"surviving interval {iid} never "
-                                  f"released send(s) {seqs}")
+        for owed, lost, excused in (
+                (self._owed, "released send(s)", lambda iid, seq: False),
+                (self._owed_outputs, "committed output(s)",
+                 self.output_excused)):
+            for iid, bits in sorted(owed.items()):
+                if (iid[0] in self.checkpoint_only or not oracle.exists(iid)
+                        or oracle.node(iid).rolled_back
+                        or oracle.is_orphan(iid)):
+                    continue
+                seqs = [seq for seq in range(bits.bit_length())
+                        if bits >> seq & 1 and not excused(iid, seq)]
+                if seqs:
+                    violations.append(
+                        f"surviving interval {iid} never {lost} {seqs}")
         self._final = (start, violations[start:])
         return Certification(
             violations=violations, committed=self.committed,
             counts=dict(self.counts,
                         max_release_revokers=self.max_release_revokers))
+
+
+def _pay(owed: Dict[IntervalId, int], iid: IntervalId, seq: int) -> None:
+    """Clear bit ``seq`` of what ``iid`` owes; forget it once it owes
+    nothing."""
+    bits = owed.get(iid)
+    if bits is not None:
+        bits &= ~(1 << seq)
+        if bits:
+            owed[iid] = bits
+        else:
+            del owed[iid]

@@ -105,7 +105,7 @@ def _apply(certifier: Certifier, record: Dict[str, Any]) -> None:
                 _entry(data, "inc", "sii"), src,
                 _entry(data, "src_inc", "src_sii")
                 if src >= 0 and "src_inc" in data else None,
-                int(data.get("sends", 0)))
+                int(data.get("sends", 0)), int(data.get("outputs", 0)))
         elif category == "dep.stable":
             call, args = certifier.stable, (_entry(data, "inc", "sii"),)
         elif category == "dep.release":
@@ -116,7 +116,7 @@ def _apply(certifier: Certifier, record: Dict[str, Any]) -> None:
         else:
             call, args = certifier.commit, (
                 _entry(data, "inc", "sii"), str(data["output"]),
-                data.get("payload"))
+                data.get("payload"), int(data.get("seq", 0)))
     except (KeyError, ValueError, TypeError) as exc:
         certifier.violations.append(
             f"malformed {category} record at P{pid}, "

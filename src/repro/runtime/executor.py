@@ -146,9 +146,10 @@ class EffectExecutor:
                 self.transport.broadcast_control(pid, effect.announcement)
             elif isinstance(effect, CommitOutput):
                 record = effect.record
+                seq = record.output_id.seq
                 if certifier is not None:
                     certifier.commit(pid, record.send_interval,
-                                     record.output_id, record.payload)
+                                     record.output_id, record.payload, seq)
                 books.commits.append((now, record))
                 # The commit's latency: end-to-end when the payload
                 # carries an open-loop injection stamp ``t0``, its buffer
@@ -163,7 +164,7 @@ class EffectExecutor:
                 if dep:
                     si = record.send_interval
                     tracer.record(now, "dep.commit", pid,
-                                  inc=si.inc, sii=si.sii,
+                                  inc=si.inc, sii=si.sii, seq=seq,
                                   output=str(record.output_id),
                                   payload=record.payload,
                                   wait=round(effect.wait, 6))
@@ -171,15 +172,18 @@ class EffectExecutor:
                 if not effect.replay:
                     msg = effect.message
                     sends = len(effect.sends)
+                    outputs = len(effect.outputs)
                     if certifier is not None:
                         certifier.deliver(pid, effect.interval, msg.src,
-                                          msg.send_interval, sends)
+                                          msg.send_interval, sends, outputs)
                     if dep:
                         data = {"inc": effect.interval.inc,
                                 "sii": effect.interval.sii,
                                 "src": msg.src}
                         if sends:
                             data["sends"] = sends
+                        if outputs:
+                            data["outputs"] = outputs
                         if msg.src >= 0 and msg.send_interval is not None:
                             data["src_inc"] = msg.send_interval.inc
                             data["src_sii"] = msg.send_interval.sii

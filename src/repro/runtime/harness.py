@@ -58,6 +58,7 @@ from repro.runtime.metrics import RunMetrics, merge, share
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
+from repro.types import OutputId
 
 #: The most flush/notify rounds ``settle`` runs before it gives up on
 #: quiescence (a run that never quiesces — a variant waiting on a
@@ -185,6 +186,7 @@ class SimulationHarness:
             self.certifier.checkpoint_only = {
                 host.pid for host in self.hosts
                 if not host.protocol.nullify_own_on_flush}
+            self.certifier.output_excused = self._journaled_before_a_crash
         for host in self.hosts:
             host.boot()
 
@@ -228,6 +230,17 @@ class SimulationHarness:
     def _run_step_probes(self) -> None:
         for probe in self._step_probes:
             probe(self)
+
+    def _journaled_before_a_crash(self, iid: Tuple[int, int, int],
+                                  seq: int) -> bool:
+        """Whether the ``seq``-th output of ``iid`` is journaled as
+        committed at a process that crashed: a crash after the fsync that
+        makes the commit record durable and before CommitOutput runs loses
+        the output for good (a known open loss the liveness probe excuses
+        too), since Restart will not commit it twice."""
+        host = self._by_pid[iid[0]]
+        return bool(host.crash_times) and \
+            host.protocol.storage.output_committed(OutputId(*iid, seq))
 
     # -- workload injection ---------------------------------------------------
 

@@ -7,7 +7,9 @@ run's ``dep.*`` records must report the same violations, string for
 string.  ``unbounded_release`` breaks Theorem 4, which the certifier
 itself judges, so its post-hoc verdict alone must kill it; the others
 are killed by the probes, and the certifier's verdict on them is whatever
-consistency and the ledger say, on both feeds alike.
+consistency and the ledger say, on both feeds alike.  Lost work is the
+certifier's own rule too: a send never released, an output never
+committed, by a surviving interval.
 """
 
 from dataclasses import replace
@@ -20,11 +22,13 @@ from repro.check import (
     RandomExplorer,
     RandomScenarioSampler,
 )
+from repro.check.cli import small_scenario
 from repro.check.probes import ProbeSet
 from repro.check.scenario import CrashPoint
 from repro.oracle.ingest import certify_tracer
 from repro.runtime.harness import SimulationHarness
 from repro.workloads.random_peers import TokenBehavior
+from helpers import SilentCommitProcess
 
 
 def traced_rerun(scenario, protocol):
@@ -74,3 +78,16 @@ def test_the_post_hoc_feed_reports_a_lost_send(index, name):
                               config.resolved_k()).violations
     lost = [v for v in post_hoc if "never released send" in v]
     assert len(lost) == 1, post_hoc
+
+
+@pytest.mark.parametrize("crash", [None, 1])
+def test_both_feeds_report_an_output_nobody_saw(crash):
+    # P0 journals its output's commit but never shows it, and never
+    # crashes: nothing excuses the loss, inline or post hoc.
+    scenario = small_scenario(n=3, k=1, tokens=4, horizon=40.0, crash=crash)
+    harness, _probes = traced_rerun(scenario, SilentCommitProcess)
+    config = harness.config
+    post_hoc = certify_tracer(harness.tracer, config.n,
+                              config.resolved_k()).violations
+    assert post_hoc == harness.violations == [
+        "surviving interval (0, 0, 5) never committed output(s) [0]"]

@@ -9,7 +9,7 @@ from typing import Any, Dict, List, Optional, Type
 
 from repro.app.behavior import AppBehavior, AppContext, EchoBehavior
 from repro.core.depvec import DependencyVector
-from repro.core.effects import Effect
+from repro.core.effects import CommitOutput, Effect
 from repro.core.entry import Entry
 from repro.core.protocol import KOptimisticProcess
 from repro.core.tables import LoggingProgressTable
@@ -202,3 +202,12 @@ def deliver_env(proc: KOptimisticProcess, payload: Any = None) -> List[Effect]:
         tdv=DependencyVector(proc.n),
     )
     return proc.on_receive(msg)
+
+
+class SilentCommitProcess(KOptimisticProcess):
+    """Journals each output's commit but never shows the output to the
+    outside world."""
+
+    def _update_output_buffer(self):
+        return [effect for effect in super()._update_output_buffer()
+                if not isinstance(effect, CommitOutput)]

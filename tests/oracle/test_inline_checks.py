@@ -30,12 +30,15 @@ from repro.failures.injector import CrashEvent, FailureSchedule
 from repro.net.message import OutputRecord
 from repro.oracle.certifier import Certifier
 from repro.oracle.ingest import certify_events
+from repro.types import OutputId
 
 from helpers import build_sim, make_msg
 
 WIDTHS = [16, 64]
 K = 2
 INTERVAL = Entry(0, 2)
+#: The first output of P2's interval INTERVAL.
+O1 = OutputId(K, INTERVAL.inc, INTERVAL.sii, 0)
 
 
 def ev(time, category, pid, **data):
@@ -50,8 +53,10 @@ class Calls:
         if columnar.numpy_module() is not None:
             assert self.certifier.oracle._use_np == (n >= 64)
 
-    def deliver(self, pid, interval, src=-1, src_interval=None, sends=0):
-        self.certifier.deliver(pid, interval, src, src_interval, sends)
+    def deliver(self, pid, interval, src=-1, src_interval=None, sends=0,
+                outputs=0):
+        self.certifier.deliver(pid, interval, src, src_interval, sends,
+                               outputs)
 
     def stable(self, pid, through):
         self.certifier.stable(pid, through)
@@ -62,8 +67,8 @@ class Calls:
     def recover(self, pid, survivor, new_current):
         self.certifier.recover(pid, survivor, new_current)
 
-    def commit(self, pid, interval, output):
-        self.certifier.commit(pid, interval, output)
+    def commit(self, pid, interval, output, seq=0):
+        self.certifier.commit(pid, interval, output, None, seq)
 
     def verdict(self):
         return self.certifier.finish()
@@ -79,12 +84,15 @@ class Records:
     def _add(self, category, pid, **data):
         self.events.append(ev(float(len(self.events)), category, pid, **data))
 
-    def deliver(self, pid, interval, src=-1, src_interval=None, sends=0):
+    def deliver(self, pid, interval, src=-1, src_interval=None, sends=0,
+                outputs=0):
         data = {"inc": interval.inc, "sii": interval.sii, "src": src}
         if src_interval is not None:
             data.update(src_inc=src_interval.inc, src_sii=src_interval.sii)
         if sends:
             data["sends"] = sends
+        if outputs:
+            data["outputs"] = outputs
         self._add("dep.deliver", pid, **data)
 
     def stable(self, pid, through):
@@ -101,9 +109,9 @@ class Records:
             data["k"] = k
         self._add("dep.release", pid, **data)
 
-    def commit(self, pid, interval, output):
+    def commit(self, pid, interval, output, seq=0):
         self._add("dep.commit", pid, inc=interval.inc, sii=interval.sii,
-                  output=output)
+                  seq=seq, output=output)
 
     def verdict(self):
         return certify_events(self.events, n=self.n, k=K)
@@ -216,6 +224,25 @@ class _CertifierSuite:
         feed.recover(3, Entry(0, 1), Entry(1, 2))
         assert feed.verdict().ok
 
+    def test_a_surviving_interval_that_never_committed_an_output(self, n):
+        feed = self.fed(n)
+        feed.deliver(3, INTERVAL, K, INTERVAL, sends=1, outputs=3)
+        for pid in range(4):
+            feed.stable(pid, INTERVAL)
+        feed.release(3, INTERVAL, "m0", k=n)
+        feed.commit(3, INTERVAL, "o0", seq=0)
+        feed.commit(3, INTERVAL, "o2", seq=2)
+        assert feed.verdict().violations == [
+            "surviving interval (3, 0, 2) never committed output(s) [1]"]
+        feed.commit(3, INTERVAL, "o1", seq=1)
+        assert feed.verdict().ok
+
+    def test_a_rolled_back_interval_owes_no_output(self, n):
+        feed = self.fed(n)
+        feed.deliver(3, INTERVAL, K, INTERVAL, outputs=2)
+        feed.recover(3, Entry(0, 1), Entry(1, 2))
+        assert feed.verdict().ok
+
     def test_hooks_reach_both_checks(self, n):
         # The executor's release and commit claims reach this feed's
         # checks: as its inline calls, or as its dep.* records.
@@ -226,7 +253,7 @@ class _CertifierSuite:
         beyond = make_msg(K, K + 1, n=n, send_interval=INTERVAL)
         harness.hosts[K].execute([
             ReleaseMessage(beyond),
-            CommitOutput(OutputRecord("o1", K, None, INTERVAL))])
+            CommitOutput(OutputRecord(O1, K, None, INTERVAL))])
         if self.Feed is Records:
             feed.events += [ev(e.time, e.category, e.process, **e.data)
                             for e in harness.tracer.events
@@ -234,7 +261,7 @@ class _CertifierSuite:
         assert feed.verdict().violations == [
             f"Theorem 4 violated: {beyond.msg_id} released by P2 with "
             f"3 potential revokers [0, 1, 2] > K=2",
-            "output o1 committed with live revokers [0, 1, 2]"]
+            f"output {O1} committed with live revokers [0, 1, 2]"]
 
 
 class TestHarnessChecks(_CertifierSuite):
@@ -247,7 +274,7 @@ class TestHarnessChecks(_CertifierSuite):
         relay_chain(Calls(n, harness.certifier))
         harness.hosts[K].execute([
             ReleaseMessage(make_msg(K, K + 1, n=n, send_interval=INTERVAL)),
-            CommitOutput(OutputRecord("o1", K, None, INTERVAL))])
+            CommitOutput(OutputRecord(O1, K, None, INTERVAL))])
         assert harness.violations == []
         assert harness.committed_outputs    # the books are still kept
 
@@ -258,9 +285,24 @@ class TestHarnessChecks(_CertifierSuite):
         # judges every process).
         harness = build_sim(n=n, until=None, protocol=StromYeminiProcess)
         assert harness.certifier.checkpoint_only == set(range(n))
-        harness.certifier.deliver(0, INTERVAL, -1, None, 1)
+        harness.certifier.deliver(0, INTERVAL, -1, None, 1, 1)
         assert harness.certifier.finish().ok
         assert build_sim(n=n, until=None).certifier.checkpoint_only == set()
+
+    def test_only_a_crash_excuses_a_journaled_commit(self, n):
+        # A commit record made durable just before a crash cut the step
+        # short of CommitOutput is the known open loss at the fsync
+        # boundary: the inline feed excuses it at a process that crashed,
+        # and nowhere else (the post-hoc feed excuses nothing).
+        harness = build_sim(n=n, until=None)
+        certifier = harness.certifier
+        certifier.deliver(0, INTERVAL, -1, None, 0, 2)
+        harness.hosts[0].protocol.storage.record_committed_output(
+            OutputId(0, INTERVAL.inc, INTERVAL.sii, 1))
+        lost = "surviving interval (0, 0, 2) never committed output(s)"
+        assert certifier.finish().violations == [f"{lost} [0, 1]"]
+        harness.hosts[0].crash()
+        assert certifier.finish().violations == [f"{lost} [0]"]
 
 
 class TestIngestChecks(_CertifierSuite):

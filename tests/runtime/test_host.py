@@ -41,6 +41,7 @@ from repro.sim.trace import Tracer
 from repro.storage.backend import StableBackend
 from repro.storage.faults import StorageDeadError
 from repro.storage.filelog import FileLogBackend
+from repro.types import OutputId
 from helpers import Scripted, build_sim, make_announcement, make_msg, make_proc
 
 N = 3
@@ -502,17 +503,18 @@ class TestAdaptiveK:
         assert proc.k_policy == controller.recommend
         start_timers([host], horizon=30.0)
 
-        def commit(name, t0):
-            host.execute([CommitOutput(
-                OutputRecord(name, 0, {"t0": t0}, Entry(0, 1)), wait=0.1)])
+        def commit(seq, t0):
+            host.execute([CommitOutput(OutputRecord(
+                OutputId(0, 0, 1, seq), 0, {"t0": t0}, Entry(0, 1)),
+                wait=0.1)])
 
         clock.time = 2.0
-        commit("o1", 0.5)
+        commit(0, 0.5)
         clock.advance(5.0)      # the control grid: 10 * (0 + 1) / (N + 1)
         assert [t for t, _k in controller.history] == [2.5]
         assert controller.window.samples() == [1.5]
         clock.time = 6.0
-        commit("o2", 5.0)
+        commit(1, 5.0)
         clock.advance(13.0)
         assert [t for t, _k in controller.history] == [2.5, 12.5]
         assert controller.window.samples() == [1.5, 1.0]
