@@ -256,12 +256,12 @@ def encode_control(payload: Any) -> Flat:
         table = payload.table
         if not isinstance(table, TableSnapshot):
             raise CodecError(f"unencodable log table {table!r}")
-        cols = table.cols
-        cols = cols if isinstance(cols, list) else cols.tolist()
         if not table.stride:
             # A zero-wide table: one block of absent slots carries its n.
             return "log", payload.origin, 1, [-1] * table.n
-        return "log", payload.origin, table.stride, cols
+        cols = table.cols
+        return ("log", payload.origin, table.stride,
+                cols if isinstance(cols, list) else cols.tolist())
     if isinstance(payload, LoggingRequest):
         return "req", payload.origin, payload.flush
     if isinstance(payload, Ack):

@@ -322,18 +322,13 @@ class ProbeSet:
                     f"{len(sends)} messages but only "
                     f"{released.get(key, 0)} were ever released")
             # Known open loss, not reported here (CHANGES.md, the FOUND
-            # entry on output commit at the fsync boundary): a crash after
-            # the fsync that makes an output's commit record durable and
-            # before CommitOutput runs loses that output for good, since
-            # Restart will not commit it twice.  So a journaled commit is
-            # excused only at a process that crashed; anywhere else an
-            # output the journal records but nobody saw is reported.
-            host = harness.hosts[pid]
-            excused = (host.protocol.storage.output_committed
-                       if host.crash_times else lambda output_id: False)
+            # entry on output commit at the fsync boundary): a journaled
+            # commit is excused only at a process that crashed; anywhere
+            # else an output the journal records but nobody saw is
+            # reported.
             lost = [seq for seq in range(len(outputs))
                     if OutputId(pid, inc, sii, seq) not in committed
-                    and not excused(OutputId(pid, inc, sii, seq))]
+                    and not harness.journaled_before_a_crash(key, seq)]
             if lost:
                 self._report(
                     f"liveness violated: surviving interval {key} output "

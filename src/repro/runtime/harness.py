@@ -186,7 +186,7 @@ class SimulationHarness:
             self.certifier.checkpoint_only = {
                 host.pid for host in self.hosts
                 if not host.protocol.nullify_own_on_flush}
-            self.certifier.output_excused = self._journaled_before_a_crash
+            self.certifier.output_excused = self.journaled_before_a_crash
         for host in self.hosts:
             host.boot()
 
@@ -231,13 +231,14 @@ class SimulationHarness:
         for probe in self._step_probes:
             probe(self)
 
-    def _journaled_before_a_crash(self, iid: Tuple[int, int, int],
-                                  seq: int) -> bool:
+    def journaled_before_a_crash(self, iid: Tuple[int, int, int],
+                                 seq: int) -> bool:
         """Whether the ``seq``-th output of ``iid`` is journaled as
-        committed at a process that crashed: a crash after the fsync that
+        committed at a process that crashed.  A crash after the fsync that
         makes the commit record durable and before CommitOutput runs loses
-        the output for good (a known open loss the liveness probe excuses
-        too), since Restart will not commit it twice."""
+        the output for good, since Restart will not commit it twice: a
+        known open loss, which the certifier's lost-work rule and the
+        liveness probe excuse through this test."""
         host = self._by_pid[iid[0]]
         return bool(host.crash_times) and \
             host.protocol.storage.output_committed(OutputId(*iid, seq))

@@ -2,19 +2,22 @@
 
 A :class:`ProcessHost` owns everything the paper defines per process
 around the sans-IO protocol: payload -> handler dispatch, the same-tick
-notification batch, the phase-staggered flush / checkpoint / notify /
-control timers, outside-world injection, quiescence, crash / downtime
-parking / restart, boot (fresh or after a crash), the clean fail-stop on
-a dead journal, the checker's effect probes, the process's books (commits,
-latency samples, rollbacks, crashes, lost intervals) and its adaptive-K
-controller.  It is written against an :class:`Environment`, never
-against a driver:
+notification batch, the flush / checkpoint / notify / control steps
+its phase-staggered timers run, outside-world injection, quiescence,
+crash / downtime parking / restart, boot (fresh or after a crash), the
+clean fail-stop on a dead journal, the checker's effect probes, the
+process's books (commits, latency samples, rollbacks, crashes, lost
+intervals) and its adaptive-K controller.  It is written against an
+:class:`Environment`, never against a driver:
 
 - the **simulation harness** supplies virtual time, the engine's timer
   queue and the simulated :class:`~repro.net.network.Network` (a parallel
   epoch worker is the same harness owning a slice of the pids);
 - the **runtime backplane** (:mod:`repro.backplane.worker`) supplies the
   wall clock, asyncio timers and a TCP transport.
+
+:func:`start_timers` arms those timers for a list of hosts: one timer per
+timer slot and activity, serving every host of the slot in pid order.
 
 What a driver keeps for itself is how bytes move and when time passes.
 The host itself sends nothing: every message a process sends — acks and

@@ -131,6 +131,16 @@ def test_a_wire_decode_draws_a_fresh_wire_id(message):
     assert_identical(replace(got, wire_id=message.wire_id), message)
 
 
+@pytest.mark.parametrize("n", [N, 64])
+def test_a_zero_wide_log_table_keeps_its_width(n):
+    # A table with no entry has no incarnation block: its columns alone
+    # cannot say how many processes it spans.
+    sent = log_notification(3, [{}] * n)
+    assert sent.table.stride == 0
+    flat = json.loads(json.dumps(codec.encode_control(sent)))
+    assert_identical(codec.decode_control(flat), sent)
+
+
 # -- malformed wire values ---------------------------------------------------------
 
 #: A value of none of the types a codec field holds.

@@ -49,7 +49,7 @@ SCENARIOS = {
 
 def arm_per_host(hosts, horizon, fold=True):
     """The reference: every activity of every host on a timer of its own,
-    armed host by host in pid order."""
+    armed host by host in pid order (whatever ``fold`` says)."""
     for host in hosts:
         config, env = host.config, host.env
         phase = ((host.pid % PHASE_SLOTS + 1)
@@ -87,9 +87,8 @@ def timer_records(monkeypatch):
 
 def run(n, scenario, probe=False):
     """One run; everything the comparison reads, taken before close."""
-    config = dict(SCENARIOS[scenario])
     harness = build_sim(n=n, k=2, seed=7, rate=2.0, until=DURATION * 0.6,
-                        **config)
+                        **SCENARIOS[scenario])
     sent = []
     multicast = harness.network.multicast_control
 
@@ -169,7 +168,12 @@ def test_slot_timers_run_like_per_host_timers(n, scenario, monkeypatch,
     folded_records = list(timer_records)
     timer_records.clear()
     reference = run_reference(n, scenario, monkeypatch)
-    assert_same_run(folded, reference)
+    reordered = assert_same_run(folded, reference)
+    if (n, scenario) == (40, "adaptive_k"):
+        # Not vacuous: two slots' records do swap in the first period,
+        # P33's checkpoint (slot 1) and P23's flush (slot 7) at 160 * 2/17
+        # among them.
+        assert pytest.approx(160 * 2 / 17) in reordered
     # One record per slot and grid instant: at most groups x ticks.
     config = SimConfig(n=n)
     intervals = [config.checkpoint_interval, config.flush_interval,
@@ -181,15 +185,6 @@ def test_slot_timers_run_like_per_host_timers(n, scenario, monkeypatch,
     assert len(timer_records) > len(folded_records)
     assert max(folded_records) == -(-n // PHASE_SLOTS)
     assert sum(folded_records) == len(timer_records) == sum(timer_records)
-
-
-def test_first_period_reorders_are_not_vacuous(monkeypatch):
-    # At n = 40 two slots' records do swap in the first period, among them
-    # P33's checkpoint (slot 1) and P23's flush (slot 7) at 160 * 2/17;
-    # assert_same_run requires each swap to be one of that kind.
-    reordered = assert_same_run(run(40, "adaptive_k"),
-                                run_reference(40, "adaptive_k", monkeypatch))
-    assert pytest.approx(160 * 2 / 17) in reordered
 
 
 @pytest.mark.parametrize("n", [17, 40])
