@@ -7,8 +7,8 @@ liveness probe (I7), each with the mutant it exists to kill.
   replay-determinism probe sees.
 - ``deaf_owner`` never answers a logging request: in fanout-pull mode its
   peers' held sends and pending outputs wait for ever on intervals that
-  survive, which only the liveness probe, run once the scenario has
-  settled, sees.
+  survive, which the liveness probe, run once the scenario has settled,
+  sees (as do the certifier's lost-work rules at ``finish``).
 - ``forgetful_checkpoint`` (Restart does not take back what its
   checkpoint owes) loses a surviving interval's output when a crash
   follows a checkpoint; ``frozen_incarnation_row`` (Restart does not
