@@ -27,9 +27,6 @@ and accumulates violations.  Together with the harness's
   non-own entry of its vector, and no entry of a held send or a pending
   output.  Every log change is followed by the nullification passes, so
   a variant that skips one leaves a known-stable entry behind.
-- **chain integrity** — a live chain never contains a rolled-back
-  interval (``DependencyOracle.chain_integrity_violations``), the
-  structural subset of consistency that must hold after *every* step.
 - **Theorem 4 and the output-commit rule** — not a probe: the certifier
   judges the release bound (at most K potential revokers per released
   message) on every ``ReleaseMessage`` effect, and the empty-revoker rule
@@ -44,17 +41,15 @@ and accumulates violations.  Together with the harness's
   first execution's.  Each interval's draws are a function of its
   identity (:func:`~repro.sim.rng.interval_key`), so a handler that draws
   from anything else — a shared generator, the clock — shows here.
-- **liveness at quiescence** — :meth:`ProbeSet.check_quiescent`, run once
-  after ``settle``: no held send and no pending output may depend only on
-  surviving intervals (existing, not rolled back, not orphaned); such a
-  one would wait for ever.  An owner that never answers a fanout-mode
-  logging request leaves exactly that behind.  Two more rules close the
-  gaps a crash can open: every send a surviving interval made was
-  released and every output it made committed (a Restart that does not
-  take back what its checkpoint owes loses them), and a process that
-  records its own flushes knows each of its own stable surviving
-  intervals (a Restart that forgets the end of an incarnation its
-  Rollback closed leaves it, and so every peer, unaware for ever).
+- **own stability at quiescence** — :meth:`ProbeSet.check_quiescent`,
+  run once after ``settle``: a process that records its own flushes
+  knows each of its own stable surviving intervals.  A Restart that
+  forgets the end of an incarnation its Rollback closed leaves it, and
+  so every peer, unaware for ever.  This rule reads the live log table;
+  the rules over the fact stream alone — a surviving interval's send
+  never released or output never committed (what a held send or pending
+  output waiting for ever comes to), a rolled-back interval on a live
+  chain — are judged once, by ``Certifier.finish``, on every feed.
 - **write-ahead** — whenever any effect of a process is interpreted, its
   storage backend has no synchronous write still waiting for the barrier
   (``StableBackend.sync_due``): no release, notification, announcement or
@@ -68,14 +63,13 @@ would repeat it every step).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.core.columnar import PACK_MASK, PACK_SHIFT
 from repro.core.effects import Effect, MessageDelivered, ReleaseMessage
 from repro.core.entry import Entry
 from repro.core.protocol import KOptimisticProcess
 from repro.runtime.harness import ProcessHost, SimulationHarness
-from repro.types import OutputId
 
 
 class ProbeSet:
@@ -87,8 +81,6 @@ class ProbeSet:
         #: ``(pid, inc, sii)`` -> the sends and outputs of its first
         #: execution.
         self._produced: Dict[Tuple[int, int, int], Tuple[Any, Any]] = {}
-        #: Every application message released, by id.
-        self._released: Set[Any] = set()
 
     def install(self, harness: SimulationHarness) -> None:
         harness.add_effect_probe(self._on_effect)
@@ -118,7 +110,6 @@ class ProbeSet:
     def _on_effect(self, host: ProcessHost, effect: Effect) -> None:
         self.write_ahead(host, effect)
         if isinstance(effect, ReleaseMessage):
-            self._released.add(effect.message.msg_id)
             self._check_release_k(host, effect)
             return
         if not isinstance(effect, MessageDelivered):
@@ -174,8 +165,6 @@ class ProbeSet:
     # -- step-level checks ---------------------------------------------------
 
     def _on_step(self, harness: SimulationHarness) -> None:
-        for text in harness.certifier.oracle.chain_integrity_violations():
-            self._report(text)
         self._check_vector_coverage(harness)
         self._check_vector_completeness(harness)
 
@@ -248,92 +237,26 @@ class ProbeSet:
     # -- quiescent checks ------------------------------------------------------
 
     def check_quiescent(self, harness: SimulationHarness) -> None:
-        """Liveness, once the run has settled: every held send and pending
-        output of a live process waits on some interval that did not
-        survive (rolled back or orphaned, so it is to be discarded), never
-        on surviving intervals alone."""
+        """Own stability, once the run has settled: a process that records
+        its own flushes knows every surviving interval of its own that is
+        stable.  Its peers learn stability only from it, so one it forgot
+        holds whatever depends on it for ever, even if nothing does yet."""
         if harness.certifier is None:
             return
-        oracle = harness.certifier.oracle
-
-        def survives(pid: int, entry: Entry) -> bool:
-            iid = (pid, entry.inc, entry.sii)
-            return (oracle.exists(iid) and not oracle.node(iid).rolled_back
-                    and not oracle.is_orphan(iid))
-
-        for host in harness.hosts:
-            proc = host.protocol
-            if host.down or proc.failed:
-                continue
-            waiting = [("held send", msg.msg_id, msg.tdv)
-                       for msg in proc.send_buffer]
-            waiting += [("pending output", p.record.output_id, p.tdv)
-                        for p in proc.output_buffer.pending]
-            for what, ident, tdv in waiting:
-                if all(survives(pid, entry) for pid, entry in tdv.items()):
-                    self._report(
-                        f"liveness violated: P{host.pid}'s {what} {ident} "
-                        f"still waits after settle, though every interval "
-                        f"it depends on survives ({dict(tdv.items())})"
-                    )
-        self._check_own_stability(harness, survives)
-        self._check_lost_work(harness, survives)
-
-    def _check_own_stability(self, harness: SimulationHarness,
-                             survives: Callable[[int, Entry], bool]) -> None:
-        """A process that records its own flushes knows every surviving
-        interval of its own that is stable: its peers learn stability
-        only from it, so one it forgot holds whatever depends on it for
-        ever, even if nothing does yet."""
         oracle = harness.certifier.oracle
         for host in harness.hosts:
             proc = host.protocol
             if host.down or proc.failed or not proc.nullify_own_on_flush:
                 continue
-            for pid, inc, sii in oracle.live_chain(host.pid):
-                entry = Entry(inc, sii)
-                if (oracle.node((pid, inc, sii)).stable
-                        and survives(pid, entry)
-                        and not proc.log.covers(pid, entry)):
+            for iid in oracle.live_chain(host.pid):
+                entry = Entry(iid[1], iid[2])
+                if (oracle.node(iid).stable and not oracle.is_orphan(iid)
+                        and not proc.log.covers(host.pid, entry)):
                     self._report(
-                        f"liveness violated: P{pid}'s log table does not "
-                        f"cover its own stable interval {entry}, so no "
+                        f"liveness violated: P{host.pid}'s log table does "
+                        f"not cover its own stable interval {entry}, so no "
                         f"peer can learn that it is stable")
                     break
-
-    def _check_lost_work(self, harness: SimulationHarness,
-                         survives: Callable[[int, Entry], bool]) -> None:
-        """What a surviving interval produced is never lost: each of its
-        sends was released and each of its outputs committed.  (A released
-        message may still be lost in transit, footnote 3's scope.)"""
-        released: Dict[Tuple[int, int, int], int] = {}
-        for msg_id in self._released:
-            key = (msg_id.sender, msg_id.send_inc, msg_id.send_sii)
-            released[key] = released.get(key, 0) + 1
-        committed = {record.output_id
-                     for _time, record in harness.committed_outputs}
-        for key, (sends, outputs) in sorted(self._produced.items()):
-            pid, inc, sii = key
-            if not survives(pid, Entry(inc, sii)):
-                continue
-            if released.get(key, 0) < len(sends):
-                self._report(
-                    f"liveness violated: surviving interval {key} sent "
-                    f"{len(sends)} messages but only "
-                    f"{released.get(key, 0)} were ever released")
-            # Known open loss, not reported here (CHANGES.md, the FOUND
-            # entry on output commit at the fsync boundary): a journaled
-            # commit is excused only at a process that crashed; anywhere
-            # else an output the journal records but nobody saw is
-            # reported.
-            lost = [seq for seq in range(len(outputs))
-                    if OutputId(pid, inc, sii, seq) not in committed
-                    and not harness.journaled_before_a_crash(key, seq)]
-            if lost:
-                self._report(
-                    f"liveness violated: surviving interval {key} output "
-                    f"{len(outputs)} records but {len(lost)} never "
-                    f"committed")
 
 
 def _entry(packed: int) -> Entry:

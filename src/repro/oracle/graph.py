@@ -408,25 +408,14 @@ class DependencyOracle:
 
     # -- invariant checks -----------------------------------------------------
 
-    def chain_integrity_violations(self) -> List[str]:
-        """Structural invariant that must hold after *every* step: a live
-        chain never contains a rolled-back interval (recovery truncates
-        the chain in the same oracle call that marks nodes rolled back)."""
-        if self._rolled_back_count == 0:
-            return []
-        return [
-            f"live chain of P{pid} contains rolled-back {iid}"
-            for pid in range(self.n)
-            for iid in self._chains[pid]
-            if self._nodes[iid].rolled_back
-        ]
-
     def check_consistency(self) -> List[str]:
-        """No surviving interval may be an orphan.  Returns violations.
+        """No surviving interval may be an orphan, and no live chain may
+        keep a rolled-back interval.  Returns violations.
 
-        Unlike :meth:`chain_integrity_violations` this is a *quiescent*
-        invariant: while announcements are still in flight a process may
-        transiently survive in an orphan state.
+        A *quiescent* invariant: while announcements are still in flight a
+        process may transiently survive in an orphan state.  (The chain
+        half holds after every step by construction: :meth:`record_recovery`
+        truncates the chain in the call that marks it.)
         """
         violations = []
         orphans = self._orphans()

@@ -237,8 +237,8 @@ class SimulationHarness:
         committed at a process that crashed.  A crash after the fsync that
         makes the commit record durable and before CommitOutput runs loses
         the output for good, since Restart will not commit it twice: a
-        known open loss, which the certifier's lost-work rule and the
-        liveness probe excuse through this test."""
+        known open loss, which the certifier's lost-output rule excuses
+        through this test (its ``output_excused``)."""
         host = self._by_pid[iid[0]]
         return bool(host.crash_times) and \
             host.protocol.storage.output_committed(OutputId(*iid, seq))
