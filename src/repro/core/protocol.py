@@ -283,7 +283,8 @@ class KOptimisticProcess:
         self.dissemination.peer_restarted(ann.origin)
 
         # Roll back first if our own state is orphaned (see fidelity notes).
-        if self._state_orphaned_by(ann):
+        rolled_back = self._state_orphaned_by(ann)
+        if rolled_back:
             effects += self._rollback()
 
         effects += self._scrub_orphans()
@@ -299,6 +300,11 @@ class KOptimisticProcess:
         effects += self._check_send_buffer()
         effects += self._update_output_buffer()
         effects += self._deliver_loop()
+        if rolled_back:
+            # The messages the Rollback requeued were stable before it and
+            # nobody resends an outside-world one: log them again, as
+            # delivered, in the Rollback's own barrier.
+            self.storage.append_log(self.volatile.drain(), sync=True)
         return effects
 
     # The retransmission component (repro.core.retransmit) decides these.

@@ -191,7 +191,10 @@ class TestRollback:
         proc.flush()
         assert proc.storage.log_size == 3
         proc.on_failure_announcement(make_announcement(2, 0, 3))
-        assert proc.storage.log_size == 1  # only the clean prefix remains
+        # Only the clean prefix remains of the old log; the requeued
+        # message is logged again where it was delivered again.
+        assert [(r.inc, r.position) for r in proc.storage.logged_after(0)] \
+            == [(0, 2), (1, 4)]
 
     def test_non_orphan_logged_messages_requeued(self):
         # The clean env message delivered *after* the orphan one must be
@@ -207,6 +210,21 @@ class TestRollback:
         assert proc.current == Entry(1, 3)
         assert proc.app_state["count"] == 1
         assert proc.stats.messages_requeued == 1
+
+    def test_a_requeued_outside_world_message_survives_a_crash(self):
+        # The Rollback pops the clean env message back into the receive
+        # buffer and delivers it again at (1,3).  It was stable before the
+        # Rollback and nobody resends an outside-world message, so a crash
+        # before the next flush must not lose it.
+        proc = make_proc(pid=0, n=4, behavior=CountingBehavior())
+        proc.on_receive(make_msg(2, 0, entries={2: Entry(0, 7)},
+                                 payload={"v": 2}))      # (0,2) orphan-to-be
+        deliver_env(proc, {"v": 3})                       # (0,3) clean payload
+        proc.on_failure_announcement(make_announcement(2, 0, 3))
+        assert proc.current == Entry(1, 3)
+        proc.crash()
+        proc.restart()
+        assert proc.app_state["count"] == 1
 
     def test_rollback_new_incarnation_is_persistent(self):
         # A crash right after a rollback must not reuse the incarnation.

@@ -57,6 +57,10 @@ STATED_DIFFERENCES: Dict[str, str] = {
     "committed nor pending",
     "storage-reclamation": "Checkpoint reclaims what precedes the newest "
     "checkpoint whose vector log covers (Theorem 3)",
+    "requeued-durable": "Receive_failure_ann ends a Rollback's step by "
+    "synchronously logging what it delivered after the Rollback: the "
+    "messages Rollback requeued were stable before it, and nobody resends "
+    "an outside-world message",
 }
 
 Row = Dict[int, int]
@@ -390,7 +394,8 @@ class Figure23Process:
         announcement, Insert it into iet[j] and (Corollary 1) log[j]; roll
         back iff tdv[j].inc ≤ t ∧ tdv[j].sii > x′ [rollback-first]; then
         Check_orphan the send and receive buffers, and the output buffer
-        [corollary1-on-tdv] [announcement-repeat]."""
+        [corollary1-on-tdv] [announcement-repeat]; after a Rollback,
+        synchronously log what was delivered since [requeued-durable]."""
         j, end = ann.origin, ann.end
         if self.iet[j].get(end.inc) == end.sii:
             return []
@@ -399,7 +404,9 @@ class Figure23Process:
         insert(self.log[j], end)
         effects: Effects = []
         mine = self.tdv.get(j)
-        if mine is not None and mine.inc <= end.inc and mine.sii > end.sii:
+        rolled_back = (mine is not None and mine.inc <= end.inc
+                       and mine.sii > end.sii)
+        if rolled_back:
             effects += self.rollback()
         for name in ("send_buffer", "receive_buffer"):
             kept = []
@@ -417,8 +424,12 @@ class Figure23Process:
                 kept_outputs.append((record, tdv))
         self.output_buffer = kept_outputs
         self.nullify_stable(self.tdv, skip=self.pid)
-        return (effects + self.check_send_buffer()
-                + self.update_output_buffer() + self.deliver_loop())
+        effects += (self.check_send_buffer() + self.update_output_buffer()
+                    + self.deliver_loop())
+        if rolled_back:
+            self.storage.append_log(self.volatile, sync=True)
+            self.volatile = []
+        return effects
 
     def rollback(self) -> Effects:
         """Rollback: force the volatile buffer to disk, restore the newest
