@@ -16,7 +16,9 @@ writes the ``dep.*`` records :mod:`repro.oracle.ingest` parses after a
 run.  Both on the list (n=16) and on the numpy (n=64) representation of
 the causal vector.  The lost-send rule of ``finish`` gets the same
 treatment: a surviving interval that never released one of its sends is
-named with the send's index.
+named with the send's index.  So does an interval created twice (a
+repeated ``deliver`` or ``recover``), which must leave the graph as it
+was.
 """
 
 import pytest
@@ -242,6 +244,29 @@ class _CertifierSuite:
         feed.deliver(3, INTERVAL, K, INTERVAL, outputs=2)
         feed.recover(3, Entry(0, 1), Entry(1, 2))
         assert feed.verdict().ok
+
+    def test_an_interval_delivered_twice_is_flagged(self, n):
+        # A repeated record (or a reused id) must not replace the node: the
+        # interval keeps the past it was created with, P2's relay chain.
+        feed = self.fed(n)
+        feed.deliver(3, INTERVAL, K, INTERVAL)
+        feed.deliver(3, INTERVAL, 0, INTERVAL)
+        feed.release(3, INTERVAL, "m3", k=n)
+        verdict = feed.verdict()
+        assert verdict.violations == ["interval (3, 0, 2) created twice"]
+        assert verdict.counts["max_release_revokers"] == K + 2
+
+    def test_an_interval_recovered_into_twice_is_flagged(self, n):
+        feed = self.fed(n)
+        feed.recover(K, Entry(0, 1), Entry(1, 2))
+        feed.recover(K, Entry(0, 1), Entry(1, 2))
+        feed.deliver(3, Entry(0, 2), K, Entry(1, 2), sends=1)
+        feed.release(3, Entry(0, 2), "m3", k=n)
+        verdict = feed.verdict()
+        # The second record rolls nothing back: (2, 1, 2) survives, and
+        # so does the interval that depends on it.
+        assert verdict.violations == ["interval (2, 1, 2) created twice"]
+        assert verdict.counts["recoveries"] == 1
 
     def test_hooks_reach_both_checks(self, n):
         # The executor's release and commit claims reach this feed's
