@@ -5,8 +5,8 @@ controlled run: topology (n, K, seed), token-workload injections,
 crash/partition placements, the horizon, and the schedule *choices* — the
 indices an external tie-breaker picks among same-time engine events.
 ``run_scenario`` executes one scenario with the invariant probe layer
-installed, runs the quiescent liveness probe once it has settled, and
-returns a :class:`CheckResult`.
+installed, runs the quiescent own-stability probe once it has settled,
+and returns a :class:`CheckResult`.
 
 Scenarios use a **lockstep** network (fixed unit latency, no jitter, no
 per-entry cost) so that independently sent messages arrive at the same

@@ -14,9 +14,9 @@ Two campaign styles, both deterministic given their seed:
   and re-commits no duplicate.
 
 Every run is judged by the harness's certifier (its ledger: each output
-committed once, none from an interval rolled back or orphaned by the end)
-and a :class:`~repro.check.probes.ProbeSet`, its quiescent liveness probe
-included.  The campaigns add
+committed once, none from an interval rolled back or orphaned by the end;
+its lost-work rules) and a :class:`~repro.check.probes.ProbeSet`, its
+own-stability probe included.  The campaigns add
 :func:`durability_violations`: every committed output is still recorded
 as committed in its process's stable storage — the at-most-once guard
 that survives REDO replay.
