@@ -11,6 +11,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+#: The confidence level of every interval :func:`summarize` reports.
+CONFIDENCE = 0.95
+
 
 @dataclass(frozen=True)
 class Summary:
@@ -26,17 +29,18 @@ class Summary:
         return f"{self.mean:.3f} +/- {(self.ci_high - self.mean):.3f}"
 
 
-def _t_quantile(df: int, confidence: float) -> float:
-    """Two-sided Student-t quantile; falls back to the normal value."""
+def _t_quantile(df: int) -> float:
+    """Two-sided Student-t quantile at ``CONFIDENCE``; falls back to the
+    normal value."""
     try:
         from scipy import stats
 
-        return float(stats.t.ppf(0.5 + confidence / 2.0, df))
+        return float(stats.t.ppf(0.5 + CONFIDENCE / 2.0, df))
     except Exception:  # pragma: no cover - scipy is present in CI
         return 1.96
 
 
-def summarize(values: Sequence[float], confidence: float = 0.95) -> Summary:
+def summarize(values: Sequence[float]) -> Summary:
     """Mean with a two-sided t confidence interval."""
     values = list(values)
     if not values:
@@ -47,7 +51,7 @@ def summarize(values: Sequence[float], confidence: float = 0.95) -> Summary:
         return Summary(1, mean, 0.0, mean, mean)
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     std = math.sqrt(var)
-    half = _t_quantile(n - 1, confidence) * std / math.sqrt(n)
+    half = _t_quantile(n - 1) * std / math.sqrt(n)
     return Summary(n, mean, std, mean - half, mean + half)
 
 

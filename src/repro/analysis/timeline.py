@@ -40,17 +40,20 @@ def _cell_text(category: str, data: Dict[str, Any]) -> str:
     return "?"
 
 
+#: Characters per cell.
+CELL = 7
+
+
 class TimelineRenderer:
     """Turns a trace into a fixed-width, one-row-per-process diagram."""
 
-    def __init__(self, n: int, width: int = 72, cell: int = 7):
+    def __init__(self, n: int, width: int = 72):
         if n <= 0:
             raise ValueError("need at least one process")
-        if width < cell:
+        if width < CELL:
             raise ValueError("width must fit at least one cell")
         self.n = n
-        self.columns = max(1, width // cell)
-        self.cell = cell
+        self.columns = max(1, width // CELL)
 
     def render(self, tracer: Tracer, t_start: Optional[float] = None,
                t_end: Optional[float] = None) -> str:
@@ -79,7 +82,7 @@ class TimelineRenderer:
 
         lines = [self._time_axis(lo, hi)]
         for pid in range(self.n):
-            row = "".join(text.ljust(self.cell)[: self.cell]
+            row = "".join(text.ljust(CELL)[:CELL]
                           for _p, text in cells[pid])
             lines.append(f"P{pid:<2} |{row}")
         lines.append(self._legend())
@@ -88,7 +91,7 @@ class TimelineRenderer:
     def _time_axis(self, lo: float, hi: float) -> str:
         left = f"t={lo:.0f}"
         right = f"t={hi:.0f}"
-        middle_width = self.columns * self.cell - len(left) - len(right)
+        middle_width = self.columns * CELL - len(left) - len(right)
         return "    " + left + "-" * max(1, middle_width) + right
 
     @staticmethod

@@ -51,6 +51,7 @@ from repro.backplane.framing import (
 from repro.backplane.loadgen import generate_stimuli
 from repro.oracle.certifier import Certification
 from repro.oracle.ingest import certify_traces
+from repro.runtime.config import SETTLE_ROUNDS
 
 
 @dataclass
@@ -74,7 +75,6 @@ class ServePlan:
     profile: str = "uniform"
     #: Explicit stimulus list (overrides ``rate``; see loadgen).
     stimuli: Optional[List[Dict[str, Any]]] = None
-    settle_rounds: int = 60
 
 
 @dataclass
@@ -472,7 +472,7 @@ class Coordinator:
         plan = self.plan
         pause = max(0.05, 10.0 * plan.timescale)
         consecutive = 0
-        for _ in range(plan.settle_rounds):
+        for _ in range(SETTLE_ROUNDS):
             statuses = [await self._status(pid) for pid in range(plan.n)]
             if all(s is not None and s["quiescent"] for s in statuses):
                 consecutive += 1
@@ -491,7 +491,7 @@ class Coordinator:
                     await conn.send({"t": "cmd", "op": "notify"})
             await asyncio.sleep(pause)
         self.failures.append(
-            f"settle: not quiescent after {plan.settle_rounds} rounds")
+            f"settle: not quiescent after {SETTLE_ROUNDS} rounds")
         return 0
 
     async def _shutdown_workers(self) -> None:

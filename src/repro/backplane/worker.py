@@ -69,8 +69,6 @@ def config_from_manifest(manifest: Dict[str, Any], run_dir: str) -> SimConfig:
         retransmit_timeout=8.0,
         retransmit_budget=12,
         retransmit_window=64,
-        trace_enabled=True,
-        check_invariants=False,  # certification is post-hoc via the oracle
         dep_trace=True,
     )
 
@@ -111,8 +109,7 @@ class CoordinatorTransport:
         for dst in dsts:
             self.send_control(src, dst, payload)
 
-    def broadcast_control(self, src: int, payload: Any,
-                          include_self: bool = False) -> None:
+    def broadcast_control(self, src: int, payload: Any) -> None:
         # dst -1 = coordinator-side fan-out.
         self.send_control(src, -1, payload)
 

@@ -5,22 +5,14 @@ dependency tracking is what makes *per-message*, runtime-chosen K legal
 (Section 4.2).  This package closes the loop the ROADMAP asks for: a
 per-process controller observes output-commit latency and revocation
 risk and retunes K on the fly through the per-message K path, with a
-deterministic (seeded, wall-clock-free) AIMD rule so simulated traces
-stay bit-identically replayable.  See docs/CONTROL.md.
+deterministic (wall-clock-free) AIMD rule so simulated traces stay
+bit-identically replayable.  See docs/CONTROL.md.
 """
 
-from repro.control.controller import (
-    AdaptiveKController,
-    ControllerConfig,
-    KDecision,
-    Observation,
-)
-from repro.control.slo import LatencyWindow
+from repro.control.controller import AdaptiveKController, KDecision, Observation
 
 __all__ = [
     "AdaptiveKController",
-    "ControllerConfig",
     "KDecision",
-    "LatencyWindow",
     "Observation",
 ]

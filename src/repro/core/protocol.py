@@ -142,7 +142,6 @@ class KOptimisticProcess:
         retransmit_window: int = 0,
         retransmit_timeout: float = 0.0,
         retransmit_budget: int = 8,
-        k_policy: Optional[Callable[[], int]] = None,
         delta_notifications: bool = False,
         gossip_log_tables: bool = True,
         notify_fanout: Optional[int] = None,
@@ -174,7 +173,7 @@ class KOptimisticProcess:
         # for sends the application left unbounded.  The adaptive-K
         # controller (repro.control) plugs in here; ``None`` keeps the
         # static system-wide K.
-        self.k_policy = k_policy
+        self.k_policy: Optional[Callable[[], int]] = None
         # Latency accounting across a restart boundary: outputs
         # re-enqueued by crash-recovery replay are backdated to the crash
         # time (their original enqueue time died with the volatile output

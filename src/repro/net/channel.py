@@ -29,16 +29,15 @@ class LatencyModel:
 
 
 class FixedLatency(LatencyModel):
-    """Constant base delay plus a linear piggyback cost."""
+    """Constant delay, whatever the piggyback."""
 
-    def __init__(self, base: float = 1.0, per_entry: float = 0.0):
-        if base < 0 or per_entry < 0:
+    def __init__(self, base: float = 1.0):
+        if base < 0:
             raise ValueError("latencies must be non-negative")
         self.base = base
-        self.per_entry = per_entry
 
     def delay(self, rng: Optional[Draws], piggyback_entries: int = 0) -> float:
-        return self.base + self.per_entry * piggyback_entries
+        return self.base
 
     def draws_rng(self) -> bool:
         return False

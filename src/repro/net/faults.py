@@ -20,28 +20,29 @@ from typing import Dict, Optional, Tuple
 from repro.sim.rng import Draws, RngRegistry
 
 
+#: The widest extra delay a reordered transmission gets.
+REORDER_SPREAD = 4.0
+
+
 @dataclass(frozen=True)
 class ChannelFaults:
     """Per-channel fault probabilities.
 
     ``drop``/``duplicate``/``reorder`` are independent per-transmission
     probabilities; a reordered message is additionally delayed by a
-    uniform amount in ``[0, reorder_spread)`` on top of its normal
+    uniform amount in ``[0, REORDER_SPREAD)`` on top of its normal
     latency (non-FIFO channels then overtake it naturally).
     """
 
     drop: float = 0.0
     duplicate: float = 0.0
     reorder: float = 0.0
-    reorder_spread: float = 4.0
 
     def validate(self) -> None:
         for name in ("drop", "duplicate", "reorder"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} probability must be in [0,1], got {p}")
-        if self.reorder_spread < 0:
-            raise ValueError("reorder_spread must be non-negative")
 
     @property
     def any_enabled(self) -> bool:
@@ -75,16 +76,10 @@ class NetworkFaultModel:
         self,
         rngs: RngRegistry,
         default: Optional[ChannelFaults] = None,
-        overrides: Optional[Dict[Tuple[int, int], ChannelFaults]] = None,
-        apply_to_control: bool = True,
     ):
         self.rngs = rngs
         self.default = default or ChannelFaults()
         self.default.validate()
-        self.overrides = dict(overrides or {})
-        for faults in self.overrides.values():
-            faults.validate()
-        self.apply_to_control = apply_to_control
         #: Each ``(src, dst, control)`` channel's fault draws (key and
         #: index), made on its first probabilistic decision.
         self._draws: Dict[Tuple[int, int, bool], Draws] = {}
@@ -94,9 +89,6 @@ class NetworkFaultModel:
         self.partitions_seen = 0
 
     # -- channel fault parameters ------------------------------------------
-
-    def faults_for(self, src: int, dst: int) -> ChannelFaults:
-        return self.overrides.get((src, dst), self.default)
 
     def set_rates(
         self,
@@ -156,9 +148,7 @@ class NetworkFaultModel:
         """The fate of one transmission on the ``src``->``dst`` channel."""
         if self.partitioned(src, dst):
             return FaultDecision(drop=True, partition_drop=True)
-        if control and not self.apply_to_control:
-            return DELIVER
-        faults = self.faults_for(src, dst)
+        faults = self.default
         if not faults.any_enabled:
             return DELIVER
         rng = self._draws.get((src, dst, control))
@@ -180,7 +170,7 @@ class NetworkFaultModel:
         u = u / dup if duplicate else (u - dup) / (1.0 - dup)
         extra = 0.0
         if u < faults.reorder:
-            extra = faults.reorder_spread * (u / faults.reorder)
+            extra = REORDER_SPREAD * (u / faults.reorder)
         if duplicate or extra:
             return FaultDecision(duplicate=duplicate, extra_delay=extra)
         return DELIVER

@@ -154,14 +154,10 @@ class Network:
         one process: :meth:`multicast_control` with a single destination."""
         self.multicast_control(src, (dst,), payload)
 
-    def broadcast_control(
-        self, src: int, payload: Any, include_self: bool = False,
-    ) -> None:
-        """Send a control message to every (other) process."""
+    def broadcast_control(self, src: int, payload: Any) -> None:
+        """Send a control message to every other process."""
         self.multicast_control(
-            src,
-            [dst for dst in range(self.n) if include_self or dst != src],
-            payload)
+            src, [dst for dst in range(self.n) if dst != src], payload)
 
     def multicast_control(self, src: int, dsts: Sequence[int],
                           payload: Any) -> None:

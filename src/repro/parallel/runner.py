@@ -34,8 +34,8 @@ from repro.failures.injector import (
 )
 from repro.parallel.trace import DepEvent, canonical_dep_events
 from repro.parallel.worker import OutboxEntry, worker_main
-from repro.runtime.config import CONTROL_LATENCY, MSG_LATENCY_BASE, SimConfig
-from repro.runtime.harness import SETTLE_ROUNDS
+from repro.runtime.config import (CONTROL_LATENCY, MSG_LATENCY_BASE,
+                                  SETTLE_ROUNDS, SimConfig)
 from repro.runtime.metrics import RunMetrics, merge
 
 

@@ -24,6 +24,10 @@ ASYNC_WRITE_COST = 0.1
 #: The retransmission timeout an unreliable network runs with when the
 #: config leaves ``retransmit_timeout`` at 0.
 RETRANSMIT_TIMEOUT = 4.0
+#: The most flush/notify rounds a driver's settle runs before it gives up
+#: on quiescence (a run that never quiesces — a variant waiting on a
+#: checkpoint settle never takes — stops here, unquiescent).
+SETTLE_ROUNDS = 64
 
 
 @dataclass

@@ -50,6 +50,7 @@ from repro.runtime.config import (
     CONTROL_LATENCY,
     MSG_LATENCY_BASE,
     RETRANSMIT_TIMEOUT,
+    SETTLE_ROUNDS,
     SimConfig,
 )
 from repro.runtime.host import (Environment, ProcessHost, build_protocol,
@@ -59,11 +60,6 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
 from repro.types import OutputId
-
-#: The most flush/notify rounds ``settle`` runs before it gives up on
-#: quiescence (a run that never quiesces — a variant waiting on a
-#: checkpoint settle never takes — stops here, unquiescent).
-SETTLE_ROUNDS = 64
 
 
 class SimulationHarness:

@@ -222,12 +222,11 @@ class ProcessHost:
             # Imported here: repro.control's latency math lives on
             # repro.runtime.metrics, so a top-level import would close an
             # import cycle through the package __init__s.
-            from repro.control import AdaptiveKController, ControllerConfig
+            from repro.control import AdaptiveKController
 
-            self.controller = AdaptiveKController(pid, ControllerConfig(
-                k_max=self.config.resolved_k_max(),
-                slo_target=self.config.slo_output_latency,
-            ), seed=self.config.seed)
+            self.controller = AdaptiveKController(
+                pid, self.config.resolved_k_max(),
+                self.config.slo_output_latency)
             # Every message the application sends without an explicit
             # bound carries the controller's current K (Section 4.2's
             # per-message path keeps receivers correct).

@@ -99,8 +99,8 @@ def _is_dead(record: Tuple) -> bool:
 class Engine:
     """A single-threaded discrete-event scheduler with virtual time."""
 
-    def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+    def __init__(self):
+        self._now = 0.0
         self._seq = 0
         self._queue: List[Tuple] = []
         #: The end-of-instant queue: ``(callback, label, callbacks)`` in

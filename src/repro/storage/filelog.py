@@ -26,7 +26,7 @@ REDO, on every restart; what this class adds is the *physical* layer:
   exhausted budget (or an injected fsync-boundary crash) declares the
   backend **dead**: every operation raises :class:`StorageDeadError` until
   :meth:`recover`, which the runtime turns into a clean fail-stop crash;
-- past ``max_pending_records`` despite failing tolerant commits, the
+- past ``MAX_PENDING_RECORDS`` despite failing tolerant commits, the
   backend forces a blocking group commit rather than grow the un-durable
   window without bound;
 - garbage collection triggers snapshot **compaction**: the live logical
@@ -69,8 +69,15 @@ from repro.storage.recovery import (
 from repro.storage.stable import Checkpoint, LoggedMessage, ModelBackend
 from repro.types import IntervalIndex
 
+#: Seal the active segment and open the next once it would pass this size.
+SEGMENT_BYTES = 262144
 #: Compact once this many segments exist (tail + history).
 COMPACT_SEGMENT_THRESHOLD = 4
+#: Records a failing tolerant commit may leave pending before the backend
+#: forces a blocking group commit.
+MAX_PENDING_RECORDS = 64
+#: Retries of a transient I/O error before the backend declares itself dead.
+IO_RETRIES = 5
 #: Backoff between retries of a transient I/O error: doubling from the
 #: base, capped.  Recorded in ``backoff_time``, never slept (simulation
 #: determinism).
@@ -120,9 +127,6 @@ class FileLogBackend(ModelBackend):
         directory: str,
         *,
         seed: int = 0,
-        segment_bytes: int = 262144,
-        max_pending_records: int = 64,
-        io_retries: int = 5,
         fsync_policy: str = "group",
     ):
         super().__init__(pid)
@@ -132,9 +136,6 @@ class FileLogBackend(ModelBackend):
             )
         self.directory = directory
         self.injector = StorageFaultInjector(pid, seed)
-        self._segment_bytes = segment_bytes
-        self._max_pending_records = max_pending_records
-        self._retry_limit = io_retries
         self._fsync_policy = fsync_policy
 
         self._handle: Optional[Any] = None
@@ -183,7 +184,7 @@ class FileLogBackend(ModelBackend):
         self._dead = True
         self.dead_declared += 1
         raise StorageDeadError(
-            f"P{self.pid}: storage gave up after {self._retry_limit} retries "
+            f"P{self.pid}: storage gave up after {IO_RETRIES} retries "
             f"({context})"
         )
 
@@ -195,7 +196,7 @@ class FileLogBackend(ModelBackend):
                 return op()
             except TransientStorageError:
                 self.io_errors += 1
-                if attempt >= self._retry_limit:
+                if attempt >= IO_RETRIES:
                     self._die(context)
                 self.backoff_time += min(IO_BACKOFF_MAX,
                                          IO_BACKOFF_BASE * 2 ** attempt)
@@ -211,7 +212,7 @@ class FileLogBackend(ModelBackend):
 
     def _append_frame(self, rtype: int, obj: Any) -> None:
         data = encode_record(rtype, obj)
-        if self._written > 0 and self._written + len(data) > self._segment_bytes:
+        if self._written > 0 and self._written + len(data) > SEGMENT_BYTES:
             self._rotate()
         self._retrying(lambda: self._physical_write(data), f"write(type={rtype})")
         self._written += len(data)
@@ -487,7 +488,7 @@ class FileLogBackend(ModelBackend):
         # than let it grow further.
         if (
             not self._group_commit(strict=False)
-            and self._pending_records > self._max_pending_records
+            and self._pending_records > MAX_PENDING_RECORDS
         ):
             self.forced_group_commits += 1
             self._group_commit(strict=True)

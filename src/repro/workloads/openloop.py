@@ -33,54 +33,49 @@ from typing import Any, Iterator
 from repro.app.behavior import AppBehavior, AppContext
 from repro.workloads.base import Workload
 
+# The arrival shape.
+#: Pareto tail index of the interarrival gaps: above 1 (a finite mean),
+#: and the closer to 1, the heavier the tail.
+ALPHA = 1.7
+#: The diurnal sinusoid's relative amplitude, in [0, 1), and period.
+DIURNAL_AMPLITUDE = 0.4
+DIURNAL_PERIOD = 400.0
+#: Chance that an arrival opens a burst episode, the rate multiplier
+#: inside one, and the episode's mean length in arrivals.
+BURST_PROBABILITY = 0.02
+BURST_MULTIPLIER = 6.0
+BURST_MEAN_LENGTH = 12.0
+
 
 def open_loop_times(
     rng: random.Random,
     rate: float,
     until: float,
-    *,
-    alpha: float = 1.7,
-    diurnal_amplitude: float = 0.4,
-    diurnal_period: float = 400.0,
-    burst_probability: float = 0.02,
-    burst_multiplier: float = 6.0,
-    burst_mean_length: float = 12.0,
 ) -> Iterator[float]:
     """Yield open-loop arrival times in ``[0, until)``.
 
-    Interarrival gaps are Pareto(``alpha``) scaled so the *instantaneous*
+    Interarrival gaps are Pareto(``ALPHA``) scaled so the *instantaneous*
     mean rate tracks ``rate`` modulated by a diurnal sinusoid; a burst
-    episode (geometric length, mean ``burst_mean_length`` arrivals)
-    multiplies the instantaneous rate by ``burst_multiplier``.
-    ``alpha`` must exceed 1 (a finite-mean tail), and values close to 1
-    make the tail heavier.
+    episode (geometric length, mean ``BURST_MEAN_LENGTH`` arrivals)
+    multiplies the instantaneous rate by ``BURST_MULTIPLIER``.
     """
     if rate <= 0:
         return
-    if alpha <= 1.0:
-        raise ValueError(f"alpha must be > 1 for a finite mean, got {alpha}")
-    if not 0.0 <= diurnal_amplitude < 1.0:
-        raise ValueError(
-            f"diurnal_amplitude must be in [0, 1), got {diurnal_amplitude}"
-        )
     t = 0.0
     burst_left = 0
     # Pareto(alpha, xm) has mean xm * alpha / (alpha - 1); choose xm so
     # the mean gap is 1/r at the instantaneous rate r.
-    mean_factor = (alpha - 1.0) / alpha
+    mean_factor = (ALPHA - 1.0) / ALPHA
     while True:
-        r = rate
-        if diurnal_amplitude > 0:
-            r *= 1.0 + diurnal_amplitude * math.sin(
-                2.0 * math.pi * t / diurnal_period
-            )
+        r = rate * (1.0 + DIURNAL_AMPLITUDE * math.sin(
+            2.0 * math.pi * t / DIURNAL_PERIOD))
         if burst_left > 0:
             burst_left -= 1
-            r *= burst_multiplier
-        elif burst_probability > 0 and rng.random() < burst_probability:
-            burst_left = 1 + int(rng.expovariate(1.0 / burst_mean_length))
+            r *= BURST_MULTIPLIER
+        elif rng.random() < BURST_PROBABILITY:
+            burst_left = 1 + int(rng.expovariate(1.0 / BURST_MEAN_LENGTH))
         xm = mean_factor / max(r, 1e-9)
-        t += xm * rng.paretovariate(alpha)
+        t += xm * rng.paretovariate(ALPHA)
         if t >= until:
             return
         yield t

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import report
 from repro.analysis.report import ascii_series
 from repro.analysis.stats import is_monotone, summarize
 from repro.runtime.metrics import sample_percentile
@@ -76,8 +77,9 @@ class TestIsMonotone:
 
 
 class TestAsciiSeries:
-    def test_bars_proportional(self):
-        text = ascii_series("hold", [0, 8], [10.0, 5.0], width=10)
+    def test_bars_proportional(self, monkeypatch):
+        monkeypatch.setattr(report, "WIDTH", 10)
+        text = ascii_series("hold", [0, 8], [10.0, 5.0])
         lines = text.splitlines()
         assert lines[1].count("#") == 10
         assert lines[2].count("#") == 5

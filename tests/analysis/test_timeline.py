@@ -67,7 +67,7 @@ class TestTimelineRenderer:
         with pytest.raises(ValueError):
             TimelineRenderer(0)
         with pytest.raises(ValueError):
-            TimelineRenderer(2, width=3, cell=7)
+            TimelineRenderer(2, width=3)
 
     def test_renders_real_simulation(self):
         from repro.failures.injector import FailureSchedule

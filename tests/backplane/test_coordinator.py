@@ -15,6 +15,7 @@ import json
 import os
 import struct
 
+from repro.backplane import coordinator as coordinator_module
 from repro.backplane.coordinator import Coordinator, ServePlan
 from repro.backplane.framing import (
     HEADER_SIZE,
@@ -162,11 +163,13 @@ def test_a_worker_connection_the_coordinator_did_not_end_is_a_failure(
     assert coordinator.down == {0, 1, 2}
 
 
-def test_a_worker_killed_behind_the_coordinators_back_fails_the_run(tmp_path):
+def test_a_worker_killed_behind_the_coordinators_back_fails_the_run(
+        tmp_path, monkeypatch):
     """Real worker processes; the test, not the coordinator, SIGKILLs one.
     Nothing respawns it, so settling cannot finish either."""
+    monkeypatch.setattr(coordinator_module, "SETTLE_ROUNDS", 2)
     plan = ServePlan(n=2, k=1, duration=40.0, rate=0.5, timescale=0.005,
-                     settle_rounds=2, run_dir=str(tmp_path))
+                     run_dir=str(tmp_path))
 
     async def go():
         coordinator = Coordinator(plan)
@@ -185,7 +188,10 @@ def test_a_worker_killed_behind_the_coordinators_back_fails_the_run(tmp_path):
     assert "settle: not quiescent after 2 rounds" in report.failures
 
 
-def test_a_settle_that_never_goes_quiescent_is_a_failure(tmp_path):
+def test_a_settle_that_never_goes_quiescent_is_a_failure(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(coordinator_module, "SETTLE_ROUNDS", 2)
+
     async def busy_worker(reader, writer, pid):
         while True:
             frame = await read_frame(reader)
@@ -199,7 +205,7 @@ def test_a_settle_that_never_goes_quiescent_is_a_failure(tmp_path):
 
     async def go():
         coordinator, server, port = await started(
-            tmp_path, settle_rounds=2, timescale=0.001)
+            tmp_path, timescale=0.001)
         fakes = [await connect(coordinator, port, pid) for pid in range(N)]
         tasks = [asyncio.ensure_future(busy_worker(r, w, pid))
                  for pid, (r, w) in enumerate(fakes)]

@@ -1,36 +1,22 @@
-"""AdaptiveKController unit tests: the AIMD rule, the decision trace,
-config validation, and seed-determinism of exploration probes."""
+"""AdaptiveKController unit tests: the AIMD rule, the decision trace and
+the constants it runs with."""
 
-import pytest
-
-from repro.control import (AdaptiveKController, ControllerConfig, KDecision,
-                           Observation)
+from repro.control import AdaptiveKController, KDecision, Observation
+from repro.control import controller as control
 
 
-def make(config=None, seed=0, pid=0):
-    return AdaptiveKController(pid, config or ControllerConfig(k_max=8),
-                               seed=seed)
+def make(k_max=8, slo_target=0.0, pid=0):
+    return AdaptiveKController(pid, k_max, slo_target)
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("bad", [
-        {"k_min": -1},
-        {"k_min": 4, "k_max": 2},
-        {"slo_percentile": 0.0},
-        {"slo_percentile": 101.0},
-        {"slo_target": -1.0},
-        {"window": 0},
-        {"increase_step": 0},
-        {"decrease_factor": 1.0},
-        {"decrease_factor": -0.1},
-        {"explore_probability": 1.5},
-    ])
-    def test_rejected(self, bad):
-        with pytest.raises(ValueError):
-            make(ControllerConfig(**bad))
-
     def test_defaults_valid(self):
-        ControllerConfig().validate()
+        # The ranges the tuning values must keep for the rule to be AIMD.
+        assert control.K_MIN >= 0
+        assert 0.0 < control.SLO_PERCENTILE <= 100.0
+        assert control.WINDOW >= 1
+        assert control.INCREASE_STEP >= 1
+        assert 0.0 <= control.DECREASE_FACTOR < 1.0
 
 
 class TestAimdRule:
@@ -46,8 +32,9 @@ class TestAimdRule:
         assert controller.observe(Observation(30.0, revocations=3)) == 1
         assert controller.observe(Observation(40.0, revocations=4)) == 0
 
-    def test_decrease_respects_k_min(self):
-        controller = make(ControllerConfig(k_min=2, k_max=8))
+    def test_decrease_respects_k_min(self, monkeypatch):
+        monkeypatch.setattr(control, "K_MIN", 2)
+        controller = make()
         controller.observe(Observation(10.0, revocations=1))
         controller.observe(Observation(20.0, revocations=2))
         controller.observe(Observation(30.0, revocations=3))
@@ -55,7 +42,7 @@ class TestAimdRule:
 
     def test_revocations_are_diffed_not_reread(self):
         # A *cumulative* counter that stays flat is not new evidence.
-        controller = make(ControllerConfig(k_max=8, slo_target=100.0))
+        controller = make(k_max=8, slo_target=100.0)
         controller.observe(Observation(10.0, revocations=5))
         assert controller.k == 4
         controller.window.extend([1.0] * 8)  # healthy latency
@@ -63,7 +50,7 @@ class TestAimdRule:
         assert controller.k == 4  # hold, not another decrease
 
     def test_always_hungry_without_slo_target(self):
-        controller = make(ControllerConfig(k_max=8, slo_target=0.0))
+        controller = make(k_max=8, slo_target=0.0)
         controller.observe(Observation(10.0, revocations=2))
         assert controller.k == 4
         for tick in range(2, 8):
@@ -71,7 +58,7 @@ class TestAimdRule:
         assert controller.k == 8  # climbed back to the ceiling, additively
 
     def test_increase_under_latency_pressure(self):
-        controller = make(ControllerConfig(k_max=8, slo_target=50.0))
+        controller = make(k_max=8, slo_target=50.0)
         controller.observe(Observation(10.0, revocations=1))
         assert controller.k == 4
         # p99 over the window misses the 50.0 target -> climb.
@@ -81,13 +68,13 @@ class TestAimdRule:
 
     def test_empty_window_reads_as_pressure(self):
         # Open loop: no commits at all is the worst possible latency.
-        controller = make(ControllerConfig(k_max=8, slo_target=50.0))
+        controller = make(k_max=8, slo_target=50.0)
         controller.observe(Observation(10.0, revocations=1))
         controller.observe(Observation(20.0, revocations=1))
         assert controller.k == 5
 
     def test_holds_when_healthy_and_slo_met(self):
-        controller = make(ControllerConfig(k_max=8, slo_target=50.0))
+        controller = make(k_max=8, slo_target=50.0)
         controller.observe(Observation(10.0, revocations=1,
                                        commit_waits=(5.0, 6.0, 7.0)))
         assert controller.k == 4
@@ -96,7 +83,7 @@ class TestAimdRule:
         assert controller.k == 4
 
     def test_increase_respects_k_max(self):
-        controller = make(ControllerConfig(k_max=3, slo_target=0.0))
+        controller = make(k_max=3, slo_target=0.0)
         for tick in range(5):
             controller.observe(Observation(tick * 10.0, revocations=0))
         assert controller.k == 3
@@ -108,7 +95,7 @@ class TestDecisionTrace:
         assert controller.decisions == [KDecision(0.0, 8, "init")]
 
     def test_decisions_record_changes_only(self):
-        controller = make(ControllerConfig(k_max=8, slo_target=50.0))
+        controller = make(k_max=8, slo_target=50.0)
         controller.observe(Observation(10.0, revocations=1,
                                        commit_waits=(1.0,)))
         controller.observe(Observation(20.0, revocations=1,
@@ -119,30 +106,3 @@ class TestDecisionTrace:
         assert reasons == ["init", "revocation x1", "revocation x1"]
         # history records every tick, decisions only the two changes.
         assert len(controller.history) == 3
-
-
-class TestExplorationDeterminism:
-    CONFIG = ControllerConfig(k_max=8, slo_target=1000.0,
-                              explore_probability=0.5)
-
-    def _trajectory(self, seed, pid=3):
-        controller = AdaptiveKController(pid, self.CONFIG, seed=seed)
-        ks = []
-        for tick in range(60):
-            ks.append(controller.observe(
-                Observation(tick * 5.0, revocations=tick // 17,
-                            commit_waits=(1.0, 2.0))))
-        return ks
-
-    def test_same_seed_same_probes(self):
-        assert self._trajectory(seed=9) == self._trajectory(seed=9)
-
-    def test_probes_actually_fire(self):
-        # SLO comfortably met, so every increase on this run is a probe.
-        ks = self._trajectory(seed=9)
-        assert any(b > a for a, b in zip(ks, ks[1:]))
-
-    def test_streams_are_per_process(self):
-        a = AdaptiveKController(0, self.CONFIG, seed=9)
-        b = AdaptiveKController(1, self.CONFIG, seed=9)
-        assert a._rng.random() != b._rng.random()

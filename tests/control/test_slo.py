@@ -1,4 +1,5 @@
-"""LatencyWindow and the degenerate-window-safe sample statistics.
+"""The controller's latency window and the degenerate-window-safe sample
+statistics.
 
 The latency-accounting sweep's contract: mean and percentile are *total*
 functions — empty windows, single samples and
@@ -7,7 +8,8 @@ boundary percentiles are answers, not crashes.
 
 import pytest
 
-from repro.control.slo import LatencyWindow
+from repro.control import AdaptiveKController, Observation
+from repro.control import controller as control
 from repro.runtime.metrics import sample_mean, sample_percentile
 
 
@@ -50,34 +52,29 @@ class TestSampleHelpers:
 
 
 class TestLatencyWindow:
-    def test_rejects_degenerate_maxlen(self):
-        with pytest.raises(ValueError):
-            LatencyWindow(0)
+    """The window the controller's SLO test reads."""
 
     def test_empty_window_statistics(self):
-        window = LatencyWindow(8)
-        assert window.count == 0
-        assert window.mean() == 0.0
-        assert window.percentile(99.0) == 0.0
+        controller = AdaptiveKController(0, 8, 50.0)
+        assert len(controller.window) == 0
+        assert sample_mean(controller.window) == 0.0
+        assert sample_percentile(controller.window, 99.0) == 0.0
 
     def test_single_sample_statistics(self):
-        window = LatencyWindow(8)
-        window.add(4.0)
-        assert window.mean() == 4.0
-        assert window.percentile(50.0) == 4.0
-        assert window.percentile(99.0) == 4.0
+        # One sample is the watched percentile: above the target it is
+        # latency pressure, below it a hold.
+        for sample, k in ((60.0, 5), (40.0, 4)):
+            controller = AdaptiveKController(0, 8, 50.0)
+            controller.observe(Observation(10.0, revocations=1))
+            controller.observe(Observation(20.0, revocations=1,
+                                           commit_waits=(sample,)))
+            assert sample_percentile(controller.window, 50.0) == sample
+            assert controller.k == k
 
-    def test_bounded_eviction(self):
-        window = LatencyWindow(3)
-        window.extend([1.0, 2.0, 3.0, 4.0])
-        assert window.count == 3
-        assert window.samples() == [2.0, 3.0, 4.0]
-        assert window.mean() == 3.0
-
-    def test_clear(self):
-        window = LatencyWindow(4)
-        window.extend([1.0, 2.0])
-        window.clear()
-        assert window.count == 0
-        assert len(window) == 0
-        assert window.percentile(95.0) == 0.0
+    def test_bounded_eviction(self, monkeypatch):
+        monkeypatch.setattr(control, "WINDOW", 3)
+        controller = AdaptiveKController(0, 8, 50.0)
+        controller.observe(Observation(10.0, revocations=0,
+                                       commit_waits=(1.0, 2.0, 3.0, 4.0)))
+        assert list(controller.window) == [2.0, 3.0, 4.0]
+        assert sample_mean(controller.window) == 3.0

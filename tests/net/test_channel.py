@@ -12,15 +12,13 @@ from repro.sim.rng import Draws
 
 class TestLatencyModels:
     def test_fixed(self):
-        model = FixedLatency(2.0, per_entry=0.5)
+        model = FixedLatency(2.0)
         assert model.delay(None) == 2.0
-        assert model.delay(None, piggyback_entries=4) == 4.0
+        assert model.delay(None, piggyback_entries=4) == 2.0
 
     def test_fixed_rejects_negative(self):
         with pytest.raises(ValueError):
             FixedLatency(-1.0)
-        with pytest.raises(ValueError):
-            FixedLatency(1.0, per_entry=-0.1)
 
     def test_uniform_within_bounds(self):
         model = UniformLatency(1.0, 3.0)

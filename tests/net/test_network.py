@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
-from repro.net.channel import FixedLatency
+from repro.net.channel import FixedLatency, UniformLatency
 from repro.net.message import AppMessage, FailureAnnouncement
 from repro.net.network import Network
 from repro.sim.engine import Engine
@@ -47,7 +47,7 @@ class TestTransmission:
         assert times == [5.0]
 
     def test_piggyback_entries_add_latency(self):
-        engine, net = make_net(latency=FixedLatency(1.0, per_entry=1.0))
+        engine, net = make_net(latency=UniformLatency(1.0, 1.0, per_entry=1.0))
         times = []
         net.register(1, lambda m: times.append(engine.now))
         net.send_app(app_msg(0, 1, entries={0: Entry(0, 1), 2: Entry(0, 2)}))
@@ -79,15 +79,6 @@ class TestBroadcast:
         assert received[1] == [ann]
         assert received[2] == [ann]
         assert net.control_messages_sent == 2
-
-    def test_include_self(self):
-        engine, net = make_net()
-        received = []
-        for pid in range(3):
-            net.register(pid, received.append)
-        net.broadcast_control(0, "x", include_self=True)
-        engine.run()
-        assert len(received) == 3
 
 
 class TestStatistics:

@@ -1,5 +1,5 @@
 """Property-based tests: the adaptive-K controller is a pure function of
-``(seed, observation stream)``.
+its settings and the observation stream.
 
 This purity is what makes adaptive runs replayable: the harness feeds
 observations on deterministic engine timers, so bit-identical decision
@@ -10,19 +10,11 @@ tests in tests/control/test_adaptive_harness.py close the loop).
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.control import AdaptiveKController, ControllerConfig, Observation
+from repro.control import AdaptiveKController, Observation
+from repro.control.controller import K_MIN
 
-configs = st.builds(
-    ControllerConfig,
-    k_min=st.integers(0, 2),
-    k_max=st.integers(2, 12),
-    slo_target=st.sampled_from([0.0, 10.0, 50.0]),
-    slo_percentile=st.sampled_from([50.0, 95.0, 99.0]),
-    window=st.integers(1, 64),
-    increase_step=st.integers(1, 3),
-    decrease_factor=st.sampled_from([0.0, 0.25, 0.5, 0.75]),
-    explore_probability=st.sampled_from([0.0, 0.3, 1.0]),
-)
+#: ``(k_max, slo_target)``, the two settings the host gives a controller.
+configs = st.tuples(st.integers(0, 12), st.sampled_from([0.0, 10.0, 50.0]))
 
 # Cumulative revocation counters: nondecreasing by construction.
 deltas = st.lists(st.integers(0, 3), min_size=1, max_size=40)
@@ -45,32 +37,31 @@ def stream(revocation_deltas, wait_batches):
     return observations
 
 
-def trajectory(config, seed, pid, observations):
-    controller = AdaptiveKController(pid, config, seed=seed)
+def trajectory(config, pid, observations):
+    controller = AdaptiveKController(pid, *config)
     ks = [controller.observe(o) for o in observations]
     return ks, list(controller.decisions), list(controller.history)
 
 
 class TestControllerPurity:
-    @given(configs, st.integers(0, 2**32), st.integers(0, 7), deltas, waits)
-    def test_same_inputs_bit_identical_trace(self, config, seed, pid,
+    @given(configs, st.integers(0, 7), deltas, waits)
+    def test_same_inputs_bit_identical_trace(self, config, pid,
                                              revs, wait_batches):
         observations = stream(revs, wait_batches)
-        first = trajectory(config, seed, pid, observations)
-        second = trajectory(config, seed, pid, observations)
+        first = trajectory(config, pid, observations)
+        second = trajectory(config, pid, observations)
         assert first == second
 
-    @given(configs, st.integers(0, 2**32), st.integers(0, 7), deltas, waits)
-    def test_k_always_within_bounds(self, config, seed, pid,
-                                    revs, wait_batches):
-        ks, _, _ = trajectory(config, seed, pid, stream(revs, wait_batches))
-        assert all(config.k_min <= k <= config.k_max for k in ks)
+    @given(configs, st.integers(0, 7), deltas, waits)
+    def test_k_always_within_bounds(self, config, pid, revs, wait_batches):
+        ks, _, _ = trajectory(config, pid, stream(revs, wait_batches))
+        assert all(K_MIN <= k <= config[0] for k in ks)
 
-    @given(configs, st.integers(0, 2**32), st.integers(0, 7), deltas, waits)
-    def test_history_matches_returned_ks(self, config, seed, pid,
+    @given(configs, st.integers(0, 7), deltas, waits)
+    def test_history_matches_returned_ks(self, config, pid,
                                          revs, wait_batches):
         observations = stream(revs, wait_batches)
-        ks, decisions, history = trajectory(config, seed, pid, observations)
+        ks, decisions, history = trajectory(config, pid, observations)
         assert [k for _, k in history] == ks
         assert [t for t, _ in history] == [o.time for o in observations]
         # The decision trace is the change-compressed history (plus init).
@@ -82,11 +73,11 @@ class TestControllerPurity:
                 current = k
         assert [(d.time, d.k) for d in decisions[1:]] == replayed
 
-    @given(configs, st.integers(0, 2**32), deltas, waits)
-    def test_fresh_revocation_evidence_never_raises_k(self, config, seed,
+    @given(configs, deltas, waits)
+    def test_fresh_revocation_evidence_never_raises_k(self, config,
                                                       revs, wait_batches):
         observations = stream(revs, wait_batches)
-        controller = AdaptiveKController(0, config, seed=seed)
+        controller = AdaptiveKController(0, *config)
         previous_total = 0
         for obs in observations:
             k_before = controller.k

@@ -111,7 +111,7 @@ class RecordingTransport:
         for dst in dsts:
             self.send_control(src, dst, payload)
 
-    def broadcast_control(self, src, payload, include_self=False):
+    def broadcast_control(self, src, payload):
         self.sent.append(("bcast", None, payload))
 
 
@@ -512,12 +512,12 @@ class TestAdaptiveK:
         commit(0, 0.5)
         clock.advance(5.0)      # the control grid: 10 * (0 + 1) / (N + 1)
         assert [t for t, _k in controller.history] == [2.5]
-        assert controller.window.samples() == [1.5]
+        assert list(controller.window) == [1.5]
         clock.time = 6.0
         commit(1, 5.0)
         clock.advance(13.0)
         assert [t for t, _k in controller.history] == [2.5, 12.5]
-        assert controller.window.samples() == [1.5, 1.0]
+        assert list(controller.window) == [1.5, 1.0]
         assert host.latency_samples == [1.5, 1.0]
 
 

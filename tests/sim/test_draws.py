@@ -16,7 +16,7 @@ import pytest
 
 from repro.app.behavior import AppContext
 from repro.net.channel import Channel, UniformLatency
-from repro.net.faults import ChannelFaults, NetworkFaultModel
+from repro.net.faults import REORDER_SPREAD, ChannelFaults, NetworkFaultModel
 from repro.sim.rng import Draws, RngRegistry, draw64, interval_key
 
 N = 100_000
@@ -51,10 +51,10 @@ def channel_draws(src, dst, count=N, seed=11):
 def fault_draws(count=N, seed=11):
     """A lossy channel's reorder delays on U[0, 1): each decision is one
     draw, and the delay is what the duplicate coin ahead of the (certain)
-    reorder coin leaves of it, rescaled."""
+    reorder coin leaves of it, rescaled (and divided by the spread)."""
     model = NetworkFaultModel(RngRegistry(seed), ChannelFaults(
-        duplicate=0.2, reorder=1.0, reorder_spread=1.0))
-    return [model.decide(3, 7, control=False).extra_delay
+        duplicate=0.2, reorder=1.0))
+    return [model.decide(3, 7, control=False).extra_delay / REORDER_SPREAD
             for _ in range(count)]
 
 

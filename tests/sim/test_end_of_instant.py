@@ -84,7 +84,8 @@ class TestOrder:
         assert fired == ["drain-1", "drain-2", "live-later"]
 
     def test_deferred_outside_run_fires_first_at_the_current_time(self):
-        engine = Engine(start_time=4.0)
+        engine = Engine()
+        engine.advance_to(4.0)
         fired = []
         engine.schedule(1.0, lambda: fired.append(("timer", engine.now)))
         engine.defer(lambda: fired.append(("drain", engine.now)))
@@ -112,7 +113,8 @@ class TestBookkeeping:
         assert engine.pending == 0
 
     def test_run_until_leaves_deferred_work_of_a_later_time_queued(self):
-        engine = Engine(start_time=7.0)
+        engine = Engine()
+        engine.advance_to(7.0)
         fired = []
         engine.defer(lambda: fired.append("drain"))
         engine.run(until=6.0)  # a horizon already behind the clock

@@ -47,14 +47,16 @@ class TestScheduling:
         assert engine.now == 4.5
 
     def test_schedule_at_absolute_time(self):
-        engine = Engine(start_time=10.0)
+        engine = Engine()
+        engine.advance_to(10.0)
         seen = []
         engine.schedule_at(12.0, lambda: seen.append(engine.now))
         engine.run()
         assert seen == [12.0]
 
     def test_cannot_schedule_in_the_past(self):
-        engine = Engine(start_time=5.0)
+        engine = Engine()
+        engine.advance_to(5.0)
         with pytest.raises(SimulationError):
             engine.schedule_at(4.0, lambda: None)
         with pytest.raises(SimulationError):
@@ -231,7 +233,8 @@ class TestHeapCompaction:
 
 class TestCallSoon:
     def test_call_soon_runs_at_current_time(self):
-        engine = Engine(start_time=3.0)
+        engine = Engine()
+        engine.advance_to(3.0)
         seen = []
         call_soon(engine, lambda: seen.append(engine.now))
         engine.run()

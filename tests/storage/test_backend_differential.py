@@ -16,6 +16,8 @@ recovers the whole step, a crash before it a frame-prefix of the step.
 import shutil
 import tempfile
 
+import pytest
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,7 @@ from repro.core.baselines.fully_async import MultiIncarnationVector
 from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
 from repro.net.message import AppMessage, FailureAnnouncement, OutputRecord
+from repro.storage import filelog as filelog_module
 from repro.storage.filelog import FileLogBackend
 from repro.storage.stable import LoggedMessage, ModelBackend
 from repro.types import MessageId, OutputId
@@ -110,6 +113,14 @@ def _apply(backend, operation, records):
         backend.truncate_before(index)
 
 
+@pytest.fixture(autouse=True, scope="module")
+def small_segments():
+    """2 KiB segments, so a short operation list seals and rotates some."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(filelog_module, "SEGMENT_BYTES", 2048)
+        yield
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=st.lists(op, max_size=25), seed=st.integers(0, 1 << 16))
@@ -118,7 +129,7 @@ def test_filelog_matches_model_through_crash(ops, seed):
     try:
         model = ModelBackend(0)
         filelog = FileLogBackend(0, directory, seed=seed,
-                                 fsync_policy="strict", segment_bytes=2048)
+                                 fsync_policy="strict")
         # Both start from the runtime's initial checkpoint.  Records are
         # materialized once per distinct position and shared.
         boot = ("checkpoint", 0, {})
@@ -158,7 +169,7 @@ def test_crash_recovers_a_frame_prefix_of_the_open_step(ops, torn, seed):
     directory = tempfile.mkdtemp(prefix="repro-difftest-")
     try:
         model = ModelBackend(0)
-        filelog = FileLogBackend(0, directory, seed=seed, segment_bytes=2048)
+        filelog = FileLogBackend(0, directory, seed=seed)
         records, position = {}, 0
         for operation in ops:
             if operation[0] == "append":

@@ -15,6 +15,7 @@ import pytest
 from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
 from repro.net.message import AppMessage, FailureAnnouncement
+from repro.storage import filelog
 from repro.storage.filelog import COMPACT_SEGMENT_THRESHOLD, FileLogBackend
 from repro.storage.recovery import (
     FORMAT_VERSION,
@@ -122,8 +123,9 @@ class TestGroupCommit:
         backend.append_log([record(1)], sync=False)
         assert backend.fsyncs == 1 and not backend.sync_due
 
-    def test_forced_commit_past_max_pending(self, tmp_path):
-        backend = make_backend(tmp_path, max_pending_records=3)
+    def test_forced_commit_past_max_pending(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(filelog, "MAX_PENDING_RECORDS", 3)
+        backend = make_backend(tmp_path)
         fail_next_fsync(backend)
         backend.append_log([record(i) for i in range(1, 4)], sync=False)
         assert backend.forced_group_commits == 0    # 3 pending: tolerated
@@ -293,8 +295,9 @@ class TestTransientErrors:
         assert backend.backoff_time > 0.0
         assert backend.log_size == 1
 
-    def test_exhausted_retries_declare_dead(self, tmp_path):
-        backend = make_backend(tmp_path, io_retries=2)
+    def test_exhausted_retries_declare_dead(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(filelog, "IO_RETRIES", 2)
+        backend = make_backend(tmp_path)
         backend.injector.arm("eio", count=50)
         with pytest.raises(StorageDeadError):
             backend.append_log([record(1)], sync=True)
@@ -305,8 +308,10 @@ class TestTransientErrors:
         backend.recover()
         backend.append_log([record(1)], sync=True)
 
-    def test_retries_exhausted_at_the_barrier_declare_dead(self, tmp_path):
-        backend = make_backend(tmp_path, io_retries=2)
+    def test_retries_exhausted_at_the_barrier_declare_dead(self, tmp_path,
+                                                           monkeypatch):
+        monkeypatch.setattr(filelog, "IO_RETRIES", 2)
+        backend = make_backend(tmp_path)
         backend.append_log([record(1)], sync=True)
         backend.injector.arm("eio", count=50)
         with pytest.raises(StorageDeadError):
@@ -423,8 +428,9 @@ class TestFormatVersion:
 
 
 class TestSegments:
-    def test_rotation_seals_segments(self, tmp_path):
-        backend = make_backend(tmp_path, segment_bytes=512)
+    def test_rotation_seals_segments(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(filelog, "SEGMENT_BYTES", 512)
+        backend = make_backend(tmp_path)
         for i in range(1, 30):
             backend.append_log([record(i)], sync=True)
         backend.barrier()
@@ -438,8 +444,9 @@ class TestSegments:
         backend.recover()
         assert backend.log_size == 29
 
-    def test_compaction_snapshots_and_unlinks(self, tmp_path):
-        backend = make_backend(tmp_path, segment_bytes=512)
+    def test_compaction_snapshots_and_unlinks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(filelog, "SEGMENT_BYTES", 512)
+        backend = make_backend(tmp_path)
         checkpointed(backend, sii=0)
         for i in range(1, 30):
             backend.append_log([record(i)], sync=True)

@@ -5,14 +5,15 @@ import random
 
 import pytest
 
+from repro.workloads import openloop
 from repro.workloads.openloop import (OpenLoopBehavior, OpenLoopWorkload,
                                       open_loop_times)
 
 from helpers import build_sim
 
 
-def times(seed=1, rate=1.0, until=500.0, **kwargs):
-    return list(open_loop_times(random.Random(seed), rate, until, **kwargs))
+def times(seed=1, rate=1.0, until=500.0):
+    return list(open_loop_times(random.Random(seed), rate, until))
 
 
 class _NullWorkload:
@@ -46,17 +47,19 @@ class TestOpenLoopTimes:
         ts = times(seed=5, rate=1.0, until=5000.0)
         assert 0.5 * 5000 <= len(ts) <= 2.0 * 5000
 
-    def test_bursts_make_clumps(self):
-        calm = times(seed=7, burst_probability=0.0)
-        bursty = times(seed=7, burst_probability=0.1, burst_multiplier=10.0)
+    def test_bursts_make_clumps(self, monkeypatch):
+        monkeypatch.setattr(openloop, "BURST_PROBABILITY", 0.0)
+        calm = times(seed=7)
+        monkeypatch.setattr(openloop, "BURST_PROBABILITY", 0.1)
+        monkeypatch.setattr(openloop, "BURST_MULTIPLIER", 10.0)
+        bursty = times(seed=7)
         min_gap = lambda ts: min(b - a for a, b in zip(ts, ts[1:]))  # noqa: E731
         assert min_gap(bursty) < min_gap(calm)
 
     def test_validates_parameters(self):
-        with pytest.raises(ValueError):
-            times(alpha=1.0)
-        with pytest.raises(ValueError):
-            times(diurnal_amplitude=1.0)
+        # A finite-mean tail, and a diurnal rate that stays positive.
+        assert openloop.ALPHA > 1.0
+        assert 0.0 <= openloop.DIURNAL_AMPLITUDE < 1.0
 
 
 class TestOpenLoopWorkload:
