@@ -2,7 +2,10 @@
 
 Reduced forms of the two crash benchmarks — a durable journal under
 evenly spaced crashes, and a lossy network with crash clusters under the
-adaptive-K controller — at n = 8 over five seeds.  Every injected token
+adaptive-K controller — at n = 8 over five seeds.  Tier-1 runs the
+journal's seed 0 and the slow set its seeds 1–4: the journal's cost is
+file-system time, and ``test_variant_matrix.py`` crashes every variant
+over the file log on every tier-1 run.  Every injected token
 that emits an output must see that output committed exactly once after
 ``settle``.  A token never enters at a process that is down or about to
 crash with it still unlogged: nobody retransmits an outside-world
@@ -82,15 +85,24 @@ def run(shape, seed):
         harness.close()
 
 
-@pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_every_output_commits_exactly_once(shape):
-    for seed in SEEDS:
+def check(shape, seeds):
+    for seed in seeds:
         expected, committed, metrics = run(shape, seed)
         assert metrics.crashes == 4 and metrics.outputs_pending == 0
         assert metrics.violations == []
         assert set(committed) <= set(expected), seed
         assert [token for token in expected if committed[token] != 1] == [], \
             seed
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_every_output_commits_exactly_once(shape):
+    check(shape, SEEDS[:1] if shape == "crash_filelog" else SEEDS)
+
+
+@pytest.mark.slow
+def test_every_output_commits_exactly_once_over_the_journals_other_seeds():
+    check("crash_filelog", SEEDS[1:])
 
 
 @pytest.mark.slow

@@ -161,10 +161,13 @@ def assert_same_run(folded, reference):
 
 
 @pytest.mark.parametrize("n, scenario", [
-    # filelog_crash at n = 40 checks what n = 17 and 64 check: it runs in
-    # the slow set only.  40-adaptive_k stays, for its reordered slots.
+    # filelog_crash at n = 40 and 64 checks what n = 17 checks for a
+    # crashed slot member and 64-adaptive_k and 64-fanout_lossy check for
+    # four-member slots: it runs in the slow set only.  40-adaptive_k
+    # stays, for its reordered slots.
     pytest.param(n, scenario, marks=pytest.mark.slow)
-    if (n, scenario) == (40, "filelog_crash") else (n, scenario)
+    if (n, scenario) in ((40, "filelog_crash"), (64, "filelog_crash"))
+    else (n, scenario)
     for n in (17, 40, 64) for scenario in sorted(SCENARIOS)])
 def test_slot_timers_run_like_per_host_timers(n, scenario, monkeypatch,
                                               timer_records):

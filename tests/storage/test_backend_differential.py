@@ -11,6 +11,9 @@ Under the default policy durability belongs to the write-ahead barrier,
 not to the single operation.  A second property interleaves barriers with
 the operations and crashes anywhere: a crash right after a barrier
 recovers the whole step, a crash before it a frame-prefix of the step.
+It runs in the slow set; tier-1 keeps its fixed cases in
+``test_filelog.py`` (``TestCrashRecovery``, ``TestTornWrite``) and the
+first property, over the same operations.
 """
 
 import shutil
@@ -161,6 +164,7 @@ def test_filelog_matches_model_through_crash(ops, seed):
         shutil.rmtree(directory, ignore_errors=True)
 
 
+@pytest.mark.slow
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=st.lists(st.one_of(op, op, st.just(("barrier",))), max_size=25),
