@@ -4,12 +4,13 @@ For each of the checker's mutants, the scenario the random explorer kills
 it with is run again with ``dep_trace`` on.  The certifier the harness fed
 inline and :func:`~repro.oracle.ingest.certify_tracer` over the same
 run's ``dep.*`` records must report the same violations, string for
-string.  ``unbounded_release`` breaks Theorem 4, which the certifier
-itself judges, so its post-hoc verdict alone must kill it; the others
-are killed by the probes, and the certifier's verdict on them is whatever
-consistency and the ledger say, on both feeds alike.  Lost work is the
-certifier's own rule too: a send never released, an output never
-committed, by a surviving interval.
+string.  Three mutants die by the certifier's own rules, so its post-hoc
+verdict alone kills each of them: ``unbounded_release`` breaks Theorem 4,
+and ``deaf_owner`` and ``forgetful_checkpoint`` lose work — a surviving
+interval's send never released or output never committed, which
+``Certifier.finish`` names.  The others are killed by the probes, and the
+certifier's verdict on them is whatever consistency and the ledger say,
+on both feeds alike.
 """
 
 from dataclasses import replace
