@@ -1,22 +1,15 @@
 """Systematic schedule/fault exploration checker.
 
-This package drives the deterministic simulation through *controlled*
-schedules and checks protocol invariants after every step:
-
-- :mod:`repro.check.scenario` — a JSON-serializable :class:`Scenario`
-  (topology, workload injections, crash/partition placements, and the
-  same-time tie-break choices) plus :func:`run_scenario` to execute one;
-- :mod:`repro.check.probes` — the invariant probe layer (no known orphan
-  is ever delivered, live chains stay structurally sound, dependency
-  vectors cover every non-stable causal dependency, Theorem 4's release
-  bound via the harness);
-- :mod:`repro.check.explorer` — bounded DFS over tie-break choices for
-  tiny configs and seeded random sampling for 3-6 process configs;
-- :mod:`repro.check.shrinker` — delta debugging that minimizes a
-  violating scenario to a short replayable counterexample;
-- :mod:`repro.check.mutants` — deliberately broken protocol variants
-  used to prove the checker can actually detect violations;
-- :mod:`repro.check.cli` — the ``python -m repro check`` entry point.
+Every checked run is a :class:`Scenario` judged by :func:`run_scenario`
+(:mod:`repro.check.scenario`), which installs the invariant probes of
+:mod:`repro.check.probes` next to the harness's certifier.  The
+campaigns generate scenarios: :mod:`repro.check.explorer` (bounded DFS
+over same-time tie-breaks, seeded random sampling) and
+:mod:`repro.check.storage_campaign` (storage faults, the fsync sweep).
+:mod:`repro.check.shrinker` minimizes a violating scenario to a short
+replayable counterexample, :mod:`repro.check.mutants` holds the broken
+variants that prove the checker has teeth, and :mod:`repro.check.cli`
+is the ``python -m repro check`` entry point.
 """
 
 from repro.check.explorer import (

@@ -11,7 +11,7 @@ Modes:
 - ``replay``  — re-execute a dumped counterexample file;
 - ``storage`` — seeded storage-fault campaigns on the durable file-log
   backend (randomized crash+fault runs, or the crash-at-every-fsync
-  boundary sweep).
+  boundary sweep), each run judged by the same runner.
 
 Exit status is 0 when the world looks as expected (clean exploration,
 every mutant caught, replay reproduces the violation) and 1 otherwise.
@@ -34,7 +34,11 @@ from repro.check.shrinker import (
     load_counterexample,
     shrink,
 )
-from repro.check.storage_campaign import fault_campaign, fsync_sweep
+from repro.check.storage_campaign import (
+    fault_campaign,
+    fsync_sweep,
+    sweep_baseline,
+)
 from repro.core.protocol import KOptimisticProcess
 
 
@@ -62,23 +66,26 @@ def small_scenario(n: int = 2, k: Optional[int] = 1, tokens: int = 3,
     return scenario
 
 
-def _report_found(stats, out: Optional[str], shrunk=None) -> None:
+def _report_found(stats, out: Optional[str]) -> int:
+    """Print the violation an exploration found, shrink it and write the
+    shrunk counterexample to ``out``; exit status 1."""
     print(f"VIOLATION after {stats.runs} run(s):")
     for violation in stats.result.violations[:5]:
         print("  *", violation)
-    if shrunk is not None:
-        print(f"shrunk in {shrunk.runs} runs: "
-              f"{len(shrunk.scenario.injections)} injection(s), "
-              f"{len(shrunk.scenario.crashes)} crash(es), "
-              f"{len(shrunk.scenario.partitions)} partition(s), "
-              f"horizon {shrunk.scenario.horizon}, "
-              f"trace {shrunk.trace_length} event(s)")
+    shrunk = shrink(stats.counterexample)
+    found = shrunk.scenario
+    print(f"shrunk in {shrunk.runs} runs: "
+          f"{len(found.injections)} injection(s), "
+          f"{len(found.crashes)} crash(es), "
+          f"{len(found.partitions)} partition(s), "
+          f"{len(found.storage_faults)} storage fault(s), "
+          f"horizon {found.horizon}, "
+          f"trace {shrunk.trace_length} event(s)")
     if out:
-        target = shrunk.scenario if shrunk is not None else stats.counterexample
-        result = shrunk.result if shrunk is not None else stats.result
-        dump_counterexample(out, target, result)
+        dump_counterexample(out, found, shrunk.result)
         print(f"counterexample written to {out} "
               f"(replay: python -m repro check replay {out})")
+    return 1
 
 
 def cmd_dfs(args: argparse.Namespace) -> int:
@@ -91,9 +98,7 @@ def cmd_dfs(args: argparse.Namespace) -> int:
                                   max_runs=args.max_runs)
     stats = explorer.explore()
     if stats.found:
-        shrunk = shrink(stats.counterexample)
-        _report_found(stats, args.out, shrunk)
-        return 1
+        return _report_found(stats, args.out)
     coverage = "exhausted" if stats.exhausted else "budget-capped"
     print(f"dfs clean: {stats.runs} schedule(s), depth<={args.depth} "
           f"({coverage}), max branching {stats.max_branching}, "
@@ -106,9 +111,7 @@ def cmd_random(args: argparse.Namespace) -> int:
     explorer = RandomExplorer(sampler, runs=args.runs)
     stats = explorer.explore()
     if stats.found:
-        shrunk = shrink(stats.counterexample)
-        _report_found(stats, args.out, shrunk)
-        return 1
+        return _report_found(stats, args.out)
     print(f"random clean: {stats.runs} scenario(s) sampled from seed "
           f"{args.seed}, max branching {stats.max_branching}, "
           f"max release revokers {stats.max_release_revokers}")
@@ -150,31 +153,49 @@ def cmd_replay(args: argparse.Namespace) -> int:
               f"({result.events_executed} events)")
         for violation in result.violations[:5]:
             print("  *", violation)
-        return 0 if not args.expect_clean else 1
+        return 0
     print(f"replayed {args.path}{against}: no violation "
           f"({result.events_executed} events)")
-    return 0 if args.expect_clean else 1
+    return 1
 
 
 def cmd_storage(args: argparse.Namespace) -> int:
     if args.fault_mode == "sweep":
-        result = fsync_sweep(seed=args.seed, n=args.n, k=args.k,
-                             horizon=args.horizon,
-                             max_points=args.max_points)
-        print(f"storage sweep: {result.summary()}")
-        for point in result.failures:
-            print(f"  P{point.pid} crash after fsync #{point.fsync_index}:")
-            for violation in point.violations[:3]:
+        baseline = sweep_baseline(seed=args.seed, n=args.n, k=args.k,
+                                  horizon=args.horizon)
+        first = run_scenario(baseline)
+        runs = [("baseline (no crash)", first)] + [
+            (f"P{pid} crash after fsync #{index}", run_scenario(scenario))
+            for pid, index, scenario in fsync_sweep(
+                baseline, first.fsyncs, max_points=args.max_points)]
+        recoveries = sum(r.metrics.storage_recoveries for _, r in runs)
+        print(f"storage sweep: {len(runs) - 1} boundary crash(es) "
+              f"{_status(runs)} (baseline fsyncs per process: "
+              f"{first.fsyncs}; {recoveries} REDO recoveries)")
+    else:
+        runs = [(f"run {index} (seed {scenario.seed}; {description})",
+                 run_scenario(scenario))
+                for index, (description, scenario) in enumerate(
+                    fault_campaign(runs=args.runs, seed=args.seed, n=args.n,
+                                   k=args.k, horizon=args.horizon))]
+        total = [sum(getattr(r.metrics, name) for _, r in runs) for name in (
+            "outputs_committed", "storage_recoveries", "storage_fsync_lies",
+            "storage_torn_dropped", "storage_io_retries", "storage_deaths")]
+        print(f"storage faults: {len(runs)} run(s) {_status(runs)}: "
+              f"{total[0]} outputs committed, {total[1]} REDO recoveries, "
+              f"{total[2]} fsync lies, {total[3]} torn records dropped, "
+              f"{total[4]} I/O retries, {total[5]} dead-storage crashes")
+    for label, result in runs:
+        if result.violations:
+            print(f"  {label}:")
+            for violation in result.violations[:3]:
                 print("    *", violation)
-        return 0 if result.clean else 1
-    result = fault_campaign(runs=args.runs, seed=args.seed, n=args.n,
-                            k=args.k, horizon=args.horizon)
-    print(f"storage faults: {result.summary()}")
-    for run in result.failures:
-        print(f"  run {run.index} (seed {run.seed}; {run.description}):")
-        for violation in run.violations[:3]:
-            print("    *", violation)
-    return 0 if result.clean else 1
+    return 0 if all(result.ok for _, result in runs) else 1
+
+
+def _status(runs) -> str:
+    failed = sum(not result.ok for _, result in runs)
+    return f"{failed} FAILED" if failed else "clean"
 
 
 def configure(parser: argparse.ArgumentParser) -> None:
@@ -212,8 +233,6 @@ def configure(parser: argparse.ArgumentParser) -> None:
 
     rep = sub.add_parser("replay", help="re-execute a counterexample file")
     rep.add_argument("path")
-    rep.add_argument("--expect-clean", action="store_true",
-                     help="succeed only if the replay shows no violation")
     rep.set_defaults(func=cmd_replay)
 
     sto = sub.add_parser(

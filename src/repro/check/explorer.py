@@ -50,6 +50,17 @@ class ExplorationStats:
     def found(self) -> bool:
         return self.counterexample is not None
 
+    def record(self, scenario: Scenario, result: CheckResult) -> bool:
+        """Count one run; keep it as the counterexample if it violates."""
+        self.runs += 1
+        self.max_branching = max([self.max_branching, *result.counts])
+        self.max_release_revokers = max(
+            self.max_release_revokers, result.metrics.max_release_revokers)
+        if result.violations:
+            self.counterexample = scenario
+            self.result = result
+        return bool(result.violations)
+
 
 class BoundedDFSExplorer:
     """Depth-bounded exhaustive DFS over tie-break choices."""
@@ -59,7 +70,6 @@ class BoundedDFSExplorer:
         scenario: Scenario,
         max_depth: int = 10,
         max_runs: int = 2000,
-        protocol: type = KOptimisticProcess,
     ):
         if scenario.choice_seed is not None:
             raise ValueError("DFS needs deterministic fallback choices; "
@@ -67,7 +77,6 @@ class BoundedDFSExplorer:
         self.scenario = scenario
         self.max_depth = max_depth
         self.max_runs = max_runs
-        self.protocol = protocol
 
     def explore(self) -> ExplorationStats:
         stats = ExplorationStats()
@@ -77,17 +86,9 @@ class BoundedDFSExplorer:
             if stats.runs >= self.max_runs:
                 return stats  # budget exhausted, tree not fully covered
             prefix = stack.pop()
-            candidate = self.scenario.with_choices(prefix)
-            result = run_scenario(candidate, self.protocol)
-            stats.runs += 1
-            if result.counts:
-                stats.max_branching = max(stats.max_branching,
-                                          max(result.counts))
-            stats.max_release_revokers = max(stats.max_release_revokers,
-                                             result.max_release_revokers)
-            if result.violations:
-                stats.counterexample = candidate.with_choices(result.choices)
-                stats.result = result
+            result = run_scenario(self.scenario.with_choices(prefix))
+            if stats.record(self.scenario.with_choices(result.choices),
+                            result):
                 return stats
             # Branch at every decision point at or beyond this prefix (the
             # points before it were branched when the parent ran).  LIFO
@@ -100,54 +101,56 @@ class BoundedDFSExplorer:
         return stats
 
 
+# The random sampler's scenario shape.
+#: Process counts to sample.
+N_CHOICES: Tuple[int, ...] = (3, 4, 5, 6)
+HORIZON = 40.0
+MIN_TOKENS = 3
+MAX_TOKENS = 8
+MAX_HOPS = 4
+OUTPUT_FRACTION = 0.4
+CRASH_PROBABILITY = 0.7
+MAX_CRASHES = 2
+PARTITION_PROBABILITY = 0.25
+
+
 @dataclass
 class RandomScenarioSampler:
     """Deterministically derives the ``index``-th random scenario."""
 
     seed: int = 0
-    n_choices: Tuple[int, ...] = (3, 4, 5, 6)
     #: Degrees of optimism to sample (``None`` = K=N, fully optimistic).
     k_choices: Tuple[Optional[int], ...] = (0, 1, 2, None)
-    horizon: float = 40.0
-    min_tokens: int = 3
-    max_tokens: int = 8
-    max_hops: int = 4
-    output_fraction: float = 0.4
-    crash_probability: float = 0.7
-    max_crashes: int = 2
-    partition_probability: float = 0.25
 
     def sample(self, index: int) -> Scenario:
         rng = random.Random(f"repro-check/{self.seed}/{index}")
-        n = rng.choice(self.n_choices)
+        n = rng.choice(N_CHOICES)
         k = rng.choice(self.k_choices)
         injections = []
-        for token in range(rng.randint(self.min_tokens, self.max_tokens)):
+        for token in range(rng.randint(MIN_TOKENS, MAX_TOKENS)):
             injections.append(Injection(
-                time=round(rng.uniform(1.0, self.horizon * 0.6), 1),
+                time=round(rng.uniform(1.0, HORIZON * 0.6), 1),
                 dst=rng.randrange(n),
                 token=token,
-                hops=rng.randint(1, self.max_hops),
-                emit_output=rng.random() < self.output_fraction,
+                hops=rng.randint(1, MAX_HOPS),
+                emit_output=rng.random() < OUTPUT_FRACTION,
             ))
         injections.sort(key=lambda i: i.time)
         crashes = []
-        if rng.random() < self.crash_probability:
-            for _ in range(rng.randint(1, self.max_crashes)):
+        if rng.random() < CRASH_PROBABILITY:
+            for _ in range(rng.randint(1, MAX_CRASHES)):
                 crashes.append((
-                    round(rng.uniform(self.horizon * 0.2,
-                                      self.horizon * 0.8), 1),
+                    round(rng.uniform(HORIZON * 0.2, HORIZON * 0.8), 1),
                     rng.randrange(n),
                 ))
             crashes.sort()
         partitions = []
-        if rng.random() < self.partition_probability:
-            start = round(rng.uniform(self.horizon * 0.1,
-                                      self.horizon * 0.6), 1)
+        if rng.random() < PARTITION_PROBABILITY:
+            start = round(rng.uniform(HORIZON * 0.1, HORIZON * 0.6), 1)
             length = round(rng.uniform(4.0, 12.0), 1)
             isolated = rng.randrange(n)
             partitions.append(Partition(
-                start=start, end=min(start + length, self.horizon * 0.9),
+                start=start, end=min(start + length, HORIZON * 0.9),
                 islands=((isolated,),),
             ))
         choice_seed = rng.randrange(2 ** 32)
@@ -160,9 +163,9 @@ class RandomScenarioSampler:
         # the same budget.
         crash_points = tuple(
             kind for kind in ("checkpoint", "rollback") if rng.random() < 0.5
-        )[:max(0, self.max_crashes - len(crashes))]
+        )[:max(0, MAX_CRASHES - len(crashes))]
         return Scenario(
-            n=n, k=k, seed=index, horizon=self.horizon,
+            n=n, k=k, seed=index, horizon=HORIZON,
             injections=injections, crashes=crashes, partitions=partitions,
             choices=[], choice_seed=choice_seed, notify_fanout=fanout,
             crash_points=crash_points,
@@ -186,16 +189,6 @@ class RandomExplorer:
         stats = ExplorationStats()
         for index in range(self.runs):
             scenario = self.sampler.sample(index)
-            result = run_scenario(scenario, self.protocol)
-            stats.runs += 1
-            if result.counts:
-                stats.max_branching = max(stats.max_branching,
-                                          max(result.counts))
-            stats.max_release_revokers = max(stats.max_release_revokers,
-                                             result.max_release_revokers)
-            if result.violations:
-                stats.counterexample = scenario
-                stats.result = result
-                return stats
-        stats.exhausted = True
+            if stats.record(scenario, run_scenario(scenario, self.protocol)):
+                break
         return stats

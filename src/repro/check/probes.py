@@ -41,9 +41,11 @@ and accumulates violations.  Together with the harness's
   first execution's.  Each interval's draws are a function of its
   identity (:func:`~repro.sim.rng.interval_key`), so a handler that draws
   from anything else — a shared generator, the clock — shows here.
-- **own stability at quiescence** — :meth:`ProbeSet.check_quiescent`,
-  run once after ``settle``: a process that records its own flushes
-  knows each of its own stable surviving intervals.  A Restart that
+- **own stability and durability at quiescence** —
+  :meth:`ProbeSet.check_quiescent`, run once after ``settle``: a process
+  that records its own flushes knows each of its own stable surviving
+  intervals, and every committed output is still recorded as committed
+  in its process's stable storage.  A Restart that
   forgets the end of an incarnation its Rollback closed leaves it, and
   so every peer, unaware for ever.  This rule reads the live log table;
   the rules over the fact stream alone — a surviving interval's send
@@ -174,23 +176,23 @@ class ProbeSet:
         Own-process entries are exempt: a process's entry for itself is
         nullified by its own flush (Theorem 2 / Corollary 2), which is
         exactly the event that makes the corresponding intervals stable,
-        and the residual race is within a single event callback.
+        and the residual race is within a single event callback.  The
+        oracle lists the non-stable past without walking the whole past.
         """
         oracle = harness.certifier.oracle
         for host in harness.hosts:
-            if host.down or getattr(host.protocol, "failed", False):
+            if host.down or host.protocol.failed:
                 continue
             live = oracle.live_interval(host.pid)
             if live is None:
                 continue
-            carried = dict(host.protocol.tdv_entries())
-            for iid in oracle.causal_past(live):
+            carried = None
+            for iid in oracle.non_stable_past(live):
                 qid, inc, sii = iid
                 if qid == host.pid:
                     continue
-                node = oracle.node(iid)
-                if node.stable or node.rolled_back:
-                    continue
+                if carried is None:
+                    carried = dict(host.protocol.tdv_entries())
                 entry = carried.get(qid)
                 if entry is None or entry < Entry(inc, sii):
                     self._report(
@@ -237,12 +239,13 @@ class ProbeSet:
     # -- quiescent checks ------------------------------------------------------
 
     def check_quiescent(self, harness: SimulationHarness) -> None:
-        """Own stability, once the run has settled: a process that records
+        """Once the run has settled: own stability — a process that records
         its own flushes knows every surviving interval of its own that is
-        stable.  Its peers learn stability only from it, so one it forgot
-        holds whatever depends on it for ever, even if nothing does yet."""
-        if harness.certifier is None:
-            return
+        stable (its peers learn stability only from it, so one it forgot
+        holds whatever depends on it for ever, even if nothing does yet) —
+        and durability — every output committed to the outside world is
+        still recorded as committed in its process's stable storage, the
+        at-most-once guard REDO replay must keep."""
         oracle = harness.certifier.oracle
         for host in harness.hosts:
             proc = host.protocol
@@ -257,6 +260,13 @@ class ProbeSet:
                         f"not cover its own stable interval {entry}, so no "
                         f"peer can learn that it is stable")
                     break
+        for _, record in harness.committed_outputs:
+            storage = harness.hosts[record.process].protocol.storage
+            if not storage.output_committed(record.output_id):
+                self._report(
+                    f"output {record.output_id} no longer recorded as "
+                    f"committed in P{record.process}'s stable storage (REDO "
+                    f"lost the at-most-once guard)")
 
 
 def _entry(packed: int) -> Entry:

@@ -1,28 +1,40 @@
-"""Replayable check scenarios.
+"""Replayable check scenarios and the one runner that judges them.
 
 A :class:`Scenario` is a complete JSON-serializable description of one
-controlled run: topology (n, K, seed), token-workload injections,
-crash/partition placements, the horizon, and the schedule *choices* — the
+controlled run: topology (n, K, seed), token injections, crash,
+partition and storage-fault placements, storage backend and fsync
+policy, network, timers, horizon, and the schedule *choices* — the
 indices an external tie-breaker picks among same-time engine events.
-``run_scenario`` executes one scenario with the invariant probe layer
-installed, runs the quiescent own-stability probe once it has settled,
-and returns a :class:`CheckResult`.
+Every campaign (the explorers, the storage campaigns, the variant
+matrix) generates scenarios for :func:`run_scenario`, which judges each
+alike: the certifier's rules, a :class:`~repro.check.probes.ProbeSet`
+(its quiescent own-stability probe and durability guard included) and
+the storm rule.
 
-Scenarios use a **lockstep** network (fixed unit latency, no jitter, no
-per-entry cost) so that independently sent messages arrive at the same
-virtual time: same-time ties are exactly the schedule freedom the real
-system has, and the explorer enumerates or samples them through the
-engine's tie-breaker hook.
+Checker scenarios default to a **lockstep** network (fixed unit latency,
+no jitter, no per-entry cost) so that independently sent messages arrive
+at the same virtual time: same-time ties are exactly the schedule
+freedom the real system has, and the explorer enumerates or samples them
+through the engine's tie-breaker hook.
 """
 
 from __future__ import annotations
 
-import json
+import os
 import random
+import shutil
+import tempfile
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.effects import Effect, RollbackPerformed, StableProgress
+from repro.check.probes import ProbeSet
+from repro.core.baselines import StromYeminiProcess
+from repro.core.effects import (
+    Effect,
+    MessageDelivered,
+    RollbackPerformed,
+    StableProgress,
+)
 from repro.core.entry import Entry
 from repro.core.protocol import KOptimisticProcess
 from repro.failures.injector import (
@@ -31,12 +43,37 @@ from repro.failures.injector import (
     FailureSchedule,
     HealEvent,
     PartitionEvent,
+    StorageFaultEvent,
 )
 from repro.runtime.config import SimConfig
 from repro.runtime.harness import ProcessHost, SimulationHarness
+from repro.runtime.metrics import RunMetrics
 from repro.sim.engine import EventHandle
+from repro.sim.rng import RngRegistry
 from repro.sim.trace import Record
-from repro.workloads.random_peers import TokenBehavior
+from repro.workloads.random_peers import RandomPeersWorkload, TokenBehavior
+
+#: The networks a scenario names, as the config fields each sets.
+NETWORKS: Dict[str, dict] = {
+    # Fixed unit latency: maximal same-time ties for the explorer.
+    "lockstep": {"msg_latency_jitter": 0.0, "per_entry_latency": 0.0},
+    # SimConfig's jittered latency.
+    "jittered": {},
+    # Jittered and faulty, with a sent-log window for restarted receivers.
+    "lossy": {"drop_rate": 0.05, "duplicate_rate": 0.02,
+              "reorder_rate": 0.05, "retransmit_window": 16},
+}
+#: Classes that assume FIFO channels, run on FIFO channels.
+FIFO_CLASSES = (StromYeminiProcess,)
+#: Where file-log scenarios keep their journals: on tmpfs where there is
+#: one (a run judges the protocol over the journal, not the device).
+JOURNALS = "/dev/shm" if os.path.isdir("/dev/shm") else None
+#: The storm rule: a run may fire at most this many engine events per
+#: first-time delivery — the first delivery of a token at a hop (a
+#: rollback's re-execution delivers the same hop again) — and as many per
+#: pair of processes and notify tick elapsed (what an idle system
+#: exchanges).  A run past the bound is a cascade, and ends there.
+STORM_EVENTS = 20
 
 
 @dataclass(frozen=True)
@@ -105,8 +142,13 @@ class CheckResult:
     #: Number of same-time candidates at each decision point.
     counts: List[int]
     events_executed: int
-    outputs_committed: int
-    max_release_revokers: int
+    #: Settle left every process quiescent.
+    quiescent: bool
+    #: The storm rule ended the run (one of the violations says so).
+    storm: bool
+    metrics: RunMetrics
+    #: Each process's fsyncs (the fsync sweep crashes at these boundaries).
+    fsyncs: List[int]
     trace: List[Record] = field(default_factory=list)
 
     @property
@@ -134,6 +176,7 @@ class Scenario:
     injections: List[Injection] = field(default_factory=list)
     crashes: List[Tuple[float, int]] = field(default_factory=list)
     partitions: List[Partition] = field(default_factory=list)
+    storage_faults: List[StorageFaultEvent] = field(default_factory=list)
     #: Forced tie-break prefix (DFS exploration / replay).
     choices: List[int] = field(default_factory=list)
     #: Seeded random tie-breaking beyond the prefix (random exploration);
@@ -151,23 +194,24 @@ class Scenario:
     #: Crashes the protocol's own steps place, each once (see
     #: :class:`CrashPoint`): ``"checkpoint"`` and/or ``"rollback"``.
     crash_points: Tuple[str, ...] = ()
+    #: One of :data:`NETWORKS`.
+    network: str = "lockstep"
+    storage_backend: str = "model"
+    fsync_policy: str = "group"
 
     # -- construction ------------------------------------------------------
 
     def config(self) -> SimConfig:
         return SimConfig(
-            n=self.n,
-            k=self.k,
-            seed=self.seed,
+            n=self.n, k=self.k, seed=self.seed,
             flush_interval=self.flush_interval,
             checkpoint_interval=self.checkpoint_interval,
             notify_interval=self.notify_interval,
             restart_delay=self.restart_delay,
             notify_fanout=self.notify_fanout,
-            # Lockstep network: maximal same-time ties for the explorer.
-            msg_latency_jitter=0.0,
-            per_entry_latency=0.0,
-        )
+            storage_backend=self.storage_backend,
+            fsync_policy=self.fsync_policy,
+            **NETWORKS[self.network])
 
     def failure_schedule(self) -> FailureSchedule:
         events: List[FailureEvent] = [
@@ -176,7 +220,7 @@ class Scenario:
         for part in self.partitions:
             events.append(PartitionEvent(part.start, part.islands))
             events.append(HealEvent(part.end))
-        return FailureSchedule(events)
+        return FailureSchedule(events + list(self.storage_faults))
 
     def with_choices(self, choices: Sequence[int],
                      choice_seed: Optional[int] = None) -> "Scenario":
@@ -185,48 +229,28 @@ class Scenario:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["injections"] = [asdict(i) for i in self.injections]
-        data["partitions"] = [
-            {"start": p.start, "end": p.end,
-             "islands": [list(group) for group in p.islands]}
-            for p in self.partitions
-        ]
-        data["crashes"] = [[t, pid] for t, pid in self.crashes]
-        return data
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        return cls(
-            n=data["n"],
-            k=data.get("k"),
-            seed=data.get("seed", 0),
-            horizon=data.get("horizon", 40.0),
-            injections=[Injection(**i) for i in data.get("injections", [])],
-            crashes=[(t, pid) for t, pid in data.get("crashes", [])],
-            partitions=[
-                Partition(p["start"], p["end"],
-                          tuple(tuple(g) for g in p["islands"]))
-                for p in data.get("partitions", [])
-            ],
-            choices=list(data.get("choices", [])),
-            choice_seed=data.get("choice_seed"),
-            flush_interval=data.get("flush_interval", 10.0),
-            checkpoint_interval=data.get("checkpoint_interval", 40.0),
-            notify_interval=data.get("notify_interval", 5.0),
-            restart_delay=data.get("restart_delay", 5.0),
-            notify_fanout=data.get("notify_fanout"),
-            crash_points=tuple(data.get("crash_points", ())),
-        )
+        data = dict(data, crash_points=tuple(data.get("crash_points", ())))
+        for name, kind in (("injections", Injection),
+                           ("storage_faults", StorageFaultEvent)):
+            data[name] = [kind(**item) for item in data.get(name, [])]
+        data["crashes"] = [tuple(c) for c in data.get("crashes", [])]
+        data["partitions"] = [
+            Partition(p["start"], p["end"], tuple(map(tuple, p["islands"])))
+            for p in data.get("partitions", [])]
+        return cls(**data)
 
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
 
-    @classmethod
-    def load(cls, path: str) -> "Scenario":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+def random_peers(seed: int, n: int, until: float, rate: float = 1.0,
+                 output_fraction: float = 0.25) -> List[Injection]:
+    """The Poisson tokens :class:`RandomPeersWorkload` injects into a run
+    seeded ``seed``, drawn up front as injections."""
+    workload = RandomPeersWorkload(rate=rate, output_fraction=output_fraction)
+    return [Injection(time, dst, **payload) for time, dst, payload
+            in workload.injections(RngRegistry(seed), n, until)]
 
 
 class CrashPoint:
@@ -281,41 +305,86 @@ class CrashPoint:
             self.harness.engine.schedule(0.0, host.crash)
 
 
+class Storm(Exception):
+    """A run broke the storm rule; the message says how."""
+
+
+class StormRule:
+    """Counts first-time deliveries and ends the run, raising
+    :class:`Storm`, once the engine has fired more events than
+    :data:`STORM_EVENTS` allows."""
+
+    def __init__(self, harness: SimulationHarness):
+        self.pairs = harness.config.n ** 2
+        self.tick = harness.config.notify_interval
+        #: ``(token, hops)`` of every token hop delivered.
+        self.hops: Set[Tuple[Any, Any]] = set()
+        harness.add_effect_probe(self._on_effect)
+        harness.add_step_probe(self._on_step)
+
+    def _on_effect(self, host: ProcessHost, effect: Effect) -> None:
+        if isinstance(effect, MessageDelivered) and not effect.replay:
+            payload = effect.message.payload
+            self.hops.add((payload.get("token"), payload.get("hops")))
+
+    def _on_step(self, harness: SimulationHarness) -> None:
+        events, now = harness.engine.events_executed, harness.engine.now
+        bound = STORM_EVENTS * (len(self.hops)
+                                + self.pairs * int(now // self.tick + 1))
+        if events > bound:
+            raise Storm(f"storm: {events} engine events by t={now:g} for "
+                        f"{len(self.hops)} first-time deliveries (bound "
+                        f"{bound})")
+
+
 def run_scenario(
     scenario: Scenario,
     protocol: type = KOptimisticProcess,
 ) -> CheckResult:
-    """Execute ``scenario`` under the probe layer and report the outcome.
+    """Execute ``scenario`` under every rule and report the outcome.
 
     The run is fully deterministic given the scenario (including its
     ``choice_seed``), so any violation found here can be replayed from the
     serialized form alone.
     """
-    from repro.check.probes import ProbeSet  # circular-at-import otherwise
-
-    harness = SimulationHarness(
-        scenario.config(), TokenBehavior(),
-        failures=scenario.failure_schedule(),
-        protocol=protocol,
-    )
-    probes = ProbeSet()
-    probes.install(harness)
-    for kind in scenario.crash_points:
-        harness.add_effect_probe(CrashPoint(kind, harness))
-    recorder = ChoiceRecorder(scenario.choices, seed=scenario.choice_seed)
-    harness.engine.set_tie_breaker(recorder)
-    for injection in scenario.injections:
-        harness.inject_at(injection.time, injection.dst, injection.payload())
-    harness.run(scenario.horizon)
-    probes.check_quiescent(harness)
-    violations = list(harness.violations) + list(probes.violations)
-    return CheckResult(
-        violations=violations,
-        choices=list(recorder.taken),
-        counts=list(recorder.counts),
-        events_executed=harness.engine.events_executed,
-        outputs_committed=len(harness.committed_outputs),
-        max_release_revokers=harness.certifier.max_release_revokers,
-        trace=[record for record in harness.tracer.rows()
-               if record[1].startswith(TRACE_KEEP)],
-    )
+    journals = (tempfile.mkdtemp(prefix="repro-check-", dir=JOURNALS)
+                if scenario.storage_backend == "filelog" else None)
+    config = replace(scenario.config(), storage_dir=journals,
+                     fifo=issubclass(protocol, FIFO_CLASSES))
+    harness = SimulationHarness(config, TokenBehavior(),
+                                failures=scenario.failure_schedule(),
+                                protocol=protocol)
+    try:
+        probes = ProbeSet()
+        probes.install(harness)
+        for kind in scenario.crash_points:
+            harness.add_effect_probe(CrashPoint(kind, harness))
+        StormRule(harness)
+        recorder = ChoiceRecorder(scenario.choices, seed=scenario.choice_seed)
+        harness.engine.set_tie_breaker(recorder)
+        for injection in scenario.injections:
+            harness.inject_at(injection.time, injection.dst,
+                              injection.payload())
+        storm: List[str] = []
+        try:
+            harness.run(scenario.horizon)
+            probes.check_quiescent(harness)
+        except Storm as cascade:
+            storm.append(str(cascade))
+        violations = list(harness.violations) + probes.violations + storm
+        return CheckResult(
+            violations=violations,
+            choices=list(recorder.taken),
+            counts=list(recorder.counts),
+            events_executed=harness.engine.events_executed,
+            quiescent=not storm and harness.quiescent(),
+            storm=bool(storm),
+            metrics=harness.metrics(),
+            fsyncs=[host.protocol.storage.fsyncs for host in harness.hosts],
+            trace=[record for record in harness.tracer.rows()
+                   if record[1].startswith(TRACE_KEEP)],
+        )
+    finally:
+        harness.close()
+        if journals is not None:
+            shutil.rmtree(journals, ignore_errors=True)

@@ -2,11 +2,12 @@
 
 Given a violating scenario, :func:`shrink` minimizes it with classic
 ddmin passes over each scenario component — injections, crashes,
-partitions, the tie-break choice list — plus simpler injections (fewer
-hops, no output), single crash points dropped and horizon reduction,
-iterated to a fixpoint under a run budget.  The reduction predicate is simply
-"re-running the candidate still violates *some* invariant": any smaller
-failing scenario is a better counterexample.
+partitions, storage faults, the tie-break choice list — plus simpler
+injections (fewer hops, no output), single crash points dropped and
+horizon reduction, iterated to a fixpoint under a run budget.  The
+reduction predicate is simply "re-running the candidate still violates
+*some* invariant": any smaller failing scenario is a better
+counterexample.
 
 :func:`dump_counterexample` writes the shrunk scenario together with the
 violations, the exact decision path, and a filtered protocol-level trace
@@ -119,29 +120,16 @@ def shrink(
         changed = False
         before = current
 
-        injections = _ddmin(
-            list(current.injections),
-            lambda items: fails(replace(current, injections=items)),
-            budget,
-        )
-        if len(injections) < len(current.injections):
-            current = replace(current, injections=injections)
-
-        crashes = _ddmin(
-            list(current.crashes),
-            lambda items: fails(replace(current, crashes=items)),
-            budget,
-        )
-        if len(crashes) < len(current.crashes):
-            current = replace(current, crashes=crashes)
-
-        partitions = _ddmin(
-            list(current.partitions),
-            lambda items: fails(replace(current, partitions=items)),
-            budget,
-        )
-        if len(partitions) < len(current.partitions):
-            current = replace(current, partitions=partitions)
+        for name in ("injections", "crashes", "partitions",
+                     "storage_faults"):
+            items = getattr(current, name)
+            kept = _ddmin(
+                list(items),
+                lambda kept: fails(replace(current, **{name: kept})),
+                budget,
+            )
+            if len(kept) < len(items):
+                current = replace(current, **{name: kept})
 
         # Simpler injections: fewer hops, lowest first (a token may start
         # where one of its hops took it), then no output.
@@ -177,6 +165,7 @@ def shrink(
             [i.time for i in current.injections]
             + [t for t, _ in current.crashes]
             + [p.end for p in current.partitions]
+            + [f.time for f in current.storage_faults]
             + [0.0]
         )
         for horizon in sorted({round(current.horizon / 2, 1),

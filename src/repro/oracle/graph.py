@@ -46,7 +46,7 @@ them):
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.core import columnar
 from repro.core.entry import Entry
@@ -308,18 +308,6 @@ class DependencyOracle:
     def exists(self, interval: IntervalId) -> bool:
         return interval in self._nodes
 
-    def causal_past(self, interval: IntervalId) -> Set[IntervalId]:
-        """All intervals u with u -> interval (including interval itself)."""
-        seen: Set[IntervalId] = set()
-        stack = [interval]
-        while stack:
-            iid = stack.pop()
-            if iid in seen or iid not in self._nodes:
-                continue
-            seen.add(iid)
-            stack.extend(self._nodes[iid].preds)
-        return seen
-
     def _orphans(self) -> Set[IntervalId]:
         """The current orphan set: the walk resumes from the earliest node
         a rollback marked since the last call (or from where it stopped),
@@ -361,18 +349,27 @@ class DependencyOracle:
         causal past (Theorem 4's quantity)."""
         vec = self._vec.get(interval)
         if vec is None:
-            # Unknown interval: fall back to the explicit traversal.
-            revokers: Set[ProcessId] = set()
-            for iid in self.causal_past(interval):
-                node = self._nodes[iid]
-                if not node._stable and not node._rolled_back:
-                    revokers.add(iid[0])
-            return revokers
+            return set()  # an unknown interval has no past
         frontier = self._frontier
         if self._use_np:
             return set(columnar.NUMPY.nonzero(vec >= frontier)[0].tolist())
         # A zero slot never reaches a frontier: sequence numbers start at 1.
         return {j for j, reach in enumerate(vec) if reach >= frontier[j]}
+
+    def non_stable_past(self, interval: IntervalId) -> Iterator[IntervalId]:
+        """The non-stable, non-rolled-back intervals in ``interval``'s
+        causal past (itself included), by process in chain order: of each
+        revoker j, the live-chain nodes past j's stable prefix up to the
+        causal vector's reach (any other node the reach covers is rolled
+        back)."""
+        vec = self._vec[interval]
+        for j in sorted(self.potential_revokers(interval)):
+            reach = vec[j]
+            for iid in self._chains[j][self._stable_prefix[j]:]:
+                if self._seq_of[iid] > reach:
+                    break
+                if not self._nodes[iid]._stable:
+                    yield iid
 
     def live_interval(self, pid: ProcessId) -> Optional[IntervalId]:
         chain = self._chains[pid]

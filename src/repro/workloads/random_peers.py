@@ -9,7 +9,7 @@ the transitive cross-process dependencies that make dependency vectors grow
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterator, Tuple
 
 from repro.app.behavior import AppBehavior, AppContext
 from repro.workloads.base import Workload, poisson_times
@@ -63,13 +63,20 @@ class RandomPeersWorkload(Workload):
     def behavior(self) -> AppBehavior:
         return TokenBehavior()
 
-    def install(self, harness, until: float) -> None:
-        rng = harness.rngs.stream("workload/random_peers")
+    def injections(self, rngs, n: int,
+                   until: float) -> Iterator[Tuple[float, int, dict]]:
+        """Every ``(time, dst, payload)`` of a run of ``n`` processes,
+        drawn up front from ``rngs``' ``workload/random_peers`` stream."""
+        rng = rngs.stream("workload/random_peers")
         for token, time in enumerate(poisson_times(rng, self.rate, until)):
-            dst = rng.randrange(harness.config.n)
-            payload = {
+            dst = rng.randrange(n)
+            yield time, dst, {
                 "token": token,
                 "hops": rng.randint(self.min_hops, self.max_hops),
                 "emit_output": rng.random() < self.output_fraction,
             }
+
+    def install(self, harness, until: float) -> None:
+        for time, dst, payload in self.injections(
+                harness.rngs, harness.config.n, until):
             harness.inject_at(time, dst, payload)

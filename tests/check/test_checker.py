@@ -8,8 +8,12 @@ protocol variant the explorer must find a violation and the shrinker
 must reduce it to a short replayable counterexample.
 """
 
+import functools
+import json
+
 import pytest
 
+from repro.check import explorer
 from repro.check import (
     BoundedDFSExplorer,
     ChoiceRecorder,
@@ -24,6 +28,8 @@ from repro.check import (
     shrink,
 )
 from repro.check.cli import small_scenario
+from repro.check.scenario import Partition
+from repro.failures.injector import StorageFaultEvent
 from repro.check.probes import ProbeSet
 from repro.sim.engine import Engine, SimulationError
 
@@ -120,21 +126,22 @@ class TestScenarioRuns:
         assert flipped.violations == []
         assert flipped.choices != base.choices
 
-    def test_serialization_round_trip(self, tmp_path):
+    def test_serialization_round_trip(self):
         scenario = Scenario(
             n=4, k=2, seed=3, horizon=25.0,
             injections=[Injection(1.0, 0, token=1, hops=2,
                                   emit_output=True)],
             crashes=[(10.0, 2)],
-            choices=[0, 1], choice_seed=99,
+            partitions=[Partition(5.0, 9.0, ((1,), (2, 3)))],
+            storage_faults=[StorageFaultEvent(3.0, 1, "eio", count=2)],
+            choices=[0, 1], choice_seed=99, crash_points=("checkpoint",),
+            network="lossy", storage_backend="filelog",
+            fsync_policy="strict",
         )
-        path = str(tmp_path / "scenario.json")
-        scenario.dump(path)
-        assert Scenario.load(path) == scenario
+        text = json.dumps(scenario.to_dict())
+        assert Scenario.from_dict(json.loads(text)) == scenario
 
     def test_real_protocol_clean_with_crash_and_partition(self):
-        from repro.check.scenario import Partition
-
         scenario = Scenario(
             n=4, k=1, seed=5, horizon=40.0,
             injections=[Injection(1.0 + i, i % 4, token=i, hops=2,
@@ -155,9 +162,10 @@ class TestTheorem4Sweep:
     extremes."""
 
     @pytest.mark.parametrize("k", [0, 1, 2, None])
-    def test_release_bound_holds_under_random_schedules(self, k):
-        sampler = RandomScenarioSampler(seed=13, k_choices=(k,),
-                                        n_choices=(3, 4))
+    def test_release_bound_holds_under_random_schedules(self, k,
+                                                        monkeypatch):
+        monkeypatch.setattr(explorer, "N_CHOICES", (3, 4))
+        sampler = RandomScenarioSampler(seed=13, k_choices=(k,))
         stats = RandomExplorer(sampler, runs=25).explore()
         assert not stats.found, stats.result.violations
         bound = 4 if k is None else k
@@ -240,14 +248,17 @@ class TestMutationSmoke:
         # The real protocol survives the same scenario.
         assert run_scenario(loaded).violations == []
 
-    def test_orphan_blind_dfs_also_catches_with_crash(self):
+    def test_orphan_blind_dfs_also_catches_with_crash(self, monkeypatch):
         # The bounded DFS (not just random sampling) can expose the
         # orphan-blind mutant once a crash is in the scenario.
         scenario = small_scenario(n=3, k=1, tokens=4, horizon=30.0,
                                   crash=1)
         mutant = MUTANTS["orphan_blind"]
-        stats = BoundedDFSExplorer(
-            scenario, max_depth=6, max_runs=150, protocol=mutant).explore()
+        with monkeypatch.context() as patch:
+            patch.setattr(explorer, "run_scenario",
+                          functools.partial(run_scenario, protocol=mutant))
+            stats = BoundedDFSExplorer(
+                scenario, max_depth=6, max_runs=150).explore()
         sampled = RandomExplorer(
             RandomScenarioSampler(seed=2), runs=40, protocol=mutant).explore()
         assert stats.found or sampled.found

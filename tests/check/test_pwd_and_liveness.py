@@ -144,6 +144,8 @@ def test_the_storage_campaign_runs_the_liveness_probe(monkeypatch):
         original(self, harness)
 
     monkeypatch.setattr(ProbeSet, "check_quiescent", spy)
-    result = storage_campaign.fault_campaign(runs=1, n=3, horizon=160.0)
-    assert result.clean, result.failures
+    (_, scenario), = storage_campaign.fault_campaign(runs=1, n=3,
+                                                     horizon=160.0)
+    result = run_scenario(scenario)
+    assert result.ok, result.violations
     assert calls == ["filelog"]

@@ -1,9 +1,10 @@
 """Tests for the storage-fault campaign checker.
 
 Covers the durability checks themselves (the certifier's ledger must flag
-duplicate and unknown committed outputs, and the stable-storage guard a
-forgotten one — the smoke campaigns are only as strong as these checks),
-tiny seeded smoke runs of both campaign styles, the
+duplicate and unknown committed outputs, and the quiescent probe's
+stable-storage guard a forgotten one — the smoke campaigns are only as strong as these
+checks), tiny seeded smoke runs of both campaign styles through the one
+runner, the
 filelog-vs-model end-to-end equivalence under an identical crash
 schedule, and the regression test for the rollback-replay duplicate
 output-commit bug the campaign originally caught.
@@ -11,24 +12,30 @@ output-commit bug the campaign originally caught.
 
 import pytest
 
+from repro.check.probes import ProbeSet
+from repro.check.scenario import run_scenario
 from repro.check.storage_campaign import (
-    durability_violations,
     fault_campaign,
     fsync_sweep,
+    sweep_baseline,
 )
 from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
 from repro.core.output import OutputBuffer
 from repro.core.stability import StabilityIndex
-from repro.failures.injector import (
-    CrashEvent,
-    FailureSchedule,
-    StorageFaultEvent,
-)
+from repro.failures.injector import CrashEvent, FailureSchedule
 from repro.net.message import OutputRecord
 from repro.runtime.config import SimConfig
 from repro.runtime.harness import SimulationHarness
-from repro.workloads.random_peers import RandomPeersWorkload
+from repro.workloads.random_peers import RandomPeersWorkload, TokenBehavior
+
+
+def durability_violations(harness):
+    """What the quiescent probes, the durability guard among them, say of
+    a settled run."""
+    probes = ProbeSet()
+    probes.check_quiescent(harness)
+    return probes.violations
 
 
 def run_small(backend="filelog", schedule=None, horizon=160.0, seed=7, k=2):
@@ -93,30 +100,45 @@ class TestDurabilityViolations:
             harness.close()
 
 
+def campaign(**kwargs):
+    """``fault_campaign``'s runs: ``(description, result)`` each."""
+    return [(description, run_scenario(scenario))
+            for description, scenario in fault_campaign(**kwargs)]
+
+
 class TestFaultCampaignSmoke:
     def test_tiny_campaign_is_clean_and_exercises_faults(self):
-        result = fault_campaign(runs=2, seed=0, n=4, k=2, horizon=220.0)
-        assert result.clean, result.summary()
-        assert sum(r.recoveries for r in result.runs) >= 1
-        assert sum(r.outputs_committed for r in result.runs) > 0
-        assert "clean" in result.summary()
+        results = [result for _, result in campaign(
+            runs=2, seed=0, n=4, k=2, horizon=220.0)]
+        assert all(r.ok for r in results), [r.violations for r in results]
+        assert sum(r.metrics.storage_recoveries for r in results) >= 1
+        assert sum(r.metrics.outputs_committed for r in results) > 0
 
     def test_campaign_is_deterministic(self):
-        a = fault_campaign(runs=1, seed=3, n=4, k=2, horizon=220.0)
-        b = fault_campaign(runs=1, seed=3, n=4, k=2, horizon=220.0)
-        assert [r.description for r in a.runs] == \
-               [r.description for r in b.runs]
-        assert [r.outputs_committed for r in a.runs] == \
-               [r.outputs_committed for r in b.runs]
+        a = campaign(runs=1, seed=3, n=4, k=2, horizon=220.0)
+        b = campaign(runs=1, seed=3, n=4, k=2, horizon=220.0)
+        assert [d for d, _ in a] == [d for d, _ in b]
+        assert [r.metrics.outputs_committed for _, r in a] == \
+               [r.metrics.outputs_committed for _, r in b]
+
+
+def sweep(seed=1, n=2, k=2, horizon=140.0, max_points=4):
+    """The baseline's result and ``fsync_sweep``'s points:
+    ``(pid, index, scenario)`` each."""
+    baseline = sweep_baseline(seed=seed, n=n, k=k, horizon=horizon)
+    first = run_scenario(baseline)
+    return first, list(fsync_sweep(baseline, first.fsyncs, max_points))
 
 
 class TestFsyncSweepSmoke:
     def test_tiny_sweep_is_clean(self):
-        result = fsync_sweep(seed=1, n=2, k=2, horizon=140.0, max_points=4)
-        assert result.points, "sweep produced no boundary crashes"
-        assert result.clean, result.summary()
-        assert all(f > 0 for f in result.baseline_fsyncs)
-        assert sum(p.recoveries for p in result.points) >= 1
+        first, points = sweep()
+        assert points, "sweep produced no boundary crashes"
+        results = [run_scenario(scenario) for _, _, scenario in points]
+        assert first.ok and all(r.ok for r in results), \
+            [r.violations for r in results]
+        assert all(f > 0 for f in first.fsyncs)
+        assert sum(r.metrics.storage_recoveries for r in results) >= 1
 
 
 class TestBackendEquivalence:
@@ -179,18 +201,19 @@ class TestRollbackReplayDedup:
     "fsync boundary): a crash right after the fsync that makes an output's "
     "commit record durable, before CommitOutput runs, loses the output"))
 def test_every_journaled_commit_reaches_the_outside_world():
-    # fsync_sweep(seed=1, n=2, k=2, horizon=140.0, max_points=4)'s point
-    # at P1's 6th fsync: the sweep reports it clean.
-    horizon = 140.0
-    workload = RandomPeersWorkload(rate=1.0)
-    harness = SimulationHarness(
-        SimConfig(n=2, k=2, seed=1, flush_interval=20.0,
-                  checkpoint_interval=80.0, storage_backend="filelog"),
-        workload.behavior(), failures=FailureSchedule([
-            StorageFaultEvent(0.0, 1, "crash_after_fsyncs", count=6)]))
-    workload.install(harness, until=horizon - 100.0)
+    # fsync_sweep's point at P1's 6th fsync in the sweep of
+    # sweep_baseline(seed=1, n=2, k=2, horizon=140.0), max_points=4: the
+    # runner judges it clean.
+    _first, points = sweep()
+    scenario = next(scenario for pid, index, scenario in points
+                    if (pid, index) == (1, 6))
+    assert run_scenario(scenario).ok
+    harness = SimulationHarness(scenario.config(), TokenBehavior(),
+                                failures=scenario.failure_schedule())
+    for injection in scenario.injections:
+        harness.inject_at(injection.time, injection.dst, injection.payload())
     try:
-        harness.run(horizon)
+        harness.run(scenario.horizon)
         committed = {record.output_id
                      for _, record in harness.committed_outputs}
         journaled = harness.hosts[1].protocol.storage.state_digest()[4]

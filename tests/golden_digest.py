@@ -29,6 +29,7 @@ import hashlib
 import sys
 from typing import Any, Callable, Dict, List, Tuple
 
+from repro.check.scenario import NETWORKS
 from repro.core.baselines import (
     DirectDependencyProcess,
     FullyAsyncProcess,
@@ -53,8 +54,7 @@ DURATION = 200.0
 CRASHES = FailureSchedule([CrashEvent(60.0, 1), CrashEvent(130.0, 3)])
 PARTITION = FailureSchedule([
     CrashEvent(60.0, 1), PartitionEvent(90.0, ((2,),)), HealEvent(120.0)])
-LOSSY = {"drop_rate": 0.05, "duplicate_rate": 0.02, "reorder_rate": 0.05,
-         "retransmit_window": 16}
+LOSSY = NETWORKS["lossy"]
 FILELOG = {"storage_backend": "filelog"}
 
 #: Each baseline with the K and channel discipline it is run under.

@@ -33,6 +33,21 @@ def next_draws(network) -> Dict[tuple, int]:
             for name, draws in sorted(streams.items())}
 
 
+def causal_past(oracle, interval) -> set:
+    """All intervals u with u -> ``interval`` (itself included), by a
+    traversal of the oracle's predecessor edges: the reference the
+    oracle's causal vectors and stable frontier are checked against."""
+    seen = set()
+    stack = [interval]
+    while stack:
+        iid = stack.pop()
+        if iid in seen or not oracle.exists(iid):
+            continue
+        seen.add(iid)
+        stack.extend(oracle.node(iid).preds)
+    return seen
+
+
 def build_sim(
     n: int = 4,
     k: Optional[int] = None,

@@ -3,16 +3,19 @@
 One cell runs one protocol class — the default and the five baselines,
 each at the K and channel discipline ``golden_digest.BASELINES`` gives it,
 and without outputs where it gives none (direct tracking commits none)
-— on one storage backend and one network, under one failure shape.  The
-cell installs a :class:`~repro.check.probes.ProbeSet` next to the inline
-certifier, runs, settles, and reads one verdict:
+— on one storage backend and one network, under one failure shape.  A
+cell is a :class:`~repro.check.scenario.Scenario`, its tokens drawn up
+front from the random-peers workload, and
+:func:`~repro.check.scenario.run_scenario` judges it as it judges every
+checked run.  The cell reads one verdict from the result:
 
 - ``clean``: no violation, and settle reached quiescence;
+- ``storm``: the runner's storm rule ended the run (too many engine
+  events per first-time delivery), so a cascade ends the cell, not the
+  test run;
 - the first violation the certifier or a probe names, with its
   identifiers (pids, intervals, message ids) taken out;
-- ``unquiescent``: settle used all ``SETTLE_ROUNDS`` without quiescing;
-- ``storm``: the cell ran out of its ``BUDGET`` of engine events, so a
-  cascade ends the cell, not the test run.
+- ``unquiescent``: settle used all ``SETTLE_ROUNDS`` without quiescing.
 
 ``PINNED`` holds every cell that is not clean, each with the record that
 explains it; any other cell reads ``clean``.  A new non-clean cell is a
@@ -28,51 +31,51 @@ crashes inside one flush interval, a partition that heals) is ``slow``.
 
 from __future__ import annotations
 
-import os
 import re
-import shutil
-import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
 import pytest
 
-from golden_digest import BASELINES, CRASHES, FILELOG, LOSSY, PARTITION
+from golden_digest import BASELINES
 from repro.check import MUTANTS
-from repro.check.probes import ProbeSet
+from repro.check.scenario import (
+    Partition,
+    Scenario,
+    random_peers,
+    run_scenario,
+)
 from repro.core.protocol import KOptimisticProcess
-from repro.failures.injector import CrashEvent, FailureSchedule
-from repro.runtime.config import SimConfig
-from repro.runtime.harness import SimulationHarness
-from repro.workloads.random_peers import RandomPeersWorkload
 
 N = 4
 DURATION = 200.0
 SEEDS = (1, 2, 3)
-#: Engine events one cell may use: about 1.25 times the busiest cell of
-#: the full matrix that ends (4 877, Strom-Yemini's lossy crash pair).
-BUDGET = 6000
 
-#: Each class with the K, channel discipline and output fraction it runs
-#: under.
+#: Each class with the K and output fraction ``golden_digest.BASELINES``
+#: gives it (and the runner, FIFO channels to Strom-Yemini).
 CLASSES: Dict[str, Tuple[type, Dict[str, Any]]] = {
     "k_optimistic": (KOptimisticProcess, {"k": 2}),
     **{name: (cls, {key: value for key, value in extra.items()
-                    if key in ("k", "fifo", "output_fraction")})
+                    if key in ("k", "output_fraction")})
        for name, (cls, extra) in BASELINES.items()},
 }
-STORAGE = {"model": {}, "filelog": FILELOG}
-#: Where the file-log cells keep their journals: on tmpfs where there is
-#: one.  A cell judges the protocol over the journal, not the device, and
-#: a disk's fsyncs and unlinks cost more than the rest of the cell.
-JOURNALS = "/dev/shm" if os.path.isdir("/dev/shm") else None
-NETWORKS = {"reliable": {}, "lossy": LOSSY}
-#: Two crashes 20 units apart, inside one 40-unit flush interval; the
-#: first one unit after P1's first checkpoint (t = 64), so a checkpoint
-#: that owes work is taken back by the Restart that follows it.
-ONE_FLUSH = FailureSchedule([CrashEvent(65.0, 1), CrashEvent(85.0, 3)])
-SHAPES = {"crash_pair": CRASHES, "one_flush": ONE_FLUSH,
-          "partition": PARTITION}
+STORAGE = ("model", "filelog")
+#: The matrix's names for the runner's networks.
+NETWORKS = {"reliable": "jittered", "lossy": "lossy"}
+#: The failure shapes, as scenario fields.  ``crash_pair`` and
+#: ``partition`` are the golden digest's; ``one_flush`` is two crashes 20
+#: units apart, inside one 40-unit flush interval, the first one unit
+#: after P1's first checkpoint (t = 64), so a checkpoint that owes work is
+#: taken back by the Restart that follows it.
+SHAPES = {
+    "crash_pair": {"crashes": [(60.0, 1), (130.0, 3)]},
+    "one_flush": {"crashes": [(65.0, 1), (85.0, 3)]},
+    "partition": {"crashes": [(60.0, 1)],
+                  "partitions": [Partition(90.0, 120.0, ((2,),))]},
+}
+#: SimConfig's timers, which the matrix runs at.
+TIMERS = {"flush_interval": 40.0, "checkpoint_interval": 160.0,
+          "notify_interval": 20.0, "restart_delay": 10.0}
 
 LOST_SEND = "surviving interval never released send"
 #: Every cell that is not clean, by (class, storage, network, shape,
@@ -92,16 +95,12 @@ PINNED = {
     **{("strom_yemini", storage, network, shape, seed): "unquiescent"
        for storage in STORAGE for network in NETWORKS for shape in SHAPES
        for seed in SEEDS},
-    # Direct tracking's announcement cascade outruns the budget in every
+    # Direct tracking's announcement cascade outruns the storm rule in every
     # cell at n = 4 (CHANGES.md FOUND; ROADMAP 13(b) refuses or fixes it).
     **{("direct", storage, network, shape, seed): "storm"
        for storage in STORAGE for network in NETWORKS for shape in SHAPES
        for seed in SEEDS},
 }
-
-
-class Storm(Exception):
-    """A cell ran out of its engine-event budget."""
 
 
 @dataclass(frozen=True)
@@ -117,6 +116,16 @@ class Cell:
         return (self.variant, self.storage, self.network, self.shape,
                 self.seed)
 
+    def scenario(self) -> Scenario:
+        discipline = CLASSES[self.variant][1]
+        return Scenario(
+            n=N, k=discipline.get("k"), seed=self.seed, horizon=DURATION,
+            injections=random_peers(
+                self.seed, N, DURATION * 0.8, rate=0.6,
+                output_fraction=discipline.get("output_fraction", 0.25)),
+            network=NETWORKS[self.network], storage_backend=self.storage,
+            **SHAPES[self.shape], **TIMERS)
+
 
 def named(violation: str) -> str:
     """A violation without its identifiers: the rule it names."""
@@ -126,38 +135,13 @@ def named(violation: str) -> str:
 
 
 def verdict(cell: Cell, protocol: type = None) -> str:
-    cls, discipline = CLASSES[cell.variant]
-    discipline = dict(discipline)
-    output_fraction = discipline.pop("output_fraction", 0.25)
-    journals = tempfile.mkdtemp(prefix="repro-matrix-", dir=JOURNALS)
-    config = SimConfig(n=N, seed=cell.seed, storage_dir=journals,
-                       **discipline, **STORAGE[cell.storage],
-                       **NETWORKS[cell.network])
-    workload = RandomPeersWorkload(rate=0.6, output_fraction=output_fraction)
-    harness = SimulationHarness(config, workload.behavior(),
-                                failures=SHAPES[cell.shape],
-                                protocol=protocol or cls)
-    probes = ProbeSet()
-    probes.install(harness)
-
-    def budget(harness):
-        if harness.engine.events_executed > BUDGET:
-            raise Storm
-
-    harness.add_step_probe(budget)
-    try:
-        workload.install(harness, until=DURATION * 0.8)
-        harness.run(DURATION)
-        probes.check_quiescent(harness)
-    except Storm:
+    result = run_scenario(cell.scenario(),
+                          protocol or CLASSES[cell.variant][0])
+    if result.storm:
         return "storm"
-    finally:
-        harness.close()
-        shutil.rmtree(journals, ignore_errors=True)
-    violations = list(harness.violations) + probes.violations
-    if violations:
-        return named(violations[0])
-    return "clean" if harness.quiescent() else "unquiescent"
+    if result.violations:
+        return named(result.violations[0])
+    return "clean" if result.quiescent else "unquiescent"
 
 
 def cells(shapes=("one_flush",), seeds=(1,)):

@@ -4,6 +4,8 @@ and the read-only introspection surface the checker's probes rely on."""
 from repro.core.entry import Entry
 from repro.oracle.graph import DependencyOracle
 
+from helpers import causal_past
+
 from test_oracle import oracle_with_chain
 
 
@@ -76,7 +78,7 @@ class TestCorruptedGraphs:
         oracle = oracle_with_chain(deliveries=1)
         # Corrupt: a predecessor that was never recorded.
         oracle.node((0, 0, 2)).preds.append((1, 7, 7))
-        past = oracle.causal_past((0, 0, 2))
+        past = causal_past(oracle, (0, 0, 2))
         assert (1, 7, 7) not in past  # unknown nodes are skipped, not fatal
         assert oracle.check_consistency() == []
 

@@ -13,13 +13,15 @@ from hypothesis import strategies as st
 from repro.core.entry import Entry
 from repro.oracle.graph import DependencyOracle
 
+from helpers import causal_past
+
 N = 3
 
 
 def from_scratch(oracle):
     return {iid for iid in oracle._creation_order
             if any(oracle.node(p).rolled_back
-                   for p in oracle.causal_past(iid))}
+                   for p in causal_past(oracle, iid))}
 
 
 def steps():

@@ -11,15 +11,26 @@ operation, that the cached frontier equals the walk for every process
 and that ``potential_revokers`` equals both references for every
 interval created so far — in the list and numpy representations of the
 causal vector.
+
+The Theorem 3 coverage probe used to walk the same traversal after every
+step; it now reads ``non_stable_past`` (causal vectors and live chains).
+The traversal form of the probe lives on here too, and on the same
+scripts, with random carried vectors, both forms report the same
+violations, rolled-back nodes included.
 """
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.check.probes import ProbeSet
 from repro.core import columnar
 from repro.core.entry import Entry
 from repro.oracle.graph import _ALL_STABLE, DependencyOracle
+
+from helpers import causal_past
 
 # -- the references: walk every chain, traverse every past ---------------------
 
@@ -49,7 +60,7 @@ def revokers_by_scan(oracle, iid):
 def revokers_by_traversal(oracle, iid):
     """Theorem 4's quantity by definition: owners of non-stable,
     non-rolled-back intervals in the causal past."""
-    return {u[0] for u in oracle.causal_past(iid)
+    return {u[0] for u in causal_past(oracle, iid)
             if not oracle.node(u).stable and not oracle.node(u).rolled_back}
 
 
@@ -214,3 +225,76 @@ class TestHandPickedSchedules:
                    ("recover", 1, 0), ("stable", 1, 3), ("stable", 1, -9)]:
             script.apply(op)
             assert_frontier_exact(script)
+
+
+# -- Theorem 3's coverage probe against its traversal form ---------------------
+
+
+def coverage_by_traversal(oracle, pid, carried):
+    """The coverage probe as it was: walk the live interval's whole past
+    and name each non-stable dependency the carried vector misses."""
+    found = set()
+    for iid in causal_past(oracle, oracle.live_interval(pid)):
+        qid, inc, sii = iid
+        node = oracle.node(iid)
+        if qid == pid or node.stable or node.rolled_back:
+            continue
+        entry = carried.get(qid)
+        if entry is None or entry < Entry(inc, sii):
+            found.add(f"Theorem 3 violated: P{pid} causally depends on "
+                      f"non-stable interval {iid} but its dependency vector "
+                      f"carries {entry} for P{qid}")
+    return found
+
+
+def coverage_by_probe(oracle, pid, carried):
+    """``ProbeSet``'s coverage check, on a harness of one live host."""
+    protocol = SimpleNamespace(failed=False,
+                               tdv_entries=lambda: list(carried.items()))
+    harness = SimpleNamespace(
+        certifier=SimpleNamespace(oracle=oracle),
+        hosts=[SimpleNamespace(pid=pid, down=False, protocol=protocol)])
+    probes = ProbeSet()
+    probes._check_vector_coverage(harness)
+    return probes.violations
+
+
+#: A delivery from another process's recorded interval: what puts a
+#: foreign non-stable interval in a past.
+FOREIGN_DELIVERY = st.tuples(
+    st.just("deliver"), st.integers(0, 99),
+    st.integers(0, 24).map(lambda x: 4 * x + 1),
+    st.integers(0, 12).map(lambda x: 8 * x + 1))
+
+
+@pytest.mark.parametrize("n,rep", [(3, "auto"), (64, "auto"), (64, "list")])
+@settings(deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=st.lists(st.one_of(OPERATION, FOREIGN_DELIVERY),
+                    min_size=1, max_size=30),
+       picks=st.lists(st.integers(0, 99), min_size=8, max_size=8))
+def test_the_coverage_probe_matches_its_traversal(n, rep, ops, picks):
+    script = Script(build_oracle(n, rep), pids_for(n))
+    oracle = script.oracle
+    for op in ops:
+        script.apply(op)
+        for iid in script.created:
+            assert set(oracle.non_stable_past(iid)) == {
+                u for u in causal_past(oracle, iid)
+                if not oracle.node(u).stable
+                and not oracle.node(u).rolled_back}, iid
+        for pid in script.pids:
+            if oracle.live_interval(pid) is None:
+                continue
+            # A carried vector per process: nothing, or one of the
+            # intervals created so far (rolled back or not) per other pid.
+            carried = {}
+            for i, q in enumerate(script.pids):
+                theirs = [iid for iid in script.created if iid[0] == q]
+                pick = picks[(i + len(script.created)) % len(picks)]
+                if q != pid and theirs and pick % 3:
+                    _, inc, sii = theirs[pick % len(theirs)]
+                    carried[q] = Entry(inc, sii)
+            probe = coverage_by_probe(oracle, pid, carried)
+            assert len(probe) == len(set(probe))
+            assert set(probe) == coverage_by_traversal(oracle, pid, carried)

@@ -2,6 +2,7 @@
 sans-IO process, and whole runs on the simulation harness."""
 
 from repro.app.behavior import AppBehavior
+from repro.check import explorer
 from repro.check.explorer import RandomExplorer, RandomScenarioSampler
 from repro.core.baselines.sender_based import (
     SBAck,
@@ -333,10 +334,11 @@ class TestSimulation:
     def test_determinism(self):
         assert run(seed=7).metrics().as_row() == run(seed=7).metrics().as_row()
 
-    def test_random_explorer_with_one_crash(self):
-        sampler = RandomScenarioSampler(
-            seed=5, k_choices=(0,), crash_probability=1.0, max_crashes=1,
-            partition_probability=0.0)
+    def test_random_explorer_with_one_crash(self, monkeypatch):
+        monkeypatch.setattr(explorer, "CRASH_PROBABILITY", 1.0)
+        monkeypatch.setattr(explorer, "MAX_CRASHES", 1)
+        monkeypatch.setattr(explorer, "PARTITION_PROBABILITY", 0.0)
+        sampler = RandomScenarioSampler(seed=5, k_choices=(0,))
         stats = RandomExplorer(sampler, runs=20,
                                protocol=SenderBasedProcess).explore()
         assert not stats.found, stats.result.violations

@@ -13,7 +13,8 @@ where a dict names it as a key, in a literal or a ``dict(...)`` call
 (``bench/workloads.py`` and the experiment specs spell configs as dicts
 and build them with ``SimConfig(**fields)``).  A carrier's calls are matched
 by name: the carrier's own, plus the names its builders call it through
-(``build_protocol`` calls the protocol class as ``cls``).  A dataclass
+(``build_protocol`` calls the protocol class as ``cls``, the storage
+campaigns build a ``Scenario`` through ``_filelog``).  A dataclass
 that a carrier takes as a parameter is a carrier too: a config object is
 a bundle of options.
 """
@@ -33,6 +34,14 @@ from repro.analysis.stats import summarize
 from repro.analysis.timeline import TimelineRenderer
 from repro.backplane.coordinator import ServePlan
 from repro.backplane.worker import CoordinatorTransport
+from repro.check.cli import small_scenario
+from repro.check.explorer import BoundedDFSExplorer, RandomScenarioSampler
+from repro.check.scenario import Scenario
+from repro.check.storage_campaign import (
+    fault_campaign,
+    fsync_sweep,
+    sweep_baseline,
+)
 from repro.control.controller import AdaptiveKController
 from repro.core.protocol import KOptimisticProcess
 from repro.net.channel import FixedLatency
@@ -64,6 +73,13 @@ CARRIERS = (
     (summarize, ("summarize",)),
     (TimelineRenderer, ("TimelineRenderer",)),
     (ascii_series, ("ascii_series",)),
+    (Scenario, ("Scenario", "_filelog")),
+    (RandomScenarioSampler, ("RandomScenarioSampler",)),
+    (small_scenario, ("small_scenario",)),
+    (BoundedDFSExplorer, ("BoundedDFSExplorer",)),
+    (fault_campaign, ("fault_campaign",)),
+    (sweep_baseline, ("sweep_baseline",)),
+    (fsync_sweep, ("fsync_sweep",)),
 )
 
 #: ``"Carrier.option"`` kept although no caller outside the tests sets
@@ -104,7 +120,8 @@ def carriers() -> List[Tuple[object, Tuple[str, ...]]]:
         for p in _parameters(carrier):
             bundle = scope.get(p.annotation) if isinstance(
                 p.annotation, str) else p.annotation
-            if dataclasses.is_dataclass(bundle):
+            if dataclasses.is_dataclass(bundle) and bundle not in {
+                    listed for listed, _ in found}:
                 found.append((bundle, (bundle.__name__,)))
     return found
 
