@@ -148,6 +148,25 @@ class FrozenIncarnationRowProcess(KOptimisticProcess):
             self.log.insert(self.pid, checkpoint.entry)
 
 
+class LazyNotifierProcess(KOptimisticProcess):
+    """Reports its logging progress at every 4th notify tick only (breaks
+    the timeliness of output commit).
+
+    Nothing unsafe follows, and nothing is lost: outputs that wait on its
+    stability commit a few ticks late, and settle's rounds still
+    quiesce.  Only the commit-deadline rule sees it.
+    """
+
+    ticks = 0
+
+    def notify(self) -> List[Effect]:
+        self.ticks += 1
+        if self.ticks % 4:
+            self._require_running()
+            return []
+        return super().notify()
+
+
 class GlobalRandomOpenLoop(OpenLoopBehavior):
     """Picks each next hop from the module-level ``random`` instead of the
     interval's own draws (breaks piecewise determinism)."""
@@ -184,4 +203,5 @@ MUTANTS: Dict[str, type] = {
     "global_random_app": GlobalRandomAppProcess,
     "forgetful_checkpoint": ForgetfulCheckpointProcess,
     "frozen_incarnation_row": FrozenIncarnationRowProcess,
+    "lazy_notifier": LazyNotifierProcess,
 }

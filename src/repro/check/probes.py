@@ -65,12 +65,20 @@ would repeat it every step).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Set, Tuple
+import math
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.columnar import PACK_MASK, PACK_SHIFT
-from repro.core.effects import Effect, MessageDelivered, ReleaseMessage
+from repro.core.effects import (
+    CommitOutput,
+    Effect,
+    MessageDelivered,
+    ReleaseMessage,
+)
 from repro.core.entry import Entry
 from repro.core.protocol import KOptimisticProcess
+from repro.failures.injector import HealEvent, PartitionEvent
+from repro.runtime.config import CONTROL_LATENCY
 from repro.runtime.harness import ProcessHost, SimulationHarness
 
 
@@ -267,6 +275,82 @@ class ProbeSet:
                     f"output {record.output_id} no longer recorded as "
                     f"committed in P{record.process}'s stable storage (REDO "
                     f"lost the at-most-once guard)")
+
+
+def deadline_ticks(n: int, fanout: Optional[int]) -> int:
+    """The commit deadline's c, in ticks of ``notify_interval +
+    CONTROL_LATENCY``.  Push: the owner of the last dependency reports
+    it at its next tick, one hop away (2: a tick of slack).  Pull f: a
+    holder waiting on up to n - 1 owners asks each within
+    ceil((n - 1) / f) ticks, and the answer is one more hop."""
+    return 2 if fanout is None else math.ceil((n - 1) / fanout) + 1
+
+
+class CommitDeadline:
+    """Commitment is a decision that also comes in time: an output whose
+    last dependency became stable at t commits by t + c * (notify_interval
+    + CONTROL_LATENCY), c as :func:`deadline_ticks` states it.  The oracle
+    says when: the first step after which the output's interval has no
+    potential revoker left.
+
+    Judged on reliable networks, for processes that record their own
+    flushes, and outside crash and partition windows stretched by the
+    restart delay and one deadline: a notification lost on a lossy
+    channel, held by a crashed owner or by a partition, or a checkpoint
+    a checkpoint-only process waits for, comes a later tick."""
+
+    def __init__(self, harness: SimulationHarness):
+        config = harness.config
+        self.harness = harness
+        self.deadline = (deadline_ticks(config.n, config.notify_fanout)
+                         * (config.notify_interval + CONTROL_LATENCY))
+        #: Intervals with outputs whose dependencies are not all stable,
+        #: and when those of the others last became stable.
+        self.waiting: Set[Tuple[int, int, int]] = set()
+        self.since: Dict[Tuple[int, int, int], float] = {}
+        self.violations: List[str] = []
+        if not config.unreliable():
+            harness.add_effect_probe(self._on_effect)
+            harness.add_step_probe(self._on_step)
+
+    def _on_effect(self, host: ProcessHost, effect: Effect) -> None:
+        if isinstance(effect, MessageDelivered) and effect.outputs:
+            interval = effect.interval
+            self.waiting.add((host.pid, interval.inc, interval.sii))
+        elif isinstance(effect, CommitOutput):
+            self._judge(effect.record, self.harness.engine.now)
+
+    def _on_step(self, harness: SimulationHarness) -> None:
+        oracle = harness.certifier.oracle
+        for iid in [iid for iid in self.waiting
+                    if not oracle.potential_revokers(iid)]:
+            self.waiting.discard(iid)
+            self.since[iid] = harness.engine.now
+
+    def _judge(self, record: Any, now: float) -> None:
+        harness = self.harness
+        interval = record.send_interval
+        since = self.since.get((record.process, interval.inc, interval.sii),
+                               now)
+        if (now <= since + self.deadline
+                or record.process in harness.certifier.checkpoint_only):
+            return
+        grace = self.deadline + harness.config.restart_delay
+        windows = [(crash, crash + grace) for host in harness.hosts
+                   for crash in host.crash_times]
+        start = math.inf
+        for event in harness.failures:
+            if isinstance(event, PartitionEvent):
+                start = event.time
+            elif isinstance(event, HealEvent):
+                windows.append((start, event.time + self.deadline))
+                start = math.inf
+        windows.append((start, math.inf))
+        if not any(begin <= now and since <= end for begin, end in windows):
+            self.violations.append(
+                f"output {record.output_id} committed at t={now:g}, more "
+                f"than {self.deadline:g} after its last dependency became "
+                f"stable (t={since:g})")
 
 
 def _entry(packed: int) -> Entry:

@@ -27,7 +27,7 @@ import tempfile
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.check.probes import ProbeSet
+from repro.check.probes import CommitDeadline, ProbeSet
 from repro.core.baselines import StromYeminiProcess
 from repro.core.effects import (
     Effect,
@@ -359,6 +359,7 @@ def run_scenario(
         probes.install(harness)
         for kind in scenario.crash_points:
             harness.add_effect_probe(CrashPoint(kind, harness))
+        deadline = CommitDeadline(harness)
         StormRule(harness)
         recorder = ChoiceRecorder(scenario.choices, seed=scenario.choice_seed)
         harness.engine.set_tie_breaker(recorder)
@@ -371,7 +372,8 @@ def run_scenario(
             probes.check_quiescent(harness)
         except Storm as cascade:
             storm.append(str(cascade))
-        violations = list(harness.violations) + probes.violations + storm
+        violations = (list(harness.violations) + probes.violations
+                      + deadline.violations + storm)
         return CheckResult(
             violations=violations,
             choices=list(recorder.taken),

@@ -967,8 +967,8 @@ class KOptimisticProcess:
     # _piggyback_vector, _deliverable, _is_orphan_message and
     # _nullify_stable_tdv_entries; the steps _check_send_buffer,
     # _enqueue_output, _release, _rollback, _recover_tables and
-    # _take_back_buffers; and __init__, flush, checkpoint, crash, restart,
-    # on_log_notifications, on_logging_request and unacked_count.
+    # _take_back_buffers; and __init__, flush, notify, checkpoint, crash,
+    # restart, on_log_notifications, on_logging_request and unacked_count.
 
     def _new_vector(self) -> DependencyVector:
         """Factory for the dependency-vector type this protocol tracks."""

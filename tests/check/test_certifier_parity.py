@@ -8,9 +8,9 @@ string.  Three mutants die by the certifier's own rules, so its post-hoc
 verdict alone kills each of them: ``unbounded_release`` breaks Theorem 4,
 and ``deaf_owner`` and ``forgetful_checkpoint`` lose work — a surviving
 interval's send never released or output never committed, which
-``Certifier.finish`` names.  The others are killed by the probes, and the
-certifier's verdict on them is whatever consistency and the ledger say,
-on both feeds alike.
+``Certifier.finish`` names.  The others are killed by the probes or the
+runner's commit-deadline rule, and the certifier's verdict on them is
+whatever consistency and the ledger say, on both feeds alike.
 """
 
 from dataclasses import replace
@@ -24,7 +24,7 @@ from repro.check import (
     RandomScenarioSampler,
 )
 from repro.check.cli import small_scenario
-from repro.check.probes import ProbeSet
+from repro.check.probes import CommitDeadline, ProbeSet
 from repro.check.scenario import CrashPoint
 from repro.oracle.ingest import certify_tracer
 from repro.runtime.harness import SimulationHarness
@@ -40,6 +40,7 @@ def traced_rerun(scenario, protocol):
                                 protocol=protocol)
     probes = ProbeSet()
     probes.install(harness)
+    deadline = CommitDeadline(harness)
     for kind in scenario.crash_points:
         harness.add_effect_probe(CrashPoint(kind, harness))
     harness.engine.set_tie_breaker(
@@ -48,6 +49,7 @@ def traced_rerun(scenario, protocol):
         harness.inject_at(injection.time, injection.dst, injection.payload())
     harness.run(scenario.horizon)
     probes.check_quiescent(harness)
+    probes.violations += deadline.violations
     return harness, probes
 
 

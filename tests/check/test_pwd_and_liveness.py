@@ -17,6 +17,9 @@
   intervals when a crash follows a Rollback, which the own-stability
   probe, run once the scenario has settled, sees.  Each needs its crash
   point: a crash the protocol's own step places.
+- ``lazy_notifier`` reports its logging progress at every 4th notify tick
+  only: nothing is lost, outputs just commit late, which only the
+  runner's commit-deadline rule (ROADMAP item 1(d)) sees.
 """
 
 import re
@@ -30,6 +33,7 @@ from repro.check import (
     run_scenario,
 )
 from repro.check import storage_campaign
+from repro.check.probes import deadline_ticks
 from repro.check.cli import small_scenario
 from repro.core.effects import MessageDelivered
 from repro.runtime.harness import SimulationHarness
@@ -52,7 +56,7 @@ def test_the_registry_holds_every_mutant():
     assert set(MUTANTS) >= {
         "orphan_blind", "unbounded_release", "forgetful_piggyback",
         "stale_vector", "deaf_owner", "global_random_app",
-        "forgetful_checkpoint", "frozen_incarnation_row"}
+        "forgetful_checkpoint", "frozen_incarnation_row", "lazy_notifier"}
 
 
 def test_forgetful_checkpoint_is_killed_after_a_checkpoint():
@@ -84,6 +88,24 @@ def test_a_journaled_commit_nobody_saw_is_lost_work_without_a_crash():
         assert run_scenario(scenario).violations == []
         assert run_scenario(scenario, SilentCommitProcess).violations == [
             "surviving interval (0, 0, 5) never committed output(s) [0]"]
+
+
+def test_lazy_notifier_is_killed_by_the_commit_deadline():
+    scenario, result = killing_run("lazy_notifier")
+    assert result.violations
+    assert all(re.fullmatch(r"output \S+ committed at t=\S+, more than "
+                            r"\S+ after its last dependency became stable "
+                            r"\(t=\S+\)", v) for v in result.violations)
+    assert run_scenario(scenario).violations == []
+
+
+def test_the_commit_deadline_states_its_factor_per_mode():
+    assert deadline_ticks(4, None) == 2
+    # Pull f: ceil((n - 1) / f) ticks to ask every owner, one for the
+    # answer.
+    assert deadline_ticks(6, 2) == 4
+    assert deadline_ticks(3, 2) == 2
+    assert deadline_ticks(32, 4) == 9
 
 
 def test_global_random_app_is_killed_by_the_replay_probe():

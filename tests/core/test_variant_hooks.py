@@ -24,7 +24,7 @@ HOOKS = {
     "_check_send_buffer", "_enqueue_output", "_release", "_rollback",
     "_recover_tables", "_take_back_buffers",
     # Whole routines and the construction.
-    "__init__", "flush", "checkpoint", "crash", "restart",
+    "__init__", "flush", "notify", "checkpoint", "crash", "restart",
     "on_log_notifications", "on_logging_request", "unacked_count",
 }
 
