@@ -10,12 +10,14 @@ attributable to the K policy alone.
 
 Reported per policy: output-commit latency percentiles (end-to-end,
 injection to commit), SLO attainment, revoked intervals (the optimism
-cost), and the controller's decision trace summary.  The headline claim
-is the trade-off escape: a static K must pick one point on the
-latency/revocation curve for the whole run, while the controller rides
-the front — full optimism while the system is healthy, pessimistic
-retreat during the crash cluster — and lands better p99 latency at no
-higher revocation count than the best static point.
+cost), and the controller's decision trace summary.  The question is
+the trade-off escape: a static K must pick one point on the
+latency/revocation curve for the whole run, while the controller means
+to ride the front — full optimism while the system is healthy,
+pessimistic retreat during the crash cluster.  On the current schedules
+it does not: static K=2 (p99 119.07, 78 revoked) and static K=4 (104.65,
+131) each beat the controller (123.22, 146) on both, and static K=8 has
+the lowest p99 (85.07) at 280 revoked (docs/CONTROL.md §6).
 
 Run: ``python -m repro.experiments.adaptive_k``
 """
@@ -39,8 +41,8 @@ STATIC_KS: Sequence[int] = (0, 1, 2, 4, K_CEILING)
 DURATION = 600.0
 #: ``(fraction of the duration, pid)``.  Two clusters of closely spaced
 #: crashes: a reactive controller cannot dodge the first crash of a
-#: cluster, but the retreat it triggers shields the rest of the cluster —
-#: the regime where adaptive K beats every static point.
+#: cluster, but the retreat it triggers is meant to shield the rest of the
+#: cluster — the regime the controller was built for.
 CRASHES: Sequence[Tuple[float, int]] = (
     (0.35, 3), (0.38, 9), (0.41, 13), (0.44, 5),
     (0.68, 12), (0.71, 2), (0.74, 7))
