@@ -12,6 +12,12 @@ output-commit bug the campaign originally caught.
 
 import pytest
 
+from repro.check import (
+    MUTANTS,
+    dump_counterexample,
+    load_counterexample,
+    shrink,
+)
 from repro.check.probes import ProbeSet
 from repro.check.scenario import run_scenario
 from repro.check.storage_campaign import (
@@ -128,6 +134,29 @@ def sweep(seed=1, n=2, k=2, horizon=140.0, max_points=4):
     baseline = sweep_baseline(seed=seed, n=n, k=k, horizon=horizon)
     first = run_scenario(baseline)
     return first, list(fsync_sweep(baseline, first.fsyncs, max_points))
+
+
+class TestStorageCounterexample:
+    def test_a_campaign_run_shrinks_and_replays_like_any_other(self,
+                                                               tmp_path):
+        # A storage run is a plain scenario: against a mutant it is a
+        # counterexample the shrinker minimizes (storage faults
+        # included) and a dump that replays on the file log.
+        (_, scenario), = fault_campaign(runs=1, seed=0, n=4, horizon=220.0)
+        mutant = MUTANTS["orphan_blind"]
+        assert run_scenario(scenario).ok
+        shrunk = shrink(scenario, protocol=mutant, max_runs=60)
+        assert shrunk.result.violations
+        assert len(shrunk.scenario.storage_faults) < \
+            len(scenario.storage_faults)
+        path = str(tmp_path / "storage.json")
+        dump_counterexample(path, shrunk.scenario, shrunk.result,
+                            mutant="orphan_blind")
+        loaded, name = load_counterexample(path)
+        assert loaded == shrunk.scenario
+        assert loaded.storage_backend == "filelog"
+        assert run_scenario(loaded, MUTANTS[name]).violations == \
+            shrunk.result.violations
 
 
 class TestFsyncSweepSmoke:
