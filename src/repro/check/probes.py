@@ -61,6 +61,10 @@ and accumulates violations.  Together with the harness's
 
 Each distinct violation is reported once (running on after a violation
 would repeat it every step).
+
+Beside the probes, :class:`CommitDeadline` times every output commit
+against the moment its last dependency became stable; the runner
+installs it next to the ``ProbeSet``.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ indices an external tie-breaker picks among same-time engine events.
 Every campaign (the explorers, the storage campaigns, the variant
 matrix) generates scenarios for :func:`run_scenario`, which judges each
 alike: the certifier's rules, a :class:`~repro.check.probes.ProbeSet`
-(its quiescent own-stability probe and durability guard included) and
-the storm rule.
+(its quiescent own-stability probe and durability guard included), the
+commit-deadline rule and the storm rule.
 
 Checker scenarios default to a **lockstep** network (fixed unit latency,
 no jitter, no per-entry cost) so that independently sent messages arrive
