@@ -19,7 +19,7 @@ Two strategies over :class:`~repro.check.scenario.Scenario` runs:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from repro.check.scenario import (
@@ -86,8 +86,8 @@ class BoundedDFSExplorer:
             if stats.runs >= self.max_runs:
                 return stats  # budget exhausted, tree not fully covered
             prefix = stack.pop()
-            result = run_scenario(self.scenario.with_choices(prefix))
-            if stats.record(self.scenario.with_choices(result.choices),
+            result = run_scenario(replace(self.scenario, choices=prefix))
+            if stats.record(replace(self.scenario, choices=result.choices),
                             result):
                 return stats
             # Branch at every decision point at or beyond this prefix (the

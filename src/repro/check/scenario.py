@@ -63,8 +63,6 @@ NETWORKS: Dict[str, dict] = {
     "lossy": {"drop_rate": 0.05, "duplicate_rate": 0.02,
               "reorder_rate": 0.05, "retransmit_window": 16},
 }
-#: Classes that assume FIFO channels, run on FIFO channels.
-FIFO_CLASSES = (StromYeminiProcess,)
 #: Where file-log scenarios keep their journals: on tmpfs where there is
 #: one (a run judges the protocol over the journal, not the device).
 JOURNALS = "/dev/shm" if os.path.isdir("/dev/shm") else None
@@ -144,8 +142,6 @@ class CheckResult:
     events_executed: int
     #: Settle left every process quiescent.
     quiescent: bool
-    #: The storm rule ended the run (one of the violations says so).
-    storm: bool
     metrics: RunMetrics
     #: Each process's fsyncs (the fsync sweep crashes at these boundaries).
     fsyncs: List[int]
@@ -222,10 +218,6 @@ class Scenario:
             events.append(HealEvent(part.end))
         return FailureSchedule(events + list(self.storage_faults))
 
-    def with_choices(self, choices: Sequence[int],
-                     choice_seed: Optional[int] = None) -> "Scenario":
-        return replace(self, choices=list(choices), choice_seed=choice_seed)
-
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -244,13 +236,12 @@ class Scenario:
         return cls(**data)
 
 
-def random_peers(seed: int, n: int, until: float, rate: float = 1.0,
-                 output_fraction: float = 0.25) -> List[Injection]:
-    """The Poisson tokens :class:`RandomPeersWorkload` injects into a run
-    seeded ``seed``, drawn up front as injections."""
-    workload = RandomPeersWorkload(rate=rate, output_fraction=output_fraction)
+def random_peers(seed: int, n: int, until: float) -> List[Injection]:
+    """The Poisson tokens :class:`RandomPeersWorkload` at rate 1 injects
+    into a run seeded ``seed``, drawn up front as injections."""
     return [Injection(time, dst, **payload) for time, dst, payload
-            in workload.injections(RngRegistry(seed), n, until)]
+            in RandomPeersWorkload(rate=1.0).injections(
+                RngRegistry(seed), n, until)]
 
 
 class CrashPoint:
@@ -350,7 +341,7 @@ def run_scenario(
     journals = (tempfile.mkdtemp(prefix="repro-check-", dir=JOURNALS)
                 if scenario.storage_backend == "filelog" else None)
     config = replace(scenario.config(), storage_dir=journals,
-                     fifo=issubclass(protocol, FIFO_CLASSES))
+                     fifo=issubclass(protocol, StromYeminiProcess))
     harness = SimulationHarness(config, TokenBehavior(),
                                 failures=scenario.failure_schedule(),
                                 protocol=protocol)
@@ -380,7 +371,6 @@ def run_scenario(
             counts=list(recorder.counts),
             events_executed=harness.engine.events_executed,
             quiescent=not storm and harness.quiescent(),
-            storm=bool(storm),
             metrics=harness.metrics(),
             fsyncs=[host.protocol.storage.fsyncs for host in harness.hosts],
             trace=[record for record in harness.tracer.rows()

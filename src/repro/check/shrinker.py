@@ -28,6 +28,8 @@ from repro.core.protocol import KOptimisticProcess
 T = TypeVar("T")
 
 COUNTEREXAMPLE_FORMAT = "repro-check-counterexample-v1"
+#: The runs one shrink may spend.
+MAX_RUNS = 400
 
 
 @dataclass
@@ -43,20 +45,8 @@ class ShrinkResult:
         return len(self.result.trace)
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def take(self) -> bool:
-        if self.used >= self.limit:
-            return False
-        self.used += 1
-        return True
-
-
-def _ddmin(items: List[T], still_fails: Callable[[List[T]], bool],
-           budget: _Budget) -> List[T]:
+def _ddmin(items: List[T], still_fails: Callable[[List[T]], bool]
+           ) -> List[T]:
     """Classic ddmin: greedily remove chunks while the test still fails."""
     chunks = 2
     while len(items) >= 2:
@@ -64,8 +54,6 @@ def _ddmin(items: List[T], still_fails: Callable[[List[T]], bool],
         reduced = False
         for start in range(0, len(items), size):
             complement = items[:start] + items[start + size:]
-            if not budget.take():
-                return items
             if still_fails(complement):
                 items = complement
                 chunks = max(2, chunks - 1)
@@ -75,9 +63,8 @@ def _ddmin(items: List[T], still_fails: Callable[[List[T]], bool],
             if size == 1:
                 break
             chunks = min(len(items), chunks * 2)
-    if len(items) == 1:
-        if budget.take() and still_fails([]):
-            return []
+    if len(items) == 1 and still_fails([]):
+        return []
     return items
 
 
@@ -87,36 +74,40 @@ def _with(injections: List[Injection], i: int, **changes) -> List[Injection]:
         + injections[i + 1:]
 
 
-def shrink(
-    scenario: Scenario,
-    protocol: type = KOptimisticProcess,
-    max_runs: int = 400,
-) -> ShrinkResult:
-    """Minimize a violating ``scenario``; raises if it does not violate."""
-    budget = _Budget(max_runs)
-    last_failing: List[CheckResult] = []
+def shrink(scenario: Scenario,
+           protocol: type = KOptimisticProcess) -> ShrinkResult:
+    """Minimize a violating ``scenario``; raises if it does not violate.
+
+    Each candidate costs one run, at most :data:`MAX_RUNS` in all; once
+    they are spent, every further candidate counts as passing."""
+    runs = 0
+    # The run of ``current``: the last candidate that still violated.
+    failing: List[CheckResult] = []
 
     def fails(candidate: Scenario) -> bool:
+        nonlocal runs
+        if runs >= MAX_RUNS:
+            return False
+        runs += 1
         result = run_scenario(candidate, protocol)
         if result.violations:
-            last_failing.append(result)
-            del last_failing[:-1]
+            failing[:] = [result]
         return bool(result.violations)
 
-    if not budget.take() or not fails(scenario):
+    if not fails(scenario):
         raise ValueError("scenario does not violate any invariant; "
                          "nothing to shrink")
     current = scenario
 
     def attempt(candidate: Scenario) -> bool:
         nonlocal current
-        if budget.take() and fails(candidate):
+        if fails(candidate):
             current = candidate
             return True
         return False
 
     changed = True
-    while changed and budget.used < budget.limit:
+    while changed and runs < MAX_RUNS:
         changed = False
         before = current
 
@@ -125,9 +116,7 @@ def shrink(
             items = getattr(current, name)
             kept = _ddmin(
                 list(items),
-                lambda kept: fails(replace(current, **{name: kept})),
-                budget,
-            )
+                lambda kept: fails(replace(current, **{name: kept})))
             if len(kept) < len(items):
                 current = replace(current, **{name: kept})
 
@@ -175,9 +164,7 @@ def shrink(
 
         changed = current != before
 
-    final = last_failing[0] if last_failing else run_scenario(
-        current, protocol)
-    return ShrinkResult(scenario=current, result=final, runs=budget.used)
+    return ShrinkResult(scenario=current, result=failing[0], runs=runs)
 
 
 # -- persistence -------------------------------------------------------------

@@ -10,6 +10,7 @@ must reduce it to a short replayable counterexample.
 
 import functools
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -122,7 +123,7 @@ class TestScenarioRuns:
         branch = next((i for i, c in enumerate(base.counts) if c > 1), None)
         assert branch is not None, "lockstep scenario produced no ties"
         flipped = run_scenario(
-            scenario.with_choices(base.choices[:branch] + [1]))
+            replace(scenario, choices=base.choices[:branch] + [1]))
         assert flipped.violations == []
         assert flipped.choices != base.choices
 
@@ -185,7 +186,7 @@ class TestBoundedDFS:
         assert stats.max_branching >= 2
 
     def test_dfs_rejects_random_fallback(self):
-        scenario = small_scenario().with_choices([], choice_seed=1)
+        scenario = replace(small_scenario(), choice_seed=1)
         with pytest.raises(ValueError):
             BoundedDFSExplorer(scenario)
 

@@ -18,6 +18,7 @@ from repro.check import (
     load_counterexample,
     shrink,
 )
+from repro.check import shrinker
 from repro.check.probes import ProbeSet
 from repro.check.scenario import run_scenario
 from repro.check.storage_campaign import (
@@ -137,15 +138,16 @@ def sweep(seed=1, n=2, k=2, horizon=140.0, max_points=4):
 
 
 class TestStorageCounterexample:
-    def test_a_campaign_run_shrinks_and_replays_like_any_other(self,
-                                                               tmp_path):
+    def test_a_campaign_run_shrinks_and_replays_like_any_other(
+            self, tmp_path, monkeypatch):
         # A storage run is a plain scenario: against a mutant it is a
         # counterexample the shrinker minimizes (storage faults
         # included) and a dump that replays on the file log.
         (_, scenario), = fault_campaign(runs=1, seed=0, n=4, horizon=220.0)
         mutant = MUTANTS["orphan_blind"]
         assert run_scenario(scenario).ok
-        shrunk = shrink(scenario, protocol=mutant, max_runs=60)
+        monkeypatch.setattr(shrinker, "MAX_RUNS", 60)
+        shrunk = shrink(scenario, protocol=mutant)
         assert shrunk.result.violations
         assert len(shrunk.scenario.storage_faults) < \
             len(scenario.storage_faults)
@@ -225,18 +227,21 @@ class TestRollbackReplayDedup:
             harness.close()
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "open loss (CHANGES.md, PR 42's FOUND entry on output commit at the "
     "fsync boundary): a crash right after the fsync that makes an output's "
     "commit record durable, before CommitOutput runs, loses the output"))
 def test_every_journaled_commit_reaches_the_outside_world():
     # fsync_sweep's point at P1's 6th fsync in the sweep of
     # sweep_baseline(seed=1, n=2, k=2, horizon=140.0), max_points=4: the
-    # runner judges it clean.
+    # runner judges it clean.  Only the last assertion is the expected
+    # failure: a missing point raises KeyError, a verdict that is not
+    # clean fails outright.
     _first, points = sweep()
-    scenario = next(scenario for pid, index, scenario in points
-                    if (pid, index) == (1, 6))
-    assert run_scenario(scenario).ok
+    scenario = {(pid, index): scenario
+                for pid, index, scenario in points}[(1, 6)]
+    if not run_scenario(scenario).ok:
+        pytest.fail("the runner no longer judges the sweep point clean")
     harness = SimulationHarness(scenario.config(), TokenBehavior(),
                                 failures=scenario.failure_schedule())
     for injection in scenario.injections:

@@ -39,13 +39,10 @@ import pytest
 
 from golden_digest import BASELINES
 from repro.check import MUTANTS
-from repro.check.scenario import (
-    Partition,
-    Scenario,
-    random_peers,
-    run_scenario,
-)
+from repro.check.scenario import Injection, Partition, Scenario, run_scenario
 from repro.core.protocol import KOptimisticProcess
+from repro.sim.rng import RngRegistry
+from repro.workloads.random_peers import RandomPeersWorkload
 
 N = 4
 DURATION = 200.0
@@ -118,11 +115,13 @@ class Cell:
 
     def scenario(self) -> Scenario:
         discipline = CLASSES[self.variant][1]
+        workload = RandomPeersWorkload(
+            rate=0.6, output_fraction=discipline.get("output_fraction", 0.25))
         return Scenario(
             n=N, k=discipline.get("k"), seed=self.seed, horizon=DURATION,
-            injections=random_peers(
-                self.seed, N, DURATION * 0.8, rate=0.6,
-                output_fraction=discipline.get("output_fraction", 0.25)),
+            injections=[Injection(time, dst, **payload)
+                        for time, dst, payload in workload.injections(
+                            RngRegistry(self.seed), N, DURATION * 0.8)],
             network=NETWORKS[self.network], storage_backend=self.storage,
             **SHAPES[self.shape], **TIMERS)
 
@@ -137,7 +136,7 @@ def named(violation: str) -> str:
 def verdict(cell: Cell, protocol: type = None) -> str:
     result = run_scenario(cell.scenario(),
                           protocol or CLASSES[cell.variant][0])
-    if result.storm:
+    if any(v.startswith("storm:") for v in result.violations):
         return "storm"
     if result.violations:
         return named(result.violations[0])

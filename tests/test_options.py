@@ -36,7 +36,8 @@ from repro.backplane.coordinator import ServePlan
 from repro.backplane.worker import CoordinatorTransport
 from repro.check.cli import small_scenario
 from repro.check.explorer import BoundedDFSExplorer, RandomScenarioSampler
-from repro.check.scenario import Scenario
+from repro.check.scenario import Scenario, random_peers, run_scenario
+from repro.check.shrinker import shrink
 from repro.check.storage_campaign import (
     fault_campaign,
     fsync_sweep,
@@ -80,6 +81,9 @@ CARRIERS = (
     (fault_campaign, ("fault_campaign",)),
     (sweep_baseline, ("sweep_baseline",)),
     (fsync_sweep, ("fsync_sweep",)),
+    (random_peers, ("random_peers",)),
+    (run_scenario, ("run_scenario",)),
+    (shrink, ("shrink",)),
 )
 
 #: ``"Carrier.option"`` kept although no caller outside the tests sets
